@@ -1,7 +1,7 @@
 """The fault-plan DSL: link churn, AD crash/restart, impairment changes.
 
 A :class:`FaultPlan` generalizes :class:`~repro.adgraph.failures.FailurePlan`
-(link up/down only) with two further event kinds:
+(link up/down only) with three further event kinds:
 
 * :class:`NodeFault` -- an AD's routing process crashes (all incident
   links drop and the node goes silent) and later restarts, either
@@ -10,7 +10,9 @@ A :class:`FaultPlan` generalizes :class:`~repro.adgraph.failures.FailurePlan`
   is replaced wholesale and must relearn the internet);
 * :class:`ImpairmentChange` -- the channel model's parameters for one
   link (or the default for all links) change at a scheduled time, which
-  is how lossy periods and flapping-quality links are expressed.
+  is how lossy periods and flapping-quality links are expressed;
+* :class:`WireVersionChange` -- one AD's wire version flips (the E16
+  rolling-upgrade waves).
 
 Event times are **relative**: :meth:`RoutingProtocol.schedule_fault_plan
 <repro.protocols.base.RoutingProtocol.schedule_fault_plan>` offsets them
@@ -76,7 +78,20 @@ class ImpairmentChange:
     link: Optional[Tuple[ADId, ADId]] = None
 
 
-FaultEvent = Union[LinkFault, NodeFault, ImpairmentChange]
+@dataclass(frozen=True)
+class WireVersionChange:
+    """One AD's wire version flips: a rolling upgrade or rollback (E16).
+
+    On the live substrate the flip also bounces the AD's serve task --
+    a binary upgrade restarts the process.
+    """
+
+    time: float
+    ad: ADId
+    version: int
+
+
+FaultEvent = Union[LinkFault, NodeFault, ImpairmentChange, WireVersionChange]
 
 
 @dataclass(frozen=True)
@@ -102,11 +117,27 @@ class FaultPlan:
         return self.events[-1].time if self.events else 0.0
 
     @classmethod
-    def from_failure_plan(cls, plan: FailurePlan) -> "FaultPlan":
-        """Lift a link-only :class:`FailurePlan` into the fault DSL."""
+    def from_failure_plan(cls, plan: Optional[FailurePlan]) -> "FaultPlan":
+        """Lift a link-only :class:`FailurePlan` (``None``: no events)."""
         return cls(
-            tuple(LinkFault(ev.time, ev.a, ev.b, ev.up) for ev in plan)
+            tuple(LinkFault(ev.time, ev.a, ev.b, ev.up) for ev in plan or ())
         )
+
+
+def grouped_events(plan: FaultPlan) -> List[Tuple[float, List[FaultEvent]]]:
+    """Events bucketed by identical fire time, in order.
+
+    Episodic drivers treat simultaneous events (every cut link of a
+    partition goes down at the same instant) as ONE chaos event with
+    one disruption epoch, not dozens.
+    """
+    groups: List[Tuple[float, List[FaultEvent]]] = []
+    for ev in plan:
+        if groups and groups[-1][0] == ev.time:
+            groups[-1][1].append(ev)
+        else:
+            groups.append((ev.time, [ev]))
+    return groups
 
 
 def merge_plans(*plans: FaultPlan) -> FaultPlan:

@@ -1,72 +1,54 @@
-"""The episodic chaos driver: rolling restarts and partitions, measured.
+"""The episodic driver: one loop for chaos (E15) and version skew (E16).
 
-Chaotic cells (``FaultSpec.restarts``/``partitions``) do not fit the
-legacy measurement loops: a rolling restart is interesting *during* the
-outage, not just after it, and E15 needs the same program executed on
-both substrates so the sim's answer can be checked against real sockets.
-This driver runs the chaos plan episodically on either substrate:
+Some cells are interesting *during* a disruption, not just after it,
+and must run the same program on both substrates so the simulator's
+answer can be checked against real sockets.  They all share one shape::
+
+    step list  ->  episode loop  ->  substrate adapter  ->  Transport
+    (_Program)     (_run_cell)       (Sim/LiveSubstrate)    (Sim/LiveNetwork)
 
 1. converge (the ``initial`` epoch seeds the data-plane baseline);
-2. per event group (simultaneous events -- every cut link of a
-   partition -- are ONE chaos event): compile the pre-event FIB, apply
-   the group, immediately replay the workload through the *stale* FIB
-   under post-event liveness (the disruption epoch: exactly what a
-   converged-then-surprised data plane forwards into), sample
-   control-plane availability, settle, then record the healed epoch;
-3. on the live substrate only, finish with a supervised rolling restart
-   of every serve task (the maintenance sweep; hitless by construction
-   because the socket and the node's state survive);
-4. settle, take the post-chaos routes digest -- the sim-vs-live
-   fidelity anchor -- and assemble the record's ``chaos`` block.
+2. per step: compile the pre-step FIB, apply the step's events, replay
+   the workload through the *stale* FIB under post-event liveness (the
+   disruption epoch: exactly what a converged-then-surprised data plane
+   forwards into), sample control-plane routability, settle, record the
+   healed epoch and the step's entry;
+3. the closing maintenance sweep where the program has one (a no-op on
+   the simulator), the routes digest -- the sim-vs-live fidelity anchor
+   -- and the record.
 
-Graceful restart is honoured wherever the plan crashes an AD: the
-protocol's distributed :class:`~repro.protocols.graceful.GracefulRestartConfig`
-decides whether neighbours hold the restarting AD's routes (links stay
-up; the compiled FIB keeps forwarding -- a hitless restart) or tear
-them down immediately (the disruptive legacy behaviour).
-
-This module also hosts the E16 **version-skew** driver
-(:func:`execute_version_cell`): the same episodic skeleton, but the
-"events" are rolling wire-version upgrade waves.  Every AD starts at
-the cell's configured wire version (normally v1 with negotiation on),
-converges, and is then upgraded to the current version in
-``FaultSpec.upgrade_waves`` contiguous waves -- on the live substrate
-each flip also bounces the AD's serve task, modelling a binary
-upgrade.  Routes are digested after every wave: a wire upgrade must be
-invisible to routing, so every digest has to match the pre-upgrade
-baseline (``digest_stable``).  ``FaultSpec.rollback`` adds a
-downgrade/re-upgrade leg for the last wave (the aborted-deploy drill).
+A *program* supplies the steps and its record block: chaos steps are the
+plan's event groups (every cut link of a partition is ONE step; graceful
+restart is honoured wherever the plan crashes an AD), upgrade steps are
+rolling wire-version waves whose routes digests must all match the
+pre-upgrade baseline.  How a substrate waits, settles and applies an
+event is the adapter's business; nothing here knows which one it drives.
 """
 
 from __future__ import annotations
 
 import asyncio
 import hashlib
-from dataclasses import replace as dc_replace
-from typing import Any, Dict, List, Optional, Tuple
+import inspect
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence
 
-from repro.faults.channel import ImpairedChannel
 from repro.faults.plan import (
     FaultEvent,
-    ImpairmentChange,
     LinkFault,
-    NodeFault,
+    WireVersionChange,
+    grouped_events,
 )
-from repro.harness.record import SCHEMA_VERSION, EpisodeRecord, RunRecord
+from repro.harness.record import EpisodeRecord, RunRecord
+from repro.harness.session import TrafficMeter, build_cell, open_sim
 from repro.harness.spec import Cell
 from repro.policy.flows import FlowSpec
 from repro.simul.profiling import PhaseProfiler
-from repro.simul.runner import ConvergenceResult, converge
-from repro.traffic.fib import compile_fib
-from repro.traffic.replay import TailSeries, TrafficReplay
+from repro.simul.wire import WIRE_VERSION
 
-#: Wall seconds per protocol time unit for live chaos cells.
+#: Wall seconds per protocol time unit for live episodic cells.
 CHAOS_TIME_SCALE = 0.005
-#: Live settle parameters (idle window and per-episode budget, wall s).
-CHAOS_IDLE_WINDOW_S = 0.05
+#: Live per-episode settle budget (wall seconds).
 CHAOS_SETTLE_TIMEOUT_S = 60.0
-#: Wall-clock pause between serve-task restarts of the closing sweep.
-CHAOS_ROLLING_DWELL_S = 0.02
 
 __all__ = ["execute_chaos_cell", "execute_version_cell", "routes_digest"]
 
@@ -92,14 +74,18 @@ def routes_digest(protocol) -> str:
     return h.hexdigest()[:16]
 
 
-def _group_events(plan) -> List[Tuple[float, List[FaultEvent]]]:
-    """Events bucketed by identical fire time (one chaos event each)."""
-    from repro.live.chaos import grouped_events
+class _Step(NamedTuple):
+    """One disruption: what to apply, when, and how the record names it."""
 
-    return grouped_events(plan)
+    label: str
+    #: Plan-relative instant (``None``: as soon as the last step settled).
+    at: Optional[float]
+    events: Sequence[FaultEvent]
+    #: Step-specific facts heading the step's record entry.
+    facts: Dict[str, Any]
 
 
-def _group_label(events: List[FaultEvent]) -> str:
+def _group_label(events: Sequence[FaultEvent]) -> str:
     """Human label for one event group (partitions collapse to one)."""
     links_down = sum(
         1 for ev in events if isinstance(ev, LinkFault) and not ev.up
@@ -109,466 +95,134 @@ def _group_label(events: List[FaultEvent]) -> str:
         return f"partition ({links_down} links down)"
     if links_up > 1 and links_up == len(events):
         return f"heal ({links_up} links up)"
-    parts = []
-    for ev in events:
-        if isinstance(ev, LinkFault):
-            parts.append(f"link {ev.a}-{ev.b} {'up' if ev.up else 'down'}")
-        elif isinstance(ev, NodeFault):
-            parts.append(f"AD {ev.ad} {'restart' if ev.up else 'crash'}")
-        elif isinstance(ev, ImpairmentChange):
-            parts.append(f"loss {ev.spec.drop_prob:g}")
-    return "; ".join(parts)
+    return "; ".join(
+        f"link {ev.a}-{ev.b} {'up' if ev.up else 'down'}"
+        if isinstance(ev, LinkFault)
+        else f"AD {ev.ad} {'restart' if ev.up else 'crash'}"
+        for ev in events
+    )
 
 
-def _apply_sim_event(protocol, cell: Cell, ev: FaultEvent) -> None:
-    """Apply one fault event to a sim-built protocol, now."""
-    if isinstance(ev, LinkFault):
-        protocol.apply_link_status(ev.a, ev.b, ev.up)
-    elif isinstance(ev, NodeFault):
-        if ev.up:
-            protocol.restore_node(ev.ad)
-        else:
-            protocol.crash_node(ev.ad, retain_state=ev.retain_state)
-    elif isinstance(ev, ImpairmentChange):
-        network = protocol.network
-        if ev.link is not None:
-            network.set_impairment(ev.link, ev.spec)
-        else:
-            network.set_channel(
-                ImpairedChannel(default=ev.spec, seed=cell.fault.seed)
-            )
-    else:  # pragma: no cover - plan DSL is closed
-        raise TypeError(f"unknown fault event {ev!r}")
+class _Program:
+    """What an episodic experiment supplies: its steps and its record block."""
 
+    #: Whether the closing maintenance sweep runs.
+    sweeps = False
 
-class _ChaosMeter:
-    """Shared measurement state: traffic series + availability samples."""
-
-    def __init__(self, cell: Cell, protocol, scenario) -> None:
-        self.cell = cell
+    def __init__(self, cell: Cell, protocol) -> None:
+        self.fault = cell.fault
         self.protocol = protocol
-        self.flows = scenario.flows
-        self.tail: Optional[TailSeries] = None
-        self.replay: Optional[TrafficReplay] = None
-        self.workload = None
-        self.fib_stats: Dict[str, Any] = {}
-        if cell.traffic.active:
-            self.workload = cell.traffic.build(protocol.graph)
-            self.replay = TrafficReplay(self.workload, protocol.graph)
-            self.tail = TailSeries(self.workload)
-        self.baseline_routable = self.routable()
-        self.groups: List[Dict[str, Any]] = []
 
-    def routable(self) -> int:
-        return sum(
-            1 for f in self.flows if self.protocol.find_route(f) is not None
-        )
+    def baseline(self) -> None:
+        """Hook: runs once, right after the initial epoch."""
 
-    def compile(self):
-        if self.tail is None:
-            return None
-        fib = compile_fib(
-            self.protocol,
-            self.workload.classes,
-            enforce_policy=self.cell.traffic.enforce_policy,
-        )
-        if not self.fib_stats:
-            self.fib_stats.update(fib.stats.as_dict())
-        return fib
+    def verdict(self) -> Dict[str, Any]:
+        """Hook: extra facts closing each step's entry."""
+        return {}
 
-    def record_epoch(self, now: float, label: str, fib=None) -> None:
-        if self.tail is None:
-            return
-        if fib is None:
-            fib = self.compile()
-        self.tail.record(now, label, fib, self.replay)
 
-    def dataplane_block(self) -> Optional[Dict[str, Any]]:
-        if self.tail is None:
-            return None
-        wl = self.workload
+class _ChaosProgram(_Program):
+    """E15: the chaos plan's event groups, closed by the serve sweep."""
+
+    #: FaultSpec flag selecting the program, and the flags it replaces.
+    axis, noun, needs = "chaotic", "chaotic", "chaos program (restarts/partitions)"
+    conflicts = ("churns", "queued")
+    conflict = (
+        "chaotic cells replace the churn/queue timeline; use the legacy "
+        "fault axis for those"
+    )
+    #: Episode kind (and profiler phase), and the block's RunRecord field.
+    kind = field = "chaos"
+    sweeps = True
+
+    def steps(self) -> List[_Step]:
+        self.plan = self.fault.build_chaos_plan(self.protocol.graph)
+        return [
+            _Step(
+                _group_label(events), t, events, {"time": t, "n_events": len(events)}
+            )
+            for t, events in grouped_events(self.plan)
+        ]
+
+    def block(self, substrate, entries, base, serve_restarts):
+        during = [g["routable_during"] for g in entries]
         return {
-            "workload": {
-                "flows": len(wl),
-                "classes": wl.num_classes,
-                "zipf_s": self.cell.traffic.zipf_s,
-                "pairs": self.cell.traffic.pairs,
-                "seed": self.cell.traffic.seed,
-                "head_share": wl.head_share(),
-                "total_bytes": wl.total_bytes,
-            },
-            "fib": self.fib_stats,
-            "series": self.tail.as_dict(),
-        }
-
-    def chaos_block(
-        self,
-        plan,
-        digest: str,
-        *,
-        serve_restarts: int = 0,
-        supervisor: Optional[Dict[str, Any]] = None,
-    ) -> Dict[str, Any]:
-        base = self.baseline_routable
-        during = [g["routable_during"] for g in self.groups]
-        availability = (
-            sum(during) / (len(during) * base) if during and base else 1.0
-        )
-        return {
-            "plan_events": len(plan),
-            "groups": self.groups,
-            "restarts": self.cell.fault.restarts,
-            "partitions": self.cell.fault.partitions,
+            "plan_events": len(self.plan),
+            "groups": entries,
+            "restarts": self.fault.restarts,
+            "partitions": self.fault.partitions,
             "graceful": str(self.protocol.graceful),
             "graceful_summary": self.protocol.graceful_summary(),
             "baseline_routable": base,
-            "availability": availability,
-            "routes_digest": digest,
+            "availability": sum(during) / (len(during) * base)
+            if during and base
+            else 1.0,
+            "routes_digest": routes_digest(self.protocol),
             "serve_restarts": serve_restarts,
-            "supervisor": supervisor,
+            "supervisor": substrate.supervision,
         }
 
 
-def _finish_record(
-    cell: Cell,
-    scenario,
-    protocol,
-    network,
-    episodes,
-    meter: _ChaosMeter,
-    chaos: Optional[Dict[str, Any]],
-    profiler: PhaseProfiler,
-    now: float,
-    substrate: str,
-    versioning: Optional[Dict[str, Any]] = None,
-) -> RunRecord:
-    snapshot = network.metrics.snapshot(now)
-    by_kind: Dict[str, int] = {}
-    by_ad: Dict[str, int] = {}
-    for (ad_id, kind), count in sorted(snapshot.computations.items()):
-        by_kind[kind] = by_kind.get(kind, 0) + count
-        by_ad[f"{ad_id}:{kind}"] = count
-    return RunRecord(
-        schema_version=SCHEMA_VERSION,
-        experiment=cell.experiment,
-        cell=cell.key(),
-        scenario={
-            "name": scenario.name,
-            "num_ads": scenario.graph.num_ads,
-            "num_links": scenario.graph.num_links,
-            "num_terms": scenario.policies.num_terms,
-            "num_flows": len(scenario.flows),
-        },
-        episodes=tuple(episodes),
-        messages=dict(snapshot.messages),
-        message_bytes=dict(snapshot.bytes),
-        dropped=snapshot.dropped,
-        computations=by_kind,
-        computations_by_ad=by_ad,
-        state={
-            "max_rib": protocol.max_rib_size(),
-            "total_rib": protocol.total_rib_size(),
-        },
-        channel=network.channel.counters()
-        if getattr(network, "channel", None)
-        else None,
-        dataplane=meter.dataplane_block(),
-        chaos=chaos,
-        versioning=versioning,
-        timings=profiler.as_dict(),
-        substrate=substrate,
+class _UpgradeProgram(_Program):
+    """E16: rolling wire-version waves, plus the aborted-deploy drill."""
+
+    axis, noun, needs = "versioned", "version", "upgrade program (upgrade_waves)"
+    conflicts = ("chaotic", "churns", "queued")
+    conflict = (
+        "version cells replace the chaos/churn/queue timeline; use separate "
+        "cells for those"
     )
+    kind, field = "upgrade", "versioning"
 
-
-# ----------------------------------------------------------------- sim side
-
-
-def _execute_chaos_sim(cell: Cell) -> RunRecord:
-    profiler = PhaseProfiler()
-    with profiler.phase("scenario"):
-        scenario = cell.scenario.build()
-    with profiler.phase("build"):
-        protocol = cell.protocol.instantiate(
-            scenario.graph.copy(), scenario.policies.copy()
+    def steps(self) -> List[_Step]:
+        self.start = start = self.protocol.wire.version
+        waves = _upgrade_wave_plan(
+            sorted(self.protocol.graph.ad_ids()), self.fault.upgrade_waves
         )
-        network = protocol.build()
-    if cell.fault.impaired:
-        network.set_channel(
-            ImpairedChannel(
-                default=cell.fault.impairment(), seed=cell.fault.seed
-            )
-        )
-    network.set_profiler(profiler)
-    with profiler.phase("converge"):
-        initial = converge(network, max_events=cell.max_events)
-    episodes: List[EpisodeRecord] = [
-        EpisodeRecord.from_result("initial", initial)
-    ]
-    meter = _ChaosMeter(cell, protocol, scenario)
-    meter.record_epoch(network.sim.now, "initial")
-
-    plan = cell.fault.build_chaos_plan(protocol.graph)
-    groups = _group_events(plan)
-    base = network.sim.now
-    with profiler.phase("chaos"):
-        for gi, (t, events) in enumerate(groups):
-            # Advance to the group's instant.  Bounded runs are load-
-            # bearing: a graceful crash arms a hold timer hold_time
-            # ahead, and running to quiescence here would fast-forward
-            # straight through it, expiring holds the plan's restart
-            # (scheduled *sooner*) should have cancelled.
-            network.run(
-                until=base + t,
-                max_events=cell.max_events,
-                raise_on_limit=False,
-            )
-            fib_before = meter.compile()
-            label = _group_label(events)
-            for ev in events:
-                _apply_sim_event(protocol, cell, ev)
-            # The disruption epoch: the pre-event FIB replayed under
-            # post-event liveness -- what stale forwarding state
-            # actually delivers while the control plane reacts.
-            meter.record_epoch(network.sim.now, label, fib=fib_before)
-            routable_during = meter.routable()
-            next_t = groups[gi + 1][0] if gi + 1 < len(groups) else None
-            before = network.metrics.snapshot(network.sim.now)
-            if next_t is not None:
-                processed = network.run(
-                    until=base + next_t,
-                    max_events=cell.max_events,
-                    raise_on_limit=False,
-                )
-            else:
-                processed = network.run(
-                    max_events=cell.max_events, raise_on_limit=False
-                )
-            after = network.metrics.snapshot(network.sim.now)
-            result = ConvergenceResult.from_delta(
-                before,
-                after,
-                processed,
-                quiesced=not network.sim.hit_event_limit,
-            )
-            episodes.append(EpisodeRecord.from_result("chaos", result))
-            meter.record_epoch(network.sim.now, f"{label} settled")
-            meter.groups.append(
-                {
-                    "time": t,
-                    "label": label,
-                    "n_events": len(events),
-                    "messages": result.messages,
-                    "settle_time": result.time,
-                    "routable_during": routable_during,
-                    "routable_after": meter.routable(),
-                    "quiesced": result.quiesced,
-                }
-            )
-    digest = routes_digest(protocol)
-    chaos = meter.chaos_block(plan, digest)
-    return _finish_record(
-        cell,
-        scenario,
-        protocol,
-        network,
-        episodes,
-        meter,
-        chaos,
-        profiler,
-        network.sim.now,
-        "sim",
-    )
-
-
-# ---------------------------------------------------------------- live side
-
-
-async def _execute_chaos_live_async(
-    cell: Cell, time_scale: float, settle_timeout_s: float
-) -> RunRecord:
-    from repro.live.chaos import LiveFaultPlan
-    from repro.live.network import LiveNetwork
-    from repro.live.runner import try_settle
-    from repro.live.supervisor import Supervisor, SupervisorConfig
-
-    profiler = PhaseProfiler()
-    with profiler.phase("scenario"):
-        scenario = cell.scenario.build()
-    with profiler.phase("build"):
-        protocol = cell.protocol.instantiate(
-            scenario.graph.copy(), scenario.policies.copy()
-        )
-        protocol.substrate = "live"
-        network = LiveNetwork(protocol.graph, time_scale=time_scale)
-        protocol.build(network=network)
-    loop = asyncio.get_running_loop()
-    started = loop.time()
-    supervisor = Supervisor(network, SupervisorConfig(seed=cell.fault.seed))
-
-    async def measure() -> ConvergenceResult:
-        before = network.metrics.snapshot(network.clock.now)
-        frames_before = network.frames_received
-        quiesced = await try_settle(
-            network, CHAOS_IDLE_WINDOW_S, settle_timeout_s
-        )
-        after = network.metrics.snapshot(network.clock.now)
-        return ConvergenceResult.from_delta(
-            before,
-            after,
-            events=network.frames_received - frames_before,
-            quiesced=quiesced,
-        )
-
-    try:
-        await network.start()
-        await supervisor.start()
-        if cell.fault.loss > 0:
-            # The one impairment real loopback can emulate: seeded loss
-            # at the receive path, in force from t=0 like the sim's.
-            network.set_recv_loss(cell.fault.loss, seed=cell.fault.seed)
-        with profiler.phase("converge"):
-            initial = await measure()
-        episodes: List[EpisodeRecord] = [
-            EpisodeRecord.from_result("initial", initial)
+        target = WIRE_VERSION
+        legs = [
+            (wave, target, f"upgrade wave {i + 1}/{len(waves)} -> v{target}")
+            for i, wave in enumerate(waves)
         ]
-        meter = _ChaosMeter(cell, protocol, scenario)
-        meter.record_epoch(network.clock.now, "initial")
-
-        plan = cell.fault.build_chaos_plan(protocol.graph)
-        live_plan = LiveFaultPlan(plan, loss_seed=cell.fault.seed)
-        groups = _group_events(plan)
-        base = network.clock.now
-        with profiler.phase("chaos"):
-            for t, events in groups:
-                while network.clock.now < base + t:
-                    remaining = (base + t - network.clock.now) * time_scale
-                    await asyncio.sleep(max(0.001, remaining))
-                fib_before = meter.compile()
-                label = _group_label(events)
-                for ev in events:
-                    live_plan.apply_event(protocol, ev)
-                meter.record_epoch(network.clock.now, label, fib=fib_before)
-                routable_during = meter.routable()
-                before = network.metrics.snapshot(network.clock.now)
-                frames_before = network.frames_received
-                quiesced = await try_settle(
-                    network, CHAOS_IDLE_WINDOW_S, settle_timeout_s
-                )
-                after = network.metrics.snapshot(network.clock.now)
-                result = ConvergenceResult.from_delta(
-                    before,
-                    after,
-                    events=network.frames_received - frames_before,
-                    quiesced=quiesced,
-                )
-                episodes.append(EpisodeRecord.from_result("chaos", result))
-                meter.record_epoch(network.clock.now, f"{label} settled")
-                meter.groups.append(
-                    {
-                        "time": t,
-                        "label": label,
-                        "n_events": len(events),
-                        "messages": result.messages,
-                        "settle_time": result.time,
-                        "routable_during": routable_during,
-                        "routable_after": meter.routable(),
-                        "quiesced": result.quiesced,
-                    }
-                )
-        # The maintenance sweep: restart every serve task one at a time.
-        # Sockets and node state survive, so the sweep is hitless -- the
-        # routes digest below must not notice it happened.
-        with profiler.phase("rolling"):
-            serve_restarts = await supervisor.rolling_restart(
-                dwell_s=CHAOS_ROLLING_DWELL_S
+        if self.fault.rollback:
+            legs.append((waves[-1], start, f"rollback -> v{start}"))
+            legs.append((waves[-1], target, f"re-upgrade -> v{target}"))
+        return [
+            _Step(
+                label,
+                None,
+                [WireVersionChange(0.0, ad, version) for ad in wave],
+                {"ads": len(wave), "to_version": version},
             )
-            await try_settle(network, CHAOS_IDLE_WINDOW_S, settle_timeout_s)
-            meter.record_epoch(network.clock.now, "rolling serve restart")
-        digest = routes_digest(protocol)
-        chaos = meter.chaos_block(
-            plan,
-            digest,
-            serve_restarts=serve_restarts,
-            supervisor={
-                "restarts": sum(supervisor.restart_counts.values()),
-                "gave_up": sorted(supervisor.given_up),
-                "events": len(supervisor.events),
-            },
-        )
-        record = _finish_record(
-            cell,
-            scenario,
-            protocol,
-            network,
-            episodes,
-            meter,
-            chaos,
-            profiler,
-            network.clock.now,
-            "live",
-        )
-        return dc_replace(
-            record,
-            timings={**record.timings, "live.wall": loop.time() - started},
-        )
-    finally:
-        await supervisor.stop()
-        await network.close()
+            for wave, version, label in legs
+        ]
 
+    def baseline(self) -> None:
+        self.baseline_digest = routes_digest(self.protocol)
 
-def _execute_chaos_live(
-    cell: Cell, time_scale: float, settle_timeout_s: float
-) -> RunRecord:
-    return asyncio.run(
-        _execute_chaos_live_async(cell, time_scale, settle_timeout_s)
-    )
+    def verdict(self) -> Dict[str, Any]:
+        """The invariant: every wave settles back onto the baseline routes."""
+        return {
+            "negotiation": self.protocol.negotiation_summary(),
+            "digest_match": routes_digest(self.protocol) == self.baseline_digest,
+        }
 
-
-# ----------------------------------------------------------------- dispatch
-
-
-def execute_chaos_cell(
-    cell: Cell,
-    *,
-    time_scale: Optional[float] = None,
-    settle_timeout_s: Optional[float] = None,
-) -> RunRecord:
-    """Run one chaotic cell end to end on its substrate.
-
-    ``time_scale`` and ``settle_timeout_s`` override the live pacing
-    (wall seconds per protocol unit, per-episode settle budget); both
-    are ignored on the simulator, whose time is virtual.
-    """
-    if not cell.fault.chaotic:
-        raise ValueError("cell has no chaos program (restarts/partitions)")
-    if cell.misbehavior.active:
-        raise ValueError("chaotic cells do not support the misbehavior axis")
-    if cell.fault.churns or cell.fault.queued:
-        raise ValueError(
-            "chaotic cells replace the churn/queue timeline; use the "
-            "legacy fault axis for those"
-        )
-    if cell.substrate == "live":
-        if cell.fault.dup > 0 or cell.fault.jitter > 0 or cell.fault.burst_enter > 0:
-            raise ValueError(
-                "live chaos supports loss impairments only; dup/jitter/"
-                "burst are simulator models"
-            )
-        return _execute_chaos_live(
-            cell,
-            CHAOS_TIME_SCALE if time_scale is None else time_scale,
-            CHAOS_SETTLE_TIMEOUT_S
-            if settle_timeout_s is None
-            else settle_timeout_s,
-        )
-    if cell.substrate != "sim":
-        raise ValueError(
-            f"unknown substrate {cell.substrate!r}; use 'sim' or 'live'"
-        )
-    return _execute_chaos_sim(cell)
-
-
-# -------------------------------------------------------- version-skew (E16)
+    def block(self, substrate, entries, base, serve_restarts):
+        final_digest = routes_digest(self.protocol)
+        return {
+            "upgrade_waves": self.fault.upgrade_waves,
+            "rollback": self.fault.rollback,
+            "wire_start": self.start,
+            "wire_target": WIRE_VERSION,
+            "waves": entries,
+            "negotiation": self.protocol.negotiation_summary(),
+            "version_rejected": self.protocol.network.metrics.version_rejected,
+            "baseline_digest": self.baseline_digest,
+            "routes_digest": final_digest,
+            "digest_stable": final_digest == self.baseline_digest
+            and all(w["digest_match"] for w in entries),
+            "supervisor": substrate.supervision,
+        }
 
 
 def _upgrade_wave_plan(ads: List[int], waves: int) -> List[List[int]]:
@@ -584,308 +238,167 @@ def _upgrade_wave_plan(ads: List[int], waves: int) -> List[List[int]]:
     return [wave for wave in out if wave]
 
 
-def _wave_entry(
-    label: str,
-    wave: List[int],
-    version: int,
-    result: ConvergenceResult,
-    routable_during: int,
-    meter: _ChaosMeter,
-    protocol,
-    baseline_digest: str,
-) -> Dict[str, Any]:
-    """One wave's record entry; the digest check is the invariant."""
-    return {
-        "label": label,
-        "ads": len(wave),
-        "to_version": version,
-        "messages": result.messages,
-        "settle_time": result.time,
-        "routable_during": routable_during,
-        "routable_after": meter.routable(),
-        "quiesced": result.quiesced,
-        "negotiation": protocol.negotiation_summary(),
-        "digest_match": routes_digest(protocol) == baseline_digest,
-    }
+# ----------------------------------------------------------- the episode loop
 
 
-def _versioning_block(
-    cell: Cell,
-    protocol,
-    network,
-    now: float,
-    waves_info: List[Dict[str, Any]],
-    baseline_digest: str,
-    start_version: int,
-    target_version: int,
-    supervisor: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    final_digest = routes_digest(protocol)
-    snapshot = network.metrics.snapshot(now)
-    return {
-        "upgrade_waves": cell.fault.upgrade_waves,
-        "rollback": cell.fault.rollback,
-        "wire_start": start_version,
-        "wire_target": target_version,
-        "waves": waves_info,
-        "negotiation": protocol.negotiation_summary(),
-        "version_rejected": snapshot.version_rejected,
-        "baseline_digest": baseline_digest,
-        "routes_digest": final_digest,
-        "digest_stable": final_digest == baseline_digest
-        and all(w["digest_match"] for w in waves_info),
-        "supervisor": supervisor,
-    }
+async def _done(value):
+    """An adapter call's result: immediate on the simulator, awaited live."""
+    return await value if inspect.isawaitable(value) else value
 
 
-def _execute_version_sim(cell: Cell) -> RunRecord:
-    from repro.simul.wire import WIRE_VERSION
+def _run_without_loop(coro):
+    """Drive a coroutine that never suspends; no event loop is created.
 
-    profiler = PhaseProfiler()
-    with profiler.phase("scenario"):
-        scenario = cell.scenario.build()
-    with profiler.phase("build"):
-        protocol = cell.protocol.instantiate(
-            scenario.graph.copy(), scenario.policies.copy()
-        )
-        network = protocol.build()
-    if cell.fault.impaired:
-        network.set_channel(
-            ImpairedChannel(
-                default=cell.fault.impairment(), seed=cell.fault.seed
-            )
-        )
-    network.set_profiler(profiler)
-    start_version = protocol.wire.version
-    with profiler.phase("converge"):
-        initial = converge(network, max_events=cell.max_events)
-    episodes: List[EpisodeRecord] = [
-        EpisodeRecord.from_result("initial", initial)
-    ]
-    meter = _ChaosMeter(cell, protocol, scenario)
-    meter.record_epoch(network.sim.now, "initial")
-    baseline_digest = routes_digest(protocol)
-
-    def run_wave(wave: List[int], version: int, label: str) -> Dict[str, Any]:
-        fib_before = meter.compile()
-        for ad in wave:
-            protocol.set_wire_version(ad, version)
-        # The disruption epoch: the pre-wave FIB replayed while the
-        # wave's Hellos and renegotiations are still in flight.
-        meter.record_epoch(network.sim.now, label, fib=fib_before)
-        routable_during = meter.routable()
-        before = network.metrics.snapshot(network.sim.now)
-        processed = network.run(
-            max_events=cell.max_events, raise_on_limit=False
-        )
-        after = network.metrics.snapshot(network.sim.now)
-        result = ConvergenceResult.from_delta(
-            before,
-            after,
-            processed,
-            quiesced=not network.sim.hit_event_limit,
-        )
-        episodes.append(EpisodeRecord.from_result("upgrade", result))
-        meter.record_epoch(network.sim.now, f"{label} settled")
-        return _wave_entry(
-            label,
-            wave,
-            version,
-            result,
-            routable_during,
-            meter,
-            protocol,
-            baseline_digest,
-        )
-
-    ads = sorted(protocol.graph.ad_ids())
-    waves = _upgrade_wave_plan(ads, cell.fault.upgrade_waves)
-    target = WIRE_VERSION
-    waves_info: List[Dict[str, Any]] = []
-    with profiler.phase("upgrade"):
-        for wi, wave in enumerate(waves):
-            waves_info.append(
-                run_wave(
-                    wave,
-                    target,
-                    f"upgrade wave {wi + 1}/{len(waves)} -> v{target}",
-                )
-            )
-        if cell.fault.rollback:
-            last = waves[-1]
-            waves_info.append(
-                run_wave(last, start_version, f"rollback -> v{start_version}")
-            )
-            waves_info.append(run_wave(last, target, f"re-upgrade -> v{target}"))
-    versioning = _versioning_block(
-        cell,
-        protocol,
-        network,
-        network.sim.now,
-        waves_info,
-        baseline_digest,
-        start_version,
-        target,
-    )
-    return _finish_record(
-        cell,
-        scenario,
-        protocol,
-        network,
-        episodes,
-        meter,
-        None,
-        profiler,
-        network.sim.now,
-        "sim",
-        versioning=versioning,
-    )
+    On the simulator every adapter call returns at once, so the episode
+    loop runs start to finish inside one ``send``.
+    """
+    try:
+        coro.send(None)
+    except StopIteration as finished:
+        return finished.value
+    coro.close()
+    raise RuntimeError("the episode loop suspended on the sim substrate")
 
 
-async def _execute_version_live_async(
-    cell: Cell, time_scale: float, settle_timeout_s: float
+async def _run_cell(
+    cell: Cell, program_type, time_scale: float, settle_timeout_s: float
 ) -> RunRecord:
-    from repro.live.network import LiveNetwork
-    from repro.live.runner import try_settle
-    from repro.live.supervisor import Supervisor, SupervisorConfig
-    from repro.simul.wire import WIRE_VERSION
-
+    """THE episodic driver: every E15/E16 row, sim and live, comes from here."""
     profiler = PhaseProfiler()
-    with profiler.phase("scenario"):
-        scenario = cell.scenario.build()
-    with profiler.phase("build"):
-        protocol = cell.protocol.instantiate(
-            scenario.graph.copy(), scenario.policies.copy()
-        )
-        protocol.substrate = "live"
-        network = LiveNetwork(protocol.graph, time_scale=time_scale)
-        protocol.build(network=network)
-    loop = asyncio.get_running_loop()
-    started = loop.time()
-    supervisor = Supervisor(network, SupervisorConfig(seed=cell.fault.seed))
-    start_version = protocol.wire.version
+    scenario, protocol = build_cell(cell, profiler)
+    if cell.substrate == "live":
+        from repro.live import LiveSubstrate, SupervisorConfig
 
-    async def measure() -> ConvergenceResult:
-        before = network.metrics.snapshot(network.clock.now)
-        frames_before = network.frames_received
-        quiesced = await try_settle(
-            network, CHAOS_IDLE_WINDOW_S, settle_timeout_s
-        )
-        after = network.metrics.snapshot(network.clock.now)
-        return ConvergenceResult.from_delta(
-            before,
-            after,
-            events=network.frames_received - frames_before,
-            quiesced=quiesced,
-        )
+        with profiler.phase("build"):
+            substrate = LiveSubstrate(
+                protocol,
+                time_scale=time_scale,
+                timeout_s=settle_timeout_s,
+                supervisor=SupervisorConfig(seed=cell.fault.seed),
+            )
+        if cell.fault.loss > 0:
+            # The one impairment real loopback can emulate: seeded loss
+            # at the receive path, in force from t=0 like the sim's.
+            substrate.network.set_recv_loss(cell.fault.loss, seed=cell.fault.seed)
+    else:
+        substrate = open_sim(cell, protocol, profiler)
+    program = program_type(cell, protocol)
+
+    def routable() -> int:
+        return sum(1 for f in scenario.flows if protocol.find_route(f) is not None)
 
     try:
-        await network.start()
-        await supervisor.start()
-        if cell.fault.loss > 0:
-            network.set_recv_loss(cell.fault.loss, seed=cell.fault.seed)
+        await _done(substrate.start())
         with profiler.phase("converge"):
-            initial = await measure()
-        episodes: List[EpisodeRecord] = [
-            EpisodeRecord.from_result("initial", initial)
-        ]
-        meter = _ChaosMeter(cell, protocol, scenario)
-        meter.record_epoch(network.clock.now, "initial")
-        baseline_digest = routes_digest(protocol)
+            initial = await _done(substrate.settle())
+        episodes = [EpisodeRecord.from_result("initial", initial)]
+        traffic = TrafficMeter(cell, protocol, profiler)
+        base_routable = routable()
+        traffic.record(substrate.now, "initial")
+        program.baseline()
 
-        async def run_wave(
-            wave: List[int], version: int, label: str
-        ) -> Dict[str, Any]:
-            fib_before = meter.compile()
-            # The rolling deploy: flip the version pin, then bounce the
-            # serve task (a binary upgrade restarts the process), one
-            # AD at a time with an operator dwell between them.
-            for ad in wave:
-                protocol.set_wire_version(ad, version)
-                await network.restart_runtime(ad)
-                await asyncio.sleep(CHAOS_ROLLING_DWELL_S)
-            meter.record_epoch(network.clock.now, label, fib=fib_before)
-            routable_during = meter.routable()
-            result = await measure()
-            episodes.append(EpisodeRecord.from_result("upgrade", result))
-            meter.record_epoch(network.clock.now, f"{label} settled")
-            return _wave_entry(
-                label,
-                wave,
-                version,
-                result,
-                routable_during,
-                meter,
-                protocol,
-                baseline_digest,
-            )
-
-        ads = sorted(protocol.graph.ad_ids())
-        waves = _upgrade_wave_plan(ads, cell.fault.upgrade_waves)
-        target = WIRE_VERSION
-        waves_info: List[Dict[str, Any]] = []
-        with profiler.phase("upgrade"):
-            for wi, wave in enumerate(waves):
-                waves_info.append(
-                    await run_wave(
-                        wave,
-                        target,
-                        f"upgrade wave {wi + 1}/{len(waves)} -> v{target}",
-                    )
+        steps = program.steps()
+        entries: List[Dict[str, Any]] = []
+        # Each timed step's absolute instant; the last episode is unbounded.
+        base = substrate.now
+        instants = [None if s.at is None else base + s.at for s in steps] + [None]
+        with profiler.phase(program.kind):
+            for i, step in enumerate(steps):
+                if instants[i] is not None:
+                    await _done(substrate.advance_to(instants[i]))
+                fib_before = traffic.compile()
+                for ev in step.events:
+                    await _done(substrate.apply(ev))
+                # The disruption epoch: the pre-step FIB replayed under
+                # post-step liveness -- what stale forwarding state
+                # actually delivers while the control plane reacts.
+                traffic.record(substrate.now, step.label, fib=fib_before)
+                routable_during = routable()
+                # Settle no further than the next timed step's instant.
+                result = await _done(substrate.settle(instants[i + 1]))
+                episodes.append(EpisodeRecord.from_result(program.kind, result))
+                traffic.record(substrate.now, f"{step.label} settled")
+                entries.append(
+                    {
+                        "label": step.label,
+                        **step.facts,
+                        "messages": result.messages,
+                        "settle_time": result.time,
+                        "routable_during": routable_during,
+                        "routable_after": routable(),
+                        "quiesced": result.quiesced,
+                        **program.verdict(),
+                    }
                 )
-            if cell.fault.rollback:
-                last = waves[-1]
-                waves_info.append(
-                    await run_wave(
-                        last, start_version, f"rollback -> v{start_version}"
-                    )
-                )
-                waves_info.append(
-                    await run_wave(last, target, f"re-upgrade -> v{target}")
-                )
-        versioning = _versioning_block(
-            cell,
-            protocol,
-            network,
-            network.clock.now,
-            waves_info,
-            baseline_digest,
-            start_version,
-            target,
-            supervisor={
-                "restarts": sum(supervisor.restart_counts.values()),
-                "gave_up": sorted(supervisor.given_up),
-                "events": len(supervisor.events),
-            },
-        )
-        record = _finish_record(
+        serve_restarts = 0
+        if program.sweeps:
+            with profiler.phase("rolling"):
+                serve_restarts = await _done(substrate.sweep())
+            if serve_restarts:
+                traffic.record(substrate.now, "rolling serve restart")
+        block = program.block(substrate, entries, base_routable, serve_restarts)
+        return RunRecord.assemble(
             cell,
             scenario,
             protocol,
-            network,
             episodes,
-            meter,
-            None,
             profiler,
-            network.clock.now,
-            "live",
-            versioning=versioning,
-        )
-        return dc_replace(
-            record,
-            timings={**record.timings, "live.wall": loop.time() - started},
+            timings=substrate.timings(),
+            dataplane=traffic.block(),
+            **{program.field: block},
         )
     finally:
-        await supervisor.stop()
-        await network.close()
+        await _done(substrate.close())
 
 
-def _execute_version_live(
-    cell: Cell, time_scale: float, settle_timeout_s: float
+def _execute(
+    cell: Cell,
+    program_type,
+    time_scale: Optional[float],
+    settle_timeout_s: Optional[float],
 ) -> RunRecord:
-    return asyncio.run(
-        _execute_version_live_async(cell, time_scale, settle_timeout_s)
+    """Validate the cell (once, for every program) and run it."""
+    fault = cell.fault
+    if not getattr(fault, program_type.axis):
+        raise ValueError(f"cell has no {program_type.needs}")
+    if cell.misbehavior.active:
+        raise ValueError(
+            f"{program_type.noun} cells do not support the misbehavior axis"
+        )
+    if any(getattr(fault, axis) for axis in program_type.conflicts):
+        raise ValueError(program_type.conflict)
+    if cell.substrate not in ("sim", "live"):
+        raise ValueError(
+            f"unknown substrate {cell.substrate!r}; use 'sim' or 'live'"
+        )
+    live = cell.substrate == "live"
+    if live and (fault.dup > 0 or fault.jitter > 0 or fault.burst_enter > 0):
+        raise ValueError(
+            f"live {program_type.noun} cells support loss impairments only; "
+            "dup/jitter/burst are simulator models"
+        )
+    run = _run_cell(
+        cell,
+        program_type,
+        CHAOS_TIME_SCALE if time_scale is None else time_scale,
+        CHAOS_SETTLE_TIMEOUT_S if settle_timeout_s is None else settle_timeout_s,
     )
+    return asyncio.run(run) if live else _run_without_loop(run)
+
+
+def execute_chaos_cell(
+    cell: Cell,
+    *,
+    time_scale: Optional[float] = None,
+    settle_timeout_s: Optional[float] = None,
+) -> RunRecord:
+    """Run one chaotic cell end to end on its substrate.
+
+    ``time_scale`` and ``settle_timeout_s`` override the live pacing
+    (wall seconds per protocol unit, per-episode settle budget); both
+    are ignored on the simulator, whose time is virtual.
+    """
+    return _execute(cell, _ChaosProgram, time_scale, settle_timeout_s)
 
 
 def execute_version_cell(
@@ -896,33 +409,8 @@ def execute_version_cell(
 ) -> RunRecord:
     """Run one mixed-version upgrade cell end to end on its substrate.
 
-    ``time_scale`` and ``settle_timeout_s`` override the live pacing as
-    for :func:`execute_chaos_cell`; both are ignored on the simulator.
+    Every AD starts at the cell's configured wire version, converges,
+    and is upgraded to the current version in ``FaultSpec.upgrade_waves``
+    contiguous waves.  Pacing overrides as for :func:`execute_chaos_cell`.
     """
-    if not cell.fault.versioned:
-        raise ValueError("cell has no upgrade program (upgrade_waves)")
-    if cell.misbehavior.active:
-        raise ValueError("version cells do not support the misbehavior axis")
-    if cell.fault.chaotic or cell.fault.churns or cell.fault.queued:
-        raise ValueError(
-            "version cells replace the chaos/churn/queue timeline; use "
-            "separate cells for those"
-        )
-    if cell.substrate == "live":
-        if cell.fault.dup > 0 or cell.fault.jitter > 0 or cell.fault.burst_enter > 0:
-            raise ValueError(
-                "live version cells support loss impairments only; dup/"
-                "jitter/burst are simulator models"
-            )
-        return _execute_version_live(
-            cell,
-            CHAOS_TIME_SCALE if time_scale is None else time_scale,
-            CHAOS_SETTLE_TIMEOUT_S
-            if settle_timeout_s is None
-            else settle_timeout_s,
-        )
-    if cell.substrate != "sim":
-        raise ValueError(
-            f"unknown substrate {cell.substrate!r}; use 'sim' or 'live'"
-        )
-    return _execute_version_sim(cell)
+    return _execute(cell, _UpgradeProgram, time_scale, settle_timeout_s)

@@ -9,8 +9,9 @@ summaries, and wall-clock phase timings from the profiling hooks -- so a
 sweep's raw data survives next to its rendered table.
 
 Records serialize to JSON lines (``benchmarks/out/runs/<experiment>.jsonl``).
-``schema_version`` is bumped whenever a field changes meaning, so
-downstream analysis can refuse data it does not understand.
+``schema_version`` is bumped whenever a field changes meaning; lines of
+any other version are refused, not migrated (run telemetry is
+regenerated, never kept).
 """
 
 from __future__ import annotations
@@ -19,31 +20,10 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
+from repro.core.evaluation import evaluate_availability
+from repro.protocols.base import ForwardingMode
+
 #: Bump on any incompatible change to RunRecord's shape.
-#: v2: added ``channel`` (impairment counters) and ``robustness``
-#: (RoutePulse summary) optional fields, plus ``fault`` in the cell key
-#: and ``"timeline"`` as an episode kind.
-#: v3: added the optional ``misbehavior`` block (liar identity, blast
-#: radius, containment latency, validation counters) and ``misbehavior``
-#: in the cell key; v2 lines load with both defaulted.
-#: v4: added the optional ``overload`` block (bounded-ingress queue
-#: counters and pacing/damping totals); v3 lines load with it defaulted.
-#: v5: added ``substrate`` (``"sim"`` or ``"live"``) as a top-level
-#: field and a cell-key entry; v4 lines load with both defaulted to
-#: ``"sim"`` (every pre-v5 run was a simulator run).
-#: v6: added the optional ``dataplane`` block (compiled-FIB epoch series:
-#: per-epoch reachability gap / latency / stretch tails, across-epoch
-#: flow outage percentiles, FIB state sizes) and ``traffic`` in the cell
-#: key; v5 lines load with the block ``None`` and the axis ``"none"``.
-#: v7: added the optional ``chaos`` block (E15 episodic chaos driver:
-#: per-event-group settle cost, control-plane availability samples,
-#: graceful-restart counters, supervisor events, post-chaos routes
-#: digest); v6 lines load with it ``None``.
-#: v8: added the optional ``versioning`` block (E16 mixed-version
-#: rolling-upgrade sweep: per-wave labels and settle costs, negotiated
-#: wire-version census after each wave, version-rejected counters, and
-#: the digest-stability verdict against the pre-upgrade baseline); v7
-#: lines load with it ``None``.
 SCHEMA_VERSION = 8
 
 
@@ -74,15 +54,7 @@ class EpisodeRecord:
         cls, kind: str, result: Any, link: Optional[Tuple[int, int]] = None
     ) -> "EpisodeRecord":
         """Build from a :class:`~repro.simul.runner.ConvergenceResult`."""
-        return cls(
-            kind=kind,
-            messages=result.messages,
-            bytes=result.bytes,
-            time=result.time,
-            events=result.events,
-            quiesced=result.quiesced,
-            link=link,
-        )
+        return cls(kind=kind, link=link, **asdict(result))
 
 
 @dataclass(frozen=True)
@@ -186,6 +158,85 @@ class RunRecord:
         """Deterministic merge key: position in the spec's cell grid."""
         return (self.cell.get("index", 0),)
 
+    @classmethod
+    def assemble(
+        cls,
+        cell,
+        scenario,
+        protocol,
+        episodes: Sequence[EpisodeRecord],
+        profiler,
+        *,
+        timings: Optional[Mapping[str, float]] = None,
+        **blocks: Any,
+    ) -> "RunRecord":
+        """THE record assembler: every driver's measured cell ends here.
+
+        Evaluates route quality when the cell asked for it (before the
+        final metrics snapshot, so on-demand computations it triggers
+        are counted), rolls the per-AD computation counters up, and
+        stamps scenario facts, RIB state and the substrate.  ``blocks``
+        are the driver-specific optional fields (``dataplane``,
+        ``chaos``, ...); ``timings`` adds substrate wall-clock entries
+        to the profiler's phases.
+        """
+        network = protocol.network
+        route_quality = None
+        if cell.evaluate:
+            with profiler.phase("evaluate"):
+                report = evaluate_availability(
+                    protocol.graph,
+                    protocol.policies,
+                    scenario.flows,
+                    protocol.find_route,
+                )
+            route_quality = {
+                "availability": report.availability,
+                "n_flows": report.n_flows,
+                "n_existing": report.n_existing,
+                "n_found": report.n_found,
+                "n_found_legal": report.n_found_legal,
+                "n_illegal": report.n_illegal,
+                "n_undecided": report.n_undecided,
+                "mean_stretch": report.mean_stretch,
+                "forwarding_loops": protocol.forwarding_loops,
+                "source_control": protocol.mode is ForwardingMode.SOURCE,
+            }
+        snapshot = network.metrics.snapshot(network.clock.now)
+        by_kind: Dict[str, int] = {}
+        by_ad: Dict[str, int] = {}
+        for (ad_id, kind), count in sorted(snapshot.computations.items()):
+            by_kind[kind] = by_kind.get(kind, 0) + count
+            by_ad[f"{ad_id}:{kind}"] = count
+        channel = getattr(network, "channel", None)
+        return cls(
+            schema_version=SCHEMA_VERSION,
+            experiment=cell.experiment,
+            cell=cell.key(),
+            scenario={
+                "name": scenario.name,
+                "num_ads": scenario.graph.num_ads,
+                "num_links": scenario.graph.num_links,
+                "num_terms": scenario.policies.num_terms,
+                "num_flows": len(scenario.flows),
+            },
+            episodes=tuple(episodes),
+            messages=dict(snapshot.messages),
+            message_bytes=dict(snapshot.bytes),
+            dropped=snapshot.dropped,
+            computations=by_kind,
+            computations_by_ad=by_ad,
+            state={
+                "max_rib": protocol.max_rib_size(),
+                "total_rib": protocol.total_rib_size(),
+            },
+            route_quality=route_quality,
+            channel=channel.counters() if channel else None,
+            timings={**profiler.as_dict(), **(timings or {})},
+            substrate=cell.substrate,
+            **blocks,
+        )
+
     # ------------------------------------------------------------- serde
 
     def to_json(self) -> str:
@@ -197,75 +248,20 @@ class RunRecord:
     def from_json(cls, line: str) -> "RunRecord":
         data = json.loads(line)
         version = data.get("schema_version")
-        if version == 2:
-            # v2 -> v3: the misbehavior axis did not exist; default it.
-            data.setdefault("misbehavior", None)
-            data.setdefault("cell", {}).setdefault("misbehavior", "none")
-            version = 3
-        if version == 3:
-            # v3 -> v4: the overload block did not exist; default it.
-            data.setdefault("overload", None)
-            version = 4
-        if version == 4:
-            # v4 -> v5: every earlier run was a simulator run.
-            data.setdefault("substrate", "sim")
-            data.setdefault("cell", {}).setdefault("substrate", "sim")
-            version = 5
-        if version == 5:
-            # v5 -> v6: the traffic axis did not exist; default it.
-            data.setdefault("dataplane", None)
-            data.setdefault("cell", {}).setdefault("traffic", "none")
-            version = 6
-        if version == 6:
-            # v6 -> v7: the chaos block did not exist; default it.
-            data.setdefault("chaos", None)
-            version = 7
-        if version == 7:
-            # v7 -> v8: the versioning block did not exist; default it.
-            data.setdefault("versioning", None)
-            version = SCHEMA_VERSION
         if version != SCHEMA_VERSION:
             raise ValueError(
-                f"RunRecord schema {version!r} unsupported "
-                f"(this build reads {SCHEMA_VERSION})"
+                f"RunRecord schema {version!r} unsupported: this build reads "
+                f"schema {SCHEMA_VERSION} only -- re-run the experiment"
             )
-        episodes = tuple(
+        data["episodes"] = tuple(
             EpisodeRecord(
-                kind=ep["kind"],
-                messages=ep["messages"],
-                bytes=ep["bytes"],
-                time=ep["time"],
-                events=ep["events"],
-                quiesced=ep["quiesced"],
-                link=tuple(ep["link"]) if ep.get("link") else None,
+                **{**ep, "link": tuple(ep["link"]) if ep.get("link") else None}
             )
             for ep in data["episodes"]
         )
-        trace = data.get("trace")
-        return cls(
-            schema_version=version,
-            experiment=data["experiment"],
-            cell=data["cell"],
-            scenario=data["scenario"],
-            episodes=episodes,
-            messages=data["messages"],
-            message_bytes=data["message_bytes"],
-            dropped=data["dropped"],
-            computations=data["computations"],
-            computations_by_ad=data["computations_by_ad"],
-            state=data["state"],
-            route_quality=data.get("route_quality"),
-            channel=data.get("channel"),
-            robustness=data.get("robustness"),
-            misbehavior=data.get("misbehavior"),
-            overload=data.get("overload"),
-            dataplane=data.get("dataplane"),
-            chaos=data.get("chaos"),
-            versioning=data.get("versioning"),
-            timings=data.get("timings", {}),
-            trace=tuple(trace) if trace is not None else None,
-            substrate=data.get("substrate", "sim"),
-        )
+        if data.get("trace") is not None:
+            data["trace"] = tuple(data["trace"])
+        return cls(**data)
 
     def comparable(self) -> Dict[str, Any]:
         """The record minus wall-clock noise, for equivalence checks.
@@ -288,10 +284,5 @@ def write_jsonl(path: str, records: Sequence[RunRecord]) -> None:
 
 def read_jsonl(path: str) -> list:
     """Load records written by :func:`write_jsonl`."""
-    out = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(RunRecord.from_json(line))
-    return out
+        return [RunRecord.from_json(line) for line in fh if line.strip()]

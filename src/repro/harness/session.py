@@ -10,14 +10,18 @@ key, so the merged result -- and any table rendered from it -- is
 byte-identical whether the sweep ran serial or parallel.
 
 Per-cell measurement protocol (the one loop every bench used to
-hand-roll):
+hand-roll), identical on both substrates:
 
 1. build the scenario, instantiate the protocol via the registry;
-2. attach profiling hooks (and, opt-in, the tracer);
-3. run to initial convergence; then one isolated episode per failure
-   event;
-4. optionally evaluate route quality against ground truth;
-5. snapshot histograms, counters, RIB state, timings into a RunRecord.
+2. open the substrate (attach profiling hooks and, opt-in, the tracer);
+3. settle the initial convergence, then apply and settle one isolated
+   episode per failure event -- through the substrate adapter
+   (:class:`~repro.simul.runner.SimSubstrate`, or
+   :func:`~repro.live.runner.run_live` over the live one);
+4. sim only: the probed fault/misbehavior timeline as one episode;
+5. hand everything to :meth:`RunRecord.assemble`, which evaluates route
+   quality (when asked) and snapshots histograms, counters, RIB state
+   and timings.
 """
 
 from __future__ import annotations
@@ -26,20 +30,14 @@ import multiprocessing
 import os
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.evaluation import evaluate_availability
 from repro.faults.channel import ImpairedChannel
+from repro.faults.plan import FaultPlan
 from repro.faults.prober import RoutePulse
-from repro.harness.record import (
-    SCHEMA_VERSION,
-    EpisodeRecord,
-    RunRecord,
-    write_jsonl,
-)
+from repro.harness.record import EpisodeRecord, RunRecord, write_jsonl
 from repro.harness.spec import Cell, ExperimentSpec
-from repro.protocols.base import ForwardingMode
 from repro.simul.ingress import IngressConfig
 from repro.simul.profiling import PhaseProfiler
-from repro.simul.runner import ConvergenceResult, converge
+from repro.simul.runner import SimSubstrate
 from repro.simul.trace import Tracer
 from repro.traffic.fib import compile_fib
 from repro.traffic.replay import TailSeries, TrafficReplay
@@ -48,8 +46,13 @@ from repro.traffic.replay import TailSeries, TrafficReplay
 TRACE_LINE_LIMIT = 500
 
 
-def _misbehavior_block(cell, protocol, pulse, scenario, reference_routes, lie_start):
-    """The RunRecord ``misbehavior`` mapping: blast radius + containment."""
+def _misbehavior_block(cell, protocol, series, flows, reference_routes, lie_start):
+    """The RunRecord ``misbehavior`` mapping: blast radius + containment.
+
+    ``series`` is the probed blast-radius series and ``flows`` the flows
+    checked for poisoning; a lie-free cell passes both empty and records
+    the validation counters alone.
+    """
     suspects = protocol.poison_suspects()
     liar = None
     for entry in protocol.misbehavior_log:
@@ -59,7 +62,6 @@ def _misbehavior_block(cell, protocol, pulse, scenario, reference_routes, lie_st
     applied = any(
         e["applied"] for e in protocol.misbehavior_log if e["lie"] is not None
     )
-    series = pulse.blast_series(lie_start)
     blasts = [b for _, b in series]
     peak = max(blasts, default=0)
     steady = blasts[-1] if blasts else 0
@@ -79,7 +81,7 @@ def _misbehavior_block(cell, protocol, pulse, scenario, reference_routes, lie_st
     # Poisoned ADs: sources left holding a route through a suspect their
     # pre-lie route (the protocol's own converged answer) did not use.
     poisoned = set()
-    for flow in scenario.flows:
+    for flow in flows:
         path = protocol.find_route(flow)
         if path is None:
             continue
@@ -116,35 +118,84 @@ def _parse_trace(trace: Optional[str]) -> Optional[Dict[str, Optional[int]]]:
     raise ValueError(f"bad trace filter {trace!r} (expected 'all' or 'ad=<id>')")
 
 
-def execute_cell(cell: Cell) -> RunRecord:
-    """Run one cell end to end and measure it (worker entry point)."""
-    if cell.fault.versioned:
-        # Versioned cells (mixed-version upgrade waves) take the E16
-        # driver on EITHER substrate, like chaotic cells below.
-        from repro.harness.chaos import execute_version_cell
+class TrafficMeter:
+    """The data-plane axis of one cell: a workload replayed per epoch.
 
-        return execute_version_cell(cell)
-    if cell.fault.chaotic:
-        # Chaotic cells (rolling restarts / partitions) take the
-        # episodic chaos driver on EITHER substrate; the legacy paths
-        # below stay byte-identical for everything else.
-        from repro.harness.chaos import execute_chaos_cell
+    Generates the zipf workload once, then snapshots a compiled FIB at
+    every epoch it is asked to :meth:`record` and replays the full
+    workload against it; :meth:`block` is the record's ``dataplane``
+    mapping.  Inert (every call a no-op, ``block()`` ``None``) when the
+    cell has no traffic axis.
+    """
 
-        return execute_chaos_cell(cell)
-    if cell.substrate == "live":
-        return _execute_live_cell(cell)
-    if cell.substrate != "sim":
-        raise ValueError(
-            f"unknown substrate {cell.substrate!r}; use 'sim' or 'live'"
-        )
-    trace_filter = _parse_trace(cell.trace)
-    profiler = PhaseProfiler()
+    def __init__(self, cell: Cell, protocol, profiler: PhaseProfiler) -> None:
+        self.spec = cell.traffic
+        self.protocol = protocol
+        self.profiler = profiler
+        self.active = cell.traffic.active
+        self.fib_stats: Dict[str, object] = {}
+        if self.active:
+            with profiler.phase("traffic.workload"):
+                self.workload = cell.traffic.build(protocol.graph)
+                self.replay = TrafficReplay(self.workload, protocol.graph)
+                self.tail = TailSeries(self.workload)
+
+    def compile(self):
+        """The FIB the converged control state compiles to right now."""
+        if not self.active:
+            return None
+        with self.profiler.phase("traffic.fib"):
+            fib = compile_fib(
+                self.protocol,
+                self.workload.classes,
+                enforce_policy=self.spec.enforce_policy,
+            )
+        if not self.fib_stats:
+            self.fib_stats.update(fib.stats.as_dict())
+        return fib
+
+    def record(self, now: float, label: str = "epoch", fib=None) -> None:
+        """Replay the workload through ``fib`` (default: a fresh compile)."""
+        if not self.active:
+            return
+        if fib is None:
+            fib = self.compile()
+        with self.profiler.phase("traffic.replay"):
+            self.tail.record(now, label, fib, self.replay)
+
+    def block(self) -> Optional[Dict[str, object]]:
+        if not self.active:
+            return None
+        wl = self.workload
+        return {
+            "workload": {
+                "flows": len(wl),
+                "classes": wl.num_classes,
+                "zipf_s": self.spec.zipf_s,
+                "pairs": self.spec.pairs,
+                "seed": self.spec.seed,
+                "head_share": wl.head_share(),
+                "total_bytes": wl.total_bytes,
+            },
+            "fib": self.fib_stats,
+            "series": self.tail.as_dict(),
+        }
+
+
+def build_cell(cell: Cell, profiler: PhaseProfiler):
+    """Scenario and (unbuilt) protocol of one cell, on private copies."""
     with profiler.phase("scenario"):
         scenario = cell.scenario.build()
     with profiler.phase("build"):
         protocol = cell.protocol.instantiate(
             scenario.graph.copy(), scenario.policies.copy()
         )
+    return scenario, protocol
+
+
+def open_sim(cell: Cell, protocol, profiler: PhaseProfiler) -> SimSubstrate:
+    """Build ``protocol`` on the simulator, impaired and profiled."""
+    with profiler.phase("build"):
         network = protocol.build()
     if cell.fault.impaired:
         # In force from t=0: initial convergence happens over the lossy
@@ -153,86 +204,113 @@ def execute_cell(cell: Cell) -> RunRecord:
             ImpairedChannel(default=cell.fault.impairment(), seed=cell.fault.seed)
         )
     network.set_profiler(profiler)
-    tracer = Tracer.attach(network) if trace_filter is not None else None
+    return SimSubstrate(network, protocol, max_events=cell.max_events)
 
-    with profiler.phase("converge"):
-        initial = converge(network, max_events=cell.max_events)
-    episodes: List[EpisodeRecord] = [EpisodeRecord.from_result("initial", initial)]
 
-    # Data-plane axis (E14): generate the workload once, snapshot a
-    # compiled FIB now (the converged epoch) and at every probe round of
-    # the fault timeline, replaying the full workload against each.
-    tail = None
-    snapshot_epoch = None
-    fib_stats: Dict[str, object] = {}
-    if cell.traffic.active:
-        with profiler.phase("traffic.workload"):
-            workload = cell.traffic.build(protocol.graph)
-            replay = TrafficReplay(workload, protocol.graph)
-            tail = TailSeries(workload)
+def _episode_kind(ev) -> str:
+    return "repair" if ev.up else "failure"
 
-        def snapshot_epoch(now: float, label: str = "epoch") -> None:
-            with profiler.phase("traffic.fib"):
-                fib = compile_fib(
-                    protocol,
-                    workload.classes,
-                    enforce_policy=cell.traffic.enforce_policy,
-                )
-            with profiler.phase("traffic.replay"):
-                tail.record(now, label, fib, replay)
-            if not fib_stats:
-                fib_stats.update(fib.stats.as_dict())
 
-        snapshot_epoch(network.sim.now, "initial")
+def execute_cell(cell: Cell) -> RunRecord:
+    """Run one cell end to end and measure it (worker entry point).
 
-    ingress_start = network.sim.now
-    if cell.fault.queued:
-        # The bounded queue arms *after* initial convergence, so E13
-        # measures the overload response to churn, not a cold start
-        # through a saturated queue.
-        network.set_ingress(
-            IngressConfig(
-                capacity=cell.fault.queue_capacity,
-                service_time=cell.fault.queue_service,
-                policy=cell.fault.queue_policy,
+    Live cells cover the scenario x protocol x failure axes (plus the
+    availability evaluation); the sim-only axes are rejected loudly
+    rather than silently skipped.  Live episode times are honest
+    wall-clock (in protocol units), so live records vary run to run the
+    way ``timings`` do; never feed them to a determinism gate.
+    """
+    if cell.fault.versioned:
+        # Versioned cells (mixed-version upgrade waves) and chaotic cells
+        # (rolling restarts / partitions) take the episodic driver, on
+        # EITHER substrate.
+        from repro.harness.chaos import execute_version_cell
+
+        return execute_version_cell(cell)
+    if cell.fault.chaotic:
+        from repro.harness.chaos import execute_chaos_cell
+
+        return execute_chaos_cell(cell)
+    live = cell.substrate == "live"
+    if live:
+        unsupported = [
+            name
+            for name, on in (
+                ("fault (impairment/churn/queue)", cell.fault.active),
+                ("misbehavior", cell.misbehavior.active),
+                ("traffic (compiled-FIB replay)", cell.traffic.active),
+                ("trace", cell.trace),
             )
+            if on
+        ]
+        if unsupported:
+            raise ValueError(
+                f"live cells do not support the {', '.join(unsupported)} axis; "
+                "run these cells on the sim substrate (or give the cell a "
+                "chaos program -- chaotic cells run faults and traffic live)"
+            )
+    elif cell.substrate != "sim":
+        raise ValueError(
+            f"unknown substrate {cell.substrate!r}; use 'sim' or 'live'"
         )
+    trace_filter = _parse_trace(cell.trace)
+    profiler = PhaseProfiler()
+    scenario, protocol = build_cell(cell, profiler)
+    plan = FaultPlan.from_failure_plan(cell.failure.build(scenario.graph))
+    traffic = TrafficMeter(cell, protocol, profiler)
+    robustness = misbehavior = tracer = timings = None
 
-    plan = cell.failure.build(scenario.graph)
-    if plan is not None:
-        with profiler.phase("failures"):
-            for ev in plan:
-                before = network.metrics.snapshot(network.sim.now)
-                network.set_link_status(ev.a, ev.b, ev.up)
-                events = network.run(
-                    max_events=cell.max_events, raise_on_limit=False
-                )
-                after = network.metrics.snapshot(network.sim.now)
-                result = ConvergenceResult.from_delta(
-                    before,
-                    after,
-                    events,
-                    quiesced=not network.sim.hit_event_limit,
-                )
-                episodes.append(
-                    EpisodeRecord.from_result(
-                        "repair" if ev.up else "failure", result, link=(ev.a, ev.b)
-                    )
-                )
-                if snapshot_epoch is not None:
-                    snapshot_epoch(
-                        network.sim.now, "repair" if ev.up else "failure"
-                    )
+    if live:
+        from repro.live.runner import run_live
 
-    robustness = None
-    misbehavior = None
+        with profiler.phase("converge"):
+            run = run_live(protocol, plan)
+        results = [run.initial, *(ep.result for ep in run.episodes)]
+        timings = {"live.wall": run.wall_seconds}
+    else:
+        substrate = open_sim(cell, protocol, profiler)
+        network = substrate.network
+        if trace_filter is not None:
+            tracer = Tracer.attach(network)
+        substrate.start()
+        with profiler.phase("converge"):
+            results = [substrate.settle()]
+        # Data-plane axis (E14): snapshot a compiled FIB now (the
+        # converged epoch), after every failure and at every probe round
+        # of the fault timeline, replaying the full workload against each.
+        traffic.record(substrate.now, "initial")
+        ingress_start = substrate.now
+        if cell.fault.queued:
+            # The bounded queue arms *after* initial convergence, so E13
+            # measures the overload response to churn, not a cold start
+            # through a saturated queue.
+            network.set_ingress(
+                IngressConfig(
+                    capacity=cell.fault.queue_capacity,
+                    service_time=cell.fault.queue_service,
+                    policy=cell.fault.queue_policy,
+                )
+            )
+        if len(plan):
+            with profiler.phase("failures"):
+                for ev in plan:
+                    substrate.apply(ev)
+                    results.append(substrate.settle())
+                    traffic.record(substrate.now, _episode_kind(ev))
+    episodes: List[EpisodeRecord] = [EpisodeRecord.from_result("initial", results[0])]
+    episodes.extend(
+        EpisodeRecord.from_result(_episode_kind(ev), result, link=(ev.a, ev.b))
+        for ev, result in zip(plan, results[1:])
+    )
+
     if cell.fault.active or cell.misbehavior.active:
+        # Sim only: live cells were refused these axes above.
         with profiler.phase("faults"):
             fault_plan = cell.fault.build_plan(protocol.graph)
             if len(fault_plan):
                 protocol.schedule_fault_plan(fault_plan)
             reference_routes = None
-            lie_start = network.sim.now + cell.misbehavior.start_time
+            lie_start = substrate.now + cell.misbehavior.start_time
             if cell.misbehavior.active:
                 # Capture the converged pre-lie routes first: they are
                 # the hijack verdict's per-flow reference.
@@ -261,261 +339,67 @@ def execute_cell(cell: Cell) -> RunRecord:
                 probe_flows,
                 interval=cell.fault.probe_interval,
                 reference_routes=reference_routes,
-                on_sample=snapshot_epoch,
+                on_sample=traffic.record if traffic.active else None,
             )
-            before = network.metrics.snapshot(network.sim.now)
-            horizons = []
-            if cell.fault.active:
-                horizons.append(cell.fault.horizon)
-            if cell.misbehavior.active:
-                horizons.append(cell.misbehavior.horizon)
-            horizon = network.sim.now + max(horizons)
-            probed_ok = pulse.run(horizon, max_events=cell.max_events)
-            # Settle whatever the last fault left in flight.
-            drained = network.run(
-                max_events=cell.max_events, raise_on_limit=False
+            before = substrate.snapshot()
+            horizon = max(
+                axis.horizon for axis in (cell.fault, cell.misbehavior) if axis.active
             )
-            after = network.metrics.snapshot(network.sim.now)
-            result = ConvergenceResult.from_delta(
+            probed_ok = pulse.run(
+                substrate.now + horizon, max_events=cell.max_events
+            )
+            # Settle whatever the last fault left in flight; the episode
+            # spans the probed window plus this drain.
+            drain = substrate.settle()
+            result = substrate.since(
                 before,
-                after,
-                pulse.events_processed + drained,
-                quiesced=probed_ok and not network.sim.hit_event_limit,
+                pulse.events_processed + drain.events,
+                quiesced=probed_ok and drain.quiesced,
             )
             episodes.append(EpisodeRecord.from_result("timeline", result))
             robustness = pulse.summary()
-            if snapshot_epoch is not None:
-                # The settled post-storm state: the series' last word.
-                snapshot_epoch(network.sim.now, "final")
+            # The settled post-storm state: the series' last word.
+            traffic.record(substrate.now, "final")
             if cell.misbehavior.active:
                 misbehavior = _misbehavior_block(
-                    cell, protocol, pulse, scenario, reference_routes, lie_start
+                    cell,
+                    protocol,
+                    pulse.blast_series(lie_start),
+                    scenario.flows,
+                    reference_routes,
+                    lie_start,
                 )
     if misbehavior is None and protocol.validation.any_enabled:
         # Lie-free cell of a validating protocol: record the counters
         # anyway, so the false-quarantine-at-baseline claim is checkable.
-        misbehavior = {
-            "liar": None,
-            "lie": "",
-            "applied": False,
-            "suspects": [],
-            "ads_poisoned": 0,
-            "peak_blast": 0,
-            "steady_blast": 0,
-            "containment_latency": None,
-            "blast_series": [],
-            "validation": str(protocol.validation),
-            "counters": protocol.validation_summary(),
-        }
-
-    route_quality = None
-    if cell.evaluate:
-        with profiler.phase("evaluate"):
-            report = evaluate_availability(
-                protocol.graph,
-                protocol.policies,
-                scenario.flows,
-                protocol.find_route,
-            )
-        route_quality = {
-            "availability": report.availability,
-            "n_flows": report.n_flows,
-            "n_existing": report.n_existing,
-            "n_found": report.n_found,
-            "n_found_legal": report.n_found_legal,
-            "n_illegal": report.n_illegal,
-            "n_undecided": report.n_undecided,
-            "mean_stretch": report.mean_stretch,
-            "forwarding_loops": protocol.forwarding_loops,
-            "source_control": protocol.mode is ForwardingMode.SOURCE,
-        }
-
-    dataplane = None
-    if tail is not None:
-        dataplane = {
-            "workload": {
-                "flows": len(workload),
-                "classes": workload.num_classes,
-                "zipf_s": cell.traffic.zipf_s,
-                "pairs": cell.traffic.pairs,
-                "seed": cell.traffic.seed,
-                "head_share": workload.head_share(),
-                "total_bytes": workload.total_bytes,
-            },
-            "fib": fib_stats,
-            "series": tail.as_dict(),
-        }
+        misbehavior = _misbehavior_block(cell, protocol, [], (), {}, 0.0)
 
     overload = None
-    if network.ingress is not None or protocol.pacing.any_enabled:
+    ingress = getattr(protocol.network, "ingress", None)
+    if ingress is not None or protocol.pacing.any_enabled:
         overload = {"pacing": str(protocol.pacing)}
         overload.update(protocol.pacing_summary())
-        if network.ingress is not None:
-            elapsed = max(network.sim.now - ingress_start, 0.0)
-            overload.update(
-                network.ingress.counters(elapsed, scenario.graph.num_ads)
-            )
-
-    snapshot = network.metrics.snapshot(network.sim.now)
-    by_kind: Dict[str, int] = {}
-    by_ad: Dict[str, int] = {}
-    for (ad_id, kind), count in sorted(snapshot.computations.items()):
-        by_kind[kind] = by_kind.get(kind, 0) + count
-        by_ad[f"{ad_id}:{kind}"] = count
+        if ingress is not None:
+            elapsed = max(substrate.now - ingress_start, 0.0)
+            overload.update(ingress.counters(elapsed, scenario.graph.num_ads))
 
     trace_lines = None
     if tracer is not None:
         records = tracer.filtered(ad=trace_filter["ad"])
         trace_lines = tuple(r.render() for r in records[-TRACE_LINE_LIMIT:])
 
-    return RunRecord(
-        schema_version=SCHEMA_VERSION,
-        experiment=cell.experiment,
-        cell=cell.key(),
-        scenario={
-            "name": scenario.name,
-            "num_ads": scenario.graph.num_ads,
-            "num_links": scenario.graph.num_links,
-            "num_terms": scenario.policies.num_terms,
-            "num_flows": len(scenario.flows),
-        },
-        episodes=tuple(episodes),
-        messages=dict(snapshot.messages),
-        message_bytes=dict(snapshot.bytes),
-        dropped=snapshot.dropped,
-        computations=by_kind,
-        computations_by_ad=by_ad,
-        state={
-            "max_rib": protocol.max_rib_size(),
-            "total_rib": protocol.total_rib_size(),
-        },
-        route_quality=route_quality,
-        channel=network.channel.counters() if network.channel else None,
+    return RunRecord.assemble(
+        cell,
+        scenario,
+        protocol,
+        episodes,
+        profiler,
+        timings=timings,
         robustness=robustness,
         misbehavior=misbehavior,
         overload=overload,
-        dataplane=dataplane,
-        timings=profiler.as_dict(),
+        dataplane=traffic.block(),
         trace=trace_lines,
-    )
-
-
-def _execute_live_cell(cell: Cell) -> RunRecord:
-    """Run one cell on the live asyncio/UDP substrate.
-
-    Live cells cover the scenario x protocol x failure axes (plus the
-    availability evaluation); the sim-only axes -- channel impairments,
-    bounded-ingress models, misbehavior timelines, tracing -- are
-    rejected loudly rather than silently skipped.  Episode times are
-    honest wall-clock (in protocol units), so live records vary run to
-    run the way ``timings`` do; never feed them to a determinism gate.
-    """
-    from repro.faults.plan import FaultPlan
-    from repro.live.runner import run_live
-
-    unsupported = []
-    if cell.fault.active:
-        unsupported.append("fault (impairment/churn/queue)")
-    if cell.misbehavior.active:
-        unsupported.append("misbehavior")
-    if cell.traffic.active:
-        unsupported.append("traffic (compiled-FIB replay)")
-    if cell.trace:
-        unsupported.append("trace")
-    if unsupported:
-        raise ValueError(
-            f"live cells do not support the {', '.join(unsupported)} axis; "
-            "run these cells on the sim substrate (or give the cell a "
-            "chaos program -- chaotic cells run faults and traffic live)"
-        )
-
-    profiler = PhaseProfiler()
-    with profiler.phase("scenario"):
-        scenario = cell.scenario.build()
-    with profiler.phase("build"):
-        protocol = cell.protocol.instantiate(
-            scenario.graph.copy(), scenario.policies.copy()
-        )
-        protocol.substrate = "live"
-    failure_plan = cell.failure.build(scenario.graph)
-    plan = (
-        FaultPlan.from_failure_plan(failure_plan)
-        if failure_plan is not None
-        else None
-    )
-    with profiler.phase("converge"):
-        result = run_live(protocol, plan)
-    network = protocol.network
-    network.set_profiler(profiler)
-
-    episodes: List[EpisodeRecord] = [
-        EpisodeRecord.from_result("initial", result.initial)
-    ]
-    for episode, ev in zip(result.episodes, plan or ()):
-        episodes.append(
-            EpisodeRecord.from_result(
-                "repair" if ev.up else "failure",
-                episode.result,
-                link=(ev.a, ev.b),
-            )
-        )
-
-    route_quality = None
-    if cell.evaluate:
-        with profiler.phase("evaluate"):
-            report = evaluate_availability(
-                protocol.graph,
-                protocol.policies,
-                scenario.flows,
-                protocol.find_route,
-            )
-        route_quality = {
-            "availability": report.availability,
-            "n_flows": report.n_flows,
-            "n_existing": report.n_existing,
-            "n_found": report.n_found,
-            "n_found_legal": report.n_found_legal,
-            "n_illegal": report.n_illegal,
-            "n_undecided": report.n_undecided,
-            "mean_stretch": report.mean_stretch,
-            "forwarding_loops": protocol.forwarding_loops,
-            "source_control": protocol.mode is ForwardingMode.SOURCE,
-        }
-
-    snapshot = network.metrics.snapshot(network.clock.now)
-    by_kind: Dict[str, int] = {}
-    by_ad: Dict[str, int] = {}
-    for (ad_id, kind), count in sorted(snapshot.computations.items()):
-        by_kind[kind] = by_kind.get(kind, 0) + count
-        by_ad[f"{ad_id}:{kind}"] = count
-
-    timings = profiler.as_dict()
-    timings["live.wall"] = result.wall_seconds
-
-    return RunRecord(
-        schema_version=SCHEMA_VERSION,
-        experiment=cell.experiment,
-        cell=cell.key(),
-        scenario={
-            "name": scenario.name,
-            "num_ads": scenario.graph.num_ads,
-            "num_links": scenario.graph.num_links,
-            "num_terms": scenario.policies.num_terms,
-            "num_flows": len(scenario.flows),
-        },
-        episodes=tuple(episodes),
-        messages=dict(snapshot.messages),
-        message_bytes=dict(snapshot.bytes),
-        dropped=snapshot.dropped,
-        computations=by_kind,
-        computations_by_ad=by_ad,
-        state={
-            "max_rib": protocol.max_rib_size(),
-            "total_rib": protocol.total_rib_size(),
-        },
-        route_quality=route_quality,
-        timings=timings,
-        substrate="live",
     )
 
 

@@ -12,19 +12,18 @@ UDP sockets on the loopback interface.
   :class:`~repro.simul.transport.Transport`: per-AD UDP endpoints, node
   lifecycle (start/serve/drain/stop), crash/restart.
 * :mod:`~repro.live.runner` — wall-clock convergence (settle-based
-  quiescence), failure episodes, and FaultPlan-driven runs.
+  quiescence), the live substrate adapter, failure episodes, and
+  FaultPlan-driven runs.
 * :mod:`~repro.live.supervisor` — the init system: dead/hung serve-task
   detection, backed-off restarts, rolling-restart orchestration.
-* :mod:`~repro.live.chaos` — the FaultPlan vocabulary translated into
-  wall-clock chaos (link/node faults, seeded recv-path loss).
 * :mod:`~repro.live.fidelity` — the sim-vs-live fidelity report.
 """
 
-from repro.live.chaos import LiveFaultPlan
 from repro.live.clock import LiveClock, LiveTimerHandle
 from repro.live.network import LiveNetwork, NodeState
 from repro.live.runner import (
     LiveRunResult,
+    LiveSubstrate,
     SettleTimeout,
     run_live,
     run_live_async,
@@ -37,9 +36,9 @@ from repro.live.fidelity import FidelityReport, fidelity_report, format_report
 __all__ = [
     "FidelityReport",
     "LiveClock",
-    "LiveFaultPlan",
     "LiveNetwork",
     "LiveRunResult",
+    "LiveSubstrate",
     "LiveTimerHandle",
     "NodeState",
     "SettleTimeout",

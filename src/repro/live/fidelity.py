@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.adgraph.ad import ADId
-from repro.faults.plan import FaultPlan, link_flap_plan
+from repro.faults.plan import link_flap_plan
 from repro.live.runner import LiveRunResult, run_live
 from repro.policy.flows import FlowSpec
 from repro.protocols.registry import make_protocol
-from repro.simul.runner import ConvergenceResult, converge
+from repro.simul.runner import SimSubstrate
 from repro.workloads.scenarios import Scenario, reference_scenario, small_scenario
 
 
@@ -66,29 +66,6 @@ class FidelityReport:
         return not self.mismatches
 
 
-def _episodic_sim_run(
-    protocol, plan: FaultPlan
-) -> Tuple[List[ConvergenceResult], int]:
-    """Initial convergence + one settled episode per fault (sim side).
-
-    Same episode structure the live runner uses, so the two result
-    sequences line up one-to-one.
-    """
-    network = protocol.build()
-    results = [converge(network)]
-    for ev in plan:
-        before = network.metrics.snapshot(network.sim.now)
-        protocol.apply_link_status(ev.a, ev.b, ev.up)
-        events = network.run(max_events=5_000_000, raise_on_limit=False)
-        after = network.metrics.snapshot(network.sim.now)
-        results.append(
-            ConvergenceResult.from_delta(
-                before, after, events, quiesced=not network.sim.hit_event_limit
-            )
-        )
-    return results, sum(network.metrics.messages.values())
-
-
 def fidelity_report(
     protocol: str = "plain-ls",
     scenario: str = "reference",
@@ -114,8 +91,16 @@ def fidelity_report(
         ) from None
     plan = link_flap_plan(scn.graph, flaps=flaps, seed=seed)
 
+    # Sim side: the episode structure the live runner uses (initial
+    # convergence, then one settled episode per fault), so the two
+    # result sequences line up one-to-one.
     sim_proto = make_protocol(protocol, scn.graph.copy(), scn.policies.copy())
-    sim_results, sim_messages = _episodic_sim_run(sim_proto, plan)
+    sim = SimSubstrate(sim_proto.build(), sim_proto)
+    sim.start()
+    sim_results = [sim.settle()]
+    for ev in plan:
+        sim.apply(ev)
+        sim_results.append(sim.settle())
 
     live_proto = make_protocol(
         protocol, scn.graph.copy(), scn.policies.copy(), substrate="live"
@@ -156,7 +141,7 @@ def fidelity_report(
         mismatches=tuple(mismatches),
         sim_times=tuple(r.time for r in sim_results),
         live_times=tuple(r.time for r in live_results),
-        sim_messages=sim_messages,
+        sim_messages=sum(sim.network.metrics.messages.values()),
         live_messages=sum(r.messages for r in live_results),
         live_quiesced=live_result.quiesced,
         live_wall_seconds=live_result.wall_seconds,

@@ -347,6 +347,11 @@ class LiveNetwork(Transport):
             return
         runtime = self._runtimes[src]
         target = self._runtimes[dst]
+        if runtime.state is NodeState.STOPPED:
+            # A timer outlived close(): the AD's process has stopped, so
+            # the frame is a counted drop, not an error in the timer.
+            self.metrics.count_live_send_drop()
+            return
         if runtime.transport is None or target.port is None:
             raise RuntimeError(
                 f"AD {src} sent before the network started serving"
@@ -434,6 +439,10 @@ class LiveNetwork(Transport):
             node = self.nodes[ad_id]
             if node.wire.negotiate:
                 node.announce_wire()
+        # The idle window starts now, not at construction: binding the
+        # sockets may outlast it, and a protocol whose start hook only
+        # arms a timer has sent nothing yet.
+        self._touch()
 
     async def close(self) -> None:
         """Stop every AD: drain queues, cancel tasks, close sockets."""
@@ -542,6 +551,26 @@ class LiveNetwork(Transport):
         self._recv_loss_rate = rate
         self._recv_loss_rng = random.Random(seed)
 
+    def set_impairment(self, link, spec) -> None:
+        """Network-wide loss, the one impairment real loopback can emulate.
+
+        It maps onto the receive-path loss of :meth:`set_recv_loss`
+        (keeping the seeded stream already in force); per-link, dup,
+        jitter and burst impairments are simulator models and are
+        refused loudly rather than silently dropped.
+        """
+        if link is not None:
+            raise ValueError(
+                "live loss is injected at the receive path (network-wide); "
+                "per-link impairments are sim-only"
+            )
+        if spec.dup_prob > 0.0 or spec.jitter > 0.0 or spec.burst_enter > 0.0:
+            raise ValueError(
+                "live chaos supports loss impairments only; dup/jitter/burst "
+                f"in {spec!r} cannot be induced on a real loopback socket"
+            )
+        self._recv_loss_rate = spec.drop_prob
+
     async def restart_runtime(self, ad_id: ADId) -> int:
         """Supervised serve-task restart for one AD (socket preserved).
 
@@ -563,12 +592,6 @@ class LiveNetwork(Transport):
     # --------------------------------------------------- sim-only machinery
 
     def set_channel(self, model) -> None:
-        raise NotImplementedError(
-            "channel impairments are a simulator model; the live substrate "
-            "has real (loopback) links"
-        )
-
-    def set_impairment(self, link, spec) -> None:
         raise NotImplementedError(
             "channel impairments are a simulator model; the live substrate "
             "has real (loopback) links"

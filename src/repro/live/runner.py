@@ -1,44 +1,40 @@
-"""Wall-clock convergence runs on the live substrate.
+"""Wall-clock convergence on the live substrate: settling and the adapter.
 
 The discrete-event engine knows it has converged when its queue drains;
-real sockets have no such oracle, so the live runner uses *settling*: a
-run has quiesced when no frame is in flight or queued and the network
-has been observably idle for a configurable wall-clock window.  The
-episode accounting mirrors :mod:`repro.simul.runner` exactly -- snapshot
-metrics, perturb, settle, snapshot again -- so a
-:class:`~repro.simul.runner.ConvergenceResult` from either substrate
-reads the same way (times in protocol units, not wall seconds).
+real sockets have no such oracle, so a live run has *settled* when no
+frame is in flight or queued and the network has been observably idle
+for a wall-clock window (:func:`settle`).  :class:`LiveSubstrate` wraps
+that into the substrate adapter every driver measures through -- the
+same calls :class:`~repro.simul.runner.SimSubstrate` answers, so a
+:class:`~repro.simul.runner.ConvergenceResult` from either reads the
+same way (times in protocol units, not wall seconds).
 
-Two failure-injection styles:
-
-* **episodic** (a plan of :class:`~repro.faults.plan.LinkFault` only):
-  each fault is applied after the previous episode settled, so
-  per-failure costs are separable -- the live twin of
-  :func:`repro.simul.runner.run_with_failures`;
-* **scheduled** (any plan with node crashes/restarts): the whole plan is
-  armed on the live clock via
-  :meth:`~repro.protocols.base.RoutingProtocol.schedule_fault_plan`,
-  the runner waits out its horizon, and the settle afterwards is one
-  combined episode -- the live twin of
-  :meth:`~repro.simul.network.SimNetwork.schedule_failure_plan` runs.
+:func:`run_live` injects a plan of link faults *episodically* (each
+applied after the previous episode settled: the live twin of
+:func:`repro.simul.runner.run_with_failures`); any other plan is
+*scheduled* whole on the live clock and settled as one combined episode.
 """
 
 from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.faults.plan import FaultPlan, LinkFault
+from repro.faults.plan import FaultPlan, LinkFault, WireVersionChange
 from repro.live.network import LiveNetwork
+from repro.live.supervisor import Supervisor, SupervisorConfig
 from repro.protocols.base import RoutingProtocol
-from repro.simul.runner import ConvergenceResult
+from repro.simul.runner import ConvergenceResult, Substrate
 
 #: How often the settle loop re-checks for quiescence (wall seconds).
 _POLL_S = 0.002
 
 #: How many per-AD diagnostic lines a SettleTimeout message carries.
 _DIAG_MAX_ADS = 12
+
+#: Operator pause after each orchestrated serve-task restart (wall s).
+_BOUNCE_DWELL_S = 0.02
 
 
 class SettleTimeout(RuntimeError):
@@ -190,22 +186,100 @@ class LiveRunResult:
         )
 
 
-async def _measure(
-    network: LiveNetwork,
-    idle_window_s: float,
-    timeout_s: float,
-) -> ConvergenceResult:
-    """Settle and report the metrics delta as one episode."""
-    before = network.metrics.snapshot(network.clock.now)
-    frames_before = network.frames_received
-    quiesced = await try_settle(network, idle_window_s, timeout_s)
-    after = network.metrics.snapshot(network.clock.now)
-    return ConvergenceResult.from_delta(
-        before,
-        after,
-        events=network.frames_received - frames_before,
-        quiesced=quiesced,
-    )
+class LiveSubstrate(Substrate):
+    """The live side of the substrate adapter: the same calls, awaitable.
+
+    Builds ``protocol`` on a fresh :class:`LiveNetwork` over the running
+    loop.  Settled means :func:`try_settle`'s idle window; an episode's
+    event count is the frames received meanwhile.  With a ``supervisor``
+    config the serve tasks are watched, and :meth:`sweep` is available.
+    """
+
+    def __init__(
+        self,
+        protocol: RoutingProtocol,
+        *,
+        time_scale: float = 0.005,
+        idle_window_s: float = 0.05,
+        timeout_s: float = 60.0,
+        supervisor: Optional[SupervisorConfig] = None,
+    ) -> None:
+        if protocol.network is not None:
+            raise RuntimeError(f"{protocol.name} is already built on a substrate")
+        self._loop = asyncio.get_running_loop()
+        self._opened = self._loop.time()
+        self.protocol = protocol
+        self.network = LiveNetwork(protocol.graph, time_scale=time_scale)
+        protocol.substrate = "live"
+        protocol.build(network=self.network)
+        self.idle_window_s = idle_window_s
+        self.timeout_s = timeout_s
+        self.supervisor = (
+            Supervisor(self.network, supervisor) if supervisor is not None else None
+        )
+
+    async def start(self) -> None:
+        await self.network.start()
+        if self.supervisor is not None:
+            await self.supervisor.start()
+
+    async def advance_to(self, t: float) -> None:
+        """Sleep until the live clock reads ``t`` protocol units."""
+        clock = self.network.clock
+        while clock.now < t:
+            await asyncio.sleep(max(_POLL_S, (t - clock.now) * clock.time_scale))
+
+    async def settle(self, until: Optional[float] = None) -> ConvergenceResult:
+        """Wait out the idle window: one episode.
+
+        ``until`` bounds the simulator's run; real time needs no bound
+        (the wait for the next instant is :meth:`advance_to`'s).
+        """
+        before = self.snapshot()
+        frames_before = self.network.frames_received
+        quiesced = await try_settle(self.network, self.idle_window_s, self.timeout_s)
+        return self.since(
+            before, self.network.frames_received - frames_before, quiesced
+        )
+
+    async def apply(self, ev: object) -> None:
+        """Apply one fault event now.
+
+        A wire-version flip is a binary upgrade: it also bounces the
+        AD's serve task, with an operator dwell before the next one.
+        """
+        self.protocol.apply_fault_event(ev)
+        # A perturbation is activity: a protocol that answers it by
+        # arming a timer has sent nothing yet and must not read as quiet.
+        self.network._touch()
+        if isinstance(ev, WireVersionChange):
+            await self.network.restart_runtime(ev.ad)
+            await asyncio.sleep(_BOUNCE_DWELL_S)
+
+    async def sweep(self) -> int:
+        """The maintenance sweep: restart every serve task, one at a time.
+
+        Sockets and node state survive, so the sweep is hitless -- a
+        routes digest taken afterwards must not notice it happened.
+        Returns the number of serve tasks restarted.
+        """
+        restarted = await self.supervisor.rolling_restart(dwell_s=_BOUNCE_DWELL_S)
+        await try_settle(self.network, self.idle_window_s, self.timeout_s)
+        return restarted
+
+    @property
+    def supervision(self) -> Optional[Dict[str, object]]:
+        return self.supervisor.summary() if self.supervisor is not None else None
+
+    def timings(self) -> Dict[str, float]:
+        """Wall seconds since the adapter was opened, as ``live.wall``."""
+        return {"live.wall": self._loop.time() - self._opened}
+
+    async def close(self) -> None:
+        """Stop the supervisor, then every AD (sockets and serve tasks)."""
+        if self.supervisor is not None:
+            await self.supervisor.stop()
+        await self.network.close()
 
 
 async def run_live_async(
@@ -223,73 +297,51 @@ async def run_live_async(
     ``protocol.build``, and always closed (sockets and serve tasks torn
     down) before this returns -- including on error.
     """
-    if protocol.network is not None:
-        raise RuntimeError(f"{protocol.name} is already built on a substrate")
-    loop = asyncio.get_running_loop()
-    started = loop.time()
-    network = LiveNetwork(protocol.graph, time_scale=time_scale)
-    protocol.substrate = "live"
-    protocol.build(network=network)
+    substrate = LiveSubstrate(
+        protocol,
+        time_scale=time_scale,
+        idle_window_s=idle_window_s,
+        timeout_s=timeout_s,
+    )
     try:
-        await network.start()
-        initial = await _measure(network, idle_window_s, timeout_s)
+        await substrate.start()
+        initial = await substrate.settle()
         episodes: List[LiveEpisode] = []
         if plan is not None and len(plan) > 0:
             if all(isinstance(ev, LinkFault) for ev in plan):
                 # Episodic: one settled episode per link fault, so the
                 # per-failure costs are separable (run_with_failures).
                 for ev in plan:
-                    before = network.metrics.snapshot(network.clock.now)
-                    frames_before = network.frames_received
-                    protocol.apply_link_status(ev.a, ev.b, ev.up)
-                    quiesced = await try_settle(
-                        network, idle_window_s, timeout_s
-                    )
-                    after = network.metrics.snapshot(network.clock.now)
+                    await substrate.apply(ev)
                     state = "up" if ev.up else "down"
                     episodes.append(
                         LiveEpisode(
-                            label=f"link {ev.a}-{ev.b} {state}",
-                            result=ConvergenceResult.from_delta(
-                                before,
-                                after,
-                                events=network.frames_received - frames_before,
-                                quiesced=quiesced,
-                            ),
+                            f"link {ev.a}-{ev.b} {state}", await substrate.settle()
                         )
                     )
             else:
                 # Scheduled: arm the whole plan on the live clock, wait
-                # out its horizon, and settle the aftermath as one
-                # combined episode.
-                before = network.metrics.snapshot(network.clock.now)
-                frames_before = network.frames_received
+                # out its horizon, and settle the aftermath: one combined
+                # episode spanning the window plus the drain.
+                before = substrate.snapshot()
+                frames_before = substrate.network.frames_received
                 protocol.schedule_fault_plan(plan)
-                horizon_at = network.clock.now + plan.horizon
-                while network.clock.now < horizon_at:
-                    remaining = (horizon_at - network.clock.now) * time_scale
-                    await asyncio.sleep(max(_POLL_S, remaining))
-                quiesced = await try_settle(network, idle_window_s, timeout_s)
-                after = network.metrics.snapshot(network.clock.now)
-                episodes.append(
-                    LiveEpisode(
-                        label=f"plan[{len(plan)} events]",
-                        result=ConvergenceResult.from_delta(
-                            before,
-                            after,
-                            events=network.frames_received - frames_before,
-                            quiesced=quiesced,
-                        ),
-                    )
+                await substrate.advance_to(substrate.now + plan.horizon)
+                drain = await substrate.settle()
+                result = substrate.since(
+                    before,
+                    substrate.network.frames_received - frames_before,
+                    drain.quiesced,
                 )
+                episodes.append(LiveEpisode(f"plan[{len(plan)} events]", result))
         return LiveRunResult(
             initial=initial,
             episodes=tuple(episodes),
-            wall_seconds=loop.time() - started,
+            wall_seconds=substrate.timings()["live.wall"],
             time_scale=time_scale,
         )
     finally:
-        await network.close()
+        await substrate.close()
 
 
 def run_live(

@@ -111,6 +111,14 @@ class Supervisor:
         if self.network.supervisor is self:
             self.network.supervisor = None
 
+    def summary(self) -> Dict[str, object]:
+        """Supervision activity so far, as the run record carries it."""
+        return {
+            "restarts": sum(self.restart_counts.values()),
+            "gave_up": sorted(self.given_up),
+            "events": len(self.events),
+        }
+
     # ------------------------------------------------------------ watching
 
     async def _watch(self) -> None:

@@ -473,13 +473,23 @@ class RoutingProtocol:
         """Schedule a fault plan's events, relative to the current time."""
         network = self._require_network()
         for ev in plan:
-            network.clock.call_later(ev.time, self._apply_fault_event, ev)
+            network.clock.call_later(ev.time, self.apply_fault_event, ev)
 
-    def _apply_fault_event(self, ev: object) -> None:
+    def apply_fault_event(self, ev: object) -> None:
+        """Apply one fault event now: THE applier, on either substrate.
+
+        Scheduled plans, episodic drivers and both substrate adapters
+        all come through here; what an impairment means on real sockets
+        is the transport's business (``set_impairment``).
+        """
         from repro.faults.misbehavior import MisbehaviorStart, MisbehaviorStop
-        from repro.faults.plan import ImpairmentChange, LinkFault, NodeFault
+        from repro.faults.plan import (
+            ImpairmentChange,
+            LinkFault,
+            NodeFault,
+            WireVersionChange,
+        )
 
-        network = self._require_network()
         if isinstance(ev, LinkFault):
             self.apply_link_status(ev.a, ev.b, ev.up)
         elif isinstance(ev, NodeFault):
@@ -488,7 +498,9 @@ class RoutingProtocol:
             else:
                 self.crash_node(ev.ad, retain_state=ev.retain_state)
         elif isinstance(ev, ImpairmentChange):
-            network.set_impairment(ev.link, ev.spec)
+            self._require_network().set_impairment(ev.link, ev.spec)
+        elif isinstance(ev, WireVersionChange):
+            self.set_wire_version(ev.ad, ev.version)
         elif isinstance(ev, MisbehaviorStart):
             self.start_misbehavior(ev.ad, ev.lie, ev.target)
         elif isinstance(ev, MisbehaviorStop):

@@ -8,6 +8,7 @@ their table rows) and must show graceful restart riding out a crash the
 legacy path cannot.
 """
 
+import asyncio
 import json
 
 import pytest
@@ -18,11 +19,13 @@ from repro.faults.plan import (
     ImpairmentChange,
     LinkFault,
     NodeFault,
+    grouped_events,
     partition_plan,
 )
 from repro.harness import run_experiment
 from repro.harness.chaos import execute_chaos_cell
 from repro.harness.record import SCHEMA_VERSION, RunRecord
+from repro.harness.session import execute_cell
 from repro.harness.spec import (
     Cell,
     ExperimentSpec,
@@ -33,10 +36,11 @@ from repro.harness.spec import (
     ScenarioSpec,
     TrafficSpec,
 )
-from repro.live.chaos import LiveFaultPlan, grouped_events
+from repro.live import LiveNetwork
+from repro.protocols import make_protocol
 from repro.workloads import ring_scenario
 
-from .helpers import mk_graph
+from .helpers import mk_graph, open_db
 
 
 def ring8():
@@ -203,17 +207,26 @@ def test_execute_chaos_cell_rejections():
 
 
 def test_live_fault_plan_rejects_sim_only_impairments():
-    dup = FaultPlan((ImpairmentChange(10.0, Impairment(dup_prob=0.1)),))
-    with pytest.raises(ValueError, match="dup/jitter"):
-        LiveFaultPlan(dup)
-    per_link = FaultPlan(
-        (ImpairmentChange(10.0, Impairment(drop_prob=0.1), link=(0, 1)),)
-    )
-    with pytest.raises(ValueError, match="per-link impairments"):
-        LiveFaultPlan(per_link)
-    # Plain network-wide loss is the one translatable impairment.
-    ok = FaultPlan((ImpairmentChange(10.0, Impairment(drop_prob=0.1)),))
-    assert len(LiveFaultPlan(ok)) == 1
+    """The one fault applier on live: loss translates, the rest is refused."""
+
+    async def scenario():
+        graph = ring8()
+        proto = make_protocol(
+            "plain-ls", graph, open_db(graph), substrate="live"
+        )
+        network = LiveNetwork(graph)
+        proto.build(network=network)
+        dup = ImpairmentChange(10.0, Impairment(dup_prob=0.1))
+        with pytest.raises(ValueError, match="dup/jitter"):
+            proto.apply_fault_event(dup)
+        per_link = ImpairmentChange(10.0, Impairment(drop_prob=0.1), link=(0, 1))
+        with pytest.raises(ValueError, match="per-link impairments"):
+            proto.apply_fault_event(per_link)
+        # Plain network-wide loss is the one translatable impairment.
+        proto.apply_fault_event(ImpairmentChange(10.0, Impairment(drop_prob=0.1)))
+        assert network._recv_loss_rate == 0.1
+
+    asyncio.run(scenario())
 
 
 def test_grouped_events_buckets_identical_fire_times():
@@ -306,17 +319,94 @@ def test_runrecord_v7_roundtrip(sim_record):
     assert loaded.chaos["routes_digest"] == sim_record.chaos["routes_digest"]
 
 
-def test_runrecord_v6_lines_load_with_chaos_defaulted(sim_record):
-    data = json.loads(sim_record.to_json())
-    data["schema_version"] = 6
-    del data["chaos"]
-    loaded = RunRecord.from_json(json.dumps(data))
-    assert loaded.schema_version == SCHEMA_VERSION
-    assert loaded.chaos is None
-
-
 def test_runrecord_rejects_unknown_schema(sim_record):
     data = json.loads(sim_record.to_json())
     data["schema_version"] = 99
     with pytest.raises(ValueError, match="unsupported"):
         RunRecord.from_json(json.dumps(data))
+
+
+# ------------------------------------------- one driver, both substrates
+
+
+def _keys(block):
+    """A record block's shape: its keys, and its entries' keys."""
+    return {
+        key: sorted(value[0]) if key in ("groups", "waves") else None
+        for key, value in block.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "field, entries, fault, options",
+    [
+        ("chaos", "groups", FaultSpec(restarts=1, partitions=1, seed=3,
+                                      start_time=50.0, spacing=100.0), ()),
+        ("versioning", "waves", FaultSpec(upgrade_waves=2, rollback=True, seed=3),
+         (("wire", "v1+negotiate"),)),
+    ],
+    ids=["chaos", "versioning"],
+)
+def test_sim_and_live_rows_come_out_of_the_same_function(
+    field, entries, fault, options
+):
+    """The sim and the live record of a cell differ in numbers, not shape."""
+    records = {
+        substrate: execute_cell(
+            _chaos_cell(
+                ProtocolSpec("plain-ls", options=options),
+                fault,
+                substrate=substrate,
+            )
+        )
+        for substrate in ("sim", "live")
+    }
+    sim, live = records["sim"], records["live"]
+    assert (sim.substrate, live.substrate) == ("sim", "live")
+    assert [ep.kind for ep in sim.episodes] == [ep.kind for ep in live.episodes]
+    assert live.quiesced
+    sim_block, live_block = getattr(sim, field), getattr(live, field)
+    assert _keys(sim_block) == _keys(live_block)
+    assert [e["label"] for e in sim_block[entries]] == [
+        e["label"] for e in live_block[entries]
+    ]
+    assert set(sim.dataplane) == set(live.dataplane)
+    assert set(sim.dataplane["series"]) == set(live.dataplane["series"])
+    # plain-ls is link-state: its tables are a pure function of the LSDB,
+    # so the two substrates must end on identical forwarding state.
+    assert sim_block["routes_digest"] == live_block["routes_digest"]
+    # The supervisor and its sweep are the live adapter's business.
+    assert sim_block["supervisor"] is None
+    assert live_block["supervisor"]["gave_up"] == []
+
+
+def test_sim_graceful_restart_stops_at_the_next_groups_instant(graced_record):
+    """A graceful crash arms a hold timer hold_time ahead; the restart,
+    scheduled sooner, must cancel it.  That only works if the sim side of
+    an episode runs *to the next group's instant* and no further -- a run
+    to quiescence would fast-forward through the hold and expire it."""
+    fault = FaultSpec(restarts=1, partitions=1, seed=3)
+    crash, restart = graced_record.chaos["groups"][:2]
+    assert "crash" in crash["label"] and "restart" in restart["label"]
+    assert restart["time"] - crash["time"] == fault.spacing / 2.0
+    summary = graced_record.chaos["graceful_summary"]
+    assert summary["holds"] > 0 and summary["expirations"] == 0
+    # The healed epoch of the crash is stamped at the restart's instant,
+    # not at whenever the engine would have run dry.
+    epochs = graced_record.dataplane["series"]["epochs"]
+    crash_settled = next(
+        e for e in epochs if e["label"] == f"{crash['label']} settled"
+    )
+    restart_epoch = next(e for e in epochs if e["label"] == restart["label"])
+    assert crash_settled["time"] == restart_epoch["time"]
+
+
+def test_sim_episodic_cells_create_no_event_loop(monkeypatch, sim_record):
+    """The sim side drives the shared coroutine to completion by hand."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sim cell touched the asyncio event loop")
+
+    monkeypatch.setattr(asyncio, "run", forbidden)
+    monkeypatch.setattr(asyncio, "new_event_loop", forbidden)
+    assert execute_chaos_cell(_chaos_cell()).comparable() == sim_record.comparable()

@@ -344,23 +344,19 @@ class TestRecordSerde:
         with pytest.raises(ValueError, match="schema"):
             RunRecord.from_json(line)
 
-    def test_v2_lines_migrate_to_v3(self):
-        # A v2 line predates the misbehavior axis entirely: no top-level
-        # block, no cell key.  It must load with both defaulted.
-        [record] = run_spec(
-            small_spec(protocols=(ProtocolSpec("idrp"),), failures=(FailureSpec(),))
-        )
-        v2 = json.loads(record.to_json())
-        v2["schema_version"] = 2
-        del v2["misbehavior"]
-        del v2["cell"]["misbehavior"]
-        back = RunRecord.from_json(json.dumps(v2))
-        assert back.schema_version == SCHEMA_VERSION
-        assert back.misbehavior is None
-        assert back.cell["misbehavior"] == "none"
-        # Migration reconstructs exactly what a v3 writer records for an
-        # inert misbehavior axis: the round trip is lossless.
-        assert back.comparable() == record.comparable()
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 99])
+    def test_other_schema_versions_are_refused_loudly(self, version):
+        # No read shims: run telemetry is regenerated, never kept, so an
+        # old (or future) line is refused with the way out in the message.
+        record = run_spec(small_spec(failures=(FailureSpec(),)))[0]
+        line = json.loads(record.to_json())
+        line["schema_version"] = version
+        with pytest.raises(ValueError) as excinfo:
+            RunRecord.from_json(json.dumps(line))
+        message = str(excinfo.value)
+        assert f"schema {version} unsupported" in message
+        assert f"reads schema {SCHEMA_VERSION}" in message
+        assert "re-run the experiment" in message
 
     def test_episode_link_round_trips_as_tuple(self):
         ep = EpisodeRecord(
@@ -506,20 +502,6 @@ class TestOverloadCell:
             protocols=(ProtocolSpec("ls-hbh"),), failures=(FailureSpec(),)
         ).cells()
         assert execute_cell(cell).overload is None
-
-
-class TestSchemaV4:
-    def test_v3_lines_migrate_to_v4(self):
-        [record] = run_spec(
-            small_spec(protocols=(ProtocolSpec("idrp"),), failures=(FailureSpec(),))
-        )
-        v3 = json.loads(record.to_json())
-        v3["schema_version"] = 3
-        del v3["overload"]
-        back = RunRecord.from_json(json.dumps(v3))
-        assert back.schema_version == SCHEMA_VERSION
-        assert back.overload is None
-        assert back.comparable() == record.comparable()
 
 
 class TestChurnExperiment:

@@ -1,7 +1,5 @@
 """Harness integration of the traffic axis: E14 cells, schema v6."""
 
-import json
-
 import pytest
 
 from repro.harness import EXPERIMENTS, RunRecord, run_experiment
@@ -101,16 +99,6 @@ class TestExecution:
         again = RunRecord.from_json(record.to_json())
         assert again.dataplane == record.dataplane
         assert again.comparable() == record.comparable()
-
-    def test_v5_line_upgrades(self, record):
-        data = json.loads(record.to_json())
-        data["schema_version"] = 5
-        del data["dataplane"]
-        del data["cell"]["traffic"]
-        old = RunRecord.from_json(json.dumps(data))
-        assert old.schema_version == SCHEMA_VERSION
-        assert old.dataplane is None
-        assert old.cell["traffic"] == "none"
 
     def test_live_cell_rejects_traffic(self):
         cell = Cell(

@@ -1,6 +1,4 @@
-"""The harness substrate axis: live cells and the v5 record shim."""
-
-import json
+"""The harness substrate axis: live cells through the shared execute_cell."""
 
 import pytest
 
@@ -75,20 +73,24 @@ def test_unknown_substrate_rejected():
         execute_cell(_cell(substrate="quantum"))
 
 
-def test_v4_records_load_with_sim_substrate():
-    record = execute_cell(_cell())
-    data = json.loads(record.to_json())
-    # Regress the line to v4: no substrate anywhere.
-    data["schema_version"] = 4
-    del data["substrate"]
-    del data["cell"]["substrate"]
-    loaded = RunRecord.from_json(json.dumps(data))
-    assert loaded.schema_version == SCHEMA_VERSION
-    assert loaded.substrate == "sim"
-    assert loaded.cell["substrate"] == "sim"
-
-
 def test_sim_records_default_substrate():
     record = execute_cell(_cell())
     assert record.substrate == "sim"
     assert record.cell["substrate"] == "sim"
+
+
+def test_failure_episodes_go_through_the_protocols_fault_applier():
+    """EGP routes on a pruned spanning tree.  Failing a link the tree
+    does not contain used to KeyError in the sim cell (it poked the
+    network directly); through the one applier it is a quiet episode on
+    the tree and a status change on the real graph, as on live."""
+    cell = _cell(
+        scenario=ScenarioSpec(kind="small", num_flows=5, seed=0),
+        protocol=ProtocolSpec(name="egp"),
+        failure=FailureSpec(kind="random", count=3, seed=0),
+    )
+    record = execute_cell(cell)
+    assert [ep.kind for ep in record.episodes] == ["initial"] + [
+        "failure", "repair"
+    ] * 3
+    assert record.quiesced

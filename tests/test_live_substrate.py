@@ -25,6 +25,7 @@ from repro.live import (
 from repro.policy.flows import FlowSpec
 from repro.policy.generators import open_policies
 from repro.protocols.registry import make_protocol
+from repro.simul.messages import Message
 from repro.simul.runner import converge
 from repro.simul.transport import TimerHandle
 
@@ -276,5 +277,61 @@ def test_converge_refuses_live_substrate():
         with pytest.raises(RuntimeError, match="live"):
             proto.converge()
         await network.close()
+
+    asyncio.run(scenario())
+
+
+# ---------------------------------------------------- timer-started protocols
+
+
+def test_slow_socket_binding_cannot_fake_quiescence(monkeypatch, caplog):
+    """idrp's start hook only arms a ``_flush`` timer: nothing is sent yet.
+
+    The idle window must start when the start hooks have run, not when
+    the network was constructed -- otherwise binding sockets for longer
+    than the window makes the first settle() check report a quiescent
+    network that has not sent a frame, and the pending timers then fire
+    into sockets close() has already torn down.
+    """
+    from repro.live import network as live_network
+
+    bind = live_network._NodeRuntime.start
+
+    async def slow_bind(self):
+        await asyncio.sleep(0.02)  # 8 ADs: 0.16 s, three idle windows
+        await bind(self)
+
+    monkeypatch.setattr(live_network._NodeRuntime, "start", slow_bind)
+    graph = ring8()
+    proto = make_protocol(
+        "idrp", graph, open_policies(graph).policies, substrate="live"
+    )
+    flap = FaultPlan((LinkFault(0.0, 2, 3, up=False), LinkFault(0.0, 2, 3, up=True)))
+    with caplog.at_level("ERROR", logger="asyncio"):
+        result = run_live(proto, flap, **SETTLE)
+    assert result.quiesced
+    assert result.initial.messages > 0 and result.initial.events > 0
+    # The same holds per episode: a perturbation restarts the window, so
+    # the triggered-update timer it arms fires inside its own episode.
+    assert all(ep.result.messages > 0 for ep in result.episodes)
+    assert not caplog.records, [r.getMessage() for r in caplog.records]
+    assert all(
+        proto.find_route(flow) is not None for flow in _all_pairs(graph)
+    )
+
+
+def test_send_after_stop_is_a_counted_drop_not_a_start_error():
+    async def scenario():
+        proto = _live_protocol(ring8())
+        network = LiveNetwork(proto.graph, time_scale=TIME_SCALE)
+        proto.build(network=network)
+        with pytest.raises(RuntimeError, match="before the network started"):
+            network.nodes[0].send(1, Message())
+        await network.start()
+        await settle(network, idle_window_s=0.05, timeout_s=30.0)
+        await network.close()
+        # A timer that outlived close(): dropped and counted, no error.
+        network.nodes[0].send(1, Message())
+        assert network.metrics.live_send_drops == 1
 
     asyncio.run(scenario())

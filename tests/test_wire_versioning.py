@@ -360,15 +360,10 @@ def test_version_cell_is_deterministic(version_record):
     assert again.comparable() == version_record.comparable()
 
 
-def test_version_record_roundtrips_and_v7_shim(version_record):
+def test_version_record_roundtrips(version_record):
     line = version_record.to_json()
     assert RunRecord.from_json(line).comparable() == version_record.comparable()
-    data = json.loads(line)
-    assert data["schema_version"] == SCHEMA_VERSION
-    data["schema_version"] = 7
-    del data["versioning"]
-    old = RunRecord.from_json(json.dumps(data))
-    assert old.versioning is None
+    assert json.loads(line)["schema_version"] == SCHEMA_VERSION
 
 
 def test_version_cell_rejections():
