@@ -372,7 +372,7 @@ def cmd_experiments_run(args: argparse.Namespace) -> int:
     """Run harness-driven experiments: tables to stdout, runs to JSONL."""
     import os
 
-    from repro.harness import EXPERIMENTS, run_experiment
+    from repro.harness import EXPERIMENTS, OVERRIDES, run_experiment
 
     name = args.name.replace("-", "_")
     if name == "all":
@@ -386,6 +386,7 @@ def cmd_experiments_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    overrides = {row.name: getattr(args, row.name) for row in OVERRIDES}
     for name in names:
         spec, records, text = run_experiment(
             name,
@@ -394,20 +395,7 @@ def cmd_experiments_run(args: argparse.Namespace) -> int:
             runs_dir=args.runs_dir,
             trace=args.trace,
             seed=args.exp_seed,
-            loss=args.loss,
-            liar=args.liar,
-            lie=args.lie,
-            queue_capacity=args.queue_capacity,
-            churn_hz=args.churn_hz,
-            pacing=args.pacing,
-            flows=args.flows,
-            zipf_s=args.zipf_s,
-            restarts=args.restarts,
-            partitions=args.partitions,
-            gr=args.gr,
-            wire_version=args.wire_version,
-            upgrade_waves=args.upgrade_waves,
-            rollback=args.rollback,
+            **overrides,
         )
         print(text)
         jsonl = os.path.join(args.runs_dir, f"{spec.name}.jsonl")
@@ -495,39 +483,39 @@ def _profile_table(name: str, records) -> str:
     return table.render()
 
 
+#: ``experiments list`` rows for the benches that do not run through the
+#: harness; the harness-driven rows come from ``EXPERIMENTS``.
+_STANDALONE_BENCHES = (
+    ("E2", "Figure 1 topology composition", "bench_fig1_topology.py"),
+    ("E5", "Source-specific policy granularity costs", "bench_granularity.py"),
+    ("E6", "Route setup amortisation and header overhead",
+     "bench_setup_overhead.py"),
+    ("E8", "Partial-ordering satisfiability (ECMA)", "bench_partial_order.py"),
+    ("E9", "AD-level abstraction: stretch vs information",
+     "bench_abstraction.py"),
+    ("E10", "Synthesis strategies: precompute/on-demand/hybrid",
+     "bench_synthesis_strategies.py"),
+    ("A1-A6", "Ablations: fast path, flooding scope, PG caches, multi-route "
+     "IDRP, hierarchy, trigger delay", "bench_ablations.py"),
+)
+#: The two harness experiments whose bench is not ``bench_<name>.py``.
+_BENCH_FILE = {
+    "dataplane_tail": "bench_dataplane.py",
+    "mixed_version": "bench_version_skew.py",
+}
+
+
 def cmd_experiments(args: argparse.Namespace) -> int:
-    experiments = [
-        ("E1", "Table 1 measured across all 8 design points",
-         "bench_table1_design_space.py"),
-        ("E2", "Figure 1 topology composition", "bench_fig1_topology.py"),
-        ("E3", "Route availability vs policy restrictiveness",
-         "bench_availability.py"),
-        ("E4", "Reconvergence after failures (count-to-infinity)",
-         "bench_convergence.py"),
-        ("E5", "Source-specific policy granularity costs",
-         "bench_granularity.py"),
-        ("E6", "Route setup amortisation and header overhead",
-         "bench_setup_overhead.py"),
-        ("E7", "Scaling with internet size", "bench_scaling.py"),
-        ("E8", "Partial-ordering satisfiability (ECMA)",
-         "bench_partial_order.py"),
-        ("E9", "AD-level abstraction: stretch vs information",
-         "bench_abstraction.py"),
-        ("E10", "Synthesis strategies: precompute/on-demand/hybrid",
-         "bench_synthesis_strategies.py"),
-        ("E11", "Robustness under message loss and churn",
-         "bench_robustness.py"),
-        ("E12", "Misbehaving-AD blast radius and containment",
-         "bench_robustness_misbehavior.py"),
-        ("E13", "Control-plane overload under a churn storm",
-         "bench_robustness_churn.py"),
-        ("E14", "Data-plane tail latency under convergence",
-         "bench_dataplane.py"),
-        ("A1-A4", "Ablations: fast path, flooding scope, PG caches, "
-         "multi-route IDRP", "bench_ablations.py"),
-    ]
+    from repro.harness import EXPERIMENTS
+
+    rows = list(_STANDALONE_BENCHES)
+    for exp in EXPERIMENTS.values():
+        bench = _BENCH_FILE.get(exp.name, f"bench_{exp.name}.py")
+        rows.append((exp.eid, exp.description, bench))
+    # E1..E16 in numeric order, then the ablations.
+    rows.sort(key=lambda row: (row[0][0] != "E", int(row[0][1:].split("-")[0])))
     table = Table("id", "what", "bench", title="Paper experiments (see EXPERIMENTS.md)")
-    for row in experiments:
+    for row in rows:
         table.add(*row)
     print(table.render())
     print("\nrun all:  pytest benchmarks/ --benchmark-only")
@@ -547,6 +535,8 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.harness import OVERRIDES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Inter-AD policy routing design-space simulator "
@@ -683,53 +673,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="where <experiment>.jsonl telemetry is written")
     ep.add_argument("--seed", dest="exp_seed", type=int, default=None,
                     help="override the spec's seed axis with one seed")
-    ep.add_argument("--loss", type=float, default=None,
-                    help="override message-loss probability on the fault "
-                         "axis (robustness sweeps)")
-    ep.add_argument("--liar", default=None, metavar="WHO",
-                    help="override the misbehaving AD: 'ad=<id>' or a "
-                         "role (stub, regional, backbone)")
-    ep.add_argument("--lie", default=None, metavar="KIND",
-                    help="override the lie told on the misbehavior axis "
-                         "(route-leak, bogus-origin, stale-replay, "
-                         "metric-lie, term-forgery)")
-    ep.add_argument("--queue-capacity", type=int, default=None,
-                    help="override the bounded ingress-queue capacity on "
-                         "the fault axis (negative removes the queue)")
-    ep.add_argument("--churn-hz", type=float, default=None,
-                    help="override the churn-storm flap frequency on the "
-                         "fault axis (cycles per time unit)")
-    ep.add_argument("--pacing", choices=("off", "pace", "holddown",
-                                         "damp", "full"), default=None,
-                    help="override every protocol point's pacing config")
-    ep.add_argument("--flows", type=int, default=None,
-                    help="override the traffic axis flow count "
-                         "(data-plane experiments, e.g. dataplane_tail)")
-    ep.add_argument("--zipf-s", dest="zipf_s", type=float, default=None,
-                    help="override the traffic axis zipf skew "
-                         "(0 = uniform; larger concentrates harder)")
-    ep.add_argument("--restarts", type=int, default=None,
-                    help="override the chaos-program rolling-restart count "
-                         "on the fault axis (live_chaos)")
-    ep.add_argument("--partitions", type=int, default=None,
-                    help="override the chaos-program partition-window count "
-                         "on the fault axis (live_chaos)")
-    ep.add_argument("--gr", default=None, metavar="SCOPE",
-                    help="override every protocol point's graceful-restart "
-                         "config ('off', 'all', or a feature name)")
-    ep.add_argument("--wire-version", dest="wire_version", default=None,
-                    metavar="SPEC",
-                    help="override every protocol point's wire config "
-                         "('off', 'v1', 'v2', 'current', 'v1+negotiate', "
-                         "...); mixed_version starts all-v1 negotiating")
-    ep.add_argument("--upgrade-waves", dest="upgrade_waves", type=int,
-                    default=None,
-                    help="override the rolling-upgrade wave count on the "
-                         "fault axis (mixed_version)")
-    ep.add_argument("--rollback", dest="rollback", default=None,
-                    action=argparse.BooleanOptionalAction,
-                    help="force the downgrade/re-upgrade leg on or off "
-                         "(mixed_version)")
+    for row in OVERRIDES:
+        if row.type is bool:  # tri-state: --x / --no-x / not given
+            kind = {"action": argparse.BooleanOptionalAction}
+        else:
+            kind = {"type": row.convert, "metavar": row.metavar}
+        ep.add_argument(row.flag, dest=row.name, default=None, help=row.help,
+                        **kind)
     ep.set_defaults(fn=cmd_experiments_run)
 
     p = sub.add_parser(

@@ -8,12 +8,17 @@ The harness is the single way experiments run in this repo:
   telemetry, persisted as JSON lines;
 * :mod:`repro.harness.session` -- the executor (serial or
   multiprocessing fan-out with a deterministic merge);
-* :mod:`repro.harness.experiments` -- the named experiments (E1, E3,
-  E4, E7, E11, E12) the benches and the ``python -m repro experiments``
-  CLI share.
+* :mod:`repro.harness.experiments` -- the named experiments
+  (``EXPERIMENTS``) and the override table (``OVERRIDES``) the benches
+  and the ``python -m repro experiments`` CLI share.
 """
 
-from repro.harness.experiments import EXPERIMENTS, Experiment, run_experiment
+from repro.harness.experiments import (
+    EXPERIMENTS,
+    OVERRIDES,
+    Experiment,
+    run_experiment,
+)
 from repro.harness.record import (
     SCHEMA_VERSION,
     EpisodeRecord,
@@ -43,6 +48,7 @@ __all__ = [
     "FailureSpec",
     "FaultSpec",
     "MisbehaviorSpec",
+    "OVERRIDES",
     "ProtocolSpec",
     "RunRecord",
     "SCHEMA_VERSION",

@@ -151,8 +151,8 @@ class _ChaosProgram(_Program):
             "groups": entries,
             "restarts": self.fault.restarts,
             "partitions": self.fault.partitions,
-            "graceful": str(self.protocol.graceful),
-            "graceful_summary": self.protocol.graceful_summary(),
+            "graceful": str(self.protocol.runtime.graceful),
+            "graceful_summary": self.protocol.runtime_summary("graceful"),
             "baseline_routable": base,
             "availability": sum(during) / (len(during) * base)
             if during and base
@@ -175,7 +175,7 @@ class _UpgradeProgram(_Program):
     kind, field = "upgrade", "versioning"
 
     def steps(self) -> List[_Step]:
-        self.start = start = self.protocol.wire.version
+        self.start = start = self.protocol.runtime.wire.version
         waves = _upgrade_wave_plan(
             sorted(self.protocol.graph.ad_ids()), self.fault.upgrade_waves
         )
@@ -203,7 +203,7 @@ class _UpgradeProgram(_Program):
     def verdict(self) -> Dict[str, Any]:
         """The invariant: every wave settles back onto the baseline routes."""
         return {
-            "negotiation": self.protocol.negotiation_summary(),
+            "negotiation": self.protocol.runtime_summary("wire"),
             "digest_match": routes_digest(self.protocol) == self.baseline_digest,
         }
 
@@ -215,7 +215,7 @@ class _UpgradeProgram(_Program):
             "wire_start": self.start,
             "wire_target": WIRE_VERSION,
             "waves": entries,
-            "negotiation": self.protocol.negotiation_summary(),
+            "negotiation": self.protocol.runtime_summary("wire"),
             "version_rejected": self.protocol.network.metrics.version_rejected,
             "baseline_digest": self.baseline_digest,
             "routes_digest": final_digest,

@@ -49,6 +49,38 @@ DESIGN_POINT_NAMES: Tuple[str, ...] = (
 )
 
 
+def _ablation_protocols(
+    names: Sequence[str], *variants: Tuple[str, Tuple[Tuple[str, Any], ...]]
+) -> Tuple[ProtocolSpec, ...]:
+    """Each named point plain, then once per ``(label suffix, options)``."""
+    out: List[ProtocolSpec] = []
+    for name in names:
+        out.append(ProtocolSpec(name))
+        for suffix, options in variants:
+            out.append(ProtocolSpec(name, label=f"{name}{suffix}", options=options))
+    return tuple(out)
+
+
+def _with_fidelity_footer(
+    table: str, records: Sequence[RunRecord], block: str, noun: str
+) -> str:
+    """Append the sim-vs-live routes-digest verdict per protocol label."""
+    digests: Dict[str, Dict[str, str]] = {}
+    for rec in records:
+        digests.setdefault(rec.cell["label"], {})[rec.cell["substrate"]] = (
+            getattr(rec, block)["routes_digest"]
+        )
+    footer = [
+        f"fidelity {label}: {noun} routes sim-vs-live "
+        + ("IDENTICAL" if subs["sim"] == subs["live"] else "MISMATCH")
+        for label, subs in digests.items()
+        if "sim" in subs and "live" in subs
+    ]
+    if not footer:
+        return table
+    return "\n".join([table, "", *footer])
+
+
 def _table1_spec(smoke: bool) -> ExperimentSpec:
     return ExperimentSpec(
         name="table1_design_space",
@@ -317,20 +349,6 @@ def _robustness_fault(loss: float, smoke: bool) -> FaultSpec:
     )
 
 
-def _robustness_protocols(smoke: bool) -> Tuple[ProtocolSpec, ...]:
-    """Every design point, plain and fully hardened (the ablation pair)."""
-    names = ("ls-hbh", "orwg") if smoke else DESIGN_POINT_NAMES
-    out: List[ProtocolSpec] = []
-    for name in names:
-        out.append(ProtocolSpec(name))
-        out.append(
-            ProtocolSpec(
-                name, label=f"{name}+h", options=(("hardening", "all"),)
-            )
-        )
-    return tuple(out)
-
-
 def _robustness_spec(smoke: bool) -> ExperimentSpec:
     losses = ROBUSTNESS_LOSSES_SMOKE if smoke else ROBUSTNESS_LOSSES
     return ExperimentSpec(
@@ -338,7 +356,11 @@ def _robustness_spec(smoke: bool) -> ExperimentSpec:
         scenarios=(
             ScenarioSpec(kind="reference", seed=5, num_flows=12 if smoke else 24),
         ),
-        protocols=_robustness_protocols(smoke),
+        # Every design point, plain and fully hardened (the ablation pair).
+        protocols=_ablation_protocols(
+            ("ls-hbh", "orwg") if smoke else DESIGN_POINT_NAMES,
+            ("+h", (("hardening", "all"),)),
+        ),
         faults=tuple(_robustness_fault(loss, smoke) for loss in losses),
         evaluate=True,
     )
@@ -406,25 +428,6 @@ def _churn_fault(hz: float, capacity: int, smoke: bool) -> FaultSpec:
     )
 
 
-def _churn_protocols(smoke: bool) -> Tuple[ProtocolSpec, ...]:
-    """Every design point raw, hardened, and paced+damped (the E13 triple)."""
-    names = ("ls-hbh", "orwg") if smoke else DESIGN_POINT_NAMES
-    out: List[ProtocolSpec] = []
-    for name in names:
-        out.append(ProtocolSpec(name))
-        out.append(
-            ProtocolSpec(name, label=f"{name}+h", options=(("hardening", "all"),))
-        )
-        out.append(
-            ProtocolSpec(
-                name,
-                label=f"{name}+pd",
-                options=(("hardening", "all"), ("pacing", "all")),
-            )
-        )
-    return tuple(out)
-
-
 def _churn_spec(smoke: bool) -> ExperimentSpec:
     rates = CHURN_RATES_SMOKE if smoke else CHURN_RATES
     queues = CHURN_QUEUES_SMOKE if smoke else CHURN_QUEUES
@@ -433,7 +436,12 @@ def _churn_spec(smoke: bool) -> ExperimentSpec:
         scenarios=(
             ScenarioSpec(kind="reference", seed=5, num_flows=12 if smoke else 24),
         ),
-        protocols=_churn_protocols(smoke),
+        # Every design point raw, hardened, and paced+damped (the triple).
+        protocols=_ablation_protocols(
+            ("ls-hbh", "orwg") if smoke else DESIGN_POINT_NAMES,
+            ("+h", (("hardening", "all"),)),
+            ("+pd", (("hardening", "all"), ("pacing", "all"))),
+        ),
         faults=tuple(
             _churn_fault(hz, capacity, smoke)
             for hz in rates
@@ -521,20 +529,6 @@ def _misbehavior_points(smoke: bool) -> Tuple[MisbehaviorSpec, ...]:
     return tuple(points)
 
 
-def _misbehavior_protocols(smoke: bool) -> Tuple[ProtocolSpec, ...]:
-    """Every design point, plain and validating (the containment pair)."""
-    names = ("ls-hbh", "orwg") if smoke else DESIGN_POINT_NAMES
-    out: List[ProtocolSpec] = []
-    for name in names:
-        out.append(ProtocolSpec(name))
-        out.append(
-            ProtocolSpec(
-                name, label=f"{name}+v", options=(("validation", "all"),)
-            )
-        )
-    return tuple(out)
-
-
 def _misbehavior_spec(smoke: bool) -> ExperimentSpec:
     # Restrictiveness 0.5 gives the top-degree backbone a genuinely
     # restrictive registered policy, so a route leak has something to
@@ -547,7 +541,11 @@ def _misbehavior_spec(smoke: bool) -> ExperimentSpec:
                 kind="reference", seed=11, num_flows=24, restrictiveness=0.5
             ),
         ),
-        protocols=_misbehavior_protocols(smoke),
+        # Every design point, plain and validating (the containment pair).
+        protocols=_ablation_protocols(
+            ("ls-hbh", "orwg") if smoke else DESIGN_POINT_NAMES,
+            ("+v", (("validation", "all"),)),
+        ),
         misbehaviors=_misbehavior_points(smoke),
     )
 
@@ -729,19 +727,6 @@ LIVE_CHAOS_PAIRS = 1024
 LIVE_CHAOS_PAIRS_SMOKE = 256
 
 
-def _live_chaos_protocols(smoke: bool) -> Tuple[ProtocolSpec, ...]:
-    names = ("ls-hbh",) if smoke else LIVE_CHAOS_PROTOCOLS
-    out: List[ProtocolSpec] = []
-    for name in names:
-        out.append(ProtocolSpec(name))
-        out.append(
-            ProtocolSpec(
-                name, label=f"{name}+gr", options=(("graceful", "all"),)
-            )
-        )
-    return tuple(out)
-
-
 def _live_chaos_fault(smoke: bool) -> FaultSpec:
     return FaultSpec(
         restarts=1 if smoke else 3,
@@ -758,7 +743,10 @@ def _live_chaos_spec(smoke: bool) -> ExperimentSpec:
         scenarios=(
             ScenarioSpec(kind="reference", seed=5, num_flows=12 if smoke else 24),
         ),
-        protocols=_live_chaos_protocols(smoke),
+        protocols=_ablation_protocols(
+            ("ls-hbh",) if smoke else LIVE_CHAOS_PROTOCOLS,
+            ("+gr", (("graceful", "all"),)),
+        ),
         faults=(_live_chaos_fault(smoke),),
         traffics=(
             TrafficSpec(
@@ -819,22 +807,7 @@ def _render_live_chaos(spec: ExperimentSpec, records: Sequence[RunRecord]) -> st
             gsum["resyncs"],
             chaos["routes_digest"][:12],
         )
-    lines = [table.render()]
-    digests: Dict[str, Dict[str, str]] = {}
-    for rec in records:
-        digests.setdefault(rec.cell["label"], {})[rec.cell["substrate"]] = (
-            rec.chaos["routes_digest"]
-        )
-    footer = [
-        f"fidelity {label}: post-chaos routes sim-vs-live "
-        + ("IDENTICAL" if subs["sim"] == subs["live"] else "MISMATCH")
-        for label, subs in digests.items()
-        if "sim" in subs and "live" in subs
-    ]
-    if footer:
-        lines.append("")
-        lines.extend(footer)
-    return "\n".join(lines)
+    return _with_fidelity_footer(table.render(), records, "chaos", "post-chaos")
 
 
 # --------------------------------------------------------------------------
@@ -941,22 +914,9 @@ def _render_version_skew(
             "yes" if v["digest_stable"] else "NO",
             v["routes_digest"][:12],
         )
-    lines = [table.render()]
-    digests: Dict[str, Dict[str, str]] = {}
-    for rec in records:
-        digests.setdefault(rec.cell["label"], {})[rec.cell["substrate"]] = (
-            rec.versioning["routes_digest"]
-        )
-    footer = [
-        f"fidelity {label}: post-upgrade routes sim-vs-live "
-        + ("IDENTICAL" if subs["sim"] == subs["live"] else "MISMATCH")
-        for label, subs in digests.items()
-        if "sim" in subs and "live" in subs
-    ]
-    if footer:
-        lines.append("")
-        lines.extend(footer)
-    return "\n".join(lines)
+    return _with_fidelity_footer(
+        table.render(), records, "versioning", "post-upgrade"
+    )
 
 
 # --------------------------------------------------------------------------
@@ -1069,6 +1029,140 @@ def _parse_liar(value: str) -> Dict[str, Any]:
     )
 
 
+def _parse_lie(value: str) -> Dict[str, Any]:
+    from repro.faults.misbehavior import LIES
+
+    if value not in LIES:
+        raise ValueError(f"bad lie {value!r} (expected one of {', '.join(LIES)})")
+    return {"lie": value}
+
+
+def _set(field: str, least: Optional[int] = None) -> Callable[[Any], Dict[str, Any]]:
+    """Rewrite one field, refusing a value under ``least`` (0 or 1)."""
+
+    def changes(value: Any) -> Dict[str, Any]:
+        if least is not None and value < least:
+            kind = "positive" if least else "non-negative"
+            raise ValueError(f"--{field.replace('_', '-')} must be {kind}")
+        return {field: value}
+
+    return changes
+
+
+@dataclass(frozen=True)
+class Override:
+    """One row of the override table.
+
+    A row is both a ``run_experiment`` keyword and the ``experiments
+    run --<name>`` flag of the same name (dashes for underscores).  It
+    rewrites every point of one :class:`ExperimentSpec` ``axis``: either
+    by replacing the fields ``changes(value)`` returns (which validates
+    the value), or -- protocols axis -- by replacing the ``make_protocol``
+    ``option`` of that name with the value (``"off"`` drops the option).
+    """
+
+    name: str
+    axis: str
+    #: argparse ``type``; ``bool`` makes a tri-state ``--x/--no-x`` flag.
+    type: Callable[[str], Any]
+    help: str
+    changes: Optional[Callable[[Any], Dict[str, Any]]] = None
+    option: Optional[str] = None
+    #: Leave a point whose ``active`` is false untouched.
+    active_only: bool = False
+    metavar: Optional[str] = None
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+    def convert(self, text: str) -> Any:
+        """The flag's argparse ``type``: an option row's spelling is
+        validated here, through the runtime-feature table."""
+        value = self.type(text)
+        if self.option is not None and value != "off":
+            from repro.protocols.runtime import feature
+
+            feature(self.option).parse(value)
+        return value
+
+
+#: Applied in this order: on the protocols axis it is the order options
+#: are appended in, and ``lie`` must precede ``liar`` (a lie activates
+#: inert baseline points, which a liar override alone leaves lie-free).
+OVERRIDES: Tuple[Override, ...] = (
+    Override("loss", "faults", float,
+             "override message-loss probability on the fault axis "
+             "(robustness sweeps)", _set("loss")),
+    Override("lie", "misbehaviors", str,
+             "override the lie told on the misbehavior axis (route-leak, "
+             "bogus-origin, stale-replay, metric-lie, term-forgery)",
+             _parse_lie, metavar="KIND"),
+    Override("liar", "misbehaviors", str,
+             "override the misbehaving AD: 'ad=<id>' or a role (stub, "
+             "regional, backbone)", _parse_liar, active_only=True, metavar="WHO"),
+    Override("queue_capacity", "faults", int,
+             "override the bounded ingress-queue capacity on the fault axis "
+             "(negative removes the queue)",
+             lambda capacity: {"queue_capacity": None if capacity < 0 else capacity}),
+    Override("churn_hz", "faults", float,
+             "override the churn-storm flap frequency on the fault axis "
+             "(cycles per time unit)", _set("churn_hz")),
+    Override("pacing", "protocols", str,
+             "override every protocol point's pacing config ('off', 'full', "
+             "or a feature name: pace, holddown, damp)",
+             option="pacing", metavar="SCOPE"),
+    Override("flows", "traffics", int,
+             "override the traffic axis flow count (data-plane experiments, "
+             "e.g. dataplane_tail)", _set("flows", least=1), active_only=True),
+    Override("zipf_s", "traffics", float,
+             "override the traffic axis zipf skew (0 = uniform; larger "
+             "concentrates harder)", _set("zipf_s", least=0), active_only=True),
+    Override("restarts", "faults", int,
+             "override the chaos-program rolling-restart count on the fault "
+             "axis (live_chaos)", _set("restarts", least=0)),
+    Override("partitions", "faults", int,
+             "override the chaos-program partition-window count on the fault "
+             "axis (live_chaos)", _set("partitions", least=0)),
+    Override("wire_version", "protocols", str,
+             "override every protocol point's wire config ('off', 'v1', 'v2', "
+             "'current', 'v1+negotiate', ...); mixed_version starts all-v1 "
+             "negotiating", option="wire", metavar="SPEC"),
+    Override("gr", "protocols", str,
+             "override every protocol point's graceful-restart config ('off', "
+             "'all', or a feature name)", option="graceful", metavar="SCOPE"),
+    Override("upgrade_waves", "faults", int,
+             "override the rolling-upgrade wave count on the fault axis "
+             "(mixed_version)", _set("upgrade_waves", least=0)),
+    Override("rollback", "faults", bool,
+             "force the downgrade/re-upgrade leg on or off (mixed_version)",
+             _set("rollback")),
+)
+
+
+def _apply_override(spec: ExperimentSpec, row: Override, value: Any) -> ExperimentSpec:
+    """THE applier: rewrite every point of the row's axis, clear its
+    label, drop duplicates preserving order."""
+    if row.option is not None:
+        row.convert(value)  # validate before any cell runs
+    else:
+        changes = row.changes(value)
+    points: List[Any] = []
+    for point in getattr(spec, row.axis):
+        if row.option is not None:
+            # An option rewrite keeps the point's label: "+gr" rows stay
+            # told apart from the plain rows they now equal.
+            options = tuple((k, v) for k, v in point.options if k != row.option)
+            if value != "off":
+                options += ((row.option, value),)
+            point = replace(point, options=options)
+        elif point.active or not row.active_only:
+            point = replace(point, label=None, **changes)
+        if point not in points:
+            points.append(point)
+    return replace(spec, **{row.axis: tuple(points)})
+
+
 def run_experiment(
     name: str,
     jobs: int = 1,
@@ -1076,44 +1170,18 @@ def run_experiment(
     runs_dir: Optional[str] = None,
     trace: Optional[str] = None,
     seed: Optional[int] = None,
-    loss: Optional[float] = None,
-    liar: Optional[str] = None,
-    lie: Optional[str] = None,
-    queue_capacity: Optional[int] = None,
-    churn_hz: Optional[float] = None,
-    pacing: Optional[str] = None,
-    flows: Optional[int] = None,
-    zipf_s: Optional[float] = None,
-    restarts: Optional[int] = None,
-    partitions: Optional[int] = None,
-    gr: Optional[str] = None,
-    wire_version: Optional[str] = None,
-    upgrade_waves: Optional[int] = None,
-    rollback: Optional[bool] = None,
+    **overrides: Any,
 ) -> Tuple[ExperimentSpec, List[RunRecord], str]:
     """Run a named experiment; returns (spec, records, rendered table).
 
     ``smoke`` switches to the reduced grid *and* renames the experiment
     to ``<name>_smoke`` so smoke artifacts never overwrite the full
     (determinism-checked) ones.  ``seed`` replaces the spec's seed axis
-    with a single seed (re-seeding every scenario); ``loss`` overrides
-    the message-loss probability of every fault axis point (duplicate
-    points after the override collapse, preserving order).  ``liar``
-    (``'ad=<id>'`` or a role name) and ``lie`` (a lie kind, applied to
-    the active misbehavior points only) override the misbehavior axis
-    the same way.  ``queue_capacity`` (negative removes the queue) and
-    ``churn_hz`` override every fault point's ingress queue and churn
-    storm; ``pacing`` (``'off'``, a feature name, or ``'full'``)
-    replaces every protocol point's pacing option; ``flows`` and
-    ``zipf_s`` override the active traffic points (the E14 workload
-    size and skew).  ``restarts`` and ``partitions`` override every
-    fault point's chaos program (E15), and ``gr`` (``'off'`` or a
-    graceful-restart scope) replaces every protocol point's graceful
-    option the same way ``pacing`` does.  ``upgrade_waves`` and
-    ``rollback`` override every fault point's upgrade program (E16),
-    and ``wire_version`` (``'off'`` or a wire spec like ``'v1'``,
-    ``'v2'``, ``'v1+negotiate'``) replaces every protocol point's wire
-    option the same way ``gr`` does.
+    with a single seed (re-seeding every scenario).  ``overrides`` are
+    keyed by the rows of :data:`OVERRIDES` (each row's ``help`` says
+    what it rewrites; ``None`` means "not given"): every point of the
+    row's axis is rewritten and points that become equal collapse,
+    preserving order.
     """
     try:
         experiment = EXPERIMENTS[name]
@@ -1122,6 +1190,13 @@ def run_experiment(
             f"unknown experiment {name!r}; available: "
             f"{', '.join(sorted(EXPERIMENTS))}"
         ) from None
+    unknown = set(overrides) - {row.name for row in OVERRIDES}
+    if unknown:
+        raise TypeError(
+            f"run_experiment() got unknown override(s) "
+            f"{', '.join(sorted(unknown))}; valid overrides: "
+            f"{', '.join(row.name for row in OVERRIDES)}"
+        )
     spec = experiment.build_spec(smoke)
     if smoke:
         spec = replace(spec, name=f"{spec.name}_smoke")
@@ -1129,135 +1204,8 @@ def run_experiment(
         spec = replace(spec, trace=trace)
     if seed is not None:
         spec = replace(spec, seeds=(seed,))
-    if loss is not None:
-        overridden = []
-        for fault in spec.faults:
-            fault = replace(fault, loss=loss, label=None)
-            if fault not in overridden:
-                overridden.append(fault)
-        spec = replace(spec, faults=tuple(overridden))
-    if queue_capacity is not None or churn_hz is not None:
-        fields: Dict[str, Any] = {}
-        if queue_capacity is not None:
-            fields["queue_capacity"] = None if queue_capacity < 0 else queue_capacity
-        if churn_hz is not None:
-            fields["churn_hz"] = churn_hz
-        overridden = []
-        for fault in spec.faults:
-            fault = replace(fault, label=None, **fields)
-            if fault not in overridden:
-                overridden.append(fault)
-        spec = replace(spec, faults=tuple(overridden))
-    if pacing is not None:
-        from repro.protocols.pacing import pacing_from
-
-        pacing_from("" if pacing == "off" else pacing)  # validate early
-        protocols = []
-        for point in spec.protocols:
-            options = tuple(
-                (k, v) for k, v in point.options if k != "pacing"
-            )
-            if pacing != "off":
-                options = options + (("pacing", pacing),)
-            point = replace(point, options=options)
-            if point not in protocols:
-                protocols.append(point)
-        spec = replace(spec, protocols=tuple(protocols))
-    if restarts is not None or partitions is not None:
-        fields = {}
-        if restarts is not None:
-            if restarts < 0:
-                raise ValueError("--restarts must be non-negative")
-            fields["restarts"] = restarts
-        if partitions is not None:
-            if partitions < 0:
-                raise ValueError("--partitions must be non-negative")
-            fields["partitions"] = partitions
-        overridden = []
-        for fault in spec.faults:
-            fault = replace(fault, label=None, **fields)
-            if fault not in overridden:
-                overridden.append(fault)
-        spec = replace(spec, faults=tuple(overridden))
-    if upgrade_waves is not None or rollback is not None:
-        fields = {}
-        if upgrade_waves is not None:
-            if upgrade_waves < 0:
-                raise ValueError("--upgrade-waves must be non-negative")
-            fields["upgrade_waves"] = upgrade_waves
-        if rollback is not None:
-            fields["rollback"] = rollback
-        overridden = []
-        for fault in spec.faults:
-            fault = replace(fault, label=None, **fields)
-            if fault not in overridden:
-                overridden.append(fault)
-        spec = replace(spec, faults=tuple(overridden))
-    if wire_version is not None:
-        from repro.protocols.versioning import wire_from
-
-        if wire_version != "off":
-            wire_from(wire_version)  # validate early
-        protocols = []
-        for point in spec.protocols:
-            options = tuple((k, v) for k, v in point.options if k != "wire")
-            if wire_version != "off":
-                options = options + (("wire", wire_version),)
-            point = replace(point, options=options)
-            if point not in protocols:
-                protocols.append(point)
-        spec = replace(spec, protocols=tuple(protocols))
-    if gr is not None:
-        from repro.protocols.graceful import graceful_from
-
-        graceful_from("" if gr == "off" else gr)  # validate early
-        protocols = []
-        for point in spec.protocols:
-            options = tuple(
-                (k, v) for k, v in point.options if k != "graceful"
-            )
-            if gr != "off":
-                options = options + (("graceful", gr),)
-            point = replace(point, options=options)
-            if point not in protocols:
-                protocols.append(point)
-        spec = replace(spec, protocols=tuple(protocols))
-    if flows is not None or zipf_s is not None:
-        fields = {}
-        if flows is not None:
-            if flows <= 0:
-                raise ValueError("--flows must be positive")
-            fields["flows"] = flows
-        if zipf_s is not None:
-            if zipf_s < 0:
-                raise ValueError("--zipf-s must be non-negative")
-            fields["zipf_s"] = zipf_s
-        overridden = []
-        for point in spec.traffics:
-            if point.active:
-                point = replace(point, label=None, **fields)
-            if point not in overridden:
-                overridden.append(point)
-        spec = replace(spec, traffics=tuple(overridden))
-    if liar is not None or lie is not None:
-        from repro.faults.misbehavior import LIES
-
-        if lie is not None and lie not in LIES:
-            raise ValueError(
-                f"bad lie {lie!r} (expected one of {', '.join(LIES)})"
-            )
-        liar_fields = {} if liar is None else _parse_liar(liar)
-        overridden = []
-        for point in spec.misbehaviors:
-            fields = dict(liar_fields)
-            # A lie override turns inert baseline points into liars too;
-            # a liar override alone leaves the baseline lie-free.
-            if lie is not None:
-                fields["lie"] = lie
-            if point.active or "lie" in fields:
-                point = replace(point, label=None, **fields)
-            if point not in overridden:
-                overridden.append(point)
-        spec = replace(spec, misbehaviors=tuple(overridden))
+    for row in OVERRIDES:
+        if overrides.get(row.name) is not None:
+            spec = _apply_override(spec, row, overrides[row.name])
     records = ExperimentSession(spec, out_dir=runs_dir).run(jobs=jobs)
     return spec, records, experiment.render(spec, records)

@@ -99,8 +99,8 @@ def _misbehavior_block(cell, protocol, series, flows, reference_routes, lie_star
         "steady_blast": steady,
         "containment_latency": containment,
         "blast_series": [[t, b] for t, b in series],
-        "validation": str(protocol.validation),
-        "counters": protocol.validation_summary(),
+        "validation": str(protocol.runtime.validation),
+        "counters": protocol.runtime_summary("validation"),
     }
 
 
@@ -369,16 +369,16 @@ def execute_cell(cell: Cell) -> RunRecord:
                     reference_routes,
                     lie_start,
                 )
-    if misbehavior is None and protocol.validation.any_enabled:
+    if misbehavior is None and protocol.runtime.validation.any_enabled:
         # Lie-free cell of a validating protocol: record the counters
         # anyway, so the false-quarantine-at-baseline claim is checkable.
         misbehavior = _misbehavior_block(cell, protocol, [], (), {}, 0.0)
 
     overload = None
     ingress = getattr(protocol.network, "ingress", None)
-    if ingress is not None or protocol.pacing.any_enabled:
-        overload = {"pacing": str(protocol.pacing)}
-        overload.update(protocol.pacing_summary())
+    if ingress is not None or protocol.runtime.pacing.any_enabled:
+        overload = {"pacing": str(protocol.runtime.pacing)}
+        overload.update(protocol.runtime_summary("pacing"))
         if ingress is not None:
             elapsed = max(substrate.now - ingress_start, 0.0)
             overload.update(ingress.counters(elapsed, scenario.graph.num_ads))

@@ -173,9 +173,8 @@ class _NodeRuntime:
             node = network.nodes.get(self.ad_id)
             if node is not None and exc.src is not None:
                 node.version_blocked.add(exc.src)
-                guard = getattr(node, "guard", None)
-                if guard is not None:
-                    guard.quarantine_now(
+                if node.guard is not None:
+                    node.guard.quarantine_now(
                         exc.src, f"undecodable wire version {exc.version!r}"
                     )
             return

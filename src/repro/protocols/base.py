@@ -27,12 +27,8 @@ from repro.core.design_space import DesignPoint
 from repro.policy.database import PolicyDatabase
 from repro.policy.flows import FlowSpec
 from repro.policy.selection import OPEN_SELECTION, RouteSelectionPolicy
-from repro.protocols.graceful import GracefulRestartConfig
-from repro.protocols.hardening import HardeningConfig
-from repro.protocols.pacing import PacingConfig
-from repro.protocols.perf import PerfConfig
-from repro.protocols.runtime import NodeRuntimeConfig
-from repro.protocols.validation import NeighborGuard, ValidationConfig
+from repro.protocols.runtime import NodeRuntimeConfig, feature, stamp
+from repro.protocols.validation import NeighborGuard
 from repro.protocols.versioning import WireConfig
 from repro.simul.network import SimNetwork
 from repro.simul.node import ProtocolNode
@@ -88,10 +84,10 @@ class RoutingProtocol:
         self.substrate: str = "sim"
         #: Forwarding loops observed while walking hop-by-hop decisions.
         self.forwarding_loops = 0
-        #: The full per-node runtime (hardening/validation/pacing/perf/
-        #: ingress), distributed to every node by one hook at build time
-        #: and restamped on state-losing restarts.  The component
-        #: properties below keep the historical spelling working.
+        #: The full per-node runtime (one component per row of the
+        #: feature table), stamped onto every node at build time and
+        #: again on state-losing restarts.  Immutable: swap components
+        #: with ``self.runtime = self.runtime.replace(...)``.
         self.runtime = NodeRuntimeConfig()
         #: ADs that have (ever) been turned into liars: ad -> lie kind.
         #: Never pruned -- already-flooded lies outlive the liar's change
@@ -114,62 +110,6 @@ class RoutingProtocol:
         #: Per-AD wire-version pins (the live upgrade/rollback knob):
         #: an entry overrides the runtime config's version for that AD.
         self._wire_overrides: Dict[ADId, int] = {}
-
-    # --------------------------------------------------- runtime components
-
-    @property
-    def hardening(self) -> HardeningConfig:
-        """Robustness features distributed to every node at build time."""
-        return self.runtime.hardening
-
-    @hardening.setter
-    def hardening(self, value: HardeningConfig) -> None:
-        self.runtime = self.runtime.replace(hardening=value)
-
-    @property
-    def validation(self) -> ValidationConfig:
-        """Receiver-side validation checks, distributed the same way."""
-        return self.runtime.validation
-
-    @validation.setter
-    def validation(self, value: ValidationConfig) -> None:
-        self.runtime = self.runtime.replace(validation=value)
-
-    @property
-    def pacing(self) -> PacingConfig:
-        """Overload defenses (pacing/hold-down/damping), distributed too."""
-        return self.runtime.pacing
-
-    @pacing.setter
-    def pacing(self, value: PacingConfig) -> None:
-        self.runtime = self.runtime.replace(pacing=value)
-
-    @property
-    def perf(self) -> PerfConfig:
-        """Delta-recompute fast paths (defaults on), distributed too."""
-        return self.runtime.perf
-
-    @perf.setter
-    def perf(self, value: PerfConfig) -> None:
-        self.runtime = self.runtime.replace(perf=value)
-
-    @property
-    def graceful(self) -> GracefulRestartConfig:
-        """Graceful-restart helper/resync behaviour, distributed too."""
-        return self.runtime.graceful
-
-    @graceful.setter
-    def graceful(self, value: GracefulRestartConfig) -> None:
-        self.runtime = self.runtime.replace(graceful=value)
-
-    @property
-    def wire(self) -> WireConfig:
-        """Wire-version/negotiation runtime config, distributed too."""
-        return self.runtime.wire
-
-    @wire.setter
-    def wire(self, value: WireConfig) -> None:
-        self.runtime = self.runtime.replace(wire=value)
 
     # --------------------------------------------------------- control plane
 
@@ -221,12 +161,8 @@ class RoutingProtocol:
         validators always judge claims against registered ground truth.
         """
         runtime = self.runtime
-        node.hardening = runtime.hardening
-        node.pacing = runtime.pacing
-        node.perf = runtime.perf
-        node.graceful = runtime.graceful
+        stamp(node, runtime)
         node.wire = self._effective_wire(node.ad_id)
-        node.validation = runtime.validation
         if runtime.validation.any_enabled and self._trusted_policies is None:
             self._trusted_policies = self.policies.copy()
         node.trusted_policies = self._trusted_policies
@@ -258,27 +194,17 @@ class RoutingProtocol:
         node.wire = self._effective_wire(ad_id)
         node.renegotiate()
 
-    def negotiation_summary(self) -> Dict[str, Any]:
-        """Network-wide version-negotiation state for the run record."""
-        network = self._require_network()
-        node_census: Dict[str, int] = {}
-        pair_census: Dict[str, int] = {}
-        blocked = 0
-        drops = 0
-        for node in network.nodes.values():
-            key = f"v{node.wire.version}"
-            node_census[key] = node_census.get(key, 0) + 1
-            for version in node.negotiated.values():
-                pkey = f"v{version}"
-                pair_census[pkey] = pair_census.get(pkey, 0) + 1
-            blocked += len(node.version_blocked)
-            drops += node.version_drops
-        return {
-            "nodes": dict(sorted(node_census.items())),
-            "pairs": dict(sorted(pair_census.items())),
-            "blocked_pairs": blocked,
-            "version_drops": drops,
-        }
+    def runtime_summary(self, name: str) -> Any:
+        """One runtime feature's network-wide counters, for the run record.
+
+        ``name`` is a row of the feature table; the row's collector
+        (defined next to the feature's config) does the gathering.
+        """
+        self._require_network()
+        collect = feature(name).collect
+        if collect is None:
+            raise ValueError(f"runtime feature {name!r} keeps no counters")
+        return collect(self)
 
     def converge(self, max_events: int = 5_000_000) -> ConvergenceResult:
         """Build if needed and run the control plane to quiescence.
@@ -553,68 +479,6 @@ class RoutingProtocol:
             if entry["applied"] and entry["target"] is not None:
                 suspects.add(entry["target"])
         return suspects
-
-    def validation_summary(self) -> Dict[str, Any]:
-        """Network-wide validation counters for the run record.
-
-        ``false_quarantines`` counts penalty-timer activations against
-        ADs that never lied -- the collateral-damage metric E12's
-        lie-free baseline pins at zero.
-        """
-        network = self._require_network()
-        guards = [
-            node.guard
-            for node in network.nodes.values()
-            if getattr(node, "guard", None) is not None
-        ]
-        events = [ev for g in guards for ev in g.quarantine_events]
-        return {
-            "violations": sum(g.total_violations for g in guards),
-            "quarantines": len(events),
-            "false_quarantines": sum(
-                1 for ev in events if ev.neighbor not in self.liars
-            ),
-            "suppressed": sum(g.suppressed for g in guards),
-            "quarantined_ads": sorted({ev.neighbor for ev in events}),
-        }
-
-    def pacing_summary(self) -> Dict[str, int]:
-        """Network-wide overload-defense counters for the run record."""
-        network = self._require_network()
-        flaps = suppressions = suppressed_ann = deferrals = 0
-        for node in network.nodes.values():
-            damper = getattr(node, "_damper", None)
-            if damper is not None:
-                flaps += damper.flaps
-                suppressions += damper.suppressions
-            suppressed_ann += getattr(node, "suppressed_announcements", 0)
-            deferrals += getattr(node, "paced_deferrals", 0)
-        return {
-            "flaps": flaps,
-            "suppressions": suppressions,
-            "suppressed_announcements": suppressed_ann,
-            "paced_deferrals": deferrals,
-        }
-
-    def duplicates_ignored(self) -> int:
-        """Control-plane duplicates suppressed by hardening, network-wide."""
-        network = self._require_network()
-        return sum(
-            getattr(node, "duplicates_ignored", 0)
-            for node in network.nodes.values()
-        )
-
-    def graceful_summary(self) -> Dict[str, int]:
-        """Network-wide graceful-restart counters for the run record."""
-        network = self._require_network()
-        return {
-            "holds": sum(
-                getattr(node, "grace_holds", 0)
-                for node in network.nodes.values()
-            ),
-            "expirations": self.grace_expirations,
-            "resyncs": self.grace_resyncs,
-        }
 
     # ------------------------------------------------------------ data plane
 

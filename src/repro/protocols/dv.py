@@ -26,7 +26,6 @@ from repro.policy.database import PolicyDatabase
 from repro.policy.flows import FlowSpec
 from repro.protocols.base import ForwardingMode, RoutingProtocol
 from repro.protocols.pacing import OverloadDefenseMixin
-from repro.protocols.validation import OFF, NeighborGuard, ValidationConfig
 from repro.simul.messages import AD_ID_BYTES, METRIC_BYTES, Message
 from repro.simul.network import SimNetwork
 from repro.simul.node import ProtocolNode
@@ -68,10 +67,6 @@ class _TableEntry:
 
 class DVNode(OverloadDefenseMixin, ProtocolNode):
     """The per-AD Bellman-Ford process."""
-
-    validation: ValidationConfig = OFF
-    guard: Optional[NeighborGuard] = None
-    trusted_graph: Optional[InterADGraph] = None
 
     LIE_REASSERT_INTERVAL = 60.0
     LIE_REASSERT_COUNT = 6

@@ -36,7 +36,6 @@ from repro.policy.flows import FlowSpec
 from repro.policy.qos import QOS
 from repro.protocols.base import ForwardingMode, RoutingProtocol
 from repro.protocols.pacing import OverloadDefenseMixin
-from repro.protocols.validation import OFF, NeighborGuard, ValidationConfig
 from repro.simul.messages import AD_ID_BYTES, METRIC_BYTES, Message
 from repro.simul.network import SimNetwork
 from repro.simul.node import ProtocolNode
@@ -108,10 +107,6 @@ def supported_qos_classes(policies: PolicyDatabase, ad_id: ADId) -> FrozenSet[QO
 
 class ECMANode(OverloadDefenseMixin, ProtocolNode):
     """Per-AD ECMA process."""
-
-    validation: ValidationConfig = OFF
-    guard: Optional[NeighborGuard] = None
-    trusted_graph: Optional[InterADGraph] = None
 
     LIE_REASSERT_INTERVAL = 60.0
     LIE_REASSERT_COUNT = 6

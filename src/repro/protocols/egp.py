@@ -30,9 +30,7 @@ from repro.adgraph.graph import InterADGraph
 from repro.policy.database import PolicyDatabase
 from repro.policy.flows import FlowSpec
 from repro.protocols.base import ForwardingMode, RoutingProtocol
-from repro.protocols.hardening import SOFT, HardeningConfig
 from repro.protocols.pacing import OverloadDefenseMixin
-from repro.protocols.validation import OFF, NeighborGuard, ValidationConfig
 from repro.simul.messages import AD_ID_BYTES, Message
 from repro.simul.network import SimNetwork
 from repro.simul.node import ProtocolNode
@@ -78,11 +76,6 @@ class NRAck(Message):
 class EGPNode(OverloadDefenseMixin, ProtocolNode):
     """Per-AD reachability process over the (tree) topology."""
 
-    hardening: HardeningConfig = SOFT
-    validation: ValidationConfig = OFF
-    guard: Optional[NeighborGuard] = None
-    trusted_graph: Optional[InterADGraph] = None
-
     LIE_REASSERT_INTERVAL = 60.0
     LIE_REASSERT_COUNT = 6
 
@@ -91,8 +84,6 @@ class EGPNode(OverloadDefenseMixin, ProtocolNode):
         self.table: Dict[ADId, ADId] = {ad_id: ad_id}
         self._pending: Set[ADId] = set()
         self._flush_scheduled = False
-        #: Updates suppressed as already-seen (dedup hardening).
-        self.duplicates_ignored = 0
         self._update_seq = 0
         # Sequence numbers already processed, per sender.  Sets rather
         # than a high-water mark: jitter reorders, and a reordered update

@@ -38,10 +38,7 @@ from repro.adgraph.ad import (
 from repro.adgraph.graph import InterADGraph
 from repro.policy.database import PolicyDatabase
 from repro.policy.terms import PolicyTerm
-from repro.protocols.hardening import SOFT, HardeningConfig
 from repro.protocols.pacing import OverloadDefenseMixin
-from repro.protocols.perf import FAST, PerfConfig
-from repro.protocols.validation import OFF, NeighborGuard, ValidationConfig
 from repro.simul.messages import AD_ID_BYTES, METRIC_BYTES, Message
 from repro.simul.node import ProtocolNode
 
@@ -153,19 +150,6 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
     #: Whether a pacing-deferred origination timer is already in flight.
     _originate_deferred = False
 
-    #: Robustness features; the protocol driver stamps its own config at
-    #: build time, so directly-constructed nodes default to legacy mode.
-    hardening: HardeningConfig = SOFT
-    #: Receiver-side validation; the driver stamps config, guard, and the
-    #: trusted registries at build time (defaults keep legacy behaviour).
-    validation: ValidationConfig = OFF
-    guard: Optional[NeighborGuard] = None
-    trusted_graph: Optional[InterADGraph] = None
-    trusted_policies: Optional[PolicyDatabase] = None
-    #: Delta-recompute fast paths; the driver stamps its config at build
-    #: time (directly-constructed nodes default to everything on).
-    perf: PerfConfig = FAST
-
     def __init__(
         self,
         ad_id: ADId,
@@ -191,8 +175,6 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
         self.db_version = 0
         self._seq = 0
         self._view_cache: Optional[Tuple[int, InterADGraph, PolicyDatabase]] = None
-        #: Stale/duplicate LSAs suppressed (the flooding dedup at work).
-        self.duplicates_ignored = 0
         # Delta local-view state: per-LSA deltas recorded by _install since
         # the cached view was last refreshed, as (origin, previous LSA or
         # None).  Replaying them against the cached view is what makes

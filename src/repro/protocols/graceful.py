@@ -24,25 +24,28 @@ restart *hitless*:
   re-advertisement), which both refills the restarter's tables and
   refreshes the helpers' stale entries.
 
-A :class:`GracefulRestartConfig` travels to every node inside
-:class:`~repro.protocols.runtime.NodeRuntimeConfig`, exactly like
-hardening/validation/pacing.  With every feature off (the default) the
-crash/restore machinery behaves byte-identically to the legacy
-disruptive path, which is what keeps the committed experiment tables
-unchanged.
+The config is the ``graceful`` row of the runtime-feature table
+(:mod:`repro.protocols.runtime`).  With every feature off (the default)
+the crash/restore machinery behaves byte-identically to the legacy
+disruptive path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Tuple
+
+from repro.protocols.flagset import FlagSet
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.protocols.base import RoutingProtocol
 
 #: The individually toggleable feature names, in canonical order.
 FEATURES: Tuple[str, ...] = ("helper", "resync")
 
 
 @dataclass(frozen=True)
-class GracefulRestartConfig:
+class GracefulRestartConfig(FlagSet):
     """Which graceful-restart features are on, plus the hold timer.
 
     ``hold_time`` is in simulated time units (wall-clock seconds times
@@ -50,6 +53,9 @@ class GracefulRestartConfig:
     delays are 3--30 units, so the default comfortably covers a restart
     plus a few round trips of resynchronisation.
     """
+
+    FLAGS = FEATURES
+    NOUN = "graceful-restart"
 
     #: Neighbours retain a restarting AD's routes as stale for
     #: ``hold_time`` instead of withdrawing them.
@@ -60,18 +66,6 @@ class GracefulRestartConfig:
     #: How long helpers hold stale routes before giving up.
     hold_time: float = 300.0
 
-    @property
-    def any_enabled(self) -> bool:
-        return self.helper or self.resync
-
-    @property
-    def enabled(self) -> Tuple[str, ...]:
-        """Enabled feature names, in canonical order."""
-        return tuple(f for f in FEATURES if getattr(self, f))
-
-    def __str__(self) -> str:
-        return "+".join(self.enabled) if self.any_enabled else "none"
-
 
 #: No graceful restart: every crash is a disruptive topology change.
 GR_OFF = GracefulRestartConfig()
@@ -79,32 +73,15 @@ GR_OFF = GracefulRestartConfig()
 #: Every feature on, default hold timer.
 GR_FULL = GracefulRestartConfig(helper=True, resync=True)
 
+graceful_from = GracefulRestartConfig.parse
 
-def graceful_from(
-    value: Union[None, str, Iterable[str], GracefulRestartConfig],
-) -> GracefulRestartConfig:
-    """Normalize a user-facing graceful-restart spec into a config.
 
-    Accepts a ready config, ``None``/``"none"`` (off), ``"all"`` (every
-    feature), one feature name, or an iterable of feature names.
-    """
-    if isinstance(value, GracefulRestartConfig):
-        return value
-    if value is None:
-        return GR_OFF
-    if isinstance(value, str):
-        if value == "none" or value == "":
-            return GR_OFF
-        if value == "all":
-            return GR_FULL
-        names: Tuple[str, ...] = tuple(value.replace("+", ",").split(","))
-    else:
-        names = tuple(value)
-    names = tuple(n.strip() for n in names if n.strip())
-    unknown = [n for n in names if n not in FEATURES]
-    if unknown:
-        raise ValueError(
-            f"unknown graceful-restart feature(s) {unknown}; "
-            f"choose from {FEATURES}"
-        )
-    return GracefulRestartConfig(**{n: True for n in names})
+def graceful_summary(protocol: "RoutingProtocol") -> Dict[str, int]:
+    """Network-wide graceful-restart counters for the run record."""
+    return {
+        "holds": sum(
+            node.grace_holds for node in protocol.network.nodes.values()
+        ),
+        "expirations": protocol.grace_expirations,
+        "resyncs": protocol.grace_resyncs,
+    }

@@ -15,30 +15,37 @@ each independently switchable so E11 can ablate what every one buys:
   after every change, so a lost flood heals instead of persisting as a
   stale LSDB entry.
 
-A :class:`HardeningConfig` travels from the protocol driver to every
-node at build time; nodes consult ``self.hardening`` at each decision
-point and fall back to the exact legacy behaviour when a feature is off,
-which is what keeps unhardened runs byte-identical to the pre-faults
-simulator.
+The config is the ``hardening`` row of the runtime-feature table
+(:mod:`repro.protocols.runtime`): nodes consult ``self.hardening`` at
+each decision point and fall back to the exact legacy behaviour when a
+feature is off, which keeps unhardened runs byte-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple, Union
+from typing import TYPE_CHECKING, Tuple
+
+from repro.protocols.flagset import FlagSet
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.protocols.base import RoutingProtocol
 
 #: The individually toggleable feature names, in canonical order.
 FEATURES: Tuple[str, ...] = ("dedup", "retransmit", "refresh")
 
 
 @dataclass(frozen=True)
-class HardeningConfig:
+class HardeningConfig(FlagSet):
     """Which robustness features are on, and their timer parameters.
 
     Timer values are in simulated time units; link delays in generated
     internets are 3--30 units, so the defaults sit comfortably above one
     round trip without dragging out convergence.
     """
+
+    FLAGS = FEATURES
+    NOUN = "hardening"
 
     dedup: bool = False
     retransmit: bool = False
@@ -52,18 +59,6 @@ class HardeningConfig:
     #: Re-originations after each change (bounded, so runs quiesce).
     refresh_count: int = 2
 
-    @property
-    def any_enabled(self) -> bool:
-        return self.dedup or self.retransmit or self.refresh
-
-    @property
-    def enabled(self) -> Tuple[str, ...]:
-        """Enabled feature names, in canonical order."""
-        return tuple(f for f in FEATURES if getattr(self, f))
-
-    def __str__(self) -> str:
-        return "+".join(self.enabled) if self.any_enabled else "none"
-
 
 #: No hardening: the exact legacy protocol behaviour.
 SOFT = HardeningConfig()
@@ -71,31 +66,11 @@ SOFT = HardeningConfig()
 #: Every feature on, default timers.
 HARDENED = HardeningConfig(dedup=True, retransmit=True, refresh=True)
 
+hardening_from = HardeningConfig.parse
 
-def hardening_from(
-    value: Union[None, str, Iterable[str], HardeningConfig],
-) -> HardeningConfig:
-    """Normalize a user-facing hardening spec into a config.
 
-    Accepts a ready config, ``None``/``"none"`` (off), ``"all"`` (every
-    feature), one feature name, or an iterable of feature names.
-    """
-    if isinstance(value, HardeningConfig):
-        return value
-    if value is None:
-        return SOFT
-    if isinstance(value, str):
-        if value == "none" or value == "":
-            return SOFT
-        if value == "all":
-            return HARDENED
-        names: Tuple[str, ...] = tuple(value.replace("+", ",").split(","))
-    else:
-        names = tuple(value)
-    names = tuple(n.strip() for n in names if n.strip())
-    unknown = [n for n in names if n not in FEATURES]
-    if unknown:
-        raise ValueError(
-            f"unknown hardening feature(s) {unknown}; choose from {FEATURES}"
-        )
-    return HardeningConfig(**{n: True for n in names})
+def duplicates_ignored(protocol: "RoutingProtocol") -> int:
+    """Control-plane duplicates suppressed by hardening, network-wide."""
+    return sum(
+        node.duplicates_ignored for node in protocol.network.nodes.values()
+    )

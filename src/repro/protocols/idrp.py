@@ -39,7 +39,6 @@ from repro.policy.terms import PolicyTerm
 from repro.policy.uci import UCI
 from repro.protocols.base import ForwardingMode, RoutingProtocol
 from repro.protocols.pacing import OverloadDefenseMixin
-from repro.protocols.validation import OFF, NeighborGuard, ValidationConfig
 from repro.simul.messages import AD_ID_BYTES, METRIC_BYTES, Message
 from repro.simul.network import SimNetwork
 from repro.simul.node import ProtocolNode
@@ -123,13 +122,6 @@ _Key = Tuple[ADId, QOS, int]
 
 class IDRPNode(OverloadDefenseMixin, ProtocolNode):
     """Per-AD path-vector process."""
-
-    #: Receiver-side validation; the driver stamps config, guard, and the
-    #: trusted registries at build time (defaults keep legacy behaviour).
-    validation: ValidationConfig = OFF
-    guard: Optional[NeighborGuard] = None
-    trusted_graph: Optional[InterADGraph] = None
-    trusted_policies: Optional[PolicyDatabase] = None
 
     #: A liar re-advertises periodically (bounded, so runs quiesce).
     LIE_REASSERT_INTERVAL = 60.0

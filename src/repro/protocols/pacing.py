@@ -25,31 +25,38 @@ variants):
   Decay is strictly monotone and suppression is always eventually
   lifted once flapping stops.
 
-A :class:`PacingConfig` travels from the protocol driver to every node
-at build time, exactly like
-:class:`~repro.protocols.hardening.HardeningConfig`; nodes fall back to
-the exact legacy code path when a feature is off, which keeps unpaced
-runs byte-identical to the pre-pacing simulator.
+A :class:`PacingConfig` is the ``pacing`` row of the runtime-feature
+table (:mod:`repro.protocols.runtime`); nodes fall back to the exact
+legacy code path when a feature is off, which keeps unpaced runs
+byte-identical.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Hashable, Tuple
+
+from repro.protocols.flagset import FlagSet
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.protocols.base import RoutingProtocol
 
 #: The individually toggleable feature names, in canonical order.
 FEATURES: Tuple[str, ...] = ("pace", "holddown", "damp")
 
 
 @dataclass(frozen=True)
-class PacingConfig:
+class PacingConfig(FlagSet):
     """Which overload defenses are on, and their timer parameters.
 
     Times are in simulated units (link delays run 3--30); the defaults
     are deliberately a few triggered-update delays wide so pacing
     visibly batches without stalling honest convergence.
     """
+
+    FLAGS = FEATURES
+    NOUN = "pacing"
 
     pace: bool = False
     holddown: bool = False
@@ -80,18 +87,6 @@ class PacingConfig:
                 f"(got {self.reuse_threshold} / {self.suppress_threshold})"
             )
 
-    @property
-    def any_enabled(self) -> bool:
-        return self.pace or self.holddown or self.damp
-
-    @property
-    def enabled(self) -> Tuple[str, ...]:
-        """Enabled feature names, in canonical order."""
-        return tuple(f for f in FEATURES if getattr(self, f))
-
-    def __str__(self) -> str:
-        return "+".join(self.enabled) if self.any_enabled else "none"
-
 
 #: No pacing: the exact legacy protocol behaviour.
 UNPACED = PacingConfig()
@@ -99,35 +94,7 @@ UNPACED = PacingConfig()
 #: Every defense on, default timers.
 FULL = PacingConfig(pace=True, holddown=True, damp=True)
 
-
-def pacing_from(
-    value: Union[None, str, Iterable[str], PacingConfig],
-) -> PacingConfig:
-    """Normalize a user-facing pacing spec into a config.
-
-    Accepts a ready config, ``None``/``"none"``/``"off"`` (off),
-    ``"all"``/``"full"`` (every feature), one feature name, or an
-    iterable of feature names.
-    """
-    if isinstance(value, PacingConfig):
-        return value
-    if value is None:
-        return UNPACED
-    if isinstance(value, str):
-        if value in ("none", "off", ""):
-            return UNPACED
-        if value in ("all", "full"):
-            return FULL
-        names: Tuple[str, ...] = tuple(value.replace("+", ",").split(","))
-    else:
-        names = tuple(value)
-    names = tuple(n.strip() for n in names if n.strip())
-    unknown = [n for n in names if n not in FEATURES]
-    if unknown:
-        raise ValueError(
-            f"unknown pacing feature(s) {unknown}; choose from {FEATURES}"
-        )
-    return PacingConfig(**{n: True for n in names})
+pacing_from = PacingConfig.parse
 
 
 class _DampState:
@@ -223,8 +190,6 @@ class OverloadDefenseMixin:
     first use), so node constructors stay untouched.
     """
 
-    #: Stamped by the driver at build time (like ``hardening``).
-    pacing: PacingConfig = UNPACED
     _damper = None
     _last_flush = None
     _holddown_until = 0.0
@@ -324,3 +289,20 @@ class OverloadDefenseMixin:
 
     def _on_reuse(self, key: Hashable) -> None:
         """Suppression lifted: re-advertise.  Overridden per family."""
+
+
+def pacing_summary(protocol: "RoutingProtocol") -> Dict[str, int]:
+    """Network-wide overload-defense counters for the run record."""
+    flaps = suppressions = suppressed_ann = deferrals = 0
+    for node in protocol.network.nodes.values():
+        if node._damper is not None:
+            flaps += node._damper.flaps
+            suppressions += node._damper.suppressions
+        suppressed_ann += node.suppressed_announcements
+        deferrals += node.paced_deferrals
+    return {
+        "flaps": flaps,
+        "suppressions": suppressions,
+        "suppressed_announcements": suppressed_ann,
+        "paced_deferrals": deferrals,
+    }

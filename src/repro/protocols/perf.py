@@ -17,41 +17,35 @@ paths with delta-aware ones:
 Both are **pure optimisations**: equivalence to the retained full
 recompute oracles is enforced by hypothesis suites, and all committed
 experiment outputs stay byte-identical either way (the determinism gate
-is the referee).  A :class:`PerfConfig` travels from the protocol driver
-to every node at build time, exactly like
-:class:`~repro.protocols.hardening.HardeningConfig` — but unlike the
-robustness configs it defaults **on**: the fast paths are the production
-code, and ``perf="none"`` is the A/B lever that recovers the legacy
-recompute for benchmarking and differential testing.
+is the referee).  The config is the ``perf`` row of the runtime-feature
+table (:mod:`repro.protocols.runtime`) — but unlike the robustness
+configs it defaults **on**: the fast paths are the production code, and
+``perf="none"`` (also spelled ``"off"``/``"legacy"``; ``"fast"`` is
+``"all"``) is the A/B lever that recovers the legacy recompute for
+benchmarking and differential testing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple, Union
+from typing import Tuple
+
+from repro.protocols.flagset import FlagSet
 
 #: The individually toggleable feature names, in canonical order.
 FEATURES: Tuple[str, ...] = ("incremental_spf", "delta_view")
 
 
 @dataclass(frozen=True)
-class PerfConfig:
+class PerfConfig(FlagSet):
     """Which delta-recompute fast paths are enabled."""
+
+    FLAGS = FEATURES
+    NOUN = "perf"
+    ALIASES = {"fast": "all", "legacy": "none"}
 
     incremental_spf: bool = True
     delta_view: bool = True
-
-    @property
-    def any_enabled(self) -> bool:
-        return self.incremental_spf or self.delta_view
-
-    @property
-    def enabled(self) -> Tuple[str, ...]:
-        """Enabled feature names, in canonical order."""
-        return tuple(f for f in FEATURES if getattr(self, f))
-
-    def __str__(self) -> str:
-        return "+".join(self.enabled) if self.any_enabled else "none"
 
 
 #: Every fast path on: the default production configuration.
@@ -60,36 +54,4 @@ FAST = PerfConfig()
 #: Every fast path off: the legacy from-scratch recompute baseline.
 LEGACY = PerfConfig(incremental_spf=False, delta_view=False)
 
-
-def perf_from(
-    value: Union[None, str, Iterable[str], PerfConfig],
-) -> PerfConfig:
-    """Normalize a user-facing perf spec into a config.
-
-    Accepts a ready config, ``None``/``"all"``/``"full"``/``"fast"``
-    (every fast path: the default), ``"none"``/``"off"``/``"legacy"``
-    (from-scratch recompute), one feature name, or an iterable of
-    feature names.  Dashes in names are accepted for CLI friendliness.
-    """
-    if isinstance(value, PerfConfig):
-        return value
-    if value is None:
-        return FAST
-    if isinstance(value, str):
-        if value in ("all", "full", "fast", ""):
-            return FAST
-        if value in ("none", "off", "legacy"):
-            return LEGACY
-        value = [value]
-    features = {}
-    for name in value:
-        name = name.replace("-", "_")
-        if name not in FEATURES:
-            raise ValueError(
-                f"unknown perf feature {name!r}; expected one of {FEATURES}"
-            )
-        features[name] = True
-    return PerfConfig(
-        incremental_spf=features.get("incremental_spf", False),
-        delta_view=features.get("delta_view", False),
-    )
+perf_from = PerfConfig.parse

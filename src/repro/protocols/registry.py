@@ -36,7 +36,11 @@ from repro.protocols.egp import EGPProtocol
 from repro.protocols.idrp import BGP2Protocol, IDRPProtocol
 from repro.protocols.lshbh import LinkStateHopByHopProtocol
 from repro.protocols.orwg import ORWGProtocol
-from repro.protocols.runtime import NodeRuntimeConfig, runtime_from
+from repro.protocols.runtime import (
+    RUNTIME_FEATURES,
+    NodeRuntimeConfig,
+    runtime_from,
+)
 from repro.protocols.spf import PlainLinkStateProtocol
 from repro.protocols.variants import (
     DVSourceTermsProtocol,
@@ -101,17 +105,15 @@ def make_protocol(
     ``"ecma"``, ``flooding="tree"`` for ``"orwg"``); values may be given
     as serializable primitives and are normalized here.
 
-    The pseudo-options ``hardening``, ``validation``, ``pacing``,
-    ``perf``, ``graceful``, ``wire``, and ``ingress`` are handled here
-    for every protocol (they
-    are protocol-independent): ``"all"``, a feature name, a
-    ``+``/``,``-joined list, or the respective config object; they are
-    folded into one :class:`~repro.protocols.runtime.NodeRuntimeConfig`
-    on the driver and distributed to nodes by a single hook at build
-    time.  A ready-made container may also be passed whole as
-    ``runtime=...`` (mutually exclusive with the per-component options).
-    ``perf`` defaults on (``"none"`` recovers the legacy from-scratch
-    recompute paths for A/B benchmarking).
+    One pseudo-option per row of the runtime-feature table
+    (:data:`~repro.protocols.runtime.RUNTIME_FEATURES`) is handled here
+    for every protocol (they are protocol-independent): a spelling in
+    the row's grammar (``"all"``, a feature name, a ``+``/``,``-joined
+    list, ...) or the respective config object; they are folded into one
+    :class:`~repro.protocols.runtime.NodeRuntimeConfig` on the driver
+    and stamped onto nodes at build time.  A ready-made container may
+    also be passed whole as ``runtime=...`` (mutually exclusive with the
+    per-component options).
 
     ``substrate`` selects the execution substrate: ``"sim"`` (default,
     the discrete-event engine) or ``"live"`` (asyncio/UDP nodes driven
@@ -130,9 +132,7 @@ def make_protocol(
     opts = _normalize_options(dict(options))
     runtime = opts.pop("runtime", None)
     components = {
-        key: opts.pop(key, None)
-        for key in ("hardening", "validation", "pacing", "perf",
-                    "graceful", "wire", "ingress")
+        row.name: opts.pop(row.name, None) for row in RUNTIME_FEATURES
     }
     substrate = opts.pop("substrate", "sim")
     if substrate not in ("sim", "live"):

@@ -4,10 +4,10 @@ The paper's Sections 4--6 argue that inter-AD routing happens among
 *mutually distrustful* administrations: expressing a policy is not
 enough, each AD must be able to *police* the others' adherence to it.
 :mod:`repro.faults.misbehavior` turns a chosen AD into a liar; this
-module is the defence.  A :class:`ValidationConfig` travels from the
-protocol driver to every node at build time (exactly like
-:class:`~repro.protocols.hardening.HardeningConfig`), and each receive
-path consults it before installing anything:
+module is the defence.  A :class:`ValidationConfig` is the
+``validation`` row of the runtime-feature table
+(:mod:`repro.protocols.runtime`); each receive path consults it before
+installing anything:
 
 * ``path_check``   -- advertised paths must be plausible against the
   trusted policy registry: every transit hop must hold a term that would
@@ -36,9 +36,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Iterable, List, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Tuple
 
 from repro.adgraph.ad import ADId
+from repro.protocols.flagset import FlagSet
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.protocols.base import RoutingProtocol
 
 #: The individually toggleable check names, in canonical order.
 FEATURES: Tuple[str, ...] = (
@@ -52,7 +56,7 @@ FEATURES: Tuple[str, ...] = (
 
 
 @dataclass(frozen=True)
-class ValidationConfig:
+class ValidationConfig(FlagSet):
     """Which receiver-side checks are on, and their parameters.
 
     ``max_seq_jump`` is generous (honest floods advance sequence numbers
@@ -60,6 +64,9 @@ class ValidationConfig:
     stale-replay attacks need jumps of hundreds to durably displace
     fresh state, so the guard separates the two cleanly.
     """
+
+    FLAGS = FEATURES
+    NOUN = "validation"
 
     path_check: bool = False
     origin_check: bool = False
@@ -77,25 +84,13 @@ class ValidationConfig:
     max_seq_jump: int = 64
 
     @cached_property
-    def any_enabled(self) -> bool:
-        return any(getattr(self, f) for f in FEATURES)
-
-    @cached_property
     def checks_enabled(self) -> bool:
         """Whether any *check* (everything but quarantine) is on.
 
         ``cached_property`` (fields are frozen, so the answer cannot
         change): the receive path asks this once per delivered message.
         """
-        return any(getattr(self, f) for f in FEATURES if f != "quarantine")
-
-    @property
-    def enabled(self) -> Tuple[str, ...]:
-        """Enabled feature names, in canonical order."""
-        return tuple(f for f in FEATURES if getattr(self, f))
-
-    def __str__(self) -> str:
-        return "+".join(self.enabled) if self.any_enabled else "none"
+        return any(f != "quarantine" for f in self.enabled)
 
 
 #: No validation: the exact legacy receive-path behaviour.
@@ -111,34 +106,7 @@ FULL = ValidationConfig(
     quarantine=True,
 )
 
-
-def validation_from(
-    value: Union[None, str, Iterable[str], ValidationConfig],
-) -> ValidationConfig:
-    """Normalize a user-facing validation spec into a config.
-
-    Accepts a ready config, ``None``/``"none"`` (off), ``"all"`` (every
-    check), one check name, or an iterable of check names.
-    """
-    if isinstance(value, ValidationConfig):
-        return value
-    if value is None:
-        return OFF
-    if isinstance(value, str):
-        if value == "none" or value == "":
-            return OFF
-        if value == "all":
-            return FULL
-        names: Tuple[str, ...] = tuple(value.replace("+", ",").split(","))
-    else:
-        names = tuple(value)
-    names = tuple(n.strip() for n in names if n.strip())
-    unknown = [n for n in names if n not in FEATURES]
-    if unknown:
-        raise ValueError(
-            f"unknown validation feature(s) {unknown}; choose from {FEATURES}"
-        )
-    return ValidationConfig(**{n: True for n in names})
+validation_from = ValidationConfig.parse
 
 
 @dataclass
@@ -239,13 +207,26 @@ class NeighborGuard:
         self._probation_until[neighbor] = now + self.config.probation_period
         return False
 
-    def summary(self) -> Dict[str, object]:
-        """Counters for the run record's misbehavior block."""
-        return {
-            "violations": self.total_violations,
-            "quarantines": len(self.quarantine_events),
-            "suppressed": self.suppressed,
-            "quarantined_ads": sorted(
-                {ev.neighbor for ev in self.quarantine_events}
-            ),
-        }
+
+def validation_summary(protocol: "RoutingProtocol") -> Dict[str, Any]:
+    """Network-wide validation counters for the run record.
+
+    ``false_quarantines`` counts penalty-timer activations against
+    ADs that never lied -- the collateral-damage metric E12's
+    lie-free baseline pins at zero.
+    """
+    guards = [
+        node.guard
+        for node in protocol.network.nodes.values()
+        if node.guard is not None
+    ]
+    events = [ev for g in guards for ev in g.quarantine_events]
+    return {
+        "violations": sum(g.total_violations for g in guards),
+        "quarantines": len(events),
+        "false_quarantines": sum(
+            1 for ev in events if ev.neighbor not in protocol.liars
+        ),
+        "suppressed": sum(g.suppressed for g in guards),
+        "quarantined_ads": sorted({ev.neighbor for ev in events}),
+    }

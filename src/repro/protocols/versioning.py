@@ -6,18 +6,19 @@ must stay correct while the node population runs mixed versions.  The
 codec side of that story lives in :mod:`repro.simul.wire` (versioned
 frames, read shims, down-emit); this module is the control-plane side:
 
-* :class:`WireConfig` -- the per-node knob distributed through
-  ``NodeRuntimeConfig``: which versions a node speaks and whether it
-  runs the negotiation handshake (off by default; byte-identical when
-  disabled, like every other runtime mechanism).
+* :class:`WireConfig` -- the ``wire`` row of the runtime-feature table
+  (:mod:`repro.protocols.runtime`): which versions a node speaks and
+  whether it runs the negotiation handshake (off by default;
+  byte-identical when disabled, like every other runtime mechanism).
 * :class:`Hello` -- the version/capability announcement each
   negotiating node sends its neighbors at start (and again after a live
   version flip).  A neighbor pair settles on the *highest mutually
   supported* version; a peer whose advertised range does not overlap
   ours is version-blocked and, when a :class:`~repro.protocols
   .validation.NeighborGuard` is stamped, loudly quarantined.
-* :func:`wire_from` -- the string/int/config normalizer used by the
-  registry (``wire="v1+negotiate"``) and the harness CLI overrides.
+* :func:`wire_from` -- the row's spelling parser.  Wire keeps its own
+  grammar (``"v1+negotiate"``) and has no ``"off"``: an AD always speaks
+  *some* version.
 
 Until a pair has negotiated, a negotiating node transmits at its
 *minimum* version -- the only revision it can prove the peer decodes --
@@ -27,10 +28,13 @@ so a v1 peer never sees a v2 frame before the handshake completes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Tuple, Union
 
 from repro.simul.messages import HEADER_BYTES, Message
 from repro.simul.wire import MIN_WIRE_VERSION, WIRE_VERSION
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.protocols.base import RoutingProtocol
 
 #: Capabilities the current build advertises in its HELLOs.  Purely
 #: informational for now (the negotiated outcome is the version); the
@@ -146,3 +150,25 @@ def wire_from(value: WireLike = None) -> WireConfig:
             negotiate=negotiate,
         )
     raise TypeError(f"cannot build WireConfig from {value!r}")
+
+
+def negotiation_summary(protocol: "RoutingProtocol") -> Dict[str, Any]:
+    """Network-wide version-negotiation state for the run record."""
+    node_census: Dict[str, int] = {}
+    pair_census: Dict[str, int] = {}
+    blocked = 0
+    drops = 0
+    for node in protocol.network.nodes.values():
+        key = f"v{node.wire.version}"
+        node_census[key] = node_census.get(key, 0) + 1
+        for version in node.negotiated.values():
+            pkey = f"v{version}"
+            pair_census[pkey] = pair_census.get(pkey, 0) + 1
+        blocked += len(node.version_blocked)
+        drops += node.version_drops
+    return {
+        "nodes": dict(sorted(node_census.items())),
+        "pairs": dict(sorted(pair_census.items())),
+        "blocked_pairs": blocked,
+        "version_drops": drops,
+    }

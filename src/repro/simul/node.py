@@ -28,7 +28,12 @@ from repro.simul.transport import TimerHandle, Transport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.adgraph.graph import InterADGraph
+    from repro.policy.database import PolicyDatabase
     from repro.protocols.graceful import GracefulRestartConfig
+    from repro.protocols.hardening import HardeningConfig
+    from repro.protocols.pacing import PacingConfig
+    from repro.protocols.perf import PerfConfig
+    from repro.protocols.validation import NeighborGuard, ValidationConfig
     from repro.protocols.versioning import WireConfig
     from repro.simul.profiling import PhaseProfiler
 
@@ -36,24 +41,34 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class ProtocolNode:
     """Base class for the per-AD routing process."""
 
+    # The runtime stamp: one attribute per node-level row of
+    # ``repro.protocols.runtime.RUNTIME_FEATURES``, set on the instance
+    # by the driver (``RoutingProtocol._stamp_runtime``) at build time
+    # and on every state-losing restart.  That module also installs the
+    # class-level defaults, so an unstamped node runs the default
+    # runtime.
+    hardening: "HardeningConfig"
+    validation: "ValidationConfig"
+    pacing: "PacingConfig"
+    perf: "PerfConfig"
+    graceful: "GracefulRestartConfig"
+    wire: "WireConfig"
+    #: Stamped with ``validation``: the per-receiver violation ledger
+    #: (``None`` unless a check is on) and the registered ground truth
+    #: that claims are judged against.
+    guard: Optional["NeighborGuard"] = None
+    trusted_graph: Optional["InterADGraph"] = None
+    trusted_policies: Optional["PolicyDatabase"] = None
+    #: Control messages suppressed as already seen (dedup at work).
+    duplicates_ignored = 0
+
     def __init__(self, ad_id: ADId) -> None:
         self.ad_id = ad_id
         self._transport: Optional[Transport] = None
         self._defunct = False
-        # Imported lazily: repro.protocols imports this module at
-        # package-init time, so the reverse import must wait until the
-        # first node is constructed.
-        from repro.protocols.graceful import GracefulRestartConfig
-        from repro.protocols.versioning import WireConfig
-
-        #: Graceful-restart runtime config, restamped at build/restart
-        #: time by the driver alongside hardening/validation/pacing.
-        self.graceful: "GracefulRestartConfig" = GracefulRestartConfig()
         #: How many times this node acted as a graceful-restart helper
         #: (entered the hold-routes-as-stale state for a neighbour).
         self.grace_holds = 0
-        #: Wire-version runtime config, restamped like ``graceful``.
-        self.wire: "WireConfig" = WireConfig()
         #: peer -> (min_version, version) last advertised in a Hello.
         self.peer_wire: Dict[ADId, Tuple[int, int]] = {}
         #: peer -> capability strings last advertised in a Hello.
@@ -238,9 +253,8 @@ class ProtocolNode:
             self.negotiated.pop(peer, None)
             self.version_blocked.add(peer)
             self.transport.metrics.count_version_reject()
-            guard = getattr(self, "guard", None)
-            if guard is not None:
-                guard.quarantine_now(
+            if self.guard is not None:
+                self.guard.quarantine_now(
                     peer,
                     f"unsupported wire version [{peer_min}, {peer_version}]",
                 )

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -73,9 +75,27 @@ class TestExperiments:
     def test_lists_all(self, capsys):
         assert main(["experiments"]) == 0
         out = capsys.readouterr().out
-        for exp in ("E1", "E5", "E10", "E13", "A1-A4"):
+        for exp in ("E1", "E5", "E10", "E13", "A1-A6"):
             assert exp in out
         assert "pytest benchmarks/" in out
+
+    def test_listing_is_derived_from_the_registry(self, capsys):
+        from repro.harness import EXPERIMENTS
+
+        assert main(["experiments", "list"]) == 0
+        rows = [
+            [col.strip() for col in re.split(r"\s{2,}", line.strip())]
+            for line in capsys.readouterr().out.splitlines()
+            if ".py" in line
+        ]
+        assert [row[0] for row in rows] == [
+            *(f"E{n}" for n in range(1, 17)), "A1-A6",
+        ]
+        for exp in EXPERIMENTS.values():
+            assert [exp.eid, exp.description] in [row[:2] for row in rows]
+        bench_dir = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
+        for _, _, bench in rows:
+            assert os.path.exists(os.path.join(bench_dir, bench)), bench
 
 
 def test_scorecard_runs(capsys):

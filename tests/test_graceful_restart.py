@@ -8,15 +8,12 @@ byte-identical to the legacy disruptive path -- that invariant is what
 keeps every committed experiment table unchanged.
 """
 
-import pytest
-
 from repro.policy.generators import open_policies
 from repro.protocols.graceful import (
     FEATURES,
     GR_FULL,
     GR_OFF,
     GracefulRestartConfig,
-    graceful_from,
 )
 from repro.protocols.registry import make_protocol
 from repro.simul.runner import converge
@@ -50,23 +47,6 @@ def _routes(proto):
 # ------------------------------------------------------------------ config
 
 
-def test_graceful_from_accepts_all_spellings():
-    assert graceful_from(None) is GR_OFF
-    assert graceful_from("") == GR_OFF
-    assert graceful_from("none") == GR_OFF
-    assert graceful_from("all") == GR_FULL
-    assert graceful_from("helper") == GracefulRestartConfig(helper=True)
-    assert graceful_from("helper+resync") == GR_FULL
-    assert graceful_from(["helper", "resync"]) == GR_FULL
-    cfg = GracefulRestartConfig(resync=True, hold_time=50.0)
-    assert graceful_from(cfg) is cfg
-
-
-def test_graceful_from_rejects_unknown_features():
-    with pytest.raises(ValueError, match="unknown graceful-restart"):
-        graceful_from("helpre")
-
-
 def test_config_display_and_enabled_order():
     assert str(GR_OFF) == "none"
     assert str(GR_FULL) == "helper+resync"
@@ -77,9 +57,9 @@ def test_config_display_and_enabled_order():
 
 def test_graceful_option_flows_through_registry():
     proto, _ = _build(graceful="all")
-    assert proto.graceful == GR_FULL
+    assert proto.runtime.graceful == GR_FULL
     plain, _ = _build()
-    assert plain.graceful == GR_OFF
+    assert plain.runtime.graceful == GR_OFF
 
 
 # ----------------------------------------------------------------- helpers
@@ -93,7 +73,7 @@ def test_helper_crash_keeps_links_up_and_counts_holds():
     # find_route) keep forwarding through the silenced AD.
     assert all(link.up for link in proto.graph.links_of(3))
     assert _routes(proto) == before
-    summary = proto.graceful_summary()
+    summary = proto.runtime_summary("graceful")
     assert summary["holds"] == 2  # both ring neighbours hold
     assert summary["expirations"] == 0
 
@@ -104,7 +84,7 @@ def test_hold_expiry_turns_the_restart_disruptive():
     )
     proto.crash_node(3, retain_state=True)
     network.run(until=network.sim.now + 200.0)
-    summary = proto.graceful_summary()
+    summary = proto.runtime_summary("graceful")
     assert summary["expirations"] == 1
     # Helpers gave up: the withdrawal machinery ran after all.
     assert all(not link.up for link in proto.graph.links_of(3))
@@ -117,7 +97,7 @@ def test_restore_within_hold_cancels_timer_and_resyncs():
     network.run(until=network.sim.now + 50.0)  # well inside hold_time=300
     proto.restore_node(3)
     network.run()
-    summary = proto.graceful_summary()
+    summary = proto.runtime_summary("graceful")
     assert summary["expirations"] == 0  # the hold timer was cancelled
     assert summary["resyncs"] == 1
     assert _routes(proto) == before
@@ -142,7 +122,7 @@ def test_gr_off_crash_is_disruptive():
     proto, network = _build()
     proto.crash_node(3, retain_state=True)
     assert all(not link.up for link in proto.graph.links_of(3))
-    assert proto.graceful_summary() == {
+    assert proto.runtime_summary("graceful") == {
         "holds": 0,
         "expirations": 0,
         "resyncs": 0,
@@ -157,7 +137,7 @@ def test_graceful_works_on_the_dv_family_too():
     network.run(until=network.sim.now + 50.0)
     proto.restore_node(5)
     network.run()
-    summary = proto.graceful_summary()
+    summary = proto.runtime_summary("graceful")
     assert summary["holds"] == 2
     assert summary["resyncs"] == 1
     assert _routes(proto) == before

@@ -12,12 +12,10 @@ state-losing restarts.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.adgraph.ad import AD, ADKind, InterADLink, Level, LinkKind
 from repro.adgraph.graph import InterADGraph
 from repro.policy.database import PolicyDatabase
-from repro.protocols.perf import FAST, LEGACY, PerfConfig, perf_from
+from repro.protocols.perf import FAST, LEGACY
 from repro.protocols.registry import make_protocol
 from repro.simul.engine import Simulator
 
@@ -117,21 +115,6 @@ def test_compaction_counter_survives_lazy_pops():
 # -------------------------------------------------------- config plumbing
 
 
-def test_perf_from_parses_the_cli_forms():
-    assert perf_from(None) == FAST
-    assert perf_from("all") == FAST
-    assert perf_from("none") == LEGACY
-    assert perf_from("incremental-spf") == PerfConfig(
-        incremental_spf=True, delta_view=False
-    )
-    assert perf_from(["delta_view"]) == PerfConfig(
-        incremental_spf=False, delta_view=True
-    )
-    assert perf_from(LEGACY) is LEGACY
-    with pytest.raises(ValueError):
-        perf_from("warp-drive")
-
-
 def test_perf_config_strings():
     assert str(FAST) == "incremental_spf+delta_view"
     assert str(LEGACY) == "none"
@@ -150,7 +133,7 @@ def triangle():
 
 def test_registry_perf_option_reaches_every_node():
     protocol = make_protocol("plain-ls", triangle(), PolicyDatabase(), perf="none")
-    assert protocol.perf == LEGACY
+    assert protocol.runtime.perf == LEGACY
     network = protocol.build()
     assert all(node.perf == LEGACY for node in network.nodes.values())
 
@@ -163,5 +146,5 @@ def test_perf_defaults_on_and_survives_stateless_restart():
     assert protocol.network.nodes[1].perf == LEGACY
     # And the default, untouched, is the fast config everywhere.
     fast = make_protocol("plain-ls", triangle(), PolicyDatabase())
-    assert fast.perf == FAST
+    assert fast.runtime.perf == FAST
     assert all(n.perf == FAST for n in fast.build().nodes.values())

@@ -72,16 +72,6 @@ def test_runtime_from_accepts_primitives():
 # --------------------------------------------------- protocol-facing surface
 
 
-def test_component_properties_delegate_to_runtime():
-    graph, policies = small_setting()
-    proto = make_protocol("plain-ls", graph, policies)
-    proto.hardening = hardening_from("all")
-    assert proto.runtime.hardening is proto.hardening
-    assert proto.runtime.hardening.any_enabled
-    # The other components rode along unchanged.
-    assert not proto.runtime.pacing.any_enabled
-
-
 def test_build_stamps_every_node_once():
     graph, policies = small_setting()
     proto = make_protocol("plain-ls", graph, policies,

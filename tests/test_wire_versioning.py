@@ -188,7 +188,7 @@ def test_negotiation_is_invisible_to_routing():
     # version a v1 population can speak.
     assert len(snap.negotiated_versions) == 16
     assert set(snap.negotiated_versions.values()) == {1}
-    summary = neg.negotiation_summary()
+    summary = neg.runtime_summary("wire")
     assert summary == {
         "nodes": {"v1": 8},
         "pairs": {"v1": 16},
@@ -219,7 +219,7 @@ def test_mixed_population_interops_and_upgrades_cleanly():
         proto.set_wire_version(ad, WIRE_VERSION)
     network.run(max_events=200_000, raise_on_limit=False)
 
-    summary = proto.negotiation_summary()
+    summary = proto.runtime_summary("wire")
     assert summary["nodes"] == {"v1": 4, f"v{WIRE_VERSION}": 4}
     assert summary["blocked_pairs"] == 0
     assert summary["version_drops"] == 0
@@ -234,7 +234,7 @@ def test_mixed_population_interops_and_upgrades_cleanly():
     for ad in ads[4:]:
         proto.set_wire_version(ad, WIRE_VERSION)
     network.run(max_events=200_000, raise_on_limit=False)
-    summary = proto.negotiation_summary()
+    summary = proto.runtime_summary("wire")
     assert summary["nodes"] == {f"v{WIRE_VERSION}": 8}
     assert summary["pairs"] == {f"v{WIRE_VERSION}": 16}
     assert routes_digest(proto) == baseline
