@@ -6,6 +6,7 @@ the text form must be canonical (equal messages encode to equal bytes),
 and the decoder must reject anything outside its registered vocabulary.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -145,10 +146,30 @@ messages = st.one_of(
 # -------------------------------------------------------------- round trips
 
 
+def assert_same_types(a, b):
+    """``a == b`` all the way down, and built from the very same types."""
+    assert type(a) is type(b), (a, b)
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            if f.init:
+                assert_same_types(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, tuple):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same_types(x, y)
+    elif isinstance(a, frozenset):
+        twins = {y: y for y in b}
+        for x in a:
+            assert_same_types(x, twins[x])
+
+
 @settings(max_examples=100, deadline=None)
 @given(messages)
 def test_roundtrip_identity(msg):
-    assert from_wire(to_wire(msg)) == msg
+    decoded = from_wire(to_wire(msg))
+    assert decoded == msg
+    # An IntEnum travels as a bare int; it must not come back as one.
+    assert_same_types(decoded, msg)
 
 
 @settings(max_examples=50, deadline=None)
