@@ -41,8 +41,8 @@ class InterADGraph:
         self._links: Dict[Tuple[ADId, ADId], InterADLink] = {}
         # Per-AD adjacency (neighbour -> link) and a lazily built sorted
         # incident-link cache.  Both are structure-only: link *status*
-        # changes need no invalidation (links_of filters ``up`` per call),
-        # only add_link/remove_link do.
+        # changes need no invalidation (every reader filters ``up`` per
+        # call), only add_link/remove_link do.
         self._adj: Dict[ADId, Dict[ADId, InterADLink]] = {}
         self._incident: Dict[ADId, Tuple[InterADLink, ...]] = {}
 
@@ -148,13 +148,27 @@ class InterADGraph:
             out = [ln for ln in out if ln.up]
         return out
 
-    def links_of(self, ad_id: ADId, include_down: bool = False) -> List[InterADLink]:
-        """Links incident to ``ad_id`` (live only by default), sorted."""
+    def incident(self, ad_id: ADId) -> Tuple[InterADLink, ...]:
+        """Every link incident to ``ad_id``, up or down, sorted by neighbour.
+
+        The cached tuple itself, not a copy: the per-message fan-out scans
+        it and reads each ``link.up`` as it goes, so a status change (even
+        a direct ``link.up = ...`` write) is seen by the very next scan.
+        """
         inc = self._incident.get(ad_id)
         if inc is None:
             adj = self._adj[ad_id]
             inc = tuple(adj[nbr] for nbr in sorted(adj))
             self._incident[ad_id] = inc
+        return inc
+
+    def links_of(self, ad_id: ADId, include_down: bool = False) -> List[InterADLink]:
+        """Links incident to ``ad_id`` (live only by default), sorted."""
+        # SPF and synthesis call this once per node expansion: read the
+        # cache here and pay the extra call only to fill it.
+        inc = self._incident.get(ad_id)
+        if inc is None:
+            inc = self.incident(ad_id)
         if include_down:
             return list(inc)
         return [ln for ln in inc if ln.up]

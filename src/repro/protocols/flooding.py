@@ -24,6 +24,7 @@ report it up.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.adgraph.ad import (
@@ -208,14 +209,15 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
 
     def _flood(self, msg: Message, exclude: Optional[ADId] = None) -> None:
         """Send to flooding-scope neighbours (all, or scoped links only)."""
+        if self.flood_links is None:
+            self.transport.broadcast(self.ad_id, msg, exclude)
+            return
         for nbr in self.neighbors():
             if nbr == exclude:
                 continue
-            if self.flood_links is not None:
-                key = (min(self.ad_id, nbr), max(self.ad_id, nbr))
-                if key not in self.flood_links:
-                    continue
-            self.send(nbr, msg)
+            key = (min(self.ad_id, nbr), max(self.ad_id, nbr))
+            if key in self.flood_links:
+                self.send(nbr, msg)
 
     # ---------------------------------------------------------------- origin
 
@@ -353,12 +355,19 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
 
     def on_message(self, sender: ADId, msg: Message) -> None:
         if isinstance(msg, (LinkStateAd, LSDBExchange)):
-            profiler = self.profiler
+            # Per message, so without the two property hops of
+            # self.profiler (a message only ever arrives through an
+            # attached transport) and with profiler.phase("proto.flood")
+            # spelled out (the context object costs three more calls).
+            profiler = self._transport.profiler
             if profiler is None:
                 self._on_flood_message(sender, msg)
             else:
-                with profiler.phase("proto.flood"):
+                t0 = perf_counter()
+                try:
                     self._on_flood_message(sender, msg)
+                finally:
+                    profiler.add("proto.flood", perf_counter() - t0)
         elif isinstance(msg, ExchangeAck):
             self._pending_exchanges.pop(msg.token, None)
         else:

@@ -4,6 +4,11 @@ A minimal, deterministic event queue: events fire in (time, sequence)
 order, where sequence is the global insertion counter, so two events
 scheduled for the same instant fire in the order they were scheduled.
 Nothing here knows about networks or protocols.
+
+Two ways in, one queue and one counter: :meth:`Simulator.schedule` /
+:meth:`Simulator.schedule_at` return an :class:`EventHandle` (timers,
+which their owner may cancel), :meth:`Simulator.post` returns nothing
+(message deliveries, which nobody can cancel, so no handle is built).
 """
 
 from __future__ import annotations
@@ -31,9 +36,9 @@ class EventHandle(TimerHandle):
 
     The sim substrate's :class:`~repro.simul.transport.TimerHandle`:
     cancellation is idempotent and harmless after the event fired.  A
-    ``__slots__`` class: one is allocated per scheduled event, so it is on
-    the engine's hottest allocation path.  Never compared or hashed by the
-    heap (``seq`` is the unique tiebreak).
+    ``__slots__`` class: one is allocated per scheduled timer (posted
+    events carry none).  Never compared or hashed by the heap (``seq``
+    is the unique tiebreak).
     """
 
     __slots__ = ("seq", "time", "_cancelled", "_on_cancel")
@@ -75,7 +80,11 @@ class Simulator:
     COMPACT_MIN_QUEUE = 64
 
     def __init__(self, profiler: Optional[PhaseProfiler] = None) -> None:
-        self._queue: List[Tuple[float, int, EventHandle, Callable[..., None], tuple]] = []
+        # (time, seq, handle, fn, args); the handle is None for a posted
+        # event, which can never be cancelled.
+        self._queue: List[
+            Tuple[float, int, Optional[EventHandle], Callable[..., None], tuple]
+        ] = []
         self._seq = itertools.count()
         self._now = 0.0
         self.events_processed = 0
@@ -100,12 +109,26 @@ class Simulator:
         """Schedule ``fn(*args)`` to run ``delay`` time units from now."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        # Inlined schedule_at (this is the per-message hot path; a
-        # non-negative delay can never land in the past).
+        # Inlined schedule_at (a non-negative delay can never land in the
+        # past).
         time = self._now + delay
         handle = EventHandle(next(self._seq), time, self._note_cancel)
         heapq.heappush(self._queue, (time, handle.seq, handle, fn, args))
         return handle
+
+    def post(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
+        """Fire-and-forget :meth:`schedule`: same order, no handle.
+
+        The per-message entry point.  The event takes its ``(time, seq)``
+        from the same clock and counter as :meth:`schedule`, so posted and
+        scheduled events interleave in insertion order; it cannot be
+        cancelled, so no :class:`EventHandle` is allocated for it.
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        heapq.heappush(
+            self._queue, (self._now + delay, next(self._seq), None, fn, args)
+        )
 
     def schedule_at(
         self, time: float, fn: Callable[..., None], *args: Any
@@ -136,7 +159,11 @@ class Simulator:
             len(queue) >= self.COMPACT_MIN_QUEUE
             and self._cancelled_pending * 2 > len(queue)
         ):
-            self._queue = [entry for entry in queue if not entry[2]._cancelled]
+            self._queue = [
+                entry
+                for entry in queue
+                if entry[2] is None or not entry[2]._cancelled
+            ]
             heapq.heapify(self._queue)
             self._cancelled_pending = 0
             self.compactions += 1
@@ -170,7 +197,9 @@ class Simulator:
                 event_time, _seq, handle, fn, args = self._queue[0]
                 if until is not None and event_time > until:
                     break
-                if processed >= max_events and not handle.cancelled:
+                if processed >= max_events and (
+                    handle is None or not handle._cancelled
+                ):
                     self.hit_event_limit = True
                     if raise_on_limit:
                         raise SimulationLimitError(
@@ -179,14 +208,15 @@ class Simulator:
                     break
                 heapq.heappop(self._queue)
                 self._now = event_time
-                if handle._cancelled:
-                    if self._cancelled_pending > 0:
-                        self._cancelled_pending -= 1
-                    continue
-                # A fired handle may still be cancel()ed later (harmless);
-                # detach the callback so that cannot skew the tombstone
-                # count toward premature compactions.
-                handle._on_cancel = None
+                if handle is not None:
+                    if handle._cancelled:
+                        if self._cancelled_pending > 0:
+                            self._cancelled_pending -= 1
+                        continue
+                    # A fired handle may still be cancel()ed later
+                    # (harmless); detach the callback so that cannot skew
+                    # the tombstone count toward premature compactions.
+                    handle._on_cancel = None
                 fn(*args)
                 processed += 1
                 self.events_processed += 1

@@ -118,8 +118,11 @@ class SimNetwork(Transport):
             self.metrics.count_drop()
             return
         delay = link.metrics.get("delay", 1.0)
+        # Deliveries are posted, not scheduled: nobody can cancel one, so
+        # the engine builds no handle.  ``self._deliver`` is looked up per
+        # call so that Tracer.attach's instance patch sees every delivery.
         if self.channel is None:
-            self.sim.schedule(delay, self._deliver, src, dst, msg)
+            self.sim.post(delay, self._deliver, src, dst, msg)
             return
         copies = self.channel.transmit(src, dst)
         if not copies:
@@ -128,7 +131,30 @@ class SimNetwork(Transport):
         if len(copies) > 1:
             self.metrics.count_duplicated(len(copies) - 1)
         for extra in copies:
-            self.sim.schedule(delay + extra, self._deliver, src, dst, msg)
+            self.sim.post(delay + extra, self._deliver, src, dst, msg)
+
+    def broadcast(
+        self, src: ADId, msg: Message, exclude: Optional[ADId] = None
+    ) -> None:
+        """:meth:`Transport.broadcast` in one pass over ``src``'s links.
+
+        Skips only what the scan itself proves per link -- it is adjacent
+        (so :meth:`send`'s lookup and non-neighbour error cannot apply)
+        and up (read per call, never cached) -- and posts in the same
+        sorted-neighbour order, so events, counters and delivery order are
+        those of the default loop.  With a channel attached the loop runs
+        as is: loss, duplication and jitter stay in :meth:`send`.
+        """
+        if self.channel is not None:
+            super().broadcast(src, msg, exclude)
+            return
+        post = self.sim.post
+        deliver = self._deliver
+        for link in self.graph.incident(src):
+            if link.up:
+                dst = link.b if link.a == src else link.a
+                if dst != exclude:
+                    post(link.metrics.get("delay", 1.0), deliver, src, dst, msg)
 
     def _deliver(self, src: ADId, dst: ADId, msg: Message, attempt: int = 0) -> None:
         # A link that died in flight still delivers what was already sent;
@@ -139,7 +165,11 @@ class SimNetwork(Transport):
         if self.ingress is not None and self.ingress.config.bounded:
             self._enqueue(src, dst, msg, attempt)
             return
-        self.metrics.count_message(msg.type_name, msg.size_bytes(), self.sim.now)
+        # type(msg).__name__ / sim._now are msg.type_name / sim.now minus
+        # the two property calls (this line runs once per message).
+        self.metrics.count_message(
+            type(msg).__name__, msg.size_bytes(), self.sim._now
+        )
         self.nodes[dst].receive(src, msg)
 
     # -------------------------------------------------------------- ingress
@@ -171,7 +201,7 @@ class SimNetwork(Transport):
         if cfg.policy == "backpressure" and attempt < cfg.max_redeliveries:
             q.deferred += 1
             self.metrics.count_deferred()
-            self.sim.schedule(cfg.retry_delay, self._deliver, src, dst, msg, attempt + 1)
+            self.sim.post(cfg.retry_delay, self._deliver, src, dst, msg, attempt + 1)
             return
         q.dropped += 1
         self.metrics.count_queue_drop()

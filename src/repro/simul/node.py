@@ -151,9 +151,7 @@ class ProtocolNode:
 
     def broadcast(self, msg: Message, exclude: Optional[ADId] = None) -> None:
         """Send a message to every live neighbour (optionally minus one)."""
-        for nbr in self.neighbors():
-            if nbr != exclude:
-                self.send(nbr, msg)
+        self.transport.broadcast(self.ad_id, msg, exclude)
 
     def note_computation(self, kind: str, count: int = 1) -> None:
         """Record local computation work in the run's metrics."""

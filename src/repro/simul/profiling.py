@@ -25,9 +25,11 @@ from typing import Dict
 class _Phase:
     """A minimal timing context: cheaper than ``@contextmanager``.
 
-    Protocol hot paths open a phase per *message*, so the generator
-    machinery a ``contextlib`` context drags in (frame, send, throw)
-    is measurable; this is two ``perf_counter`` calls and a dict update.
+    Protocol code opens a phase per SPF run, so the generator machinery
+    a ``contextlib`` context drags in (frame, send, throw) is measurable;
+    this is two ``perf_counter`` calls and a dict update.  (The one
+    per-*message* phase, ``proto.flood``, does the same two reads and
+    one :meth:`PhaseProfiler.add` inline, without this object.)
     """
 
     __slots__ = ("_profiler", "_name", "_t0")

@@ -63,7 +63,11 @@ class Tracer:
         original_deliver = network._deliver
         original_set_link = network.set_link_status
 
-        def traced_deliver(src: ADId, dst: ADId, msg: Message) -> None:
+        def traced_deliver(
+            src: ADId, dst: ADId, msg: Message, attempt: int = 0
+        ) -> None:
+            # ``attempt`` is the bounded ingress's redelivery count; each
+            # attempt is a delivery event and is recorded as one.
             tracer._record(
                 TraceRecord(
                     time=network.sim.now,
@@ -74,7 +78,7 @@ class Tracer:
                     size=msg.size_bytes(),
                 )
             )
-            original_deliver(src, dst, msg)
+            original_deliver(src, dst, msg, attempt)
 
         def traced_set_link(a: ADId, b: ADId, up: bool) -> None:
             tracer._record(

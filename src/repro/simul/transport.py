@@ -8,7 +8,10 @@ need from the outside world is captured by two small interfaces:
   harmless after the timer fired (cancel-after-fire is a no-op, never an
   error).
 * :class:`Transport` — owns the topology view, delivers control messages
-  between neighbouring ADs, and accounts for every byte.
+  between neighbouring ADs, and accounts for every byte.  Three verbs:
+  :meth:`~Transport.neighbors`, :meth:`~Transport.send` and
+  :meth:`~Transport.broadcast`, the last *defined* as the first two in a
+  loop so a substrate may shorten it but never change what it delivers.
 
 Two substrates implement them:
 
@@ -157,3 +160,18 @@ class Transport(abc.ABC):
     @abc.abstractmethod
     def neighbors(self, ad_id: ADId) -> List[ADId]:
         """Currently reachable neighbour ADs of ``ad_id`` (live links)."""
+
+    def broadcast(
+        self, src: ADId, msg: "Message", exclude: Optional[ADId] = None
+    ) -> None:
+        """Send ``msg`` from ``src`` to every live neighbour but ``exclude``.
+
+        Defined as this loop: one :meth:`send` per entry of
+        :meth:`neighbors`, in that order.  A substrate may override it to
+        fan out faster, but only by skipping work the loop would repeat
+        per neighbour (the adjacency and liveness lookups); what is
+        delivered, dropped and counted, and in which order, must match.
+        """
+        for nbr in self.neighbors(src):
+            if nbr != exclude:
+                self.send(src, nbr, msg)

@@ -112,6 +112,48 @@ def test_compaction_counter_survives_lazy_pops():
     assert sim.pending == 49
 
 
+def test_posted_events_ride_through_compaction_untouched():
+    """A heap that is mostly cancelled timers plus posted events: the
+    posted ones have no handle to inspect, must never be dropped or
+    reordered by compaction, and must not skew its bookkeeping."""
+
+    def drive(extra):
+        """300 timers, 4 of 5 cancelled; ``extra`` adds every third event
+        again through ``sim.post``, ``sim.schedule`` (never cancelled) or
+        not at all (``None``)."""
+        sim = Simulator()
+        fired = []
+        handles = []
+        for i in range(300):
+            # Time collisions so the (time, seq) tie-break matters.
+            handles.append(sim.schedule(float(i % 5), fired.append, ("timer", i)))
+            if extra is not None and i % 3 == 0:
+                getattr(sim, extra)(float(i % 5), fired.append, ("extra", i))
+        trail = []
+        for i, handle in enumerate(handles):
+            if i % 5 != 0:
+                handle.cancel()
+                trail.append((sim.compactions, sim._cancelled_pending))
+        sim.run()
+        return fired, trail, sim.compactions, sim._cancelled_pending
+
+    fired, trail, compactions, left = drive("post")
+    assert compactions >= 1 and left == 0
+    timers = [(i % 5, 2 * i) for i in range(300) if i % 5 == 0]
+    extras = [(i % 5, 2 * i + 1) for i in range(300) if i % 3 == 0]
+    expected = [
+        ("extra" if key % 2 else "timer", key // 2)
+        for _, key in sorted(timers + extras)
+    ]
+    assert fired == expected  # every posted event, in (time, insertion) order
+
+    # Handle-only twin with the same queue entries (the posted events as
+    # never-cancelled timers): same firing order, and compaction fires at
+    # the same cancels and leaves the same tombstone count after each.
+    assert drive("schedule") == (fired, trail, compactions, left)
+    assert drive(None)[0] == [e for e in fired if e[0] == "timer"]
+
+
 # -------------------------------------------------------- config plumbing
 
 

@@ -56,6 +56,88 @@ class TestScheduling:
             sim.schedule_at(1.0, lambda: None)
 
 
+class TestPost:
+    """``post`` is ``schedule`` minus the handle: one clock, one counter."""
+
+    def test_post_returns_nothing_and_fires_with_its_arguments(self):
+        sim = Simulator()
+        log = []
+        assert sim.post(2.0, log.append, "x") is None
+        assert sim.pending == 1
+        assert sim.run() == 1
+        assert log == ["x"]
+        assert sim.now == 2.0
+        assert sim.events_processed == 1
+
+    def test_interleaved_entry_points_fire_in_insertion_order_on_ties(self):
+        sim = Simulator()
+        log = []
+        entry_points = (
+            sim.post,
+            sim.schedule,
+            lambda delay, fn, *args: sim.schedule_at(sim.now + delay, fn, *args),
+        )
+        for i in range(12):
+            entry_points[i % 3](1.0, log.append, i)
+        # A tie created from inside an event sorts behind the queued ones.
+        sim.post(0.0, lambda: sim.post(1.0, log.append, "nested"))
+        sim.run()
+        assert log == list(range(12)) + ["nested"]
+
+    def test_negative_delay_rejected_by_both(self):
+        sim = Simulator()
+        for enter in (sim.post, sim.schedule):
+            with pytest.raises(ValueError, match="negative delay"):
+                enter(-1.0, lambda: None)
+        assert sim.pending == 0
+
+    @pytest.mark.parametrize("enter", ["post", "schedule"])
+    def test_run_until_leaves_a_later_event_queued(self, enter):
+        sim = Simulator()
+        log = []
+        getattr(sim, enter)(1.0, log.append, "a")
+        getattr(sim, enter)(10.0, log.append, "b")
+        assert sim.run(until=5.0) == 1
+        assert (log, sim.now, sim.pending) == (["a"], 5.0, 1)
+        sim.run()
+        assert log == ["a", "b"]
+
+    @pytest.mark.parametrize("enter", ["post", "schedule"])
+    def test_over_budget_head_stops_the_run_without_raising(self, enter):
+        sim = Simulator()
+        log = []
+        getattr(sim, enter)(1.0, log.append, "a")
+        getattr(sim, enter)(2.0, log.append, "b")
+        assert sim.run(max_events=1, raise_on_limit=False) == 1
+        assert sim.hit_event_limit
+        assert (log, sim.pending, sim.now) == (["a"], 1, 1.0)
+        assert sim.run() == 1  # the over-budget event was kept, not lost
+        assert log == ["a", "b"]
+        assert not sim.hit_event_limit
+
+    @pytest.mark.parametrize("enter", ["post", "schedule"])
+    def test_over_budget_head_raises_by_default(self, enter):
+        sim = Simulator()
+        getattr(sim, enter)(1.0, lambda: None)
+        getattr(sim, enter)(2.0, lambda: None)
+        with pytest.raises(SimulationLimitError):
+            sim.run(max_events=1)
+        assert sim.hit_event_limit
+        assert sim.pending == 1
+
+    def test_posted_tail_after_cancelled_timers_trips_the_limit(self):
+        # The cancelled timers ahead of it are free; the posted event is
+        # live by definition, so it is what exhausts the budget.
+        sim = Simulator()
+        sim.post(1.0, lambda: None)
+        for _ in range(5):
+            sim.schedule(2.0, lambda: None).cancel()
+        sim.post(3.0, lambda: None)
+        assert sim.run(max_events=1, raise_on_limit=False) == 1
+        assert sim.hit_event_limit
+        assert sim.pending == 1
+
+
 class TestRun:
     def test_run_until_stops_before_later_events(self):
         sim = Simulator()

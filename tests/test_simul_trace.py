@@ -4,8 +4,9 @@ import pytest
 
 from repro.policy.database import PolicyDatabase
 from repro.protocols.dv import DistanceVectorProtocol, DVUpdate
+from repro.simul.ingress import IngressConfig
 from repro.simul.trace import Tracer
-from tests.helpers import line_graph
+from tests.helpers import line_graph, mk_graph
 
 
 @pytest.fixture
@@ -88,6 +89,31 @@ class TestTracer:
         assert (
             plain.network.metrics.messages == traced.network.metrics.messages
         )
+
+    def test_backpressure_redeliveries_pass_through_the_tracer(self):
+        # The bounded ingress redelivers through network._deliver with an
+        # attempt count; the tracer's wrapper used to take three arguments
+        # and died with a TypeError on the first deferral.
+        def run(traced):
+            g = mk_graph(
+                [(0, "Rt")] + [(i, "Cs") for i in range(1, 6)],
+                [(0, i) for i in range(1, 6)],
+            )
+            proto = DistanceVectorProtocol(g, PolicyDatabase())
+            net = proto.build()
+            net.set_ingress(IngressConfig(capacity=0, policy="backpressure"))
+            tracer = Tracer.attach(net) if traced else None
+            proto.converge()
+            return net.metrics, tracer
+
+        metrics, tracer = run(traced=True)
+        assert metrics.deferred > 0  # the redelivery path really ran
+        plain, _ = run(traced=False)
+        assert metrics.snapshot(0.0) == plain.snapshot(0.0)
+        # One record per delivery attempt: first tries that were admitted
+        # or dropped at the queue, plus every redelivery.
+        attempts = sum(metrics.messages.values()) + metrics.queue_dropped
+        assert len(tracer.filtered(kind="msg")) == attempts + metrics.deferred
 
     def test_capacity_validation(self):
         g = line_graph(2)
