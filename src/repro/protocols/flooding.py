@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.adgraph.ad import (
     AD,
@@ -145,6 +145,84 @@ class ExchangeAck(Message):
         return Message.size_bytes(self) + 4
 
 
+def successor_on(
+    path: Optional[Tuple[ADId, ...]], ad_id: ADId
+) -> Optional[ADId]:
+    """The AD after ``ad_id`` on ``path``: a hop-by-hop forwarding decision.
+
+    ``None`` when there is no path, ``ad_id`` is not on it, or it ends
+    there.
+    """
+    if path is None:
+        return None
+    try:
+        idx = path.index(ad_id)
+    except ValueError:
+        return None
+    return path[idx + 1] if idx + 1 < len(path) else None
+
+
+class LSDBGeneration:
+    """One LSDB content that some node currently holds.
+
+    Deterministic route computation over identical LSDBs gives identical
+    routes, so every node at this content shares one ``routes`` memo.
+    """
+
+    __slots__ = ("lsdb", "bucket", "routes", "holders")
+
+    def __init__(self, lsdb: Dict[ADId, "LinkStateAd"], bucket: Hashable) -> None:
+        #: Private snapshot (a node's own dict is mutated by ``_install``).
+        self.lsdb = lsdb
+        self.bucket = bucket
+        #: Protocol-defined route key -> computed route.
+        self.routes: Dict[Hashable, Any] = {}
+        #: Nodes currently at this generation; released at zero.
+        self.holders = 0
+
+
+class LSDBGenerations:
+    """Content-addressed pool of the live :class:`LSDBGeneration` objects.
+
+    One pool per :class:`~repro.protocols.base.RoutingProtocol` instance,
+    handed to every node it constructs.  A generation is found by a cheap
+    bucket key and *confirmed by LSDB equality* -- never by the key alone
+    and never by ``(origin, seq)``, which a forged LSA may reuse.  Flooded
+    LSAs are shared objects (sim) or decode-memoised (live), so the
+    ``dict ==`` is pointer compares in practice.  Generations are
+    reference-counted and dropped the moment the last node leaves, so
+    what is shared never depends on garbage-collection timing.
+    """
+
+    def __init__(self) -> None:
+        self._buckets: Dict[Hashable, List[LSDBGeneration]] = {}
+
+    def acquire(self, lsdb: Dict[ADId, "LinkStateAd"]) -> LSDBGeneration:
+        """The generation holding exactly ``lsdb``'s content, +1 holder."""
+        key = (len(lsdb), sum(lsa.seq for lsa in lsdb.values()))
+        bucket = self._buckets.setdefault(key, [])
+        for generation in bucket:
+            if generation.lsdb == lsdb:
+                break
+        else:
+            generation = LSDBGeneration(dict(lsdb), key)
+            bucket.append(generation)
+        generation.holders += 1
+        return generation
+
+    def release(self, generation: LSDBGeneration) -> None:
+        generation.holders -= 1
+        if generation.holders == 0:
+            bucket = self._buckets[generation.bucket]
+            bucket.remove(generation)
+            if not bucket:
+                del self._buckets[generation.bucket]
+
+    def live(self) -> List[LSDBGeneration]:
+        """Every generation some node is at (tests and observability)."""
+        return [g for bucket in self._buckets.values() for g in bucket]
+
+
 class LSNode(OverloadDefenseMixin, ProtocolNode):
     """A flooding participant with a link-state database."""
 
@@ -158,6 +236,7 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
         include_terms: bool = True,
         flood_links: Optional[frozenset] = None,
         level: Level = Level.CAMPUS,
+        generations: Optional[LSDBGenerations] = None,
     ) -> None:
         super().__init__(ad_id)
         self.own_terms = own_terms if include_terms else ()
@@ -176,6 +255,12 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
         self.db_version = 0
         self._seq = 0
         self._view_cache: Optional[Tuple[int, InterADGraph, PolicyDatabase]] = None
+        #: The protocol-wide generation pool (protocols whose nodes call
+        #: :meth:`generation_route` must hand one in) and the generation
+        #: this node was at when it last answered a route query.
+        self._generations = generations
+        self._generation: Optional[LSDBGeneration] = None
+        self._generation_version = -1
         # Delta local-view state: per-LSA deltas recorded by _install since
         # the cached view was last refreshed, as (origin, previous LSA or
         # None).  Replaying them against the cached view is what makes
@@ -649,6 +734,43 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
 
     def on_lsdb_change(self) -> None:
         """Hook for subclasses (cache invalidation etc.).  Default: none."""
+
+    # ----------------------------------------------------------- generations
+
+    def generation_route(
+        self, key: Hashable, compute: Callable[..., Any], *args: Any
+    ) -> Any:
+        """``compute(*args)``, run once per (LSDB content, ``key``).
+
+        The replicated hop-by-hop computation: every AD on a path must
+        derive the same route from the same LSDB, and each *counts* that
+        derivation in its own modelled table (``note_computation`` stays
+        with the caller) -- but the host derives it once, for whichever
+        node at this LSDB content asks first.  ``compute`` may read only
+        this node's :meth:`local_view` and protocol-wide constants.
+
+        The generation is re-resolved lazily, here and only when
+        ``db_version`` moved; the per-message path never sees it.
+        """
+        if self._generation_version != self.db_version:
+            self._leave_generation()
+            self._generation = self._generations.acquire(self.lsdb)
+            self._generation_version = self.db_version
+        routes = self._generation.routes
+        if key not in routes:
+            routes[key] = compute(*args)
+        return routes[key]
+
+    def _leave_generation(self) -> None:
+        if self._generation is not None:
+            self._generations.release(self._generation)
+            self._generation = None
+            self._generation_version = -1
+
+    def retire(self) -> None:
+        super().retire()
+        # The process is gone: it is no longer "at" any LSDB state.
+        self._leave_generation()
 
     # ------------------------------------------------------------ local view
 

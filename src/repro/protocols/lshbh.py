@@ -28,15 +28,17 @@ from repro.core.design_space import LS_HBH_TERMS
 from repro.core.synthesis import synthesize_route
 from repro.policy.flows import FlowSpec
 from repro.protocols.base import ForwardingMode, RoutingProtocol
-from repro.protocols.flooding import LSNode
+from repro.protocols.flooding import LSDBGenerations, LSNode, successor_on
 from repro.simul.network import SimNetwork
 
 
 class LSHbHNode(LSNode):
     """LS node that recomputes each flow's source-rooted policy route."""
 
-    def __init__(self, ad_id, own_terms) -> None:
-        super().__init__(ad_id, own_terms=own_terms, include_terms=True)
+    def __init__(self, ad_id, own_terms, generations: LSDBGenerations) -> None:
+        super().__init__(
+            ad_id, own_terms=own_terms, include_terms=True, generations=generations
+        )
         # Version-keyed wholesale invalidation, mirroring the policy
         # database's decision-cache contract: one version check guards the
         # whole cache, and stale routes never linger past an LSDB change.
@@ -48,11 +50,16 @@ class LSHbHNode(LSNode):
     def flow_route(self, flow: FlowSpec) -> Optional[Tuple[ADId, ...]]:
         """The canonical route for ``flow``, from this node's view.
 
-        Cache misses run the shared constrained synthesis over the local
-        view, whose per-edge legality queries are themselves memoized in
-        that view's policy database -- the two cache layers together are
-        what keeps the paper's "replicated nature of this computation"
-        (Section 5.3) affordable enough to measure at scale.
+        Three cache layers keep the paper's "replicated nature of this
+        computation" (Section 5.3) affordable enough to measure at scale.
+        This node's own table is the *modelled* one: a miss in it is one
+        computation charged to this AD, whoever does the work.  The work
+        itself -- constrained synthesis over the local view -- is shared
+        by every node holding the same LSDB content
+        (:meth:`~repro.protocols.flooding.LSNode.generation_route`), and
+        its per-edge legality queries are memoized in the view's policy
+        database.  Modelled computations are counted per AD; host
+        computations are shared per LSDB state.
         """
         if self._route_cache_version != self.db_version:
             if self._route_cache:
@@ -61,15 +68,17 @@ class LSHbHNode(LSNode):
             self._route_cache_version = self.db_version
         elif flow in self._route_cache:
             return self._route_cache[flow]
-        graph, policies = self.local_view()
-        if flow.src not in graph or flow.dst not in graph:
-            path = None
-        else:
-            route = synthesize_route(graph, policies, flow)
-            path = None if route is None else route.path
+        path = self.generation_route(flow, self._synthesize, flow)
         self._route_cache[flow] = path
         self.note_computation("policy_route")
         return path
+
+    def _synthesize(self, flow: FlowSpec) -> Optional[Tuple[ADId, ...]]:
+        graph, policies = self.local_view()
+        if flow.src not in graph or flow.dst not in graph:
+            return None
+        route = synthesize_route(graph, policies, flow)
+        return None if route is None else route.path
 
     def cache_entries(self) -> int:
         """Cached per-flow routes (the replicated-table burden metric)."""
@@ -83,10 +92,18 @@ class LinkStateHopByHopProtocol(RoutingProtocol):
     design_point = LS_HBH_TERMS
     mode = ForwardingMode.HOP_BY_HOP
 
+    def __init__(self, graph, policies) -> None:
+        super().__init__(graph, policies)
+        self.generations = LSDBGenerations()
+
     def _make_nodes(self, network: SimNetwork) -> None:
         for ad in self.graph.ads():
             network.add_node(
-                LSHbHNode(ad.ad_id, own_terms=self.policies.terms_of(ad.ad_id))
+                LSHbHNode(
+                    ad.ad_id,
+                    own_terms=self.policies.terms_of(ad.ad_id),
+                    generations=self.generations,
+                )
             )
 
     def next_hop(
@@ -94,13 +111,7 @@ class LinkStateHopByHopProtocol(RoutingProtocol):
     ) -> Optional[ADId]:
         node = self.network.node(ad_id)
         assert isinstance(node, LSHbHNode)
-        path = node.flow_route(flow)
-        if path is None or ad_id not in path:
-            return None
-        idx = path.index(ad_id)
-        if idx == len(path) - 1:
-            return None
-        return path[idx + 1]
+        return successor_on(node.flow_route(flow), ad_id)
 
     def rib_size(self, ad_id: ADId) -> int:
         node = self.network.node(ad_id)

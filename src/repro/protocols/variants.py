@@ -19,6 +19,7 @@ dismissals instead of taking them on faith:
 from __future__ import annotations
 
 import heapq
+from dataclasses import replace
 from typing import ClassVar, Dict, List, Optional, Tuple
 
 from repro.adgraph.ad import ADId, ADKind
@@ -32,10 +33,11 @@ from repro.core.design_space import (
 )
 from repro.policy.database import PolicyDatabase
 from repro.policy.flows import FlowSpec
+from repro.policy.qos import QOS
 from repro.policy.selection import OPEN_SELECTION, RouteSelectionPolicy
 from repro.policy.sets import ADSet
 from repro.protocols.base import ForwardingMode, RoutingProtocol
-from repro.protocols.flooding import LSNode
+from repro.protocols.flooding import LSDBGenerations, LSNode, successor_on
 from repro.protocols.idrp import IDRPNode, IDRPProtocol, RouteAd
 from repro.simul.network import SimNetwork
 
@@ -96,8 +98,17 @@ def valley_free_shortest_path(
 class _ValleyFreeLSNode(LSNode):
     """LS node computing valley-free routes for whole flows."""
 
-    def __init__(self, ad_id: ADId, order: PartialOrder) -> None:
-        super().__init__(ad_id, own_terms=(), include_terms=False)
+    def __init__(
+        self,
+        ad_id: ADId,
+        order: PartialOrder,
+        generations: LSDBGenerations,
+    ) -> None:
+        super().__init__(
+            ad_id, own_terms=(), include_terms=False, generations=generations
+        )
+        #: Read by the shared computation, so it must be the one
+        #: protocol-wide ordering (every node gets the driver's object).
         self.order = order
         self._cache: Dict[Tuple[ADId, ADId, str], Tuple[int, Optional[Tuple[ADId, ...]]]] = {}
 
@@ -105,20 +116,19 @@ class _ValleyFreeLSNode(LSNode):
         if flow.qos.is_bottleneck:
             # Valley-free SPF is additive; bandwidth traffic rides the
             # default-metric table (honest era behaviour).
-            from dataclasses import replace
-            from repro.policy.qos import QOS
-
             flow = replace(flow, qos=QOS.DEFAULT)
         key = (flow.src, flow.dst, flow.qos.metric)
         cached = self._cache.get(key)
         if cached is not None and cached[0] == self.db_version:
             return cached[1]
         profiler = self.profiler
+        # This node's table above is the modelled one (a miss is charged
+        # to this AD below); the SPF itself runs once per LSDB content.
         if profiler is None:
-            path = self._compute_route(flow)
+            path = self.generation_route(key, self._compute_route, flow)
         else:
             with profiler.phase("proto.spf"):
-                path = self._compute_route(flow)
+                path = self.generation_route(key, self._compute_route, flow)
         self._cache[key] = (self.db_version, path)
         self.note_computation("valley_free_spf")
         return path
@@ -143,10 +153,13 @@ class _LSTopologyProtocolBase(RoutingProtocol):
     ) -> None:
         super().__init__(graph, policies)
         self.order = order or PartialOrder.from_hierarchy(graph)
+        self.generations = LSDBGenerations()
 
     def _make_nodes(self, network: SimNetwork) -> None:
         for ad_id in self.graph.ad_ids():
-            network.add_node(_ValleyFreeLSNode(ad_id, self.order))
+            network.add_node(
+                _ValleyFreeLSNode(ad_id, self.order, self.generations)
+            )
 
     def rib_size(self, ad_id: ADId) -> int:
         node = self.network.node(ad_id)
@@ -166,11 +179,7 @@ class LSHbHTopologyProtocol(_LSTopologyProtocolBase):
     ) -> Optional[ADId]:
         node = self.network.node(ad_id)
         assert isinstance(node, _ValleyFreeLSNode)
-        path = node.flow_route(flow)
-        if path is None or ad_id not in path:
-            return None
-        idx = path.index(ad_id)
-        return None if idx == len(path) - 1 else path[idx + 1]
+        return successor_on(node.flow_route(flow), ad_id)
 
 
 class LSSourceTopologyProtocol(_LSTopologyProtocolBase):
@@ -320,8 +329,6 @@ class DVSourceTopologyProtocol(RoutingProtocol):
     ) -> None:
         super().__init__(graph, policies)
         self.order = order or PartialOrder.from_hierarchy(graph)
-        from repro.policy.qos import QOS
-
         self.qos_classes = (QOS.DEFAULT,)
 
     def _make_nodes(self, network: SimNetwork) -> None:
