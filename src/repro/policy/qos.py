@@ -42,6 +42,11 @@ class QOS(enum.Enum):
     #: Throughput-hungry traffic: maximise the bottleneck bandwidth.
     HIGH_BANDWIDTH = "high_bandwidth"
 
+    # Members are singletons compared by identity, so the C-level identity
+    # hash is exact; ``Enum.__hash__`` is a Python-level call per hash, and
+    # every (dest, qos, cls) routing key pays it on every dict operation.
+    __hash__ = object.__hash__
+
     @property
     def metric(self) -> str:
         """Name of the link metric this QOS class optimises."""

@@ -23,11 +23,41 @@ class _SetMode(enum.Enum):
     EXCLUDE = "exclude"
 
 
+#: The modes as module globals: the algebra tests them on every operation.
+_ALL = _SetMode.ALL
+_INCLUDE = _SetMode.INCLUDE
+_EXCLUDE = _SetMode.EXCLUDE
+
+
 @dataclass(frozen=True)
 class ADSet:
     """An immutable predicate over AD ids.
 
-    Construct via :meth:`everyone`, :meth:`of`, or :meth:`excluding`.
+    Construct via :meth:`everyone`, :meth:`of`, :meth:`excluding` or
+    :meth:`none`.
+
+    **A set operation allocates only when its answer is new.**
+    :meth:`intersect` and :meth:`union` hand back one of their operands
+    whenever the answer *is* that operand (``x ∩ everyone``, ``∅ ∪ x``,
+    ``∅ ∩ x`` ...), :meth:`everyone` and :meth:`none` hand back shared
+    module-level instances, and only the remaining cases build one new
+    set.  Nothing may rely on the *identity* of a result, in either
+    direction: instances are values, compared with ``==``.
+
+    **The universal set has two spellings that are not ``==``:** ``ALL``
+    (``"*"``, what :meth:`everyone` returns) and ``EXCLUDE{}`` (``"!{}"``).
+    :attr:`is_universal` is true for both; equality, ``str`` and the wire
+    form tell them apart, and IDRP's decision process treats a change of
+    spelling as a change of route.  Which one comes out is therefore part
+    of the contract (``tests/test_policy_sets_algebra.py`` pins it):
+
+    * an operation never *produces* ``ALL``.  ``x ∩ ALL`` and ``ALL ∩ x``
+      are ``x`` as spelled -- except ``ALL ∩ ALL``, which is ``EXCLUDE{}``;
+      ``x ∪ ALL`` and ``ALL ∪ x`` are ``EXCLUDE{}`` for every ``x``;
+    * every other universal answer (``EXCLUDE{} ∩ EXCLUDE{}``,
+      ``{1} ∪ !{1}`` ...) is ``EXCLUDE{}`` too.
+
+    Do not normalise the two: it moves which updates IDRP sends.
     """
 
     mode: _SetMode
@@ -35,8 +65,13 @@ class ADSet:
 
     @classmethod
     def everyone(cls) -> "ADSet":
-        """The universal set (matches any AD)."""
-        return cls(_SetMode.ALL)
+        """The universal set (matches any AD), spelled ``ALL``."""
+        return _EVERYONE
+
+    @classmethod
+    def none(cls) -> "ADSet":
+        """The empty set."""
+        return _NONE
 
     @classmethod
     def of(cls, ads: Iterable[ADId]) -> "ADSet":
@@ -82,51 +117,59 @@ class ADSet:
     # ADSets are finite (INCLUDE) or cofinite (ALL/EXCLUDE) sets, which are
     # closed under intersection and union.  IDRP uses this to propagate
     # allowed-source scopes through path-vector advertisements without
-    # enumerating the whole internet.
-
-    def _as_exclude(self) -> "ADSet":
-        """Normalise ALL to EXCLUDE(empty) for the algebra."""
-        if self.mode is _SetMode.ALL:
-            return ADSet(_SetMode.EXCLUDE, frozenset())
-        return self
+    # enumerating the whole internet.  ``ALL`` is told by its mode alone
+    # (its ``members`` are never read); every early return below is an
+    # identity or absorbing case whose answer equals the operand returned.
 
     def intersect(self, other: "ADSet") -> "ADSet":
         """Set intersection (stays finite/cofinite)."""
-        a, b = self._as_exclude(), other._as_exclude()
-        if a.mode is _SetMode.INCLUDE and b.mode is _SetMode.INCLUDE:
-            return ADSet.of(a.members & b.members)
-        if a.mode is _SetMode.INCLUDE:
-            return ADSet.of(a.members - b.members)
-        if b.mode is _SetMode.INCLUDE:
-            return ADSet.of(b.members - a.members)
-        return ADSet.excluding(a.members | b.members)
+        if self.mode is _ALL:
+            return _EXCLUDE_NOTHING if other.mode is _ALL else other
+        if other.mode is _ALL:
+            return self
+        a, b = self.members, other.members
+        if self.mode is _INCLUDE:
+            if not a:
+                return self
+            if other.mode is _INCLUDE:
+                return ADSet(_INCLUDE, a & b) if b else other
+            return ADSet(_INCLUDE, a - b) if b else self
+        if other.mode is _INCLUDE:
+            return ADSet(_INCLUDE, b - a) if a and b else other
+        if not a:
+            return other
+        return ADSet(_EXCLUDE, a | b) if b else self
 
     def union(self, other: "ADSet") -> "ADSet":
         """Set union (stays finite/cofinite)."""
-        a, b = self._as_exclude(), other._as_exclude()
-        if a.mode is _SetMode.INCLUDE and b.mode is _SetMode.INCLUDE:
-            return ADSet.of(a.members | b.members)
-        if a.mode is _SetMode.INCLUDE:
-            return ADSet.excluding(b.members - a.members)
-        if b.mode is _SetMode.INCLUDE:
-            return ADSet.excluding(a.members - b.members)
-        return ADSet.excluding(a.members & b.members)
+        if self.mode is _ALL or other.mode is _ALL:
+            return _EXCLUDE_NOTHING
+        a, b = self.members, other.members
+        if self.mode is _INCLUDE:
+            if not a:
+                return other
+            if other.mode is _INCLUDE:
+                return ADSet(_INCLUDE, a | b) if b else self
+            return ADSet(_EXCLUDE, b - a) if b else other
+        if other.mode is _INCLUDE:
+            return ADSet(_EXCLUDE, a - b) if a and b else self
+        if not a:
+            return self
+        return ADSet(_EXCLUDE, a & b) if b else other
 
     def is_subset_of(self, other: "ADSet") -> bool:
         """Whether every AD this set admits is admitted by ``other``."""
-        a, b = self._as_exclude(), other._as_exclude()
-        if a.mode is _SetMode.INCLUDE:
-            if b.mode is _SetMode.INCLUDE:
-                return a.members <= b.members
-            return not (a.members & b.members)
-        if b.mode is _SetMode.INCLUDE:
+        if other.mode is _ALL:
+            return True
+        if self.mode is _INCLUDE:
+            if other.mode is _INCLUDE:
+                return self.members <= other.members
+            return self.members.isdisjoint(other.members)
+        if other.mode is _INCLUDE:
             return False  # a cofinite set never fits in a finite one
-        return b.members <= a.members
-
-    @classmethod
-    def none(cls) -> "ADSet":
-        """The empty set."""
-        return cls(_SetMode.INCLUDE, frozenset())
+        if self.mode is _ALL:
+            return not other.members
+        return other.members <= self.members
 
     @property
     def is_empty(self) -> bool:
@@ -147,6 +190,13 @@ class ADSet:
             return "*"
         sign = "" if self.mode is _SetMode.INCLUDE else "!"
         return sign + "{" + ",".join(str(m) for m in sorted(self.members)) + "}"
+
+
+#: The shared instances behind :meth:`ADSet.everyone` / :meth:`ADSet.none`
+#: and the ``EXCLUDE{}`` normal form the algebra spells the universal set as.
+_EVERYONE = ADSet(_ALL)
+_NONE = ADSet(_INCLUDE, frozenset())
+_EXCLUDE_NOTHING = ADSet(_EXCLUDE, frozenset())
 
 
 @dataclass(frozen=True)

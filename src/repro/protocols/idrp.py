@@ -181,6 +181,8 @@ class IDRPNode(OverloadDefenseMixin, ProtocolNode):
         for ad in msg.routes:
             if not 0 <= ad.cls < len(self.class_sets):
                 continue
+            if ad.qos not in self.qos_classes:
+                continue  # a class we keep no table for: nothing reads it
             if not ad.is_withdrawal and self._rejects(sender, ad):
                 continue
             key = (ad.dest, ad.qos, ad.cls)
@@ -306,44 +308,50 @@ class IDRPNode(OverloadDefenseMixin, ProtocolNode):
 
     def _reselect(self, key: _Key) -> bool:
         """Recompute the Loc-RIB entry for a key; True if it changed."""
-        if key[0] == self.ad_id:
+        me = self.ad_id
+        if key[0] == me:
             return False
-        cls_set = self.class_sets[key[2]]
-        best: Optional[_LocEntry] = None
+        best_ad: Optional[RouteAd] = None
         best_rank = None
-        graph = self.topology
-        for nbr, ad in sorted(self.rib_in.get(key, {}).items()):
-            if self.ad_id in ad.path:
-                continue  # loop suppression via full AD path
-            if ad.allowed.intersect(cls_set).is_empty:
-                continue  # serves no source of this route's class
-            if not self._candidate_usable(ad):
-                continue
-            if not graph.has_link(self.ad_id, nbr) or not graph.link(self.ad_id, nbr).up:
-                continue
-            link_metric = graph.link(self.ad_id, nbr).metric(key[1].metric)
-            rank = self._candidate_rank(ad, link_metric)
-            if best_rank is None or rank < best_rank:
-                best_rank = rank
-                best = _LocEntry(
-                    via=nbr,
-                    path=(self.ad_id,) + ad.path,
-                    metric=ad.metric + link_metric,
-                    allowed=ad.allowed,
-                )
+        per_nbr = self.rib_in.get(key)
+        if per_nbr:
+            cls_set = self.class_sets[key[2]]
+            metric_name = key[1].metric
+            link_to = self.topology.link_if_exists
+            # Churn mostly leaves one candidate: nothing to put in order.
+            candidates = sorted(per_nbr.items()) if len(per_nbr) > 1 else per_nbr.items()
+            for nbr, ad in candidates:
+                if me in ad.path:
+                    continue  # loop suppression via full AD path
+                if ad.allowed.intersect(cls_set).is_empty:
+                    continue  # serves no source of this route's class
+                if not self._candidate_usable(ad):
+                    continue
+                link = link_to(me, nbr)
+                if link is None or not link.up:
+                    continue
+                link_metric = link.metric(metric_name)
+                rank = self._candidate_rank(ad, link_metric)
+                if best_rank is None or rank < best_rank:
+                    best_rank = rank
+                    best_ad, best_via = ad, nbr
+                    best_metric = ad.metric + link_metric
         old = self.loc.get(key)
-        if best is None:
+        if best_ad is None:
             if old is not None:
                 del self.loc[key]
                 self._damp_loss(key)
                 return True
             return False
-        if old is None or (old.via, old.path, old.metric) != (
-            best.via,
-            best.path,
-            best.metric,
-        ) or old.allowed != best.allowed:
-            self.loc[key] = best
+        path = (me,) + best_ad.path
+        if (
+            old is None
+            or old.via != best_via
+            or old.path != path
+            or old.metric != best_metric
+            or old.allowed != best_ad.allowed
+        ):
+            self.loc[key] = _LocEntry(best_via, path, best_metric, best_ad.allowed)
             return True
         return False
 
@@ -403,37 +411,41 @@ class IDRPNode(OverloadDefenseMixin, ProtocolNode):
                 if key[0] != self.ad_id and self._damp_suppressed(key):
                     suppressed.add(key)
                     self.suppressed_announcements += 1
-        for nbr in self.neighbors():
-            advertised = self._advertised.setdefault(nbr, set())
-            routes: List[RouteAd] = []
-            for key in keys:
-                dest, qos, cls = key
-                entry = self.loc.get(key)
-                exportable = (
-                    key not in suppressed
-                    and entry is not None
+        # Keys outermost: the Loc-RIB lookup, the suppressed test, the lie
+        # and the withdrawal are per key; only split horizon and the export
+        # scope are per (key, neighbour).  Each neighbour's batch still
+        # lists its keys in sorted order, and batches go out in
+        # ``neighbors()`` order.
+        batches: List[Tuple[ADId, set, List[RouteAd]]] = [
+            (nbr, self._advertised.setdefault(nbr, set()), [])
+            for nbr in self.neighbors()
+        ]
+        lying = "metric-lie" in self._active_lies
+        for key in keys:
+            dest, qos, cls = key
+            entry = None if key in suppressed else self.loc.get(key)
+            if entry is not None:
+                metric = 0.0 if lying and dest != self.ad_id else entry.metric
+            withdrawal = None
+            for nbr, advertised, routes in batches:
+                if (
+                    entry is not None
                     and entry.via != nbr  # split horizon on the path-vector
                     and nbr not in entry.path  # receiver would reject anyway
-                )
-                scope = (
-                    self._export_scope(entry, dest, qos, nbr, cls)
-                    if exportable
-                    else None
-                )
-                if scope is None or scope.is_empty:
-                    if key in advertised:
-                        advertised.discard(key)
+                ):
+                    scope = self._export_scope(entry, dest, qos, nbr, cls)
+                    if not scope.is_empty:
+                        advertised.add(key)
                         routes.append(
-                            RouteAd(dest, qos, (), 0.0, ADSet.none(), cls)
+                            RouteAd(dest, qos, entry.path, metric, scope, cls)
                         )
-                    continue
-                advertised.add(key)
-                metric = entry.metric
-                if "metric-lie" in self._active_lies and dest != self.ad_id:
-                    metric = 0.0
-                routes.append(
-                    RouteAd(dest, qos, entry.path, metric, scope, cls)
-                )
+                        continue
+                if key in advertised:
+                    advertised.discard(key)
+                    if withdrawal is None:
+                        withdrawal = RouteAd(dest, qos, (), 0.0, ADSet.none(), cls)
+                    routes.append(withdrawal)
+        for nbr, _, routes in batches:
             if routes:
                 self.send(nbr, IDRPUpdate(tuple(routes)))
 

@@ -7,7 +7,8 @@ from repro.policy.generators import source_class_policies
 from repro.policy.legality import is_legal_path
 from repro.policy.sets import ADSet
 from repro.policy.terms import PolicyTerm
-from repro.protocols.idrp import BGP2Protocol, IDRPProtocol
+from repro.policy.qos import QOS
+from repro.protocols.idrp import BGP2Protocol, IDRPProtocol, IDRPUpdate, RouteAd
 from tests.helpers import diamond_graph, line_graph, mk_graph, open_db
 
 
@@ -139,6 +140,30 @@ class TestFailureResponse:
         proto.network.set_link_status(1, 3, up=True)
         proto.network.run()
         assert proto.find_route(FlowSpec(0, 3)) == (0, 1, 3)
+
+
+class TestInputScreen:
+    def test_an_ad_for_a_qos_class_the_node_does_not_run_is_skipped(self):
+        # Stored, it would be selected under a key no lookup reads
+        # (``_qos_for`` falls back to the first table) and re-exported.
+        g = line_graph(3)
+        proto = IDRPProtocol(g, open_db(g), qos_classes=(QOS.DEFAULT,))
+        proto.converge()
+        node = proto.network.node(1)
+        rib_in = {key: dict(per_nbr) for key, per_nbr in node.rib_in.items()}
+        loc = dict(node.loc)
+        sent = dict(proto.network.metrics.messages)
+        for cls, qos in ((0, QOS.LOW_COST), (7, QOS.DEFAULT)):
+            for path in ((0, 9), ()):  # an advertisement and a withdrawal
+                ad = RouteAd(9, qos, path, 1.0, ADSet.everyone(), cls)
+                node.on_message(0, IDRPUpdate((ad,)))
+        assert node.rib_in == rib_in and node.loc == loc
+        assert not node._pending and not node._flush_scheduled
+        proto.network.run()
+        assert proto.network.metrics.messages == sent
+        # The same ad in a class the node does run is news.
+        node.on_message(0, IDRPUpdate((RouteAd(9, QOS.DEFAULT, (0, 9), 1.0, ADSet.everyone()),)))
+        assert (9, QOS.DEFAULT, 0) in node.loc and node._pending
 
 
 class TestTransitEnforcement:
