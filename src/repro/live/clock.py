@@ -11,7 +11,7 @@ cancellation is idempotent and harmless after the timer fired.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable
+from typing import Any, Callable, Optional, Set
 
 from repro.simul.transport import Clock, TimerHandle
 
@@ -34,7 +34,7 @@ class LiveTimerHandle(TimerHandle):
         self._cancelled = True
         if not self._fired:
             self._handle.cancel()
-            self._clock._pending -= 1
+            self._clock._disarm(self)
 
     @property
     def cancelled(self) -> bool:
@@ -48,7 +48,7 @@ class LiveTimerHandle(TimerHandle):
 class LiveClock(Clock):
     """The event loop's clock, scaled to protocol time units."""
 
-    __slots__ = ("_loop", "_t0", "time_scale", "_pending", "on_fire")
+    __slots__ = ("_loop", "_t0", "time_scale", "_armed", "on_idle")
 
     def __init__(
         self, loop: asyncio.AbstractEventLoop, time_scale: float = 0.005
@@ -59,10 +59,9 @@ class LiveClock(Clock):
         self._t0 = loop.time()
         #: Wall-clock seconds per protocol time unit.
         self.time_scale = time_scale
-        self._pending = 0
-        #: Activity callback, invoked whenever a live timer fires (the
-        #: network uses it to extend its idle window).
-        self.on_fire: Callable[[], None] = lambda: None
+        self._armed: Set[LiveTimerHandle] = set()
+        #: Invoked when the last armed timer is disarmed (the network's wake).
+        self.on_idle: Callable[[], None] = lambda: None
 
     @property
     def now(self) -> float:
@@ -71,8 +70,23 @@ class LiveClock(Clock):
 
     @property
     def pending_timers(self) -> int:
-        """Timers armed but neither fired nor cancelled."""
-        return self._pending
+        """Timers armed but neither fired nor cancelled.  One that fires
+        stays armed until its callback returned, so what that sent or
+        re-armed is already on the books when this reads zero."""
+        return len(self._armed)
+
+    @property
+    def next_timer_in(self) -> Optional[float]:
+        """Protocol units until the earliest armed timer (None: none armed)."""
+        if not self._armed:
+            return None
+        when = min(handle._handle.when() for handle in self._armed)
+        return max(0.0, when - self._loop.time()) / self.time_scale
+
+    def _disarm(self, handle: LiveTimerHandle) -> None:
+        self._armed.discard(handle)
+        if not self._armed:
+            self.on_idle()
 
     def call_later(
         self, delay: float, fn: Callable[..., None], *args: Any
@@ -80,20 +94,21 @@ class LiveClock(Clock):
         """Run ``fn(*args)`` after ``delay`` protocol time units."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        self._pending += 1
         box: list = []
 
         def fire() -> None:
             handle = box[0]
             handle._fired = True
-            self._pending -= 1
-            self.on_fire()
-            fn(*args)
+            try:
+                fn(*args)
+            finally:
+                self._disarm(handle)
 
         timer = self._loop.call_later(delay * self.time_scale, fire)
         handle = LiveTimerHandle(self, timer)
         box.append(handle)
+        self._armed.add(handle)
         return handle
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"LiveClock(now={self.now:.3f}, pending={self._pending})"
+        return f"LiveClock(now={self.now:.3f}, pending={len(self._armed)})"

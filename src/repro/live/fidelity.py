@@ -72,7 +72,6 @@ def fidelity_report(
     seed: int = 0,
     flaps: int = 6,
     time_scale: float = 0.005,
-    idle_window_s: float = 0.05,
     timeout_s: float = 120.0,
 ) -> FidelityReport:
     """Run one scenario on both substrates and compare the outcomes.
@@ -109,7 +108,6 @@ def fidelity_report(
         live_proto,
         plan,
         time_scale=time_scale,
-        idle_window_s=idle_window_s,
         timeout_s=timeout_s,
     )
     live_results = [live_result.initial] + [

@@ -29,7 +29,7 @@ import asyncio
 import enum
 import random
 import socket as socketlib
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.adgraph.ad import ADId
 from repro.adgraph.graph import InterADGraph
@@ -88,7 +88,7 @@ class _Endpoint(asyncio.DatagramProtocol):
         self.runtime.enqueue(data)
 
     def error_received(self, exc: Exception) -> None:  # pragma: no cover
-        self.runtime.network._errors.append(exc)
+        self.runtime.network.fail(exc)
 
 
 class _NodeRuntime:
@@ -132,18 +132,28 @@ class _NodeRuntime:
                     pass
         self.port = self.transport.get_extra_info("sockname")[1]
         self.state = NodeState.SERVING
-        self.task = loop.create_task(
+        self._spawn()
+
+    def _spawn(self) -> None:
+        """Start a serve task; nothing but its done-callback announces
+        that one died, so that wakes whoever waits on the network."""
+        self.task = self.network._loop.create_task(
             self.serve(), name=f"ad-{self.ad_id}-serve"
         )
+        self.task.add_done_callback(lambda _task: self.network._wake())
 
     def enqueue(self, data: bytes) -> None:
         """Admit one inbound frame (drop it when not serving)."""
+        network = self.network
+        network._recv_frames += 1
         if self.state is not NodeState.SERVING:
-            self.network.metrics.count_drop()
+            # Received, then dropped: ``sent == received`` must hold for
+            # every delivered datagram or the network never reads idle again.
+            network.metrics.count_drop()
+            network._frames_settled()
             return
         self.unprocessed += 1
-        self.network._recv_frames += 1
-        self.network._touch()
+        network._queued += 1
         self.queue.put_nowait(data)
 
     async def serve(self) -> None:
@@ -154,12 +164,13 @@ class _NodeRuntime:
             try:
                 self._dispatch(data)
             except Exception as exc:  # noqa: BLE001 - surfaced at settle()
-                network._errors.append(exc)
+                network.fail(exc)
             finally:
                 self.unprocessed -= 1
                 self.dispatched += 1
                 self.last_progress = network._loop.time()
-                network._touch()
+                network._queued -= 1
+                network._frames_settled()
 
     def _dispatch(self, data: bytes) -> None:
         network = self.network
@@ -247,8 +258,10 @@ class _NodeRuntime:
         lost = 0
         while not self.queue.empty():
             self.queue.get_nowait()
-            self.unprocessed -= 1
             lost += 1
+        self.unprocessed -= lost
+        self.network._queued -= lost
+        self.network._frames_settled()
         return lost
 
     async def restart_task(self) -> int:
@@ -260,7 +273,6 @@ class _NodeRuntime:
         Queued-but-undispatched frames die with the old task; the count
         of lost frames is returned and accounted as queue drops.
         """
-        loop = asyncio.get_running_loop()
         old = self.task
         if old is not None:
             if old.done():
@@ -279,10 +291,8 @@ class _NodeRuntime:
             self.network.metrics.count_queue_drop()
         self.state = NodeState.SERVING
         self.restarts += 1
-        self.last_progress = loop.time()
-        self.task = loop.create_task(
-            self.serve(), name=f"ad-{self.ad_id}-serve"
-        )
+        self.last_progress = self.network._loop.time()
+        self._spawn()
         return lost
 
 
@@ -309,13 +319,15 @@ class LiveNetwork(Transport):
         loop = asyncio.get_running_loop()
         self._loop = loop
         self._clock = LiveClock(loop, time_scale)
-        self._clock.on_fire = self._touch
+        self._clock.on_idle = self._wake
         self._runtimes: Dict[ADId, _NodeRuntime] = {}
         self._crashed: Set[ADId] = set()
         self._errors: List[Exception] = []
         self._started = False
         self._sent_frames = 0
         self._recv_frames = 0
+        #: The sum of every runtime's ``unprocessed``.
+        self._queued = 0
         #: Sends waiting on a transient-error retry timer.
         self._pending_sends = 0
         #: Seeded Bernoulli loss at the receive path (chaos injection).
@@ -324,8 +336,8 @@ class LiveNetwork(Transport):
         #: The attached :class:`~repro.live.supervisor.Supervisor`, when
         #: one is watching this network (set by ``Supervisor.start``).
         self.supervisor = None
-        #: Wall-clock instant of the last observable activity.
-        self._last_activity = loop.time()
+        #: What :meth:`wait_for` sleeps on and :meth:`_wake` resolves.
+        self._waiter: Optional[asyncio.Future] = None
 
     # -------------------------------------------------------- transport API
 
@@ -390,24 +402,22 @@ class LiveNetwork(Transport):
         except (BlockingIOError, InterruptedError, OSError):
             if attempt >= len(SEND_RETRY_DELAYS):
                 self.metrics.count_live_send_drop()
-                self._touch()
                 return
             self.metrics.count_live_send_retry()
             self._pending_sends += 1
-            self._touch()
             self._loop.call_later(
                 SEND_RETRY_DELAYS[attempt], self._retry_transmit,
                 src, dst, frame, attempt + 1,
             )
             return
         self._sent_frames += 1
-        self._touch()
 
     def _retry_transmit(
         self, src: ADId, dst: ADId, frame: bytes, attempt: int
     ) -> None:
         self._pending_sends -= 1
         self._transmit(src, dst, frame, attempt)
+        self._frames_settled()
 
     # ----------------------------------------------------------- node mgmt
 
@@ -438,10 +448,6 @@ class LiveNetwork(Transport):
             node = self.nodes[ad_id]
             if node.wire.negotiate:
                 node.announce_wire()
-        # The idle window starts now, not at construction: binding the
-        # sockets may outlast it, and a protocol whose start hook only
-        # arms a timer has sent nothing yet.
-        self._touch()
 
     async def close(self) -> None:
         """Stop every AD: drain queues, cancel tasks, close sockets."""
@@ -454,14 +460,6 @@ class LiveNetwork(Transport):
 
     # ------------------------------------------------------- idle detection
 
-    def _touch(self) -> None:
-        self._last_activity = self._loop.time()
-
-    @property
-    def idle_for(self) -> float:
-        """Wall-clock seconds since the last observable activity."""
-        return self._loop.time() - self._last_activity
-
     def idle(self) -> bool:
         """No frame in flight, none queued, nothing being processed.
 
@@ -472,10 +470,101 @@ class LiveNetwork(Transport):
         way (``_pending_sends``).
         """
         return (
-            self._pending_sends == 0
+            self._queued == 0
             and self._sent_frames == self._recv_frames
-            and all(rt.unprocessed == 0 for rt in self._runtimes.values())
+            and self._pending_sends == 0
         )
+
+    def quiescent(self) -> bool:
+        """The protocol has terminated, exactly: every way it can act again
+        -- a frame, a send retry, a timer -- reads zero, and no serve task
+        is dead (one awaiting its supervised restart answers no frame).
+        The scan for dead tasks runs only once the O(1) counters agree."""
+        return (
+            self.idle()
+            and self._clock.pending_timers == 0
+            and not self.dead_serve_tasks()
+        )
+
+    def _wake(self) -> None:
+        waiter = self._waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+    def _frames_settled(self) -> None:
+        """A frame counter moved towards zero: wake the waiter if idle."""
+        if self.idle():
+            self._wake()
+
+    def _raise_failures(self) -> None:
+        """Raise what no wait may sit out: a serve-task error, or a serve
+        task dead with no supervisor to restart it (the run is lost)."""
+        if self._errors:
+            raise RuntimeError(
+                f"{len(self._errors)} serve-task failure(s); first one follows"
+            ) from self._errors[0]
+        if self.supervisor is None:
+            dead = self.dead_serve_tasks()
+            if dead:
+                details = ", ".join(
+                    f"AD {ad} ({pending} frame(s) pending)" for ad, pending in dead
+                )
+                raise RuntimeError(
+                    f"serve task(s) died without a supervisor: {details}"
+                )
+
+    async def wait_for(
+        self,
+        done: Callable[[], bool],
+        timeout_s: float,
+        until: Optional[float] = None,
+    ) -> bool:
+        """Sleep until ``done()`` holds or the clock reads ``until``.
+
+        The live substrate's one wait.  Whatever can zero a term of
+        :meth:`quiescent` (or fails, or ends a serve task) resolves the
+        waiter and ``done`` is re-checked after every wake, so a spurious
+        one is harmless; a ``done`` that already holds never yields to the
+        loop.  ``False``: ``timeout_s`` wall seconds ran out first.  One
+        waiter at a time (the driver task).
+        """
+        loop, clock = self._loop, self._clock
+        deadline = loop.time() + timeout_s
+        while True:
+            self._raise_failures()
+            if done():
+                return True
+            nap = deadline - loop.time()
+            if nap <= 0:
+                return False
+            if until is not None:
+                ahead = (until - clock.now) * clock.time_scale
+                if ahead <= 0:
+                    return True
+                nap = min(nap, ahead)
+            waiter = self._waiter = loop.create_future()
+            timer = loop.call_later(nap, self._wake)
+            try:
+                await waiter
+            finally:
+                timer.cancel()
+
+    async def drained(self) -> None:
+        """Wait until :meth:`idle` (timers ignored): the operator's "let the
+        backlog drain before touching the next AD", not convergence.  One
+        that outlives ``DRAIN_DEADLINE_S`` (a datagram the kernel lost)
+        raises: bouncing the next AD anyway would not be hitless."""
+        if not await self.wait_for(self.idle, DRAIN_DEADLINE_S):
+            raise RuntimeError(
+                f"frames failed to drain within {DRAIN_DEADLINE_S:g}s: "
+                f"sent={self._sent_frames} received={self._recv_frames} "
+                f"queued={self._queued} pending_sends={self._pending_sends}"
+            )
+
+    def fail(self, exc: Exception) -> None:
+        """Record a serve-task failure; whoever waits next raises it."""
+        self._errors.append(exc)
+        self._wake()
 
     @property
     def errors(self) -> List[Exception]:
@@ -489,7 +578,7 @@ class LiveNetwork(Transport):
 
     @property
     def frames_received(self) -> int:
-        """Frames admitted to an AD's inbound queue since creation."""
+        """Datagrams the kernel delivered since creation, queued or dropped."""
         return self._recv_frames
 
     # ------------------------------------------------------------ failures

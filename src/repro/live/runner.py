@@ -1,11 +1,13 @@
 """Wall-clock convergence on the live substrate: settling and the adapter.
 
 The discrete-event engine knows it has converged when its queue drains;
-real sockets have no such oracle, so a live run has *settled* when no
-frame is in flight or queued and the network has been observably idle
-for a wall-clock window (:func:`settle`).  :class:`LiveSubstrate` wraps
-that into the substrate adapter every driver measures through -- the
-same calls :class:`~repro.simul.runner.SimSubstrate` answers, so a
+the live substrate knows the same way -- termination detection, not a
+silence timeout: a run has *settled* the instant nothing is outstanding
+(:meth:`LiveNetwork.quiescent`), and :func:`settle` sleeps until the
+event that makes that true.  It waits for events, never for durations;
+the only clock it sleeps on is the protocol's own.  :class:`LiveSubstrate`
+wraps that into the adapter every driver measures through -- the same
+calls :class:`~repro.simul.runner.SimSubstrate` answers, so a
 :class:`~repro.simul.runner.ConvergenceResult` from either reads the
 same way (times in protocol units, not wall seconds).
 
@@ -27,40 +29,48 @@ from repro.live.supervisor import Supervisor, SupervisorConfig
 from repro.protocols.base import RoutingProtocol
 from repro.simul.runner import ConvergenceResult, Substrate
 
-#: How often the settle loop re-checks for quiescence (wall seconds).
+#: Shortest sleep of :meth:`LiveSubstrate.advance_to` (wall seconds).
 _POLL_S = 0.002
 
 #: How many per-AD diagnostic lines a SettleTimeout message carries.
 _DIAG_MAX_ADS = 12
 
-#: Operator pause after each orchestrated serve-task restart (wall s).
-_BOUNCE_DWELL_S = 0.02
-
 
 class SettleTimeout(RuntimeError):
-    """settle() ran out its wall-clock budget before the network idled.
+    """settle() ran out its wall-clock budget before the network quiesced.
 
-    The message carries per-AD diagnostic state (lifecycle, queue
-    depth, dispatch progress, supervisor restart budget) so a hung
-    chaos run can be debugged from the error alone.
+    The message names each non-zero term of the quiescence predicate and
+    carries per-AD state (lifecycle, queue depth, dispatch progress,
+    restart budget) so a hung chaos run can be debugged from it alone.
     """
 
 
 def _timeout_diagnostics(network: LiveNetwork, timeout_s: float) -> str:
-    """Per-AD state for a settle timeout's error message.
+    """Why the network is not quiescent, for a settle timeout's message.
 
-    One summary line, then a line per *interesting* AD -- not serving,
-    frames still queued, or a restart history -- capped at
-    ``_DIAG_MAX_ADS`` entries (63-AD sweeps should not emit 63 healthy
-    lines for one wedged node).
+    One line per non-zero term of :meth:`LiveNetwork.quiescent`, then a
+    line per *interesting* AD -- not serving, frames still queued, or a
+    restart history -- capped at ``_DIAG_MAX_ADS`` entries (63-AD sweeps
+    should not emit 63 healthy lines for one wedged node).
     """
     supervisor = network.supervisor
-    lines = [
-        f"live network failed to settle within {timeout_s:g}s: "
-        f"frames sent={network.frames_sent} received={network.frames_received} "
-        f"pending_sends={network._pending_sends} "
-        f"idle_for={network.idle_for:.3f}s"
-    ]
+    clock = network.clock
+    sent, received = network.frames_sent, network.frames_received
+    # Unsupervised, a dead serve task has already raised from settle().
+    dead = ", ".join(f"AD {ad_id}" for ad_id, _ in network.dead_serve_tasks())
+    terms = (
+        (sent - received, f"frames in flight: {sent - received} (sent={sent} received={received})"),
+        (network._pending_sends, f"pending send retries: {network._pending_sends}"),
+        (
+            clock.pending_timers,
+            f"armed timers: {clock.pending_timers} (earliest fires in "
+            f"{clock.next_timer_in or 0.0:.1f} protocol units)",
+        ),
+        (network._queued, f"queued frames: {network._queued}"),
+        (dead, f"under supervisor recovery: {dead}"),
+    )
+    lines = [f"live network failed to settle within {timeout_s:g}s:"]
+    lines += [f"  {text}" for nonzero, text in terms if nonzero]
     interesting = []
     for ad_id, state in sorted(network.lifecycle_states().items()):
         stats = network.runtime_stats(ad_id)
@@ -86,11 +96,6 @@ def _timeout_diagnostics(network: LiveNetwork, timeout_s: float) -> str:
         if budget is not None:
             entry += f" restart_budget_remaining={budget}"
         interesting.append(entry)
-    if not interesting:
-        interesting.append(
-            "  (every AD serving with empty queues -- frames in flight "
-            "or a pending send retry kept the network non-idle)"
-        )
     shown = interesting[:_DIAG_MAX_ADS]
     if len(interesting) > len(shown):
         shown.append(
@@ -101,51 +106,32 @@ def _timeout_diagnostics(network: LiveNetwork, timeout_s: float) -> str:
 
 async def settle(
     network: LiveNetwork,
-    idle_window_s: float = 0.05,
     timeout_s: float = 30.0,
+    until: Optional[float] = None,
 ) -> bool:
-    """Wait until the network has been idle for ``idle_window_s``.
+    """Wait until the network is quiescent, or its clock reads ``until``.
 
-    Idle means no frame in flight, none queued, none being processed,
-    and no timer fired recently.  Returns ``True`` when the window was
-    reached; a timeout raises :class:`SettleTimeout` whose message
-    carries per-AD diagnostics (lifecycle state, queue counters,
-    supervisor restart budget) -- measurement paths that treat a
-    timeout as data catch it (:func:`try_settle`).  Errors raised
-    inside serve tasks are re-raised here: a crashed serve loop would
-    otherwise masquerade as quiescence.  So is a serve *task* dying
-    with frames still queued: without a supervisor to restart it, those
-    frames can never drain and the loop would otherwise sit out the
-    full timeout on a run that is already lost.
+    Quiescent is :meth:`LiveNetwork.quiescent`, awaited event by event
+    (:meth:`LiveNetwork.wait_for`); an already-quiescent network returns
+    without yielding to the loop.  ``until`` (protocol units) bounds the
+    wait exactly as it bounds the simulator's run: timers armed beyond
+    it stay armed.  Returns ``True`` either way; a timeout raises
+    :class:`SettleTimeout`, whose message names what was still
+    outstanding -- measurement paths that treat a timeout as data catch
+    it (:func:`try_settle`).  Errors raised inside serve tasks are
+    re-raised here: a crashed serve loop would otherwise masquerade as
+    quiescence.  So is a serve *task* dying without a supervisor to
+    restart it, on a run that is already lost.
     """
-    loop = asyncio.get_running_loop()
-    deadline = loop.time() + timeout_s
-    while True:
-        if network.errors:
-            raise RuntimeError(
-                f"{len(network.errors)} serve-task failure(s); first one follows"
-            ) from network.errors[0]
-        if network.supervisor is None:
-            dead = network.dead_serve_tasks()
-            if dead:
-                details = ", ".join(
-                    f"AD {ad} ({pending} frame(s) pending)"
-                    for ad, pending in dead
-                )
-                raise RuntimeError(
-                    f"serve task(s) died without a supervisor: {details}"
-                )
-        if network.idle() and network.idle_for >= idle_window_s:
-            return True
-        if loop.time() >= deadline:
-            raise SettleTimeout(_timeout_diagnostics(network, timeout_s))
-        await asyncio.sleep(_POLL_S)
+    if not await network.wait_for(network.quiescent, timeout_s, until):
+        raise SettleTimeout(_timeout_diagnostics(network, timeout_s))
+    return True
 
 
 async def try_settle(
     network: LiveNetwork,
-    idle_window_s: float = 0.05,
     timeout_s: float = 30.0,
+    until: Optional[float] = None,
 ) -> bool:
     """:func:`settle`, with a timeout reported as ``False``, not raised.
 
@@ -154,7 +140,7 @@ async def try_settle(
     failures still raise.
     """
     try:
-        return await settle(network, idle_window_s, timeout_s)
+        return await settle(network, timeout_s, until)
     except SettleTimeout:
         return False
 
@@ -190,7 +176,7 @@ class LiveSubstrate(Substrate):
     """The live side of the substrate adapter: the same calls, awaitable.
 
     Builds ``protocol`` on a fresh :class:`LiveNetwork` over the running
-    loop.  Settled means :func:`try_settle`'s idle window; an episode's
+    loop.  Settled means :func:`try_settle`'s exact quiescence; an episode's
     event count is the frames received meanwhile.  With a ``supervisor``
     config the serve tasks are watched, and :meth:`sweep` is available.
     """
@@ -200,7 +186,6 @@ class LiveSubstrate(Substrate):
         protocol: RoutingProtocol,
         *,
         time_scale: float = 0.005,
-        idle_window_s: float = 0.05,
         timeout_s: float = 60.0,
         supervisor: Optional[SupervisorConfig] = None,
     ) -> None:
@@ -212,7 +197,6 @@ class LiveSubstrate(Substrate):
         self.network = LiveNetwork(protocol.graph, time_scale=time_scale)
         protocol.substrate = "live"
         protocol.build(network=self.network)
-        self.idle_window_s = idle_window_s
         self.timeout_s = timeout_s
         self.supervisor = (
             Supervisor(self.network, supervisor) if supervisor is not None else None
@@ -230,14 +214,15 @@ class LiveSubstrate(Substrate):
             await asyncio.sleep(max(_POLL_S, (t - clock.now) * clock.time_scale))
 
     async def settle(self, until: Optional[float] = None) -> ConvergenceResult:
-        """Wait out the idle window: one episode.
+        """Wait for quiescence, but no further than ``until``: one episode.
 
-        ``until`` bounds the simulator's run; real time needs no bound
-        (the wait for the next instant is :meth:`advance_to`'s).
+        The bound is load-bearing here for the reason it is on the
+        simulator: a graceful crash arms a hold timer ``hold_time``
+        ahead, which the *next* plan step must get the chance to cancel.
         """
         before = self.snapshot()
         frames_before = self.network.frames_received
-        quiesced = await try_settle(self.network, self.idle_window_s, self.timeout_s)
+        quiesced = await try_settle(self.network, self.timeout_s, until)
         return self.since(
             before, self.network.frames_received - frames_before, quiesced
         )
@@ -246,15 +231,13 @@ class LiveSubstrate(Substrate):
         """Apply one fault event now.
 
         A wire-version flip is a binary upgrade: it also bounces the
-        AD's serve task, with an operator dwell before the next one.
+        AD's serve task, and the operator lets the renegotiation drain
+        before touching the next one.
         """
         self.protocol.apply_fault_event(ev)
-        # A perturbation is activity: a protocol that answers it by
-        # arming a timer has sent nothing yet and must not read as quiet.
-        self.network._touch()
         if isinstance(ev, WireVersionChange):
             await self.network.restart_runtime(ev.ad)
-            await asyncio.sleep(_BOUNCE_DWELL_S)
+            await self.network.drained()
 
     async def sweep(self) -> int:
         """The maintenance sweep: restart every serve task, one at a time.
@@ -263,8 +246,8 @@ class LiveSubstrate(Substrate):
         routes digest taken afterwards must not notice it happened.
         Returns the number of serve tasks restarted.
         """
-        restarted = await self.supervisor.rolling_restart(dwell_s=_BOUNCE_DWELL_S)
-        await try_settle(self.network, self.idle_window_s, self.timeout_s)
+        restarted = await self.supervisor.rolling_restart()
+        await try_settle(self.network, self.timeout_s)
         return restarted
 
     @property
@@ -287,7 +270,6 @@ async def run_live_async(
     plan: Optional[FaultPlan] = None,
     *,
     time_scale: float = 0.005,
-    idle_window_s: float = 0.05,
     timeout_s: float = 60.0,
 ) -> LiveRunResult:
     """Build, start, converge, and fault-inject a protocol over live UDP.
@@ -300,7 +282,6 @@ async def run_live_async(
     substrate = LiveSubstrate(
         protocol,
         time_scale=time_scale,
-        idle_window_s=idle_window_s,
         timeout_s=timeout_s,
     )
     try:
@@ -349,16 +330,9 @@ def run_live(
     plan: Optional[FaultPlan] = None,
     *,
     time_scale: float = 0.005,
-    idle_window_s: float = 0.05,
     timeout_s: float = 60.0,
 ) -> LiveRunResult:
     """Synchronous wrapper: run a live episode inside ``asyncio.run``."""
     return asyncio.run(
-        run_live_async(
-            protocol,
-            plan,
-            time_scale=time_scale,
-            idle_window_s=idle_window_s,
-            timeout_s=timeout_s,
-        )
+        run_live_async(protocol, plan, time_scale=time_scale, timeout_s=timeout_s)
     )

@@ -151,7 +151,7 @@ class Supervisor:
             self.events.append(
                 {"ad": ad_id, "reason": reason, "gave_up": True}
             )
-            self.network._errors.append(
+            self.network.fail(
                 RuntimeError(
                     f"supervisor gave up on AD {ad_id} after "
                     f"{count} restart(s): {reason}"
@@ -172,18 +172,15 @@ class Supervisor:
 
     # ----------------------------------------------------------- orchestration
 
-    async def rolling_restart(
-        self,
-        ads: Optional[Sequence[ADId]] = None,
-        *,
-        dwell_s: float = 0.05,
-    ) -> int:
+    async def rolling_restart(self, ads: Optional[Sequence[ADId]] = None) -> int:
         """Restart every AD's serve task, one at a time (maintenance sweep).
 
-        ``dwell_s`` is the pause between consecutive restarts, giving
-        each restarted task time to drain its backlog before the next
-        AD goes down -- the "rolling" in rolling restart.  Returns the
-        number of ADs restarted.  Budget accounting is not charged for
+        An AD is bounced only once no frame is in flight or queued
+        anywhere (:meth:`LiveNetwork.drained`): the previous restart's
+        backlog has drained and the queue flush that comes with this one
+        loses nothing -- the "rolling" in rolling restart; a backlog that
+        cannot drain raises and stops the sweep.  Returns the number of
+        ADs restarted.  Budget accounting is not charged for
         orchestrated restarts: the operator asked for them.
         """
         targets = sorted(self.network._runtimes) if ads is None else list(ads)
@@ -191,10 +188,10 @@ class Supervisor:
         for ad_id in targets:
             if ad_id in self.given_up:
                 continue
+            await self.network.drained()
             await self.network.restart_runtime(ad_id)
             restarted += 1
             self.events.append(
                 {"ad": ad_id, "reason": "rolling restart", "gave_up": False}
             )
-            await asyncio.sleep(dwell_s)
         return restarted

@@ -34,7 +34,7 @@ from .helpers import mk_graph
 #: Fast-but-safe live timing for tests: 2 ms per protocol unit, settle
 #: after 50 ms of silence, give up after a minute of wall clock.
 TIME_SCALE = 0.002
-SETTLE = dict(time_scale=TIME_SCALE, idle_window_s=0.05, timeout_s=60.0)
+SETTLE = dict(time_scale=TIME_SCALE, timeout_s=60.0)
 
 
 def ring8():
@@ -159,7 +159,7 @@ def test_send_to_non_neighbor_rejected():
         proto.build(network=network)
         await network.start()
         try:
-            await settle(network, idle_window_s=0.05, timeout_s=60.0)
+            await settle(network, timeout_s=60.0)
             from repro.protocols.egp import NRAck
 
             with pytest.raises(ValueError, match="not neighbour"):
@@ -180,7 +180,7 @@ def test_stateless_restart_reconverges_and_inherits_nonvolatile():
         network = LiveNetwork(proto.graph, time_scale=TIME_SCALE)
         proto.build(network=network)
         await network.start()
-        assert await settle(network, idle_window_s=0.05, timeout_s=60.0)
+        assert await settle(network, timeout_s=60.0)
 
         victim = 3
         old_node = network.nodes[victim]
@@ -189,11 +189,11 @@ def test_stateless_restart_reconverges_and_inherits_nonvolatile():
 
         proto.crash_node(victim, retain_state=False)
         assert network.is_crashed(victim)
-        assert await settle(network, idle_window_s=0.05, timeout_s=60.0)
+        assert await settle(network, timeout_s=60.0)
 
         proto.restore_node(victim)
         assert not network.is_crashed(victim)
-        assert await settle(network, idle_window_s=0.05, timeout_s=60.0)
+        assert await settle(network, timeout_s=60.0)
 
         new_node = network.nodes[victim]
         # The process was replaced wholesale...
@@ -328,7 +328,7 @@ def test_send_after_stop_is_a_counted_drop_not_a_start_error():
         with pytest.raises(RuntimeError, match="before the network started"):
             network.nodes[0].send(1, Message())
         await network.start()
-        await settle(network, idle_window_s=0.05, timeout_s=30.0)
+        await settle(network, timeout_s=30.0)
         await network.close()
         # A timer that outlived close(): dropped and counted, no error.
         network.nodes[0].send(1, Message())

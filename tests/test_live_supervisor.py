@@ -8,6 +8,7 @@ deadline-guarded -- no live test may hang.
 """
 
 import asyncio
+import re
 
 import pytest
 
@@ -48,7 +49,7 @@ async def _converged_network(graph):
     network = LiveNetwork(proto.graph, time_scale=TIME_SCALE)
     proto.build(network=network)
     await network.start()
-    assert await settle(network, idle_window_s=0.05, timeout_s=30.0)
+    assert await settle(network, timeout_s=30.0)
     return proto, network
 
 
@@ -90,7 +91,7 @@ def test_supervisor_restarts_dead_serve_task():
             assert not victim.task.done()
             assert supervisor.restart_counts[3] == 1
             assert supervisor.events[0]["reason"].startswith("dead task")
-            assert await settle(network, idle_window_s=0.05, timeout_s=30.0)
+            assert await settle(network, timeout_s=30.0)
             # The node's state and socket survived: nothing reconverged.
             assert _all_routes(proto) == routes_before
         finally:
@@ -124,7 +125,7 @@ def test_supervisor_recovers_crash_looping_node_within_budget():
                 ev["delay"] for ev in supervisor.events if "delay" in ev
             ]
             assert delays == sorted(delays)
-            assert await settle(network, idle_window_s=0.05, timeout_s=30.0)
+            assert await settle(network, timeout_s=30.0)
         finally:
             await supervisor.stop()
             await network.close()
@@ -153,7 +154,7 @@ def test_budget_exhaustion_fails_the_run_loudly():
             assert supervisor.events[-1]["gave_up"] is True
             assert "gave up on AD 2" in str(network.errors[0])
             with pytest.raises(RuntimeError, match="serve-task failure"):
-                await settle(network, idle_window_s=0.05, timeout_s=5.0)
+                await settle(network, timeout_s=5.0)
         finally:
             await supervisor.stop()
             await network.close()
@@ -195,7 +196,7 @@ def test_hung_task_detected_by_heartbeat():
             )
             # The stuck frame was flushed and accounted, not stranded.
             assert network.metrics.queue_dropped >= 1
-            assert await settle(network, idle_window_s=0.05, timeout_s=30.0)
+            assert await settle(network, timeout_s=30.0)
         finally:
             await supervisor.stop()
             await network.close()
@@ -213,14 +214,14 @@ def test_rolling_restart_is_hitless():
         await supervisor.start()
         try:
             routes_before = _all_routes(proto)
-            restarted = await supervisor.rolling_restart(dwell_s=0.01)
+            restarted = await supervisor.rolling_restart()
             assert restarted == 8
             # Orchestrated restarts are not charged to the crash budget.
             assert supervisor.restart_counts == {}
             assert all(
                 rt.restarts == 1 for rt in network._runtimes.values()
             )
-            assert await settle(network, idle_window_s=0.05, timeout_s=30.0)
+            assert await settle(network, timeout_s=30.0)
             assert _all_routes(proto) == routes_before
         finally:
             await supervisor.stop()
@@ -251,7 +252,7 @@ def test_rolling_restart_never_charges_the_crash_budget():
             # A full sweep right at the budget boundary: if orchestrated
             # restarts were charged like crashes, AD 3 would blow its
             # budget here and the run would be declared lost.
-            restarted = await supervisor.rolling_restart(dwell_s=0.01)
+            restarted = await supervisor.rolling_restart()
             assert restarted == 8
             assert supervisor.restart_counts == {3: 2}
             assert supervisor.given_up == set()
@@ -262,7 +263,7 @@ def test_rolling_restart_never_charges_the_crash_budget():
             ]
             assert len(sweeps) == 8
             assert all(ev["gave_up"] is False for ev in sweeps)
-            assert await settle(network, idle_window_s=0.05, timeout_s=30.0)
+            assert await settle(network, timeout_s=30.0)
         finally:
             await supervisor.stop()
             await network.close()
@@ -304,9 +305,13 @@ def test_settle_timeout_carries_per_ad_diagnostics():
             )
 
             with pytest.raises(SettleTimeout) as exc:
-                await settle(network, idle_window_s=0.05, timeout_s=0.5)
+                await settle(network, timeout_s=0.5)
             message = str(exc.value)
             assert "failed to settle within 0.5s" in message
+            # The one non-zero term of the predicate, and nothing else.
+            assert "queued frames: 1" in message
+            for absent in ("in flight", "send retries", "armed timers", "recovery"):
+                assert absent not in message
             assert "AD 4:" in message
             assert "unprocessed=1" in message
             assert "restart_budget_remaining=5" in message
@@ -314,8 +319,77 @@ def test_settle_timeout_carries_per_ad_diagnostics():
             assert "AD 0:" not in message
             # Measurement paths see the same condition as data.
             assert not await try_settle(
-                network, idle_window_s=0.05, timeout_s=0.5
+                network, timeout_s=0.5
             )
+        finally:
+            await supervisor.stop()
+            await network.close()
+
+    _run(scenario())
+
+
+def test_settle_timeout_names_each_outstanding_term():
+    """One line per cause: what exactly kept the network non-quiescent."""
+
+    async def scenario():
+        from repro.live.runner import SettleTimeout
+        from repro.protocols.egp import NRAck
+
+        async def timeout_message(network, timeout_s=0.0):
+            with pytest.raises(SettleTimeout) as exc:
+                await settle(network, timeout_s=timeout_s)
+            return str(exc.value)
+
+        proto, network = await _converged_network(ring8())
+        supervisor = Supervisor(
+            network, SupervisorConfig(seed=8, backoff_initial_s=30.0)
+        )
+        try:
+            # An armed protocol timer, and how far off it is.
+            handle = network.clock.call_later(5000.0, lambda: None)
+            message = await timeout_message(network, 0.05)
+            armed = re.search(
+                r"armed timers: 1 \(earliest fires in ([\d.]+) protocol units\)",
+                message,
+            )
+            assert armed and 0.0 < float(armed.group(1)) < 5000.0
+            assert "in flight" not in message and "queued" not in message
+            handle.cancel()
+            assert await settle(network, timeout_s=5.0)
+
+            # A frame handed to the kernel and not yet read back.
+            network.crash_node(1)  # dropped at dispatch: no reply traffic
+            network.send(0, 1, NRAck(seq=1))
+            sent = network.frames_sent
+            message = await timeout_message(network)
+            assert (
+                f"frames in flight: 1 (sent={sent} received={sent - 1})"
+                in message
+            )
+            assert await settle(network, timeout_s=5.0)
+
+            # A send waiting on its transient-error retry timer.
+            rt = network._runtimes[0]
+            real_sendto = rt.transport.sendto
+
+            def full_once(data, addr):
+                rt.transport.sendto = real_sendto
+                raise BlockingIOError("kernel buffer full")
+
+            rt.transport.sendto = full_once
+            network.send(0, 1, NRAck(seq=2))
+            message = await timeout_message(network)
+            assert "pending send retries: 1" in message
+            assert "in flight" not in message
+            assert await settle(network, timeout_s=5.0)
+
+            # A dead serve task sitting out its supervised backoff.
+            await supervisor.start()
+            victim = network._runtimes[3]
+            victim.task.cancel()
+            await _wait_for(lambda: supervisor.events, 10.0, "recovery to begin")
+            message = await timeout_message(network, 0.05)
+            assert "under supervisor recovery: AD 3" in message
         finally:
             await supervisor.stop()
             await network.close()
@@ -334,8 +408,49 @@ def test_settle_raises_on_dead_task_without_supervisor():
             except asyncio.CancelledError:
                 pass
             with pytest.raises(RuntimeError, match="without a supervisor"):
-                await settle(network, idle_window_s=0.05, timeout_s=5.0)
+                await settle(network, timeout_s=5.0)
         finally:
+            await network.close()
+
+    _run(scenario())
+
+
+def test_serve_task_death_wakes_a_waiting_settle():
+    """Nothing polls for a dead task: its done-callback is the wake."""
+
+    async def scenario():
+        proto, network = await _converged_network(ring8())
+        try:
+            network.clock.call_later(1e6, lambda: None)  # keeps settle waiting
+            waiting = asyncio.get_running_loop().create_task(
+                settle(network, timeout_s=60.0)
+            )
+            await asyncio.sleep(0)  # settle is asleep on the waiter now
+            network._runtimes[6].task.cancel()
+            # Loop turns, not seconds: cancel lands, callback wakes, settle runs.
+            for _ in range(5):
+                await asyncio.sleep(0)
+            assert waiting.done()
+            with pytest.raises(RuntimeError, match="without a supervisor"):
+                waiting.result()
+        finally:
+            await network.close()
+
+    _run(scenario())
+
+
+def test_rolling_restart_stops_at_a_recorded_failure():
+    async def scenario():
+        proto, network = await _converged_network(ring8())
+        supervisor = Supervisor(network, SupervisorConfig(seed=9))
+        await supervisor.start()
+        try:
+            network.fail(ValueError("boom"))
+            with pytest.raises(RuntimeError, match="serve-task failure"):
+                await supervisor.rolling_restart()
+            assert all(rt.restarts == 0 for rt in network._runtimes.values())
+        finally:
+            await supervisor.stop()
             await network.close()
 
     _run(scenario())
@@ -413,7 +528,7 @@ def test_restart_task_preserves_socket_and_counts():
             assert stats["restarts"] == 1
             assert stats["state"] is NodeState.SERVING
             assert network.port_of(7) == port_before
-            assert await settle(network, idle_window_s=0.05, timeout_s=30.0)
+            assert await settle(network, timeout_s=30.0)
         finally:
             await network.close()
 
@@ -481,7 +596,7 @@ def test_send_retry_budget_exhaustion_drops_and_stays_idle():
             # The dropped send left no phantom in-flight frame behind:
             # the network still reaches quiescence.
             assert network._pending_sends == 0
-            assert await settle(network, idle_window_s=0.05, timeout_s=10.0)
+            assert await settle(network, timeout_s=10.0)
         finally:
             await network.close()
 
@@ -506,7 +621,7 @@ def test_recv_loss_is_seeded_and_validated():
                 "recv-loss drop",
             )
             network.set_recv_loss(0.0)
-            assert await settle(network, idle_window_s=0.05, timeout_s=10.0)
+            assert await settle(network, timeout_s=10.0)
         finally:
             await network.close()
 

@@ -348,7 +348,7 @@ def test_live_nodes_share_the_protocols_pool(name, monkeypatch):
         name, scenario.graph, scenario.policies, substrate="live"
     )
     calls = compute_function(monkeypatch, name)
-    run_live(protocol, time_scale=0.002, idle_window_s=0.05, timeout_s=60.0)
+    run_live(protocol, time_scale=0.002, timeout_s=60.0)
     nodes = list(protocol.network.nodes.values())
     assert all(node._generations is protocol.generations for node in nodes)
     flow = scenario.flows[0]

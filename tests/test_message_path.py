@@ -221,7 +221,7 @@ def test_live_network_inherits_the_default_broadcast():
         await network.start()
         try:
             network.broadcast(0, ExchangeAck(token=7), exclude=2)
-            assert await settle(network, idle_window_s=0.05, timeout_s=60.0)
+            assert await settle(network, timeout_s=60.0)
         finally:
             await network.close()
         return network, log

@@ -263,7 +263,7 @@ def test_dispatch_counts_and_rejects_per_frame_on_intern_hits():
         proto.build(network=network)
         await network.start()
         try:
-            assert await settle(network, idle_window_s=0.05, timeout_s=30.0)
+            assert await settle(network, timeout_s=30.0)
             metrics = network.metrics
             runtime = network._runtimes[2]
             # AD 2 already holds AD 1's LSA: redelivery is a duplicate,
