@@ -3,8 +3,8 @@
 A channel model decides, for each control-message transmission, how many
 copies arrive and how late: zero copies is a loss, two is a duplication,
 and a positive extra delay reorders the copy relative to later traffic
-on the same link (the engine delivers strictly in (time, seq) order, so
-jitter is all it takes to reorder).
+on the same link (the engine delivers strictly in (time, insertion)
+order, so jitter is all it takes to reorder).
 
 The default is no channel at all: :class:`~repro.simul.network.SimNetwork`
 keeps its original single-copy, zero-jitter delivery path when

@@ -12,7 +12,7 @@ scenarios its routes are fast, consistent -- and illegal.
 from __future__ import annotations
 
 import heapq
-from typing import ClassVar, Dict, List, Optional, Set, Tuple
+from typing import Callable, ClassVar, Dict, List, Optional, Set, Sized, Tuple
 
 from repro.adgraph.ad import ADId
 from repro.adgraph.graph import InterADGraph
@@ -312,13 +312,30 @@ class IncrementalSPFState:
                 first[y] = first[parent[y]]
         return first
 
+    def first_hop(self, dest: ADId) -> Optional[ADId]:
+        """``first_hops().get(dest)`` by one walk up the parents.
+
+        What a prober asks for -- one destination per tree version --
+        without deriving the other entries.
+        """
+        parent, root = self.parent, self.root
+        p = parent.get(dest)
+        while p is not None and p != root:
+            dest = p
+            p = parent[p]
+        return None if p is None else dest
+
 
 class SPFNode(LSNode):
     """LS node with per-QOS SPF next-hop tables."""
 
     def __init__(self, ad_id: ADId) -> None:
         super().__init__(ad_id, own_terms=(), include_terms=False)
-        self._tables: Dict[QOS, Tuple[int, Dict[ADId, ADId]]] = {}
+        #: qos -> (db version computed at, destination -> first hop lookup,
+        #: number of destinations it answers for).
+        self._tables: Dict[
+            QOS, Tuple[int, Callable[[ADId], Optional[ADId]], Sized]
+        ] = {}
         #: metric -> (view version the state is synced to, repairable tree).
         self._spf_states: Dict[str, Tuple[int, IncrementalSPFState]] = {}
 
@@ -332,21 +349,25 @@ class SPFNode(LSNode):
         if cached is None or cached[0] != self.db_version:
             profiler = self.profiler
             if profiler is None:
-                table = self._compute_table(qos)
+                lookup, entries = self._compute_table(qos)
             else:
                 with profiler.phase("proto.spf"):
-                    table = self._compute_table(qos)
-            self._tables[qos] = (self.db_version, table)
+                    lookup, entries = self._compute_table(qos)
+            self._tables[qos] = (self.db_version, lookup, entries)
             self.note_computation("spf")
         else:
-            table = cached[1]
-        return self._tables[qos][1].get(dest)
+            lookup = cached[1]
+        return lookup(dest)
 
-    def _compute_table(self, qos: QOS) -> Dict[ADId, ADId]:
+    def _compute_table(
+        self, qos: QOS
+    ) -> Tuple[Callable[[ADId], Optional[ADId]], Sized]:
+        """Sync the QOS's tree to the view: (first-hop lookup, its entries)."""
         graph, _ = self.local_view()
         metric = qos.metric
         if not self.perf.incremental_spf:
-            return spf_next_hops(graph, self.ad_id, metric)
+            table = spf_next_hops(graph, self.ad_id, metric)
+            return table.get, table
         entry = self._spf_states.get(metric)
         state: Optional[IncrementalSPFState] = None
         if entry is not None:
@@ -364,10 +385,12 @@ class SPFNode(LSNode):
         if state is None:
             state = IncrementalSPFState(graph, self.ad_id, metric)
         self._spf_states[metric] = (self.db_version, state)
-        return state.first_hops()
+        # The first hop is walked per asked destination, not derived for
+        # all of them: a prober asks for one per tree version.
+        return state.first_hop, state.parent
 
     def table_size(self) -> int:
-        return sum(len(t[1]) for t in self._tables.values())
+        return sum(len(t[2]) for t in self._tables.values())
 
 
 class PlainLinkStateProtocol(RoutingProtocol):

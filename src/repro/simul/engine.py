@@ -1,22 +1,23 @@
 """The discrete-event engine.
 
-A minimal, deterministic event queue: events fire in (time, sequence)
-order, where sequence is the global insertion counter, so two events
-scheduled for the same instant fire in the order they were scheduled.
-Nothing here knows about networks or protocols.
+A minimal, deterministic event queue: events fire in time order, and two
+events scheduled for the same instant fire in the order they were
+scheduled.  Nothing here knows about networks or protocols.
 
-Two ways in, one queue and one counter: :meth:`Simulator.schedule` /
-:meth:`Simulator.schedule_at` return an :class:`EventHandle` (timers,
-which their owner may cancel), :meth:`Simulator.post` returns nothing
-(message deliveries, which nobody can cancel, so no handle is built).
+The queue is a calendar (DESIGN section 9): a FIFO bucket per distinct
+pending instant and a heap of those instants, so insertion order needs no
+sequence number and heap work is paid per instant, not per event.  Two
+ways in: :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`
+return an :class:`EventHandle` (timers, which their owner may cancel),
+:meth:`Simulator.post` returns nothing (deliveries, which nobody can).
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import time
-from typing import Any, Callable, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.simul.profiling import PhaseProfiler
 from repro.simul.transport import TimerHandle
@@ -37,19 +38,12 @@ class EventHandle(TimerHandle):
     The sim substrate's :class:`~repro.simul.transport.TimerHandle`:
     cancellation is idempotent and harmless after the event fired.  A
     ``__slots__`` class: one is allocated per scheduled timer (posted
-    events carry none).  Never compared or hashed by the heap (``seq``
-    is the unique tiebreak).
+    events carry none); its place in its bucket is its firing order.
     """
 
-    __slots__ = ("seq", "time", "_cancelled", "_on_cancel")
+    __slots__ = ("time", "_cancelled", "_on_cancel")
 
-    def __init__(
-        self,
-        seq: int,
-        time: float,
-        on_cancel: Optional[Callable[[], None]] = None,
-    ) -> None:
-        self.seq = seq
+    def __init__(self, time: float, on_cancel: Optional[Callable[[], None]] = None):
         self.time = time
         self._cancelled = False
         self._on_cancel = on_cancel
@@ -69,23 +63,21 @@ class EventHandle(TimerHandle):
         return self._cancelled
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"EventHandle(seq={self.seq}, time={self.time})"
+        return f"EventHandle(time={self.time})"
 
 
 class Simulator:
     """A deterministic discrete-event simulator."""
 
-    #: Below this queue size, cancelled entries are never compacted; the
-    #: lazy skip in :meth:`run` is cheaper than a heapify.
+    #: Smaller queues never compact: :meth:`run`'s lazy skip is cheaper.
     COMPACT_MIN_QUEUE = 64
 
     def __init__(self, profiler: Optional[PhaseProfiler] = None) -> None:
-        # (time, seq, handle, fn, args); the handle is None for a posted
-        # event, which can never be cancelled.
-        self._queue: List[
-            Tuple[float, int, Optional[EventHandle], Callable[..., None], tuple]
-        ] = []
-        self._seq = itertools.count()
+        # instant -> FIFO of (handle, fn, args), handle None for a posted
+        # event (5 and 5.0 are one key); and a heap of the keys, each once.
+        self._buckets: Dict[float, Deque[tuple]] = {}
+        self._instants: List[float] = []
+        self._pending = 0
         self._now = 0.0
         self.events_processed = 0
         #: Cancelled handles still sitting in the queue (drives compaction).
@@ -103,68 +95,67 @@ class Simulator:
         """Current simulated time."""
         return self._now
 
-    def schedule(
-        self, delay: float, fn: Callable[..., None], *args: Any
-    ) -> EventHandle:
+    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` to run ``delay`` time units from now."""
-        if delay < 0:
+        if not delay >= 0:  # not ``delay < 0``: NaN must be rejected too
             raise ValueError(f"negative delay {delay}")
-        # Inlined schedule_at (a non-negative delay can never land in the
-        # past).
-        time = self._now + delay
-        handle = EventHandle(next(self._seq), time, self._note_cancel)
-        heapq.heappush(self._queue, (time, handle.seq, handle, fn, args))
-        return handle
+        return self.schedule_at(self._now + delay, fn, *args)
 
     def post(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """Fire-and-forget :meth:`schedule`: same order, no handle.
 
-        The per-message entry point.  The event takes its ``(time, seq)``
-        from the same clock and counter as :meth:`schedule`, so posted and
-        scheduled events interleave in insertion order; it cannot be
-        cancelled, so no :class:`EventHandle` is allocated for it.
+        The per-message entry point, so the push is inline (as in
+        :meth:`schedule_at`): same bucket, one insertion order, no handle.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"negative delay {delay}")
-        heapq.heappush(
-            self._queue, (self._now + delay, next(self._seq), None, fn, args)
-        )
+        time = self._now + delay
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            bucket = self._buckets[time] = deque()
+            heapq.heappush(self._instants, time)
+        bucket.append((None, fn, args))
+        self._pending += 1
 
-    def schedule_at(
-        self, time: float, fn: Callable[..., None], *args: Any
-    ) -> EventHandle:
+    def schedule_at(self, time: float, fn: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` at an absolute simulated time."""
-        if time < self._now:
+        if not time >= self._now:
             raise ValueError(f"cannot schedule into the past ({time} < {self._now})")
-        handle = EventHandle(next(self._seq), time, self._note_cancel)
-        heapq.heappush(self._queue, (time, handle.seq, handle, fn, args))
+        handle = EventHandle(time, self._note_cancel)
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            bucket = self._buckets[time] = deque()
+            heapq.heappush(self._instants, time)
+        bucket.append((handle, fn, args))
+        self._pending += 1
         return handle
 
     @property
     def pending(self) -> int:
         """Number of queued (possibly cancelled) events."""
-        return len(self._queue)
+        return self._pending
 
     def _note_cancel(self) -> None:
         """A queued handle was cancelled; compact once mostly dead.
 
-        Compaction preserves the surviving entries' (time, seq) pop order
-        exactly, so it never perturbs determinism -- it only stops
-        timer-heavy runs (pacing/damping) from bloating the heap with
-        tombstones that every push and pop must still sift past.
+        Timer-heavy runs (pacing/damping) shed their tombstones; survivors
+        keep their instant and place in its bucket, hence the firing order.
+        All is filtered in place, and the bucket at ``now`` stays even if
+        emptied: :meth:`run` may be draining it (a callback can cancel).  The
+        rebuilt heap, never the dict's key order, decides what fires next.
         """
         self._cancelled_pending += 1
-        queue = self._queue
-        if (
-            len(queue) >= self.COMPACT_MIN_QUEUE
-            and self._cancelled_pending * 2 > len(queue)
-        ):
-            self._queue = [
-                entry
-                for entry in queue
-                if entry[2] is None or not entry[2]._cancelled
-            ]
-            heapq.heapify(self._queue)
+        if self.COMPACT_MIN_QUEUE <= self._pending < self._cancelled_pending * 2:
+            buckets = self._buckets
+            for instant, bucket in list(buckets.items()):
+                live = [e for e in bucket if e[0] is None or not e[0]._cancelled]
+                bucket.clear()
+                bucket.extend(live)
+                if not live and instant != self._now:
+                    del buckets[instant]
+            self._pending = sum(map(len, buckets.values()))
+            self._instants[:] = buckets
+            heapq.heapify(self._instants)
             self._cancelled_pending = 0
             self.compactions += 1
 
@@ -179,8 +170,7 @@ class Simulator:
         Either way the clock advances to ``until`` when one is given: a
         queue that drains early leaves ``now == until`` exactly as if a
         later event had stopped the run, so callers can alternate
-        ``run(until=...)`` slices with wall-clock-style bookkeeping without
-        caring which case occurred.
+        ``run(until=...)`` slices without caring which case occurred.
 
         Returns the number of events processed by this call.  If
         ``max_events`` fire without the queue draining -- a non-quiescing
@@ -191,35 +181,45 @@ class Simulator:
         """
         processed = 0
         self.hit_event_limit = False
+        buckets, instants = self._buckets, self._instants
         t0 = time.perf_counter() if self.profiler is not None else 0.0
         try:
-            while self._queue:
-                event_time, _seq, handle, fn, args = self._queue[0]
-                if until is not None and event_time > until:
+            while instants:
+                instant = instants[0]
+                if until is not None and instant > until:
                     break
-                if processed >= max_events and (
-                    handle is None or not handle._cancelled
-                ):
-                    self.hit_event_limit = True
-                    if raise_on_limit:
-                        raise SimulationLimitError(
-                            f"exceeded {max_events} events at t={self._now}"
-                        )
+                # Registered while it drains: a zero-delay callback appends.
+                bucket = buckets[instant]
+                while bucket:
+                    if processed >= max_events:
+                        handle = bucket[0][0]
+                        if handle is None or not handle._cancelled:
+                            self.hit_event_limit = True
+                            if raise_on_limit:
+                                raise SimulationLimitError(
+                                    f"exceeded {max_events} events at t={self._now}"
+                                )
+                            break
+                    # Accounted for before fn runs: it may raise.
+                    handle, fn, args = bucket.popleft()
+                    self._pending -= 1
+                    self._now = instant
+                    if handle is not None:
+                        if handle._cancelled:
+                            if self._cancelled_pending > 0:
+                                self._cancelled_pending -= 1
+                            continue
+                        # A fired handle may still be cancel()ed (harmless);
+                        # detached, that cannot skew the tombstone count.
+                        handle._on_cancel = None
+                    fn(*args)
+                    processed += 1
+                    self.events_processed += 1
+                if bucket:  # stopped on the limit, mid-instant
                     break
-                heapq.heappop(self._queue)
-                self._now = event_time
-                if handle is not None:
-                    if handle._cancelled:
-                        if self._cancelled_pending > 0:
-                            self._cancelled_pending -= 1
-                        continue
-                    # A fired handle may still be cancel()ed later
-                    # (harmless); detach the callback so that cannot skew
-                    # the tombstone count toward premature compactions.
-                    handle._on_cancel = None
-                fn(*args)
-                processed += 1
-                self.events_processed += 1
+                # Still the minimum: nothing is ever scheduled into the past.
+                heapq.heappop(instants)
+                del buckets[instant]
             if until is not None and until > self._now:
                 self._now = until
         finally:

@@ -57,9 +57,16 @@ def apply_op(graph, op):
     return (a, b) if a < b else (b, a)
 
 
-def assert_state_matches(state, graph):
+def assert_first_hops_match(state, graph):
     oracle_first = spf_next_hops(graph, ROOT, "delay")
     assert state.first_hops() == oracle_first
+    # The on-demand walk answers like the table, root and unreachable included.
+    for dest in graph.ad_ids():
+        assert state.first_hop(dest) == oracle_first.get(dest)
+
+
+def assert_state_matches(state, graph):
+    assert_first_hops_match(state, graph)
     fresh = IncrementalSPFState(graph, ROOT, "delay")
     assert state.dist == fresh.dist
     assert state.parent == fresh.parent
@@ -105,7 +112,7 @@ def test_zero_weight_edges_fall_back_but_stay_exact(data):
     for batch in batches:
         keys = [apply_op(graph, op) for op in batch]
         state.apply(keys)
-        assert state.first_hops() == spf_next_hops(graph, ROOT, "delay")
+        assert_first_hops_match(state, graph)
 
 
 def line_graph(weights):

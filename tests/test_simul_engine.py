@@ -55,6 +55,15 @@ class TestScheduling:
         with pytest.raises(ValueError):
             sim.schedule_at(1.0, lambda: None)
 
+    @pytest.mark.parametrize("enter", ["post", "schedule", "schedule_at"])
+    def test_nan_instant_rejected(self, enter):
+        # NaN compares False with everything: a ``< 0`` guard lets it in,
+        # and a NaN instant has no place in any order.
+        sim = Simulator()
+        with pytest.raises(ValueError):
+            getattr(sim, enter)(float("nan"), lambda: None)
+        assert sim.pending == 0
+
 
 class TestPost:
     """``post`` is ``schedule`` minus the handle: one clock, one counter."""
