@@ -1,8 +1,9 @@
 """Typed inter-AD topology graph.
 
-:class:`InterADGraph` wraps a :class:`networkx.Graph` with AD/link value
-types and the small query surface the protocols need: neighbours, live
-links, link lookup, status changes, and deterministic iteration order.
+:class:`InterADGraph` holds AD/link value types in plain dicts behind the
+small query surface the protocols need: neighbours, live links, link
+lookup, status changes, and deterministic iteration order.  ``networkx``
+is only an export format (:meth:`InterADGraph.nx_graph`).
 
 Protocols treat the graph as ground truth for *physical* connectivity; what
 each protocol node actually *knows* about the topology is up to the
@@ -36,7 +37,6 @@ class InterADGraph:
     """
 
     def __init__(self) -> None:
-        self._g = nx.Graph()
         self._ads: Dict[ADId, AD] = {}
         self._links: Dict[Tuple[ADId, ADId], InterADLink] = {}
         # Per-AD adjacency (neighbour -> link) and a lazily built sorted
@@ -55,7 +55,6 @@ class InterADGraph:
         ad_id = intern_ad_id(ad.ad_id)
         self._ads[ad_id] = ad
         self._adj[ad_id] = {}
-        self._g.add_node(ad_id)
         return ad
 
     def ad(self, ad_id: ADId) -> AD:
@@ -105,7 +104,6 @@ class InterADGraph:
         self._adj[link.b][link.a] = link
         self._incident.pop(link.a, None)
         self._incident.pop(link.b, None)
-        self._g.add_edge(link.a, link.b)
         return link
 
     def remove_link(self, a: ADId, b: ADId) -> InterADLink:
@@ -115,7 +113,6 @@ class InterADGraph:
         del self._adj[link.b][link.a]
         self._incident.pop(link.a, None)
         self._incident.pop(link.b, None)
-        self._g.remove_edge(link.a, link.b)
         return link
 
     def connect(
@@ -245,6 +242,21 @@ class InterADGraph:
             out.add_ad(ad)
         for ln in self.links():
             out.add_link(InterADLink(ln.a, ln.b, ln.kind, dict(ln.metrics), ln.up))
+        return out
+
+    def fork(self) -> "InterADGraph":
+        """A structurally independent graph sharing every AD and link object.
+
+        For a derived believed view (DESIGN section 4): the fork's owner
+        *replaces* the links that changed (``remove_link`` + ``add_link``)
+        and never writes to a shared one.  Dict copies only, no per-link
+        work.
+        """
+        out = InterADGraph()
+        out._ads = self._ads.copy()
+        out._links = self._links.copy()
+        out._adj = {ad_id: nbrs.copy() for ad_id, nbrs in self._adj.items()}
+        out._incident = self._incident.copy()
         return out
 
     def __contains__(self, ad_id: object) -> bool:

@@ -112,6 +112,9 @@ class _NodeRuntime:
         self.last_progress = network._loop.time()
         #: Serve-task restarts performed by the supervisor.
         self.restarts = 0
+        #: Whether ``task`` finished while this runtime was still supposed
+        #: to serve; counted in ``network._dead_tasks`` while set.
+        self.dead = False
 
     # ------------------------------------------------------------ lifecycle
 
@@ -140,7 +143,20 @@ class _NodeRuntime:
         self.task = self.network._loop.create_task(
             self.serve(), name=f"ad-{self.ad_id}-serve"
         )
-        self.task.add_done_callback(lambda _task: self.network._wake())
+        self.task.add_done_callback(self._task_done)
+
+    def _task_done(self, task: asyncio.Task) -> None:
+        # stop() reads STOPPED before it cancels; a replaced task is not ours.
+        if task is self.task and self.state is not NodeState.STOPPED:
+            self.dead = True
+            self.network._dead_tasks += 1
+        self.network._wake()
+
+    def _task_replaced(self) -> None:
+        """The finished task is being stopped or respawned: dead no more."""
+        if self.dead:
+            self.dead = False
+            self.network._dead_tasks -= 1
 
     def enqueue(self, data: bytes) -> None:
         """Admit one inbound frame (drop it when not serving)."""
@@ -242,6 +258,7 @@ class _NodeRuntime:
         if self.state is not NodeState.CREATED:
             await self.drain()
         self.state = NodeState.STOPPED
+        self._task_replaced()
         if self.task is not None:
             self.task.cancel()
             try:
@@ -286,6 +303,7 @@ class _NodeRuntime:
                     await old
                 except asyncio.CancelledError:
                     pass
+        self._task_replaced()
         lost = self.flush()
         for _ in range(lost):
             self.network.metrics.count_queue_drop()
@@ -330,6 +348,8 @@ class LiveNetwork(Transport):
         self._queued = 0
         #: Sends waiting on a transient-error retry timer.
         self._pending_sends = 0
+        #: Runtimes whose serve task is dead (``len(dead_serve_tasks())``).
+        self._dead_tasks = 0
         #: Seeded Bernoulli loss at the receive path (chaos injection).
         self._recv_loss_rate = 0.0
         self._recv_loss_rng = random.Random(0)
@@ -479,11 +499,12 @@ class LiveNetwork(Transport):
         """The protocol has terminated, exactly: every way it can act again
         -- a frame, a send retry, a timer -- reads zero, and no serve task
         is dead (one awaiting its supervised restart answers no frame).
-        The scan for dead tasks runs only once the O(1) counters agree."""
+        Four O(1) counters; the dead-task one is kept by the serve tasks'
+        done-callbacks, which are what wakes a waiter to ask again."""
         return (
             self.idle()
             and self._clock.pending_timers == 0
-            and not self.dead_serve_tasks()
+            and self._dead_tasks == 0
         )
 
     def _wake(self) -> None:

@@ -14,18 +14,24 @@ re-originate.  On link *up*, each endpoint additionally sends its whole
 LSDB across the new adjacency (database exchange), so partitioned
 knowledge heals.
 
-:meth:`LSNode.local_view` reconstructs an
-:class:`~repro.adgraph.graph.InterADGraph` + policy database from the
-LSDB -- the node's *believed* internet, on which all its route
+:meth:`LSNode.local_view` is the
+:class:`~repro.adgraph.graph.InterADGraph` + policy database the LSDB
+implies -- the node's *believed* internet, on which all its route
 computations run.  A link is believed up only if **both** endpoint LSAs
-report it up.
+report it up.  The view is a pure function of LSDB content, so it is a
+*value* owned by the :class:`LSDBGeneration` of that content: built once
+(cold, or forked from the view of the LSDB the asking node held before),
+shared by every node at that content, and never written to after it is
+published.  Modelled state and computation are counted per AD; host
+state and computation are shared per LSDB state (DESIGN section 4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from time import perf_counter
-from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.adgraph.ad import (
     AD,
@@ -47,14 +53,13 @@ from repro.simul.node import ProtocolNode
 #: id the policy generators assign, so forgeries never shadow real terms.
 FORGED_TERM_ID = 9_999
 
-#: Per-LSA deltas buffered between local-view refreshes; past this the
-#: delta path gives up and the next view is a full rebuild, bounding the
-#: buffer under churn storms that never query a route.
-MAX_PENDING_DELTAS = 4096
+#: Installs a queried node remembers (origin, LSA replaced); a view or
+#: SPF tree older than the retained window is rebuilt from scratch, which
+#: bounds the log under churn storms that never query a route.
+MAX_LSA_LOG = 4096
 
-#: Edge-change batches retained for incremental-SPF consumers; an SPF
-#: state older than the retained window falls back to a full recompute.
-MAX_EDGE_BATCHES = 512
+#: A believed internet: what :meth:`LSNode.local_view` returns.
+View = Tuple[InterADGraph, PolicyDatabase]
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,19 +167,35 @@ def successor_on(
     return path[idx + 1] if idx + 1 < len(path) else None
 
 
+def _believed_link(origin: ADId, rec: LinkRecord, up: bool) -> InterADLink:
+    """The believed link ``origin``'s record describes (its metrics win)."""
+    return InterADLink(
+        origin,
+        rec.neighbor,
+        LinkKind.HIERARCHICAL,
+        {"delay": rec.delay, "cost": rec.cost, "bandwidth": rec.bandwidth},
+        up=up,
+    )
+
+
 class LSDBGeneration:
     """One LSDB content that some node currently holds.
 
-    Deterministic route computation over identical LSDBs gives identical
-    routes, so every node at this content shares one ``routes`` memo.
+    The believed view and deterministic route computation over it are
+    functions of LSDB content, so every node at this content shares one
+    ``view`` and one ``routes`` memo.
     """
 
-    __slots__ = ("lsdb", "bucket", "routes", "holders")
+    __slots__ = ("lsdb", "bucket", "view", "routes", "holders")
 
     def __init__(self, lsdb: Dict[ADId, "LinkStateAd"], bucket: Hashable) -> None:
         #: Private snapshot (a node's own dict is mutated by ``_install``).
         self.lsdb = lsdb
         self.bucket = bucket
+        #: The believed internet of this content, set once by the first
+        #: node to ask and read-only from then on (links and the policy
+        #: database are shared with the views forked from it).
+        self.view: Optional[View] = None
         #: Protocol-defined route key -> computed route.
         self.routes: Dict[Hashable, Any] = {}
         #: Nodes currently at this generation; released at zero.
@@ -236,7 +257,8 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
         include_terms: bool = True,
         flood_links: Optional[frozenset] = None,
         level: Level = Level.CAMPUS,
-        generations: Optional[LSDBGenerations] = None,
+        *,
+        generations: LSDBGenerations,
     ) -> None:
         super().__init__(ad_id)
         self.own_terms = own_terms if include_terms else ()
@@ -254,28 +276,21 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
         #: Bumped whenever the LSDB changes; caches key off it.
         self.db_version = 0
         self._seq = 0
-        self._view_cache: Optional[Tuple[int, InterADGraph, PolicyDatabase]] = None
-        #: The protocol-wide generation pool (protocols whose nodes call
-        #: :meth:`generation_route` must hand one in) and the generation
-        #: this node was at when it last answered a route query.
+        #: ``perf="none"`` only: this node's private (version, cold view).
+        self._view_cache: Optional[Tuple[int, View]] = None
+        #: The protocol-wide generation pool and the generation this node
+        #: was at when it last answered a query (it owns the view).
         self._generations = generations
         self._generation: Optional[LSDBGeneration] = None
         self._generation_version = -1
-        # Delta local-view state: per-LSA deltas recorded by _install since
-        # the cached view was last refreshed, as (origin, previous LSA or
-        # None).  Replaying them against the cached view is what makes
-        # local_view() incremental; any structural surprise falls back to
-        # a full rebuild (and resets all of this).
-        self._pending_deltas: List[Tuple[ADId, Optional[LinkStateAd]]] = []
-        self._pending_overflow = False
-        #: Sticky: some installed LSA carried a term owned by another AD
-        #: (term forgery); per-owner policy deltas are then unsound, so
-        #: views rebuild from scratch for the rest of this node's life.
-        self._cross_owner_terms = False
-        #: (version_from, version_to, sorted changed link keys) per delta
-        #: view refresh; lets SPF consumers repair instead of recompute.
-        self._edge_batches: List[Tuple[int, int, List[Tuple[ADId, ADId]]]] = []
-        #: Full view rebuilds vs delta refreshes (observability).
+        #: (origin, LSA replaced or None) per install since the node was
+        #: first queried at ``db_version == _log_floor``; entry ``i`` took
+        #: the LSDB to version ``_log_floor + i + 1``.  What a view or an
+        #: SPF tree of an earlier version is brought up to date from.
+        self._lsa_log: Optional[List[Tuple[ADId, Optional[LinkStateAd]]]] = None
+        self._log_floor = 0
+        #: Cold view builds / derivations from a previous view that *this
+        #: node* performed (observability; most queries do neither).
         self.view_rebuilds = 0
         self.view_delta_refreshes = 0
         # Refresh hardening: re-originations left in the current burst,
@@ -424,16 +439,12 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
         if current is not None and current.seq >= lsa.seq:
             self.duplicates_ignored += 1
             return False
-        if lsa.terms and not self._cross_owner_terms:
-            origin = lsa.origin
-            if any(t.owner != origin for t in lsa.terms):
-                self._cross_owner_terms = True
-        if self._view_cache is not None and self.perf.delta_view:
-            if len(self._pending_deltas) >= MAX_PENDING_DELTAS:
-                self._pending_overflow = True
-                self._pending_deltas.clear()
-            elif not self._pending_overflow:
-                self._pending_deltas.append((lsa.origin, current))
+        log = self._lsa_log
+        if log is not None:
+            if len(log) >= MAX_LSA_LOG:
+                del log[: MAX_LSA_LOG // 2]
+                self._log_floor += MAX_LSA_LOG // 2
+            log.append((lsa.origin, current))
         self.lsdb[lsa.origin] = lsa
         self.db_version += 1
         return True
@@ -737,6 +748,35 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
 
     # ----------------------------------------------------------- generations
 
+    def _resolve_generation(self) -> LSDBGeneration:
+        """The generation of this node's LSDB, its view published.
+
+        Re-resolved lazily, here and only when ``db_version`` moved; the
+        per-message path never sees it.  The node stays a holder of the
+        generation it last resolved until the next query (or
+        :meth:`retire`), which is what keeps that generation's view alive
+        to fork the next one from.
+        """
+        if self._generation_version != self.db_version:
+            if self._lsa_log is None:
+                self._lsa_log = []
+                self._log_floor = self.db_version
+            previous = self._generation
+            generation = self._generations.acquire(self.lsdb)
+            if generation.view is None and self.perf.delta_view:
+                generation.view = self._derive_view(previous) or self._rebuild_view()
+            if previous is not None:
+                self._generations.release(previous)
+                # What predates the generation just left is not asked for
+                # again (an SPF tree lagging further behind recomputes).
+                stale = self._generation_version - self._log_floor
+                if stale > 0:
+                    del self._lsa_log[:stale]
+                    self._log_floor = self._generation_version
+            self._generation = generation
+            self._generation_version = self.db_version
+        return self._generation
+
     def generation_route(
         self, key: Hashable, compute: Callable[..., Any], *args: Any
     ) -> Any:
@@ -748,15 +788,8 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
         with the caller) -- but the host derives it once, for whichever
         node at this LSDB content asks first.  ``compute`` may read only
         this node's :meth:`local_view` and protocol-wide constants.
-
-        The generation is re-resolved lazily, here and only when
-        ``db_version`` moved; the per-message path never sees it.
         """
-        if self._generation_version != self.db_version:
-            self._leave_generation()
-            self._generation = self._generations.acquire(self.lsdb)
-            self._generation_version = self.db_version
-        routes = self._generation.routes
+        routes = self._resolve_generation().routes
         if key not in routes:
             routes[key] = compute(*args)
         return routes[key]
@@ -774,53 +807,39 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
 
     # ------------------------------------------------------------ local view
 
-    def local_view(self) -> Tuple[InterADGraph, PolicyDatabase]:
-        """The believed internet reconstructed from the LSDB (cached).
+    def local_view(self) -> View:
+        """The believed internet this node's LSDB implies.  **Read-only.**
 
-        With the ``delta_view`` fast path on, a stale cached view is
-        brought up to date by replaying the per-LSA deltas recorded since
-        it was built -- same graph and policy objects, mutated in place
-        (consumers re-key their own caches off ``db_version``, never off
-        object identity).  Any structural surprise -- cross-owner terms,
-        an origin changing hierarchy level, delta-buffer overflow --
-        falls back to the full rebuild, which is also the oracle the
-        equivalence suite checks the delta path against.
+        The view belongs to the node's :class:`LSDBGeneration`: every
+        node at the same LSDB content gets the same two objects, and
+        later generations share their links and (while no term changes)
+        their policy database, so nothing reachable from here may be
+        written to.  Consumers key their own caches off ``db_version``.
+
+        ``perf="none"`` keeps the legacy cost instead: a private cold
+        build per node per version.
         """
+        if self.perf.delta_view:
+            return self._resolve_generation().view
         cache = self._view_cache
-        if cache is not None and cache[0] == self.db_version:
-            return cache[1], cache[2]
-        if (
-            cache is not None
-            and self.perf.delta_view
-            and not self._pending_overflow
-            and not self._cross_owner_terms
-            and self._apply_view_deltas(cache[0], cache[1], cache[2])
-        ):
-            self._pending_deltas.clear()
-            self._view_cache = (self.db_version, cache[1], cache[2])
-            self.view_delta_refreshes += 1
-            return cache[1], cache[2]
-        return self._rebuild_view()
+        if cache is None or cache[0] != self.db_version:
+            cache = self._view_cache = (self.db_version, self._rebuild_view())
+        return cache[1]
 
-    def _rebuild_view(self) -> Tuple[InterADGraph, PolicyDatabase]:
-        """Full from-scratch view rebuild (the delta path's oracle)."""
-        self._pending_deltas.clear()
-        self._pending_overflow = False
-        self._edge_batches.clear()
+    def _believed_ad(self, origin: ADId) -> AD:
+        # Kind is irrelevant to term-based computation (policy is in the
+        # terms); level comes from the LSA so views can be
+        # region-partitioned.
+        return AD(
+            origin, f"ad{origin}", self.lsdb[origin].origin_level, ADKind.HYBRID
+        )
+
+    def _rebuild_view(self) -> View:
+        """Cold build from the LSDB alone (and the derived path's oracle)."""
         self.view_rebuilds += 1
         graph = InterADGraph()
         for origin in sorted(self.lsdb):
-            # Kind is irrelevant to term-based computation (policy is in
-            # the terms); level comes from the LSA so views can be
-            # region-partitioned.
-            graph.add_ad(
-                AD(
-                    origin,
-                    f"ad{origin}",
-                    self.lsdb[origin].origin_level,
-                    ADKind.HYBRID,
-                )
-            )
+            graph.add_ad(self._believed_ad(origin))
         for origin in sorted(self.lsdb):
             for rec in self.lsdb[origin].links:
                 if rec.neighbor not in graph:
@@ -837,111 +856,107 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
                             break
                 if other_rec is None:
                     continue
-                up = rec.up and other_rec.up
                 graph.add_link(
-                    InterADLink(
-                        origin,
-                        rec.neighbor,
-                        LinkKind.HIERARCHICAL,
-                        {
-                            "delay": rec.delay,
-                            "cost": rec.cost,
-                            "bandwidth": rec.bandwidth,
-                        },
-                        up=up,
-                    )
+                    _believed_link(origin, rec, rec.up and other_rec.up)
                 )
         policies = PolicyDatabase()
         for origin in sorted(self.lsdb):
             for term in self.lsdb[origin].terms:
                 policies.add_term(term)
-        self._view_cache = (self.db_version, graph, policies)
         return graph, policies
 
-    def _apply_view_deltas(
-        self,
-        from_version: int,
-        graph: InterADGraph,
-        policies: PolicyDatabase,
-    ) -> bool:
-        """Replay pending per-LSA deltas onto the cached view, in place.
+    def _replaced_since(
+        self, version: int
+    ) -> Optional[Dict[ADId, Optional[LinkStateAd]]]:
+        """Origin -> the LSA held at ``version``, per origin installed since.
 
-        Returns ``False`` on a structural surprise *before* touching the
-        cache is guaranteed only for surprises detected in the pre-scan;
-        the caller falls back to :meth:`_rebuild_view`, which builds
-        fresh objects, so a partially-mutated cache is never observable.
+        ``None`` when the log no longer (or never did) reach back there.
         """
+        log = self._lsa_log
+        if log is None or version < self._log_floor:
+            return None
+        replaced: Dict[ADId, Optional[LinkStateAd]] = {}
+        for origin, old in log[version - self._log_floor :]:
+            replaced.setdefault(origin, old)
+        return replaced
+
+    def _incident_keys(
+        self, replaced: Dict[ADId, Optional[LinkStateAd]]
+    ) -> List[Tuple[ADId, ADId]]:
+        """Sorted keys of every link an origin in ``replaced`` names, then or now.
+
+        A believed link is a function of its two endpoints' LSAs, so no
+        other link can differ between the two LSDBs.
+        """
+        keys = set()
+        for origin, old in replaced.items():
+            for lsa in (old, self.lsdb[origin]):
+                if lsa is not None:
+                    for rec in lsa.links:
+                        keys.add(canonical_link_key(origin, rec.neighbor))
+        return sorted(keys)
+
+    def _derive_view(self, base: Optional[LSDBGeneration]) -> Optional[View]:
+        """This LSDB's view forked from the one this node held, or ``None``.
+
+        O(LSAs installed since): untouched links and ADs are shared with
+        ``base``'s view, a changed link is *replaced* in the fork, and the
+        policy database is ``base``'s own object unless a term changed.
+        ``None`` (cold build) on first demand, when the log has overflowed,
+        when an origin changed level (``AD`` objects are frozen and
+        shared), or when terms changed while some LSA, replaced or
+        current, carries a term it does not own -- per-owner replace is
+        only exact when owners are independent.
+        """
+        if base is None or base.view is None:
+            return None
+        replaced = self._replaced_since(self._generation_version)
+        if replaced is None:
+            return None
         lsdb = self.lsdb
-        # Coalesce: the first pending entry per origin holds the LSA the
-        # cached view was built from; the current LSDB holds the final
-        # state.  Intermediate LSAs never materialized in the view.
-        coalesced: Dict[ADId, Optional[LinkStateAd]] = {}
-        for origin, old in self._pending_deltas:
-            if origin not in coalesced:
-                coalesced[origin] = old
-        # Pre-scan for surprises the in-place path cannot express.
-        for origin, old in coalesced.items():
-            new = lsdb[origin]
-            if old is not None and old.origin_level != new.origin_level:
-                return False  # AD objects are frozen; rebuild
-            if any(t.owner != origin for t in new.terms) or (
-                old is not None and any(t.owner != origin for t in old.terms)
-            ):
-                return False  # cross-owner terms (also caught sticky)
-        # All new ADs first (mirroring the full rebuild's two passes):
-        # an edge between two origins that *both* appeared since the last
-        # refresh needs both endpoints present before reconciliation.
-        for origin in sorted(coalesced):
-            if coalesced[origin] is None:
-                # New origin since the view was built: it cannot already
-                # be in the graph (graph ADs mirror LSDB origins).
-                graph.add_ad(
-                    AD(
-                        origin,
-                        f"ad{origin}",
-                        lsdb[origin].origin_level,
-                        ADKind.HYBRID,
-                    )
-                )
-        changed_keys: Set[Tuple[ADId, ADId]] = set()
-        seen_pairs: Set[Tuple[ADId, ADId]] = set()
-        for origin in sorted(coalesced):
-            old = coalesced[origin]
-            new = lsdb[origin]
-            neighbors = {rec.neighbor for rec in new.links}
-            if old is not None:
-                neighbors.update(rec.neighbor for rec in old.links)
-            for nbr in sorted(neighbors):
-                key = canonical_link_key(origin, nbr)
-                if key not in seen_pairs:
-                    seen_pairs.add(key)
-                    if self._reconcile_edge(graph, key):
-                        changed_keys.add(key)
-            old_terms: Tuple[PolicyTerm, ...] = () if old is None else old.terms
-            if old_terms != new.terms:
-                # Per-owner replace reproduces the full rebuild's term-id
-                # restamping exactly: add_term stamps position-in-owner's
-                # list, and owners are independent (cross-owner terms
-                # were excluded above).
+        born, retermed = [], []
+        for origin in sorted(replaced):
+            old, new = replaced[origin], lsdb[origin]
+            if old is None:
+                born.append(origin)
+            elif old.origin_level != new.origin_level:
+                return None
+            if (() if old is None else old.terms) != new.terms:
+                retermed.append(origin)
+        if retermed and any(
+            term.owner != lsa.origin
+            for lsa in chain(lsdb.values(), replaced.values())
+            if lsa is not None
+            for term in lsa.terms
+        ):
+            return None
+        graph, policies = base.view
+        graph = graph.fork()
+        # All new ADs first (mirroring the cold build's two passes): an
+        # edge between two origins that both appeared since needs both.
+        for origin in born:
+            graph.add_ad(self._believed_ad(origin))
+        for key in self._incident_keys(replaced):
+            self._reconcile_edge(graph, key)
+        if retermed:
+            # Per-owner replace reproduces the cold build's term-id
+            # stamping exactly: add_term stamps position-in-owner's list.
+            policies = policies.copy()
+            for origin in retermed:
                 policies.remove_terms(origin)
-                for term in new.terms:
+                for term in lsdb[origin].terms:
                     policies.add_term(term)
-        batches = self._edge_batches
-        batches.append((from_version, self.db_version, sorted(changed_keys)))
-        if len(batches) > MAX_EDGE_BATCHES:
-            del batches[: len(batches) - MAX_EDGE_BATCHES]
-        return True
+        self.view_delta_refreshes += 1
+        return graph, policies
 
-    def _reconcile_edge(
-        self, graph: InterADGraph, key: Tuple[ADId, ADId]
-    ) -> bool:
-        """Drive one believed link to the state the LSDB implies.
+    def _reconcile_edge(self, graph: InterADGraph, key: Tuple[ADId, ADId]) -> None:
+        """Drive one believed link of a fork to the state the LSDB implies.
 
-        Semantics mirror the full rebuild exactly: the edge exists iff
-        both endpoints' LSAs carry a record naming each other (first
-        record wins), metrics come from the smaller endpoint's record,
-        and the link is up only if both records say up.  Returns whether
-        anything changed.
+        Semantics mirror the cold build exactly: the edge exists iff both
+        endpoints' LSAs carry a record naming each other (first record
+        wins), metrics come from the smaller endpoint's record, and the
+        link is up only if both records say up.  A link that differs is
+        replaced by a new object: the old one belongs to other views too.
         """
         a, b = key
         lsa_a = self.lsdb.get(a)
@@ -958,66 +973,36 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
                     break
         existing = graph.link_if_exists(a, b)
         if rec_a is None or rec_b is None:
-            if existing is None:
-                return False
-            graph.remove_link(a, b)
-            return True
+            if existing is not None:
+                graph.remove_link(a, b)
+            return
         up = rec_a.up and rec_b.up
-        if existing is None:
-            graph.add_link(
-                InterADLink(
-                    a,
-                    b,
-                    LinkKind.HIERARCHICAL,
-                    {
-                        "delay": rec_a.delay,
-                        "cost": rec_a.cost,
-                        "bandwidth": rec_a.bandwidth,
-                    },
-                    up=up,
-                )
-            )
-            return True
-        metrics = existing.metrics
-        if (
-            existing.up == up
-            and metrics["delay"] == rec_a.delay
-            and metrics["cost"] == rec_a.cost
-            and metrics["bandwidth"] == rec_a.bandwidth
-        ):
-            return False
-        existing.up = up
-        metrics["delay"] = rec_a.delay
-        metrics["cost"] = rec_a.cost
-        metrics["bandwidth"] = rec_a.bandwidth
-        return True
+        if existing is not None:
+            metrics = existing.metrics
+            if (
+                existing.up == up
+                and metrics["delay"] == rec_a.delay
+                and metrics["cost"] == rec_a.cost
+                and metrics["bandwidth"] == rec_a.bandwidth
+            ):
+                return
+            graph.remove_link(a, b)
+        graph.add_link(_believed_link(a, rec_a, up))
 
     def view_edge_changes(
         self, since_version: int
     ) -> Optional[List[Tuple[ADId, ADId]]]:
-        """Link keys whose believed state changed between two versions.
+        """Link keys whose believed state may differ from ``since_version``'s.
 
-        ``None`` when the delta log cannot answer -- the window fell out
-        of the retained batches, a full rebuild intervened, or the view
-        is not current -- in which case the consumer must recompute from
-        scratch.  Keys may repeat across batches; consumers dedup.
+        Node-local (read off the install log, not off any view): every
+        link incident to an origin whose LSA was replaced in the window,
+        changed or not -- :meth:`IncrementalSPFState.apply
+        <repro.protocols.spf.IncrementalSPFState.apply>` filters against
+        its own weight snapshot.  ``None`` when the window fell out of the
+        log, in which case the consumer must recompute from scratch.
         """
-        if self._view_cache is None or self._view_cache[0] != self.db_version:
-            return None
-        if since_version == self.db_version:
-            return []
-        out: List[Tuple[ADId, ADId]] = []
-        cursor = since_version
-        for v_from, v_to, keys in self._edge_batches:
-            if v_to <= since_version:
-                continue
-            if v_from != cursor:
-                return None  # gap: since_version predates the log
-            out.extend(keys)
-            cursor = v_to
-        if cursor != self.db_version:
-            return None
-        return out
+        replaced = self._replaced_since(since_version)
+        return None if replaced is None else self._incident_keys(replaced)
 
     def lsdb_bytes(self) -> int:
         """Total size of the stored LSDB (state-size experiments)."""

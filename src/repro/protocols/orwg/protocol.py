@@ -34,7 +34,7 @@ from repro.policy.flows import FlowSpec
 from repro.policy.selection import OPEN_SELECTION, RouteSelectionPolicy
 from repro.policy.terms import PolicyTerm, TermRef
 from repro.protocols.base import ForwardingMode, RoutingProtocol
-from repro.protocols.flooding import LSNode
+from repro.protocols.flooding import LSDBGenerations, LSNode
 from repro.protocols.orwg.gateway import PGCacheEntry, PolicyGatewayCache
 from repro.protocols.orwg.messages import (
     DataPacket,
@@ -80,6 +80,7 @@ class ORWGNode(LSNode):
         self,
         ad_id: ADId,
         live_policies: PolicyDatabase,
+        generations: LSDBGenerations,
         flood_links=None,
         pg_cache_limit=None,
         route_ttl=None,
@@ -94,6 +95,7 @@ class ORWGNode(LSNode):
             include_terms=True,
             flood_links=flood_links,
             level=Level.CAMPUS if level is None else level,
+            generations=generations,
         )
         #: Route-server strategy: "flat" runs the exact constrained
         #: search over the whole view; "hierarchical" prunes it to region
@@ -509,6 +511,7 @@ class ORWGProtocol(RoutingProtocol):
         self.pg_cache_limit = pg_cache_limit
         self.route_ttl = route_ttl
         self.synthesis = synthesis
+        self.generations = LSDBGenerations()
 
     def _make_nodes(self, network: SimNetwork) -> None:
         flood_links = None
@@ -521,6 +524,7 @@ class ORWGProtocol(RoutingProtocol):
                 ORWGNode(
                     ad_id,
                     live_policies=self.policies,
+                    generations=self.generations,
                     flood_links=flood_links,
                     pg_cache_limit=self.pg_cache_limit,
                     route_ttl=self.route_ttl,

@@ -9,10 +9,11 @@ paths with delta-aware ones:
   the repair cannot be proven exact (zero-weight edges, unavailable
   delta logs, changes touching a large fraction of the graph).
 * ``delta_view`` — :meth:`repro.protocols.flooding.LSNode.local_view`
-  applies per-LSA deltas to the cached believed-internet graph and
-  policy database instead of rebuilding both, invalidating to a full
-  rebuild on any structural surprise (cross-owner terms, origin level
-  changes, pending-delta overflow).
+  returns the believed-internet graph and policy database owned by the
+  node's LSDB generation -- built once per LSDB content, forked from the
+  asking node's previous view by per-LSA deltas -- instead of a private
+  rebuild per node per version, cold-building on any structural
+  surprise (cross-owner terms, origin level changes, log overflow).
 
 Both are **pure optimisations**: equivalence to the retained full
 recompute oracles is enforced by hypothesis suites, and all committed

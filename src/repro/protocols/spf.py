@@ -19,7 +19,7 @@ from repro.adgraph.graph import InterADGraph
 from repro.policy.flows import FlowSpec
 from repro.policy.qos import QOS
 from repro.protocols.base import ForwardingMode, RoutingProtocol
-from repro.protocols.flooding import LSNode
+from repro.protocols.flooding import LSDBGenerations, LSNode
 from repro.simul.network import SimNetwork
 
 #: A link key: the canonical (smaller, larger) endpoint pair.
@@ -72,9 +72,12 @@ class IncrementalSPFState:
     ``<`` test).  That characterisation is what makes local repair
     possible -- parents can be recomputed from final distances alone.
 
-    :meth:`apply` takes the changed link keys between two view versions
-    (from :meth:`~repro.protocols.flooding.LSNode.view_edge_changes`)
-    and repairs just the affected region:
+    :meth:`apply` takes the link keys that may differ between two LSDB
+    versions (from :meth:`~repro.protocols.flooding.LSNode.view_edge_changes`)
+    and the current believed graph, and repairs just the affected region.
+    The state keeps no graph: believed views are immutable values that a
+    later LSDB state replaces (DESIGN section 4), so every call is handed
+    the one to read, and old weights come from the state's own snapshot:
 
     * removed / worsened **tree** edges dirty the subtree hanging below
       them (non-tree removals and increases are provably no-ops);
@@ -89,20 +92,19 @@ class IncrementalSPFState:
     large fraction of the graph -- falls back to a full recompute.
     """
 
-    __slots__ = ("graph", "root", "metric", "dist", "parent", "_weights", "_zero",
+    __slots__ = ("root", "metric", "dist", "parent", "_weights", "_zero",
                  "full_recomputes", "repairs")
 
     def __init__(self, graph: InterADGraph, root: ADId, metric: str) -> None:
-        self.graph = graph
         self.root = root
         self.metric = metric
         self.full_recomputes = 0
         self.repairs = 0
-        self.full_recompute()
+        self.full_recompute(graph)
 
-    def full_recompute(self) -> None:
+    def full_recompute(self, graph: InterADGraph) -> None:
         """Rebuild distances, parents, and the weight snapshot from scratch."""
-        graph, root, metric = self.graph, self.root, self.metric
+        root, metric = self.root, self.metric
         weights: Dict[LinkKey, float] = {}
         zero = False
         for link in graph.links(include_down=False):
@@ -137,14 +139,15 @@ class IncrementalSPFState:
         self.parent = parent
         self.full_recomputes += 1
 
-    def apply(self, keys: List[LinkKey]) -> None:
-        """Bring the tree up to date with the given (possibly) changed links.
+    def apply(self, keys: List[LinkKey], graph: InterADGraph) -> None:
+        """Bring the tree up to date with ``graph``, which may differ from
+        the graph last seen on the given links only.
 
         Each key's old weight comes from the internal snapshot and its new
-        weight from the graph's current state (absent or down -> gone), so
-        over-reporting unchanged keys is harmless.
+        weight from ``graph`` (absent or down -> gone), so over-reporting
+        unchanged keys is harmless.
         """
-        graph, metric, weights = self.graph, self.metric, self._weights
+        metric, weights = self.metric, self._weights
         changes: List[Tuple[LinkKey, Optional[float], Optional[float]]] = []
         seen: Set[LinkKey] = set()
         for key in keys:
@@ -170,19 +173,20 @@ class IncrementalSPFState:
         if self._zero:
             # Outside the strictly-positive-weights proof: stay exact by
             # running the oracle until the zero-weight edges heal.
-            self.full_recompute()
+            self.full_recompute(graph)
             return
         if len(changes) * 4 > max(32, len(weights)):
-            self.full_recompute()
+            self.full_recompute(graph)
             return
-        self._repair(changes)
+        self._repair(changes, graph)
 
     def _repair(
         self,
         changes: List[Tuple[LinkKey, Optional[float], Optional[float]]],
+        graph: InterADGraph,
     ) -> None:
         dist, parent, root = self.dist, self.parent, self.root
-        graph, metric = self.graph, self.metric
+        metric = self.metric
         # Phase A: dirty the subtrees below worsened/removed tree edges.
         # (A worsened or removed non-tree edge changes nothing: clean
         # distances ride intact tree paths, and since the edge was not
@@ -271,7 +275,7 @@ class IncrementalSPFState:
                         if best_u is None or (du, u) < best_u:
                             best_u = (du, u)
                 if best_u is None:  # pragma: no cover - escape hatch
-                    self.full_recompute()
+                    self.full_recompute(graph)
                     return
                 parent[v] = best_u[1]
             for link in graph.links_of(v):
@@ -329,8 +333,10 @@ class IncrementalSPFState:
 class SPFNode(LSNode):
     """LS node with per-QOS SPF next-hop tables."""
 
-    def __init__(self, ad_id: ADId) -> None:
-        super().__init__(ad_id, own_terms=(), include_terms=False)
+    def __init__(self, ad_id: ADId, generations: LSDBGenerations) -> None:
+        super().__init__(
+            ad_id, own_terms=(), include_terms=False, generations=generations
+        )
         #: qos -> (db version computed at, destination -> first hop lookup,
         #: number of destinations it answers for).
         self._tables: Dict[
@@ -371,17 +377,10 @@ class SPFNode(LSNode):
         entry = self._spf_states.get(metric)
         state: Optional[IncrementalSPFState] = None
         if entry is not None:
-            version, state = entry
-            changes = None
-            if state.graph is graph:
-                # Same live view object; a full view rebuild swaps the
-                # graph (and clears the delta log), so identity implies
-                # the recorded batches describe this exact object.
-                changes = self.view_edge_changes(version)
-            if changes is None:
-                state = None
-            else:
-                state.apply(changes)
+            changes = self.view_edge_changes(entry[0])
+            if changes is not None:
+                state = entry[1]
+                state.apply(changes, graph)
         if state is None:
             state = IncrementalSPFState(graph, self.ad_id, metric)
         self._spf_states[metric] = (self.db_version, state)
@@ -403,9 +402,13 @@ class PlainLinkStateProtocol(RoutingProtocol):
     #: Plain SPF forwards on destination and QOS metric choice.
     fib_key_fields: ClassVar[Tuple[str, ...]] = ("src", "dst", "qos")
 
+    def __init__(self, graph, policies) -> None:
+        super().__init__(graph, policies)
+        self.generations = LSDBGenerations()
+
     def _make_nodes(self, network: SimNetwork) -> None:
         for ad_id in self.graph.ad_ids():
-            network.add_node(SPFNode(ad_id))
+            network.add_node(SPFNode(ad_id, self.generations))
 
     def next_hop(
         self, ad_id: ADId, flow: FlowSpec, prev: Optional[ADId]

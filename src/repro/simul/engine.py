@@ -73,8 +73,10 @@ class Simulator:
     COMPACT_MIN_QUEUE = 64
 
     def __init__(self, profiler: Optional[PhaseProfiler] = None) -> None:
-        # instant -> FIFO of (handle, fn, args), handle None for a posted
-        # event (5 and 5.0 are one key); and a heap of the keys, each once.
+        # instant -> FIFO of entries (5 and 5.0 are one key), and a heap of
+        # the keys, each once.  A scheduled entry is (handle, fn, args); a
+        # posted one is the call itself, (fn, *args) -- one tracked object
+        # per queued message -- told apart by entry[0]'s class.
         self._buckets: Dict[float, Deque[tuple]] = {}
         self._instants: List[float] = []
         self._pending = 0
@@ -114,7 +116,7 @@ class Simulator:
         if bucket is None:
             bucket = self._buckets[time] = deque()
             heapq.heappush(self._instants, time)
-        bucket.append((None, fn, args))
+        bucket.append((fn, *args))
         self._pending += 1
 
     def schedule_at(self, time: float, fn: Callable[..., None], *args: Any) -> EventHandle:
@@ -148,7 +150,10 @@ class Simulator:
         if self.COMPACT_MIN_QUEUE <= self._pending < self._cancelled_pending * 2:
             buckets = self._buckets
             for instant, bucket in list(buckets.items()):
-                live = [e for e in bucket if e[0] is None or not e[0]._cancelled]
+                live = [
+                    e for e in bucket
+                    if e[0].__class__ is not EventHandle or not e[0]._cancelled
+                ]
                 bucket.clear()
                 bucket.extend(live)
                 if not live and instant != self._now:
@@ -192,8 +197,8 @@ class Simulator:
                 bucket = buckets[instant]
                 while bucket:
                     if processed >= max_events:
-                        handle = bucket[0][0]
-                        if handle is None or not handle._cancelled:
+                        head = bucket[0][0]
+                        if head.__class__ is not EventHandle or not head._cancelled:
                             self.hit_event_limit = True
                             if raise_on_limit:
                                 raise SimulationLimitError(
@@ -201,18 +206,21 @@ class Simulator:
                                 )
                             break
                     # Accounted for before fn runs: it may raise.
-                    handle, fn, args = bucket.popleft()
+                    entry = bucket.popleft()
                     self._pending -= 1
                     self._now = instant
-                    if handle is not None:
-                        if handle._cancelled:
+                    head = entry[0]
+                    if head.__class__ is EventHandle:
+                        if head._cancelled:
                             if self._cancelled_pending > 0:
                                 self._cancelled_pending -= 1
                             continue
                         # A fired handle may still be cancel()ed (harmless);
                         # detached, that cannot skew the tombstone count.
-                        handle._on_cancel = None
-                    fn(*args)
+                        head._on_cancel = None
+                        entry[1](*entry[2])
+                    else:
+                        head(*entry[1:])
                     processed += 1
                     self.events_processed += 1
                 if bucket:  # stopped on the limit, mid-instant

@@ -535,6 +535,43 @@ def test_restart_task_preserves_socket_and_counts():
     _run(scenario())
 
 
+def test_dead_task_counter_tracks_the_scan():
+    """``quiescent()`` reads a counter; ``dead_serve_tasks()`` is the scan
+    it must agree with, through kill / restart / kill / stop."""
+
+    async def scenario():
+        proto, network = await _converged_network(ring8())
+
+        def agree(expected):
+            assert network._dead_tasks == len(network.dead_serve_tasks()) == expected
+            assert network.quiescent() is (expected == 0)
+
+        async def kill(ad_id):
+            task = network._runtimes[ad_id].task
+            task.cancel()
+            await asyncio.wait({task})
+
+        try:
+            agree(0)
+            await kill(2)
+            agree(1)
+            await kill(5)
+            agree(2)
+            await network.restart_runtime(2)
+            agree(1)
+            await network.restart_runtime(6)  # a live task: cancelled, respawned
+            agree(1)
+            await network._runtimes[5].stop()  # stopped while dead
+            agree(0)
+            await network._runtimes[6].stop()  # stopped while alive
+            agree(0)
+        finally:
+            await network.close()
+        agree(0)
+
+    _run(scenario())
+
+
 # ----------------------------------------------------------- send machinery
 
 

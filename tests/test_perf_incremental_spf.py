@@ -7,6 +7,11 @@ deletions and metric increases (the classically buggy cases) included.
 The suite drives random graphs through random delta batches and checks
 the repaired state against both the oracle function and a from-scratch
 state (which also pins the canonical dist/parent labelling itself).
+
+The state pins no graph: each batch is applied to a *fork* of the previous
+graph in which changed links are replaced, never written to (how believed
+views succeed each other), and ``apply(keys, graph)`` is handed the new
+object together with keys that did not change at all.
 """
 
 from __future__ import annotations
@@ -39,22 +44,26 @@ def build_graph(n, edges):
 
 
 def apply_op(graph, op):
-    """Mutate the graph; returns the changed link key."""
+    """Replace one link of a forked graph; returns the changed link key."""
     kind, a, b, w = op
     link = graph.link_if_exists(a, b)
+    if link is not None:
+        graph.remove_link(a, b)
     if kind == "set":  # add, revive, or re-weight
-        if link is None:
-            graph.add_link(InterADLink(a, b, LinkKind.HIERARCHICAL, {"delay": w}))
-        else:
-            link.metrics["delay"] = w
-            link.up = True
-    elif kind == "down":
-        if link is not None:
-            link.up = False
-    elif kind == "remove":
-        if link is not None:
-            graph.remove_link(a, b)
+        graph.add_link(InterADLink(a, b, LinkKind.HIERARCHICAL, {"delay": w}))
+    elif kind == "down" and link is not None:
+        graph.add_link(
+            InterADLink(a, b, LinkKind.HIERARCHICAL, dict(link.metrics), up=False)
+        )
     return (a, b) if a < b else (b, a)
+
+
+def apply_batch(state, graph, batch, extra_keys=()):
+    """The successor graph of ``graph`` under ``batch``, ``state`` synced to it."""
+    successor = graph.fork()
+    keys = [apply_op(successor, op) for op in batch]
+    state.apply(keys + list(extra_keys), successor)
+    return successor
 
 
 def assert_first_hops_match(state, graph):
@@ -86,7 +95,11 @@ def graph_and_batches(draw, weights=WEIGHTS):
         st.integers(min_value=0, max_value=n - 1),
         weight,
     ).filter(lambda t: t[1] != t[2])
-    batches = draw(st.lists(st.lists(op, max_size=4), max_size=6))
+    # Each batch: the ops, and link keys reported with them that no op touched.
+    batch = st.tuples(
+        st.lists(op, max_size=4), st.lists(st.sampled_from(pairs), max_size=3)
+    )
+    batches = draw(st.lists(batch, max_size=6))
     return n, edges, batches
 
 
@@ -97,9 +110,8 @@ def test_incremental_matches_oracle_over_random_deltas(data):
     graph = build_graph(n, edges)
     state = IncrementalSPFState(graph, ROOT, "delay")
     assert_state_matches(state, graph)
-    for batch in batches:
-        keys = [apply_op(graph, op) for op in batch]
-        state.apply(keys)
+    for batch, over_reported in batches:
+        graph = apply_batch(state, graph, batch, over_reported)
         assert_state_matches(state, graph)
 
 
@@ -109,9 +121,8 @@ def test_zero_weight_edges_fall_back_but_stay_exact(data):
     n, edges, batches = data
     graph = build_graph(n, edges)
     state = IncrementalSPFState(graph, ROOT, "delay")
-    for batch in batches:
-        keys = [apply_op(graph, op) for op in batch]
-        state.apply(keys)
+    for batch, over_reported in batches:
+        graph = apply_batch(state, graph, batch, over_reported)
         assert_first_hops_match(state, graph)
 
 
@@ -128,7 +139,7 @@ def test_tree_edge_removal_disconnects_subtree():
     graph = line_graph([1.0, 1.0, 1.0])
     state = IncrementalSPFState(graph, ROOT, "delay")
     graph.remove_link(1, 2)
-    state.apply([(1, 2)])
+    state.apply([(1, 2)], graph)
     assert state.first_hops() == spf_next_hops(graph, ROOT, "delay") == {1: 1}
 
 
@@ -139,7 +150,7 @@ def test_reconnect_after_partition():
     state = IncrementalSPFState(graph, ROOT, "delay")
     assert state.first_hops() == {1: 1}
     link.up = True
-    state.apply([(1, 2)])
+    state.apply([(1, 2)], graph)
     assert state.first_hops() == spf_next_hops(graph, ROOT, "delay")
     assert state.repairs == 1  # took the repair path, not the fallback
 
@@ -154,7 +165,7 @@ def test_metric_increase_on_tree_edge_reroutes():
     state = IncrementalSPFState(graph, ROOT, "delay")
     assert state.first_hops()[3] == 1
     graph.link(0, 1).metrics["delay"] = 4.0
-    state.apply([(0, 1)])
+    state.apply([(0, 1)], graph)
     assert state.first_hops() == spf_next_hops(graph, ROOT, "delay")
     assert state.first_hops()[3] == 2
 
@@ -170,8 +181,7 @@ def test_equal_cost_tie_breaks_track_the_oracle():
         ("remove", 1, 3, 1.0),
         ("set", 1, 3, 1.0),
     ]:
-        keys = [apply_op(graph, op)]
-        state.apply(keys)
+        graph = apply_batch(state, graph, [op])
         assert_state_matches(state, graph)
 
 
@@ -184,6 +194,16 @@ def test_large_batches_take_the_fallback_and_stay_exact():
         for b in range(a + 1, 6):
             graph.link(a, b).metrics["delay"] = 2.0
             keys.append((a, b))
-    state.apply(keys)
+    state.apply(keys, graph)
     assert state.full_recomputes == before + 1  # heuristic chose Dijkstra
     assert_state_matches(state, graph)
+
+
+def test_over_reported_keys_alone_are_a_no_op():
+    graph = build_graph(4, {(0, 1): 1.0, (1, 3): 1.0, (0, 2): 1.5, (2, 3): 1.5})
+    state = IncrementalSPFState(graph, ROOT, "delay")
+    dist, parent = dict(state.dist), dict(state.parent)
+    # Every key, one twice, one naming no link -- on a different graph object.
+    state.apply([(0, 1), (1, 3), (0, 2), (2, 3), (0, 1), (1, 2)], graph.fork())
+    assert (state.dist, state.parent) == (dist, parent)
+    assert (state.repairs, state.full_recomputes) == (0, 1)

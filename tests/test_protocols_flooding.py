@@ -3,7 +3,7 @@
 
 from repro.policy.database import PolicyDatabase
 from repro.policy.terms import PolicyTerm
-from repro.protocols.flooding import LSNode
+from repro.protocols.flooding import LSDBGenerations, LSNode
 from repro.simul.network import SimNetwork
 from tests.helpers import line_graph, mk_graph, open_db
 
@@ -11,12 +11,14 @@ from tests.helpers import line_graph, mk_graph, open_db
 def build_ls_network(graph, policies=None, include_terms=True):
     policies = policies or PolicyDatabase()
     net = SimNetwork(graph)
+    generations = LSDBGenerations()
     for ad_id in graph.ad_ids():
         net.add_node(
             LSNode(
                 ad_id,
                 own_terms=policies.terms_of(ad_id),
                 include_terms=include_terms,
+                generations=generations,
             )
         )
     net.start()
