@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 from time import perf_counter
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
 from repro.adgraph.ad import (
     AD,
@@ -186,7 +186,7 @@ class LSDBGeneration:
     ``view`` and one ``routes`` memo.
     """
 
-    __slots__ = ("lsdb", "bucket", "view", "routes", "holders")
+    __slots__ = ("lsdb", "bucket", "view", "routes", "uncarried", "inherited", "holders")
 
     def __init__(self, lsdb: Dict[ADId, "LinkStateAd"], bucket: Hashable) -> None:
         #: Private snapshot (a node's own dict is mutated by ``_install``).
@@ -198,6 +198,14 @@ class LSDBGeneration:
         self.view: Optional[View] = None
         #: Protocol-defined route key -> computed route.
         self.routes: Dict[Hashable, Any] = {}
+        #: Keys of ``routes`` answered by a search that link loss can
+        #: change off the answer's path; never carried to a later content.
+        self.uncarried: Set[Hashable] = set()
+        #: ``(base.routes, base.uncarried, lost link keys)`` when this view
+        #: is the base generation's with only links lost (up there, down or
+        #: gone here): no AD added, no term changed, nothing came up.  The
+        #: base's memo, not the base itself, so generations never chain.
+        self.inherited: Optional[Tuple[Dict, Set, FrozenSet]] = None
         #: Nodes currently at this generation; released at zero.
         self.holders = 0
 
@@ -764,7 +772,7 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
             previous = self._generation
             generation = self._generations.acquire(self.lsdb)
             if generation.view is None and self.perf.delta_view:
-                generation.view = self._derive_view(previous) or self._rebuild_view()
+                generation.view = self._derive_view(previous, generation) or self._rebuild_view()
             if previous is not None:
                 self._generations.release(previous)
                 # What predates the generation just left is not asked for
@@ -788,9 +796,30 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
         with the caller) -- but the host derives it once, for whichever
         node at this LSDB content asks first.  ``compute`` may read only
         this node's :meth:`local_view` and protocol-wide constants.
+
+        Nor does the host always derive it per content: when this view is
+        the one it was forked from minus lost links, the base's answer is
+        copied if it is ``None`` or an AD path over none of them.  So
+        ``compute`` must return ``None`` or an AD path, and be an optimal
+        path search whose every choice (parent, goal) is the first state
+        popped in a fixed order of (distance or width, state) -- link loss
+        cannot improve a state, so the answer's own states and tie-breaks
+        stand (DESIGN section 4).  A key answered any other way is added
+        to ``self._generation.uncarried`` by ``compute``.
         """
-        routes = self._resolve_generation().routes
+        generation = self._resolve_generation()
+        routes = generation.routes
         if key not in routes:
+            inherited = generation.inherited
+            if inherited is not None:
+                base, uncarried, lost = inherited
+                if key in base and key not in uncarried:
+                    path = base[key]
+                    if path is None or not any(
+                        canonical_link_key(a, b) in lost for a, b in zip(path, path[1:])
+                    ):
+                        routes[key] = path
+                        return path
             routes[key] = compute(*args)
         return routes[key]
 
@@ -896,8 +925,10 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
                         keys.add(canonical_link_key(origin, rec.neighbor))
         return sorted(keys)
 
-    def _derive_view(self, base: Optional[LSDBGeneration]) -> Optional[View]:
-        """This LSDB's view forked from the one this node held, or ``None``.
+    def _derive_view(
+        self, base: Optional[LSDBGeneration], generation: LSDBGeneration
+    ) -> Optional[View]:
+        """``generation``'s view forked from the one this node held, or ``None``.
 
         O(LSAs installed since): untouched links and ADs are shared with
         ``base``'s view, a changed link is *replaced* in the fork, and the
@@ -906,7 +937,8 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
         when an origin changed level (``AD`` objects are frozen and
         shared), or when terms changed while some LSA, replaced or
         current, carries a term it does not own -- per-owner replace is
-        only exact when owners are independent.
+        only exact when owners are independent.  When only links were
+        lost, ``generation`` inherits ``base``'s routes.
         """
         if base is None or base.view is None:
             return None
@@ -936,8 +968,15 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
         # edge between two origins that both appeared since needs both.
         for origin in born:
             graph.add_ad(self._believed_ad(origin))
+        lost, gained = [], False
         for key in self._incident_keys(replaced):
-            self._reconcile_edge(graph, key)
+            up = self._reconcile_edge(graph, key)
+            if up is False:
+                lost.append(key)
+            elif up:
+                gained = True
+        if not (born or retermed or gained):
+            generation.inherited = (base.routes, base.uncarried, frozenset(lost))
         if retermed:
             # Per-owner replace reproduces the cold build's term-id
             # stamping exactly: add_term stamps position-in-owner's list.
@@ -949,7 +988,7 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
         self.view_delta_refreshes += 1
         return graph, policies
 
-    def _reconcile_edge(self, graph: InterADGraph, key: Tuple[ADId, ADId]) -> None:
+    def _reconcile_edge(self, graph: InterADGraph, key: Tuple[ADId, ADId]) -> Optional[bool]:
         """Drive one believed link of a fork to the state the LSDB implies.
 
         Semantics mirror the cold build exactly: the edge exists iff both
@@ -957,6 +996,11 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
         wins), metrics come from the smaller endpoint's record, and the
         link is up only if both records say up.  A link that differs is
         replaced by a new object: the old one belongs to other views too.
+
+        Returns ``None`` when no search can tell (unchanged, or down before
+        and after), else whether the link is up now: ``False`` for a link
+        *lost* (up in the fork's base), ``True`` for one that came up or
+        changed metrics while up.
         """
         a, b = key
         lsa_a = self.lsdb.get(a)
@@ -972,10 +1016,11 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
                     rec_b = rec
                     break
         existing = graph.link_if_exists(a, b)
+        was_up = existing is not None and existing.up
         if rec_a is None or rec_b is None:
             if existing is not None:
                 graph.remove_link(a, b)
-            return
+            return False if was_up else None
         up = rec_a.up and rec_b.up
         if existing is not None:
             metrics = existing.metrics
@@ -985,9 +1030,10 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
                 and metrics["cost"] == rec_a.cost
                 and metrics["bandwidth"] == rec_a.bandwidth
             ):
-                return
+                return None
             graph.remove_link(a, b)
         graph.add_link(_believed_link(a, rec_a, up))
+        return up if up or was_up else None
 
     def view_edge_changes(
         self, since_version: int

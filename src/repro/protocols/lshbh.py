@@ -25,7 +25,7 @@ from typing import ClassVar, Dict, Optional, Tuple
 
 from repro.adgraph.ad import ADId
 from repro.core.design_space import LS_HBH_TERMS
-from repro.core.synthesis import synthesize_route
+from repro.core.synthesis import SynthesisStats, synthesize_route
 from repro.policy.flows import FlowSpec
 from repro.protocols.base import ForwardingMode, RoutingProtocol
 from repro.protocols.flooding import LSDBGenerations, LSNode, successor_on
@@ -77,7 +77,12 @@ class LSHbHNode(LSNode):
         graph, policies = self.local_view()
         if flow.src not in graph or flow.dst not in graph:
             return None
-        route = synthesize_route(graph, policies, flow)
+        stats = SynthesisStats()
+        route = synthesize_route(graph, policies, flow, stats=stats)
+        if stats.fallback_runs:
+            # A budget-bounded branch-and-bound: link loss off its answer
+            # can change it, so the next generation recomputes.
+            self._generation.uncarried.add(flow)
         return None if route is None else route.path
 
     def cache_entries(self) -> int:

@@ -25,7 +25,11 @@ from __future__ import annotations
 
 import random
 from array import array
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
+from math import exp, log
+from random import NV_MAGICCONST
 from typing import Iterator, List, Tuple
 
 from repro.adgraph.ad import ADId
@@ -99,10 +103,8 @@ class FlowWorkload:
         self.classes = classes
         self.class_of = class_of
         self.sizes = sizes
-        counts = array("l", [0] * len(classes))
-        for idx in class_of:
-            counts[idx] += 1
-        self.class_counts = counts
+        counts = Counter(class_of)
+        self.class_counts = array("l", [counts[idx] for idx in range(len(classes))])
 
     def __len__(self) -> int:
         return len(self.class_of)
@@ -143,9 +145,12 @@ def zipf_workload(graph: InterADGraph, spec: WorkloadSpec) -> FlowWorkload:
     1. sample ``spec.pairs`` distinct ordered (src, dst) edge-AD pairs
        and rank them (the rank *is* the popularity order);
     2. draw ``spec.flows`` class indices with probability proportional
-       to ``1 / (rank + 1) ** zipf_s`` (``random.choices`` runs the
-       heavy loop in C);
-    3. draw per-flow log-normal sizes.
+       to ``1 / (rank + 1) ** zipf_s`` (``random.choices``, a Python-level
+       list comprehension in CPython);
+    3. draw per-flow log-normal sizes: ``rng.lognormvariate``'s
+       Kinderman-Monahan loop spelled out, the same ``rng.random()``
+       calls and float operations in the same order, without two method
+       calls per flow.
     """
     if spec.flows < 0:
         raise ValueError("flow count must be non-negative")
@@ -180,11 +185,14 @@ def zipf_workload(graph: InterADGraph, spec: WorkloadSpec) -> FlowWorkload:
         if spec.flows
         else [],
     )
-    sizes = array(
-        "l",
-        (
-            max(_SIZE_MIN, int(rng.lognormvariate(_SIZE_MU, _SIZE_SIGMA)))
-            for _ in range(spec.flows)
-        ),
-    )
+    sizes = array("l")
+    append, uniform = sizes.append, rng.random
+    for _ in repeat(None, spec.flows):
+        while True:
+            u1 = uniform()
+            u2 = 1.0 - uniform()
+            z = NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -log(u2):
+                break
+        append(max(_SIZE_MIN, int(exp(_SIZE_MU + z * _SIZE_SIGMA))))
     return FlowWorkload(spec, classes, class_of, sizes)

@@ -1,5 +1,9 @@
 """Tests for zipf workload generation: determinism, skew, shape."""
 
+import itertools
+import random
+from array import array
+
 import pytest
 
 from repro.adgraph.generator import TopologyConfig, generate_internet
@@ -84,6 +88,40 @@ class TestGeneration:
         assert len(wl) == 0
         assert wl.head_share() == 0.0
         assert wl.total_bytes == 0
+
+    def test_draws_are_byte_identical_to_the_first_generator(self, graph, monkeypatch):
+        def first_draws(rng, n, spec):
+            """The oracle: stages 2-3 and the class counts as first written."""
+            weights = [1.0 / (rank + 1) ** spec.zipf_s for rank in range(n)]
+            drawn = rng.choices(range(n), weights=weights, k=spec.flows) if spec.flows else []
+            class_of = array("i", drawn)
+            sizes = array("l", (max(64, int(rng.lognormvariate(9.0, 1.2))) for _ in drawn))
+            counts = array("l", [0] * n)
+            for idx in class_of:
+                counts[idx] += 1
+            return class_of, sizes, counts
+
+        class Recorder(random.Random):
+            """Remembers the generator state stage 2 starts from."""
+
+            def choices(self, *args, **kwargs):
+                states.append(self.getstate())
+                return super().choices(*args, **kwargs)
+
+        monkeypatch.setattr(random, "Random", Recorder)
+        for seed, zipf_s, pairs, flows in itertools.product(
+            (0, 14, 47), (0.0, 1.1, 2.0), (1, 16, 4096), (0, 1, 3000)
+        ):
+            states = []
+            spec = WorkloadSpec(flows=flows, zipf_s=zipf_s, pairs=pairs, seed=seed)
+            wl = zipf_workload(graph, spec)
+            rng = random.Random()
+            if flows:
+                rng.setstate(states.pop())
+            expected = first_draws(rng, wl.num_classes, spec)
+            got = (wl.class_of, wl.sizes, wl.class_counts)
+            assert [a.typecode for a in got] == [a.typecode for a in expected]
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
 
     def test_iter_flows_matches_columns(self, graph):
         wl = zipf_workload(graph, WorkloadSpec(flows=500, pairs=32, seed=7))
