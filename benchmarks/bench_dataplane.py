@@ -1,50 +1,19 @@
-"""E14 -- Data-plane tail latency under convergence + FIB throughput.
+"""E14 -- Data-plane tail latency under convergence.
 
-Two deliverables share this bench because they share machinery
-(:mod:`repro.traffic`):
-
-* **The experiment table** (pytest path): regenerate E14 through the
-  harness -- every design point replays the same seeded 10^6-flow zipf
-  workload against FIBs recompiled at every convergence epoch of a
-  fault storm -- and emit ``benchmarks/out/dataplane_tail.txt``.  The
-  table is pure simulation (no wall-clock columns), so the determinism
-  gate diffs it byte-for-byte.
-* **The throughput benchmark** (standalone path): measure compiled-FIB
-  batched replay against the legacy per-packet forwarder via
-  :mod:`repro.traffic.bench` and write ``BENCH_dataplane.json`` at the
-  repo root.  The acceptance bar is a >=10x flows/sec speedup with
-  verdict identity on every flow; ``--gate`` implements the soft CI
-  perf gate (>30% compiled-flows/sec drop at the ls-hbh point fails the
-  step, but the CI step runs with ``continue-on-error`` because shared
-  runners are noisy).
-
-Runs standalone (``python benchmarks/bench_dataplane.py [--smoke]
-[--gate <json>] [--out <json>]``) or under pytest with the rest of the
-bench suite.
+Regenerates E14 through the harness -- every design point replays the
+same seeded 10^6-flow zipf workload against FIBs recompiled at every
+convergence epoch of a fault storm -- and emits
+``benchmarks/out/dataplane_tail.txt``.  The table is pure simulation (no
+wall-clock columns), so the determinism gate diffs it byte-for-byte.
+Compiled-FIB replay speed is a row of the end-to-end ledger
+(``dataplane-storm``: ``traffic.fib.compile_self_s``,
+``traffic.replay.flows_per_s``).
 """
-
-from __future__ import annotations
-
-import argparse
-import json
-import os
-import sys
-
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import pytest
 
 from _common import OUT_DIR, emit
 from repro.harness import run_experiment
-from repro.traffic import bench
-
-JSON_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_dataplane.json",
-)
-
-
-# ------------------------------------------------------------- E14 table
 
 
 @pytest.fixture(scope="module")
@@ -90,110 +59,3 @@ def test_dataplane_tail(benchmark, run):
         iterations=1,
         rounds=1,
     )
-
-
-# ------------------------------------------------------- throughput bench
-
-
-def test_dataplane_throughput_smoke():
-    """Smoke-sized throughput point: identity enforced, timing advisory.
-
-    The 10x speedup bar is only asserted by the full standalone run
-    (``__main__``): at smoke scale the constant costs dominate and the
-    ratio is noise, but verdict identity -- the correctness half of the
-    bench -- is exactly as strong.
-    """
-    result = bench.run_bench(
-        protocols=bench.PROTOCOLS_SMOKE,
-        flows=bench.FLOWS_SMOKE,
-        pairs=bench.PAIRS_SMOKE,
-        repeats=1,
-    )
-    for row in result["protocols"]:
-        assert row["identical"], row["protocol"]
-        assert row["flows"] == bench.FLOWS_SMOKE
-        assert sum(row["verdicts"].values()) == row["flows"]
-
-
-def check_gate(baseline_path: str) -> int:
-    """Soft CI gate: re-measure the gate point, compare to the baseline.
-
-    Returns a process exit code (0 ok / 1 regressed / 0 skip when the
-    baseline lacks the gate point).
-    """
-    with open(baseline_path) as fh:
-        baseline = json.load(fh)
-    gate = baseline.get("gate", {})
-    protocol = gate.get("protocol", bench.GATE_PROTOCOL)
-    wl = baseline.get("workload", {})
-    current = bench.run_bench(
-        protocols=(protocol,),
-        flows=wl.get("flows", bench.FLOWS),
-        pairs=wl.get("pairs", bench.PAIRS),
-        zipf_s=wl.get("zipf_s", bench.ZIPF_S),
-        seed=wl.get("seed", bench.WORKLOAD_SEED),
-    )
-    verdict = bench.gate_verdict(baseline, current)
-    if verdict is None:
-        print(f"gate: no committed {protocol} point; skipping")
-        return 0
-    print(verdict)
-    return 0 if verdict.endswith("OK") else 1
-
-
-if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small fast run (CI): 50k flows, two protocols, no "
-        "threshold enforcement, no JSON artifact",
-    )
-    parser.add_argument(
-        "--gate",
-        metavar="BASELINE_JSON",
-        default=None,
-        help="soft perf-regression gate: re-measure the gate point and "
-        "compare compiled flows/sec to the committed baseline "
-        "(exit 1 on >30%% drop)",
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="where to write the JSON artifact ('' to skip; default: "
-        "BENCH_dataplane.json at the repo root, or nowhere in --smoke "
-        "mode so a smoke run never clobbers the real artifact)",
-    )
-    args = parser.parse_args()
-    if args.gate is not None:
-        sys.exit(check_gate(args.gate))
-    if args.out is None:
-        args.out = "" if args.smoke else JSON_PATH
-    if args.smoke:
-        result = bench.run_bench(
-            protocols=bench.PROTOCOLS_SMOKE,
-            flows=bench.FLOWS_SMOKE,
-            pairs=bench.PAIRS_SMOKE,
-        )
-    else:
-        result = bench.run_bench()
-    print(bench.render_table(result))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(result, fh, indent=2)
-            fh.write("\n")
-        print(f"[written to {args.out}]")
-    broken = [r["protocol"] for r in result["protocols"] if not r["identical"]]
-    if broken:
-        sys.exit(f"FAIL: compiled verdicts diverge for: {', '.join(broken)}")
-    if not args.smoke:
-        speedup = bench.best_speedup(result)
-        if speedup < bench.SPEEDUP_THRESHOLD:
-            sys.exit(
-                f"FAIL: best flows/sec speedup {speedup}x < "
-                f"{bench.SPEEDUP_THRESHOLD}x"
-            )
-        print(
-            f"OK: {speedup}x best flows/sec speedup "
-            f"(threshold {bench.SPEEDUP_THRESHOLD}x), verdicts identical"
-        )

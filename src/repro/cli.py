@@ -413,43 +413,6 @@ def cmd_experiments_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_traffic_bench(args: argparse.Namespace) -> int:
-    """Compiled-FIB batched replay vs the legacy per-packet forwarder."""
-    from repro.traffic import bench
-
-    protocols = tuple(args.protocols) if args.protocols else (
-        bench.PROTOCOLS_SMOKE if args.smoke else bench.PROTOCOLS
-    )
-    flows = args.flows if args.flows is not None else (
-        bench.FLOWS_SMOKE if args.smoke else bench.FLOWS
-    )
-    pairs = args.pairs if args.pairs is not None else (
-        bench.PAIRS_SMOKE if args.smoke else bench.PAIRS
-    )
-    result = bench.run_bench(
-        protocols=protocols,
-        flows=flows,
-        pairs=pairs,
-        zipf_s=args.zipf_s if args.zipf_s is not None else bench.ZIPF_S,
-        seed=args.seed if args.seed is not None else bench.WORKLOAD_SEED,
-        scenario_seed=(
-            args.scenario_seed
-            if args.scenario_seed is not None
-            else bench.SCENARIO_SEED
-        ),
-    )
-    print(bench.render_table(result))
-    broken = [r["protocol"] for r in result["protocols"] if not r["identical"]]
-    if broken:
-        print(
-            f"error: compiled verdicts diverge from the legacy forwarder "
-            f"for: {', '.join(broken)}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 #: Per-phase wall-clock columns, in pipeline order.  ``engine.run`` and
 #: the ``proto.*`` phases accrue *inside* the enclosing pipeline phases,
 #: so columns deliberately do not sum to a run's total.
@@ -681,35 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
         ep.add_argument(row.flag, dest=row.name, default=None, help=row.help,
                         **kind)
     ep.set_defaults(fn=cmd_experiments_run)
-
-    p = sub.add_parser(
-        "traffic",
-        help="data-plane workloads: compiled-FIB vs legacy throughput",
-    )
-    tsub = p.add_subparsers(dest="traffic_command", required=True)
-    tp = tsub.add_parser(
-        "bench",
-        help="measure compiled-FIB batched replay against the legacy "
-             "per-packet forwarder on the reference internet",
-    )
-    tp.add_argument("--protocol", action="append", default=None,
-                    metavar="NAME", dest="protocols",
-                    help="protocol point to measure (repeatable; default: "
-                         "the representative ecma/idrp/ls-hbh/orwg spread)")
-    tp.add_argument("--flows", type=int, default=None,
-                    help="workload flow count (default: 1000000)")
-    tp.add_argument("--pairs", type=int, default=None,
-                    help="distinct (src, dst) flow classes (default: 4096)")
-    tp.add_argument("--zipf-s", dest="zipf_s", type=float, default=None,
-                    help="zipf skew of class popularity (default: 1.1)")
-    tp.add_argument("--seed", type=int, default=None,
-                    help="workload generation seed (default: 14)")
-    tp.add_argument("--scenario-seed", type=int, default=None,
-                    help="reference-internet seed (default: 5, as in E14)")
-    tp.add_argument("--smoke", action="store_true",
-                    help="small fast run: 50k flows, 256 pairs, two "
-                         "protocols")
-    tp.set_defaults(fn=cmd_traffic_bench)
 
     return parser
 

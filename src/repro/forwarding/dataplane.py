@@ -13,52 +13,19 @@ control state, what actually happens to traffic?  Each hop:
 The resulting delivery/drop/loop statistics are the data-plane view of
 availability (E3) and of the consistency requirements of hop-by-hop
 schemes (Section 5.3).
+
+The compiled FIBs of :mod:`repro.traffic` replay traffic in bulk and are
+validated against this per-packet walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.adgraph.ad import ADId
 from repro.policy.flows import FlowSpec
 from repro.protocols.base import ForwardingMode, RoutingProtocol
-
-
-class HopDecisionCache:
-    """Per-run memo of transit policy verdicts.
-
-    The policy database already memoizes decisions internally, but every
-    hit still pays a method call into the engine plus its key assembly.
-    A traffic run asks the same (transit, prev, next, flow) question for
-    every packet of a flow class; this cache collapses those repeats to
-    one local dict probe.  Opt-in (see :func:`run_traffic`): the default
-    per-packet path stays byte-identical, because it is the oracle the
-    compiled FIBs of :mod:`repro.traffic` are validated against.
-    """
-
-    __slots__ = ("_permits", "_memo", "hits", "misses")
-
-    def __init__(
-        self, permits: Callable[[ADId, FlowSpec, ADId, ADId], bool]
-    ) -> None:
-        self._permits = permits
-        self._memo: Dict[Tuple[ADId, ADId, ADId, FlowSpec], bool] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def permits(
-        self, transit: ADId, flow: FlowSpec, prev: ADId, nxt: ADId
-    ) -> bool:
-        key = (transit, prev, nxt, flow)
-        cached = self._memo.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        verdict = self._permits(transit, flow, prev, nxt)
-        self._memo[key] = verdict
-        return verdict
 
 
 @dataclass(frozen=True)
@@ -80,7 +47,6 @@ def _check_path(
     flow: FlowSpec,
     path: Sequence[ADId],
     enforce_policy: bool,
-    cache: Optional[HopDecisionCache] = None,
 ) -> ForwardingOutcome:
     """Validate a concrete path hop by hop, as the packet would.
 
@@ -89,7 +55,7 @@ def _check_path(
     the questions synthesis just answered, so enforcement is cache hits.
     """
     graph = protocol.graph
-    permits = cache.permits if cache else protocol.policies.transit_permits
+    permits = protocol.policies.transit_permits
     for i, (a, b) in enumerate(zip(path, path[1:])):
         if not graph.has_link(a, b) or not graph.link(a, b).up:
             return ForwardingOutcome(
@@ -111,29 +77,22 @@ def forward_flow(
     protocol: RoutingProtocol,
     flow: FlowSpec,
     enforce_policy: bool = True,
-    cache: Optional[HopDecisionCache] = None,
 ) -> ForwardingOutcome:
-    """Send one (modelled) packet for ``flow`` and report its fate.
-
-    ``cache`` (optional) memoizes per-hop policy verdicts across calls;
-    verdicts are unchanged (policies are static), only the lookup cost
-    drops.  With ``cache=None`` the path is the byte-identical legacy
-    oracle.
-    """
+    """Send one (modelled) packet for ``flow`` and report its fate."""
     if flow.src == flow.dst:
         return ForwardingOutcome(flow, True, (flow.src,))
     if protocol.mode is ForwardingMode.SOURCE:
         path = protocol.source_route(flow)
         if path is None:
             return ForwardingOutcome(flow, False, (flow.src,), "no source route")
-        return _check_path(protocol, flow, path, enforce_policy, cache)
+        return _check_path(protocol, flow, path, enforce_policy)
     # Hop-by-hop: follow live decisions, enforcing policy at each transit.
     path: List[ADId] = [flow.src]
     seen = {flow.src}
     prev: Optional[ADId] = None
     current = flow.src
     graph = protocol.graph
-    permits = cache.permits if cache else protocol.policies.transit_permits
+    permits = protocol.policies.transit_permits
     for _ in range(graph.num_ads):
         nxt = protocol.next_hop(current, flow, prev)
         if nxt is None:
@@ -202,22 +161,9 @@ def run_traffic(
     protocol: RoutingProtocol,
     flows: Sequence[FlowSpec],
     enforce_policy: bool = True,
-    memoize: bool = False,
 ) -> DataPlaneReport:
-    """Forward a whole traffic sample and aggregate the outcomes.
-
-    ``memoize=True`` shares one :class:`HopDecisionCache` across the
-    whole sample -- same outcomes, fewer policy-engine round-trips; the
-    default stays the byte-identical per-packet oracle.
-    """
-    cache = (
-        HopDecisionCache(protocol.policies.transit_permits)
-        if memoize and enforce_policy
-        else None
-    )
+    """Forward a whole traffic sample and aggregate the outcomes."""
     report = DataPlaneReport()
     for flow in flows:
-        report.outcomes.append(
-            forward_flow(protocol, flow, enforce_policy, cache)
-        )
+        report.outcomes.append(forward_flow(protocol, flow, enforce_policy))
     return report

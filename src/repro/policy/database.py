@@ -30,8 +30,7 @@ whenever ``version`` moves -- the same invalidation contract the ORWG
 gateway caches rely on.  Citation semantics are preserved exactly: the
 indexed lookup returns the *first permitting term in term-id order*, the
 same term a linear scan would cite (``scan_permitting_term`` keeps the
-reference implementation alive for tests and for A/B benchmarking via
-``use_index``).
+reference implementation, the oracle of the equivalence tests).
 """
 
 from __future__ import annotations
@@ -136,9 +135,6 @@ class PolicyDatabase:
     def __init__(self, terms: Iterable[PolicyTerm] = ()) -> None:
         self._terms: Dict[ADId, List[PolicyTerm]] = {}
         self.version = 0
-        #: A/B switch for the indexed engine; ``False`` restores the pure
-        #: linear scan (the perf benchmark measures both sides).
-        self.use_index = True
         # Running totals, maintained by add_term/remove_terms so the
         # per-round metrics collectors pay O(1) instead of re-summing.
         self._num_terms = 0
@@ -148,7 +144,7 @@ class PolicyDatabase:
         self._engine_version = -1
         self._indexes: Dict[ADId, _TermIndex] = {}
         self._decisions: Dict[tuple, Optional[PolicyTerm]] = {}
-        #: Lookup counters (the perf benchmark's observability).
+        #: Lookup counters (the ledger's ``policy.database`` row).
         self.lookups = 0
         self.cache_hits = 0
         for term in terms:
@@ -231,8 +227,6 @@ class PolicyDatabase:
         owned = self._terms.get(ad_id)
         if not owned:
             return None
-        if not self.use_index:
-            return self.scan_permitting_term(ad_id, flow, prev, nxt)
         if self._engine_version != self.version:
             self._reset_engine()
         self.lookups += 1
@@ -270,8 +264,7 @@ class PolicyDatabase:
         """Reference linear scan (the seed semantics, kept verbatim).
 
         The indexed engine must agree with this on every query -- it is
-        the oracle of the index/scan equivalence property test and the
-        baseline side of the perf benchmark.
+        the oracle of the index/scan equivalence tests.
         """
         for term in self._terms.get(ad_id, ()):
             if term.permits(flow, prev, nxt):
@@ -293,7 +286,6 @@ class PolicyDatabase:
         out = PolicyDatabase()
         out._terms = {owner: list(terms) for owner, terms in self._terms.items()}
         out.version = self.version
-        out.use_index = self.use_index
         out._num_terms = self._num_terms
         out._size_bytes = self._size_bytes
         return out

@@ -1,6 +1,6 @@
 """The base of the flag-set runtime configs, and their one spelling parser.
 
-Hardening, validation, pacing, perf and graceful restart are each a
+Hardening, validation, pacing and graceful restart are each a
 frozen dataclass of individually toggleable boolean *flags* plus a few
 numeric parameters.  What they share -- which flags are on, how a config
 prints, and how a user-facing spelling (a CLI flag value, a
@@ -23,7 +23,7 @@ A config's ``str()`` is one of those spellings, so
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, Iterable, Tuple, Union
+from typing import Iterable, Tuple, Union
 
 
 class FlagSet:
@@ -33,8 +33,6 @@ class FlagSet:
     FLAGS: Tuple[str, ...] = ()
     #: How error messages name this family of features.
     NOUN = ""
-    #: Extra whole-string spellings, each mapped to ``"all"`` or ``"none"``.
-    ALIASES: Dict[str, str] = {}
 
     # ``cached_property``: fields are frozen, so the answers cannot
     # change, and receive/flush paths ask once per message.
@@ -58,10 +56,9 @@ class FlagSet:
         if value is None or value == "":
             return cls()
         if isinstance(value, str):
-            word = cls.ALIASES.get(value, value)
-            if word in ("none", "off"):
+            if value in ("none", "off"):
                 value = ()
-            elif word in ("all", "full"):
+            elif value in ("all", "full"):
                 value = cls.FLAGS
             else:
                 value = value.replace("+", ",").split(",")

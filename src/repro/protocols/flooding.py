@@ -284,8 +284,6 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
         #: Bumped whenever the LSDB changes; caches key off it.
         self.db_version = 0
         self._seq = 0
-        #: ``perf="none"`` only: this node's private (version, cold view).
-        self._view_cache: Optional[Tuple[int, View]] = None
         #: The protocol-wide generation pool and the generation this node
         #: was at when it last answered a query (it owns the view).
         self._generations = generations
@@ -771,7 +769,7 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
                 self._log_floor = self.db_version
             previous = self._generation
             generation = self._generations.acquire(self.lsdb)
-            if generation.view is None and self.perf.delta_view:
+            if generation.view is None:
                 generation.view = self._derive_view(previous, generation) or self._rebuild_view()
             if previous is not None:
                 self._generations.release(previous)
@@ -844,16 +842,8 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
         later generations share their links and (while no term changes)
         their policy database, so nothing reachable from here may be
         written to.  Consumers key their own caches off ``db_version``.
-
-        ``perf="none"`` keeps the legacy cost instead: a private cold
-        build per node per version.
         """
-        if self.perf.delta_view:
-            return self._resolve_generation().view
-        cache = self._view_cache
-        if cache is None or cache[0] != self.db_version:
-            cache = self._view_cache = (self.db_version, self._rebuild_view())
-        return cache[1]
+        return self._resolve_generation().view
 
     def _believed_ad(self, origin: ADId) -> AD:
         # Kind is irrelevant to term-based computation (policy is in the

@@ -1,8 +1,8 @@
 """The runtime-feature table: how a named setting reaches a node.
 
-A runtime feature -- hardening, validation, pacing, perf, graceful
-restart, wire versioning, the ingress queue -- is spelled as a string on
-a CLI flag or in a :class:`~repro.harness.spec.ProtocolSpec` option and
+A runtime feature -- hardening, validation, pacing, graceful restart,
+wire versioning, the ingress queue -- is spelled as a string on a CLI
+flag or in a :class:`~repro.harness.spec.ProtocolSpec` option and
 acts as a config object on every protocol node.  Everything between the
 two is driven by :data:`RUNTIME_FEATURES`, one row per feature:
 
@@ -17,8 +17,8 @@ two is driven by :data:`RUNTIME_FEATURES`, one row per feature:
   <repro.protocols.base.RoutingProtocol.runtime_summary>` runs a row's
   collector to gather its network-wide counters for the run record.
 
-Every feature is off by default (``perf`` defaults to the fast paths),
-so a default container is byte-identical to a feature-free build.
+Every feature is off by default, so a default container is
+byte-identical to a feature-free build.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from repro.protocols.hardening import (
     hardening_from,
 )
 from repro.protocols.pacing import PacingConfig, pacing_from, pacing_summary
-from repro.protocols.perf import PerfConfig, perf_from
 from repro.protocols.validation import (
     ValidationConfig,
     validation_from,
@@ -92,8 +91,6 @@ RUNTIME_FEATURES: Tuple[Feature, ...] = (
     Feature("validation", ValidationConfig, validation_from, validation_summary),
     # Overload defenses (pacing/hold-down/flap damping).
     Feature("pacing", PacingConfig, pacing_from, pacing_summary),
-    # Delta-recompute fast paths (on by default).
-    Feature("perf", PerfConfig, perf_from),
     # Helper/resync behaviour around planned control-plane restarts.
     Feature("graceful", GracefulRestartConfig, graceful_from, graceful_summary),
     # The wire version a node speaks and whether it negotiates at HELLO

@@ -371,9 +371,6 @@ class SPFNode(LSNode):
         """Sync the QOS's tree to the view: (first-hop lookup, its entries)."""
         graph, _ = self.local_view()
         metric = qos.metric
-        if not self.perf.incremental_spf:
-            table = spf_next_hops(graph, self.ad_id, metric)
-            return table.get, table
         entry = self._spf_states.get(metric)
         state: Optional[IncrementalSPFState] = None
         if entry is not None:

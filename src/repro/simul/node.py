@@ -32,7 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.protocols.graceful import GracefulRestartConfig
     from repro.protocols.hardening import HardeningConfig
     from repro.protocols.pacing import PacingConfig
-    from repro.protocols.perf import PerfConfig
     from repro.protocols.validation import NeighborGuard, ValidationConfig
     from repro.protocols.versioning import WireConfig
     from repro.simul.profiling import PhaseProfiler
@@ -50,7 +49,6 @@ class ProtocolNode:
     hardening: "HardeningConfig"
     validation: "ValidationConfig"
     pacing: "PacingConfig"
-    perf: "PerfConfig"
     graceful: "GracefulRestartConfig"
     wire: "WireConfig"
     #: Stamped with ``validation``: the per-receiver violation ledger

@@ -6,7 +6,8 @@ The subsystem has three layers, each usable alone:
   (10^6+ flows, columnar storage, deterministic replay);
 * :mod:`repro.traffic.fib` -- compiles a converged protocol's control
   state into flat lookup arrays (``compile_fib`` / ``lookup_batch``),
-  verdict-identical to the legacy per-packet forwarder;
+  verdict-identical to the per-packet forwarder of
+  :mod:`repro.forwarding.dataplane`, its oracle;
 * :mod:`repro.traffic.replay` -- flow-weighted batch replay, latency and
   stretch tails, and the E14 epoch series.
 """

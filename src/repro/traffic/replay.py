@@ -11,7 +11,7 @@ The replay engine is deliberately two-speed:
 * :meth:`TrafficReplay.replay_legacy` -- the oracle.  Every flow goes
   through :func:`repro.forwarding.dataplane.forward_flow` individually,
   exactly as the pre-compiled data plane did.  The equivalence suite
-  and the throughput benchmark both diff the two paths.
+  diffs the two paths.
 
 Latency is modelled as the sum of link ``delay`` metrics along the
 delivered path; stretch as delivered hop count over the policy-blind
@@ -222,13 +222,6 @@ class TrafficReplay:
         """Aggregate replay: O(classes x hops), flow counts as weights."""
         return self._summarise(fib.class_verdicts(liveness), fib)
 
-    def flow_verdicts(
-        self, fib: CompiledFIB, liveness: Optional[bytearray] = None
-    ) -> array:
-        """Materialised per-flow verdict array (the bench's honest unit
-        of work: one verdict per flow, 10^6 array slots)."""
-        return fib.lookup_batch(self.workload.class_of, liveness)
-
     # --------------------------------------------------------------- oracle
 
     def replay_legacy(
@@ -236,10 +229,9 @@ class TrafficReplay:
     ) -> array:
         """Per-flow verdicts via the legacy per-packet forwarder.
 
-        Every flow pays the full per-packet walk (dict lookups + policy
-        engine) -- this is the baseline the compiled path is benchmarked
-        against and the oracle the equivalence suite diffs verdicts
-        with.
+        Every flow class pays the full per-packet walk (dict lookups +
+        policy engine) -- the oracle the equivalence suite diffs the
+        compiled verdicts with.
         """
         classes = self.workload.classes
         class_verdicts = array(
@@ -251,27 +243,6 @@ class TrafficReplay:
         )
         return array(
             "b", map(class_verdicts.__getitem__, self.workload.class_of)
-        )
-
-    def replay_legacy_per_flow(
-        self, protocol: RoutingProtocol, enforce_policy: bool = True
-    ) -> array:
-        """Strict per-flow oracle: re-forwards every single flow.
-
-        No class-level dedup at all -- each of the N flows runs the
-        whole legacy walk.  This is the honest "before" measurement for
-        the throughput benchmark.
-        """
-        wl = self.workload
-        classes = wl.classes
-        return array(
-            "b",
-            (
-                verdict_of_outcome(
-                    forward_flow(protocol, classes[idx], enforce_policy)
-                )
-                for idx in wl.class_of
-            ),
         )
 
 

@@ -67,7 +67,9 @@ COMMANDS = list(documented_commands())
 
 
 def test_the_documents_still_carry_their_commands():
-    assert len(COMMANDS) >= 40
+    # 36 since the five documented lines of the deleted traffic-bench
+    # command went with it.
+    assert len(COMMANDS) >= 36
     assert {param.id.split(":")[0] for param in COMMANDS} >= {
         "README.md", "EXPERIMENTS.md", "docs/perf.md",
         ".github/workflows/ci.yml",

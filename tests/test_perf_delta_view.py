@@ -3,10 +3,11 @@
 :class:`~repro.protocols.flooding.LSNode`\\ s sharing one generation pool
 are fed identical LSA install sequences and asked for their view at
 different times, so a view is sometimes forked from a stale predecessor,
-sometimes picked up already published by a peer; a ``perf="none"`` node
-cold-builds privately every time.  Whenever a node is asked, its believed
-graph and policy database must be indistinguishable from the cold build
--- same ADs, levels, links, metrics, statuses, and per-owner stamped
+sometimes picked up already published by a peer.  An oracle node fed the
+same installs answers with its cold build
+(:meth:`~repro.protocols.flooding.LSNode._rebuild_view`) every time.
+Whenever a node is asked, its believed graph and policy database must be
+indistinguishable from the cold build -- same ADs, levels, links, metrics, statuses, and per-owner stamped
 terms.  Targeted cases pin when a view must *not* be derived: cross-owner
 terms (term forgery) anywhere in the LSDB or in a replaced LSA, and origin
 level changes, cold-build rather than derive wrongly.
@@ -25,7 +26,6 @@ from repro.protocols.flooding import (
     LSDBGenerations,
     LSNode,
 )
-from repro.protocols.perf import LEGACY
 
 NODE_ID = 0
 ORIGINS = [0, 1, 2, 3, 4]
@@ -33,18 +33,19 @@ METRICS = [1.0, 2.0, 8.0]
 
 
 def make_nodes(sharing=1):
-    """``sharing`` nodes on one pool (just the node if 1), and the oracle."""
+    """``sharing`` nodes on one pool (just the node if 1), and the oracle.
+
+    The oracle only ever cold-builds, so it never touches its own pool.
+    """
     generations = LSDBGenerations()
     nodes = [LSNode(NODE_ID, generations=generations) for _ in range(sharing)]
-    oracle = LSNode(NODE_ID, generations=generations)
-    oracle.perf = LEGACY
-    assert nodes[0].perf.delta_view  # defaults on
+    oracle = LSNode(NODE_ID, generations=LSDBGenerations())
     return (nodes[0] if sharing == 1 else nodes), oracle
 
 
 def assert_views_equal(delta, oracle):
     dg, dp = delta.local_view()
-    og, op = oracle.local_view()
+    og, op = oracle._rebuild_view()
     assert dg.ad_ids() == og.ad_ids()
     for ad_id in og.ad_ids():
         assert dg.ad(ad_id).level == og.ad(ad_id).level

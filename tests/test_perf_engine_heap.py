@@ -1,22 +1,13 @@
-"""Engine heap hygiene and the perf-config plumbing.
+"""Engine heap hygiene.
 
 Pins the cancelled-handle compaction contract: cancelling more than half
 of a large queue compacts it in place (heap shrinks, ``compactions``
 increments) without perturbing the (time, seq) pop order of the
-survivors, while small queues rely on the cheaper lazy skip.  Also pins
-how :class:`~repro.protocols.perf.PerfConfig` travels: the ``perf``
-pseudo-option in :func:`~repro.protocols.registry.make_protocol`, the
-build-time distribution to every node, and the restamping of
-state-losing restarts.
+survivors, while small queues rely on the cheaper lazy skip.
 """
 
 from __future__ import annotations
 
-from repro.adgraph.ad import AD, ADKind, InterADLink, Level, LinkKind
-from repro.adgraph.graph import InterADGraph
-from repro.policy.database import PolicyDatabase
-from repro.protocols.perf import FAST, LEGACY
-from repro.protocols.registry import make_protocol
 from repro.simul.engine import Simulator
 
 
@@ -152,41 +143,3 @@ def test_posted_events_ride_through_compaction_untouched():
     # the same cancels and leaves the same tombstone count after each.
     assert drive("schedule") == (fired, trail, compactions, left)
     assert drive(None)[0] == [e for e in fired if e[0] == "timer"]
-
-
-# -------------------------------------------------------- config plumbing
-
-
-def test_perf_config_strings():
-    assert str(FAST) == "incremental_spf+delta_view"
-    assert str(LEGACY) == "none"
-    assert not LEGACY.any_enabled
-    assert FAST.enabled == ("incremental_spf", "delta_view")
-
-
-def triangle():
-    graph = InterADGraph()
-    for ad_id in range(3):
-        graph.add_ad(AD(ad_id, f"ad{ad_id}", Level.CAMPUS, ADKind.HYBRID))
-    for a, b in [(0, 1), (1, 2), (0, 2)]:
-        graph.add_link(InterADLink(a, b, LinkKind.HIERARCHICAL, {"delay": 1.0}))
-    return graph
-
-
-def test_registry_perf_option_reaches_every_node():
-    protocol = make_protocol("plain-ls", triangle(), PolicyDatabase(), perf="none")
-    assert protocol.runtime.perf == LEGACY
-    network = protocol.build()
-    assert all(node.perf == LEGACY for node in network.nodes.values())
-
-
-def test_perf_defaults_on_and_survives_stateless_restart():
-    protocol = make_protocol("plain-ls", triangle(), PolicyDatabase(), perf="none")
-    protocol.converge()
-    protocol.crash_node(1, retain_state=False)
-    protocol.restore_node(1)
-    assert protocol.network.nodes[1].perf == LEGACY
-    # And the default, untouched, is the fast config everywhere.
-    fast = make_protocol("plain-ls", triangle(), PolicyDatabase())
-    assert fast.runtime.perf == FAST
-    assert all(n.perf == FAST for n in fast.build().nodes.values())

@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.adgraph.generator import generate_internet, scaled_config
+from repro.core.evaluation import sample_flows
+from repro.core.synthesis import RouteSynthesizer
 from repro.policy.database import PolicyDatabase
 from repro.policy.flows import FlowSpec
+from repro.policy.generators import source_class_policies
 from repro.policy.sets import ADSet
 from repro.policy.terms import PolicyTerm
 from repro.policy.uci import UCI
@@ -133,14 +137,13 @@ class TestIndexedEngine:
         db.remove_terms(7)
         assert not db.transit_permits(7, flow, 1, 2)
 
-    def test_use_index_toggle_preserves_answers(self):
+    def test_indexed_lookup_cites_what_the_scan_cites(self):
         db = PolicyDatabase()
         db.add_term(PolicyTerm(owner=3, ucis=frozenset({UCI.RESEARCH})))
         db.add_term(PolicyTerm(owner=3, prev_ads=ADSet.of([1])))
         flow = FlowSpec(1, 2, uci=UCI.RESEARCH)
         indexed = db.permitting_term(3, flow, 1, 2)
-        db.use_index = False
-        scanned = db.permitting_term(3, flow, 1, 2)
+        scanned = db.scan_permitting_term(3, flow, 1, 2)
         assert indexed.term_id == scanned.term_id
 
     def test_transit_charge_matches_cited_term(self):
@@ -148,3 +151,25 @@ class TestIndexedEngine:
         db.add_term(PolicyTerm(owner=3, charge=2.5))
         assert db.transit_charge(3, FlowSpec(1, 2), 1, 2) == 2.5
         assert db.transit_charge(4, FlowSpec(1, 2), 1, 2) is None
+
+    def test_synthesis_routes_identical_under_the_scan(self, monkeypatch):
+        # Route-level equivalence: every synthesised route on a small
+        # scaled internet with source-class policies (finite source sets,
+        # the indexed engine's case) is the route the linear scan yields.
+        graph = generate_internet(scaled_config(50, seed=41))
+        policies = source_class_policies(
+            graph, num_classes=12, refusal_prob=0.25, seed=41
+        ).policies
+        flows = sample_flows(graph, 40, seed=42)
+
+        def paths():
+            synthesizer = RouteSynthesizer(graph, policies.copy())
+            routes = [synthesizer.route(flow) for flow in flows]
+            return [None if r is None else r.path for r in routes]
+
+        indexed = paths()
+        monkeypatch.setattr(
+            PolicyDatabase, "permitting_term", PolicyDatabase.scan_permitting_term
+        )
+        assert paths() == indexed
+        assert sum(path is not None for path in indexed) > len(flows) // 2

@@ -1,7 +1,7 @@
 """The unified node runtime config and the engine/transport boundary.
 
 One container (:class:`NodeRuntimeConfig`) now carries every build-time
-node knob -- hardening, validation, pacing, perf, ingress -- through one
+node knob -- hardening, validation, pacing, ingress -- through one
 distribution hook; these tests pin the container's semantics, the
 registry's option handling, and the transport-level timer contract that
 both substrates implement.
@@ -12,7 +12,6 @@ import pytest
 from repro.policy.generators import open_policies
 from repro.protocols.hardening import HardeningConfig, hardening_from
 from repro.protocols.pacing import PacingConfig
-from repro.protocols.perf import PerfConfig
 from repro.protocols.registry import make_protocol
 from repro.protocols.runtime import NodeRuntimeConfig, runtime_from
 from repro.protocols.validation import ValidationConfig
@@ -66,7 +65,6 @@ def test_runtime_from_accepts_primitives():
     assert isinstance(runtime.hardening, HardeningConfig)
     assert isinstance(runtime.validation, ValidationConfig)
     assert isinstance(runtime.pacing, PacingConfig)
-    assert isinstance(runtime.perf, PerfConfig)
 
 
 # --------------------------------------------------- protocol-facing surface
@@ -80,7 +78,6 @@ def test_build_stamps_every_node_once():
     for node in network.nodes.values():
         assert node.hardening is proto.runtime.hardening
         assert node.pacing is proto.runtime.pacing
-        assert node.perf is proto.runtime.perf
 
 
 def test_registry_runtime_option():

@@ -39,12 +39,11 @@ def _subsets(flags):
         yield from itertools.combinations(flags, size)
 
 
-def test_table_names_the_seven_components():
+def test_table_names_the_six_components():
     assert _ids(RUNTIME_FEATURES) == [
-        "hardening", "validation", "pacing", "perf", "graceful", "wire",
-        "ingress",
+        "hardening", "validation", "pacing", "graceful", "wire", "ingress",
     ]
-    assert _ids(FLAG_ROWS) == _ids(RUNTIME_FEATURES)[:5]
+    assert _ids(FLAG_ROWS) == _ids(RUNTIME_FEATURES)[:4]
     assert [row.name for row in RUNTIME_FEATURES if not row.on_node] == ["ingress"]
     assert feature("pacing") is RUNTIME_FEATURES[2]
     with pytest.raises(ValueError, match="unknown runtime feature 'jitter'.*pacing"):
@@ -81,18 +80,9 @@ def test_default_off_and_all_spellings(row):
     for spelling in ("all", "full"):
         assert row.parse(spelling) == everything
         assert row.parse(spelling).enabled == flags
-    # Off by default -- except perf, whose fast paths are production.
-    assert row.default == (everything if row.name == "perf" else nothing)
+    assert row.default == nothing  # off by default
     tuned = row.config(**{flags[-1]: True})
     assert row.parse(tuned) is tuned  # a ready config passes through
-
-
-def test_perf_aliases():
-    perf = feature("perf")
-    assert perf.parse("fast") == perf.parse("all")
-    assert perf.parse("legacy") == perf.parse("none")
-    with pytest.raises(ValueError, match="unknown hardening"):
-        feature("hardening").parse("legacy")  # an alias of perf only
 
 
 @pytest.mark.parametrize(
@@ -102,13 +92,12 @@ def test_perf_aliases():
         ("validation", "telepathy", "validation feature"),
         ("validation", ["seq_guard", "nope"], "validation feature"),
         ("pacing", "pace+jitter", "pacing"),
-        ("perf", "warp-drive", "perf"),
         ("graceful", "helpre", "graceful-restart"),
         ("graceful", "all+helper", "graceful-restart"),  # no mixing aliases
     ],
     ids=[
-        "hardening", "validation", "validation-iterable", "pacing", "perf",
-        "graceful", "graceful-alias-mixed-in",
+        "hardening", "validation", "validation-iterable", "pacing", "graceful",
+        "graceful-alias-mixed-in",
     ],
 )
 def test_unknown_names_rejected_naming_the_valid_ones(name, spelling, noun):
@@ -148,11 +137,11 @@ def test_ingress_takes_a_config_or_nothing():
 
 
 def test_runtime_from_iterates_the_table():
-    runtime = runtime_from(perf="legacy", wire="v1+negotiate")
-    assert runtime.replace(perf=None, wire=None) == NodeRuntimeConfig().replace(
-        perf=None, wire=None
+    runtime = runtime_from(pacing="pace", wire="v1+negotiate")
+    assert runtime.replace(pacing=None, wire=None) == NodeRuntimeConfig().replace(
+        pacing=None, wire=None
     )
-    assert str(runtime.perf) == "none"
+    assert str(runtime.pacing) == "pace"
     assert runtime.wire.describe() == "v1+negotiate"
     with pytest.raises(ValueError, match="unknown runtime feature 'turbo'"):
         runtime_from(turbo="all")
@@ -165,7 +154,6 @@ SPELLINGS = {
     "hardening": "all",
     "validation": "path-check+quarantine",
     "pacing": "pace,damp",
-    "perf": "legacy",
     "graceful": "helper",
     "wire": "v1+negotiate",
     "ingress": IngressConfig(capacity=8),
@@ -240,8 +228,7 @@ def test_runtime_summary_runs_the_rows_collector():
         "holds": 0, "expirations": 0, "resyncs": 0,
     }
     assert proto.runtime_summary("wire")["nodes"] == {f"v{WIRE_VERSION}": 6}
-    for name in ("perf", "ingress"):
-        with pytest.raises(ValueError, match="keeps no counters"):
-            proto.runtime_summary(name)
+    with pytest.raises(ValueError, match="keeps no counters"):
+        proto.runtime_summary("ingress")
     with pytest.raises(ValueError, match="unknown runtime feature"):
         proto.runtime_summary("telemetry")

@@ -1,11 +1,19 @@
 """Tests for batched replay: percentiles, summaries, epoch tails."""
 
+from array import array
+
 import pytest
 
 from repro.adgraph.generator import TopologyConfig, generate_internet
+from repro.forwarding.dataplane import forward_flow
 from repro.policy.generators import restricted_policies
 from repro.protocols.registry import make_protocol
-from repro.traffic.fib import DELIVERED, LinkIndex, compile_fib
+from repro.traffic.fib import (
+    DELIVERED,
+    LinkIndex,
+    compile_fib,
+    verdict_of_outcome,
+)
 from repro.traffic.replay import (
     TailSeries,
     TrafficReplay,
@@ -79,14 +87,19 @@ class TestReplaySummary:
         graph, protocol, wl = setting
         replay = TrafficReplay(wl, graph)
         fib = compile_fib(protocol, wl.classes)
-        assert replay.flow_verdicts(fib) == replay.replay_legacy(protocol)
+        assert fib.lookup_batch(wl.class_of) == replay.replay_legacy(protocol)
 
     def test_per_flow_oracle_agrees(self, setting):
+        # The class-level oracle against re-forwarding every single flow.
         graph, protocol, wl = setting
-        replay = TrafficReplay(wl, graph)
-        assert replay.replay_legacy(protocol) == replay.replay_legacy_per_flow(
-            protocol
+        per_flow = array(
+            "b",
+            (
+                verdict_of_outcome(forward_flow(protocol, wl.classes[idx]))
+                for idx in wl.class_of
+            ),
         )
+        assert TrafficReplay(wl, graph).replay_legacy(protocol) == per_flow
 
 
 class TestTailSeries:
