@@ -4,10 +4,10 @@ The replay engine is deliberately two-speed:
 
 * :meth:`TrafficReplay.replay` -- the production path.  Verdicts are
   computed **per flow class** against a liveness snapshot and then
-  weighted by per-class flow counts, so replaying 10^6 flows costs
-  O(classes x hops) for the walk plus one C-level gather; that is what
-  lets E14 re-run the full workload at every convergence epoch of a
-  fault storm.
+  weighted by the per-class flow and byte sums the workload summed when
+  it was generated, so replaying 10^6 flows costs O(classes x hops) and
+  never touches a per-flow column; that is what lets E14 re-run the
+  full workload at every convergence epoch of a fault storm.
 * :meth:`TrafficReplay.replay_legacy` -- the oracle.  Every flow goes
   through :func:`repro.forwarding.dataplane.forward_flow` individually,
   exactly as the pre-compiled data plane did.  The equivalence suite
@@ -171,11 +171,11 @@ class TrafficReplay:
     def _summarise(self, verdicts: array, fib: CompiledFIB) -> ReplaySummary:
         wl = self.workload
         counts = wl.class_counts
+        class_bytes = wl.class_bytes
         verdict_flows = [0] * len(VERDICT_NAMES)
         latency: List[Tuple[float, int]] = []
         stretch: List[Tuple[float, int]] = []
         delivered_bytes = 0
-        byte_by_class: Optional[array] = None
         for c, verdict in enumerate(verdicts):
             n = counts[c]
             if not n:
@@ -186,9 +186,7 @@ class TrafficReplay:
                 base = self.baseline_hops[c]
                 if base > 0:
                     stretch.append((fib.path_hops[c] / base, n))
-                if byte_by_class is None:
-                    byte_by_class = self._bytes_by_class()
-                delivered_bytes += byte_by_class[c]
+                delivered_bytes += class_bytes[c]
         return ReplaySummary(
             flows=len(wl),
             classes=wl.num_classes,
@@ -202,17 +200,6 @@ class TrafficReplay:
             stretch_p99=weighted_percentile(stretch, 0.99),
             stretch_p999=weighted_percentile(stretch, 0.999),
         )
-
-    def _bytes_by_class(self) -> array:
-        cached = getattr(self, "_byte_cache", None)
-        if cached is not None:
-            return cached
-        wl = self.workload
-        out = array("q", [0] * wl.num_classes)
-        for idx, size in zip(wl.class_of, wl.sizes):
-            out[idx] += size
-        self._byte_cache = out
-        return out
 
     # ----------------------------------------------------------- fast paths
 

@@ -13,8 +13,9 @@ Design notes:
 
 * Flows are stored **columnar**: a per-flow ``class_of`` index into the
   deduplicated flow-class list plus a per-flow ``sizes`` array, never
-  10^6 ``FlowSpec`` objects.  Aggregate replay is O(classes); per-packet
-  replay materialises specs lazily.
+  10^6 ``FlowSpec`` objects.  The per-class flow and byte sums are taken
+  in the generation pass, so aggregate replay is O(classes) and never
+  re-reads a per-flow column; per-packet replay materialises specs lazily.
 * Generation is deterministic: the same :class:`WorkloadSpec` over the
   same graph always yields byte-identical arrays (``random.Random``
   seeded, sorted candidate pools), so E14 runs replay the exact same
@@ -25,9 +26,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
 from math import exp, log
 from random import NV_MAGICCONST
 from typing import Iterator, List, Tuple
@@ -54,8 +53,8 @@ class WorkloadSpec:
         flows: Total flow count (the "users" axis; 10^6+ at full scale).
         zipf_s: Zipf skew of flow-class popularity: 0 is uniform, 1 is
             the classic web-trace shape, larger concentrates harder.
-        pairs: Distinct (src, dst) flow classes to draw from; clamped to
-            the number of ordered edge-AD pairs the graph offers.
+        pairs: Distinct (src, dst) flow classes to draw from (>= 1);
+            clamped to the number of ordered edge-AD pairs the graph offers.
         seed: Generation seed (pools, ranking, draws, sizes).
         hour: Hour-of-day stamped on every flow (policies with time
             windows discriminate on it; one fixed hour keeps the class
@@ -90,6 +89,8 @@ class FlowWorkload:
         sizes: Per-flow size in bytes (``array('l')``).
         class_counts: Per-class flow counts (``array('l')``, aligned with
             ``classes``); the weights every aggregate reduction uses.
+        class_bytes: Per-class byte sums (``array('q')``, same alignment).
+        total_bytes: Bytes over all flows.
     """
 
     def __init__(
@@ -98,13 +99,16 @@ class FlowWorkload:
         classes: List[FlowSpec],
         class_of: array,
         sizes: array,
+        class_counts: array,
+        class_bytes: array,
     ) -> None:
         self.spec = spec
         self.classes = classes
         self.class_of = class_of
         self.sizes = sizes
-        counts = Counter(class_of)
-        self.class_counts = array("l", [counts[idx] for idx in range(len(classes))])
+        self.class_counts = class_counts
+        self.class_bytes = class_bytes
+        self.total_bytes = sum(class_bytes)
 
     def __len__(self) -> int:
         return len(self.class_of)
@@ -112,10 +116,6 @@ class FlowWorkload:
     @property
     def num_classes(self) -> int:
         return len(self.classes)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(self.sizes)
 
     def iter_flows(self) -> Iterator[Tuple[FlowSpec, int]]:
         """Lazy per-packet view: (flow spec, size) per flow, in order."""
@@ -150,16 +150,20 @@ def zipf_workload(graph: InterADGraph, spec: WorkloadSpec) -> FlowWorkload:
     3. draw per-flow log-normal sizes: ``rng.lognormvariate``'s
        Kinderman-Monahan loop spelled out, the same ``rng.random()``
        calls and float operations in the same order, without two method
-       calls per flow.
+       calls per flow, summing per-class flows and bytes as it goes.
     """
     if spec.flows < 0:
         raise ValueError("flow count must be non-negative")
     if spec.zipf_s < 0:
         raise ValueError("zipf_s must be non-negative")
-    rng = random.Random(spec.seed)
+    if spec.pairs < 1:
+        raise ValueError(f"pairs must be at least 1, got {spec.pairs}")
     pool = _edge_pool(graph)
+    if len(pool) < 2:
+        raise ValueError(f"a (src, dst) workload needs 2+ ADs; graph has {len(pool)}")
+    rng = random.Random(spec.seed)
     max_pairs = len(pool) * (len(pool) - 1)
-    n_pairs = max(1, min(spec.pairs, max_pairs))
+    n_pairs = min(spec.pairs, max_pairs)
     pairs: List[Tuple[ADId, ADId]] = []
     seen = set()
     # Rejection-sample distinct ordered pairs; switch to exhaustive
@@ -186,13 +190,22 @@ def zipf_workload(graph: InterADGraph, spec: WorkloadSpec) -> FlowWorkload:
         else [],
     )
     sizes = array("l")
+    counts = [0] * len(classes)
+    byte_sums = [0] * len(classes)
     append, uniform = sizes.append, rng.random
-    for _ in repeat(None, spec.flows):
+    for idx in class_of:
         while True:
             u1 = uniform()
             u2 = 1.0 - uniform()
             z = NV_MAGICCONST * (u1 - 0.5) / u2
             if z * z / 4.0 <= -log(u2):
                 break
-        append(max(_SIZE_MIN, int(exp(_SIZE_MU + z * _SIZE_SIGMA))))
-    return FlowWorkload(spec, classes, class_of, sizes)
+        size = int(exp(_SIZE_MU + z * _SIZE_SIGMA))
+        if size < _SIZE_MIN:
+            size = _SIZE_MIN
+        append(size)
+        counts[idx] += 1
+        byte_sums[idx] += size
+    return FlowWorkload(
+        spec, classes, class_of, sizes, array("l", counts), array("q", byte_sums)
+    )

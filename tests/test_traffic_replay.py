@@ -1,15 +1,20 @@
 """Tests for batched replay: percentiles, summaries, epoch tails."""
 
 from array import array
+from types import SimpleNamespace
 
 import pytest
 
 from repro.adgraph.generator import TopologyConfig, generate_internet
 from repro.forwarding.dataplane import forward_flow
+from repro.harness.session import TrafficMeter
+from repro.harness.spec import TrafficSpec
 from repro.policy.generators import restricted_policies
 from repro.protocols.registry import make_protocol
+from repro.simul.profiling import PhaseProfiler
 from repro.traffic.fib import (
     DELIVERED,
+    VERDICT_NAMES,
     LinkIndex,
     compile_fib,
     verdict_of_outcome,
@@ -32,6 +37,34 @@ def setting():
     protocol.converge()
     wl = zipf_workload(graph, WorkloadSpec(flows=20_000, pairs=128, seed=8))
     return graph, protocol, wl
+
+
+def per_flow_recount(fib, wl):
+    """(verdict_flows, delivered_bytes) from every flow's own verdict and
+    size -- the per-flow oracle of a summary's class-weighted sums."""
+    verdict_flows = [0] * len(VERDICT_NAMES)
+    delivered_bytes = 0
+    for verdict, size in zip(fib.lookup_batch(wl.class_of), wl.sizes):
+        verdict_flows[verdict] += 1
+        if verdict == DELIVERED:
+            delivered_bytes += size
+    return tuple(verdict_flows), delivered_bytes
+
+
+class _Tripwire:
+    """A per-flow column that fails the test when anything reads it."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __iter__(self):
+        raise AssertionError("a per-flow column was iterated after generation")
+
+    def __getitem__(self, i):
+        raise AssertionError("a per-flow column was indexed after generation")
 
 
 class TestWeightedPercentile:
@@ -111,13 +144,23 @@ class TestTailSeries:
         tail = TailSeries(wl)
         tail.record(0.0, "initial", fib, replay)
         assert tail.outage_percentile(0.99) == 0.0
+        recounts = [per_flow_recount(fib, wl)]
         # Degrade: fail a batch of links, replay the same compiled FIB.
         for key in index.keys[::5]:
             graph.set_link_status(*key, up=False)
         broken = tail.record(100.0, "failure", fib, replay)
+        recounts.append(per_flow_recount(fib, wl))
         for key in index.keys[::5]:
             graph.set_link_status(*key, up=True)
         tail.record(200.0, "final", fib, replay)
+        recounts.append(per_flow_recount(fib, wl))
+        # Converged, then stale and degraded, then healed: each epoch's
+        # class-weighted sums equal a per-flow recount.
+        assert recounts[1] != recounts[0]
+        assert [
+            (e.summary.verdict_flows, e.summary.delivered_bytes) for e in tail.epochs
+        ] == recounts
+        assert all(e.summary.total_bytes == sum(wl.sizes) for e in tail.epochs)
         assert broken.summary.reach_gap > tail.epochs[0].summary.reach_gap
         assert tail.worst_gap() == broken.summary.reach_gap
         assert 0.0 < tail.outage_percentile(0.99) <= 1.0
@@ -159,3 +202,31 @@ class TestTailSeries:
             [c for c in structurally_dark if wl.class_counts[c]]
         )
         assert len(tail.outage_fractions()) == included
+
+
+class TestNoPerFlowPass:
+    def test_epochs_and_record_block_never_read_a_per_flow_column(self, setting):
+        """A count tripwire, not a timing: once generated, a workload is
+        replayed from its class aggregates alone, at every epoch."""
+        graph, protocol, _ = setting
+        cell = SimpleNamespace(traffic=TrafficSpec(flows=20_000, pairs=128, seed=8))
+        meter = TrafficMeter(cell, protocol, PhaseProfiler())
+        wl = meter.workload
+        total = sum(wl.sizes)
+        wl.class_of, wl.sizes = _Tripwire(len(wl)), _Tripwire(len(wl))
+        index = LinkIndex(graph)
+        fib = meter.compile()
+        meter.record(0.0, "initial", fib)
+        for key in index.keys[::5]:
+            graph.set_link_status(*key, up=False)
+        meter.record(100.0, "failure", fib)
+        for key in index.keys[::5]:
+            graph.set_link_status(*key, up=True)
+        meter.record(200.0, "final")
+        block = meter.block()
+        assert block["workload"]["flows"] == 20_000
+        assert block["workload"]["total_bytes"] == total
+        epochs = block["series"]["epochs"]
+        assert [e["label"] for e in epochs] == ["initial", "failure", "final"]
+        assert all(e["total_bytes"] == total for e in epochs)
+        assert epochs[1]["delivered_bytes"] < epochs[0]["delivered_bytes"]

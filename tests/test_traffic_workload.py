@@ -33,6 +33,16 @@ class TestSpec:
         with pytest.raises(ValueError):
             zipf_workload(graph, WorkloadSpec(flows=10, zipf_s=-0.5))
 
+    @pytest.mark.parametrize("pairs", [0, -3])
+    def test_pairs_below_one_is_refused(self, graph, pairs):
+        with pytest.raises(ValueError, match="pairs must be at least 1"):
+            zipf_workload(graph, WorkloadSpec(flows=10, pairs=pairs))
+
+    @pytest.mark.parametrize("flows", [0, 10])
+    def test_graph_without_two_ads_is_refused(self, flows):
+        with pytest.raises(ValueError, match="needs 2\\+ ADs; graph has 1"):
+            zipf_workload(line_graph(1), WorkloadSpec(flows=flows))
+
 
 class TestGeneration:
     def test_columnar_shape(self, graph):
@@ -91,15 +101,17 @@ class TestGeneration:
 
     def test_draws_are_byte_identical_to_the_first_generator(self, graph, monkeypatch):
         def first_draws(rng, n, spec):
-            """The oracle: stages 2-3 and the class counts as first written."""
+            """The oracle: stages 2-3 and the class aggregates as first written."""
             weights = [1.0 / (rank + 1) ** spec.zipf_s for rank in range(n)]
             drawn = rng.choices(range(n), weights=weights, k=spec.flows) if spec.flows else []
             class_of = array("i", drawn)
             sizes = array("l", (max(64, int(rng.lognormvariate(9.0, 1.2))) for _ in drawn))
             counts = array("l", [0] * n)
-            for idx in class_of:
+            class_bytes = array("q", [0] * n)
+            for idx, size in zip(class_of, sizes):
                 counts[idx] += 1
-            return class_of, sizes, counts
+                class_bytes[idx] += size
+            return (class_of, sizes, counts, class_bytes), sum(sizes)
 
         class Recorder(random.Random):
             """Remembers the generator state stage 2 starts from."""
@@ -118,10 +130,11 @@ class TestGeneration:
             rng = random.Random()
             if flows:
                 rng.setstate(states.pop())
-            expected = first_draws(rng, wl.num_classes, spec)
-            got = (wl.class_of, wl.sizes, wl.class_counts)
+            expected, total = first_draws(rng, wl.num_classes, spec)
+            got = (wl.class_of, wl.sizes, wl.class_counts, wl.class_bytes)
             assert [a.typecode for a in got] == [a.typecode for a in expected]
             assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+            assert wl.total_bytes == total
 
     def test_iter_flows_matches_columns(self, graph):
         wl = zipf_workload(graph, WorkloadSpec(flows=500, pairs=32, seed=7))
