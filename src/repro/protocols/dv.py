@@ -25,18 +25,13 @@ from repro.adgraph.graph import InterADGraph
 from repro.policy.database import PolicyDatabase
 from repro.policy.flows import FlowSpec
 from repro.protocols.base import ForwardingMode, RoutingProtocol
-from repro.protocols.pacing import OverloadDefenseMixin
+from repro.protocols.pacing import TRIGGER_DELAY, OverloadDefenseMixin
 from repro.simul.messages import AD_ID_BYTES, METRIC_BYTES, Message
 from repro.simul.network import SimNetwork
 from repro.simul.node import ProtocolNode
 
 #: Default metric cap ("infinity"), after RIP.
 DEFAULT_INFINITY = 16
-
-#: Default delay before a triggered update batch is flushed.  Larger
-#: delays coalesce more changes per update (fewer messages) at the cost
-#: of slower convergence -- ablation A6 sweeps this trade-off.
-TRIGGER_DELAY = 1.0
 
 
 @dataclass(frozen=True)
@@ -68,9 +63,6 @@ class _TableEntry:
 class DVNode(OverloadDefenseMixin, ProtocolNode):
     """The per-AD Bellman-Ford process."""
 
-    LIE_REASSERT_INTERVAL = 60.0
-    LIE_REASSERT_COUNT = 6
-
     def __init__(
         self,
         ad_id: ADId,
@@ -85,10 +77,6 @@ class DVNode(OverloadDefenseMixin, ProtocolNode):
         self.poison_reverse = poison_reverse
         self.trigger_delay = trigger_delay
         self.table: Dict[ADId, _TableEntry] = {ad_id: _TableEntry(0, ad_id)}
-        self._flush_pending = False
-        self._active_lies: Dict[str, Optional[ADId]] = {}
-        self._lie_ticks_left = 0
-        self._lie_tick_pending = False
 
     # --------------------------------------------------------------- control
 
@@ -111,7 +99,7 @@ class DVNode(OverloadDefenseMixin, ProtocolNode):
         for dest, metric in msg.entries:
             if dest == self.ad_id:
                 continue
-            if self._rejects(sender, dest, metric):
+            if self._rejects(sender, self._check_entry, sender, dest, metric):
                 continue
             candidate = min(metric + 1, self.infinity)
             entry = self.table.get(dest)
@@ -162,16 +150,6 @@ class DVNode(OverloadDefenseMixin, ProtocolNode):
 
     # ------------------------------------------------------------ validation
 
-    def _rejects(self, sender: ADId, dest: ADId, metric: int) -> bool:
-        if not self.validation.checks_enabled:
-            return False
-        reason = self._check_entry(sender, dest, metric)
-        if reason is None:
-            return False
-        if self.guard is not None:
-            self.guard.violation(sender, reason)
-        return True
-
     def _check_entry(self, sender: ADId, dest: ADId, metric: int) -> Optional[str]:
         """Hop-count sanity: metric 0 means "I am the destination" and
         metric 1 means "I am adjacent to it" -- both are checkable
@@ -188,14 +166,7 @@ class DVNode(OverloadDefenseMixin, ProtocolNode):
 
     # ----------------------------------------------------------- misbehavior
 
-    def misbehave(self, lie: str, target: Optional[ADId] = None) -> bool:
-        applied = self._tell_lie(lie, target)
-        if applied and self._lie_ticks_left == 0:
-            self._lie_ticks_left = self.LIE_REASSERT_COUNT
-            self._arm_lie_tick()
-        return applied
-
-    def _tell_lie(self, lie: str, target: Optional[ADId] = None) -> bool:
+    def _tell_lie(self, lie: str, target: Optional[ADId]) -> bool:
         if lie == "metric-lie":
             self._active_lies[lie] = None
             self._schedule_flush()
@@ -210,23 +181,8 @@ class DVNode(OverloadDefenseMixin, ProtocolNode):
         # numbers or terms (nothing to replay or forge).
         return False
 
-    def behave(self) -> None:
-        self._active_lies.clear()
-        self._lie_ticks_left = 0
-
-    def _arm_lie_tick(self) -> None:
-        if not self._lie_tick_pending:
-            self._lie_tick_pending = True
-            self.schedule(self.LIE_REASSERT_INTERVAL, self._lie_tick)
-
-    def _lie_tick(self) -> None:
-        self._lie_tick_pending = False
-        if not self._active_lies or self._lie_ticks_left <= 0:
-            return
-        self._lie_ticks_left -= 1
+    def _reassert_lies(self) -> None:
         self._schedule_flush()
-        if self._lie_ticks_left > 0:
-            self._arm_lie_tick()
 
     def _apply_lies(self, entries: "list") -> "list":
         if "metric-lie" in self._active_lies:
@@ -240,17 +196,7 @@ class DVNode(OverloadDefenseMixin, ProtocolNode):
 
     # ------------------------------------------------------------- advertise
 
-    def _schedule_flush(self) -> None:
-        if not self._flush_pending:
-            self._flush_pending = True
-            self.schedule(self.trigger_delay, self._flush)
-
-    def _flush(self) -> None:
-        wait = self._pacing_defers_flush()
-        if wait is not None:
-            self.schedule(wait, self._flush)
-            return
-        self._flush_pending = False
+    def _flush_batch(self) -> None:
         # Suppressed destinations are withdrawn once, then omitted from
         # every flush until their flap penalty decays (repeating the
         # withdrawal would solicit re-offers forever).

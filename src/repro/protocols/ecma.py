@@ -41,9 +41,6 @@ from repro.simul.network import SimNetwork
 from repro.simul.node import ProtocolNode
 from repro.core.design_space import DV_HBH_TOPOLOGY
 
-#: Delay before a triggered update batch is flushed.
-TRIGGER_DELAY = 1.0
-
 #: Advertised metric meaning "withdrawn / unreachable".
 INFINITE_METRIC = math.inf
 
@@ -108,9 +105,6 @@ def supported_qos_classes(policies: PolicyDatabase, ad_id: ADId) -> FrozenSet[QO
 class ECMANode(OverloadDefenseMixin, ProtocolNode):
     """Per-AD ECMA process."""
 
-    LIE_REASSERT_INTERVAL = 60.0
-    LIE_REASSERT_COUNT = 6
-
     def __init__(
         self,
         ad_id: ADId,
@@ -132,11 +126,7 @@ class ECMANode(OverloadDefenseMixin, ProtocolNode):
         for q in supported_qos:
             self.table[(ad_id, q)] = _Entry(0.0, 0, False, ad_id)
         self._pending: Set[Tuple[ADId, QOS]] = set()
-        self._flush_scheduled = False
-        self._active_lies: Dict[str, Optional[ADId]] = {}
         self._honest_transit = (may_transit, down_only_transit)
-        self._lie_ticks_left = 0
-        self._lie_tick_pending = False
         self._trusted_cones: Dict[ADId, FrozenSet[ADId]] = {}
 
     # --------------------------------------------------------------- control
@@ -168,7 +158,9 @@ class ECMANode(OverloadDefenseMixin, ProtocolNode):
         for dest, qos, metric, hops, contains_up in msg.entries:
             if dest == self.ad_id or qos not in self.supported_qos:
                 continue
-            if not math.isinf(metric) and self._rejects(sender, dest, metric):
+            if not math.isinf(metric) and self._rejects(
+                sender, self._check_entry, sender, dest, metric
+            ):
                 continue
             key = (dest, qos)
             entry = self.table.get(key)
@@ -237,16 +229,6 @@ class ECMANode(OverloadDefenseMixin, ProtocolNode):
 
     # ------------------------------------------------------------ validation
 
-    def _rejects(self, sender: ADId, dest: ADId, metric: float) -> bool:
-        if not self.validation.checks_enabled:
-            return False
-        reason = self._check_entry(sender, dest, metric)
-        if reason is None:
-            return False
-        if self.guard is not None:
-            self.guard.violation(sender, reason)
-        return True
-
     def _check_entry(self, sender: ADId, dest: ADId, metric: float) -> Optional[str]:
         """Policy-in-topology is registry-checkable: the sender's transit
         offer must be consistent with its *registered* role (stubs never
@@ -278,14 +260,7 @@ class ECMANode(OverloadDefenseMixin, ProtocolNode):
 
     # ----------------------------------------------------------- misbehavior
 
-    def misbehave(self, lie: str, target: Optional[ADId] = None) -> bool:
-        applied = self._tell_lie(lie, target)
-        if applied and self._lie_ticks_left == 0:
-            self._lie_ticks_left = self.LIE_REASSERT_COUNT
-            self._arm_lie_tick()
-        return applied
-
-    def _tell_lie(self, lie: str, target: Optional[ADId] = None) -> bool:
+    def _tell_lie(self, lie: str, target: Optional[ADId]) -> bool:
         if lie == "route-leak":
             if self.may_transit and not self.down_only_transit:
                 # Already a full-transit AD in the topology regime.
@@ -310,8 +285,7 @@ class ECMANode(OverloadDefenseMixin, ProtocolNode):
         return False
 
     def behave(self) -> None:
-        self._active_lies.clear()
-        self._lie_ticks_left = 0
+        super().behave()
         self.may_transit, self.down_only_transit = self._honest_transit
 
     def _advertise_bogus_origin(self, victim: ADId) -> None:
@@ -322,31 +296,15 @@ class ECMANode(OverloadDefenseMixin, ProtocolNode):
         if entries:
             self.broadcast(ECMAUpdate(entries))
 
-    def _arm_lie_tick(self) -> None:
-        if not self._lie_tick_pending:
-            self._lie_tick_pending = True
-            self.schedule(self.LIE_REASSERT_INTERVAL, self._lie_tick)
-
-    def _lie_tick(self) -> None:
-        self._lie_tick_pending = False
-        if not self._active_lies or self._lie_ticks_left <= 0:
-            return
-        self._lie_ticks_left -= 1
+    def _reassert_lies(self) -> None:
         if "route-leak" in self._active_lies or "metric-lie" in self._active_lies:
             self._pending.update(self.table)
             self._schedule_flush()
         victim = self._active_lies.get("bogus-origin")
         if victim is not None:
             self._advertise_bogus_origin(victim)
-        if self._lie_ticks_left > 0:
-            self._arm_lie_tick()
 
     # ------------------------------------------------------------- advertise
-
-    def _schedule_flush(self) -> None:
-        if not self._flush_scheduled:
-            self._flush_scheduled = True
-            self.schedule(TRIGGER_DELAY, self._flush)
 
     def _exportable(self, key: Tuple[ADId, QOS], nbr: ADId) -> bool:
         """Transit policy in topology: may we offer this route to ``nbr``?
@@ -367,12 +325,7 @@ class ECMANode(OverloadDefenseMixin, ProtocolNode):
             return self.order.direction(self.ad_id, nbr) is Direction.DOWN
         return True
 
-    def _flush(self) -> None:
-        wait = self._pacing_defers_flush()
-        if wait is not None:
-            self.schedule(wait, self._flush)
-            return
-        self._flush_scheduled = False
+    def _flush_batch(self) -> None:
         keys = sorted(self._pending, key=lambda k: (k[0], k[1].value))
         self._pending.clear()
         if not keys:

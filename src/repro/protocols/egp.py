@@ -35,10 +35,6 @@ from repro.simul.messages import AD_ID_BYTES, Message
 from repro.simul.network import SimNetwork
 from repro.simul.node import ProtocolNode
 
-#: Delay before a triggered reachability batch is flushed.
-TRIGGER_DELAY = 1.0
-
-
 class TopologyViolationError(ValueError):
     """The topology contains a cycle, which strict EGP cannot tolerate."""
 
@@ -76,14 +72,10 @@ class NRAck(Message):
 class EGPNode(OverloadDefenseMixin, ProtocolNode):
     """Per-AD reachability process over the (tree) topology."""
 
-    LIE_REASSERT_INTERVAL = 60.0
-    LIE_REASSERT_COUNT = 6
-
     def __init__(self, ad_id: ADId) -> None:
         super().__init__(ad_id)
         self.table: Dict[ADId, ADId] = {ad_id: ad_id}
         self._pending: Set[ADId] = set()
-        self._flush_scheduled = False
         self._update_seq = 0
         # Sequence numbers already processed, per sender.  Sets rather
         # than a high-water mark: jitter reorders, and a reordered update
@@ -93,10 +85,7 @@ class EGPNode(OverloadDefenseMixin, ProtocolNode):
         # Highest sequence number observed per sender (seq-guard state;
         # independent of the dedup hardening's seen-sets).
         self._last_seq: Dict[ADId, int] = {}
-        self._active_lies: Dict[str, Optional[ADId]] = {}
         self._replay_seq = 0
-        self._lie_ticks_left = 0
-        self._lie_tick_pending = False
 
     def start(self) -> None:
         self._pending.add(self.ad_id)
@@ -109,7 +98,7 @@ class EGPNode(OverloadDefenseMixin, ProtocolNode):
             self._unacked.pop((sender, msg.seq), None)
             return
         assert isinstance(msg, NRUpdate)
-        if self._rejects(sender, msg):
+        if self._rejects(sender, self._check_update, sender, msg):
             return
         if msg.seq:
             # Always re-ack: the retransmission we are answering may be
@@ -148,16 +137,6 @@ class EGPNode(OverloadDefenseMixin, ProtocolNode):
 
     # ------------------------------------------------------------ validation
 
-    def _rejects(self, sender: ADId, msg: NRUpdate) -> bool:
-        if not self.validation.checks_enabled:
-            return False
-        reason = self._check_update(sender, msg)
-        if reason is None:
-            return False
-        if self.guard is not None:
-            self.guard.violation(sender, reason)
-        return True
-
     def _check_update(self, sender: ADId, msg: NRUpdate) -> Optional[str]:
         """EGP's only checkable claims: destinations must be registered
         ADs, and sequence numbers must advance plausibly.  Which *paths*
@@ -177,14 +156,7 @@ class EGPNode(OverloadDefenseMixin, ProtocolNode):
 
     # ----------------------------------------------------------- misbehavior
 
-    def misbehave(self, lie: str, target: Optional[ADId] = None) -> bool:
-        applied = self._tell_lie(lie, target)
-        if applied and self._lie_ticks_left == 0:
-            self._lie_ticks_left = self.LIE_REASSERT_COUNT
-            self._arm_lie_tick()
-        return applied
-
-    def _tell_lie(self, lie: str, target: Optional[ADId] = None) -> bool:
+    def _tell_lie(self, lie: str, target: Optional[ADId]) -> bool:
         if lie == "bogus-origin":
             if target is None:
                 return False
@@ -199,10 +171,6 @@ class EGPNode(OverloadDefenseMixin, ProtocolNode):
         # destination is exported to every neighbour already.
         return False
 
-    def behave(self) -> None:
-        self._active_lies.clear()
-        self._lie_ticks_left = 0
-
     def _advertise_bogus_origin(self, victim: ADId) -> None:
         """Claim direct reachability of the victim (no provenance exists
         to contradict us -- but first-heard-wins limits the audience)."""
@@ -216,37 +184,16 @@ class EGPNode(OverloadDefenseMixin, ProtocolNode):
         if dests:
             self.broadcast(NRUpdate(dests, seq=self._update_seq + self._replay_seq))
 
-    def _arm_lie_tick(self) -> None:
-        if not self._lie_tick_pending:
-            self._lie_tick_pending = True
-            self.schedule(self.LIE_REASSERT_INTERVAL, self._lie_tick)
-
-    def _lie_tick(self) -> None:
-        self._lie_tick_pending = False
-        if not self._active_lies or self._lie_ticks_left <= 0:
-            return
-        self._lie_ticks_left -= 1
+    def _reassert_lies(self) -> None:
         victim = self._active_lies.get("bogus-origin")
         if victim is not None:
             self._advertise_bogus_origin(victim)
         if "stale-replay" in self._active_lies:
             self._flood_replay()
-        if self._lie_ticks_left > 0:
-            self._arm_lie_tick()
 
     # ------------------------------------------------------------- advertise
 
-    def _schedule_flush(self) -> None:
-        if not self._flush_scheduled:
-            self._flush_scheduled = True
-            self.schedule(TRIGGER_DELAY, self._flush)
-
-    def _flush(self) -> None:
-        wait = self._pacing_defers_flush()
-        if wait is not None:
-            self.schedule(wait, self._flush)
-            return
-        self._flush_scheduled = False
+    def _flush_batch(self) -> None:
         dests = tuple(sorted(self._pending))
         self._pending.clear()
         if not dests:

@@ -306,12 +306,8 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
         # Retransmit hardening: token generator and unacked DB exchanges.
         self._exchange_seq = 0
         self._pending_exchanges: Dict[int, Tuple[ADId, LSDBExchange]] = {}
-        # Misbehavior state: active lie -> victim (None when honest, which
-        # keeps every honest-path branch below a single falsy check).
-        self._active_lies: Dict[str, Optional[ADId]] = {}
+        # Terms a liar adds to its own LSA (empty when honest).
         self._forged_terms: Tuple[PolicyTerm, ...] = ()
-        self._lie_ticks_left = 0
-        self._lie_tick_pending = False
 
     def _flood(self, msg: Message, exclude: Optional[ADId] = None) -> None:
         """Send to flooding-scope neighbours (all, or scoped links only)."""
@@ -480,7 +476,7 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
         if self.guard is not None and self.guard.suppresses(sender):
             return
         if isinstance(msg, LinkStateAd):
-            if self._rejects(sender, msg):
+            if self._rejects(sender, self._check_lsa, msg):
                 return
             if self._install(msg):
                 self._flood(msg, exclude=sender)
@@ -491,7 +487,7 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
                 self.send(sender, ExchangeAck(msg.token))
             changed = False
             for lsa in msg.ads:
-                if self._rejects(sender, lsa):
+                if self._rejects(sender, self._check_lsa, lsa):
                     continue
                 if self._install(lsa):
                     self._flood(lsa, exclude=sender)
@@ -501,23 +497,13 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
 
     # ------------------------------------------------------------ validation
 
-    def _rejects(self, sender: ADId, lsa: LinkStateAd) -> bool:
-        """Validate an LSA against the trusted registries; charge failures.
+    def _check_lsa(self, lsa: LinkStateAd) -> Optional[str]:
+        """Validate an LSA against the trusted registries.
 
         Rejection happens *before* install-and-reflood, so a validating
         receiver never propagates a lie and every violation is charged
         to the AD that actually injected it.
         """
-        if not self.validation.checks_enabled:
-            return False
-        reason = self._check_lsa(lsa)
-        if reason is None:
-            return False
-        if self.guard is not None:
-            self.guard.violation(sender, reason)
-        return True
-
-    def _check_lsa(self, lsa: LinkStateAd) -> Optional[str]:
         v = self.validation
         graph = self.trusted_graph
         if v.origin_check and graph is not None:
@@ -561,20 +547,6 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
         return None
 
     # ----------------------------------------------------------- misbehavior
-
-    #: A liar re-asserts its lies periodically (a leaking AD keeps
-    #: leaking); the burst is bounded so runs still quiesce.
-    LIE_REASSERT_INTERVAL = 60.0
-    LIE_REASSERT_COUNT = 6
-
-    def misbehave(self, lie: str, target: Optional[ADId] = None) -> bool:
-        applied = self._tell_lie(lie, target)
-        if applied:
-            self._lie_ticks_left = self.LIE_REASSERT_COUNT
-            if not self._lie_tick_pending:
-                self._lie_tick_pending = True
-                self.schedule(self.LIE_REASSERT_INTERVAL, self._lie_tick)
-        return applied
 
     def _tell_lie(self, lie: str, target: Optional[ADId]) -> bool:
         if lie == "route-leak":
@@ -657,11 +629,7 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
                 )
             )
 
-    def _lie_tick(self) -> None:
-        self._lie_tick_pending = False
-        if self._lie_ticks_left <= 0 or not self._active_lies:
-            return
-        self._lie_ticks_left -= 1
+    def _reassert_lies(self) -> None:
         if any(
             lie in self._active_lies
             for lie in ("route-leak", "metric-lie", "term-forgery")
@@ -672,14 +640,10 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
             self._flood_bogus_origin(victim)
         if "stale-replay" in self._active_lies:
             self._flood_replays()
-        if self._lie_ticks_left > 0:
-            self._lie_tick_pending = True
-            self.schedule(self.LIE_REASSERT_INTERVAL, self._lie_tick)
 
     def behave(self) -> None:
-        self._active_lies.clear()
+        super().behave()
         self._forged_terms = ()
-        self._lie_ticks_left = 0
 
     def on_link_change(self, link: InterADLink, up: bool) -> None:
         originate = True

@@ -43,9 +43,6 @@ from repro.simul.messages import AD_ID_BYTES, METRIC_BYTES, Message
 from repro.simul.network import SimNetwork
 from repro.simul.node import ProtocolNode
 
-#: Delay before a triggered update batch is flushed.
-TRIGGER_DELAY = 1.0
-
 #: Representative user class / hour used when evaluating PTs in the
 #: control plane (updates are not replicated per UCI or per hour).
 TEMPLATE_UCI = UCI.DEFAULT
@@ -123,10 +120,6 @@ _Key = Tuple[ADId, QOS, int]
 class IDRPNode(OverloadDefenseMixin, ProtocolNode):
     """Per-AD path-vector process."""
 
-    #: A liar re-advertises periodically (bounded, so runs quiesce).
-    LIE_REASSERT_INTERVAL = 60.0
-    LIE_REASSERT_COUNT = 6
-
     def __init__(
         self,
         ad_id: ADId,
@@ -151,11 +144,6 @@ class IDRPNode(OverloadDefenseMixin, ProtocolNode):
         # sent for keys actually advertised there).
         self._advertised: Dict[ADId, set] = {}
         self._pending: set = set()
-        self._flush_scheduled = False
-        # Active misbehaviors: lie name -> optional target AD.
-        self._active_lies: Dict[str, Optional[ADId]] = {}
-        self._lie_ticks_left = 0
-        self._lie_tick_pending = False
 
     # --------------------------------------------------------------- control
 
@@ -183,7 +171,7 @@ class IDRPNode(OverloadDefenseMixin, ProtocolNode):
                 continue
             if ad.qos not in self.qos_classes:
                 continue  # a class we keep no table for: nothing reads it
-            if not ad.is_withdrawal and self._rejects(sender, ad):
+            if not ad.is_withdrawal and self._rejects(sender, self._check_ad, sender, ad):
                 continue
             key = (ad.dest, ad.qos, ad.cls)
             per_nbr = self.rib_in.setdefault(key, {})
@@ -223,17 +211,6 @@ class IDRPNode(OverloadDefenseMixin, ProtocolNode):
             self._schedule_flush()
 
     # ------------------------------------------------------------ validation
-
-    def _rejects(self, sender: ADId, ad: RouteAd) -> bool:
-        """Receiver-side plausibility screen for one advertisement."""
-        if not self.validation.checks_enabled:
-            return False
-        reason = self._check_ad(sender, ad)
-        if reason is None:
-            return False
-        if self.guard is not None:
-            self.guard.violation(sender, reason)
-        return True
 
     def _check_ad(self, sender: ADId, ad: RouteAd) -> Optional[str]:
         cfg = self.validation
@@ -387,17 +364,7 @@ class IDRPNode(OverloadDefenseMixin, ProtocolNode):
                 permitted = permitted.union(term.sources)
         return entry.allowed.intersect(permitted).intersect(self.class_sets[cls])
 
-    def _schedule_flush(self) -> None:
-        if not self._flush_scheduled:
-            self._flush_scheduled = True
-            self.schedule(TRIGGER_DELAY, self._flush)
-
-    def _flush(self) -> None:
-        wait = self._pacing_defers_flush()
-        if wait is not None:
-            self.schedule(wait, self._flush)
-            return
-        self._flush_scheduled = False
+    def _flush_batch(self) -> None:
         keys = sorted(self._pending, key=lambda k: (k[0], k[1].value, k[2]))
         self._pending.clear()
         if not keys:
@@ -456,14 +423,7 @@ class IDRPNode(OverloadDefenseMixin, ProtocolNode):
 
     # ----------------------------------------------------------- misbehavior
 
-    def misbehave(self, lie: str, target: Optional[ADId] = None) -> bool:
-        applied = self._tell_lie(lie, target)
-        if applied and self._lie_ticks_left == 0:
-            self._lie_ticks_left = self.LIE_REASSERT_COUNT
-            self._arm_lie_tick()
-        return applied
-
-    def _tell_lie(self, lie: str, target: Optional[ADId] = None) -> bool:
+    def _tell_lie(self, lie: str, target: Optional[ADId]) -> bool:
         if lie == "route-leak":
             # Forge a maximally permissive own term: export scope widens
             # to everything AND our own forwarding-time transit check now
@@ -491,8 +451,7 @@ class IDRPNode(OverloadDefenseMixin, ProtocolNode):
         return False
 
     def behave(self) -> None:
-        self._active_lies.clear()
-        self._lie_ticks_left = 0
+        super().behave()
         self.own_terms = tuple(
             t for t in self.own_terms if t.term_id != FORGED_TERM_ID
         )
@@ -506,24 +465,13 @@ class IDRPNode(OverloadDefenseMixin, ProtocolNode):
         )
         self.broadcast(IDRPUpdate(routes))
 
-    def _arm_lie_tick(self) -> None:
-        if not self._lie_tick_pending:
-            self._lie_tick_pending = True
-            self.schedule(self.LIE_REASSERT_INTERVAL, self._lie_tick)
-
-    def _lie_tick(self) -> None:
-        self._lie_tick_pending = False
-        if not self._active_lies or self._lie_ticks_left <= 0:
-            return
-        self._lie_ticks_left -= 1
+    def _reassert_lies(self) -> None:
         if "route-leak" in self._active_lies or "metric-lie" in self._active_lies:
             self._pending.update(self.loc)
             self._schedule_flush()
         victim = self._active_lies.get("bogus-origin")
         if victim is not None:
             self._advertise_bogus_origin(victim)
-        if self._lie_ticks_left > 0:
-            self._arm_lie_tick()
 
     # ------------------------------------------------------------ forwarding
 

@@ -463,11 +463,23 @@ class ORWGNode(LSNode):
             # flooded copy against the build-time trusted snapshot.
             from repro.policy.terms import PolicyTerm
 
+            if lie not in self._active_lies:
+                self._honest_terms = self.own_terms
             self._active_lies[lie] = None
             self.live_policies.add_term(PolicyTerm(owner=self.ad_id))
             self.refresh_policy()
             return True
         return super()._tell_lie(lie, target)
+
+    def behave(self) -> None:
+        """Also take a leaked term back out of the live database and our
+        own terms (not re-originated, like every family's ``behave``)."""
+        if "route-leak" in self._active_lies:
+            self.live_policies.remove_terms(self.ad_id)
+            for term in self._honest_terms:
+                self.live_policies.add_term(term)
+            self.own_terms = self._honest_terms
+        super().behave()
 
     def inherit_nonvolatile(self, previous) -> None:
         """Also keep the handle id counter, so post-restart setups never

@@ -179,6 +179,11 @@ class FlapDamper:
 #: re-penalized while suppressed cannot busy-loop the scheduler.
 REUSE_TICK_MIN = 1.0
 
+#: Default delay before a triggered update batch is flushed.  Larger
+#: delays coalesce more changes per update (fewer messages) at the cost
+#: of slower convergence -- ablation A6 sweeps this trade-off for DV.
+TRIGGER_DELAY = 1.0
+
 
 class OverloadDefenseMixin:
     """Pacing/hold-down/damping hooks shared by the protocol node classes.
@@ -188,8 +193,15 @@ class OverloadDefenseMixin:
     off, which is what keeps all-off runs byte-identical.  State is
     created lazily (class-attribute defaults, instance attributes on
     first use), so node constructors stay untouched.
+
+    It also owns the DV family's triggered updates: changes call
+    :meth:`_schedule_flush`, which coalesces them into one batch
+    ``trigger_delay`` later; :meth:`_flush` applies pace and hold-down,
+    then hands over to the family's :meth:`_flush_batch`.
     """
 
+    trigger_delay = TRIGGER_DELAY
+    _flush_scheduled = False
     _damper = None
     _last_flush = None
     _holddown_until = 0.0
@@ -198,6 +210,24 @@ class OverloadDefenseMixin:
     suppressed_announcements = 0
     #: Flushes/originations deferred by pace or hold-down.
     paced_deferrals = 0
+
+    # ---- triggered updates -------------------------------------------
+
+    def _schedule_flush(self) -> None:
+        if not self._flush_scheduled:
+            self._flush_scheduled = True
+            self.schedule(self.trigger_delay, self._flush)
+
+    def _flush(self) -> None:
+        wait = self._pacing_defers_flush()
+        if wait is not None:
+            self.schedule(wait, self._flush)
+            return
+        self._flush_scheduled = False
+        self._flush_batch()
+
+    def _flush_batch(self) -> None:
+        """Send the pending update batch.  Overridden per family."""
 
     # ---- update pacing + hold-down -----------------------------------
 

@@ -275,7 +275,7 @@ class _TopoVectorNode(IDRPNode):
                 return "registered hybrid AD transits upward"
         return None
 
-    def _tell_lie(self, lie: str, target: Optional[ADId] = None) -> bool:
+    def _tell_lie(self, lie: str, target: Optional[ADId]) -> bool:
         if lie == "route-leak":
             if self.may_transit and not self.down_only_transit:
                 # Already permitted full transit by the topology regime;

@@ -16,6 +16,11 @@ Subclasses implement three hooks:
   sends initial advertisements to neighbours.
 * :meth:`ProtocolNode.on_message` — a control message arrived.
 * :meth:`ProtocolNode.on_link_change` — an incident link went up or down.
+
+The misbehavior and validation plumbing lives here once; a family that
+can lie supplies ``_tell_lie`` / ``_reassert_lies`` (and ``behave``
+extras), and one that validates supplies the ``check`` it hands to
+:meth:`ProtocolNode._rejects`.
 """
 
 from __future__ import annotations
@@ -78,6 +83,8 @@ class ProtocolNode:
         self.version_blocked: Set[ADId] = set()
         #: Frames dropped because the sender is version-blocked.
         self.version_drops = 0
+        #: Active misbehaviors: lie name -> victim AD (or ``None``).
+        self._active_lies: Dict[str, Optional[ADId]] = {}
 
     # ----------------------------------------------------------- plumbing
 
@@ -299,18 +306,74 @@ class ProtocolNode:
         if link is not None and link.up:
             self.on_link_change(link, True)
 
+    # ---------------------------------------------------------- validation
+
+    def _rejects(self, sender: ADId, check, *claim) -> bool:
+        """Whether receiver-side validation rejects a claim from ``sender``.
+
+        ``check(*claim)`` is a family's ``_check_*`` method, returning a
+        reason or ``None``.  It runs only when a check is enabled (some
+        checks keep state, such as EGP's sequence high-water mark); a
+        rejection is charged to ``sender`` on the guard.
+        """
+        if not self.validation.checks_enabled:
+            return False
+        reason = check(*claim)
+        if reason is None:
+            return False
+        if self.guard is not None:
+            self.guard.violation(sender, reason)
+        return True
+
+    # --------------------------------------------------------- misbehavior
+
+    #: A liar re-asserts its lies periodically (a leaking AD keeps
+    #: leaking); the burst is bounded so runs still quiesce.
+    LIE_REASSERT_INTERVAL = 60.0
+    LIE_REASSERT_COUNT = 6
+    _lie_ticks_left = 0
+    _lie_tick_pending = False
+
     def misbehave(self, lie: str, target: Optional[ADId] = None) -> bool:
         """Turn this node into a liar of the given kind.
 
         Returns whether the lie is expressible in this protocol family
         (a DV speaker has no policy terms to forge); the driver records
-        the outcome rather than failing the run.  Default: no lie is
-        expressible.
+        the outcome rather than failing the run.  Every lie that applies
+        (re)starts one burst of ``LIE_REASSERT_COUNT`` re-assertions,
+        ``LIE_REASSERT_INTERVAL`` apart; a second lie told mid-burst
+        restarts the count, never a second timer.
         """
+        applied = self._tell_lie(lie, target)
+        if applied:
+            self._lie_ticks_left = self.LIE_REASSERT_COUNT
+            if not self._lie_tick_pending:
+                self._lie_tick_pending = True
+                self.schedule(self.LIE_REASSERT_INTERVAL, self._lie_tick)
+        return applied
+
+    def _lie_tick(self) -> None:
+        self._lie_tick_pending = False
+        if not self._active_lies or self._lie_ticks_left <= 0:
+            return
+        self._lie_ticks_left -= 1
+        self._reassert_lies()
+        if self._lie_ticks_left > 0:
+            self._lie_tick_pending = True
+            self.schedule(self.LIE_REASSERT_INTERVAL, self._lie_tick)
+
+    def _tell_lie(self, lie: str, target: Optional[ADId]) -> bool:
+        """Start telling ``lie`` in this family's currency, recording it
+        in ``_active_lies``; whether it applied.  Default: none does."""
         return False
+
+    def _reassert_lies(self) -> None:
+        """Repeat the active lies once (one tick of the burst)."""
 
     def behave(self) -> None:
         """Stop originating lies (already-sent lies are not withdrawn)."""
+        self._active_lies.clear()
+        self._lie_ticks_left = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(AD{self.ad_id})"

@@ -1,7 +1,7 @@
 """The IDRP control path: same records, far fewer allocations.
 
 ``policy/sets.ADSet`` allocates only when a set operation's answer is
-new, and ``IDRPNode._reselect`` / ``_flush`` are built on that.  The
+new, and ``IDRPNode._reselect`` / ``_flush_batch`` are built on that.  The
 ledger's ``sim-pv-churn`` oracle pins the plain idrp configuration; this
 file pins what it does not reach, and counts what was saved:
 
@@ -9,102 +9,39 @@ file pins what it does not reach, and counts what was saved:
   bgp2, pv-src, topo-vector-src, idrp with two route classes (the only
   configuration where ``∩ class_set`` is not an identity), liars that
   reassign ``own_terms`` mid-run, a damped cell with suppressed keys in
-  ``_flush`` -- record byte-for-byte what the parent commit recorded;
+  ``_flush_batch`` -- record byte-for-byte what the parent commit recorded
+  (cells ``idrp-pinned-*`` of the parent-record corpus);
 * allocation: an exact count of ``ADSet`` constructions per received
   route advertisement on a churn cell, no timing.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
-from repro.harness import (
-    ExperimentSpec,
-    FaultSpec,
-    MisbehaviorSpec,
-    ProtocolSpec,
-    ScenarioSpec,
-    run_spec,
-)
 from repro.policy.sets import ADSet
 from repro.protocols.idrp import IDRPNode
 from repro.protocols.registry import make_protocol
 from repro.workloads.scenarios import scaled_scenario
-
-PARENT_RECORDS = Path(__file__).parent / "data" / "idrp_parent_records.json"
+from tests.parent_records import corpus
 
 #: Parent commit 9.65, sizing prototype 0.41.
 CONSTRUCTIONS_PER_ROUTE_AD_BUDGET = 1.0
 
 
-def pinned_specs():
-    """Small cells for the ``IDRPNode`` paths ``sim-pv-churn`` never runs."""
-    scenario = ScenarioSpec(kind="reference", seed=5, num_flows=12)
-    flaps = FaultSpec(flaps=2, seed=3, probe_interval=50.0, probe_flows=8)
-    return (
-        ExperimentSpec(
-            name="idrp-pinned-flavours",
-            scenarios=(scenario,),
-            protocols=(
-                ProtocolSpec("idrp"),
-                ProtocolSpec("bgp2"),
-                ProtocolSpec("pv-src"),
-                ProtocolSpec("topo-vector-src"),
-                ProtocolSpec("idrp", label="idrp/2", options=(("route_classes", 2),)),
-            ),
-            faults=(flaps,),
-            evaluate=True,
-        ),
-        ExperimentSpec(
-            name="idrp-pinned-liars",
-            scenarios=(scenario,),
-            protocols=(ProtocolSpec("idrp"),),
-            misbehaviors=(
-                MisbehaviorSpec(lie="route-leak", liar_role="regional", duration=200.0),
-                MisbehaviorSpec(lie="metric-lie", liar_role="regional", duration=200.0),
-            ),
-            evaluate=True,
-        ),
-        ExperimentSpec(
-            name="idrp-pinned-damp",
-            scenarios=(scenario,),
-            protocols=(
-                ProtocolSpec("idrp", label="idrp+damp", options=(("pacing", "damp"),)),
-            ),
-            faults=(
-                FaultSpec(
-                    churn_hz=0.1, churn_links=4, churn_duration=160.0, seed=7,
-                    start_time=50.0, spacing=100.0, probe_interval=50.0,
-                    probe_flows=8,
-                ),
-            ),
-            evaluate=True,
-        ),
-    )
-
-
-def pinned_records_text():
-    records = [
-        record.comparable() for spec in pinned_specs() for record in run_spec(spec)
-    ]
-    return records, json.dumps(records, sort_keys=True, separators=(",", ":"))
-
-
 def test_pinned_cells_record_what_the_parent_commit_recorded():
-    # The fixture is pinned_records_text() at the commit before the set
-    # algebra and the two loops were rebuilt (regenerate, at that commit
-    # only, with ``python -m tests.test_idrp_control_path``).
-    records, text = pinned_records_text()
+    # The cells are ``idrp-pinned-*`` of the parent-record corpus
+    # (tests/parent_records.py), recorded before the set algebra and the
+    # two loops were rebuilt; tests/test_parent_records.py runs them.
+    records = [
+        record for name, record in corpus().items() if name.startswith("idrp-pinned-")
+    ]
     assert [r["cell"]["label"] for r in records] == [
         "idrp", "bgp2", "pv-src", "topo-vector-src", "idrp/2",
         "idrp", "idrp", "idrp+damp",
     ]
     # The cells reach what they are there for: a liar really lied, and
-    # damping really suppressed announcements inside ``_flush``.
+    # damping really suppressed announcements inside ``_flush_batch``.
     assert all(r["misbehavior"]["applied"] for r in records[5:7])
     assert records[7]["overload"]["suppressed_announcements"] > 100
-    assert text == PARENT_RECORDS.read_text()
 
 
 def test_adset_constructions_per_received_route_ad_stay_under_budget(monkeypatch):
@@ -143,6 +80,3 @@ def test_adset_constructions_per_received_route_ad_stay_under_budget(monkeypatch
         f"(budget {CONSTRUCTIONS_PER_ROUTE_AD_BUDGET})"
     )
 
-
-if __name__ == "__main__":
-    PARENT_RECORDS.write_text(pinned_records_text()[1])

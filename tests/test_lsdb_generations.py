@@ -19,22 +19,12 @@ things that makes safe:
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
 from repro.adgraph.ad import Level
 from repro.core.synthesis import synthesize_route
-from repro.harness import (
-    ExperimentSpec,
-    FaultSpec,
-    ProtocolSpec,
-    ScenarioSpec,
-    TrafficSpec,
-    run_spec,
-)
 from repro.live import run_live
 from repro.policy.flows import FlowSpec
 from repro.policy.qos import QOS
@@ -42,9 +32,9 @@ from repro.protocols import lshbh, variants
 from repro.protocols.flooding import LinkRecord, LinkStateAd, LSDBGenerations
 from repro.protocols.registry import make_protocol
 from repro.workloads.scenarios import reference_scenario, ring_scenario
+from tests.parent_records import corpus
 
 PROTOCOLS = ("ls-hbh", "ls-hbh-topo", "ls-src-topo")
-PARENT_RECORDS = Path(__file__).parent / "data" / "lsdb_generations_parent_records.json"
 
 
 def unshared_route(node, flow):
@@ -172,33 +162,19 @@ def test_every_node_agrees_with_an_unshared_recomputation_through_a_storm(name):
     assert len(protocol.generations.live()) == 1
 
 
-def pinned_spec():
-    """A small E14-shaped cell per protocol: flap + state-losing crash,
-    probed, with a FIB recompile per epoch."""
-    return ExperimentSpec(
-        name="lsdb-generations-pinned",
-        scenarios=(ScenarioSpec(kind="reference", seed=5, num_flows=12),),
-        protocols=tuple(ProtocolSpec(name) for name in PROTOCOLS),
-        faults=(
-            FaultSpec(
-                flaps=1, crashes=1, retain_state=False, seed=3,
-                probe_interval=50.0, probe_flows=8, label="storm",
-            ),
-        ),
-        traffics=(TrafficSpec(flows=5000, zipf_s=1.1, pairs=32, seed=14),),
-    )
-
-
 def test_pinned_cells_record_what_the_parent_commit_recorded():
-    # The fixture is [r.comparable() for r in run_spec(pinned_spec())] at
-    # the commit before generations existed: computations, per-AD
-    # computations, RIB sizes, messages, bytes, episodes, data plane.
-    records = [record.comparable() for record in run_spec(pinned_spec())]
+    # The cells are ``lsdb-generations-pinned/*`` of the parent-record
+    # corpus (tests/parent_records.py): a small E14-shaped cell per
+    # protocol -- flap + state-losing crash, probed, with a FIB recompile
+    # per epoch -- whose records (computations, per-AD computations, RIB
+    # sizes, messages, bytes, episodes, data plane) equal what the commit
+    # before generations existed recorded; tests/test_parent_records.py
+    # runs them.
+    records = [corpus()[f"lsdb-generations-pinned/{i}"] for i in range(3)]
+    assert [r["cell"]["protocol"] for r in records] == list(PROTOCOLS)
     assert [r["computations"] for r in records] == [
         {"policy_route": 814}, {"valley_free_spf": 856}, {"valley_free_spf": 208},
     ]
-    text = json.dumps(records, sort_keys=True, separators=(",", ":"))
-    assert text == PARENT_RECORDS.read_text()
 
 
 # ------------------------------------------------------------------ the key

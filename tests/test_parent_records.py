@@ -1,0 +1,30 @@
+"""Every corpus cell records exactly what the parent commit recorded.
+
+The corpus (``tests/data/parent_records.jsonl``, built by
+:mod:`tests.parent_records`) holds ``RunRecord.comparable()`` for each
+registry protocol under every runtime feature, an ingress storm and
+every lie, plus the perf programs' pinned cells.  A change that is meant
+to move no byte of output passes this file unmodified; a failure names
+the cell.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from tests.parent_records import CELLS, CORPUS, canonical, corpus, record
+
+
+def test_the_corpus_holds_one_canonical_line_per_cell_in_order():
+    lines = CORPUS.read_text().splitlines()
+    assert [canonical(corpus()[name]) for name in CELLS] == [
+        canonical(entry) for entry in corpus().values()
+    ]
+    assert lines == [
+        canonical({"name": name, "record": corpus()[name]}) for name in CELLS
+    ]
+
+
+@pytest.mark.parametrize("name", list(CELLS))
+def test_cell_records_what_the_parent_commit_recorded(name):
+    assert canonical(record(name)) == canonical(corpus()[name])

@@ -11,43 +11,18 @@ record exactly what the cold-build path recorded: episodes, message
 counts and bytes, computations, RIB state and the prober's robustness
 summary.
 
-The fixture was written at the last commit that still had the cold-build
-path, by running each cell with the option ``perf="none"`` and keeping
-``{"protocol": ..., **{field: record.comparable()[field] for field in
-FIELDS}}`` per protocol, serialised as
-``json.dumps(records, sort_keys=True, separators=(",", ":"))``.
+The cells are ``probed-churn/<protocol>`` of the parent-record corpus
+(:mod:`tests.parent_records`), whose records equal, field for field, what
+the last commit with the cold-build path recorded under ``perf="none"``;
+``tests/test_parent_records.py`` runs them.  This file keeps what each
+cell is for: the protocol's one route computation, at its count.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
 
-from repro.harness.session import execute_cell
-from repro.harness.spec import Cell, FailureSpec, FaultSpec, ProtocolSpec, ScenarioSpec
-
-PARENT_RECORDS = Path(__file__).parent / "data" / "probed_churn_parent_records.json"
-PROTOCOLS = ("plain-ls", "ls-hbh", "ls-src-topo")
-FIELDS = (
-    "episodes", "messages", "message_bytes", "computations", "state", "robustness",
-)
-SEED = 47
-
-
-def probed_churn_cell(protocol: str) -> Cell:
-    return Cell(
-        experiment="probed-churn",
-        index=0,
-        scenario=ScenarioSpec(kind="scaled", target_ads=50, seed=SEED, num_flows=24),
-        protocol=ProtocolSpec(name=protocol),
-        failure=FailureSpec(),
-        fault=FaultSpec(
-            flaps=6, spacing=300.0, probe_interval=25.0, probe_flows=24, seed=SEED
-        ),
-    )
-
+from tests.parent_records import corpus
 
 COMPUTATIONS = {
     "plain-ls": {"spf": 542},
@@ -56,21 +31,7 @@ COMPUTATIONS = {
 }
 
 
-def canonical(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
-def parent_records():
-    text = PARENT_RECORDS.read_text()
-    records = json.loads(text)
-    assert canonical(records) == text
-    assert [r["protocol"] for r in records] == list(PROTOCOLS)
-    return {r["protocol"]: r for r in records}
-
-
-@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("protocol", tuple(COMPUTATIONS))
 def test_probed_churn_cells_record_what_the_cold_build_path_recorded(protocol):
-    record = execute_cell(probed_churn_cell(protocol)).comparable()
-    mine = {"protocol": protocol, **{f: record[f] for f in FIELDS}}
-    assert mine["computations"] == COMPUTATIONS[protocol]
-    assert canonical(mine) == canonical(parent_records()[protocol])
+    record = corpus()[f"probed-churn/{protocol}"]
+    assert record["computations"] == COMPUTATIONS[protocol]
