@@ -27,9 +27,7 @@ event is the adapter's business; nothing here knows which one it drives.
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
-import inspect
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.faults.plan import (
@@ -39,16 +37,12 @@ from repro.faults.plan import (
     grouped_events,
 )
 from repro.harness.record import EpisodeRecord, RunRecord
-from repro.harness.session import TrafficMeter, build_cell, open_sim
+from repro.harness.session import TrafficMeter, build_cell, open_substrate
 from repro.harness.spec import Cell
 from repro.policy.flows import FlowSpec
 from repro.simul.profiling import PhaseProfiler
+from repro.simul.runner import _done, drive
 from repro.simul.wire import WIRE_VERSION
-
-#: Wall seconds per protocol time unit for live episodic cells.
-CHAOS_TIME_SCALE = 0.005
-#: Live per-episode settle budget (wall seconds).
-CHAOS_SETTLE_TIMEOUT_S = 60.0
 
 __all__ = ["execute_chaos_cell", "execute_version_cell", "routes_digest"]
 
@@ -241,47 +235,16 @@ def _upgrade_wave_plan(ads: List[int], waves: int) -> List[List[int]]:
 # ----------------------------------------------------------- the episode loop
 
 
-async def _done(value):
-    """An adapter call's result: immediate on the simulator, awaited live."""
-    return await value if inspect.isawaitable(value) else value
-
-
-def _run_without_loop(coro):
-    """Drive a coroutine that never suspends; no event loop is created.
-
-    On the simulator every adapter call returns at once, so the episode
-    loop runs start to finish inside one ``send``.
-    """
-    try:
-        coro.send(None)
-    except StopIteration as finished:
-        return finished.value
-    coro.close()
-    raise RuntimeError("the episode loop suspended on the sim substrate")
-
-
 async def _run_cell(
-    cell: Cell, program_type, time_scale: float, settle_timeout_s: float
+    cell: Cell,
+    program_type,
+    time_scale: Optional[float],
+    settle_timeout_s: Optional[float],
 ) -> RunRecord:
     """THE episodic driver: every E15/E16 row, sim and live, comes from here."""
     profiler = PhaseProfiler()
     scenario, protocol = build_cell(cell, profiler)
-    if cell.substrate == "live":
-        from repro.live import LiveSubstrate, SupervisorConfig
-
-        with profiler.phase("build"):
-            substrate = LiveSubstrate(
-                protocol,
-                time_scale=time_scale,
-                timeout_s=settle_timeout_s,
-                supervisor=SupervisorConfig(seed=cell.fault.seed),
-            )
-        if cell.fault.loss > 0:
-            # The one impairment real loopback can emulate: seeded loss
-            # at the receive path, in force from t=0 like the sim's.
-            substrate.network.set_recv_loss(cell.fault.loss, seed=cell.fault.seed)
-    else:
-        substrate = open_sim(cell, protocol, profiler)
+    substrate = open_substrate(cell, protocol, profiler, time_scale, settle_timeout_s)
     program = program_type(cell, protocol)
 
     def routable() -> int:
@@ -367,23 +330,13 @@ def _execute(
         )
     if any(getattr(fault, axis) for axis in program_type.conflicts):
         raise ValueError(program_type.conflict)
-    if cell.substrate not in ("sim", "live"):
-        raise ValueError(
-            f"unknown substrate {cell.substrate!r}; use 'sim' or 'live'"
-        )
     live = cell.substrate == "live"
     if live and (fault.dup > 0 or fault.jitter > 0 or fault.burst_enter > 0):
         raise ValueError(
             f"live {program_type.noun} cells support loss impairments only; "
             "dup/jitter/burst are simulator models"
         )
-    run = _run_cell(
-        cell,
-        program_type,
-        CHAOS_TIME_SCALE if time_scale is None else time_scale,
-        CHAOS_SETTLE_TIMEOUT_S if settle_timeout_s is None else settle_timeout_s,
-    )
-    return asyncio.run(run) if live else _run_without_loop(run)
+    return drive(_run_cell(cell, program_type, time_scale, settle_timeout_s), live)
 
 
 def execute_chaos_cell(

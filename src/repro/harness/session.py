@@ -13,11 +13,13 @@ Per-cell measurement protocol (the one loop every bench used to
 hand-roll), identical on both substrates:
 
 1. build the scenario, instantiate the protocol via the registry;
-2. open the substrate (attach profiling hooks and, opt-in, the tracer);
+2. open the substrate with :func:`open_substrate` (build, impairment,
+   profiling hooks) and, opt-in, attach the tracer;
 3. settle the initial convergence, then apply and settle one isolated
-   episode per failure event -- through the substrate adapter
-   (:class:`~repro.simul.runner.SimSubstrate`, or
-   :func:`~repro.live.runner.run_live` over the live one);
+   episode per failure event -- one coroutine over the substrate
+   adapter (:class:`~repro.simul.runner.SimSubstrate` or
+   :class:`~repro.live.runner.LiveSubstrate`), which
+   :func:`~repro.simul.runner.drive` runs on either substrate;
 4. sim only: the probed fault/misbehavior timeline as one episode;
 5. hand everything to :meth:`RunRecord.assemble`, which evaluates route
    quality (when asked) and snapshots histograms, counters, RIB state
@@ -37,7 +39,7 @@ from repro.harness.record import EpisodeRecord, RunRecord, write_jsonl
 from repro.harness.spec import Cell, ExperimentSpec
 from repro.simul.ingress import IngressConfig
 from repro.simul.profiling import PhaseProfiler
-from repro.simul.runner import SimSubstrate
+from repro.simul.runner import SimSubstrate, Substrate, _done, drive
 from repro.simul.trace import Tracer
 from repro.traffic.fib import compile_fib
 from repro.traffic.replay import TailSeries, TrafficReplay
@@ -193,18 +195,118 @@ def build_cell(cell: Cell, profiler: PhaseProfiler):
     return scenario, protocol
 
 
-def open_sim(cell: Cell, protocol, profiler: PhaseProfiler) -> SimSubstrate:
-    """Build ``protocol`` on the simulator, impaired and profiled."""
+def open_substrate(
+    cell: Cell,
+    protocol,
+    profiler: PhaseProfiler,
+    time_scale: Optional[float] = None,
+    settle_timeout_s: Optional[float] = None,
+) -> Substrate:
+    """Build ``protocol`` on the cell's substrate, impaired and profiled.
+
+    Live, call it on the event loop the episode loop runs on; the serve
+    tasks are supervised only under a chaos or upgrade program, and
+    ``time_scale`` / ``settle_timeout_s`` override
+    :class:`~repro.live.runner.LiveSubstrate`'s pacing (the simulator's
+    time is virtual and ignores both).
+    """
+    fault = cell.fault
+    if cell.substrate == "live":
+        from repro.live import LiveSubstrate, SupervisorConfig
+
+        pacing = {"time_scale": time_scale, "timeout_s": settle_timeout_s}
+        supervised = fault.chaotic or fault.versioned
+        with profiler.phase("build"):
+            substrate = LiveSubstrate(
+                protocol,
+                supervisor=SupervisorConfig(seed=fault.seed) if supervised else None,
+                **{name: v for name, v in pacing.items() if v is not None},
+            )
+        if fault.loss > 0:
+            # The one impairment real loopback can emulate: seeded loss
+            # at the receive path, in force from t=0 like the sim's.
+            substrate.network.set_recv_loss(fault.loss, seed=fault.seed)
+        return substrate
+    if cell.substrate != "sim":
+        raise ValueError(
+            f"unknown substrate {cell.substrate!r}; use 'sim' or 'live'"
+        )
     with profiler.phase("build"):
         network = protocol.build()
-    if cell.fault.impaired:
+    if fault.impaired:
         # In force from t=0: initial convergence happens over the lossy
         # channel too, which is the regime hardening is measured against.
         network.set_channel(
-            ImpairedChannel(default=cell.fault.impairment(), seed=cell.fault.seed)
+            ImpairedChannel(default=fault.impairment(), seed=fault.seed)
         )
     network.set_profiler(profiler)
     return SimSubstrate(network, protocol, max_events=cell.max_events)
+
+
+def _timeline(cell, scenario, protocol, substrate, traffic):
+    """Step 4: the probed fault/misbehavior timeline as one episode.
+
+    Returns the episode and the record's ``robustness`` and
+    ``misbehavior`` blocks (the latter ``None`` for a lie-free cell).
+    """
+    fault_plan = cell.fault.build_plan(protocol.graph)
+    if len(fault_plan):
+        protocol.schedule_fault_plan(fault_plan)
+    reference_routes = None
+    lie_start = substrate.now + cell.misbehavior.start_time
+    if cell.misbehavior.active:
+        # Capture the converged pre-lie routes first: they are the
+        # hijack verdict's per-flow reference.
+        reference_routes = {flow: protocol.find_route(flow) for flow in scenario.flows}
+        mis_plan = cell.misbehavior.build_plan(scenario.graph)
+        if len(mis_plan):
+            protocol.schedule_fault_plan(mis_plan)
+    # Probe only flows the converged protocol can route at all: flows
+    # with no legal route ever would read as permanent blackholes and
+    # drown the churn signal.  Misbehavior cells probe *everything*
+    # instead: a route leak's blast radius is exactly the flows that
+    # gain a route they should not have, which the routability filter
+    # would hide.
+    if cell.misbehavior.active:
+        probe_flows = list(scenario.flows)
+    else:
+        probe_flows = [
+            flow for flow in scenario.flows if protocol.find_route(flow) is not None
+        ][: cell.fault.probe_flows]
+    pulse = RoutePulse(
+        protocol,
+        probe_flows,
+        interval=cell.fault.probe_interval,
+        reference_routes=reference_routes,
+        on_sample=traffic.record if traffic.active else None,
+    )
+    before = substrate.snapshot()
+    horizon = max(
+        axis.horizon for axis in (cell.fault, cell.misbehavior) if axis.active
+    )
+    probed_ok = pulse.run(substrate.now + horizon, max_events=cell.max_events)
+    # Settle whatever the last fault left in flight; the episode spans
+    # the probed window plus this drain.
+    drain = substrate.settle()
+    result = substrate.since(
+        before,
+        pulse.events_processed + drain.events,
+        quiesced=probed_ok and drain.quiesced,
+    )
+    # The settled post-storm state: the series' last word.
+    traffic.record(substrate.now, "final")
+    misbehavior = None
+    if cell.misbehavior.active:
+        misbehavior = _misbehavior_block(
+            cell,
+            protocol,
+            pulse.blast_series(lie_start),
+            scenario.flows,
+            reference_routes,
+            lie_start,
+        )
+    episode = EpisodeRecord.from_result("timeline", result)
+    return episode, pulse.summary(), misbehavior
 
 
 def _episode_kind(ev) -> str:
@@ -249,35 +351,28 @@ def execute_cell(cell: Cell) -> RunRecord:
                 "run these cells on the sim substrate (or give the cell a "
                 "chaos program -- chaotic cells run faults and traffic live)"
             )
-    elif cell.substrate != "sim":
-        raise ValueError(
-            f"unknown substrate {cell.substrate!r}; use 'sim' or 'live'"
-        )
+    return drive(_run_cell(cell), live)
+
+
+async def _run_cell(cell: Cell) -> RunRecord:
+    """One plain cell, written once over the substrate adapter."""
     trace_filter = _parse_trace(cell.trace)
     profiler = PhaseProfiler()
     scenario, protocol = build_cell(cell, profiler)
     plan = FaultPlan.from_failure_plan(cell.failure.build(scenario.graph))
     traffic = TrafficMeter(cell, protocol, profiler)
-    robustness = misbehavior = tracer = timings = None
-
-    if live:
-        from repro.live.runner import run_live
-
-        with profiler.phase("converge"):
-            run = run_live(protocol, plan)
-        results = [run.initial, *(ep.result for ep in run.episodes)]
-        timings = {"live.wall": run.wall_seconds}
-    else:
-        substrate = open_sim(cell, protocol, profiler)
+    substrate = open_substrate(cell, protocol, profiler)
+    try:
+        robustness = misbehavior = tracer = None
         network = substrate.network
         if trace_filter is not None:
             tracer = Tracer.attach(network)
-        substrate.start()
+        await _done(substrate.start())
         with profiler.phase("converge"):
-            results = [substrate.settle()]
-        # Data-plane axis (E14): snapshot a compiled FIB now (the
-        # converged epoch), after every failure and at every probe round
-        # of the fault timeline, replaying the full workload against each.
+            results = [await _done(substrate.settle())]
+        # Data-plane axis (E14): snapshot a compiled FIB now (the converged
+        # epoch), after every failure and at every probe round of the fault
+        # timeline, replaying the full workload against each.
         traffic.record(substrate.now, "initial")
         ingress_start = substrate.now
         if cell.fault.queued:
@@ -294,113 +389,58 @@ def execute_cell(cell: Cell) -> RunRecord:
         if len(plan):
             with profiler.phase("failures"):
                 for ev in plan:
-                    substrate.apply(ev)
-                    results.append(substrate.settle())
+                    await _done(substrate.apply(ev))
+                    results.append(await _done(substrate.settle()))
                     traffic.record(substrate.now, _episode_kind(ev))
-    episodes: List[EpisodeRecord] = [EpisodeRecord.from_result("initial", results[0])]
-    episodes.extend(
-        EpisodeRecord.from_result(_episode_kind(ev), result, link=(ev.a, ev.b))
-        for ev, result in zip(plan, results[1:])
-    )
+        episodes: List[EpisodeRecord] = [
+            EpisodeRecord.from_result("initial", results[0])
+        ]
+        episodes.extend(
+            EpisodeRecord.from_result(_episode_kind(ev), result, link=(ev.a, ev.b))
+            for ev, result in zip(plan, results[1:])
+        )
 
-    if cell.fault.active or cell.misbehavior.active:
-        # Sim only: live cells were refused these axes above.
-        with profiler.phase("faults"):
-            fault_plan = cell.fault.build_plan(protocol.graph)
-            if len(fault_plan):
-                protocol.schedule_fault_plan(fault_plan)
-            reference_routes = None
-            lie_start = substrate.now + cell.misbehavior.start_time
-            if cell.misbehavior.active:
-                # Capture the converged pre-lie routes first: they are
-                # the hijack verdict's per-flow reference.
-                reference_routes = {
-                    flow: protocol.find_route(flow) for flow in scenario.flows
-                }
-                mis_plan = cell.misbehavior.build_plan(scenario.graph)
-                if len(mis_plan):
-                    protocol.schedule_fault_plan(mis_plan)
-            # Probe only flows the converged protocol can route at all:
-            # flows with no legal route ever would read as permanent
-            # blackholes and drown the churn signal.  Misbehavior cells
-            # probe *everything* instead: a route leak's blast radius is
-            # exactly the flows that gain a route they should not have,
-            # which the routability filter would hide.
-            if cell.misbehavior.active:
-                probe_flows = list(scenario.flows)
-            else:
-                probe_flows = [
-                    flow
-                    for flow in scenario.flows
-                    if protocol.find_route(flow) is not None
-                ][: cell.fault.probe_flows]
-            pulse = RoutePulse(
-                protocol,
-                probe_flows,
-                interval=cell.fault.probe_interval,
-                reference_routes=reference_routes,
-                on_sample=traffic.record if traffic.active else None,
-            )
-            before = substrate.snapshot()
-            horizon = max(
-                axis.horizon for axis in (cell.fault, cell.misbehavior) if axis.active
-            )
-            probed_ok = pulse.run(
-                substrate.now + horizon, max_events=cell.max_events
-            )
-            # Settle whatever the last fault left in flight; the episode
-            # spans the probed window plus this drain.
-            drain = substrate.settle()
-            result = substrate.since(
-                before,
-                pulse.events_processed + drain.events,
-                quiesced=probed_ok and drain.quiesced,
-            )
-            episodes.append(EpisodeRecord.from_result("timeline", result))
-            robustness = pulse.summary()
-            # The settled post-storm state: the series' last word.
-            traffic.record(substrate.now, "final")
-            if cell.misbehavior.active:
-                misbehavior = _misbehavior_block(
-                    cell,
-                    protocol,
-                    pulse.blast_series(lie_start),
-                    scenario.flows,
-                    reference_routes,
-                    lie_start,
+        if cell.fault.active or cell.misbehavior.active:
+            # Sim only: live cells were refused these axes above.
+            with profiler.phase("faults"):
+                episode, robustness, misbehavior = _timeline(
+                    cell, scenario, protocol, substrate, traffic
                 )
-    if misbehavior is None and protocol.runtime.validation.any_enabled:
-        # Lie-free cell of a validating protocol: record the counters
-        # anyway, so the false-quarantine-at-baseline claim is checkable.
-        misbehavior = _misbehavior_block(cell, protocol, [], (), {}, 0.0)
+            episodes.append(episode)
+        if misbehavior is None and protocol.runtime.validation.any_enabled:
+            # Lie-free cell of a validating protocol: record the counters
+            # anyway, so the false-quarantine-at-baseline claim is checkable.
+            misbehavior = _misbehavior_block(cell, protocol, [], (), {}, 0.0)
 
-    overload = None
-    ingress = getattr(protocol.network, "ingress", None)
-    if ingress is not None or protocol.runtime.pacing.any_enabled:
-        overload = {"pacing": str(protocol.runtime.pacing)}
-        overload.update(protocol.runtime_summary("pacing"))
-        if ingress is not None:
-            elapsed = max(substrate.now - ingress_start, 0.0)
-            overload.update(ingress.counters(elapsed, scenario.graph.num_ads))
+        overload = None
+        ingress = getattr(protocol.network, "ingress", None)
+        if ingress is not None or protocol.runtime.pacing.any_enabled:
+            overload = {"pacing": str(protocol.runtime.pacing)}
+            overload.update(protocol.runtime_summary("pacing"))
+            if ingress is not None:
+                elapsed = max(substrate.now - ingress_start, 0.0)
+                overload.update(ingress.counters(elapsed, scenario.graph.num_ads))
 
-    trace_lines = None
-    if tracer is not None:
-        records = tracer.filtered(ad=trace_filter["ad"])
-        trace_lines = tuple(r.render() for r in records[-TRACE_LINE_LIMIT:])
+        trace_lines = None
+        if tracer is not None:
+            records = tracer.filtered(ad=trace_filter["ad"])
+            trace_lines = tuple(r.render() for r in records[-TRACE_LINE_LIMIT:])
 
-    return RunRecord.assemble(
-        cell,
-        scenario,
-        protocol,
-        episodes,
-        profiler,
-        timings=timings,
-        robustness=robustness,
-        misbehavior=misbehavior,
-        overload=overload,
-        dataplane=traffic.block(),
-        trace=trace_lines,
-    )
+        return RunRecord.assemble(
+            cell,
+            scenario,
+            protocol,
+            episodes,
+            profiler,
+            timings=substrate.timings(),
+            robustness=robustness,
+            misbehavior=misbehavior,
+            overload=overload,
+            dataplane=traffic.block(),
+            trace=trace_lines,
+        )
+    finally:
+        await _done(substrate.close())
 
 
 class ExperimentSession:

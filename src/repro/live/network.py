@@ -29,13 +29,12 @@ import asyncio
 import enum
 import random
 import socket as socketlib
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.adgraph.ad import ADId
 from repro.adgraph.graph import InterADGraph
 from repro.live.clock import LiveClock
 from repro.simul.messages import Message
-from repro.simul.metrics import MetricsCollector
 from repro.simul.node import ProtocolNode
 from repro.simul.transport import Clock, Transport
 from repro.simul.wire import (
@@ -248,8 +247,7 @@ class _NodeRuntime:
                 break
             await asyncio.sleep(0)
         if self.unprocessed > 0:
-            for _ in range(self.flush()):
-                self.network.metrics.count_queue_drop()
+            self.network.metrics.count_queue_drop(self.flush())
 
     async def stop(self) -> None:
         """Drain, cancel the serve task, and close the socket."""
@@ -305,8 +303,7 @@ class _NodeRuntime:
                     pass
         self._task_replaced()
         lost = self.flush()
-        for _ in range(lost):
-            self.network.metrics.count_queue_drop()
+        self.network.metrics.count_queue_drop(lost)
         self.state = NodeState.SERVING
         self.restarts += 1
         self.last_progress = self.network._loop.time()
@@ -318,11 +315,10 @@ class LiveNetwork(Transport):
     """Binds a topology to protocol nodes over loopback UDP sockets.
 
     Construct inside a running event loop (the sockets and the clock
-    belong to it); :func:`repro.live.runner.run_live` does this for you.
-    Driver-facing surface mirrors :class:`~repro.simul.network.SimNetwork`
-    where the semantics carry over (``node``/``set_link_status``/
-    ``crash_node``/``restore_node``/``flush_ingress``); sim-only
-    machinery (channel impairments, bounded ingress models) raises.
+    belong to it); :class:`repro.live.runner.LiveSubstrate` does this for
+    you.  The registry, crash and link-notification skeleton is
+    :class:`~repro.simul.transport.Transport`'s; sim-only machinery
+    (channel impairments, bounded ingress models) raises.
     """
 
     def __init__(
@@ -330,16 +326,12 @@ class LiveNetwork(Transport):
         graph: InterADGraph,
         time_scale: float = 0.005,
     ) -> None:
-        self.graph = graph
-        self.metrics = MetricsCollector()
-        self.profiler = None
-        self.nodes: Dict[ADId, ProtocolNode] = {}
+        super().__init__(graph)
         loop = asyncio.get_running_loop()
         self._loop = loop
         self._clock = LiveClock(loop, time_scale)
         self._clock.on_idle = self._wake
         self._runtimes: Dict[ADId, _NodeRuntime] = {}
-        self._crashed: Set[ADId] = set()
         self._errors: List[Exception] = []
         self._started = False
         self._sent_frames = 0
@@ -364,9 +356,6 @@ class LiveNetwork(Transport):
     @property
     def clock(self) -> Clock:
         return self._clock
-
-    def neighbors(self, ad_id: ADId) -> List[ADId]:
-        return self.graph.neighbors(ad_id)
 
     def send(self, src: ADId, dst: ADId, msg: Message) -> None:
         """Encode and transmit one frame over the destination's socket."""
@@ -442,41 +431,25 @@ class LiveNetwork(Transport):
     # ----------------------------------------------------------- node mgmt
 
     def add_node(self, node: ProtocolNode) -> ProtocolNode:
-        """Register a protocol node for an AD in the graph."""
-        if node.ad_id not in self.graph:
-            raise ValueError(f"AD {node.ad_id} is not in the topology")
-        if node.ad_id in self.nodes:
-            raise ValueError(f"AD {node.ad_id} already has a node")
-        self.nodes[node.ad_id] = node
+        """:meth:`Transport.add_node`, then create the AD's runtime."""
+        super().add_node(node)
         self._runtimes[node.ad_id] = _NodeRuntime(self, node.ad_id)
-        node.attach(self)
         return node
 
-    def node(self, ad_id: ADId) -> ProtocolNode:
-        return self.nodes[ad_id]
-
     async def start(self) -> None:
-        """Bind every AD's socket, then run the start hooks (AD id order)."""
+        """Bind every AD's socket, then call the start hooks and Hellos."""
         if self._started:
             raise RuntimeError("live network already started")
         self._started = True
         for ad_id in sorted(self._runtimes):
             await self._runtimes[ad_id].start()
-        for ad_id in sorted(self.nodes):
-            self.nodes[ad_id].start()
-        for ad_id in sorted(self.nodes):
-            node = self.nodes[ad_id]
-            if node.wire.negotiate:
-                node.announce_wire()
+        for hook in self._start_hooks():
+            hook()
 
     async def close(self) -> None:
         """Stop every AD: drain queues, cancel tasks, close sockets."""
         for ad_id in sorted(self._runtimes):
             await self._runtimes[ad_id].stop()
-
-    def set_profiler(self, profiler) -> None:
-        """Attach a phase profiler (nodes read it via the transport)."""
-        self.profiler = profiler
 
     # ------------------------------------------------------- idle detection
 
@@ -499,7 +472,9 @@ class LiveNetwork(Transport):
         """The protocol has terminated, exactly: every way it can act again
         -- a frame, a send retry, a timer -- reads zero, and no serve task
         is dead (one awaiting its supervised restart answers no frame).
-        Four O(1) counters; the dead-task one is kept by the serve tasks'
+        Five O(1) counters -- the five terms :class:`SettleTimeout` names:
+        frames in flight, send retries, armed timers, queued frames, dead
+        serve tasks; the dead-task one is kept by the serve tasks'
         done-callbacks, which are what wakes a waiter to ask again."""
         return (
             self.idle()
@@ -604,47 +579,10 @@ class LiveNetwork(Transport):
 
     # ------------------------------------------------------------ failures
 
-    def set_link_status(self, a: ADId, b: ADId, up: bool) -> None:
-        """Change a link's status now and notify both endpoint nodes."""
-        link = self.graph.set_link_status(a, b, up)
-        for end in (a, b):
-            if end in self._crashed:
-                continue
-            node = self.nodes.get(end)
-            if node is not None:
-                node.on_link_change(link, up)
-
-    def crash_node(self, ad_id: ADId) -> None:
-        """Silence an AD: in-flight frames to it drop, no notifications."""
-        if ad_id not in self.nodes:
-            raise ValueError(f"AD {ad_id} has no node to crash")
-        if ad_id in self._crashed:
-            raise ValueError(f"AD {ad_id} is already crashed")
-        self._crashed.add(ad_id)
-
-    def restore_node(
-        self, ad_id: ADId, node: Optional[ProtocolNode] = None
-    ) -> None:
-        """Un-silence a crashed AD, optionally swapping in a fresh node."""
-        if ad_id not in self._crashed:
-            raise ValueError(f"AD {ad_id} is not crashed")
-        self._crashed.discard(ad_id)
-        if node is not None:
-            if node.ad_id != ad_id:
-                raise ValueError(
-                    f"replacement node is for AD {node.ad_id}, not AD {ad_id}"
-                )
-            self.nodes[ad_id] = node
-            node.attach(self)
-
-    def is_crashed(self, ad_id: ADId) -> bool:
-        return ad_id in self._crashed
-
     def flush_ingress(self, ad_id: ADId) -> int:
         """Discard an AD's queued inbound frames (state-losing restart)."""
         lost = self._runtimes[ad_id].flush()
-        for _ in range(lost):
-            self.metrics.count_queue_drop()
+        self.metrics.count_queue_drop(lost)
         return lost
 
     def set_recv_loss(self, rate: float, seed: int = 0) -> None:

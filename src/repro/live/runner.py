@@ -161,8 +161,6 @@ class LiveRunResult:
     episodes: Tuple[LiveEpisode, ...] = ()
     #: Wall-clock seconds the whole run took (sockets up to close).
     wall_seconds: float = 0.0
-    #: Wall seconds per protocol time unit the run used.
-    time_scale: float = 0.005
 
     @property
     def quiesced(self) -> bool:
@@ -319,7 +317,6 @@ async def run_live_async(
             initial=initial,
             episodes=tuple(episodes),
             wall_seconds=substrate.timings()["live.wall"],
-            time_scale=time_scale,
         )
     finally:
         await substrate.close()

@@ -134,9 +134,9 @@ class MetricsCollector:
         """Record extra copies injected by channel duplication."""
         self.duplicated += n
 
-    def count_queue_drop(self) -> None:
-        """Record a message lost to a full ingress queue."""
-        self.queue_dropped += 1
+    def count_queue_drop(self, n: int = 1) -> None:
+        """Record messages lost to a full or flushed ingress queue."""
+        self.queue_dropped += n
 
     def count_deferred(self) -> None:
         """Record a backpressure deferral (redelivery scheduled)."""

@@ -12,7 +12,7 @@ nodes synchronously at the scheduled time.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.adgraph.ad import ADId
 from repro.adgraph.failures import FailurePlan
@@ -20,7 +20,6 @@ from repro.adgraph.graph import InterADGraph
 from repro.simul.engine import Simulator
 from repro.simul.ingress import IngressConfig, IngressModel
 from repro.simul.messages import Message
-from repro.simul.metrics import MetricsCollector
 from repro.simul.node import ProtocolNode
 from repro.simul.profiling import PhaseProfiler
 from repro.simul.transport import Clock, SimClock, Transport
@@ -44,14 +43,10 @@ class SimNetwork(Transport):
         sim: Optional[Simulator] = None,
         profiler: Optional[PhaseProfiler] = None,
     ) -> None:
-        self.graph = graph
+        super().__init__(graph, profiler)
         self.sim = sim or Simulator(profiler=profiler)
-        self.metrics = MetricsCollector()
-        self.nodes: Dict[ADId, ProtocolNode] = {}
-        self.profiler = profiler
         self.channel: Optional["ChannelModel"] = None
         self.ingress: Optional[IngressModel] = None
-        self._crashed: Set[ADId] = set()
         self._clock = SimClock(self.sim)
 
     @property
@@ -59,49 +54,20 @@ class SimNetwork(Transport):
         """The engine behind the substrate-neutral :class:`Clock` API."""
         return self._clock
 
-    def neighbors(self, ad_id: ADId) -> list:
-        """Currently reachable neighbour ADs (live links only)."""
-        return self.graph.neighbors(ad_id)
-
     def set_profiler(self, profiler: Optional[PhaseProfiler]) -> None:
         """Attach (or detach) a wall-clock profiler to network and engine."""
-        self.profiler = profiler
+        super().set_profiler(profiler)
         self.sim.profiler = profiler
 
-    # ----------------------------------------------------------- node mgmt
-
-    def add_node(self, node: ProtocolNode) -> ProtocolNode:
-        """Register a protocol node for an AD in the graph."""
-        if node.ad_id not in self.graph:
-            raise ValueError(f"AD {node.ad_id} is not in the topology")
-        if node.ad_id in self.nodes:
-            raise ValueError(f"AD {node.ad_id} already has a node")
-        self.nodes[node.ad_id] = node
-        node.attach(self)
-        return node
-
-    def add_nodes(self, nodes: Iterable[ProtocolNode]) -> None:
-        for node in nodes:
-            self.add_node(node)
-
-    def node(self, ad_id: ADId) -> ProtocolNode:
-        return self.nodes[ad_id]
-
     def start(self) -> None:
-        """Schedule every node's start hook at t=0 (in AD id order).
+        """Schedule the start hooks and Hellos at t=0, in their order.
 
-        Nodes whose runtime negotiates wire versions additionally get
-        their Hello announcement scheduled (after every start hook, so
-        Hellos land on started peers).  With negotiation off -- the
-        default -- no extra event is ever scheduled and the event
-        stream is byte-identical to the pre-versioning engine.
+        With wire negotiation off -- the default -- no Hello is ever
+        scheduled and the event stream is byte-identical to the
+        pre-versioning engine.
         """
-        for ad_id in sorted(self.nodes):
-            self.sim.schedule(0.0, self.nodes[ad_id].start)
-        for ad_id in sorted(self.nodes):
-            node = self.nodes[ad_id]
-            if node.wire.negotiate:
-                self.sim.schedule(0.0, node.announce_wire)
+        for hook in self._start_hooks():
+            self.sim.schedule(0.0, hook)
 
     # ------------------------------------------------------------ messages
 
@@ -250,8 +216,7 @@ class SimNetwork(Transport):
         lost = len(q.items)
         q.items.clear()
         q.dropped += lost
-        for _ in range(lost):
-            self.metrics.count_queue_drop()
+        self.metrics.count_queue_drop(lost)
         return lost
 
     def _resume_ingress(self, ad_id: ADId) -> None:
@@ -282,52 +247,19 @@ class SimNetwork(Transport):
             self.channel = ImpairedChannel()
         self.channel.set_impairment(link, spec)
 
-    # ------------------------------------------------------------ failures
-
-    def set_link_status(self, a: ADId, b: ADId, up: bool) -> None:
-        """Change a link's status now and notify both endpoint nodes."""
-        link = self.graph.set_link_status(a, b, up)
-        for end in (a, b):
-            if end in self._crashed:
-                continue
-            node = self.nodes.get(end)
-            if node is not None:
-                node.on_link_change(link, up)
-
     # --------------------------------------------------------------- crashes
 
     def crash_node(self, ad_id: ADId) -> None:
-        """Silence an AD: in-flight deliveries to it drop, no notifications.
-
-        Link teardown is the protocol driver's job
-        (:meth:`~repro.protocols.base.RoutingProtocol.crash_node`), since
-        only it knows how to propagate link-status changes consistently.
-        """
-        if ad_id not in self.nodes:
-            raise ValueError(f"AD {ad_id} has no node to crash")
-        if ad_id in self._crashed:
-            raise ValueError(f"AD {ad_id} is already crashed")
-        self._crashed.add(ad_id)
+        """:meth:`Transport.crash_node`, then freeze the AD's ingress queue."""
+        super().crash_node(ad_id)
         self._freeze_ingress(ad_id)
 
     def restore_node(
         self, ad_id: ADId, node: Optional[ProtocolNode] = None
     ) -> None:
-        """Un-silence a crashed AD, optionally swapping in a fresh node."""
-        if ad_id not in self._crashed:
-            raise ValueError(f"AD {ad_id} is not crashed")
-        self._crashed.discard(ad_id)
-        if node is not None:
-            if node.ad_id != ad_id:
-                raise ValueError(
-                    f"replacement node is for AD {node.ad_id}, not AD {ad_id}"
-                )
-            self.nodes[ad_id] = node
-            node.attach(self)
+        """:meth:`Transport.restore_node`, then resume the retained queue."""
+        super().restore_node(ad_id, node)
         self._resume_ingress(ad_id)
-
-    def is_crashed(self, ad_id: ADId) -> bool:
-        return ad_id in self._crashed
 
     def schedule_failure_plan(self, plan: FailurePlan) -> None:
         """Schedule every status change of a failure plan on the engine."""

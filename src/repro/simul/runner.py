@@ -11,6 +11,8 @@ periodic timers), so an empty event queue means the protocol converged.
 
 from __future__ import annotations
 
+import asyncio
+import inspect
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -71,8 +73,9 @@ class Substrate:
     ``advance_to(t)``, ``settle(until=None) -> ConvergenceResult``,
     ``apply(event)``, ``sweep()``, ``close()`` -- immediately here
     (:class:`SimSubstrate`) and awaitably over real sockets
-    (:class:`repro.live.runner.LiveSubstrate`).  This base is the only
-    place a metrics delta becomes a :class:`ConvergenceResult`.
+    (:class:`repro.live.runner.LiveSubstrate`), so a driver writes its
+    episode loop once and :func:`drive` runs it on either.  This base is
+    the only place a metrics delta becomes a :class:`ConvergenceResult`.
     """
 
     network: Transport
@@ -98,6 +101,32 @@ class Substrate:
     def timings(self) -> dict:
         """Substrate wall-clock entries for the record's ``timings``."""
         return {}
+
+
+async def _done(value):
+    """An adapter call's result: immediate on the simulator, awaited live."""
+    return await value if inspect.isawaitable(value) else value
+
+
+def _run_without_loop(coro):
+    """Drive a coroutine that never suspends; no event loop is created.
+
+    On the simulator every adapter call returns at once, so an episode
+    loop runs start to finish inside one ``send``.
+    """
+    try:
+        coro.send(None)
+    except StopIteration as finished:
+        return finished.value
+    coro.close()
+    raise RuntimeError("the episode loop suspended on the sim substrate")
+
+
+def drive(coro, live: bool):
+    """Run an episode loop written once over the adapter (every call
+    wrapped in ``await _done(...)``): under ``asyncio.run`` on the live
+    substrate, without an event loop on the simulator."""
+    return asyncio.run(coro) if live else _run_without_loop(coro)
 
 
 class SimSubstrate(Substrate):

@@ -7,11 +7,15 @@ need from the outside world is captured by two small interfaces:
   :class:`TimerHandle` whose :meth:`~TimerHandle.cancel` is idempotent and
   harmless after the timer fired (cancel-after-fire is a no-op, never an
   error).
-* :class:`Transport` — owns the topology view, delivers control messages
-  between neighbouring ADs, and accounts for every byte.  Three verbs:
-  :meth:`~Transport.neighbors`, :meth:`~Transport.send` and
-  :meth:`~Transport.broadcast`, the last *defined* as the first two in a
-  loop so a substrate may shorten it but never change what it delivers.
+* :class:`Transport` — owns the topology view and the node registry,
+  delivers control messages between neighbouring ADs, and accounts for
+  every byte.  Three verbs: :meth:`~Transport.neighbors`,
+  :meth:`~Transport.send` and :meth:`~Transport.broadcast`, the last
+  *defined* as the first two in a loop so a substrate may shorten it but
+  never change what it delivers.  The driver-facing skeleton (the
+  registry, crash silencing, link notification, the start order) is
+  written here once; a substrate overrides a piece only to add its own
+  step, calling ``super()``.
 
 Two substrates implement them:
 
@@ -38,15 +42,25 @@ without knowing which substrate carries their frames.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+)
 
 from repro.adgraph.ad import ADId
+from repro.simul.metrics import MetricsCollector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.adgraph.graph import InterADGraph
     from repro.simul.engine import Simulator
     from repro.simul.messages import Message
-    from repro.simul.metrics import MetricsCollector
     from repro.simul.node import ProtocolNode
     from repro.simul.profiling import PhaseProfiler
 
@@ -125,9 +139,10 @@ class SimClock(Clock):
 
 
 class Transport(abc.ABC):
-    """What a protocol node may ask of the network substrate.
+    """What a protocol node may ask of the network substrate, and the
+    driver-facing skeleton every substrate shares.
 
-    Concrete transports also expose, as plain attributes:
+    Plain attributes:
 
     * ``graph`` — the :class:`~repro.adgraph.graph.InterADGraph` topology
       (nodes read link state and policy terms from it).
@@ -136,17 +151,108 @@ class Transport(abc.ABC):
     * ``profiler`` — an optional wall-clock
       :class:`~repro.simul.profiling.PhaseProfiler` (may be ``None``).
     * ``nodes`` — the ``{ad_id: ProtocolNode}`` registry.
+
+    A substrate supplies :attr:`clock`, :meth:`send` and its own start
+    and teardown; it overrides a registry or crash method only to add a
+    step of its own, and then calls ``super()``.
     """
 
-    graph: "InterADGraph"
-    metrics: "MetricsCollector"
-    profiler: Optional["PhaseProfiler"]
-    nodes: Dict[ADId, "ProtocolNode"]
+    def __init__(
+        self, graph: "InterADGraph", profiler: Optional["PhaseProfiler"] = None
+    ) -> None:
+        self.graph = graph
+        self.metrics = MetricsCollector()
+        self.nodes: Dict[ADId, "ProtocolNode"] = {}
+        self.profiler = profiler
+        self._crashed: Set[ADId] = set()
 
     @property
     @abc.abstractmethod
     def clock(self) -> Clock:
         """The substrate's time source and timer scheduler."""
+
+    def set_profiler(self, profiler: Optional["PhaseProfiler"]) -> None:
+        """Attach (or detach) a wall-clock profiler; nodes read it here."""
+        self.profiler = profiler
+
+    # ----------------------------------------------------------- node mgmt
+
+    def add_node(self, node: "ProtocolNode") -> "ProtocolNode":
+        """Register a protocol node for an AD in the graph."""
+        if node.ad_id not in self.graph:
+            raise ValueError(f"AD {node.ad_id} is not in the topology")
+        if node.ad_id in self.nodes:
+            raise ValueError(f"AD {node.ad_id} already has a node")
+        self.nodes[node.ad_id] = node
+        node.attach(self)
+        return node
+
+    def add_nodes(self, nodes: Iterable["ProtocolNode"]) -> None:
+        for node in nodes:
+            self.add_node(node)
+
+    def node(self, ad_id: ADId) -> "ProtocolNode":
+        return self.nodes[ad_id]
+
+    def _start_hooks(self) -> Iterator[Callable[[], None]]:
+        """What starting the network runs, in order: every node's start
+        hook in AD id order, then the Hello of every node whose runtime
+        negotiates wire versions (so Hellos land on started peers).
+
+        Lazy: a substrate that calls each hook as it is yielded asks
+        ``wire.negotiate`` after the start hooks ran.
+        """
+        for ad_id in sorted(self.nodes):
+            yield self.nodes[ad_id].start
+        for ad_id in sorted(self.nodes):
+            node = self.nodes[ad_id]
+            if node.wire.negotiate:
+                yield node.announce_wire
+
+    # ------------------------------------------------------------ failures
+
+    def set_link_status(self, a: ADId, b: ADId, up: bool) -> None:
+        """Change a link's status now and notify both live endpoint nodes."""
+        link = self.graph.set_link_status(a, b, up)
+        for end in (a, b):
+            if end in self._crashed:
+                continue
+            node = self.nodes.get(end)
+            if node is not None:
+                node.on_link_change(link, up)
+
+    def crash_node(self, ad_id: ADId) -> None:
+        """Silence an AD: in-flight deliveries to it drop, no notifications.
+
+        Link teardown is the protocol driver's job
+        (:meth:`~repro.protocols.base.RoutingProtocol.crash_node`), since
+        only it knows how to propagate link-status changes consistently.
+        """
+        if ad_id not in self.nodes:
+            raise ValueError(f"AD {ad_id} has no node to crash")
+        if ad_id in self._crashed:
+            raise ValueError(f"AD {ad_id} is already crashed")
+        self._crashed.add(ad_id)
+
+    def restore_node(
+        self, ad_id: ADId, node: Optional["ProtocolNode"] = None
+    ) -> None:
+        """Un-silence a crashed AD, optionally swapping in a fresh node."""
+        if ad_id not in self._crashed:
+            raise ValueError(f"AD {ad_id} is not crashed")
+        self._crashed.discard(ad_id)
+        if node is not None:
+            if node.ad_id != ad_id:
+                raise ValueError(
+                    f"replacement node is for AD {node.ad_id}, not AD {ad_id}"
+                )
+            self.nodes[ad_id] = node
+            node.attach(self)
+
+    def is_crashed(self, ad_id: ADId) -> bool:
+        return ad_id in self._crashed
+
+    # ------------------------------------------------------------ messages
 
     @abc.abstractmethod
     def send(self, src: ADId, dst: ADId, msg: "Message") -> None:
@@ -157,9 +263,9 @@ class Transport(abc.ABC):
         the topology).
         """
 
-    @abc.abstractmethod
     def neighbors(self, ad_id: ADId) -> List[ADId]:
         """Currently reachable neighbour ADs of ``ad_id`` (live links)."""
+        return self.graph.neighbors(ad_id)
 
     def broadcast(
         self, src: ADId, msg: "Message", exclude: Optional[ADId] = None

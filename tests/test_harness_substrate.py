@@ -40,9 +40,11 @@ def test_spec_expands_substrate_to_every_cell():
 
 
 def test_live_cell_executes_and_records_substrate():
-    record = execute_cell(
-        _cell(failure=FailureSpec(kind="random", count=1), substrate="live")
-    )
+    """The sim and live twins of one plain cell run the same episode
+    loop: same episodes, same per-episode message counts."""
+    failure = FailureSpec(kind="random", count=1)
+    sim = execute_cell(_cell(failure=failure))
+    record = execute_cell(_cell(failure=failure, substrate="live"))
     assert record.substrate == "live"
     assert record.cell["substrate"] == "live"
     assert record.schema_version == SCHEMA_VERSION
@@ -50,7 +52,12 @@ def test_live_cell_executes_and_records_substrate():
     # initial + failure + repair episodes, all of which cost messages.
     assert [ep.kind for ep in record.episodes] == ["initial", "failure", "repair"]
     assert all(ep.messages > 0 for ep in record.episodes)
+    assert [ep.kind for ep in sim.episodes] == [ep.kind for ep in record.episodes]
+    assert [ep.messages for ep in sim.episodes] == [
+        ep.messages for ep in record.episodes
+    ]
     assert "live.wall" in record.timings
+    assert "live.wall" not in sim.timings
     # The record survives its own JSON round trip.
     again = RunRecord.from_json(record.to_json())
     assert again.substrate == "live"
