@@ -17,6 +17,10 @@ the Dijkstra result.  Policy routing with such constraints is NP-hard in
 general, which is precisely the paper's point that "precomputation of all
 policy routes in a large internet is computationally intractable"; the
 bounded fallback makes the trade-off explicit and measurable.
+
+Charges and ``charge_weight`` must be finite and non-negative (their
+constructors refuse anything else): ``0.0 * inf`` is NaN, and a search skips
+the policy query once the charge-free bound fails, exact only for charges >= 0.
 """
 
 from __future__ import annotations
@@ -81,7 +85,49 @@ def route_charges(
 # needs no transit permission, hence the ``u != src`` guards.  The call
 # rides the database's indexed, version-memoized decision engine, so
 # re-deriving the same route (the LS-hop-by-hop replication, k-alternative
-# re-runs, availability sweeps) costs a dictionary hit per edge.
+# re-runs, availability sweeps) costs a dictionary hit per edge; it is made
+# only once the charge-free bound shows the relaxation can succeed.
+
+
+class _OutEdges(dict):
+    """One search's AD -> ``((neighbour, metric), ...)``, in ``links_of`` order.
+
+    Built per AD on first expansion from the edges any previous AD may take:
+    live, not back to the source, not excluded, to a permitted neighbour or
+    the destination.  Graphs mutate, so a table never outlives its search.
+    """
+
+    def __init__(
+        self,
+        graph: InterADGraph,
+        flow: FlowSpec,
+        selection: RouteSelectionPolicy,
+        excluded_links: FrozenSet[_LinkKey],
+    ) -> None:
+        super().__init__()
+        self.search = graph.links_of, flow.src, flow.dst, flow.qos.metric
+        self.filters = selection.permits_node, excluded_links
+
+    def __missing__(self, u: ADId) -> Tuple[Tuple[ADId, float], ...]:
+        (links_of, src, dst, metric), (permits, excluded) = self.search, self.filters
+        out = []
+        for link in links_of(u):
+            v = link.b if link.a == u else link.a
+            if v == src or excluded and (min(u, v), max(u, v)) in excluded:
+                continue
+            if v == dst or permits(v):
+                out.append((v, link.metric(metric)))
+        edges = self[u] = tuple(out)
+        return edges
+
+
+def _walk_back(parent: Dict[_State, Optional[_State]], goal: Optional[_State]) -> Tuple[ADId, ...]:
+    """The AD sequence from the source state to ``goal``."""
+    path: List[ADId] = []
+    while goal is not None:
+        path.append(goal[0])
+        goal = parent[goal]
+    return tuple(reversed(path))
 
 
 def _widest_constrained_search(
@@ -104,7 +150,6 @@ def _widest_constrained_search(
     src, dst = flow.src, flow.dst
     if src == dst:
         return (src,)
-    metric = flow.qos.metric
 
     width: Dict[_State, float] = {(src, None): float("inf")}
     parent: Dict[_State, Optional[_State]] = {(src, None): None}
@@ -112,6 +157,7 @@ def _widest_constrained_search(
     expanded = 0
     goal: Optional[_State] = None
     transit = policies.transit_charge
+    out_edges = _OutEdges(graph, flow, selection, excluded_links)
 
     while heap:
         neg_w, u, p = heapq.heappop(heap)
@@ -123,34 +169,22 @@ def _widest_constrained_search(
         if u == dst:
             goal = state
             break
-        for link in graph.links_of(u):
-            v = link.other(u)
-            if v == p or v == src:
+        for v, m in out_edges[u]:
+            if v == p:
                 continue
-            if (min(u, v), max(u, v)) in excluded_links:
-                continue
-            if v != dst and not selection.permits_node(v):
+            nw = m if m < w else w  # min(w, m)
+            nstate = (v, u)
+            if not nw > width.get(nstate, 0.0):
                 continue
             if u != src and transit(u, flow, p, v) is None:
                 continue
-            nw = min(w, link.metric(metric))
-            nstate = (v, u)
-            if nw > width.get(nstate, 0.0):
-                width[nstate] = nw
-                parent[nstate] = state
-                heapq.heappush(heap, (-nw, v, u))
+            width[nstate] = nw
+            parent[nstate] = state
+            heapq.heappush(heap, (-nw, v, u))
 
     if stats is not None:
         stats.states_expanded += expanded
-    if goal is None:
-        return None
-    path: List[ADId] = []
-    cursor: Optional[_State] = goal
-    while cursor is not None:
-        path.append(cursor[0])
-        cursor = parent[cursor]
-    path.reverse()
-    return tuple(path)
+    return None if goal is None else _walk_back(parent, goal)
 
 
 def constrained_dijkstra(
@@ -182,54 +216,45 @@ def constrained_dijkstra(
     src, dst = flow.src, flow.dst
     if src == dst:
         return (src,)
-    metric = flow.qos.metric
 
+    inf = float("inf")
     dist: Dict[_State, float] = {(src, None): 0.0}
     parent: Dict[_State, Optional[_State]] = {(src, None): None}
     heap: List[Tuple[float, ADId, Optional[ADId]]] = [(0.0, src, None)]
     expanded = 0
     goal: Optional[_State] = None
     transit = policies.transit_charge
+    out_edges = _OutEdges(graph, flow, selection, excluded_links)
+    charge_weight = selection.charge_weight
 
     while heap:
         d, u, p = heapq.heappop(heap)
         state = (u, p)
-        if d > dist.get(state, float("inf")):
+        if d > dist.get(state, inf):
             continue
         expanded += 1
         if u == dst:
             goal = state
             break
-        for link in graph.links_of(u):
-            v = link.other(u)
-            if v == p or v == src:
+        for v, m in out_edges[u]:
+            if v == p:
                 continue
-            if (min(u, v), max(u, v)) in excluded_links:
-                continue
-            if v != dst and not selection.permits_node(v):
-                continue
+            nstate = (v, u)
+            label = dist.get(nstate, inf)
+            if d + m >= label:
+                continue  # no charge can bring it below the label
             charge = 0.0 if u == src else transit(u, flow, p, v)
             if charge is None:
                 continue
-            weight = link.metric(metric) + selection.charge_weight * charge
-            nd = d + weight
-            nstate = (v, u)
-            if nd < dist.get(nstate, float("inf")):
+            nd = d + (m + charge_weight * charge)
+            if nd < label:
                 dist[nstate] = nd
                 parent[nstate] = state
                 heapq.heappush(heap, (nd, v, u))
 
     if stats is not None:
         stats.states_expanded += expanded
-    if goal is None:
-        return None
-    path: List[ADId] = []
-    cursor: Optional[_State] = goal
-    while cursor is not None:
-        path.append(cursor[0])
-        cursor = parent[cursor]
-    path.reverse()
-    return tuple(path)
+    return None if goal is None else _walk_back(parent, goal)
 
 
 def _widest_exhaustive(
@@ -247,7 +272,6 @@ def _widest_exhaustive(
     src, dst = flow.src, flow.dst
     if src == dst:
         return (src,)
-    metric = flow.qos.metric
     max_hops = selection.max_hops or graph.num_ads
 
     best_path: Optional[Tuple[ADId, ...]] = None
@@ -255,6 +279,7 @@ def _widest_exhaustive(
     heap: List[Tuple[float, Tuple[ADId, ...]]] = [(-float("inf"), (src,))]
     expanded = 0
     transit = policies.transit_charge
+    out_edges = _OutEdges(graph, flow, selection, excluded_links)
     while heap and expanded < budget:
         neg_w, path = heapq.heappop(heap)
         w = -neg_w
@@ -265,24 +290,20 @@ def _widest_exhaustive(
         p = path[-2] if len(path) > 1 else None
         if len(path) - 1 >= max_hops:
             continue
-        for link in graph.links_of(u):
-            v = link.other(u)
+        for v, m in out_edges[u]:
             if v in path:
                 continue
-            if (min(u, v), max(u, v)) in excluded_links:
-                continue
-            if v != dst and not selection.permits_node(v):
+            nw = m if m < w else w  # min(w, m)
+            if not nw > best_width:
                 continue
             if u != src and transit(u, flow, p, v) is None:
                 continue
-            nw = min(w, link.metric(metric))
             npath = path + (v,)
-            if v == dst:
-                if nw > best_width and selection.acceptable(npath):
-                    best_width = nw
-                    best_path = npath
-            elif nw > best_width:
+            if v != dst:
                 heapq.heappush(heap, (-nw, npath))
+            elif selection.acceptable(npath):
+                best_width = nw
+                best_path = npath
     if stats is not None:
         stats.states_expanded += expanded
     return best_path
@@ -314,7 +335,6 @@ def exhaustive_best_path(
     src, dst = flow.src, flow.dst
     if src == dst:
         return (src,)
-    metric = flow.qos.metric
     max_hops = selection.max_hops or graph.num_ads
 
     best_path: Optional[Tuple[ADId, ...]] = None
@@ -323,6 +343,8 @@ def exhaustive_best_path(
     heap: List[Tuple[float, Tuple[ADId, ...]]] = [(0.0, (src,))]
     expanded = 0
     transit = policies.transit_charge
+    out_edges = _OutEdges(graph, flow, selection, excluded_links)
+    charge_weight = selection.charge_weight
 
     while heap and expanded < budget:
         cost, path = heapq.heappop(heap)
@@ -333,18 +355,16 @@ def exhaustive_best_path(
         p = path[-2] if len(path) > 1 else None
         if len(path) - 1 >= max_hops:
             continue
-        for link in graph.links_of(u):
-            v = link.other(u)
+        for v, m in out_edges[u]:
             if v in path:
                 continue
-            if (min(u, v), max(u, v)) in excluded_links:
-                continue
-            if v != dst and not selection.permits_node(v):
-                continue
+            bound = cost + m
+            if bound >= best_cost:
+                continue  # no charge can bring it below the best
             charge = 0.0 if u == src else transit(u, flow, p, v)
             if charge is None:
                 continue
-            ncost = cost + link.metric(metric) + selection.charge_weight * charge
+            ncost = bound + charge_weight * charge
             npath = path + (v,)
             if v == dst:
                 if ncost < best_cost and selection.acceptable(npath):

@@ -29,8 +29,8 @@ Both structures are derived state, rebuilt lazily and discarded wholesale
 whenever ``version`` moves -- the same invalidation contract the ORWG
 gateway caches rely on.  Citation semantics are preserved exactly: the
 indexed lookup returns the *first permitting term in term-id order*, the
-same term a linear scan would cite (``scan_permitting_term`` keeps the
-reference implementation, the oracle of the equivalence tests).
+same term a linear scan would cite (the tests keep that scan as their
+oracle, ``scan_permitting_term`` in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -222,7 +222,7 @@ class PolicyDatabase:
 
         "First" is in term-id order, which makes citation deterministic;
         the indexed engine preserves that order exactly (property-tested
-        against :meth:`scan_permitting_term`).
+        against the linear scan the tests keep as their oracle).
         """
         owned = self._terms.get(ad_id)
         if not owned:
@@ -257,19 +257,6 @@ class PolicyDatabase:
             decisions.clear()
         decisions[key] = found
         return found
-
-    def scan_permitting_term(
-        self, ad_id: ADId, flow: FlowSpec, prev: ADId, nxt: ADId
-    ) -> Optional[PolicyTerm]:
-        """Reference linear scan (the seed semantics, kept verbatim).
-
-        The indexed engine must agree with this on every query -- it is
-        the oracle of the index/scan equivalence tests.
-        """
-        for term in self._terms.get(ad_id, ()):
-            if term.permits(flow, prev, nxt):
-                return term
-        return None
 
     def _reset_engine(self) -> None:
         """Drop all derived lookup state; next queries rebuild lazily."""

@@ -13,6 +13,7 @@ which is one of the paper's central claims (measured in E3).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import FrozenSet, Optional, Sequence, Tuple
 
@@ -44,8 +45,8 @@ class RouteSelectionPolicy:
     def __post_init__(self) -> None:
         if self.max_hops is not None and self.max_hops < 1:
             raise ValueError("max_hops must be at least 1")
-        if self.charge_weight < 0:
-            raise ValueError("charge_weight must be non-negative")
+        if not 0 <= self.charge_weight < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"charge_weight {self.charge_weight!r} is not finite and >= 0")
         overlap = self.avoid_ads & self.require_ads
         if overlap:
             raise ValueError(f"ADs both avoided and required: {sorted(overlap)}")

@@ -14,6 +14,7 @@ no transit at all (the stub default).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import FrozenSet, Optional
 
@@ -56,8 +57,8 @@ class PolicyTerm:
     term_id: int = -1
 
     def __post_init__(self) -> None:
-        if self.charge < 0:
-            raise ValueError(f"negative charge {self.charge}")
+        if not 0 <= self.charge < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"charge {self.charge!r} is not finite and >= 0")
 
     def permits(self, flow: FlowSpec, prev: ADId, nxt: ADId) -> bool:
         """Whether this term allows ``flow`` to cross the owner.

@@ -1,0 +1,320 @@
+"""Reference implementations the fast paths are compared against.
+
+Each oracle is the plain version of a production path, kept here (not in
+``src/``) because only tests call it:
+
+* the four policy-constrained searches as they were before the synthesis
+  kernel: every relaxation walks ``graph.links_of``, applies every filter
+  per state and asks the policy database before comparing labels.
+  ``tests/test_synthesis_kernel.py`` requires identical paths and
+  :class:`~repro.core.synthesis.SynthesisStats` from the kernel;
+* :func:`scan_permitting_term`, the linear term scan the indexed policy
+  engine must cite identically.
+"""
+
+from __future__ import annotations
+
+import heapq
+from typing import Dict, FrozenSet, List, Optional, Tuple
+
+from repro.adgraph.ad import ADId
+from repro.adgraph.graph import InterADGraph
+from repro.core.synthesis import DEFAULT_FALLBACK_BUDGET, SynthesisStats
+from repro.policy.database import PolicyDatabase
+from repro.policy.flows import FlowSpec
+from repro.policy.selection import OPEN_SELECTION, RouteSelectionPolicy
+from repro.policy.terms import PolicyTerm
+
+_LinkKey = Tuple[ADId, ADId]
+_State = Tuple[ADId, Optional[ADId]]
+
+
+def scan_permitting_term(
+    db: PolicyDatabase, ad_id: ADId, flow: FlowSpec, prev: ADId, nxt: ADId
+) -> Optional[PolicyTerm]:
+    """The first term of ``ad_id`` permitting the traversal, by linear scan.
+
+    The seed semantics of :meth:`PolicyDatabase.permitting_term`; its
+    signature lets tests monkeypatch it over that method.
+    """
+    for term in db.terms_of(ad_id):
+        if term.permits(flow, prev, nxt):
+            return term
+    return None
+
+
+# ------------------------------------------------- the four searches, verbatim
+
+
+def _widest_constrained_search(
+    graph: InterADGraph,
+    policies: PolicyDatabase,
+    flow: FlowSpec,
+    selection: RouteSelectionPolicy,
+    excluded_links: FrozenSet[_LinkKey],
+    stats: Optional[SynthesisStats],
+) -> Optional[Tuple[ADId, ...]]:
+    """Widest legal walk (max-min bandwidth) over (AD, previous) states.
+
+    The bottleneck analogue of the constrained Dijkstra: labels carry the
+    narrowest link seen so far and the search greedily extends the widest
+    frontier.  Charges are not folded into the optimisation (bandwidth
+    and money do not compose); selection hard criteria still apply.
+    """
+    if stats is not None:
+        stats.dijkstra_runs += 1
+    src, dst = flow.src, flow.dst
+    if src == dst:
+        return (src,)
+    metric = flow.qos.metric
+
+    width: Dict[_State, float] = {(src, None): float("inf")}
+    parent: Dict[_State, Optional[_State]] = {(src, None): None}
+    heap: List[Tuple[float, ADId, Optional[ADId]]] = [(-float("inf"), src, None)]
+    expanded = 0
+    goal: Optional[_State] = None
+    transit = policies.transit_charge
+
+    while heap:
+        neg_w, u, p = heapq.heappop(heap)
+        w = -neg_w
+        state = (u, p)
+        if w < width.get(state, 0.0):
+            continue
+        expanded += 1
+        if u == dst:
+            goal = state
+            break
+        for link in graph.links_of(u):
+            v = link.other(u)
+            if v == p or v == src:
+                continue
+            if (min(u, v), max(u, v)) in excluded_links:
+                continue
+            if v != dst and not selection.permits_node(v):
+                continue
+            if u != src and transit(u, flow, p, v) is None:
+                continue
+            nw = min(w, link.metric(metric))
+            nstate = (v, u)
+            if nw > width.get(nstate, 0.0):
+                width[nstate] = nw
+                parent[nstate] = state
+                heapq.heappush(heap, (-nw, v, u))
+
+    if stats is not None:
+        stats.states_expanded += expanded
+    if goal is None:
+        return None
+    path: List[ADId] = []
+    cursor: Optional[_State] = goal
+    while cursor is not None:
+        path.append(cursor[0])
+        cursor = parent[cursor]
+    path.reverse()
+    return tuple(path)
+
+
+def constrained_dijkstra(
+    graph: InterADGraph,
+    policies: PolicyDatabase,
+    flow: FlowSpec,
+    selection: RouteSelectionPolicy = OPEN_SELECTION,
+    excluded_links: FrozenSet[_LinkKey] = frozenset(),
+    stats: Optional[SynthesisStats] = None,
+) -> Optional[Tuple[ADId, ...]]:
+    """Cheapest legal *walk* from flow source to destination.
+
+    Runs Dijkstra over ``(current, previous)`` states with edge weights
+    ``metric + charge_weight * transit charge``; bottleneck QOS classes
+    dispatch to the widest-path variant instead.  The result is optimal
+    over walks; callers must verify loop-freeness (a walk that is a simple
+    path is an optimal legal route over paths too, since every path is a
+    walk).
+
+    Returns ``None`` when no legal walk exists -- which also proves no
+    legal simple path exists.
+    """
+    if flow.qos.is_bottleneck:
+        return _widest_constrained_search(
+            graph, policies, flow, selection, excluded_links, stats
+        )
+    if stats is not None:
+        stats.dijkstra_runs += 1
+    src, dst = flow.src, flow.dst
+    if src == dst:
+        return (src,)
+    metric = flow.qos.metric
+
+    dist: Dict[_State, float] = {(src, None): 0.0}
+    parent: Dict[_State, Optional[_State]] = {(src, None): None}
+    heap: List[Tuple[float, ADId, Optional[ADId]]] = [(0.0, src, None)]
+    expanded = 0
+    goal: Optional[_State] = None
+    transit = policies.transit_charge
+
+    while heap:
+        d, u, p = heapq.heappop(heap)
+        state = (u, p)
+        if d > dist.get(state, float("inf")):
+            continue
+        expanded += 1
+        if u == dst:
+            goal = state
+            break
+        for link in graph.links_of(u):
+            v = link.other(u)
+            if v == p or v == src:
+                continue
+            if (min(u, v), max(u, v)) in excluded_links:
+                continue
+            if v != dst and not selection.permits_node(v):
+                continue
+            charge = 0.0 if u == src else transit(u, flow, p, v)
+            if charge is None:
+                continue
+            weight = link.metric(metric) + selection.charge_weight * charge
+            nd = d + weight
+            nstate = (v, u)
+            if nd < dist.get(nstate, float("inf")):
+                dist[nstate] = nd
+                parent[nstate] = state
+                heapq.heappush(heap, (nd, v, u))
+
+    if stats is not None:
+        stats.states_expanded += expanded
+    if goal is None:
+        return None
+    path: List[ADId] = []
+    cursor: Optional[_State] = goal
+    while cursor is not None:
+        path.append(cursor[0])
+        cursor = parent[cursor]
+    path.reverse()
+    return tuple(path)
+
+
+def _widest_exhaustive(
+    graph: InterADGraph,
+    policies: PolicyDatabase,
+    flow: FlowSpec,
+    selection: RouteSelectionPolicy,
+    excluded_links: FrozenSet[_LinkKey],
+    budget: int,
+    stats: Optional[SynthesisStats],
+) -> Optional[Tuple[ADId, ...]]:
+    """Exact widest legal simple path (bottleneck branch-and-bound)."""
+    if stats is not None:
+        stats.fallback_runs += 1
+    src, dst = flow.src, flow.dst
+    if src == dst:
+        return (src,)
+    metric = flow.qos.metric
+    max_hops = selection.max_hops or graph.num_ads
+
+    best_path: Optional[Tuple[ADId, ...]] = None
+    best_width = 0.0
+    heap: List[Tuple[float, Tuple[ADId, ...]]] = [(-float("inf"), (src,))]
+    expanded = 0
+    transit = policies.transit_charge
+    while heap and expanded < budget:
+        neg_w, path = heapq.heappop(heap)
+        w = -neg_w
+        if w <= best_width:
+            continue  # width only shrinks as the path grows
+        expanded += 1
+        u = path[-1]
+        p = path[-2] if len(path) > 1 else None
+        if len(path) - 1 >= max_hops:
+            continue
+        for link in graph.links_of(u):
+            v = link.other(u)
+            if v in path:
+                continue
+            if (min(u, v), max(u, v)) in excluded_links:
+                continue
+            if v != dst and not selection.permits_node(v):
+                continue
+            if u != src and transit(u, flow, p, v) is None:
+                continue
+            nw = min(w, link.metric(metric))
+            npath = path + (v,)
+            if v == dst:
+                if nw > best_width and selection.acceptable(npath):
+                    best_width = nw
+                    best_path = npath
+            elif nw > best_width:
+                heapq.heappush(heap, (-nw, npath))
+    if stats is not None:
+        stats.states_expanded += expanded
+    return best_path
+
+
+def exhaustive_best_path(
+    graph: InterADGraph,
+    policies: PolicyDatabase,
+    flow: FlowSpec,
+    selection: RouteSelectionPolicy = OPEN_SELECTION,
+    excluded_links: FrozenSet[_LinkKey] = frozenset(),
+    budget: int = DEFAULT_FALLBACK_BUDGET,
+    stats: Optional[SynthesisStats] = None,
+) -> Optional[Tuple[ADId, ...]]:
+    """Exact best legal *simple path*, by branch-and-bound over paths.
+
+    Complete and optimal within the expansion ``budget``; exponential in
+    the worst case (the problem is NP-hard with required-AD and hop
+    constraints), so the budget caps work and the best path found so far
+    is returned when it runs out.  Bottleneck QOS classes dispatch to the
+    widest-path variant.
+    """
+    if flow.qos.is_bottleneck:
+        return _widest_exhaustive(
+            graph, policies, flow, selection, excluded_links, budget, stats
+        )
+    if stats is not None:
+        stats.fallback_runs += 1
+    src, dst = flow.src, flow.dst
+    if src == dst:
+        return (src,)
+    metric = flow.qos.metric
+    max_hops = selection.max_hops or graph.num_ads
+
+    best_path: Optional[Tuple[ADId, ...]] = None
+    best_cost = float("inf")
+    # Heap entries: (cost so far, path).  Tuples of ints compare fine.
+    heap: List[Tuple[float, Tuple[ADId, ...]]] = [(0.0, (src,))]
+    expanded = 0
+    transit = policies.transit_charge
+
+    while heap and expanded < budget:
+        cost, path = heapq.heappop(heap)
+        if cost >= best_cost:
+            continue
+        expanded += 1
+        u = path[-1]
+        p = path[-2] if len(path) > 1 else None
+        if len(path) - 1 >= max_hops:
+            continue
+        for link in graph.links_of(u):
+            v = link.other(u)
+            if v in path:
+                continue
+            if (min(u, v), max(u, v)) in excluded_links:
+                continue
+            if v != dst and not selection.permits_node(v):
+                continue
+            charge = 0.0 if u == src else transit(u, flow, p, v)
+            if charge is None:
+                continue
+            ncost = cost + link.metric(metric) + selection.charge_weight * charge
+            npath = path + (v,)
+            if v == dst:
+                if ncost < best_cost and selection.acceptable(npath):
+                    best_cost = ncost
+                    best_path = npath
+            elif ncost < best_cost:
+                heapq.heappush(heap, (ncost, npath))
+
+    if stats is not None:
+        stats.states_expanded += expanded
+    return best_path

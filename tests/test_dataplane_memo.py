@@ -4,9 +4,9 @@ Each transit AD's check is :meth:`~repro.policy.database.PolicyDatabase.
 transit_permits`, whose indexed, version-keyed memo is the only path:
 re-forwarding a sample asks the same questions again and gets them from
 the memo, and the verdicts are the ones the linear reference scan
-(:meth:`~repro.policy.database.PolicyDatabase.scan_permitting_term`)
-gives.  Plain LS ignores policy when routing, so its traffic is full of
-transit ADs that refuse it -- the case where enforcement decides.
+(``scan_permitting_term`` in ``tests/oracles.py``) gives.  Plain LS
+ignores policy when routing, so its traffic is full of transit ADs that
+refuse it -- the case where enforcement decides.
 """
 
 import pytest
@@ -17,6 +17,8 @@ from repro.policy.database import PolicyDatabase
 from repro.policy.generators import restricted_policies
 from repro.protocols.registry import make_protocol
 from repro.traffic.workload import WorkloadSpec, zipf_workload
+
+from tests.oracles import scan_permitting_term
 
 
 @pytest.fixture
@@ -35,9 +37,7 @@ def test_outcomes_identical(setting, monkeypatch):
     protocol, flows = setting
     memo = run_traffic(protocol, flows)
     assert memo.policy_drops > 0 and memo.delivered > 0
-    monkeypatch.setattr(
-        PolicyDatabase, "permitting_term", PolicyDatabase.scan_permitting_term
-    )
+    monkeypatch.setattr(PolicyDatabase, "permitting_term", scan_permitting_term)
     assert run_traffic(protocol, flows).outcomes == memo.outcomes
 
 

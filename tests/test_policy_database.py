@@ -12,6 +12,8 @@ from repro.policy.sets import ADSet
 from repro.policy.terms import PolicyTerm
 from repro.policy.uci import UCI
 
+from tests.oracles import scan_permitting_term
+
 
 class TestTermManagement:
     def test_term_ids_assigned_per_owner(self):
@@ -113,7 +115,7 @@ class TestIndexedEngine:
         db.add_term(PolicyTerm(owner=7))
         flow = FlowSpec(99, 2)
         indexed = db.permitting_term(7, flow, 1, 2)
-        reference = db.scan_permitting_term(7, flow, 1, 2)
+        reference = scan_permitting_term(db, 7, flow, 1, 2)
         assert indexed is not None and indexed.term_id == reference.term_id == 0
 
     def test_decision_cache_hits_and_version_invalidation(self):
@@ -143,7 +145,7 @@ class TestIndexedEngine:
         db.add_term(PolicyTerm(owner=3, prev_ads=ADSet.of([1])))
         flow = FlowSpec(1, 2, uci=UCI.RESEARCH)
         indexed = db.permitting_term(3, flow, 1, 2)
-        scanned = db.scan_permitting_term(3, flow, 1, 2)
+        scanned = scan_permitting_term(db, 3, flow, 1, 2)
         assert indexed.term_id == scanned.term_id
 
     def test_transit_charge_matches_cited_term(self):
@@ -168,8 +170,6 @@ class TestIndexedEngine:
             return [None if r is None else r.path for r in routes]
 
         indexed = paths()
-        monkeypatch.setattr(
-            PolicyDatabase, "permitting_term", PolicyDatabase.scan_permitting_term
-        )
+        monkeypatch.setattr(PolicyDatabase, "permitting_term", scan_permitting_term)
         assert paths() == indexed
         assert sum(path is not None for path in indexed) > len(flows) // 2

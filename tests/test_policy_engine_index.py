@@ -19,6 +19,8 @@ from repro.policy.sets import ADSet, TimeWindow
 from repro.policy.terms import PolicyTerm
 from repro.policy.uci import UCI
 
+from tests.oracles import scan_permitting_term
+
 #: A deliberately small AD universe so random terms and flows collide
 #: often -- equivalence on misses is as load-bearing as on hits.
 ADS = list(range(8))
@@ -70,7 +72,7 @@ _queries = st.tuples(
 
 def _assert_identical_citation(db, owner, flow, prev, nxt):
     indexed = db.permitting_term(owner, flow, prev, nxt)
-    reference = db.scan_permitting_term(owner, flow, prev, nxt)
+    reference = scan_permitting_term(db, owner, flow, prev, nxt)
     if reference is None:
         assert indexed is None
     else:

@@ -1,5 +1,7 @@
 """Tests for source route-selection criteria."""
 
+import math
+
 import pytest
 
 from repro.policy.qos import QOS
@@ -21,6 +23,11 @@ class TestValidation:
     def test_negative_charge_weight_rejected(self):
         with pytest.raises(ValueError):
             RouteSelectionPolicy(charge_weight=-1.0)
+
+    @pytest.mark.parametrize("weight", [math.inf, math.nan])
+    def test_non_finite_charge_weight_rejected_by_name(self, weight):
+        with pytest.raises(ValueError, match=f"charge_weight {weight!r} is not finite"):
+            RouteSelectionPolicy(charge_weight=weight)
 
 
 class TestAcceptance:

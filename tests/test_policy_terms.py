@@ -1,5 +1,7 @@
 """Tests for Policy Terms."""
 
+import math
+
 import pytest
 
 from repro.policy.flows import FlowSpec
@@ -81,6 +83,14 @@ class TestMisc:
     def test_negative_charge_rejected(self):
         with pytest.raises(ValueError):
             PolicyTerm(owner=1, charge=-1.0)
+
+    @pytest.mark.parametrize("charge", [math.inf, math.nan])
+    def test_non_finite_charge_rejected_by_name(self, charge):
+        # ``nan < 0`` is false, and under the default charge_weight of 0
+        # ``0.0 * inf`` is NaN: synthesis would drop every relaxation
+        # through the term while legality still calls the path legal.
+        with pytest.raises(ValueError, match=f"charge {charge!r} is not finite"):
+            PolicyTerm(owner=1, charge=charge)
 
     def test_ref(self):
         t = PolicyTerm(owner=5, term_id=2)

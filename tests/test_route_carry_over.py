@@ -17,7 +17,8 @@ resolves as before (DESIGN section 4).  This file pins:
   answer from the branch-and-bound fallback is recomputed, never carried;
 * the premise, on random small graphs full of ties and zero weights;
 * the count: the dataplane-storm smoke cell synthesises 797 -> <= 450
-  times and records byte for byte what it recorded before.
+  times, asks ``transit_charge`` 61 965 -> <= 45 000 times, and records
+  byte for byte what it recorded before.
 """
 
 from __future__ import annotations
@@ -384,6 +385,7 @@ def digest(value):
 
 def test_the_storm_smoke_cell_synthesises_half_as_often_and_records_the_same(monkeypatch):
     calls = count_calls(monkeypatch, lshbh, "synthesize_route")
+    queries = count_calls(monkeypatch, PolicyDatabase, "transit_charge")
     built = []
     build = registry.make_protocol
     monkeypatch.setattr(
@@ -391,6 +393,9 @@ def test_the_storm_smoke_cell_synthesises_half_as_often_and_records_the_same(mon
     )
     (record,) = run_spec(storm_smoke_spec())
     assert len(calls) <= 450  # parent: 797 (one per flow per LSDB content)
+    # The synthesis kernel asks the policy database only when the answer
+    # can matter (a count, not a time): 61 965 queries before it.
+    assert len(queries) <= 45_000
     # What is modelled did not move: per-AD computations, every simulated
     # statistic, and the route every ordered pair gets at the end.
     stats = record.comparable()

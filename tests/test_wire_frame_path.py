@@ -176,6 +176,17 @@ def test_repeat_bodies_decode_to_the_same_object():
     assert again._size == msg.size_bytes() > 0
 
 
+@pytest.mark.parametrize("token", [b"NaN", b"Infinity"])
+def test_a_non_finite_term_charge_is_refused(token):
+    # json.loads accepts both tokens; the term's constructor must refuse
+    # them (0.0 * inf is NaN: synthesis would silently drop the term).
+    frame = encode_frame(1, 2, SAMPLES["LinkStateAd"])
+    body = frame[4:].replace(b'"charge":2.5', b'"charge":' + token)
+    assert body != frame[4:]
+    with pytest.raises(WireError, match="charge"):
+        decode_frame_ex(len(body).to_bytes(4, "big") + body)
+
+
 def test_intern_hit_still_checks_the_length_prefix():
     frame, _ = _interned_lsa_frame()
     with pytest.raises(WireError, match="length"):
