@@ -58,6 +58,10 @@ FORGED_TERM_ID = 9_999
 #: bounds the log under churn storms that never query a route.
 MAX_LSA_LOG = 4096
 
+#: Route memos a pool keeps per seq-free LSDB content after their
+#: generations die, least recently shared dropped first.
+ROUTE_MEMOS = 16
+
 #: A believed internet: what :meth:`LSNode.local_view` returns.
 View = Tuple[InterADGraph, PolicyDatabase]
 
@@ -183,7 +187,8 @@ class LSDBGeneration:
 
     The believed view and deterministic route computation over it are
     functions of LSDB content, so every node at this content shares one
-    ``view`` and one ``routes`` memo.
+    ``view`` and one ``routes`` memo -- the pool's memo of the content
+    without sequence numbers, adopted on the first route asked.
     """
 
     __slots__ = ("lsdb", "bucket", "view", "routes", "uncarried", "inherited", "holders")
@@ -196,11 +201,12 @@ class LSDBGeneration:
         #: node to ask and read-only from then on (links and the policy
         #: database are shared with the views forked from it).
         self.view: Optional[View] = None
-        #: Protocol-defined route key -> computed route.
-        self.routes: Dict[Hashable, Any] = {}
+        #: Protocol-defined route key -> computed route: the pool's memo of
+        #: this content, set on the first route asked (never on acquire).
+        self.routes: Optional[Dict[Hashable, Any]] = None
         #: Keys of ``routes`` answered by a search that link loss can
         #: change off the answer's path; never carried to a later content.
-        self.uncarried: Set[Hashable] = set()
+        self.uncarried: Optional[Set[Hashable]] = None
         #: ``(base.routes, base.uncarried, lost link keys)`` when this view
         #: is the base generation's with only links lost (up there, down or
         #: gone here): no AD added, no term changed, nothing came up.  The
@@ -221,10 +227,17 @@ class LSDBGenerations:
     ``dict ==`` is pointer compares in practice.  Generations are
     reference-counted and dropped the moment the last node leaves, so
     what is shared never depends on garbage-collection timing.
+
+    Route memos outlive them: the pool keeps the last :data:`ROUTE_MEMOS`
+    by seq-free content, so a flap or crash that heals, re-flooding the
+    same content under new sequence numbers, reuses its routes.
     """
 
     def __init__(self) -> None:
         self._buckets: Dict[Hashable, List[LSDBGeneration]] = {}
+        #: Seq-free content -> ``(routes, uncarried)``, least recently
+        #: shared first.
+        self._memos: Dict[Hashable, Tuple[Dict, Set]] = {}
 
     def acquire(self, lsdb: Dict[ADId, "LinkStateAd"]) -> LSDBGeneration:
         """The generation holding exactly ``lsdb``'s content, +1 holder."""
@@ -246,6 +259,25 @@ class LSDBGenerations:
             bucket.remove(generation)
             if not bucket:
                 del self._buckets[generation.bucket]
+
+    def share_memo(self, generation: LSDBGeneration) -> None:
+        """Point ``generation`` at the route memo of its seq-free content.
+
+        The first generation at a content registers a new memo; a later one
+        adopts it and moves it to the back of the eviction order.  The
+        content -- each origin's links, terms and level -- is confirmed by
+        full equality, never by hash or seq.
+        """
+        content = tuple(
+            (origin, lsa.links, lsa.terms, lsa.origin_level)
+            for origin, lsa in sorted(generation.lsdb.items())
+        )
+        memos = self._memos
+        memo = memos.pop(content, None) or ({}, set())
+        memos[content] = memo
+        generation.routes, generation.uncarried = memo
+        if len(memos) > ROUTE_MEMOS:
+            del memos[next(iter(memos))]
 
     def live(self) -> List[LSDBGeneration]:
         """Every generation some node is at (tests and observability)."""
@@ -750,14 +782,19 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
     def generation_route(
         self, key: Hashable, compute: Callable[..., Any], *args: Any
     ) -> Any:
-        """``compute(*args)``, run once per (LSDB content, ``key``).
+        """``compute(*args)``, run once per (seq-free LSDB content, ``key``).
 
         The replicated hop-by-hop computation: every AD on a path must
         derive the same route from the same LSDB, and each *counts* that
         derivation in its own modelled table (``note_computation`` stays
         with the caller) -- but the host derives it once, for whichever
-        node at this LSDB content asks first.  ``compute`` may read only
-        this node's :meth:`local_view` and protocol-wide constants.
+        node at this LSDB content asks first, and keeps it in the pool's
+        memo for the content (:meth:`LSDBGenerations.share_memo`) after
+        every node has moved on: a content re-entered under new sequence
+        numbers, while its memo is retained, searches nothing again.
+        ``compute`` may read only this node's :meth:`local_view` and
+        protocol-wide constants: its answer must be a function of view
+        content.
 
         Nor does the host always derive it per content: when this view is
         the one it was forked from minus lost links, the base's answer is
@@ -770,6 +807,8 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
         to ``self._generation.uncarried`` by ``compute``.
         """
         generation = self._resolve_generation()
+        if generation.routes is None:
+            self._generations.share_memo(generation)
         routes = generation.routes
         if key not in routes:
             inherited = generation.inherited
@@ -892,7 +931,7 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
         shared), or when terms changed while some LSA, replaced or
         current, carries a term it does not own -- per-owner replace is
         only exact when owners are independent.  When only links were
-        lost, ``generation`` inherits ``base``'s routes.
+        lost, ``generation`` inherits ``base``'s routes, if it has any.
         """
         if base is None or base.view is None:
             return None
@@ -929,7 +968,7 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
                 lost.append(key)
             elif up:
                 gained = True
-        if not (born or retermed or gained):
+        if not (born or retermed or gained) and base.routes is not None:
             generation.inherited = (base.routes, base.uncarried, frozenset(lost))
         if retermed:
             # Per-owner replace reproduces the cold build's term-id

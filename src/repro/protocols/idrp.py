@@ -571,12 +571,6 @@ class IDRPProtocol(RoutingProtocol):
         assert isinstance(node, IDRPNode)
         return len(node.loc)
 
-    def adj_rib_size(self, ad_id: ADId) -> int:
-        """Adj-RIB-In entries (candidate routes held, all neighbours)."""
-        node = self.network.node(ad_id)
-        assert isinstance(node, IDRPNode)
-        return sum(len(per) for per in node.rib_in.values())
-
 
 class BGP2Protocol(IDRPProtocol):
     """BGP version 2: IDRP without source-specific policy attributes."""

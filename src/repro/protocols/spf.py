@@ -26,46 +26,13 @@ from repro.simul.network import SimNetwork
 LinkKey = Tuple[ADId, ADId]
 
 
-def spf_next_hops(
-    graph: InterADGraph, root: ADId, metric: str
-) -> Dict[ADId, ADId]:
-    """Dijkstra from ``root``: destination -> first hop, deterministic.
-
-    Ties break toward the lexicographically smaller (cost, dest, parent)
-    labels, so every node with the same view produces the same trees.
-    """
-    dist: Dict[ADId, float] = {root: 0.0}
-    first: Dict[ADId, ADId] = {}
-    heap = [(0.0, root, root)]
-    done = set()
-    inf = float("inf")
-    push, pop = heapq.heappush, heapq.heappop
-    while heap:
-        d, u, via = pop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        if u != root:
-            first[u] = via
-        for link in graph.links_of(u):
-            v = link.b if link.a == u else link.a
-            if v in done:
-                continue
-            nd = d + link.metrics.get(metric, 1.0)
-            if nd < dist.get(v, inf):
-                dist[v] = nd
-                nxt_via = v if u == root else via
-                push(heap, (nd, v, nxt_via))
-    return first
-
-
 class IncrementalSPFState:
     """One root's SPF tree, repairable under edge deltas.
 
     Maintains ``dist`` and a *canonical parent* per reachable node; the
-    first-hop table :func:`spf_next_hops` would produce is derived from
-    the parents.  For strictly positive edge weights the operational
-    oracle's tie-break is exactly canonical: every settled node's parent
+    first-hop table a plain Dijkstra would produce is derived from the
+    parents.  For strictly positive edge weights that Dijkstra's
+    tie-break is exactly canonical: every settled node's parent
     is the optimal predecessor minimising ``(dist[parent], parent)``
     (optimal parents settle strictly earlier, in lexicographic
     ``(dist, id)`` pop order, and the first to relax wins the strict
@@ -296,8 +263,9 @@ class IncrementalSPFState:
     def first_hops(self) -> Dict[ADId, ADId]:
         """Derive the destination -> first hop table from the parents.
 
-        Identical to what :func:`spf_next_hops` returns for the same
-        graph: the ``via`` labels it propagates satisfy exactly
+        Identical to the table of a plain Dijkstra from ``root`` on the
+        same graph (``spf_next_hops`` in ``tests/oracles.py``): the ``via``
+        labels it propagates satisfy exactly
         ``via(v) = v if parent(v) == root else via(parent(v))``.
         """
         parent, root = self.parent, self.root

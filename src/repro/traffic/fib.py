@@ -238,10 +238,6 @@ class CompiledFIB:
         verdicts = self.class_verdicts(liveness)
         return array("b", map(verdicts.__getitem__, class_of))
 
-    def delivered_delay(self, c: int) -> float:
-        """Cumulative link delay of class ``c``'s full compiled path."""
-        return self.path_delays[c]
-
 
 # ------------------------------------------------------------------ compile
 

@@ -9,7 +9,9 @@ Each oracle is the plain version of a production path, kept here (not in
   ``tests/test_synthesis_kernel.py`` requires identical paths and
   :class:`~repro.core.synthesis.SynthesisStats` from the kernel;
 * :func:`scan_permitting_term`, the linear term scan the indexed policy
-  engine must cite identically.
+  engine must cite identically;
+* :func:`spf_next_hops`, the full Dijkstra whose first-hop table
+  :class:`~repro.protocols.spf.IncrementalSPFState` must derive exactly.
 """
 
 from __future__ import annotations
@@ -41,6 +43,39 @@ def scan_permitting_term(
         if term.permits(flow, prev, nxt):
             return term
     return None
+
+
+def spf_next_hops(
+    graph: InterADGraph, root: ADId, metric: str
+) -> Dict[ADId, ADId]:
+    """Dijkstra from ``root``: destination -> first hop, deterministic.
+
+    Ties break toward the lexicographically smaller (cost, dest, parent)
+    labels, so every node with the same view produces the same trees.
+    """
+    dist: Dict[ADId, float] = {root: 0.0}
+    first: Dict[ADId, ADId] = {}
+    heap = [(0.0, root, root)]
+    done = set()
+    inf = float("inf")
+    push, pop = heapq.heappush, heapq.heappop
+    while heap:
+        d, u, via = pop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        if u != root:
+            first[u] = via
+        for link in graph.links_of(u):
+            v = link.b if link.a == u else link.a
+            if v in done:
+                continue
+            nd = d + link.metrics.get(metric, 1.0)
+            if nd < dist.get(v, inf):
+                dist[v] = nd
+                nxt_via = v if u == root else via
+                push(heap, (nd, v, nxt_via))
+    return first
 
 
 # ------------------------------------------------- the four searches, verbatim

@@ -3,8 +3,8 @@
 The LS family derives each node's believed view per LSA delta and repairs
 each SPF tree per edge change; those are the only paths production runs.
 The cold build (:meth:`~repro.protocols.flooding.LSNode._rebuild_view`)
-and full Dijkstra (:func:`~repro.protocols.spf.spf_next_hops`) stay as the
-references.  Here whole protocols converge, lose a link, restart a node
+and full Dijkstra (``spf_next_hops`` in ``tests/oracles.py``) stay as
+the references.  Here whole protocols converge, lose a link, restart a node
 (with or without its state), regain the link and reconverge; after every
 stage every live node's view must be its cold build and every plain-LS
 next hop must be the one Dijkstra picks on that view.
@@ -19,7 +19,7 @@ from repro.policy.generators import restricted_policies
 from repro.policy.qos import QOS
 from repro.protocols.flooding import LSNode
 from repro.protocols.registry import make_protocol
-from repro.protocols.spf import spf_next_hops
+from tests.oracles import spf_next_hops
 
 LS_PROTOCOLS = ("plain-ls", "ls-hbh", "orwg", "ls-hbh-topo", "ls-src-topo")
 

@@ -1,7 +1,7 @@
 """Equivalence of incremental SPF repair with the full-Dijkstra oracle.
 
 :class:`~repro.protocols.spf.IncrementalSPFState` must produce exactly
-the first-hop table :func:`~repro.protocols.spf.spf_next_hops` computes,
+the first-hop table ``spf_next_hops`` (``tests/oracles.py``) computes,
 including tie-breaks, after *any* sequence of edge deltas -- link
 deletions and metric increases (the classically buggy cases) included.
 The suite drives random graphs through random delta batches and checks
@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 from repro.adgraph.ad import AD, ADKind, InterADLink, Level, LinkKind
 from repro.adgraph.graph import InterADGraph
-from repro.protocols.spf import IncrementalSPFState, spf_next_hops
+from repro.protocols.spf import IncrementalSPFState
+from tests.oracles import spf_next_hops
 
 ROOT = 0
 

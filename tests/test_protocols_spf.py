@@ -4,8 +4,9 @@
 from repro.policy.database import PolicyDatabase
 from repro.policy.flows import FlowSpec
 from repro.policy.qos import QOS
-from repro.protocols.spf import PlainLinkStateProtocol, spf_next_hops
+from repro.protocols.spf import PlainLinkStateProtocol
 from tests.helpers import line_graph
+from tests.oracles import spf_next_hops
 
 
 class TestSpfNextHops:
