@@ -188,10 +188,14 @@ class LSDBGeneration:
     The believed view and deterministic route computation over it are
     functions of LSDB content, so every node at this content shares one
     ``view`` and one ``routes`` memo -- the pool's memo of the content
-    without sequence numbers, adopted on the first route asked.
+    without sequence numbers, adopted on the first route asked -- and
+    the ``searches`` that fill that memo, which are this generation's
+    alone.
     """
 
-    __slots__ = ("lsdb", "bucket", "view", "routes", "uncarried", "inherited", "holders")
+    __slots__ = (
+        "lsdb", "bucket", "view", "routes", "uncarried", "inherited", "searches", "holders"
+    )
 
     def __init__(self, lsdb: Dict[ADId, "LinkStateAd"], bucket: Hashable) -> None:
         #: Private snapshot (a node's own dict is mutated by ``_install``).
@@ -212,6 +216,10 @@ class LSDBGeneration:
         #: gone here): no AD added, no term changed, nothing came up.  The
         #: base's memo, not the base itself, so generations never chain.
         self.inherited: Optional[Tuple[Dict, Set, FrozenSet]] = None
+        #: Protocol-defined search key -> a resumable search over ``view``,
+        #: created by the first route asked of it.  Dies with this
+        #: generation: never in ``routes``, never carried or adopted.
+        self.searches: Optional[Dict[Hashable, Any]] = None
         #: Nodes currently at this generation; released at zero.
         self.holders = 0
 

@@ -42,57 +42,110 @@ from repro.protocols.idrp import IDRPNode, IDRPProtocol, RouteAd
 from repro.simul.network import SimNetwork
 
 
-def valley_free_shortest_path(
-    graph: InterADGraph,
-    order: PartialOrder,
-    src: ADId,
-    dst: ADId,
-    metric: str = "delay",
-) -> Optional[Tuple[ADId, ...]]:
-    """Cheapest path satisfying the up/down rule, or ``None``.
+class ValleyFreeSearch:
+    """One source's valley-free Dijkstra, resumed for each destination asked.
 
     Dijkstra over ``(AD, has-gone-down)`` states: once the path takes a
     down traversal the ``gone_down`` flag is set and up traversals are
     pruned.  Within each phase the total-order key is strictly monotone,
-    so paths are simple and the search is polynomial.  Deterministic
-    tie-breaking makes every node with the same view compute the same
-    path (required for hop-by-hop consistency).
+    so paths are simple and the search is polynomial.  A state is the int
+    ``2 * AD + gone_down``, so the heap order ``(distance, state)`` is
+    ``(distance, AD, gone_down)``: deterministic tie-breaking makes every
+    node with the same view compute the same path (required for
+    hop-by-hop consistency).
+
+    :meth:`path_to` answers from the states already popped or resumes
+    popping until the destination's first state is popped, expanding
+    every popped state before it returns.  Legality depends on the
+    source, the state and the link direction, never on the destination,
+    and relaxation is strict over non-negative weights, so a popped
+    state's parent is frozen: the answer is the one a fresh search
+    stopping at that destination would give, ties and zero weights
+    included.
+
+    **Precondition:** ``graph`` must not change while the search is kept
+    -- retain one only over a published, read-only view (an
+    :class:`~repro.protocols.flooding.LSDBGeneration`'s).
     """
-    if src == dst:
-        return (src,)
-    start = (src, False)
-    dist: Dict[Tuple[ADId, bool], float] = {start: 0.0}
-    parent: Dict[Tuple[ADId, bool], Optional[Tuple[ADId, bool]]] = {start: None}
-    heap: List[Tuple[float, ADId, bool]] = [(0.0, src, False)]
-    goal: Optional[Tuple[ADId, bool]] = None
-    while heap:
-        d, u, gone_down = heapq.heappop(heap)
-        state = (u, gone_down)
-        if d > dist.get(state, float("inf")):
-            continue
-        if u == dst:
-            goal = state
-            break
-        for link in graph.links_of(u):
-            v = link.other(u)
-            direction = order.direction(u, v)
-            if direction is Direction.UP and gone_down:
+
+    __slots__ = ("graph", "order", "src", "metric", "dist", "parent", "heap", "first", "pops")
+
+    def __init__(
+        self,
+        graph: InterADGraph,
+        order: PartialOrder,
+        src: ADId,
+        metric: str = "delay",
+    ) -> None:
+        self.graph: Optional[InterADGraph] = graph
+        self.order = order
+        self.src = src
+        self.metric = metric
+        start = 2 * src
+        self.dist: Optional[Dict[int, float]] = {start: 0.0}
+        self.parent: Dict[int, Optional[int]] = {start: None}
+        self.heap: List[Tuple[float, int]] = [(0.0, start)]
+        #: AD -> its first popped state, the goal of a path to it.
+        self.first: Dict[ADId, int] = {}
+        #: Heap pops so far, stale ones included (observability).
+        self.pops = 0
+
+    def path_to(self, dst: ADId) -> Optional[Tuple[ADId, ...]]:
+        """Cheapest path from the source to ``dst`` satisfying the up/down rule, or ``None``."""
+        if dst == self.src:
+            return (dst,)
+        goal = self.first.get(dst)
+        if goal is None and self.heap:
+            goal = self._resume(dst)
+        if goal is None:
+            return None
+        parent = self.parent
+        path: List[ADId] = []
+        cursor: Optional[int] = goal
+        while cursor is not None:
+            path.append(cursor >> 1)
+            cursor = parent[cursor]
+        path.reverse()
+        return tuple(path)
+
+    def _resume(self, dst: ADId) -> Optional[int]:
+        """Pop until ``dst``'s first state is popped (and expanded) or the heap runs out."""
+        heap, dist, parent, first = self.heap, self.dist, self.parent, self.first
+        links_of, direction, metric = self.graph.links_of, self.order.direction, self.metric
+        pop, push, up = heapq.heappop, heapq.heappush, Direction.UP
+        inf = float("inf")
+        pops = self.pops
+        goal = None
+        while heap:
+            d, state = pop(heap)
+            pops += 1
+            if d > dist[state]:
                 continue
-            nstate = (v, gone_down or direction is Direction.DOWN)
-            nd = d + link.metric(metric)
-            if nd < dist.get(nstate, float("inf")):
-                dist[nstate] = nd
-                parent[nstate] = state
-                heapq.heappush(heap, (nd, v, nstate[1]))
-    if goal is None:
-        return None
-    path: List[ADId] = []
-    cursor: Optional[Tuple[ADId, bool]] = goal
-    while cursor is not None:
-        path.append(cursor[0])
-        cursor = parent[cursor]
-    path.reverse()
-    return tuple(path)
+            u, gone_down = state >> 1, state & 1
+            if u not in first:
+                first[u] = state
+                if u == dst:
+                    goal = state
+            for link in links_of(u):
+                v = link.other(u)
+                if direction(u, v) is up:
+                    if gone_down:
+                        continue
+                    nstate = 2 * v
+                else:
+                    nstate = 2 * v + 1
+                nd = d + link.metric(metric)
+                if nd < dist.get(nstate, inf):
+                    dist[nstate] = nd
+                    parent[nstate] = state
+                    push(heap, (nd, nstate))
+            if goal is not None:
+                break
+        self.pops = pops
+        if not heap:
+            # Exhausted: every reachable AD has its goal; the rest is dead.
+            self.dist = self.graph = None
+        return goal
 
 
 class _ValleyFreeLSNode(LSNode):
@@ -123,7 +176,8 @@ class _ValleyFreeLSNode(LSNode):
             return cached[1]
         profiler = self.profiler
         # This node's table above is the modelled one (a miss is charged
-        # to this AD below); the SPF itself runs once per LSDB content.
+        # to this AD below); the route is searched once per LSDB content,
+        # by one resumable SPF per (source, metric) of the generation.
         if profiler is None:
             path = self.generation_route(key, self._compute_route, flow)
         else:
@@ -135,11 +189,20 @@ class _ValleyFreeLSNode(LSNode):
 
     def _compute_route(self, flow: FlowSpec) -> Optional[Tuple[ADId, ...]]:
         graph, _ = self.local_view()
-        if flow.src in graph and flow.dst in graph:
-            return valley_free_shortest_path(
-                graph, self.order, flow.src, flow.dst, flow.qos.metric
+        if flow.src not in graph or flow.dst not in graph:
+            return None
+        # One resumable search per (source, metric) on this generation's
+        # read-only view answers every destination asked of it.
+        searches = self._generation.searches
+        if searches is None:
+            searches = self._generation.searches = {}
+        key = (flow.src, flow.qos.metric)
+        search = searches.get(key)
+        if search is None:
+            search = searches[key] = ValleyFreeSearch(
+                graph, self.order, flow.src, flow.qos.metric
             )
-        return None
+        return search.path_to(flow.dst)
 
 
 class _LSTopologyProtocolBase(RoutingProtocol):

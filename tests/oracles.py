@@ -11,7 +11,11 @@ Each oracle is the plain version of a production path, kept here (not in
 * :func:`scan_permitting_term`, the linear term scan the indexed policy
   engine must cite identically;
 * :func:`spf_next_hops`, the full Dijkstra whose first-hop table
-  :class:`~repro.protocols.spf.IncrementalSPFState` must derive exactly.
+  :class:`~repro.protocols.spf.IncrementalSPFState` must derive exactly;
+* :func:`valley_free_shortest_path`, the early-exit search per (source,
+  destination) whose answer every
+  :class:`~repro.protocols.variants.ValleyFreeSearch` destination must
+  equal (``tests/test_valley_free_search.py``).
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.adgraph.ad import ADId
 from repro.adgraph.graph import InterADGraph
+from repro.adgraph.partial_order import Direction, PartialOrder
 from repro.core.synthesis import DEFAULT_FALLBACK_BUDGET, SynthesisStats
 from repro.policy.database import PolicyDatabase
 from repro.policy.flows import FlowSpec
@@ -76,6 +81,59 @@ def spf_next_hops(
                 nxt_via = v if u == root else via
                 push(heap, (nd, v, nxt_via))
     return first
+
+
+def valley_free_shortest_path(
+    graph: InterADGraph,
+    order: PartialOrder,
+    src: ADId,
+    dst: ADId,
+    metric: str = "delay",
+) -> Optional[Tuple[ADId, ...]]:
+    """Cheapest path satisfying the up/down rule, or ``None``.
+
+    Dijkstra over ``(AD, has-gone-down)`` states: once the path takes a
+    down traversal the ``gone_down`` flag is set and up traversals are
+    pruned.  Within each phase the total-order key is strictly monotone,
+    so paths are simple and the search is polynomial.  Deterministic
+    tie-breaking makes every node with the same view compute the same
+    path (required for hop-by-hop consistency).
+    """
+    if src == dst:
+        return (src,)
+    start = (src, False)
+    dist: Dict[Tuple[ADId, bool], float] = {start: 0.0}
+    parent: Dict[Tuple[ADId, bool], Optional[Tuple[ADId, bool]]] = {start: None}
+    heap: List[Tuple[float, ADId, bool]] = [(0.0, src, False)]
+    goal: Optional[Tuple[ADId, bool]] = None
+    while heap:
+        d, u, gone_down = heapq.heappop(heap)
+        state = (u, gone_down)
+        if d > dist.get(state, float("inf")):
+            continue
+        if u == dst:
+            goal = state
+            break
+        for link in graph.links_of(u):
+            v = link.other(u)
+            direction = order.direction(u, v)
+            if direction is Direction.UP and gone_down:
+                continue
+            nstate = (v, gone_down or direction is Direction.DOWN)
+            nd = d + link.metric(metric)
+            if nd < dist.get(nstate, float("inf")):
+                dist[nstate] = nd
+                parent[nstate] = state
+                heapq.heappush(heap, (nd, v, nstate[1]))
+    if goal is None:
+        return None
+    path: List[ADId] = []
+    cursor: Optional[Tuple[ADId, bool]] = goal
+    while cursor is not None:
+        path.append(cursor[0])
+        cursor = parent[cursor]
+    path.reverse()
+    return tuple(path)
 
 
 # ------------------------------------------------- the four searches, verbatim

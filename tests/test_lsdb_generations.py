@@ -32,6 +32,7 @@ from repro.protocols import lshbh, variants
 from repro.protocols.flooding import LinkRecord, LinkStateAd, LSDBGenerations
 from repro.protocols.registry import make_protocol
 from repro.workloads.scenarios import reference_scenario, ring_scenario
+from tests.oracles import valley_free_shortest_path
 from tests.parent_records import corpus
 
 PROTOCOLS = ("ls-hbh", "ls-hbh-topo", "ls-src-topo")
@@ -46,7 +47,7 @@ def unshared_route(node, flow):
         route = synthesize_route(graph, policies, flow)
         return None if route is None else route.path
     metric = (QOS.DEFAULT if flow.qos.is_bottleneck else flow.qos).metric
-    return variants.valley_free_shortest_path(graph, node.order, flow.src, flow.dst, metric)
+    return valley_free_shortest_path(graph, node.order, flow.src, flow.dst, metric)
 
 
 def distinct_lsdbs(nodes):
@@ -83,10 +84,15 @@ def count_calls(monkeypatch, module, name):
 
 
 def compute_function(monkeypatch, name):
-    """Calls to the one replicated route function protocol ``name`` runs."""
+    """Calls to the one replicated route function protocol ``name`` runs.
+
+    For the topology variants that is a destination asked of a
+    generation's :class:`~repro.protocols.variants.ValleyFreeSearch`: one
+    ``path_to`` per per-pair memo miss, its ``self`` the search.
+    """
     if name == "ls-hbh":
         return count_calls(monkeypatch, lshbh, "synthesize_route")
-    return count_calls(monkeypatch, variants, "valley_free_shortest_path")
+    return count_calls(monkeypatch, variants.ValleyFreeSearch, "path_to")
 
 
 # ------------------------------------------------------------- equivalence
@@ -280,9 +286,9 @@ def test_n_distinct_flows_cost_n_computations_network_wide(name, monkeypatch):
     # (ls-hbh: view and flow only, plus a counter it writes) or one
     # protocol-wide constant.
     for args, kwargs in calls:
-        assert set(kwargs) <= {"stats"} and len(args) == (3 if name == "ls-hbh" else 5)
+        assert set(kwargs) <= {"stats"} and len(args) == (3 if name == "ls-hbh" else 2)
     if name != "ls-hbh":
-        assert all(args[1] is protocol.order for args, _ in calls)
+        assert all(args[0].order is protocol.order for args, _ in calls)
         assert all(
             node.order is protocol.order
             for node in protocol.network.nodes.values()

@@ -12,30 +12,36 @@ from repro.protocols.variants import (
     DVSourceTopologyProtocol,
     LSHbHTopologyProtocol,
     LSSourceTopologyProtocol,
-    valley_free_shortest_path,
+    ValleyFreeSearch,
 )
+
+
+def valley_free_path(graph, order, src, dst):
+    """One destination asked of a fresh search."""
+    return ValleyFreeSearch(graph, order, src).path_to(dst)
 
 
 class TestValleyFreeDijkstra:
     def test_simple_hierarchy_path(self, hierarchy):
         order = PartialOrder.from_hierarchy(hierarchy)
-        path = valley_free_shortest_path(hierarchy, order, 3, 5)
+        path = valley_free_path(hierarchy, order, 3, 5)
         assert path is not None
         assert order.path_is_valid(path)
         assert path[0] == 3 and path[-1] == 5
 
     def test_trivial(self, hierarchy):
         order = PartialOrder.from_hierarchy(hierarchy)
-        assert valley_free_shortest_path(hierarchy, order, 3, 3) == (3,)
+        assert valley_free_path(hierarchy, order, 3, 3) == (3,)
 
     def test_result_is_simple_path(self, gen_graph):
         order = PartialOrder.from_hierarchy(gen_graph)
         ids = gen_graph.ad_ids()
         for src in ids[::4]:
+            search = ValleyFreeSearch(gen_graph, order, src)
             for dst in ids[::5]:
                 if src == dst:
                     continue
-                path = valley_free_shortest_path(gen_graph, order, src, dst)
+                path = search.path_to(dst)
                 if path is not None:
                     assert len(set(path)) == len(path)
                     assert order.path_is_valid(path)
@@ -48,7 +54,7 @@ class TestValleyFreeDijkstra:
         hierarchy.set_link_status(1, 2, up=False)
         # 4 now reaches the world only via 1; 1 reaches 0 only through
         # 3's bypass (1->3 down, 3->0 up): a valley.  No valid path.
-        assert valley_free_shortest_path(hierarchy, order, 4, 5) is None
+        assert valley_free_path(hierarchy, order, 4, 5) is None
 
 
 class TestLSTopologyVariants:

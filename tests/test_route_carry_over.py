@@ -53,9 +53,9 @@ from repro.policy.terms import PolicyTerm
 from repro.protocols import lshbh, registry
 from repro.protocols.flooding import LinkStateAd, canonical_link_key
 from repro.protocols.registry import make_protocol
-from repro.protocols.variants import valley_free_shortest_path
 
 from .helpers import mk_graph
+from .oracles import valley_free_shortest_path
 from .test_lsdb_generations import count_calls, reference, storm
 
 
