@@ -22,7 +22,6 @@ about (or that this implementation chose), one knob at a time:
 import pytest
 
 from _common import emit
-from repro.adgraph.failures import safe_failure_candidates
 from repro.adgraph.trees import spanning_tree_links
 from repro.analysis.tables import Table
 from repro.core.evaluation import evaluate_availability, sample_flows
@@ -31,6 +30,7 @@ from repro.core.synthesis import (
     exhaustive_best_path,
     synthesize_route,
 )
+from repro.faults.plan import random_failure_plan, safe_failure_candidates
 from repro.policy.generators import source_class_policies
 from repro.policy.legality import path_cost
 from repro.protocols import make_protocol
@@ -326,8 +326,7 @@ def test_a6_trigger_delay(benchmark, scenario):
     volume against convergence time.  A tiny delay sends near-per-change
     updates; a long delay coalesces whole waves into single updates but
     holds routes stale for longer."""
-    from repro.adgraph.failures import random_failure_plan
-    from repro.simul.runner import run_with_failures
+    from repro.simul.runner import run_episodes
 
     plan = random_failure_plan(scenario.graph, count=4, repair=True, seed=71)
 
@@ -335,9 +334,9 @@ def test_a6_trigger_delay(benchmark, scenario):
         proto = make_protocol(
             "naive-dv", scenario.graph.copy(), scenario.policies.copy(), trigger_delay=delay
         )
-        initial, episodes = run_with_failures(proto.build(), plan)
-        msgs = [e.result.messages for e in episodes]
-        times = [e.result.time for e in episodes]
+        initial, *episodes = run_episodes(proto, plan)
+        msgs = [e.messages for e in episodes]
+        times = [e.time for e in episodes]
         return dict(
             initial=initial.messages,
             initial_time=initial.time,

@@ -9,10 +9,10 @@ floods the change once and recomputes locally.
 Run:  python examples/convergence_study.py
 """
 
-from repro.adgraph.failures import random_failure_plan
 from repro.analysis.tables import Table
+from repro.faults.plan import random_failure_plan
 from repro.protocols import make_protocol
-from repro.simul.runner import run_with_failures
+from repro.simul.runner import run_episodes
 from repro.workloads import reference_scenario
 
 
@@ -41,11 +41,11 @@ def main() -> None:
     )
     for name, factory in contenders:
         proto = factory(scenario.graph.copy(), scenario.policies.copy())
-        initial, episodes = run_with_failures(proto.build(), plan)
+        initial, *episodes = run_episodes(proto, plan)
         n = len(episodes)
-        msgs = sum(e.result.messages for e in episodes) / n
-        kb = sum(e.result.bytes for e in episodes) / n / 1024
-        time = sum(e.result.time for e in episodes) / n
+        msgs = sum(e.messages for e in episodes) / n
+        kb = sum(e.bytes for e in episodes) / n / 1024
+        time = sum(e.time for e in episodes) / n
         table.add(name, initial.messages, f"{msgs:.0f}", f"{kb:.1f}", f"{time:.0f}")
     print(table.render())
 

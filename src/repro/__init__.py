@@ -4,7 +4,7 @@
 The package turns the paper's design-space analysis into running code:
 
 * :mod:`repro.adgraph` — the inter-AD internet model of Section 2
-  (hierarchy + lateral/bypass links, partial orderings, failures);
+  (hierarchy + lateral/bypass links, partial orderings);
 * :mod:`repro.policy` — Policy Terms, flows, legality, route-selection
   criteria, and policy scenario generators (Section 2.3);
 * :mod:`repro.simul` — the deterministic discrete-event message substrate;

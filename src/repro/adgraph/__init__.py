@@ -19,7 +19,6 @@ The main entry points are:
 
 from repro.adgraph.ad import AD, ADKind, InterADLink, Level, LinkKind
 from repro.adgraph.expansion import ExpansionConfig, RouterExpansion
-from repro.adgraph.failures import FailurePlan, LinkFailure, random_failure_plan
 from repro.adgraph.generator import TopologyConfig, generate_internet
 from repro.adgraph.graph import InterADGraph
 from repro.adgraph.partial_order import (
@@ -32,17 +31,14 @@ __all__ = [
     "AD",
     "ADKind",
     "ExpansionConfig",
-    "FailurePlan",
     "RouterExpansion",
     "InterADGraph",
     "InterADLink",
     "Level",
-    "LinkFailure",
     "LinkKind",
     "OrderConflictError",
     "PartialOrder",
     "TopologyConfig",
     "generate_internet",
     "order_from_constraints",
-    "random_failure_plan",
 ]

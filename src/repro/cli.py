@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import List, Optional
 
 from repro.adgraph.ad import ADKind, Level, LinkKind
@@ -133,9 +134,9 @@ def cmd_impact(args: argparse.Namespace) -> int:
 
 
 def cmd_converge(args: argparse.Namespace) -> int:
-    from repro.adgraph.failures import random_failure_plan
+    from repro.faults.plan import random_failure_plan
     from repro.protocols import make_protocol
-    from repro.simul.runner import run_with_failures
+    from repro.simul.runner import run_episodes
 
     scenario = _build_scenario(args)
     contenders = ["naive-dv", "ecma", "idrp", "orwg"]
@@ -148,25 +149,21 @@ def cmd_converge(args: argparse.Namespace) -> int:
         title=f"Convergence on {scenario.graph.num_ads} ADs "
         f"({args.failures} failure/repair events)",
     )
-    plan = None
+    plan = ()
     if args.failures:
         plan = random_failure_plan(
             scenario.graph, count=args.failures, repair=True, seed=args.seed
         )
     for name in contenders:
         proto = make_protocol(name, scenario.graph.copy(), scenario.policies.copy())
-        if plan is None:
-            result = proto.converge()
-            table.add(name, result.messages, f"{result.bytes / 1024:.0f}", 0, "-")
-            continue
-        initial, episodes = run_with_failures(proto.build(), plan)
-        msgs = [e.result.messages for e in episodes]
+        initial, *episodes = run_episodes(proto, plan)
+        msgs = [e.messages for e in episodes]
         table.add(
             name,
             initial.messages,
             f"{initial.bytes / 1024:.0f}",
             len(episodes),
-            f"{sum(msgs) / len(msgs):.0f}",
+            f"{sum(msgs) / len(msgs):.0f}" if msgs else "-",
         )
     print(table.render())
     return 0
@@ -174,8 +171,8 @@ def cmd_converge(args: argparse.Namespace) -> int:
 
 def cmd_live_run(args: argparse.Namespace) -> int:
     from repro.faults.plan import link_flap_plan
-    from repro.live import run_live
     from repro.protocols import make_protocol
+    from repro.simul.runner import run_episodes
     from repro.workloads import reference_scenario, small_scenario
 
     builders = {"small": small_scenario, "reference": reference_scenario}
@@ -186,15 +183,14 @@ def cmd_live_run(args: argparse.Namespace) -> int:
         scenario.policies.copy(),
         substrate="live",
     )
-    plan = None
+    plan = ()
     if args.flaps:
         plan = link_flap_plan(scenario.graph, flaps=args.flaps, seed=args.seed)
-    result = run_live(
-        protocol,
-        plan,
-        time_scale=args.time_scale,
-        timeout_s=args.timeout,
+    opened = time.perf_counter()
+    results = run_episodes(
+        protocol, plan, time_scale=args.time_scale, timeout_s=args.timeout
     )
+    wall = time.perf_counter() - opened
     table = Table(
         "episode",
         "messages",
@@ -204,19 +200,17 @@ def cmd_live_run(args: argparse.Namespace) -> int:
         title=f"{args.protocol} live on {scenario.graph.num_ads} ADs "
         f"(UDP loopback, {args.time_scale}s/unit)",
     )
-
-    def _row(label, r):
+    labels = ["initial"] + [
+        f"link {ev.a}-{ev.b} {'up' if ev.up else 'down'}" for ev in plan
+    ]
+    for label, r in zip(labels, results):
         table.add(
             label, r.messages, f"{r.bytes / 1024:.1f}", f"{r.time:.1f}",
             "yes" if r.quiesced else "NO",
         )
-
-    _row("initial", result.initial)
-    for episode in result.episodes:
-        _row(episode.label, episode.result)
     print(table.render())
-    print(f"wall time: {result.wall_seconds:.2f}s")
-    return 0 if result.quiesced else 1
+    print(f"wall time: {wall:.2f}s")
+    return 0 if all(r.quiesced for r in results) else 1
 
 
 def cmd_live_fidelity(args: argparse.Namespace) -> int:

@@ -2,17 +2,15 @@
 
 The paper requires the protocols to be "somewhat adaptive to changes in
 inter-AD topology" (Section 2.2), but the base simulator delivers every
-control message perfectly and the only dynamics model is a clean link
-up/down :class:`~repro.adgraph.failures.FailurePlan`.  This package is
-the chaos layer that turns those qualitative robustness claims into
-measurable sweeps (experiment E11):
+control message perfectly.  This package is the chaos layer that turns
+that qualitative claim into measurable sweeps (experiments E4, E11):
 
 * :mod:`repro.faults.channel` -- per-link, seed-deterministic message
   impairments (loss, duplication, reordering jitter, burst outages)
   plugged into :class:`~repro.simul.network.SimNetwork`;
-* :mod:`repro.faults.plan` -- the :class:`FaultPlan` DSL generalizing
-  ``FailurePlan`` with AD crash/restart events and scheduled impairment
-  changes, plus seeded generators;
+* :mod:`repro.faults.plan` -- the :class:`FaultPlan` DSL, the one plan
+  type: link failures and repairs, AD crash/restart events and
+  scheduled impairment changes, plus seeded generators;
 * :mod:`repro.faults.prober` -- :class:`RoutePulse`, a data-plane
   reachability sampler producing blackhole-time, loop-count, hijack, and
   time-to-repair distributions;

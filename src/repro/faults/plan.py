@@ -1,8 +1,12 @@
 """The fault-plan DSL: link churn, AD crash/restart, impairment changes.
 
-A :class:`FaultPlan` generalizes :class:`~repro.adgraph.failures.FailurePlan`
-(link up/down only) with three further event kinds:
+A :class:`FaultPlan` is the one plan type every driver runs: a
+time-ordered sequence of four event kinds.
 
+* :class:`LinkFault` -- one inter-AD link fails or is repaired.  Section
+  2.2 of the paper assumes ADs keep themselves internally connected but
+  that inter-AD links do fail, so the protocols "must be somewhat
+  adaptive to changes in inter-AD topology";
 * :class:`NodeFault` -- an AD's routing process crashes (all incident
   links drop and the node goes silent) and later restarts, either
   retaining its RIB/LSDB (``retain_state=True``: a gateway whose
@@ -22,19 +26,21 @@ took (absolute times would race slow protocols into "cannot schedule
 into the past").
 
 Generators draw from a seeded ``random.Random`` and validate feasibility
-loudly (never silently shrinking the plan): flaps come from non-bridge
-links, crashes from non-articulation-point ADs, so the internet minus
-the faulted element stays connected and repair is measurable.
+loudly (never silently shrinking the plan): failures and flaps come from
+non-bridge links, crashes from non-articulation-point ADs, so the
+internet minus the faulted element stays connected and repair is
+measurable.  The convergence experiments (E4) fail links from
+:func:`random_failure_plan` and partition stubs with
+:func:`stub_partition_plan`, one settled episode per event.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.adgraph.ad import ADId, LinkKind
-from repro.adgraph.failures import FailurePlan, safe_failure_candidates
 from repro.adgraph.graph import InterADGraph
 from repro.faults.channel import PERFECT, Impairment
 
@@ -116,13 +122,6 @@ class FaultPlan:
         """Time of the last event (0 for an empty plan)."""
         return self.events[-1].time if self.events else 0.0
 
-    @classmethod
-    def from_failure_plan(cls, plan: Optional[FailurePlan]) -> "FaultPlan":
-        """Lift a link-only :class:`FailurePlan` (``None``: no events)."""
-        return cls(
-            tuple(LinkFault(ev.time, ev.a, ev.b, ev.up) for ev in plan or ())
-        )
-
 
 def grouped_events(plan: FaultPlan) -> List[Tuple[float, List[FaultEvent]]]:
     """Events bucketed by identical fire time, in order.
@@ -146,6 +145,118 @@ def merge_plans(*plans: FaultPlan) -> FaultPlan:
     for plan in plans:
         events.extend(plan.events)
     events.sort(key=lambda ev: ev.time)
+    return FaultPlan(tuple(events))
+
+
+def safe_failure_candidates(graph: InterADGraph) -> List[Tuple[ADId, ADId]]:
+    """Links whose individual failure leaves the internet connected.
+
+    Convergence experiments fail one link at a time and expect the
+    protocols to find alternate routes; failing a cut link would instead
+    measure partition behaviour, so candidates exclude bridges.
+    """
+    import networkx as nx
+
+    g = graph.nx_graph(live_only=True)
+    bridges = set(nx.bridges(g))
+    bridges |= {(b, a) for a, b in bridges}
+    return [ln.key for ln in graph.links(include_down=False) if ln.key not in bridges]
+
+
+def random_failure_plan(
+    graph: InterADGraph,
+    count: int = 1,
+    start_time: float = 100.0,
+    spacing: float = 500.0,
+    repair: bool = False,
+    kinds: Optional[Sequence[LinkKind]] = None,
+    seed: int = 0,
+) -> FaultPlan:
+    """Build a plan failing ``count`` random non-bridge links.
+
+    Failures are spaced ``spacing`` time units apart so each reconvergence
+    can be measured in isolation.  With ``repair=True`` every failure is
+    followed by a repair half a spacing later, so candidacy is judged
+    once against the intact graph; without repairs the failures
+    accumulate and candidacy is recomputed after each pick.
+
+    Args:
+        graph: Topology to draw links from.
+        count: Number of links to fail.
+        start_time: Time of the first failure.
+        spacing: Gap between consecutive failures.
+        repair: Whether to schedule repairs.
+        kinds: Restrict candidates to these link kinds (default: any).
+        seed: RNG seed.
+    """
+    rng = random.Random(seed)
+
+    def pool_of(g: InterADGraph) -> List[Tuple[ADId, ADId]]:
+        cands = safe_failure_candidates(g)
+        if kinds is not None:
+            wanted = set(kinds)
+            cands = [key for key in cands if g.link(*key).kind in wanted]
+        return cands
+
+    if repair:
+        candidates = pool_of(graph)
+        if len(candidates) < count:
+            raise ValueError(
+                f"only {len(candidates)} safe candidate links, need {count}"
+            )
+        chosen = rng.sample(candidates, count)
+    else:
+        # Without repairs the failures accumulate, so bridge candidacy
+        # must be recomputed against the already-failed topology: a link
+        # that is safe in the intact graph can become the last remaining
+        # path once earlier picks are down.
+        scratch = graph.copy()
+        chosen = []
+        for _ in range(count):
+            pool = pool_of(scratch)
+            if not pool:
+                raise ValueError(
+                    f"no safe candidate links left after "
+                    f"{len(chosen)} accumulated failures, need {count}"
+                )
+            key = rng.choice(pool)
+            chosen.append(key)
+            scratch.set_link_status(*key, False)
+    events: List[FaultEvent] = []
+    t = start_time
+    for a, b in chosen:
+        events.append(LinkFault(t, a, b, up=False))
+        if repair:
+            events.append(LinkFault(t + spacing / 2.0, a, b, up=True))
+        t += spacing
+    return FaultPlan(tuple(events))
+
+
+def stub_partition_plan(
+    graph: InterADGraph,
+    count: int = 1,
+    start_time: float = 100.0,
+    spacing: float = 500.0,
+) -> FaultPlan:
+    """Fail (and repair) the single access link of ``count`` stub ADs.
+
+    Each failure partitions one singly-homed stub from the rest of the
+    internet -- the event class where naive DV counts to infinity (E4's
+    "partition" events).  The repair follows half a spacing later so each
+    partition is measured in isolation.
+    """
+    events: List[FaultEvent] = []
+    t = start_time
+    stubs = [a for a in graph.stub_ads() if graph.degree(a.ad_id) == 1]
+    if len(stubs) < count:
+        raise ValueError(
+            f"only {len(stubs)} singly-homed stub ADs, need {count}"
+        )
+    for ad in stubs[:count]:
+        link = graph.links_of(ad.ad_id)[0]
+        events.append(LinkFault(t, link.a, link.b, up=False))
+        events.append(LinkFault(t + spacing / 2.0, link.a, link.b, up=True))
+        t += spacing
     return FaultPlan(tuple(events))
 
 

@@ -16,10 +16,10 @@ hand-roll), identical on both substrates:
 2. open the substrate with :func:`open_substrate` (build, impairment,
    profiling hooks) and, opt-in, attach the tracer;
 3. settle the initial convergence, then apply and settle one isolated
-   episode per failure event -- one coroutine over the substrate
-   adapter (:class:`~repro.simul.runner.SimSubstrate` or
-   :class:`~repro.live.runner.LiveSubstrate`), which
-   :func:`~repro.simul.runner.drive` runs on either substrate;
+   episode per failure event -- :func:`~repro.simul.runner.plain_episodes`
+   over the substrate adapter (:class:`~repro.simul.runner.SimSubstrate`
+   or :class:`~repro.live.runner.LiveSubstrate`), inside one coroutine
+   that :func:`~repro.simul.runner.drive` runs on either substrate;
 4. sim only: the probed fault/misbehavior timeline as one episode;
 5. hand everything to :meth:`RunRecord.assemble`, which evaluates route
    quality (when asked) and snapshots histograms, counters, RIB state
@@ -33,13 +33,12 @@ import os
 from typing import Dict, List, Optional, Sequence
 
 from repro.faults.channel import ImpairedChannel
-from repro.faults.plan import FaultPlan
 from repro.faults.prober import RoutePulse
 from repro.harness.record import EpisodeRecord, RunRecord, write_jsonl
 from repro.harness.spec import Cell, ExperimentSpec
 from repro.simul.ingress import IngressConfig
 from repro.simul.profiling import PhaseProfiler
-from repro.simul.runner import SimSubstrate, Substrate, _done, drive
+from repro.simul.runner import SimSubstrate, Substrate, _done, drive, plain_episodes
 from repro.simul.trace import Tracer
 from repro.traffic.fib import compile_fib
 from repro.traffic.replay import TailSeries, TrafficReplay
@@ -309,10 +308,6 @@ def _timeline(cell, scenario, protocol, substrate, traffic):
     return episode, pulse.summary(), misbehavior
 
 
-def _episode_kind(ev) -> str:
-    return "repair" if ev.up else "failure"
-
-
 def execute_cell(cell: Cell) -> RunRecord:
     """Run one cell end to end and measure it (worker entry point).
 
@@ -359,7 +354,7 @@ async def _run_cell(cell: Cell) -> RunRecord:
     trace_filter = _parse_trace(cell.trace)
     profiler = PhaseProfiler()
     scenario, protocol = build_cell(cell, profiler)
-    plan = FaultPlan.from_failure_plan(cell.failure.build(scenario.graph))
+    plan = cell.failure.build(scenario.graph)
     traffic = TrafficMeter(cell, protocol, profiler)
     substrate = open_substrate(cell, protocol, profiler)
     try:
@@ -367,9 +362,10 @@ async def _run_cell(cell: Cell) -> RunRecord:
         network = substrate.network
         if trace_filter is not None:
             tracer = Tracer.attach(network)
-        await _done(substrate.start())
+        loop = plain_episodes(substrate, plan)
         with profiler.phase("converge"):
-            results = [await _done(substrate.settle())]
+            _, initial = await anext(loop)
+        episodes = [EpisodeRecord.from_result("initial", initial)]
         # Data-plane axis (E14): snapshot a compiled FIB now (the converged
         # epoch), after every failure and at every probe round of the fault
         # timeline, replaying the full workload against each.
@@ -388,17 +384,12 @@ async def _run_cell(cell: Cell) -> RunRecord:
             )
         if len(plan):
             with profiler.phase("failures"):
-                for ev in plan:
-                    await _done(substrate.apply(ev))
-                    results.append(await _done(substrate.settle()))
-                    traffic.record(substrate.now, _episode_kind(ev))
-        episodes: List[EpisodeRecord] = [
-            EpisodeRecord.from_result("initial", results[0])
-        ]
-        episodes.extend(
-            EpisodeRecord.from_result(_episode_kind(ev), result, link=(ev.a, ev.b))
-            for ev, result in zip(plan, results[1:])
-        )
+                async for ev, result in loop:
+                    kind = "repair" if ev.up else "failure"
+                    traffic.record(substrate.now, kind)
+                    episodes.append(
+                        EpisodeRecord.from_result(kind, result, link=(ev.a, ev.b))
+                    )
 
         if cell.fault.active or cell.misbehavior.active:
             # Sim only: live cells were refused these axes above.

@@ -17,11 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.adgraph.failures import (
-    FailurePlan,
-    random_failure_plan,
-    stub_partition_plan,
-)
 from repro.adgraph.generator import TopologyConfig, generate_internet
 from repro.adgraph.graph import InterADGraph
 from repro.core.evaluation import sample_flows
@@ -34,6 +29,8 @@ from repro.faults.plan import (
     link_flap_plan,
     merge_plans,
     partition_plan,
+    random_failure_plan,
+    stub_partition_plan,
 )
 from repro.policy.generators import restricted_policies
 from repro.workloads.scenarios import (
@@ -155,9 +152,9 @@ class FailureSpec:
     """Recipe for a failure plan, rebuilt from the graph inside a cell.
 
     Kinds: ``"none"`` (pure initial convergence), ``"random"``
-    (:func:`~repro.adgraph.failures.random_failure_plan` over non-bridge
+    (:func:`~repro.faults.plan.random_failure_plan` over non-bridge
     links), ``"stub_partition"``
-    (:func:`~repro.adgraph.failures.stub_partition_plan`).
+    (:func:`~repro.faults.plan.stub_partition_plan`).
     """
 
     kind: str = "none"
@@ -172,9 +169,9 @@ class FailureSpec:
     def display(self) -> str:
         return self.label or self.kind
 
-    def build(self, graph: InterADGraph) -> Optional[FailurePlan]:
+    def build(self, graph: InterADGraph) -> FaultPlan:
         if self.kind == "none":
-            return None
+            return FaultPlan(())
         if self.kind == "random":
             return random_failure_plan(
                 graph,

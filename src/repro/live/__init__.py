@@ -12,8 +12,9 @@ UDP sockets on the loopback interface.
   :class:`~repro.simul.transport.Transport`: per-AD UDP endpoints, node
   lifecycle (start/serve/drain/stop), crash/restart.
 * :mod:`~repro.live.runner` — wall-clock convergence (settle-based
-  quiescence), the live substrate adapter, failure episodes, and
-  FaultPlan-driven runs.
+  quiescence) and the live substrate adapter; the episode loops over
+  it (:func:`repro.simul.runner.run_episodes`, the harness drivers) are
+  the simulator's own.
 * :mod:`~repro.live.supervisor` — the init system: dead/hung serve-task
   detection, backed-off restarts, rolling-restart orchestration.
 * :mod:`~repro.live.fidelity` — the sim-vs-live fidelity report.
@@ -21,15 +22,7 @@ UDP sockets on the loopback interface.
 
 from repro.live.clock import LiveClock, LiveTimerHandle
 from repro.live.network import LiveNetwork, NodeState
-from repro.live.runner import (
-    LiveRunResult,
-    LiveSubstrate,
-    SettleTimeout,
-    run_live,
-    run_live_async,
-    settle,
-    try_settle,
-)
+from repro.live.runner import LiveSubstrate, SettleTimeout, settle, try_settle
 from repro.live.supervisor import Supervisor, SupervisorConfig
 from repro.live.fidelity import FidelityReport, fidelity_report, format_report
 
@@ -37,7 +30,6 @@ __all__ = [
     "FidelityReport",
     "LiveClock",
     "LiveNetwork",
-    "LiveRunResult",
     "LiveSubstrate",
     "LiveTimerHandle",
     "NodeState",
@@ -46,8 +38,6 @@ __all__ = [
     "SupervisorConfig",
     "fidelity_report",
     "format_report",
-    "run_live",
-    "run_live_async",
     "settle",
     "try_settle",
 ]

@@ -9,21 +9,17 @@ the only clock it sleeps on is the protocol's own.  :class:`LiveSubstrate`
 wraps that into the adapter every driver measures through -- the same
 calls :class:`~repro.simul.runner.SimSubstrate` answers, so a
 :class:`~repro.simul.runner.ConvergenceResult` from either reads the
-same way (times in protocol units, not wall seconds).
-
-:func:`run_live` injects a plan of link faults *episodically* (each
-applied after the previous episode settled: the live twin of
-:func:`repro.simul.runner.run_with_failures`); any other plan is
-*scheduled* whole on the live clock and settled as one combined episode.
+same way (times in protocol units, not wall seconds).  The plain
+episode loop over it is :func:`repro.simul.runner.plain_episodes`, the
+same loop the simulator runs.
 """
 
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.faults.plan import FaultPlan, LinkFault, WireVersionChange
+from repro.faults.plan import WireVersionChange
 from repro.live.network import LiveNetwork
 from repro.live.supervisor import Supervisor, SupervisorConfig
 from repro.protocols.base import RoutingProtocol
@@ -145,31 +141,6 @@ async def try_settle(
         return False
 
 
-@dataclass(frozen=True)
-class LiveEpisode:
-    """One perturbation and the reconvergence it caused."""
-
-    label: str
-    result: ConvergenceResult
-
-
-@dataclass(frozen=True)
-class LiveRunResult:
-    """Outcome of one live run: initial convergence plus episodes."""
-
-    initial: ConvergenceResult
-    episodes: Tuple[LiveEpisode, ...] = ()
-    #: Wall-clock seconds the whole run took (sockets up to close).
-    wall_seconds: float = 0.0
-
-    @property
-    def quiesced(self) -> bool:
-        """Whether every phase of the run reached quiescence."""
-        return self.initial.quiesced and all(
-            ep.result.quiesced for ep in self.episodes
-        )
-
-
 class LiveSubstrate(Substrate):
     """The live side of the substrate adapter: the same calls, awaitable.
 
@@ -261,75 +232,3 @@ class LiveSubstrate(Substrate):
         if self.supervisor is not None:
             await self.supervisor.stop()
         await self.network.close()
-
-
-async def run_live_async(
-    protocol: RoutingProtocol,
-    plan: Optional[FaultPlan] = None,
-    *,
-    time_scale: float = 0.005,
-    timeout_s: float = 60.0,
-) -> LiveRunResult:
-    """Build, start, converge, and fault-inject a protocol over live UDP.
-
-    The protocol must not have been built yet; a fresh
-    :class:`LiveNetwork` is constructed on the running loop, handed to
-    ``protocol.build``, and always closed (sockets and serve tasks torn
-    down) before this returns -- including on error.
-    """
-    substrate = LiveSubstrate(
-        protocol,
-        time_scale=time_scale,
-        timeout_s=timeout_s,
-    )
-    try:
-        await substrate.start()
-        initial = await substrate.settle()
-        episodes: List[LiveEpisode] = []
-        if plan is not None and len(plan) > 0:
-            if all(isinstance(ev, LinkFault) for ev in plan):
-                # Episodic: one settled episode per link fault, so the
-                # per-failure costs are separable (run_with_failures).
-                for ev in plan:
-                    await substrate.apply(ev)
-                    state = "up" if ev.up else "down"
-                    episodes.append(
-                        LiveEpisode(
-                            f"link {ev.a}-{ev.b} {state}", await substrate.settle()
-                        )
-                    )
-            else:
-                # Scheduled: arm the whole plan on the live clock, wait
-                # out its horizon, and settle the aftermath: one combined
-                # episode spanning the window plus the drain.
-                before = substrate.snapshot()
-                frames_before = substrate.network.frames_received
-                protocol.schedule_fault_plan(plan)
-                await substrate.advance_to(substrate.now + plan.horizon)
-                drain = await substrate.settle()
-                result = substrate.since(
-                    before,
-                    substrate.network.frames_received - frames_before,
-                    drain.quiesced,
-                )
-                episodes.append(LiveEpisode(f"plan[{len(plan)} events]", result))
-        return LiveRunResult(
-            initial=initial,
-            episodes=tuple(episodes),
-            wall_seconds=substrate.timings()["live.wall"],
-        )
-    finally:
-        await substrate.close()
-
-
-def run_live(
-    protocol: RoutingProtocol,
-    plan: Optional[FaultPlan] = None,
-    *,
-    time_scale: float = 0.005,
-    timeout_s: float = 60.0,
-) -> LiveRunResult:
-    """Synchronous wrapper: run a live episode inside ``asyncio.run``."""
-    return asyncio.run(
-        run_live_async(protocol, plan, time_scale=time_scale, timeout_s=timeout_s)
-    )

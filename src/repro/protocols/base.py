@@ -211,13 +211,13 @@ class RoutingProtocol:
 
         Sim substrate only: quiescence is an event-queue property.  Live
         runs converge in wall-clock time under
-        :func:`repro.live.run_live`.
+        :func:`repro.simul.runner.run_episodes`.
         """
         network = self.build()
         if not isinstance(network, SimNetwork):
             raise RuntimeError(
                 f"{self.name}: converge() drives the discrete-event engine; "
-                "use repro.live.run_live for the live substrate"
+                "use repro.simul.runner.run_episodes for the live substrate"
             )
         return converge(network, max_events=max_events)
 

@@ -10,7 +10,8 @@ processes over a deterministic discrete-event engine:
   and delivers link up/down notifications to the endpoints.
 * :class:`~repro.simul.node.ProtocolNode` — base class protocol nodes
   extend.
-* :mod:`~repro.simul.runner` — convergence helpers and failure injection.
+* :mod:`~repro.simul.runner` — the substrate adapter and the plain
+  episode loop (settle, apply one fault event, settle again).
 * :mod:`~repro.simul.transport` — the engine/transport boundary
   (:class:`Transport`/:class:`Clock`/:class:`TimerHandle`); the engine
   above is one implementation of it, :mod:`repro.live` is the other.
@@ -24,7 +25,7 @@ from repro.simul.metrics import MetricsCollector, MetricsSnapshot
 from repro.simul.network import SimNetwork
 from repro.simul.node import ProtocolNode
 from repro.simul.profiling import PhaseProfiler
-from repro.simul.runner import ConvergenceResult, converge, run_with_failures
+from repro.simul.runner import ConvergenceResult, converge, run_episodes
 from repro.simul.trace import TraceRecord, Tracer
 from repro.simul.transport import Clock, TimerHandle, Transport
 from repro.simul.wire import WireError, from_wire, to_wire
@@ -46,6 +47,6 @@ __all__ = [
     "WireError",
     "converge",
     "from_wire",
-    "run_with_failures",
+    "run_episodes",
     "to_wire",
 ]

@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.adgraph.ad import ADId
-from repro.adgraph.failures import FailurePlan
 from repro.adgraph.graph import InterADGraph
 from repro.simul.engine import Simulator
 from repro.simul.ingress import IngressConfig, IngressModel
@@ -260,11 +259,6 @@ class SimNetwork(Transport):
         """:meth:`Transport.restore_node`, then resume the retained queue."""
         super().restore_node(ad_id, node)
         self._resume_ingress(ad_id)
-
-    def schedule_failure_plan(self, plan: FailurePlan) -> None:
-        """Schedule every status change of a failure plan on the engine."""
-        for ev in plan:
-            self.sim.schedule_at(ev.time, self.set_link_status, ev.a, ev.b, ev.up)
 
     # -------------------------------------------------------------- helpers
 

@@ -1,4 +1,4 @@
-"""Convergence episodes: the substrate adapter and the sim-side runners.
+"""Convergence episodes: the substrate adapter and the plain episode loop.
 
 The convergence experiments (E4) measure, per the paper's Section 4.3 and
 5.1.1 claims, how many messages/bytes and how much simulated time each
@@ -7,6 +7,10 @@ convergence, apply one failure, settle again -- each settle's metrics
 delta is that episode's cost (:class:`Substrate`).  Quiescence is natural
 here: the protocols are purely event driven (triggered updates only, no
 periodic timers), so an empty event queue means the protocol converged.
+
+:func:`plain_episodes` is that loop, written once over the adapter for
+both substrates; the harness cell consumes it, and :func:`run_episodes`
+is its one-call form for scripts and the CLI.
 """
 
 from __future__ import annotations
@@ -14,9 +18,8 @@ from __future__ import annotations
 import asyncio
 import inspect
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import AsyncIterator, Iterable, List, Optional, Tuple
 
-from repro.adgraph.failures import FailurePlan, LinkFailure
 from repro.simul.metrics import MetricsSnapshot
 from repro.simul.network import SimNetwork
 from repro.simul.transport import Transport
@@ -195,32 +198,54 @@ def converge(network: SimNetwork, max_events: int = 5_000_000) -> ConvergenceRes
     return substrate.settle()
 
 
-@dataclass(frozen=True)
-class FailureEpisode:
-    """One failure and the reconvergence it caused."""
+async def plain_episodes(
+    substrate: Substrate, plan: Iterable[object]
+) -> AsyncIterator[Tuple[Optional[object], ConvergenceResult]]:
+    """The plain episode loop, on either substrate.
 
-    failure: LinkFailure
-    result: ConvergenceResult
-
-
-def run_with_failures(
-    network: SimNetwork,
-    plan: FailurePlan,
-    max_events: int = 5_000_000,
-) -> Tuple[ConvergenceResult, List[FailureEpisode]]:
-    """Initial convergence, then one isolated episode per plan event.
-
-    Unlike :meth:`SimNetwork.schedule_failure_plan` (which interleaves),
-    this applies each status change only after the previous episode has
-    quiesced, so per-failure costs are cleanly separable.
-
-    Returns the initial convergence result and the per-failure episodes.
+    Starts ``substrate`` and settles the initial convergence, yielded as
+    ``(None, result)``; then applies each plan event only after the
+    previous episode settled and yields ``(event, result)``, so the
+    per-event costs are cleanly separable.  Between yields the caller
+    may act on the settled state (replay traffic, arm an ingress queue).
     """
-    substrate = SimSubstrate(network, max_events=max_events)
-    substrate.start()
-    initial = substrate.settle()
-    episodes: List[FailureEpisode] = []
+    await _done(substrate.start())
+    yield None, await _done(substrate.settle())
     for ev in plan:
-        network.set_link_status(ev.a, ev.b, ev.up)
-        episodes.append(FailureEpisode(ev, substrate.settle()))
-    return initial, episodes
+        await _done(substrate.apply(ev))
+        yield ev, await _done(substrate.settle())
+
+
+def run_episodes(
+    protocol,
+    plan: Iterable[object] = (),
+    *,
+    time_scale: float = 0.005,
+    timeout_s: float = 60.0,
+) -> List[ConvergenceResult]:
+    """Build ``protocol`` and run :func:`plain_episodes` over ``plan``.
+
+    The substrate is ``protocol.substrate``: on ``"live"`` the protocol
+    must not be built yet, a fresh live network paced by ``time_scale``
+    (wall seconds per protocol unit) and ``timeout_s`` (settle budget)
+    is opened on a new event loop and closed before this returns, even
+    on error; the simulator ignores both.  Returns the initial
+    convergence, then one result per plan event.
+    """
+    live = protocol.substrate == "live"
+
+    async def loop() -> List[ConvergenceResult]:
+        if live:
+            from repro.live.runner import LiveSubstrate
+
+            substrate = LiveSubstrate(
+                protocol, time_scale=time_scale, timeout_s=timeout_s
+            )
+        else:
+            substrate = SimSubstrate(protocol.build(), protocol)
+        try:
+            return [result async for _, result in plain_episodes(substrate, plan)]
+        finally:
+            await _done(substrate.close())
+
+    return drive(loop(), live)

@@ -1,28 +1,16 @@
-"""Tests for failure plans."""
+"""Tests for the link-failure plan generators."""
 
 import pytest
 
 from repro.adgraph.ad import LinkKind
-from repro.adgraph.failures import (
-    FailurePlan,
-    LinkFailure,
+from repro.adgraph.generator import TopologyConfig, generate_internet
+from repro.faults.plan import (
+    LinkFault,
     random_failure_plan,
     safe_failure_candidates,
     stub_partition_plan,
 )
-from repro.adgraph.generator import TopologyConfig, generate_internet
 from tests.helpers import line_graph, mk_graph
-
-
-class TestFailurePlan:
-    def test_events_must_be_time_ordered(self):
-        with pytest.raises(ValueError):
-            FailurePlan((LinkFailure(10, 1, 2), LinkFailure(5, 2, 3)))
-
-    def test_iteration_and_len(self):
-        plan = FailurePlan((LinkFailure(1, 1, 2), LinkFailure(2, 2, 3)))
-        assert len(plan) == 2
-        assert [e.time for e in plan] == [1, 2]
 
 
 class TestSafeCandidates:
@@ -59,6 +47,7 @@ class TestRandomPlan:
         plan = random_failure_plan(
             g, count=2, start_time=100, spacing=50, repair=True, seed=0
         )
+        assert all(isinstance(e, LinkFault) for e in plan)
         times = [e.time for e in plan]
         assert times == [100, 125, 150, 175]
         assert [e.up for e in plan] == [False, True, False, True]
@@ -120,6 +109,7 @@ class TestStubPartitionPlan:
         g = generate_internet(TopologyConfig(seed=1, lateral_prob=0.6))
         plan = stub_partition_plan(g, count=2)
         events = list(plan)
+        assert all(isinstance(e, LinkFault) for e in events)
         assert len(events) == 4
         assert [e.up for e in events] == [False, True, False, True]
 

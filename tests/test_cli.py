@@ -117,6 +117,23 @@ class TestConverge:
         assert "mean msgs/event" in out
 
 
+class TestLiveRun:
+    def test_flap_episodes_are_labelled(self, capsys):
+        argv = ["live", "run", "small", "--flaps", "2", "--time-scale", "0.002"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("---")) + 1
+        labels = [re.split(r"\s{2,}", line)[0] for line in lines[start:-1]]
+        assert labels[0] == "initial"
+        flaps = labels[1:]
+        assert len(flaps) == 2 * 2
+        for down, up in zip(flaps[::2], flaps[1::2]):
+            link = re.fullmatch(r"link (\d+-\d+) down", down)
+            assert link is not None, down
+            assert up == f"link {link[1]} up"
+        assert re.fullmatch(r"wall time: \d+\.\d\ds", lines[-1])
+
+
 class TestReport:
     def test_collates_existing_artifacts(self, tmp_path, capsys):
         out = tmp_path / "REPORT.txt"

@@ -8,16 +8,16 @@ thresholds than the benches: shapes, not exact values.)
 
 import pytest
 
-from repro.adgraph.failures import random_failure_plan
 from repro.adgraph.generator import TopologyConfig, generate_internet
 from repro.core.evaluation import evaluate_availability, sample_flows
+from repro.faults.plan import random_failure_plan
 from repro.policy.generators import restricted_policies, source_class_policies
 from repro.protocols.dv import DistanceVectorProtocol
 from repro.protocols.ecma import ECMAProtocol
 from repro.protocols.idrp import IDRPProtocol
 from repro.protocols.lshbh import LinkStateHopByHopProtocol
 from repro.protocols.orwg import ORWGProtocol
-from repro.simul.runner import run_with_failures
+from repro.simul.runner import run_episodes
 
 SEEDS = [101, 202, 303]
 
@@ -152,7 +152,7 @@ def test_reconvergence_under_plans_stays_loop_free(seed):
     graph, policies, flows = _setting(seed, restrictiveness=0.2)
     proto = ECMAProtocol(graph, policies)
     plan = random_failure_plan(proto.graph, count=2, repair=True, seed=seed)
-    run_with_failures(proto.build(), plan)
+    run_episodes(proto, plan)
     for flow in flows[:10]:
         proto.find_route(flow)
     assert proto.forwarding_loops == 0

@@ -14,9 +14,9 @@ import random
 
 import pytest
 
-from repro.adgraph.failures import safe_failure_candidates
 from repro.adgraph.generator import TopologyConfig, generate_internet
 from repro.core.evaluation import sample_flows
+from repro.faults.plan import safe_failure_candidates
 from repro.policy.generators import hierarchical_policies
 from repro.protocols.dv import DistanceVectorProtocol
 from repro.protocols.ecma import ECMAProtocol

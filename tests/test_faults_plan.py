@@ -3,7 +3,6 @@
 import pytest
 
 from repro.adgraph.ad import LinkKind
-from repro.adgraph.failures import FailurePlan, LinkFailure, safe_failure_candidates
 from repro.adgraph.generator import TopologyConfig, generate_internet
 from repro.faults.channel import PERFECT, Impairment
 from repro.faults.plan import (
@@ -17,6 +16,7 @@ from repro.faults.plan import (
     churn_storm_plan,
     lossy_period_plan,
     merge_plans,
+    safe_failure_candidates,
 )
 from tests.helpers import line_graph, mk_graph
 
@@ -41,17 +41,6 @@ class TestFaultPlan:
         plan = FaultPlan(())
         assert len(plan) == 0
         assert plan.horizon == 0.0
-
-    def test_from_failure_plan(self):
-        legacy = FailurePlan(
-            (LinkFailure(5, 1, 2, up=False), LinkFailure(10, 1, 2, up=True))
-        )
-        plan = FaultPlan.from_failure_plan(legacy)
-        assert all(isinstance(e, LinkFault) for e in plan)
-        assert [(e.time, e.a, e.b, e.up) for e in plan] == [
-            (5, 1, 2, False),
-            (10, 1, 2, True),
-        ]
 
     def test_merge_orders_by_time(self):
         a = FaultPlan((LinkFault(5, 1, 2), LinkFault(20, 1, 2, up=True)))

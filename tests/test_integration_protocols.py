@@ -4,9 +4,9 @@ claims that need several protocols side by side."""
 
 import pytest
 
-from repro.adgraph.failures import random_failure_plan
 from repro.adgraph.generator import TopologyConfig, generate_internet
 from repro.core.evaluation import evaluate_availability, sample_flows
+from repro.faults.plan import random_failure_plan
 from repro.policy.generators import restricted_policies
 from repro.protocols.dv import DistanceVectorProtocol
 from repro.protocols.ecma import ECMAProtocol

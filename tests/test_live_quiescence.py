@@ -27,12 +27,12 @@ from repro.harness.spec import (
     ScenarioSpec,
     TrafficSpec,
 )
-from repro.live import LiveSubstrate, run_live, settle
+from repro.live import LiveSubstrate, settle
 from repro.live.supervisor import Supervisor, SupervisorConfig
 from repro.policy.generators import open_policies
 from repro.protocols.egp import NRAck
 from repro.protocols.registry import make_protocol
-from repro.simul.runner import SimSubstrate
+from repro.simul.runner import SimSubstrate, run_episodes
 from repro.workloads.scenarios import small_scenario
 
 from .test_live_supervisor import TIME_SCALE, _converged_network, _run, ring8
@@ -236,9 +236,12 @@ def test_episodic_run_requests_no_timed_sleep(sleep_log):
         "plain-ls", graph, open_policies(graph).policies, substrate="live"
     )
     plan = link_flap_plan(proto.graph, flaps=2, seed=0)
-    run = run_live(proto, plan, time_scale=TIME_SCALE, timeout_s=30.0)
-    assert run.quiesced and len(run.episodes) == 4
-    assert all(ep.result.messages > 0 for ep in run.episodes)
+    initial, *episodes = run_episodes(
+        proto, plan, time_scale=TIME_SCALE, timeout_s=30.0
+    )
+    assert initial.quiesced and all(ep.quiesced for ep in episodes)
+    assert len(episodes) == 4
+    assert all(ep.messages > 0 for ep in episodes)
     assert sleep_log.timed_sleepers() == set()
 
 

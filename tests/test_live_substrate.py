@@ -19,14 +19,13 @@ from repro.live import (
     NodeState,
     fidelity_report,
     format_report,
-    run_live,
     settle,
 )
 from repro.policy.flows import FlowSpec
 from repro.policy.generators import open_policies
 from repro.protocols.registry import make_protocol
 from repro.simul.messages import Message
-from repro.simul.runner import converge
+from repro.simul.runner import converge, run_episodes
 from repro.simul.transport import TimerHandle
 
 from .helpers import mk_graph
@@ -114,9 +113,9 @@ def test_live_clock_runs_in_protocol_units():
 def test_smoke_8ads_converges_to_sim_routes():
     graph = ring8()
     proto = _live_protocol(graph.copy())
-    result = run_live(proto, **SETTLE)
-    assert result.quiesced
-    assert result.initial.messages > 0
+    [initial] = run_episodes(proto, **SETTLE)
+    assert initial.quiesced
+    assert initial.messages > 0
 
     reference = _sim_routes(graph)
     for flow in _all_pairs(graph):
@@ -128,13 +127,11 @@ def test_smoke_8ads_link_flap_episodes():
     proto = _live_protocol(graph.copy())
     plan = FaultPlan((LinkFault(10.0, 0, 1, up=False),
                       LinkFault(20.0, 0, 1, up=True)))
-    result = run_live(proto, plan, **SETTLE)
-    assert result.quiesced
-    assert [ep.label for ep in result.episodes] == [
-        "link 0-1 down", "link 0-1 up",
-    ]
+    initial, *episodes = run_episodes(proto, plan, **SETTLE)
+    assert initial.quiesced and all(ep.quiesced for ep in episodes)
+    assert len(episodes) == 2
     # Both episodes cost something: the flap was actually noticed.
-    assert all(ep.result.messages > 0 for ep in result.episodes)
+    assert all(ep.messages > 0 for ep in episodes)
     reference = _sim_routes(graph)
     for flow in _all_pairs(graph):
         assert proto.find_route(flow) == reference.find_route(flow), flow
@@ -143,7 +140,7 @@ def test_smoke_8ads_link_flap_episodes():
 def test_lifecycle_states_after_close():
     graph = ring8()
     proto = _live_protocol(graph.copy())
-    run_live(proto, **SETTLE)
+    run_episodes(proto, **SETTLE)
     network = proto.network
     assert isinstance(network, LiveNetwork)
     states = network.lifecycle_states()
@@ -214,8 +211,8 @@ def test_node_fault_plan_drives_crash_restart():
     proto = _live_protocol(graph.copy())
     plan = FaultPlan((NodeFault(10.0, 5, up=False, retain_state=False),
                       NodeFault(40.0, 5, up=True, retain_state=False)))
-    result = run_live(proto, plan, **SETTLE)
-    assert result.quiesced
+    results = run_episodes(proto, plan, **SETTLE)
+    assert all(r.quiesced for r in results)
     assert not proto.is_crashed(5)
     reference = _sim_routes(graph)
     for flow in _all_pairs(graph):
@@ -246,13 +243,12 @@ def test_fidelity_small_scenario_routes_identical():
 # ------------------------------------------------------------------ misuse
 
 
-def test_run_live_rejects_prebuilt_protocol():
-    graph = ring8()
-    policies = open_policies(graph).policies
-    proto = make_protocol("plain-ls", graph, policies)
-    proto.build()
+def test_run_episodes_rejects_prebuilt_live_protocol():
+    proto = _live_protocol(ring8())
+    run_episodes(proto, **SETTLE)
+    # The live substrate builds the protocol itself, on a fresh network.
     with pytest.raises(RuntimeError, match="already built"):
-        run_live(proto)
+        run_episodes(proto, **SETTLE)
 
 
 def test_sim_only_machinery_raises_on_live():
@@ -274,7 +270,9 @@ def test_converge_refuses_live_substrate():
     async def scenario():
         network = LiveNetwork(proto.graph, time_scale=TIME_SCALE)
         proto.build(network=network)
-        with pytest.raises(RuntimeError, match="live"):
+        with pytest.raises(
+            RuntimeError, match=r"repro\.simul\.runner\.run_episodes for the live"
+        ):
             proto.converge()
         await network.close()
 
@@ -308,12 +306,12 @@ def test_slow_socket_binding_cannot_fake_quiescence(monkeypatch, caplog):
     )
     flap = FaultPlan((LinkFault(0.0, 2, 3, up=False), LinkFault(0.0, 2, 3, up=True)))
     with caplog.at_level("ERROR", logger="asyncio"):
-        result = run_live(proto, flap, **SETTLE)
-    assert result.quiesced
-    assert result.initial.messages > 0 and result.initial.events > 0
+        initial, *episodes = run_episodes(proto, flap, **SETTLE)
+    assert initial.quiesced and all(ep.quiesced for ep in episodes)
+    assert initial.messages > 0 and initial.events > 0
     # The same holds per episode: a perturbation restarts the window, so
     # the triggered-update timer it arms fires inside its own episode.
-    assert all(ep.result.messages > 0 for ep in result.episodes)
+    assert all(ep.messages > 0 for ep in episodes)
     assert not caplog.records, [r.getMessage() for r in caplog.records]
     assert all(
         proto.find_route(flow) is not None for flow in _all_pairs(graph)

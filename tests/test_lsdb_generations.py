@@ -25,12 +25,12 @@ import pytest
 
 from repro.adgraph.ad import Level
 from repro.core.synthesis import synthesize_route
-from repro.live import run_live
 from repro.policy.flows import FlowSpec
 from repro.policy.qos import QOS
 from repro.protocols import lshbh, variants
 from repro.protocols.flooding import LinkRecord, LinkStateAd, LSDBGenerations
 from repro.protocols.registry import make_protocol
+from repro.simul.runner import run_episodes
 from repro.workloads.scenarios import reference_scenario, ring_scenario
 from tests.oracles import valley_free_shortest_path
 from tests.parent_records import corpus
@@ -331,7 +331,7 @@ def test_live_nodes_share_the_protocols_pool(name, monkeypatch):
         name, scenario.graph, scenario.policies, substrate="live"
     )
     calls = compute_function(monkeypatch, name)
-    run_live(protocol, time_scale=0.002, timeout_s=60.0)
+    run_episodes(protocol, time_scale=0.002, timeout_s=60.0)
     nodes = list(protocol.network.nodes.values())
     assert all(node._generations is protocol.generations for node in nodes)
     flow = scenario.flows[0]

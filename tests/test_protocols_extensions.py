@@ -123,7 +123,7 @@ class TestTreeFlooding:
         proto.converge()
         tree = spanning_tree_links(proto.graph)
         # Pick a tree link whose removal keeps the graph connected.
-        from repro.adgraph.failures import safe_failure_candidates
+        from repro.faults.plan import safe_failure_candidates
 
         candidates = [k for k in safe_failure_candidates(proto.graph) if k in tree]
         if not candidates:

@@ -99,11 +99,16 @@ class TestLinkChanges:
         assert net.node(2).link_events == [((1, 2), False)]
         assert net.node(0).link_events == []
 
-    def test_failure_plan_scheduling(self, net):
-        from repro.adgraph.failures import FailurePlan, LinkFailure
+    def test_failure_plan_scheduling(self):
+        from repro.faults.plan import FaultPlan, LinkFault
+        from repro.protocols.dv import DistanceVectorProtocol
+        from tests.helpers import open_db
 
-        plan = FailurePlan((LinkFailure(10.0, 0, 1), LinkFailure(20.0, 0, 1, up=True)))
-        net.schedule_failure_plan(plan)
+        graph = line_graph(3)
+        proto = DistanceVectorProtocol(graph, open_db(graph))
+        net = proto.build()
+        plan = FaultPlan((LinkFault(10.0, 0, 1), LinkFault(20.0, 0, 1, up=True)))
+        proto.schedule_fault_plan(plan)
         net.run(until=15.0)
         assert not net.graph.link(0, 1).up
         net.run()

@@ -1,8 +1,12 @@
 """Tests for convergence runners and failure injection."""
 
-from repro.adgraph.failures import FailurePlan, LinkFailure
+import pytest
+
+from repro.faults.plan import FaultPlan, LinkFault, random_failure_plan
+from repro.protocols import make_protocol
 from repro.protocols.dv import DistanceVectorProtocol
-from repro.simul.runner import converge, run_with_failures
+from repro.simul.runner import converge, run_episodes
+from repro.workloads import reference_scenario
 from tests.helpers import mk_graph, open_db
 
 
@@ -41,26 +45,39 @@ class TestConverge:
         assert rest.messages > 0
 
 
-class TestRunWithFailures:
+class TestRunEpisodes:
     def test_episodes_isolated(self):
         g = triangle()
         proto = DistanceVectorProtocol(g, open_db(g))
-        plan = FailurePlan((LinkFailure(0.0, 0, 1), LinkFailure(0.0, 0, 1, up=True)))
-        initial, episodes = run_with_failures(proto.build(), plan)
+        plan = FaultPlan((LinkFault(0.0, 0, 1), LinkFault(0.0, 0, 1, up=True)))
+        initial, *episodes = run_episodes(proto, plan)
         assert initial.messages > 0
         assert len(episodes) == 2
         # Failure then repair both trigger reconvergence traffic.
-        assert episodes[0].result.messages > 0
-        assert episodes[1].result.messages > 0
+        assert episodes[0].messages > 0
+        assert episodes[1].messages > 0
         # The graph ends with the link restored.
         assert proto.graph.link(0, 1).up
 
     def test_tables_correct_after_failure(self):
         g = triangle()
         proto = DistanceVectorProtocol(g, open_db(g))
-        plan = FailurePlan((LinkFailure(0.0, 0, 1),))
-        run_with_failures(proto.build(), plan)
+        plan = FaultPlan((LinkFault(0.0, 0, 1),))
+        run_episodes(proto, plan)
         from repro.policy.flows import FlowSpec
 
         # 0 must now reach 1 via 2.
         assert proto.find_route(FlowSpec(0, 1)) == (0, 2, 1)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_egp_failures_go_through_the_protocol(self, seed):
+        """EGP's control plane runs on a pruned tree, so a failure must
+        reach it through ``apply_link_status``; a bare
+        ``network.set_link_status`` left its tree stale (``KeyError``)
+        and its graph with no failed link down."""
+        scenario = reference_scenario(seed=17)
+        proto = make_protocol("egp", scenario.graph.copy(), scenario.policies.copy())
+        plan = random_failure_plan(scenario.graph, count=3, repair=False, seed=seed)
+        results = run_episodes(proto, plan)
+        assert len(results) == 4
+        assert all(not proto.graph.link(ev.a, ev.b).up for ev in plan)
