@@ -11,7 +11,8 @@ exact code paths the sim exercises.
 Node lifecycle (per AD):
 
 * **start** -- bind the socket, record the port, spawn the serve task;
-* **serve** -- decode and dispatch inbound frames to ``on_message``;
+* **serve** -- each socket readiness reads every waiting datagram into
+  the queue (one serve-task wake per burst); decode, dispatch each;
 * **drain** -- stop accepting new datagrams, finish the queued ones;
 * **stop** -- cancel the serve task and close the socket.
 
@@ -55,11 +56,11 @@ SOCKET_BUF_BYTES = 4 << 20
 #: Largest datagram a loopback UDP socket accepts (65535 - headers).
 MAX_DATAGRAM_BYTES = 65507
 
-#: Wall-clock backoff schedule for transient UDP send errors
-#: (``BlockingIOError``/``ENOBUFS``).  One synchronous attempt plus one
-#: retry per delay; a frame that still cannot be handed to the kernel is
-#: dropped and counted (``live_send_drops``), never raised into the
-#: sending node's serve task.
+#: Wall-clock backoff for a ``sendto`` that raises: one attempt plus one
+#: retry per delay, then a counted drop (``live_send_drops``).  asyncio's
+#: datagram ``sendto`` raises no send error (it buffers ``BlockingIOError``
+#: without bound, hands other ``OSError``s to ``error_received``), so only
+#: a patched ``transport.sendto`` reaches these retries.
 SEND_RETRY_DELAYS = (0.001, 0.005, 0.02)
 
 #: Wall-clock budget for draining one AD's queue at shutdown.  A dead
@@ -77,21 +78,8 @@ class NodeState(enum.Enum):
     STOPPED = "stopped"
 
 
-class _Endpoint(asyncio.DatagramProtocol):
-    """Datagram receiver: enqueues raw frames for the serve task."""
-
-    def __init__(self, runtime: "_NodeRuntime") -> None:
-        self.runtime = runtime
-
-    def datagram_received(self, data: bytes, addr) -> None:
-        self.runtime.enqueue(data)
-
-    def error_received(self, exc: Exception) -> None:  # pragma: no cover
-        self.runtime.network.fail(exc)
-
-
-class _NodeRuntime:
-    """One AD's socket, queue, and serve task."""
+class _NodeRuntime(asyncio.DatagramProtocol):
+    """One AD's socket, queue, and serve task; the socket's protocol."""
 
     def __init__(self, network: "LiveNetwork", ad_id: ADId) -> None:
         self.network = network
@@ -99,6 +87,7 @@ class _NodeRuntime:
         self.state = NodeState.CREATED
         self.queue: "asyncio.Queue[bytes]" = asyncio.Queue()
         self.transport: Optional[asyncio.DatagramTransport] = None
+        self.sock: Optional[socketlib.socket] = None
         self.port: Optional[int] = None
         self.task: Optional[asyncio.Task] = None
         #: Frames received but not yet fully processed (idle detection).
@@ -121,18 +110,19 @@ class _NodeRuntime:
         """Bind the loopback socket and spawn the serve task."""
         if self.state is not NodeState.CREATED:
             raise RuntimeError(f"AD {self.ad_id} runtime already started")
+        sock = socketlib.socket(socketlib.AF_INET, socketlib.SOCK_DGRAM)
+        for opt in (socketlib.SO_RCVBUF, socketlib.SO_SNDBUF):
+            try:
+                sock.setsockopt(socketlib.SOL_SOCKET, opt, SOCKET_BUF_BYTES)
+            except OSError:  # pragma: no cover - platform-dependent
+                pass
+        sock.setblocking(False)
+        sock.bind(("127.0.0.1", 0))
+        self.sock, self.port = sock, sock.getsockname()[1]
         loop = asyncio.get_running_loop()
         self.transport, _ = await loop.create_datagram_endpoint(
-            lambda: _Endpoint(self), local_addr=("127.0.0.1", 0)
+            lambda: self, sock=sock
         )
-        sock = self.transport.get_extra_info("socket")
-        if sock is not None:
-            for opt in (socketlib.SO_RCVBUF, socketlib.SO_SNDBUF):
-                try:
-                    sock.setsockopt(socketlib.SOL_SOCKET, opt, SOCKET_BUF_BYTES)
-                except OSError:  # pragma: no cover - platform-dependent
-                    pass
-        self.port = self.transport.get_extra_info("sockname")[1]
         self.state = NodeState.SERVING
         self._spawn()
 
@@ -156,6 +146,23 @@ class _NodeRuntime:
         if self.dead:
             self.dead = False
             self.network._dead_tasks -= 1
+
+    def datagram_received(self, data: bytes, addr) -> None:
+        """One readiness callback: admit its datagram, then read the
+        socket dry, so a burst wakes the serve task once, not per frame."""
+        self.enqueue(data)
+        while True:
+            try:
+                data = self.sock.recv(MAX_DATAGRAM_BYTES)
+            except (BlockingIOError, InterruptedError):
+                return
+            except OSError as exc:
+                self.error_received(exc)
+                return
+            self.enqueue(data)
+
+    def error_received(self, exc: Exception) -> None:
+        self.network.fail(exc)
 
     def enqueue(self, data: bytes) -> None:
         """Admit one inbound frame (drop it when not serving)."""
@@ -367,9 +374,9 @@ class LiveNetwork(Transport):
             return
         runtime = self._runtimes[src]
         target = self._runtimes[dst]
-        if runtime.state is NodeState.STOPPED:
-            # A timer outlived close(): the AD's process has stopped, so
-            # the frame is a counted drop, not an error in the timer.
+        if NodeState.STOPPED in (runtime.state, target.state):
+            # A timer outlived close(), or the peer stopped: a counted
+            # drop, not an error nor a datagram no socket will receive.
             self.metrics.count_live_send_drop()
             return
         if runtime.transport is None or target.port is None:
@@ -390,20 +397,24 @@ class LiveNetwork(Transport):
         self._transmit(src, dst, frame, attempt=0)
 
     def _transmit(self, src: ADId, dst: ADId, frame: bytes, attempt: int) -> None:
-        """Hand one frame to the kernel, retrying transient errors.
+        """Hand one frame to the asyncio transport, retrying if it raises.
 
-        ``BlockingIOError``/``ENOBUFS`` under a convergence burst is a
-        full kernel buffer, not a protocol failure: back off briefly and
-        try again instead of letting the exception kill the sending
-        node's serve task.  ``_sent_frames`` counts only successful
+        asyncio's datagram ``sendto`` raises no send error: a full kernel
+        buffer (``BlockingIOError``) is queued in the transport without
+        bound, and any other ``OSError`` goes to ``error_received``,
+        fatal through :meth:`fail`.  The retry path below therefore runs
+        only under a patched ``transport.sendto``; loss-proof UDP needs
+        its own send path.  ``_sent_frames`` counts only successful
         hand-offs; a pending retry keeps the network non-idle via
         ``_pending_sends`` so settle() cannot declare quiescence with a
         frame still waiting to leave.
         """
         runtime = self._runtimes[src]
         target = self._runtimes[dst]
-        if runtime.transport is None or target.port is None:
-            # The endpoint closed while a retry timer was pending.
+        if runtime.transport is None or target.port is None or (
+            target.state is NodeState.STOPPED
+        ):
+            # An endpoint closed while a retry timer was pending.
             self.metrics.count_live_send_drop()
             return
         try:

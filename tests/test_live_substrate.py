@@ -23,10 +23,12 @@ from repro.live import (
 )
 from repro.policy.flows import FlowSpec
 from repro.policy.generators import open_policies
+from repro.protocols.egp import NRAck
 from repro.protocols.registry import make_protocol
 from repro.simul.messages import Message
 from repro.simul.runner import converge, run_episodes
 from repro.simul.transport import TimerHandle
+from repro.workloads.scenarios import small_scenario
 
 from .helpers import mk_graph
 
@@ -331,5 +333,52 @@ def test_send_after_stop_is_a_counted_drop_not_a_start_error():
         # A timer that outlived close(): dropped and counted, no error.
         network.nodes[0].send(1, Message())
         assert network.metrics.live_send_drops == 1
+
+    asyncio.run(scenario())
+
+
+def test_send_to_a_stopped_peer_is_a_counted_drop_not_a_frame_in_flight():
+    """A stopped AD's port is closed: a datagram sent there would count
+    as sent, never as received, and the network would never read idle.
+    The same holds for a send whose retry timer outlives its peer."""
+
+    async def scenario():
+        small = small_scenario(seed=0)
+        proto = make_protocol(
+            "plain-ls", small.graph.copy(), small.policies.copy(),
+            substrate="live",
+        )
+        network = LiveNetwork(proto.graph, time_scale=TIME_SCALE)
+        proto.build(network=network)
+        await network.start()
+        try:
+            await settle(network, timeout_s=30.0)
+            src = min(proto.graph.ad_ids())
+            dst, retried = sorted(proto.graph.neighbors(src))[:2]
+            await network._runtimes[dst].stop()
+            sent = network.frames_sent
+            network.nodes[src].send(dst, NRAck(0))
+            assert network.frames_sent == sent == network.frames_received
+            assert network.metrics.live_send_drops == 1
+            assert network.idle()
+
+            transport = network._runtimes[src].transport
+            real_sendto = transport.sendto
+
+            def full_once(data, addr):
+                transport.sendto = real_sendto
+                raise BlockingIOError("kernel buffer full")
+
+            transport.sendto = full_once
+            network.nodes[src].send(retried, NRAck(1))
+            # An idle queue drains without yielding: the retry timer
+            # fires after the peer is STOPPED.
+            await network._runtimes[retried].stop()
+            await network.drained()
+            assert network.frames_sent == sent == network.frames_received
+            assert network.metrics.live_send_retries == 1
+            assert network.metrics.live_send_drops == 2
+        finally:
+            await network.close()
 
     asyncio.run(scenario())
