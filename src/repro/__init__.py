@@ -13,7 +13,9 @@ The package turns the paper's design-space analysis into running code:
   IDRP/BGP-2, LS hop-by-hop, ORWG/IDPR, and the four dismissed variants);
 * :mod:`repro.core` — the design space itself, policy route synthesis,
   ground-truth evaluation, and the measured Table 1 scorecard;
-* :mod:`repro.forwarding` — the data plane (enforcement, headers);
+* :mod:`repro.forwarding` — data-plane packet header models (E6);
+* :mod:`repro.traffic` — the data plane at scale: workloads, FIBs
+  compiled from each protocol's forwarding walk, batched replay;
 * :mod:`repro.workloads` — traffic and scenario generators;
 * :mod:`repro.harness` — the experiment harness (declarative specs,
   parallel seed fan-out, schema-versioned run telemetry).

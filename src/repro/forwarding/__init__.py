@@ -1,20 +1,14 @@
-"""Data-plane substrate: packet forwarding over converged tables.
+"""Data-plane packet headers.
 
-* :mod:`~repro.forwarding.dataplane` — walk flows through a converged
-  protocol's forwarding decisions with per-hop policy enforcement, loop
-  and blackhole detection (transit ADs "can concentrate on assuring that
-  routes crossing [them] conform to [their] own policies", Section 5.4).
-* :mod:`~repro.forwarding.headers` — byte-accurate packet header models
-  for the three data-plane styles E6 compares: plain hop-by-hop
-  datagrams, per-packet source routes, and setup + handle.
+:mod:`~repro.forwarding.headers` holds byte-accurate packet header
+models for the three data-plane styles E6 compares: plain hop-by-hop
+datagrams, per-packet source routes, and setup + handle.  Forwarding
+itself is :meth:`~repro.protocols.base.RoutingProtocol.walk` and the
+compiled FIBs of :mod:`repro.traffic`; transit ADs enforce their own
+policies there ("can concentrate on assuring that routes crossing
+[them] conform to [their] own policies", Section 5.4).
 """
 
-from repro.forwarding.dataplane import (
-    DataPlaneReport,
-    ForwardingOutcome,
-    forward_flow,
-    run_traffic,
-)
 from repro.forwarding.headers import (
     handle_header_bytes,
     hop_by_hop_header_bytes,
@@ -23,12 +17,8 @@ from repro.forwarding.headers import (
 )
 
 __all__ = [
-    "DataPlaneReport",
-    "ForwardingOutcome",
-    "forward_flow",
     "handle_header_bytes",
     "hop_by_hop_header_bytes",
-    "run_traffic",
     "setup_header_bytes",
     "source_route_header_bytes",
 ]

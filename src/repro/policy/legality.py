@@ -20,14 +20,6 @@ from repro.policy.database import PolicyDatabase
 from repro.policy.flows import FlowSpec
 
 
-def links_exist(graph: InterADGraph, path: Sequence[ADId]) -> bool:
-    """Whether every consecutive pair on the path is a live link."""
-    for a, b in zip(path, path[1:]):
-        if not graph.has_link(a, b) or not graph.link(a, b).up:
-            return False
-    return True
-
-
 def is_loop_free(path: Sequence[ADId]) -> bool:
     """Whether the path visits each AD at most once."""
     return len(set(path)) == len(path)
@@ -44,26 +36,11 @@ def is_legal_path(
     The path must: start at ``flow.src`` and end at ``flow.dst``; be
     loop-free; use only live links; and every intermediate AD must have a
     Policy Term permitting the flow with the path's local previous/next
-    hops.
+    hops -- exactly when :func:`first_violation` finds nothing.
 
     A single-AD path (src == dst) is legal by definition.
     """
-    if not path or path[0] != flow.src or path[-1] != flow.dst:
-        return False
-    if len(path) == 1:
-        return flow.src == flow.dst
-    if not is_loop_free(path):
-        return False
-    if not links_exist(graph, path):
-        return False
-    permits = policies.transit_permits
-    for i in range(1, len(path) - 1):
-        # Each traversal decision is memoized in the database keyed by
-        # (owner, flow key, prev, next) and the policy version, so
-        # re-checking a route that synthesis just produced is cache hits.
-        if not permits(path[i], flow, path[i - 1], path[i + 1]):
-            return False
-    return True
+    return first_violation(graph, policies, path, flow) is None
 
 
 def first_violation(
@@ -74,8 +51,8 @@ def first_violation(
 ) -> Optional[str]:
     """Human-readable reason the path is illegal, or ``None`` if legal.
 
-    Used by ORWG policy gateways to report why a setup was rejected, and
-    by tests to pinpoint failures.
+    The one legality check: :func:`is_legal_path` is its ``None`` test,
+    and tests read the reason to pinpoint failures.
     """
     if not path:
         return "empty path"
@@ -91,6 +68,9 @@ def first_violation(
         if not graph.link(a, b).up:
             return f"link {a}-{b} is down"
     for i in range(1, len(path) - 1):
+        # Each traversal decision is memoized in the database keyed by
+        # (owner, flow key, prev, next) and the policy version, so
+        # re-checking a route that synthesis just produced is cache hits.
         ad, prev, nxt = path[i], path[i - 1], path[i + 1]
         if not policies.transit_permits(ad, flow, prev, nxt):
             return f"AD {ad} has no policy term permitting {flow} ({prev}->{nxt})"

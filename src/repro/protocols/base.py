@@ -5,12 +5,15 @@ Every protocol exposes the same two planes:
 * a **control plane** -- :meth:`RoutingProtocol.build` constructs the
   per-AD nodes on a :class:`~repro.simul.network.SimNetwork`;
   :meth:`RoutingProtocol.converge` runs it to quiescence;
-* a **data plane** -- :meth:`RoutingProtocol.find_route` answers "what
-  route would traffic for this flow actually take?".  Source-routing
-  protocols answer from the source's computation; hop-by-hop protocols
-  answer by *walking* the per-hop :meth:`RoutingProtocol.next_hop`
-  decisions (with a loop guard), which is exactly how a packet would
-  experience the converged tables.
+* a **data plane** -- :meth:`RoutingProtocol.walk` follows the believed
+  decision chain for a flow and names how it ends (one of the verdict
+  codes below).  Source-routing protocols answer from the source's
+  computation; hop-by-hop protocols follow the per-hop
+  :meth:`RoutingProtocol.next_hop` decisions with a loop guard.  The
+  walk judges nothing physical: :meth:`RoutingProtocol.find_route`
+  returns its path when it delivers, and the FIB compiler
+  (:mod:`repro.traffic.fib`) adds link existence, liveness and transit
+  policy on top.
 
 This uniformity is what lets the scorecard (E1) and the availability
 experiment (E3) compare all eight design points on equal footing.
@@ -44,6 +47,28 @@ class ForwardingMode(enum.Enum):
 
     SOURCE = "source"
     HOP_BY_HOP = "hop-by-hop"
+
+
+#: Verdict codes of a forwarded flow, stable across the data plane (the
+#: compiled FIB's arrays store these).  :meth:`RoutingProtocol.walk`
+#: returns DELIVERED, NO_ROUTE, LOOP or HOP_BUDGET; DEAD_LINK and
+#: POLICY_DROP are judged against the physical internet and the policy
+#: database by the FIB.
+DELIVERED = 0
+NO_ROUTE = 1
+DEAD_LINK = 2
+POLICY_DROP = 3
+LOOP = 4
+HOP_BUDGET = 5
+
+VERDICT_NAMES: Tuple[str, ...] = (
+    "delivered",
+    "no_route",
+    "dead_link",
+    "policy_drop",
+    "loop",
+    "hop_budget",
+)
 
 
 class RoutingProtocol:
@@ -82,7 +107,8 @@ class RoutingProtocol:
         #: Which substrate :meth:`build` runs on; ``"live"`` networks are
         #: constructed by :mod:`repro.live` and passed in.
         self.substrate: str = "sim"
-        #: Forwarding loops observed while walking hop-by-hop decisions.
+        #: Forwarding loops :meth:`find_route` met (FIB compiles walk
+        #: without counting: this is a route-quality record field).
         self.forwarding_loops = 0
         #: The full per-node runtime (one component per row of the
         #: feature table), stamped onto every node at build time and
@@ -501,39 +527,56 @@ class RoutingProtocol:
         """
         raise NotImplementedError(f"{self.name} is not a hop-by-hop protocol")
 
-    def find_route(
-        self, flow: FlowSpec, selection: RouteSelectionPolicy = OPEN_SELECTION
-    ) -> Optional[Tuple[ADId, ...]]:
-        """The route traffic for ``flow`` would actually take, or ``None``.
+    def walk(self, flow: FlowSpec) -> Tuple[int, Tuple[ADId, ...]]:
+        """The believed decision chain for ``flow``: ``(verdict, path)``.
 
-        Source mode: the source's computed route.  Hop-by-hop mode: the
-        walk of per-hop decisions; a forwarding loop or a hop with no
-        decision yields ``None`` (the packet would be dropped).
+        Source mode: the source's computed route (``NO_ROUTE`` when it
+        has none).  Hop-by-hop mode: the chain of :meth:`next_hop`
+        decisions from the source; a hop with no decision is
+        ``NO_ROUTE``, a revisit is ``LOOP`` (the path ends with the
+        revisited AD) and a walk longer than the AD count is
+        ``HOP_BUDGET``.  Nothing physical is judged: a route over a
+        link that does not exist (a forged LSA) or is down is still the
+        route the protocol believes in.
         """
-        if flow.src == flow.dst:
-            return (flow.src,)
+        src = flow.src
+        if src == flow.dst:
+            return DELIVERED, (src,)
         if self.mode is ForwardingMode.SOURCE:
-            return self.source_route(flow, selection)
-        return self._walk_next_hops(flow)
-
-    def _walk_next_hops(self, flow: FlowSpec) -> Optional[Tuple[ADId, ...]]:
-        path: List[ADId] = [flow.src]
-        seen = {flow.src}
+            route = self.source_route(flow)
+            if route is None:
+                return NO_ROUTE, (src,)
+            return DELIVERED, route
+        path: List[ADId] = [src]
+        seen = {src}
         prev: Optional[ADId] = None
-        current = flow.src
+        current = src
         # Generous guard: no simple AD path is longer than the AD count.
         for _ in range(self.graph.num_ads):
             nxt = self.next_hop(current, flow, prev)
             if nxt is None:
-                return None
-            if nxt in seen:
-                self.forwarding_loops += 1
-                return None  # forwarding loop
+                return NO_ROUTE, tuple(path)
             path.append(nxt)
-            seen.add(nxt)
+            if nxt in seen:
+                return LOOP, tuple(path)
             if nxt == flow.dst:
-                return tuple(path)
+                return DELIVERED, tuple(path)
+            seen.add(nxt)
             prev, current = current, nxt
+        return HOP_BUDGET, tuple(path)
+
+    def find_route(self, flow: FlowSpec) -> Optional[Tuple[ADId, ...]]:
+        """The route traffic for ``flow`` would take, or ``None``.
+
+        The :meth:`walk`'s path when it delivers; any other ending means
+        the packet would be dropped.  A forwarding loop is counted in
+        :attr:`forwarding_loops` here and only here.
+        """
+        verdict, path = self.walk(flow)
+        if verdict == DELIVERED:
+            return path
+        if verdict == LOOP:
+            self.forwarding_loops += 1
         return None
 
     # ------------------------------------------------------------ FIB export

@@ -5,14 +5,14 @@ The subsystem has three layers, each usable alone:
 * :mod:`repro.traffic.workload` -- seeded zipf-skewed flow generation
   (10^6+ flows, columnar storage, deterministic replay);
 * :mod:`repro.traffic.fib` -- compiles a converged protocol's control
-  state into flat lookup arrays (``compile_fib`` / ``lookup_batch``),
-  verdict-identical to the per-packet forwarder of
-  :mod:`repro.forwarding.dataplane`, its oracle;
+  state into flat lookup arrays (``compile_fib`` / ``lookup_batch``)
+  from the same believed walk ``find_route`` answers from
+  (:meth:`~repro.protocols.base.RoutingProtocol.walk`);
 * :mod:`repro.traffic.replay` -- flow-weighted batch replay, latency and
   stretch tails, and the E14 epoch series.
 """
 
-from repro.traffic.fib import (
+from repro.protocols.base import (
     DEAD_LINK,
     DELIVERED,
     HOP_BUDGET,
@@ -20,12 +20,8 @@ from repro.traffic.fib import (
     NO_ROUTE,
     POLICY_DROP,
     VERDICT_NAMES,
-    CompiledFIB,
-    FIBStats,
-    LinkIndex,
-    compile_fib,
-    verdict_of_outcome,
 )
+from repro.traffic.fib import CompiledFIB, FIBStats, LinkIndex, compile_fib
 from repro.traffic.replay import (
     EpochSample,
     ReplaySummary,
@@ -52,7 +48,6 @@ __all__ = [
     "FIBStats",
     "LinkIndex",
     "compile_fib",
-    "verdict_of_outcome",
     "EpochSample",
     "ReplaySummary",
     "TailSeries",

@@ -1,28 +1,33 @@
 """FIB compilation: converged routing state -> compressed lookup arrays.
 
-The legacy forwarder (:mod:`repro.forwarding.dataplane`) is a faithful
-packet's-eye model -- and pays a dict lookup plus a policy re-evaluation
-at every hop of every packet.  At 10^6 flows that is the wrong shape.
-This module compiles a protocol's *converged* control state into a
-:class:`CompiledFIB`: flat integer arrays a batch replay engine indexes
-instead of re-deriving.
+Forwarding a packet by asking the protocol at every hop pays a dict
+lookup plus a policy re-evaluation per hop per packet; at 10^6 flows
+that is the wrong shape.  This module compiles a protocol's *converged*
+control state into a :class:`CompiledFIB`: flat integer arrays a batch
+replay engine indexes instead of re-deriving.
 
 What gets compiled, per flow class (deduplicated ``FlowSpec``):
 
-* the forwarding decision chain -- the hop-by-hop ``next_hop`` walk or
-  the source route, taken **once** at compile time against the frozen
-  control state (exactly the route-setup model of Section 5.4: pay the
-  route computation once, install state, then data packets index it);
+* the forwarding decision chain -- :meth:`RoutingProtocol.walk
+  <repro.protocols.base.RoutingProtocol.walk>`, the same believed walk
+  ``find_route`` answers from, taken **once** at compile time against
+  the frozen control state (exactly the route-setup model of Section
+  5.4: pay the route computation once, install state, then data
+  packets index it);
 * per hop: a dense link index (for the liveness check) and the frozen
   policy verdict (policies are static; the paper's per-transit
   enforcement collapses to one precomputed bit per hop);
 * per class: the cumulative link delay of the full path.
 
-What stays **dynamic** at lookup time is exactly what is dynamic for a
-real packet: link liveness.  ``lookup_batch`` walks each class's hop
-array against a liveness bitmap snapshot, so a FIB compiled before a
-crash, replayed after it, reports precisely the stale-route blackholes
-a converged-then-surprised router would -- the E14 observable.
+The walk judges nothing physical, so compiling adds the one static
+physical rule: the first hop over a link the graph does not have (a
+forged LSA's belief) makes the class ``DEAD_LINK`` and cuts the program
+before that hop.  What stays **dynamic** at lookup time is exactly what
+is dynamic for a real packet: link liveness.  ``lookup_batch`` walks
+each class's hop array against a liveness bitmap snapshot, so a FIB
+compiled before a crash, replayed after it, reports precisely the
+stale-route blackholes a converged-then-surprised router would -- the
+E14 observable.
 
 Two adapters mirror Table 1's forwarding axis:
 
@@ -34,10 +39,12 @@ Two adapters mirror Table 1's forwarding axis:
   state installed at the source and a handle entry at each transit AD,
   the Section 5.4 model.
 
-Equivalence with the legacy forwarder is enforced by tests
+Equivalence with a per-packet forwarder is enforced by tests
 (``tests/test_traffic_fib.py``): for every design point,
-``lookup_batch`` verdicts must match :func:`~repro.forwarding.dataplane.forward_flow`
-packet for packet, including on stale post-crash snapshots.
+``lookup_batch`` verdicts must match ``forward_verdict`` of
+``tests/oracles.py``, which judges links, liveness and transit policy
+hop by hop, packet for packet, including on stale post-crash
+snapshots.
 """
 
 from __future__ import annotations
@@ -49,44 +56,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.adgraph.ad import ADId
 from repro.adgraph.graph import InterADGraph
 from repro.policy.flows import FlowSpec
-from repro.protocols.base import ForwardingMode, RoutingProtocol
-
-# ----------------------------------------------------------------- verdicts
-
-#: Verdict codes, stable across the subsystem (arrays store these).
-DELIVERED = 0
-NO_ROUTE = 1
-DEAD_LINK = 2
-POLICY_DROP = 3
-LOOP = 4
-HOP_BUDGET = 5
-
-VERDICT_NAMES: Tuple[str, ...] = (
-    "delivered",
-    "no_route",
-    "dead_link",
-    "policy_drop",
-    "loop",
-    "hop_budget",
+from repro.protocols.base import (
+    DEAD_LINK,
+    DELIVERED,
+    POLICY_DROP,
+    ForwardingMode,
+    RoutingProtocol,
 )
-
-
-def verdict_of_outcome(outcome) -> int:
-    """Map a legacy :class:`~repro.forwarding.dataplane.ForwardingOutcome`
-    reason onto the compiled verdict codes (the equivalence bridge)."""
-    if outcome.delivered:
-        return DELIVERED
-    reason = outcome.reason
-    if "no live link" in reason:
-        return DEAD_LINK
-    if "policy drop" in reason:
-        return POLICY_DROP
-    if reason == "forwarding loop":
-        return LOOP
-    if reason == "hop budget exceeded":
-        return HOP_BUDGET
-    return NO_ROUTE
-
 
 # ------------------------------------------------------------------ indexes
 
@@ -197,7 +173,7 @@ class CompiledFIB:
         The only dynamic input is liveness: the walk stops at the first
         dead link (``DEAD_LINK``) or frozen policy refusal
         (``POLICY_DROP``), in hop order -- the same first-failure-wins
-        order the legacy per-packet walk observes.  The static verdict
+        order a per-packet forwarder observes.  The static verdict
         (delivered / no-route / loop / hop-budget, judged at compile
         time) applies only when the whole program survives, because a
         real packet checks each hop *before* discovering what ends its
@@ -242,57 +218,6 @@ class CompiledFIB:
 # ------------------------------------------------------------------ compile
 
 
-def _walk_hop_by_hop(
-    protocol: RoutingProtocol, flow: FlowSpec
-) -> Tuple[int, List[ADId]]:
-    """Reproduce the legacy hop-by-hop walk against frozen control state.
-
-    Returns (compile-time verdict, path walked).  Liveness and policy
-    are *not* judged here -- they are per-hop program data -- except
-    that the walk can only proceed through decisions the control plane
-    actually makes; a ``None`` decision or a revisit is static.
-    """
-    graph = protocol.graph
-    path: List[ADId] = [flow.src]
-    seen = {flow.src}
-    prev: Optional[ADId] = None
-    current = flow.src
-    for _ in range(graph.num_ads):
-        nxt = protocol.next_hop(current, flow, prev)
-        if nxt is None:
-            return NO_ROUTE, path
-        if not graph.has_link(current, nxt):
-            # The control plane names a neighbour that does not exist
-            # physically; the legacy walk reports a dead link here, but
-            # there is no link index to re-check -- keep it static.
-            return DEAD_LINK, path
-        if nxt in seen:
-            path.append(nxt)
-            return LOOP, path
-        path.append(nxt)
-        seen.add(nxt)
-        if nxt == flow.dst:
-            return DELIVERED, path
-        prev, current = current, nxt
-    return HOP_BUDGET, path
-
-
-def _source_path(
-    protocol: RoutingProtocol, flow: FlowSpec
-) -> Tuple[int, List[ADId]]:
-    path = protocol.source_route(flow)
-    if path is None:
-        return NO_ROUTE, [flow.src]
-    missing = [
-        i
-        for i, (a, b) in enumerate(zip(path, path[1:]))
-        if not protocol.graph.has_link(a, b)
-    ]
-    if missing:
-        return DEAD_LINK, list(path[: missing[0] + 1])
-    return DELIVERED, list(path)
-
-
 def compile_fib(
     protocol: RoutingProtocol,
     classes: Sequence[FlowSpec],
@@ -300,9 +225,12 @@ def compile_fib(
 ) -> CompiledFIB:
     """Snapshot ``protocol``'s converged state into a :class:`CompiledFIB`.
 
-    ``enforce_policy`` mirrors the legacy forwarder's flag: when set,
-    every transit hop's Policy-Term verdict is frozen into the per-hop
-    program bits (the verdict is static because the policy database is).
+    Each class's program is the :meth:`RoutingProtocol.walk` path, cut
+    before its first hop over a link the graph does not have (the class
+    is then statically ``DEAD_LINK``, in either forwarding mode).  When
+    ``enforce_policy`` is set, every transit hop's Policy-Term verdict
+    is frozen into the per-hop program bits (the verdict is static
+    because the policy database is).
     """
     links = LinkIndex(protocol.graph)
     permits = protocol.policies.transit_permits
@@ -325,38 +253,29 @@ def compile_fib(
     # expensive part).  Policy enforcement reads the full flow -- naive
     # DV routes on destination alone, yet a transit still judges the
     # whole packet -- so per-hop policy bits are re-derived per class.
-    walk_of_key: Dict[Tuple, Tuple[int, List[ADId]]] = {}
+    walk_of_key: Dict[Tuple, Tuple[int, Tuple[ADId, ...]]] = {}
 
     for flow in classes:
         offsets.append(len(hop_links))
-        if flow.src == flow.dst:
-            static_verdicts.append(DELIVERED)
-            lengths.append(0)
-            path_delays.append(0.0)
-            path_hops.append(0)
-            continue
         key = protocol.flow_fib_key(flow)
-        cached_walk = walk_of_key.get(key)
-        if cached_walk is not None:
-            verdict, path = cached_walk
-        elif source_mode:
-            verdict, path = _source_path(protocol, flow)
-            walk_of_key[key] = (verdict, path)
-        else:
-            verdict, path = _walk_hop_by_hop(protocol, flow)
-            walk_of_key[key] = (verdict, path)
+        walked = walk_of_key.get(key)
+        if walked is None:
+            walked = walk_of_key[key] = protocol.walk(flow)
+        verdict, path = walked
         delay = 0.0
-        # The walked prefix *is* the program: the legacy walk checks
-        # liveness and policy hop by hop before it can discover what
-        # ends the journey (delivery, loop, missing route, exhausted
-        # budget), so every walked hop stays dynamic.  For LOOP classes
-        # the zip's final element is the revisiting hop itself, which
-        # legacy also liveness/policy-checks before detecting the
-        # revisit.
-        program = list(zip(path, path[1:]))
-        for i, (a, b) in enumerate(program):
+        # The walked prefix *is* the program: a packet checks liveness
+        # and policy hop by hop before it can discover what ends the
+        # journey (delivery, loop, missing route, exhausted budget), so
+        # every walked hop stays dynamic.  For LOOP classes the final
+        # hop is the revisiting one, which a packet also crosses before
+        # the revisit shows.
+        for i, (a, b) in enumerate(zip(path, path[1:])):
             link_idx = links.of(a, b)
-            assert link_idx is not None
+            if link_idx is None:
+                # Believed but not physical (a forged link): no packet
+                # gets past this hop, whatever the liveness snapshot.
+                verdict = DEAD_LINK
+                break
             hop_links.append(link_idx)
             if enforce_policy and i > 0:
                 ok = permits(a, flow, path[i - 1], b)

@@ -1,17 +1,13 @@
 """Batched replay: drive a whole workload through a compiled FIB.
 
-The replay engine is deliberately two-speed:
-
-* :meth:`TrafficReplay.replay` -- the production path.  Verdicts are
-  computed **per flow class** against a liveness snapshot and then
-  weighted by the per-class flow and byte sums the workload summed when
-  it was generated, so replaying 10^6 flows costs O(classes x hops) and
-  never touches a per-flow column; that is what lets E14 re-run the
-  full workload at every convergence epoch of a fault storm.
-* :meth:`TrafficReplay.replay_legacy` -- the oracle.  Every flow goes
-  through :func:`repro.forwarding.dataplane.forward_flow` individually,
-  exactly as the pre-compiled data plane did.  The equivalence suite
-  diffs the two paths.
+:meth:`TrafficReplay.replay` computes verdicts **per flow class**
+against a liveness snapshot and then weights them by the per-class flow
+and byte sums the workload summed when it was generated, so replaying
+10^6 flows costs O(classes x hops) and never touches a per-flow column;
+that is what lets E14 re-run the full workload at every convergence
+epoch of a fault storm.  The per-packet reference it is checked against
+(``forward_verdict``) lives with the other test oracles in
+``tests/oracles.py``.
 
 Latency is modelled as the sum of link ``delay`` metrics along the
 delivered path; stretch as delivered hop count over the policy-blind
@@ -30,9 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.adgraph.ad import ADId
 from repro.adgraph.graph import InterADGraph
-from repro.forwarding.dataplane import forward_flow
-from repro.protocols.base import RoutingProtocol
-from repro.traffic.fib import (
+from repro.protocols.base import (
     DEAD_LINK,
     DELIVERED,
     HOP_BUDGET,
@@ -40,9 +34,8 @@ from repro.traffic.fib import (
     NO_ROUTE,
     POLICY_DROP,
     VERDICT_NAMES,
-    CompiledFIB,
-    verdict_of_outcome,
 )
+from repro.traffic.fib import CompiledFIB
 from repro.traffic.workload import FlowWorkload
 
 
@@ -157,7 +150,7 @@ class ReplaySummary:
 
 
 class TrafficReplay:
-    """Replays one workload against compiled FIBs (or the legacy oracle)."""
+    """Replays one workload against compiled FIBs."""
 
     def __init__(self, workload: FlowWorkload, graph: InterADGraph) -> None:
         self.workload = workload
@@ -201,36 +194,13 @@ class TrafficReplay:
             stretch_p999=weighted_percentile(stretch, 0.999),
         )
 
-    # ----------------------------------------------------------- fast paths
+    # --------------------------------------------------------------- replay
 
     def replay(
         self, fib: CompiledFIB, liveness: Optional[bytearray] = None
     ) -> ReplaySummary:
         """Aggregate replay: O(classes x hops), flow counts as weights."""
         return self._summarise(fib.class_verdicts(liveness), fib)
-
-    # --------------------------------------------------------------- oracle
-
-    def replay_legacy(
-        self, protocol: RoutingProtocol, enforce_policy: bool = True
-    ) -> array:
-        """Per-flow verdicts via the legacy per-packet forwarder.
-
-        Every flow class pays the full per-packet walk (dict lookups +
-        policy engine) -- the oracle the equivalence suite diffs the
-        compiled verdicts with.
-        """
-        classes = self.workload.classes
-        class_verdicts = array(
-            "b",
-            (
-                verdict_of_outcome(forward_flow(protocol, f, enforce_policy))
-                for f in classes
-            ),
-        )
-        return array(
-            "b", map(class_verdicts.__getitem__, self.workload.class_of)
-        )
 
 
 # ------------------------------------------------------------- epoch series

@@ -101,3 +101,13 @@ def open_db(graph: InterADGraph) -> PolicyDatabase:
     for ad in graph.transit_ads():
         db.add_term(PolicyTerm(owner=ad.ad_id))
     return db
+
+
+def program_path(fib, c):
+    """The AD path class ``c``'s compiled program crosses."""
+    path = [fib.classes[c].src]
+    start = fib.offsets[c]
+    for i in range(start, start + fib.lengths[c]):
+        a, b = fib.links.keys[fib.hop_links[i]]
+        path.append(b if path[-1] == a else a)
+    return tuple(path)

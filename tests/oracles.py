@@ -15,7 +15,11 @@ Each oracle is the plain version of a production path, kept here (not in
 * :func:`valley_free_shortest_path`, the early-exit search per (source,
   destination) whose answer every
   :class:`~repro.protocols.variants.ValleyFreeSearch` destination must
-  equal (``tests/test_valley_free_search.py``).
+  equal (``tests/test_valley_free_search.py``);
+* :func:`forward_verdict`, one modelled packet forwarded hop by hop
+  against ground truth, written apart from ``RoutingProtocol.walk``:
+  the compiled FIB's verdict on every class must be its verdict
+  (``tests/test_traffic_fib.py``, ``tests/test_traffic_replay.py``).
 """
 
 from __future__ import annotations
@@ -31,6 +35,16 @@ from repro.policy.database import PolicyDatabase
 from repro.policy.flows import FlowSpec
 from repro.policy.selection import OPEN_SELECTION, RouteSelectionPolicy
 from repro.policy.terms import PolicyTerm
+from repro.protocols.base import (
+    DEAD_LINK,
+    DELIVERED,
+    HOP_BUDGET,
+    LOOP,
+    NO_ROUTE,
+    POLICY_DROP,
+    ForwardingMode,
+    RoutingProtocol,
+)
 
 _LinkKey = Tuple[ADId, ADId]
 _State = Tuple[ADId, Optional[ADId]]
@@ -134,6 +148,45 @@ def valley_free_shortest_path(
         cursor = parent[cursor]
     path.reverse()
     return tuple(path)
+
+
+def forward_verdict(
+    protocol: RoutingProtocol, flow: FlowSpec, enforce_policy: bool = True
+) -> Tuple[int, Tuple[ADId, ...]]:
+    """Send one modelled packet for ``flow``: (verdict code, path taken).
+
+    Each hop asks the protocol for the decision (or reads the source
+    route), then checks the link exists and is up, then -- at a transit,
+    with ``enforce_policy`` -- that the transit's own terms permit the
+    traversal, and only then looks for a revisit: first failure wins.
+    """
+    graph, permits = protocol.graph, protocol.policies.transit_permits
+    if flow.src == flow.dst:
+        return DELIVERED, (flow.src,)
+    route = None
+    if protocol.mode is ForwardingMode.SOURCE:
+        route = protocol.source_route(flow)
+        if route is None:
+            return NO_ROUTE, (flow.src,)
+    path: List[ADId] = [flow.src]
+    prev: Optional[ADId] = None
+    for _ in range(graph.num_ads):
+        current = path[-1]
+        nxt = route[len(path)] if route is not None else protocol.next_hop(current, flow, prev)
+        if nxt is None:
+            return NO_ROUTE, tuple(path)
+        link = graph.link_if_exists(current, nxt)
+        if link is None or not link.up:
+            return DEAD_LINK, tuple(path)
+        if enforce_policy and prev is not None and not permits(current, flow, prev, nxt):
+            return POLICY_DROP, tuple(path)
+        if route is None and nxt in path:
+            return LOOP, tuple(path) + (nxt,)
+        path.append(nxt)
+        if nxt == flow.dst if route is None else len(path) == len(route):
+            return DELIVERED, tuple(path)
+        prev = current
+    return HOP_BUDGET, tuple(path)
 
 
 # ------------------------------------------------- the four searches, verbatim

@@ -12,13 +12,13 @@ refuse it -- the case where enforcement decides.
 import pytest
 
 from repro.adgraph.generator import TopologyConfig, generate_internet
-from repro.forwarding.dataplane import run_traffic
 from repro.policy.database import PolicyDatabase
 from repro.policy.generators import restricted_policies
 from repro.protocols.registry import make_protocol
+from repro.traffic import DELIVERED, POLICY_DROP
 from repro.traffic.workload import WorkloadSpec, zipf_workload
 
-from tests.oracles import scan_permitting_term
+from tests.oracles import forward_verdict, scan_permitting_term
 
 
 @pytest.fixture
@@ -33,24 +33,32 @@ def setting():
     return protocol, flows
 
 
+def forward_all(protocol, flows, enforce_policy=True):
+    return [forward_verdict(protocol, f, enforce_policy) for f in flows]
+
+
+def count(outcomes, verdict):
+    return sum(1 for v, _ in outcomes if v == verdict)
+
+
 def test_outcomes_identical(setting, monkeypatch):
     protocol, flows = setting
-    memo = run_traffic(protocol, flows)
-    assert memo.policy_drops > 0 and memo.delivered > 0
+    memo = forward_all(protocol, flows)
+    assert count(memo, POLICY_DROP) > 0 and count(memo, DELIVERED) > 0
     monkeypatch.setattr(PolicyDatabase, "permitting_term", scan_permitting_term)
-    assert run_traffic(protocol, flows).outcomes == memo.outcomes
+    assert forward_all(protocol, flows) == memo
 
 
 def test_cache_collapses_repeats(setting):
     protocol, flows = setting
     db = protocol.policies
-    run_traffic(protocol, flows)
+    forward_all(protocol, flows)
     cold_lookups, cold_hits = db.lookups, db.cache_hits
     assert cold_lookups > cold_hits
     # Re-forwarding the same sample is pure hits: the memo key is the
     # full (transit, prev, next, flow) question, so the second pass asks
     # exactly the first pass's questions again and misses none.
-    run_traffic(protocol, flows)
+    forward_all(protocol, flows)
     assert db.lookups - cold_lookups == cold_lookups
     assert db.cache_hits - cold_hits == cold_lookups
 
@@ -58,13 +66,15 @@ def test_cache_collapses_repeats(setting):
 def test_memo_off_without_policy(setting):
     protocol, flows = setting
     db = protocol.policies
-    enforced = run_traffic(protocol, flows)
+    enforced = forward_all(protocol, flows)
     lookups = db.lookups
-    report = run_traffic(protocol, flows, enforce_policy=False)
+    plain = forward_all(protocol, flows, enforce_policy=False)
     assert db.lookups == lookups  # no enforcement, no questions asked
-    assert report.policy_drops == 0
+    assert count(plain, POLICY_DROP) == 0
     # Lifting enforcement loses no flow and delivers every dropped one
     # that had a live path.
-    for plain, checked in zip(report.outcomes, enforced.outcomes):
-        assert plain.delivered or not checked.delivered
-    assert report.delivered == enforced.delivered + enforced.policy_drops
+    for (free, _), (checked, _) in zip(plain, enforced):
+        assert free == DELIVERED or checked != DELIVERED
+    assert count(plain, DELIVERED) == count(enforced, DELIVERED) + count(
+        enforced, POLICY_DROP
+    )

@@ -7,7 +7,6 @@ from repro.policy.flows import FlowSpec
 from repro.policy.legality import (
     first_violation,
     is_legal_path,
-    links_exist,
     path_cost,
 )
 from repro.policy.sets import ADSet
@@ -78,6 +77,7 @@ class TestIsLegalPath:
 class TestFirstViolation:
     def test_legal_path_has_no_violation(self, line, line_db):
         assert first_violation(line, line_db, [0, 1, 2, 3], FlowSpec(0, 3)) is None
+        assert first_violation(line, line_db, [0, 1, 2], FlowSpec(0, 2)) is None
 
     def test_violation_messages(self, line, line_db):
         assert "starts at" in first_violation(line, line_db, [1, 3], FlowSpec(0, 3))
@@ -87,10 +87,16 @@ class TestFirstViolation:
         assert "no link" in first_violation(
             line, line_db, [0, 2, 3], FlowSpec(0, 3)
         )
+        assert first_violation(
+            line, line_db, [0, 2], FlowSpec(0, 2)
+        ) == "no link between AD 0 and AD 2"
         line.set_link_status(0, 1, up=False)
         assert "down" in first_violation(
             line, line_db, [0, 1, 2, 3], FlowSpec(0, 3)
         )
+        assert first_violation(
+            line, line_db, [0, 1], FlowSpec(0, 1)
+        ) == "link 0-1 is down"
 
     def test_policy_violation_names_the_ad(self, line):
         db = PolicyDatabase([PolicyTerm(owner=1)])  # AD 2 missing
@@ -132,9 +138,3 @@ class TestPathCost:
         with pytest.raises(KeyError):
             path_cost(diamond, [0, 3], "delay")
 
-
-def test_links_exist(line):
-    assert links_exist(line, [0, 1, 2])
-    assert not links_exist(line, [0, 2])
-    line.set_link_status(0, 1, up=False)
-    assert not links_exist(line, [0, 1])

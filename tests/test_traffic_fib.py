@@ -1,13 +1,17 @@
-"""FIB compiler equivalence suite: compiled verdicts == legacy forwarder.
+"""FIB compiler equivalence suite: compiled verdicts == per-packet oracle.
 
 The compiled data plane's whole claim is *verdict identity*: for any
 control state (converged or stale) and any liveness snapshot, walking
-the compiled program classifies every flow exactly as
-:func:`repro.forwarding.dataplane.forward_flow` would.  These tests pin
-that claim across every registered protocol, across policy-rich flow
-universes (where the fib-key dedup must not leak policy decisions
-between classes), and -- via hypothesis -- across random topologies,
-restrictiveness levels, and post-failure stale-FIB states.
+the compiled program classifies every flow exactly as the per-packet
+forwarder :func:`tests.oracles.forward_verdict` would.  And because the
+FIB compiles the same walk ``find_route`` answers from, every class the
+FIB delivers statically is routed over exactly ``find_route``'s path,
+and every class it calls no-route, loop or hop-budget has no
+``find_route`` answer.  These tests pin both claims across every
+registered protocol, across policy-rich flow universes (where the
+fib-key dedup must not leak policy decisions between classes), and --
+via hypothesis -- across random topologies, restrictiveness levels, and
+post-failure stale-FIB states.
 """
 
 from array import array
@@ -17,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adgraph.generator import TopologyConfig, generate_internet
-from repro.forwarding.dataplane import forward_flow
 from repro.policy.flows import FlowSpec
 from repro.policy.generators import restricted_policies
 from repro.policy.qos import QOS
@@ -27,14 +30,18 @@ from repro.protocols.registry import (
     available_protocols,
     make_protocol,
 )
-from repro.traffic.fib import (
+from repro.traffic import (
     DELIVERED,
+    HOP_BUDGET,
+    LOOP,
+    NO_ROUTE,
     VERDICT_NAMES,
     LinkIndex,
     compile_fib,
-    verdict_of_outcome,
 )
 from repro.traffic.workload import WorkloadSpec, zipf_workload
+from tests.helpers import program_path
+from tests.oracles import forward_verdict
 
 DESIGN_POINTS = all_protocol_names()
 ALL_PROTOCOLS = available_protocols()
@@ -52,29 +59,32 @@ def converged(name, graph, policies):
     return protocol
 
 
-def legacy_verdicts(protocol, classes, enforce_policy=True):
+def oracle_verdicts(protocol, classes, enforce_policy=True):
     return array(
-        "b",
-        (
-            verdict_of_outcome(forward_flow(protocol, f, enforce_policy))
-            for f in classes
-        ),
+        "b", (forward_verdict(protocol, f, enforce_policy)[0] for f in classes)
     )
 
 
 def assert_equivalent(protocol, classes, enforce_policy=True):
     fib = compile_fib(protocol, classes, enforce_policy=enforce_policy)
     compiled = fib.class_verdicts()
-    legacy = legacy_verdicts(protocol, classes, enforce_policy)
+    oracle = oracle_verdicts(protocol, classes, enforce_policy)
     mismatches = [
-        (f, VERDICT_NAMES[c], VERDICT_NAMES[l])
-        for f, c, l in zip(classes, compiled, legacy)
-        if c != l
+        (f, VERDICT_NAMES[c], VERDICT_NAMES[o])
+        for f, c, o in zip(classes, compiled, oracle)
+        if c != o
     ]
     assert not mismatches, (
         f"{protocol.name}: {len(mismatches)} verdict mismatches, "
         f"first: {mismatches[0]}"
     )
+    # find_route and the FIB share one walk.
+    for c, flow in enumerate(classes):
+        static = fib.static_verdicts[c]
+        if static == DELIVERED:
+            assert protocol.find_route(flow) == program_path(fib, c), flow
+        elif static in (NO_ROUTE, LOOP, HOP_BUDGET):
+            assert protocol.find_route(flow) is None, flow
     return fib
 
 
@@ -97,7 +107,7 @@ class TestConvergedEquivalence:
 class TestStaleFIB:
     """Compiled-at-convergence FIBs against a degraded liveness snapshot.
 
-    The legacy forwarder reads the protocol's (now stale) tables against
+    The per-packet oracle reads the protocol's (now stale) tables against
     ground-truth link state; the compiled program must classify
     identically when walked against the matching liveness bytearray."""
 
@@ -106,7 +116,7 @@ class TestStaleFIB:
         graph, policies = scenario()
         protocol = converged(name, graph, policies)
         wl = zipf_workload(graph, WorkloadSpec(flows=1, pairs=256, seed=8))
-        fib = compile_fib(protocol, wl.classes)
+        fib = assert_equivalent(protocol, wl.classes)
         index = LinkIndex(graph)
         baseline_dark = sum(
             1 for v in fib.class_verdicts() if v != DELIVERED
@@ -115,9 +125,10 @@ class TestStaleFIB:
         for key in index.keys[:: max(1, len(index.keys) // 7)]:
             graph.set_link_status(*key, up=False)
         compiled = fib.class_verdicts(index.liveness())
-        legacy = legacy_verdicts(protocol, wl.classes)
-        assert compiled == legacy
+        assert compiled == oracle_verdicts(protocol, wl.classes)
         assert sum(1 for v in compiled if v != DELIVERED) > baseline_dark
+        # Compiled on the stale tables themselves, the same holds.
+        assert_equivalent(protocol, wl.classes)
 
 
 class TestDedupSafety:
@@ -188,11 +199,11 @@ def test_equivalence_random_topologies(seed, restrictiveness, name, fail_stride)
     protocol = make_protocol(name, graph, policies)
     protocol.converge()
     wl = zipf_workload(graph, WorkloadSpec(flows=1, pairs=96, seed=seed))
-    fib = compile_fib(protocol, wl.classes)
+    fib = assert_equivalent(protocol, wl.classes)
     index = LinkIndex(graph)
     if fail_stride:
         for key in index.keys[::7][:fail_stride]:
             graph.set_link_status(*key, up=False)
     compiled = fib.class_verdicts(index.liveness())
-    legacy = legacy_verdicts(protocol, wl.classes)
-    assert compiled == legacy
+    assert compiled == oracle_verdicts(protocol, wl.classes)
+    assert_equivalent(protocol, wl.classes)

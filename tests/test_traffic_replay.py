@@ -6,19 +6,12 @@ from types import SimpleNamespace
 import pytest
 
 from repro.adgraph.generator import TopologyConfig, generate_internet
-from repro.forwarding.dataplane import forward_flow
 from repro.harness.session import TrafficMeter
 from repro.harness.spec import TrafficSpec
 from repro.policy.generators import restricted_policies
 from repro.protocols.registry import make_protocol
 from repro.simul.profiling import PhaseProfiler
-from repro.traffic.fib import (
-    DELIVERED,
-    VERDICT_NAMES,
-    LinkIndex,
-    compile_fib,
-    verdict_of_outcome,
-)
+from repro.traffic import DELIVERED, VERDICT_NAMES, LinkIndex, compile_fib
 from repro.traffic.replay import (
     TailSeries,
     TrafficReplay,
@@ -27,6 +20,7 @@ from repro.traffic.replay import (
 )
 from repro.traffic.workload import WorkloadSpec, zipf_workload
 from tests.helpers import line_graph
+from tests.oracles import forward_verdict
 
 
 @pytest.fixture(scope="module")
@@ -116,23 +110,22 @@ class TestReplaySummary:
         assert d["flows"] == summary.flows
         assert sum(d["verdicts"].values()) == summary.flows
 
-    def test_matches_legacy_oracle(self, setting):
+    def test_matches_oracle(self, setting):
+        # Class verdicts gathered per flow equal the per-packet oracle's.
         graph, protocol, wl = setting
-        replay = TrafficReplay(wl, graph)
         fib = compile_fib(protocol, wl.classes)
-        assert fib.lookup_batch(wl.class_of) == replay.replay_legacy(protocol)
+        per_class = [forward_verdict(protocol, f)[0] for f in wl.classes]
+        expected = array("b", map(per_class.__getitem__, wl.class_of))
+        assert fib.lookup_batch(wl.class_of) == expected
 
     def test_per_flow_oracle_agrees(self, setting):
-        # The class-level oracle against re-forwarding every single flow.
+        # The batch lookup against forwarding every single flow.
         graph, protocol, wl = setting
+        fib = compile_fib(protocol, wl.classes)
         per_flow = array(
-            "b",
-            (
-                verdict_of_outcome(forward_flow(protocol, wl.classes[idx]))
-                for idx in wl.class_of
-            ),
+            "b", (forward_verdict(protocol, wl.classes[i])[0] for i in wl.class_of)
         )
-        assert TrafficReplay(wl, graph).replay_legacy(protocol) == per_flow
+        assert fib.lookup_batch(wl.class_of) == per_flow
 
 
 class TestTailSeries:
