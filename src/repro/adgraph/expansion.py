@@ -21,12 +21,13 @@ unconstrained router-level optimum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from repro.adgraph.ad import ADId, Level
 from repro.adgraph.graph import InterADGraph
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Default internal routers per hierarchy level.
 DEFAULT_ROUTERS_PER_LEVEL: Dict[Level, int] = {
@@ -87,6 +88,8 @@ class RouterExpansion:
         return (ad_id, neighbor % self.router_count(ad_id))
 
     def _expand(self) -> nx.Graph:
+        import networkx as nx
+
         g = nx.Graph()
         delay = self.config.internal_hop_delay
         for ad in self.ad_graph.ads():
@@ -114,6 +117,8 @@ class RouterExpansion:
 
     def optimal_cost(self, src_ad: ADId, dst_ad: ADId) -> Optional[float]:
         """Unconstrained router-level shortest delay between two ADs."""
+        import networkx as nx
+
         try:
             return nx.shortest_path_length(
                 self.router_graph,
@@ -131,6 +136,8 @@ class RouterExpansion:
         those ADs, and inter-AD edges between *consecutive* route ADs --
         the packet must honour the AD sequence the route server chose.
         """
+        import networkx as nx
+
         allowed = set(ad_path)
         consecutive = set(zip(ad_path, ad_path[1:]))
         consecutive |= {(b, a) for a, b in consecutive}
@@ -147,6 +154,8 @@ class RouterExpansion:
 
     def realized_cost(self, ad_path: Sequence[ADId]) -> Optional[float]:
         """Best router-level delay achievable along an AD-level route."""
+        import networkx as nx
+
         if not ad_path:
             return None
         if len(ad_path) == 1:

@@ -2,8 +2,10 @@
 
 :class:`InterADGraph` holds AD/link value types in plain dicts behind the
 small query surface the protocols need: neighbours, live links, link
-lookup, status changes, and deterministic iteration order.  ``networkx``
-is only an export format (:meth:`InterADGraph.nx_graph`).
+lookup, status changes, and deterministic iteration order.  The three
+whole-graph questions the fault planners and EGP ask -- bridges,
+articulation ADs, connected components -- are answered here by one DFS
+and one BFS, so no run imports a graph library.
 
 Protocols treat the graph as ground truth for *physical* connectivity; what
 each protocol node actually *knows* about the topology is up to the
@@ -12,9 +14,7 @@ protocol (DV nodes only ever see their neighbours, LS nodes flood).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.adgraph.ad import (
     AD,
@@ -193,26 +193,85 @@ class InterADGraph:
 
     # ------------------------------------------------------------- analysis
 
-    def nx_graph(self, live_only: bool = True) -> nx.Graph:
-        """Export a plain networkx graph (optionally live links only).
+    def cut_points(self) -> Tuple[Set[Tuple[ADId, ADId]], Set[ADId]]:
+        """Bridges (link keys) and articulation ADs of the live topology.
 
-        Edge attributes carry the link's metrics and kind so that standard
-        networkx algorithms can be applied directly.
+        One iterative lowlink DFS over live links: a tree link into
+        ``child`` is a bridge iff no back link from ``child``'s subtree
+        reaches above it (``low[child] > disc[parent]``); a non-root AD is
+        a cut point iff some child's subtree reaches no higher than it
+        (``low[child] >= disc[ad]``), a DFS root iff it has two or more
+        children.  Both sets are properties of the graph, so the visiting
+        order does not matter.
         """
-        g = nx.Graph()
-        g.add_nodes_from(self.ad_ids())
-        for ln in self.links():
-            if live_only and not ln.up:
+        disc: Dict[ADId, int] = {}
+        low: Dict[ADId, int] = {}
+        bridges: Set[Tuple[ADId, ADId]] = set()
+        cut: Set[ADId] = set()
+        for root in self._ads:
+            if root in disc:
                 continue
-            g.add_edge(ln.a, ln.b, kind=ln.kind, **ln.metrics)
-        return g
+            disc[root] = low[root] = len(disc)
+            root_children = 0
+            # Frames: (AD, tree link it was entered by, its live links left).
+            stack = [(root, None, iter(self.links_of(root)))]
+            while stack:
+                ad, via, links = stack[-1]
+                for ln in links:
+                    if ln is via:
+                        continue
+                    nbr = ln.other(ad)
+                    if nbr in disc:
+                        if disc[nbr] < low[ad]:
+                            low[ad] = disc[nbr]
+                    else:
+                        disc[nbr] = low[nbr] = len(disc)
+                        stack.append((nbr, ln, iter(self.links_of(nbr))))
+                        break
+                else:
+                    stack.pop()
+                    if not stack:
+                        continue
+                    parent = stack[-1][0]
+                    if low[ad] < low[parent]:
+                        low[parent] = low[ad]
+                    if low[ad] > disc[parent]:
+                        bridges.add(via.key)
+                    if low[ad] >= disc[parent]:
+                        if parent == root:
+                            root_children += 1
+                        else:
+                            cut.add(parent)
+            if root_children > 1:
+                cut.add(root)
+        return bridges, cut
+
+    def component_count(self, live_only: bool = True) -> int:
+        """Connected components of the (live) topology, by BFS."""
+        seen: Set[ADId] = set()
+        count = 0
+        for start in self._ads:
+            if start in seen:
+                continue
+            count += 1
+            seen.add(start)
+            frontier = [start]
+            while frontier:
+                for nbr, ln in self._adj[frontier.pop()].items():
+                    if nbr not in seen and (ln.up or not live_only):
+                        seen.add(nbr)
+                        frontier.append(nbr)
+        return count
 
     def is_connected(self, live_only: bool = True) -> bool:
         """Whether the (live) topology is a single connected component."""
-        g = self.nx_graph(live_only=live_only)
-        if g.number_of_nodes() == 0:
-            return True
-        return nx.is_connected(g)
+        return self.component_count(live_only) <= 1
+
+    def is_forest(self) -> bool:
+        """Whether the live topology has no cycle: a graph is a forest iff
+        it has exactly (ADs - components) links."""
+        live = sum(1 for ln in self._links.values() if ln.up)
+        return live == len(self._ads) - self.component_count()
 
     def link_kind_counts(self) -> Dict[LinkKind, int]:
         """Histogram of link kinds (all links, up or down)."""

@@ -23,9 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Dict, FrozenSet, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.adgraph.ad import ADId, Level, LinkKind
 from repro.adgraph.graph import InterADGraph
@@ -34,6 +32,9 @@ from repro.core.synthesis import SynthesisStats, synthesize_route
 from repro.policy.database import PolicyDatabase
 from repro.policy.flows import FlowSpec
 from repro.policy.selection import OPEN_SELECTION, RouteSelectionPolicy
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Region id of the backbone core.
 CORE_REGION = 0
@@ -75,6 +76,8 @@ def build_super_graph(
     graph: InterADGraph, region: Dict[ADId, int]
 ) -> nx.Graph:
     """Region-level graph: an edge where any live inter-AD link crosses."""
+    import networkx as nx
+
     sg = nx.Graph()
     sg.add_nodes_from(sorted(set(region.values())))
     for link in graph.links(include_down=False):
@@ -142,6 +145,8 @@ class HierarchicalSynthesizer:
         default -- up to the backbone core and back down -- is therefore
         always offered as a candidate too.
         """
+        import networkx as nx
+
         if src_region == dst_region:
             candidates = [(src_region,)]
             if self.super_graph.has_edge(src_region, CORE_REGION):

@@ -155,11 +155,7 @@ def safe_failure_candidates(graph: InterADGraph) -> List[Tuple[ADId, ADId]]:
     protocols to find alternate routes; failing a cut link would instead
     measure partition behaviour, so candidates exclude bridges.
     """
-    import networkx as nx
-
-    g = graph.nx_graph(live_only=True)
-    bridges = set(nx.bridges(g))
-    bridges |= {(b, a) for a, b in bridges}
+    bridges, _ = graph.cut_points()
     return [ln.key for ln in graph.links(include_down=False) if ln.key not in bridges]
 
 
@@ -353,10 +349,7 @@ def crash_candidates(graph: InterADGraph) -> List[ADId]:
     excluded from link-failure candidates: crashing one would measure
     partition behaviour, not crash recovery.
     """
-    import networkx as nx
-
-    g = graph.nx_graph(live_only=True)
-    cut = set(nx.articulation_points(g))
+    _, cut = graph.cut_points()
     return [ad_id for ad_id in graph.ad_ids() if ad_id not in cut]
 
 

@@ -307,10 +307,7 @@ class EGPProtocol(RoutingProtocol):
                 "egp builds its own spanning-tree network; a pre-built "
                 "substrate cannot be adopted"
             )
-        import networkx as nx
-
-        cyclic = bool(nx.cycle_basis(self.graph.nx_graph(live_only=True)))
-        if cyclic and self.strict:
+        if self.strict and not self.graph.is_forest():
             raise TopologyViolationError(
                 "EGP requires a cycle-free inter-AD topology"
             )

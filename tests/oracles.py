@@ -19,13 +19,21 @@ Each oracle is the plain version of a production path, kept here (not in
 * :func:`forward_verdict`, one modelled packet forwarded hop by hop
   against ground truth, written apart from ``RoutingProtocol.walk``:
   the compiled FIB's verdict on every class must be its verdict
-  (``tests/test_traffic_fib.py``, ``tests/test_traffic_replay.py``).
+  (``tests/test_traffic_fib.py``, ``tests/test_traffic_replay.py``);
+* :func:`nx_graph`, the networkx export of an
+  :class:`~repro.adgraph.graph.InterADGraph` (for brute-force path
+  enumeration in tests), and the networkx forms of the fault planners'
+  candidate lists, connectivity and EGP's forest test, which the
+  in-tree DFS/BFS must answer identically
+  (``tests/test_graph_cut_points.py``).
 """
 
 from __future__ import annotations
 
 import heapq
 from typing import Dict, FrozenSet, List, Optional, Tuple
+
+import networkx as nx
 
 from repro.adgraph.ad import ADId
 from repro.adgraph.graph import InterADGraph
@@ -187,6 +195,42 @@ def forward_verdict(
             return DELIVERED, tuple(path)
         prev = current
     return HOP_BUDGET, tuple(path)
+
+
+# ------------------------------------------------------ networkx, test-only
+
+
+def nx_graph(graph: InterADGraph, live_only: bool = True) -> nx.Graph:
+    """A networkx graph of ``graph`` (live links only by default); edges
+    carry the link's kind and metrics."""
+    g = nx.Graph()
+    g.add_nodes_from(graph.ad_ids())
+    for ln in graph.links(include_down=not live_only):
+        g.add_edge(ln.a, ln.b, kind=ln.kind, **ln.metrics)
+    return g
+
+
+def nx_safe_failure_candidates(graph: InterADGraph) -> List[_LinkKey]:
+    """Live non-bridge link keys in ``graph.links()`` order, by networkx."""
+    bridges = {tuple(sorted(e)) for e in nx.bridges(nx_graph(graph))}
+    return [ln.key for ln in graph.links(include_down=False) if ln.key not in bridges]
+
+
+def nx_crash_candidates(graph: InterADGraph) -> List[ADId]:
+    """Non-articulation ADs in ``graph.ad_ids()`` order, by networkx."""
+    cut = set(nx.articulation_points(nx_graph(graph)))
+    return [ad_id for ad_id in graph.ad_ids() if ad_id not in cut]
+
+
+def nx_is_connected(graph: InterADGraph, live_only: bool = True) -> bool:
+    """Whether the (live) graph is one component (or empty), by networkx."""
+    g = nx_graph(graph, live_only)
+    return g.number_of_nodes() == 0 or nx.is_connected(g)
+
+
+def nx_is_forest(graph: InterADGraph) -> bool:
+    """EGP's old cycle check: the live graph has no cycle basis."""
+    return not nx.cycle_basis(nx_graph(graph))
 
 
 # ------------------------------------------------- the four searches, verbatim

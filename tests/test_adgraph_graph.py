@@ -5,6 +5,7 @@ import pytest
 from repro.adgraph.ad import AD, ADKind, Level, LinkKind
 from repro.adgraph.graph import InterADGraph
 from tests.helpers import mk_graph
+from tests.oracles import nx_graph
 
 
 class TestNodeManagement:
@@ -91,7 +92,7 @@ class TestAnalysis:
         assert links[LinkKind.LATERAL] == 1
 
     def test_nx_export_carries_metrics(self, diamond):
-        g = diamond.nx_graph()
+        g = nx_graph(diamond)
         assert g[0][1]["delay"] == 1.0
         assert g[0][2]["delay"] == 5.0
 

@@ -17,6 +17,7 @@ from repro.policy.qos import QOS
 from repro.policy.selection import RouteSelectionPolicy
 from repro.policy.terms import PolicyTerm
 from tests.helpers import mk_graph, open_db
+from tests.oracles import nx_graph
 
 
 def wide_diamond():
@@ -125,7 +126,7 @@ class TestGeneratedBandwidth:
 
 def _brute_force_widest(graph, db, flow):
     best = None
-    nxg = graph.nx_graph()
+    nxg = nx_graph(graph)
     if flow.src not in nxg or flow.dst not in nxg:
         return None
     for path in nx.all_simple_paths(nxg, flow.src, flow.dst):

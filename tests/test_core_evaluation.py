@@ -20,6 +20,7 @@ from repro.policy.legality import is_legal_path
 from repro.policy.qos import QOS
 from repro.policy.uci import UCI
 from tests.helpers import diamond_graph, line_graph, open_db
+from tests.oracles import nx_graph
 
 
 class TestLegalRouteExists:
@@ -57,7 +58,7 @@ class TestLegalRouteExists:
         rng = random.Random(seed)
         src, dst = rng.sample(g.ad_ids(), 2)
         flow = FlowSpec(src, dst, hour=rng.randrange(24))
-        nxg = g.nx_graph()
+        nxg = nx_graph(g)
         expected = any(
             is_legal_path(g, db, p, flow)
             for p in nx.all_simple_paths(nxg, src, dst)

@@ -24,6 +24,7 @@ from repro.policy.selection import RouteSelectionPolicy
 from repro.policy.sets import ADSet
 from repro.policy.terms import PolicyTerm
 from tests.helpers import diamond_graph, line_graph, open_db
+from tests.oracles import nx_graph
 
 
 class TestBasicSynthesis:
@@ -171,7 +172,7 @@ class TestSynthesizer:
 
 def _brute_force_best(graph, db, flow):
     """Reference implementation: enumerate all simple paths."""
-    nxg = graph.nx_graph()
+    nxg = nx_graph(graph)
     best = None
     if flow.src not in nxg or flow.dst not in nxg:
         return None

@@ -26,6 +26,8 @@ from repro.protocols.flooding import (
     LSDBGenerations,
     LSNode,
 )
+from repro.protocols.registry import make_protocol
+from repro.workloads.scenarios import reference_scenario
 
 NODE_ID = 0
 ORIGINS = [0, 1, 2, 3, 4]
@@ -246,3 +248,31 @@ def test_log_overflow_cold_builds_and_answers_no_stale_window(monkeypatch):
     assert delta.view_edge_changes(delta.db_version - 2) == [(0, 1)]
     assert_views_equal(delta, oracle)
     assert (delta.view_rebuilds, delta.view_delta_refreshes) == (2, 0)
+
+
+def test_a_bandwidth_only_change_reaches_the_derived_view():
+    """A ground-truth bandwidth change, re-originated, is derived, not lost.
+
+    ``InterADGraph`` has no metric setter, so only a re-originated LSA
+    reaches ``_reconcile_edge``'s bandwidth comparison; without it the
+    derived view keeps the old figure while a cold build reads the new.
+    """
+    scenario = reference_scenario(seed=5)
+    protocol = make_protocol("plain-ls", scenario.graph, scenario.policies)
+    protocol.converge()
+    network = protocol.network
+    link = protocol.graph.links(include_down=False)[0]
+    node = network.nodes[next(a for a in protocol.graph.ad_ids() if a not in link.key)]
+    before, _ = node.local_view()
+    derived = node.view_delta_refreshes
+    link.metrics["bandwidth"] *= 3.0
+    for end in link.key:
+        network.nodes[end].originate()
+    network.run()
+    graph, _ = node.local_view()
+    assert graph is not before and node.view_delta_refreshes > derived
+    cold, _ = node._rebuild_view()
+    assert {ln.key: ln.metrics for ln in graph.links()} == {
+        ln.key: ln.metrics for ln in cold.links()
+    }
+    assert graph.link(*link.key).metrics == link.metrics
