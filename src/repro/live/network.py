@@ -1,18 +1,28 @@
 """The live UDP transport: per-AD endpoints, lifecycle, crash/restart.
 
 Each AD gets one UDP socket on the loopback interface and one asyncio
-*serve task* consuming its inbound datagram queue -- the AD's routing
-process.  Datagrams are length-prefixed canonical JSON frames
-(:mod:`repro.simul.wire`).  Protocol nodes are untouched: they call the
-same :class:`~repro.simul.transport.Transport` interface the simulator
-implements, so the bytes on the socket are produced and consumed by the
-exact code paths the sim exercises.
+*serve task* consuming its inbound queue -- the AD's routing process.
+Frames are length-prefixed canonical JSON (:mod:`repro.simul.wire`);
+a datagram carries one or more of them back to back.  Protocol nodes
+are untouched: they call the same
+:class:`~repro.simul.transport.Transport` interface the simulator
+implements, so the frame bytes on the socket are produced and consumed
+by the exact code paths the sim exercises.
+
+The send path is the network's own.  :meth:`LiveNetwork.send` checks
+and encodes a frame and appends it to its adjacency's outbox; the first
+append in an event-loop turn schedules one flush, which packs each
+adjacency's frames, in send order, into as few datagrams as fit
+``MAX_DATAGRAM_BYTES`` and writes each with the sender's non-blocking
+``sock.sendto`` -- a send error is retried on ``SEND_RETRY_DELAYS``,
+then counted as dropped frames.
 
 Node lifecycle (per AD):
 
 * **start** -- bind the socket, record the port, spawn the serve task;
 * **serve** -- each socket readiness reads every waiting datagram into
-  the queue (one serve-task wake per burst); decode, dispatch each;
+  the queue, one item per datagram split at its length prefixes (one
+  serve-task wake per burst); decode and dispatch each frame in order;
 * **drain** -- stop accepting new datagrams, finish the queued ones;
 * **stop** -- cancel the serve task and close the socket.
 
@@ -56,17 +66,56 @@ SOCKET_BUF_BYTES = 4 << 20
 #: Largest datagram a loopback UDP socket accepts (65535 - headers).
 MAX_DATAGRAM_BYTES = 65507
 
-#: Wall-clock backoff for a ``sendto`` that raises: one attempt plus one
-#: retry per delay, then a counted drop (``live_send_drops``).  asyncio's
-#: datagram ``sendto`` raises no send error (it buffers ``BlockingIOError``
-#: without bound, hands other ``OSError``s to ``error_received``), so only
-#: a patched ``transport.sendto`` reaches these retries.
+#: Wall-clock backoff for a datagram whose ``sock.sendto`` raises
+#: (``BlockingIOError`` on a full send buffer, or any other ``OSError``):
+#: one attempt plus one retry per delay, each a ``live_send_retries``,
+#: then each of its frames is a counted drop (``live_send_drops``).
 SEND_RETRY_DELAYS = (0.001, 0.005, 0.02)
 
 #: Wall-clock budget for draining one AD's queue at shutdown.  A dead
 #: serve task (or a wedged dispatch) must never hang ``close()``:
 #: whatever cannot drain inside the budget is flushed and counted.
 DRAIN_DEADLINE_S = 5.0
+
+
+def pack_frames(frames: List[bytes]) -> List[Tuple[bytes, int]]:
+    """Pack one adjacency's frames, in order, into as few datagrams as fit.
+
+    A frame carries its own length prefix, so a datagram is its frames
+    back to back.  Greedy is optimal for an order-keeping split: a
+    datagram closes when the next frame would take it past
+    ``MAX_DATAGRAM_BYTES``.  Returns ``(datagram, frame count)`` pairs.
+    """
+    packed: List[Tuple[bytes, int]] = []
+    run: List[bytes] = []
+    size = 0
+    for frame in frames:
+        if run and size + len(frame) > MAX_DATAGRAM_BYTES:
+            packed.append((b"".join(run), len(run)))
+            run, size = [], 0
+        run.append(frame)
+        size += len(frame)
+    if run:
+        packed.append((b"".join(run), len(run)))
+    return packed
+
+
+def split_datagram(data: bytes) -> List[bytes]:
+    """The frames of one datagram, in order, cut at their 4-byte
+    big-endian length prefixes.
+
+    A prefix that overruns the datagram (or a tail too short to hold
+    one) leaves the remainder as one frame, which the decoder rejects
+    as it rejects any bad frame.
+    """
+    frames = []
+    start, end = 0, len(data)
+    while True:
+        stop = min(end, start + 4 + int.from_bytes(data[start:start + 4], "big"))
+        frames.append(data[start:stop])
+        if stop == end:
+            return frames
+        start = stop
 
 
 class NodeState(enum.Enum):
@@ -85,7 +134,8 @@ class _NodeRuntime(asyncio.DatagramProtocol):
         self.network = network
         self.ad_id = ad_id
         self.state = NodeState.CREATED
-        self.queue: "asyncio.Queue[bytes]" = asyncio.Queue()
+        #: One item per admitted datagram: its frames, in order.
+        self.queue: "asyncio.Queue[List[bytes]]" = asyncio.Queue()
         self.transport: Optional[asyncio.DatagramTransport] = None
         self.sock: Optional[socketlib.socket] = None
         self.port: Optional[int] = None
@@ -148,8 +198,9 @@ class _NodeRuntime(asyncio.DatagramProtocol):
             self.network._dead_tasks -= 1
 
     def datagram_received(self, data: bytes, addr) -> None:
-        """One readiness callback: admit its datagram, then read the
-        socket dry, so a burst wakes the serve task once, not per frame."""
+        """One readiness callback: admit asyncio's datagram, then read the
+        socket dry, so a burst of datagrams (each one or more frames,
+        :func:`split_datagram`) wakes the serve task once."""
         self.enqueue(data)
         while True:
             try:
@@ -165,33 +216,43 @@ class _NodeRuntime(asyncio.DatagramProtocol):
         self.network.fail(exc)
 
     def enqueue(self, data: bytes) -> None:
-        """Admit one inbound frame (drop it when not serving)."""
+        """Admit one inbound datagram's frames (drop them when not serving)."""
+        frames = split_datagram(data)
+        count = len(frames)
         network = self.network
-        network._recv_frames += 1
+        network._recv_frames += count
         if self.state is not NodeState.SERVING:
             # Received, then dropped: ``sent == received`` must hold for
-            # every delivered datagram or the network never reads idle again.
-            network.metrics.count_drop()
+            # every delivered frame or the network never reads idle again.
+            network.metrics.count_drop(count)
             network._frames_settled()
             return
-        self.unprocessed += 1
-        network._queued += 1
-        self.queue.put_nowait(data)
+        self.unprocessed += count
+        network._queued += count
+        self.queue.put_nowait(frames)
 
     async def serve(self) -> None:
-        """Decode and dispatch inbound frames until cancelled."""
+        """Decode and dispatch inbound frames, in order, until cancelled.
+
+        A datagram's frames are dispatched in one task step, so nothing
+        else runs between them: its counters move once, by its frame
+        count, after the last one.
+        """
         network = self.network
         while True:
-            data = await self.queue.get()
+            frames = await self.queue.get()
             try:
-                self._dispatch(data)
-            except Exception as exc:  # noqa: BLE001 - surfaced at settle()
-                network.fail(exc)
+                for data in frames:
+                    try:
+                        self._dispatch(data)
+                    except Exception as exc:  # noqa: BLE001 - surfaced at settle()
+                        network.fail(exc)
             finally:
-                self.unprocessed -= 1
-                self.dispatched += 1
+                count = len(frames)
+                self.unprocessed -= count
+                self.dispatched += count
                 self.last_progress = network._loop.time()
-                network._queued -= 1
+                network._queued -= count
                 network._frames_settled()
 
     def _dispatch(self, data: bytes) -> None:
@@ -274,13 +335,13 @@ class _NodeRuntime(asyncio.DatagramProtocol):
         if self.transport is not None:
             self.transport.close()
             self.transport = None
+            self.sock = None
 
     def flush(self) -> int:
         """Discard queued frames (state-losing restart); returns the count."""
         lost = 0
         while not self.queue.empty():
-            self.queue.get_nowait()
-            lost += 1
+            lost += len(self.queue.get_nowait())
         self.unprocessed -= lost
         self.network._queued -= lost
         self.network._frames_settled()
@@ -345,7 +406,13 @@ class LiveNetwork(Transport):
         self._recv_frames = 0
         #: The sum of every runtime's ``unprocessed``.
         self._queued = 0
-        #: Sends waiting on a transient-error retry timer.
+        #: Datagrams handed to the kernel (each carries one or more frames).
+        self._datagrams_sent = 0
+        #: This loop turn's frames per (src, dst), in send order; non-empty
+        #: exactly while a flush is scheduled.
+        self._outbox: Dict[Tuple[ADId, ADId], List[bytes]] = {}
+        #: Frames accepted but not yet handed to the kernel: in the outbox
+        #: or in a datagram waiting on a send-retry timer.
         self._pending_sends = 0
         #: Runtimes whose serve task is dead (``len(dead_serve_tasks())``).
         self._dead_tasks = 0
@@ -365,7 +432,8 @@ class LiveNetwork(Transport):
         return self._clock
 
     def send(self, src: ADId, dst: ADId, msg: Message) -> None:
-        """Encode and transmit one frame over the destination's socket."""
+        """Encode one frame into the adjacency's outbox; the loop turn's
+        flush hands it to the kernel (:meth:`_flush`)."""
         link = self.graph.link_if_exists(src, dst)
         if link is None:
             raise ValueError(f"AD {src} and AD {dst} are not neighbours")
@@ -379,7 +447,7 @@ class LiveNetwork(Transport):
             # drop, not an error nor a datagram no socket will receive.
             self.metrics.count_live_send_drop()
             return
-        if runtime.transport is None or target.port is None:
+        if runtime.sock is None or target.port is None:
             raise RuntimeError(
                 f"AD {src} sent before the network started serving"
             )
@@ -394,49 +462,62 @@ class LiveNetwork(Transport):
                 f"{msg.type_name} from AD {src} encodes to {len(frame)} "
                 f"bytes, over the {MAX_DATAGRAM_BYTES}-byte UDP limit"
             )
-        self._transmit(src, dst, frame, attempt=0)
+        outbox = self._outbox
+        if not outbox:
+            self._loop.call_soon(self._flush)
+        outbox.setdefault((src, dst), []).append(frame)
+        self._pending_sends += 1
 
-    def _transmit(self, src: ADId, dst: ADId, frame: bytes, attempt: int) -> None:
-        """Hand one frame to the asyncio transport, retrying if it raises.
+    def _flush(self) -> None:
+        """Hand the loop turn's frames to the kernel: each adjacency's, in
+        send order, packed into as few datagrams as fit (:func:`pack_frames`)."""
+        outbox, self._outbox = self._outbox, {}
+        for (src, dst), frames in outbox.items():
+            for datagram, count in pack_frames(frames):
+                self._transmit(src, dst, datagram, count, 0)
+        self._frames_settled()
 
-        asyncio's datagram ``sendto`` raises no send error: a full kernel
-        buffer (``BlockingIOError``) is queued in the transport without
-        bound, and any other ``OSError`` goes to ``error_received``,
-        fatal through :meth:`fail`.  The retry path below therefore runs
-        only under a patched ``transport.sendto``; loss-proof UDP needs
-        its own send path.  ``_sent_frames`` counts only successful
-        hand-offs; a pending retry keeps the network non-idle via
-        ``_pending_sends`` so settle() cannot declare quiescence with a
-        frame still waiting to leave.
+    def _transmit(
+        self, src: ADId, dst: ADId, datagram: bytes, count: int, attempt: int
+    ) -> None:
+        """Write one datagram of ``count`` frames with the sender's own
+        non-blocking ``sock.sendto``, retrying if it raises.
+
+        A full send buffer (``BlockingIOError``) or any other ``OSError``
+        arms a retry on ``SEND_RETRY_DELAYS`` (a ``live_send_retries``
+        per failed attempt); when they run out, or an endpoint closed
+        meanwhile, the datagram's frames are ``live_send_drops``.  Its
+        frames stay in ``_pending_sends`` until then, so settle() cannot
+        declare quiescence with a frame still waiting to leave;
+        ``_sent_frames`` counts only frames the kernel accepted.
         """
         runtime = self._runtimes[src]
         target = self._runtimes[dst]
-        if runtime.transport is None or target.port is None or (
-            target.state is NodeState.STOPPED
-        ):
-            # An endpoint closed while a retry timer was pending.
-            self.metrics.count_live_send_drop()
+        if runtime.sock is None or target.state is NodeState.STOPPED:
+            self._pending_sends -= count
+            self.metrics.count_live_send_drop(count)
             return
         try:
-            runtime.transport.sendto(frame, ("127.0.0.1", target.port))
-        except (BlockingIOError, InterruptedError, OSError):
+            runtime.sock.sendto(datagram, ("127.0.0.1", target.port))
+        except OSError:  # BlockingIOError, InterruptedError included
             if attempt >= len(SEND_RETRY_DELAYS):
-                self.metrics.count_live_send_drop()
+                self._pending_sends -= count
+                self.metrics.count_live_send_drop(count)
                 return
             self.metrics.count_live_send_retry()
-            self._pending_sends += 1
             self._loop.call_later(
                 SEND_RETRY_DELAYS[attempt], self._retry_transmit,
-                src, dst, frame, attempt + 1,
+                src, dst, datagram, count, attempt + 1,
             )
             return
-        self._sent_frames += 1
+        self._pending_sends -= count
+        self._sent_frames += count
+        self._datagrams_sent += 1
 
     def _retry_transmit(
-        self, src: ADId, dst: ADId, frame: bytes, attempt: int
+        self, src: ADId, dst: ADId, datagram: bytes, count: int, attempt: int
     ) -> None:
-        self._pending_sends -= 1
-        self._transmit(src, dst, frame, attempt)
+        self._transmit(src, dst, datagram, count, attempt)
         self._frames_settled()
 
     # ----------------------------------------------------------- node mgmt
@@ -470,8 +551,8 @@ class LiveNetwork(Transport):
         Frames handed to the kernel but not yet received are in flight
         and count as activity (``sent != received``), so a quiet instant
         between send and receive is never mistaken for quiescence; a
-        send waiting on a transient-error retry timer counts the same
-        way (``_pending_sends``).
+        frame not yet handed to the kernel -- in the outbox, or waiting
+        on a send-retry timer -- counts the same way (``_pending_sends``).
         """
         return (
             self._queued == 0
@@ -484,9 +565,10 @@ class LiveNetwork(Transport):
         -- a frame, a send retry, a timer -- reads zero, and no serve task
         is dead (one awaiting its supervised restart answers no frame).
         Five O(1) counters -- the five terms :class:`SettleTimeout` names:
-        frames in flight, send retries, armed timers, queued frames, dead
-        serve tasks; the dead-task one is kept by the serve tasks'
-        done-callbacks, which are what wakes a waiter to ask again."""
+        frames in flight, frames not yet sent (outbox or send retry),
+        armed timers, queued frames, dead serve tasks; the dead-task one
+        is kept by the serve tasks' done-callbacks, which are what wakes
+        a waiter to ask again."""
         return (
             self.idle()
             and self._clock.pending_timers == 0
@@ -565,7 +647,7 @@ class LiveNetwork(Transport):
             raise RuntimeError(
                 f"frames failed to drain within {DRAIN_DEADLINE_S:g}s: "
                 f"sent={self._sent_frames} received={self._recv_frames} "
-                f"queued={self._queued} pending_sends={self._pending_sends}"
+                f"queued={self._queued} unsent={self._pending_sends}"
             )
 
     def fail(self, exc: Exception) -> None:
@@ -584,9 +666,18 @@ class LiveNetwork(Transport):
         return self._sent_frames
 
     @property
+    def datagrams_sent(self) -> int:
+        """Datagrams handed to the kernel since creation (a frame or more each)."""
+        return self._datagrams_sent
+
+    @property
     def frames_received(self) -> int:
-        """Datagrams the kernel delivered since creation, queued or dropped."""
+        """Frames the kernel delivered since creation, queued or dropped."""
         return self._recv_frames
+
+    def outbox_frames(self) -> int:
+        """Frames in the outbox, waiting for this loop turn's flush."""
+        return sum(len(frames) for frames in self._outbox.values())
 
     # ------------------------------------------------------------ failures
 

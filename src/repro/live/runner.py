@@ -52,11 +52,16 @@ def _timeout_diagnostics(network: LiveNetwork, timeout_s: float) -> str:
     supervisor = network.supervisor
     clock = network.clock
     sent, received = network.frames_sent, network.frames_received
+    unsent, outbox = network._pending_sends, network.outbox_frames()
     # Unsupervised, a dead serve task has already raised from settle().
     dead = ", ".join(f"AD {ad_id}" for ad_id, _ in network.dead_serve_tasks())
     terms = (
         (sent - received, f"frames in flight: {sent - received} (sent={sent} received={received})"),
-        (network._pending_sends, f"pending send retries: {network._pending_sends}"),
+        (
+            unsent,
+            f"frames not yet sent: {unsent} (outbox={outbox} "
+            f"retrying={unsent - outbox})",
+        ),
         (
             clock.pending_timers,
             f"armed timers: {clock.pending_timers} (earliest fires in "

@@ -122,9 +122,9 @@ class MetricsCollector:
         self.bytes[type_name] += size
         self.last_activity = max(self.last_activity, time)
 
-    def count_drop(self) -> None:
-        """Record a message lost to a dead link."""
-        self.dropped += 1
+    def count_drop(self, n: int = 1) -> None:
+        """Record messages lost to a dead link."""
+        self.dropped += n
 
     def count_channel_drop(self) -> None:
         """Record a message lost to channel impairment (not a dead link)."""
@@ -146,9 +146,9 @@ class MetricsCollector:
         """Record a transient UDP send error that will be retried."""
         self.live_send_retries += 1
 
-    def count_live_send_drop(self) -> None:
-        """Record a frame given up on after the send retry budget."""
-        self.live_send_drops += 1
+    def count_live_send_drop(self, n: int = 1) -> None:
+        """Record frames given up on (retry budget spent, endpoint closed)."""
+        self.live_send_drops += n
 
     def count_version_reject(self) -> None:
         """Record a message rejected on wire-version grounds."""

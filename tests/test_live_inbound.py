@@ -8,6 +8,8 @@ serve-task wake, not one per frame.  These tests pin that as counts
 and pin where a receive error raised mid-drain goes.
 """
 
+import asyncio
+
 import pytest
 
 from repro.live import LiveSubstrate, settle
@@ -99,11 +101,16 @@ class _FailingSecondRecv:
             raise self.exc
         return self.sock.recv(size)
 
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
 
 def test_receive_error_mid_drain_fails_the_run_after_the_frame_before_it():
-    """Two frames wait: asyncio reads the first, the drain's first recv
-    the second, its next recv fails.  Both frames are dispatched; the
-    error reaches ``network.fail`` and the next settle raises it."""
+    """Two datagrams wait -- their frames were sent in separate loop
+    turns, so no flush coalesces them: asyncio reads the first, the
+    drain's first recv the second, its next recv fails.  Both frames are
+    dispatched; the error reaches ``network.fail`` and the next settle
+    raises it."""
     boom = OSError("injected receive error")
 
     async def scenario():
@@ -113,6 +120,7 @@ def test_receive_error_mid_drain_fails_the_run_after_the_frame_before_it():
             rt.sock = _FailingSecondRecv(rt.sock, boom)
             dispatched = rt.dispatched
             network.nodes[0].send(1, ExchangeAck(0))
+            await asyncio.sleep(0)  # its own flush, its own datagram
             network.nodes[0].send(1, ExchangeAck(1))
             await _wait_for(
                 lambda: rt.dispatched - dispatched == 2, 5.0, "both frames"

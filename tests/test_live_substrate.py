@@ -31,6 +31,7 @@ from repro.simul.transport import TimerHandle
 from repro.workloads.scenarios import small_scenario
 
 from .helpers import mk_graph
+from .test_live_supervisor import _FlakySendSocket
 
 #: Fast-but-safe live timing for tests: 2 ms per protocol unit, settle
 #: after 50 ms of silence, give up after a minute of wall clock.
@@ -362,17 +363,12 @@ def test_send_to_a_stopped_peer_is_a_counted_drop_not_a_frame_in_flight():
             assert network.metrics.live_send_drops == 1
             assert network.idle()
 
-            transport = network._runtimes[src].transport
-            real_sendto = transport.sendto
-
-            def full_once(data, addr):
-                transport.sendto = real_sendto
-                raise BlockingIOError("kernel buffer full")
-
-            transport.sendto = full_once
+            sender = network._runtimes[src]
+            sender.sock = _FlakySendSocket(sender.sock, failures=1)
             network.nodes[src].send(retried, NRAck(1))
-            # An idle queue drains without yielding: the retry timer
-            # fires after the peer is STOPPED.
+            # One yield runs the flush, whose first attempt fails; the
+            # retry timer fires after the peer is STOPPED.
+            await asyncio.sleep(0)
             await network._runtimes[retried].stop()
             await network.drained()
             assert network.frames_sent == sent == network.frames_received

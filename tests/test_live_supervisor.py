@@ -63,6 +63,24 @@ def _all_routes(proto):
     }
 
 
+class _FlakySendSocket:
+    """A socket stand-in whose next ``failures`` ``sendto`` calls raise
+    ``BlockingIOError``, as a full kernel send buffer does; everything
+    else is the wrapped socket's."""
+
+    def __init__(self, sock, failures):
+        self.sock, self.failures = sock, failures
+
+    def sendto(self, data, addr):
+        if self.failures > 0:
+            self.failures -= 1
+            raise BlockingIOError("kernel buffer full")
+        return self.sock.sendto(data, addr)
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+
 async def _wait_for(predicate, timeout_s, what):
     loop = asyncio.get_running_loop()
     deadline = loop.time() + timeout_s
@@ -357,31 +375,35 @@ def test_settle_timeout_names_each_outstanding_term():
             handle.cancel()
             assert await settle(network, timeout_s=5.0)
 
-            # A frame handed to the kernel and not yet read back.
+            # A frame in the outbox, waiting for the loop turn's flush.
             network.crash_node(1)  # dropped at dispatch: no reply traffic
             network.send(0, 1, NRAck(seq=1))
+            message = await timeout_message(network)
+            assert "frames not yet sent: 1 (outbox=1 retrying=0)" in message
+            assert "in flight" not in message
+
+            # The same frame handed to the kernel and not yet read back:
+            # one yield runs the flush, not yet the receiver's read.
+            await asyncio.sleep(0)
             sent = network.frames_sent
             message = await timeout_message(network)
             assert (
                 f"frames in flight: 1 (sent={sent} received={sent - 1})"
                 in message
             )
+            assert "not yet sent" not in message
             assert await settle(network, timeout_s=5.0)
 
             # A send waiting on its transient-error retry timer.
             rt = network._runtimes[0]
-            real_sendto = rt.transport.sendto
-
-            def full_once(data, addr):
-                rt.transport.sendto = real_sendto
-                raise BlockingIOError("kernel buffer full")
-
-            rt.transport.sendto = full_once
+            rt.sock = _FlakySendSocket(rt.sock, failures=1)
             network.send(0, 1, NRAck(seq=2))
+            await asyncio.sleep(0)  # the flush's first attempt fails
             message = await timeout_message(network)
-            assert "pending send retries: 1" in message
+            assert "frames not yet sent: 1 (outbox=0 retrying=1)" in message
             assert "in flight" not in message
             assert await settle(network, timeout_s=5.0)
+            assert network.metrics.live_send_retries == 1
 
             # A dead serve task sitting out its supervised backoff.
             await supervisor.start()
@@ -584,16 +606,7 @@ def test_send_retry_then_success_counts_retries():
             # an NRAck; what's under test is the sender's retry path.
             network.crash_node(1)
             rt = network._runtimes[0]
-            real_sendto = rt.transport.sendto
-            failures = [2]  # fail twice, then deliver
-
-            def flaky(data, addr):
-                if failures[0] > 0:
-                    failures[0] -= 1
-                    raise BlockingIOError("kernel buffer full")
-                real_sendto(data, addr)
-
-            rt.transport.sendto = flaky
+            rt.sock = _FlakySendSocket(rt.sock, failures=2)  # then deliver
             from repro.protocols.egp import NRAck
 
             sent_before = network.frames_sent
@@ -616,13 +629,13 @@ def test_send_retry_budget_exhaustion_drops_and_stays_idle():
     async def scenario():
         proto, network = await _converged_network(ring8())
         try:
-            rt = network._runtimes[0]
-
-            def always_full(data, addr):
-                raise BlockingIOError("kernel buffer full")
-
-            rt.transport.sendto = always_full
+            from repro.live.network import SEND_RETRY_DELAYS
             from repro.protocols.egp import NRAck
+
+            rt = network._runtimes[0]
+            # Every attempt fails: the first and one per retry delay.
+            attempts = len(SEND_RETRY_DELAYS) + 1
+            rt.sock = _FlakySendSocket(rt.sock, failures=attempts)
 
             network.send(0, 1, NRAck(seq=8))
             await _wait_for(
@@ -630,6 +643,8 @@ def test_send_retry_budget_exhaustion_drops_and_stays_idle():
                 10.0,
                 "send-drop accounting",
             )
+            assert network.metrics.live_send_retries == len(SEND_RETRY_DELAYS)
+            assert rt.sock.failures == 0
             # The dropped send left no phantom in-flight frame behind:
             # the network still reaches quiescence.
             assert network._pending_sends == 0
