@@ -11,10 +11,12 @@ tails, digests -- remain byte-checked).  This script compares the
 working-tree outputs against a git reference (default ``HEAD``) under
 those masks and exits non-zero on any other difference.
 
-Usage (after regenerating the outputs)::
+Usage (after regenerating the outputs with the table gate)::
 
-    PYTHONPATH=src python -m pytest benchmarks/ -q
+    PYTHONPATH=src python -m pytest benchmarks/test_tables.py -q
     python benchmarks/check_determinism.py [--baseline-ref HEAD]
+
+Every table the experiment registry names must be present.
 """
 
 from __future__ import annotations
@@ -38,33 +40,15 @@ WALL_CLOCK_COLUMNS = {"scaling.txt": "synth ms/route"}
 LIVE_ROW_FILES = {"live_chaos.txt", "version_skew.txt"}
 _LIVE_TOKEN = re.compile(r"\blive\b")
 
-#: Outputs every full bench run must produce; a missing one means the
-#: suite was run partially (or an experiment silently stopped emitting)
-#: and the determinism verdict would be vacuous for it.
-REQUIRED_OUTPUTS = {
-    "ablation_a1_fast_path.txt",
-    "ablation_a2_flooding.txt",
-    "ablation_a3_pg_cache.txt",
-    "ablation_a4_idrp_multiroute.txt",
-    "ablation_a5_hierarchical.txt",
-    "ablation_a6_trigger_delay.txt",
-    "abstraction.txt",
-    "availability.txt",
-    "convergence.txt",
-    "dataplane_tail.txt",
-    "fig1_topology.txt",
-    "granularity.txt",
-    "live_chaos.txt",
-    "partial_order.txt",
-    "robustness.txt",
-    "robustness_churn.txt",
-    "robustness_misbehavior.txt",
-    "scaling.txt",
-    "setup_overhead.txt",
-    "synthesis_strategies.txt",
-    "table1_design_space.txt",
-    "version_skew.txt",
-}
+
+def required_outputs() -> set:
+    """One table per registry entry: a missing one means the gate ran
+    partially (or an entry silently stopped writing) and the determinism
+    verdict would be vacuous for it."""
+    sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+    from repro.harness import EXPERIMENTS
+
+    return {exp.table_file for exp in EXPERIMENTS.values()}
 
 
 def drop_live_rows(name: str, text: str) -> str:
@@ -122,12 +106,12 @@ def main(argv=None) -> int:
 
     names = sorted(f for f in os.listdir(OUT_DIR) if f.endswith(".txt"))
     if not names:
-        print("no benchmark outputs found; run the bench suite first")
+        print("no benchmark outputs found; run the table gate first")
         return 2
-    missing = sorted(REQUIRED_OUTPUTS - set(names))
+    missing = sorted(required_outputs() - set(names))
     if missing:
         print(f"missing expected benchmark outputs: {', '.join(missing)}")
-        print("run the full bench suite before checking determinism")
+        print("run the full table gate before checking determinism")
         return 2
 
     failures = []

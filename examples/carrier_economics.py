@@ -25,7 +25,7 @@ from repro.mgmt.accounting import settle
 from repro.mgmt.negotiation import negotiate_ordering
 from repro.policy.selection import RouteSelectionPolicy
 from repro.workloads import reference_scenario
-from repro.workloads.traffic import gravity_traffic
+from repro.traffic.workload import gravity_traffic
 
 
 def main() -> None:

@@ -16,7 +16,7 @@ The package turns the paper's design-space analysis into running code:
 * :mod:`repro.forwarding` — data-plane packet header models (E6);
 * :mod:`repro.traffic` — the data plane at scale: workloads, FIBs
   compiled from each protocol's forwarding walk, batched replay;
-* :mod:`repro.workloads` — traffic and scenario generators;
+* :mod:`repro.workloads` — bundled scenarios (topology, policies, flows);
 * :mod:`repro.harness` — the experiment harness (declarative specs,
   parallel seed fan-out, schema-versioned run telemetry).
 

@@ -8,7 +8,7 @@ Small, scriptable entry points over the library:
 * ``audit``     — connectivity audit of a policy scenario;
 * ``impact``    — what-if analysis of an AD withdrawing transit;
 * ``experiments`` — list the paper experiments, or ``experiments run``
-  a named one through the harness (parallel fan-out, JSONL telemetry).
+  a named one from the registry (parallel fan-out, JSONL telemetry).
 """
 
 from __future__ import annotations
@@ -319,9 +319,11 @@ def cmd_live_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    """Run every experiment bench and collate the tables into one report."""
+    """Write every registry table under benchmarks/out/ (run in-process,
+    two workers) and collate the tables into one report."""
     import os
-    import subprocess
+
+    from repro.harness import EXPERIMENTS, write_table
 
     repo_root = os.path.dirname(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -333,14 +335,9 @@ def cmd_report(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     if not args.skip_run:
-        print("running the full experiment suite (several minutes)...")
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", bench_dir, "--benchmark-only", "-q"],
-            cwd=repo_root,
-        )
-        if proc.returncode != 0:
-            print("error: experiment suite failed", file=sys.stderr)
-            return proc.returncode
+        print(f"running all {len(EXPERIMENTS)} experiments (several minutes)...")
+        for name in EXPERIMENTS:
+            write_table(name, out_dir, jobs=2)
     if not os.path.isdir(out_dir):
         print("error: no benchmarks/out/ artifacts found", file=sys.stderr)
         return 2
@@ -363,24 +360,30 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_experiments_run(args: argparse.Namespace) -> int:
-    """Run harness-driven experiments: tables to stdout, runs to JSONL."""
+    """Run registry experiments: tables to stdout, cell runs to JSONL."""
     import os
 
     from repro.harness import EXPERIMENTS, OVERRIDES, run_experiment
 
     name = args.name.replace("-", "_")
+    overrides = {row.name: getattr(args, row.name) for row in OVERRIDES}
     if name == "all":
-        names = sorted(EXPERIMENTS, key=lambda n: EXPERIMENTS[n].eid)
+        # A cell-less table has no grid to reduce, reseed, trace or
+        # override: with any of those options, "all" is the cell entries.
+        grid = args.smoke or any(
+            value is not None
+            for value in (args.trace, args.exp_seed, *overrides.values())
+        )
+        names = [n for n, exp in EXPERIMENTS.items() if exp.has_cells or not grid]
     elif name in EXPERIMENTS:
         names = [name]
     else:
         print(
-            f"error: unknown experiment {args.name!r}; harness-driven "
+            f"error: unknown experiment {args.name!r}; "
             f"experiments: all, {', '.join(sorted(EXPERIMENTS))}",
             file=sys.stderr,
         )
         return 2
-    overrides = {row.name: getattr(args, row.name) for row in OVERRIDES}
     for name in names:
         spec, records, text = run_experiment(
             name,
@@ -392,6 +395,9 @@ def cmd_experiments_run(args: argparse.Namespace) -> int:
             **overrides,
         )
         print(text)
+        if spec is None:  # cell-less: no runs, no telemetry
+            print()
+            continue
         jsonl = os.path.join(args.runs_dir, f"{spec.name}.jsonl")
         print(f"[{len(records)} runs -> {jsonl}]\n")
         if args.profile:
@@ -440,44 +446,19 @@ def _profile_table(name: str, records) -> str:
     return table.render()
 
 
-#: ``experiments list`` rows for the benches that do not run through the
-#: harness; the harness-driven rows come from ``EXPERIMENTS``.
-_STANDALONE_BENCHES = (
-    ("E2", "Figure 1 topology composition", "bench_fig1_topology.py"),
-    ("E5", "Source-specific policy granularity costs", "bench_granularity.py"),
-    ("E6", "Route setup amortisation and header overhead",
-     "bench_setup_overhead.py"),
-    ("E8", "Partial-ordering satisfiability (ECMA)", "bench_partial_order.py"),
-    ("E9", "AD-level abstraction: stretch vs information",
-     "bench_abstraction.py"),
-    ("E10", "Synthesis strategies: precompute/on-demand/hybrid",
-     "bench_synthesis_strategies.py"),
-    ("A1-A6", "Ablations: fast path, flooding scope, PG caches, multi-route "
-     "IDRP, hierarchy, trigger delay", "bench_ablations.py"),
-)
-#: The two harness experiments whose bench is not ``bench_<name>.py``.
-_BENCH_FILE = {
-    "dataplane_tail": "bench_dataplane.py",
-    "mixed_version": "bench_version_skew.py",
-}
-
-
 def cmd_experiments(args: argparse.Namespace) -> int:
     from repro.harness import EXPERIMENTS
 
-    rows = list(_STANDALONE_BENCHES)
+    table = Table("id", "name", "what", title="Paper experiments (see EXPERIMENTS.md)")
     for exp in EXPERIMENTS.values():
-        bench = _BENCH_FILE.get(exp.name, f"bench_{exp.name}.py")
-        rows.append((exp.eid, exp.description, bench))
-    # E1..E16 in numeric order, then the ablations.
-    rows.sort(key=lambda row: (row[0][0] != "E", int(row[0][1:].split("-")[0])))
-    table = Table("id", "what", "bench", title="Paper experiments (see EXPERIMENTS.md)")
-    for row in rows:
-        table.add(*row)
+        table.add(exp.eid, exp.name, exp.description)
     print(table.render())
-    print("\nrun all:  pytest benchmarks/ --benchmark-only")
-    print("harness:  python -m repro experiments run <name|all> "
+    print("\nrun:    python -m repro experiments run <name|all> "
           "[--jobs N] [--smoke] [--trace ad=K]")
+    renamed = ", ".join(
+        f"{exp.name}: {exp.table_file}" for exp in EXPERIMENTS.values() if exp.table
+    )
+    print(f"tables: benchmarks/out/<name>.txt ({renamed})")
     return 0
 
 

@@ -8,9 +8,9 @@ The harness is the single way experiments run in this repo:
   telemetry, persisted as JSON lines;
 * :mod:`repro.harness.session` -- the executor (serial or
   multiprocessing fan-out with a deterministic merge);
-* :mod:`repro.harness.experiments` -- the named experiments
-  (``EXPERIMENTS``) and the override table (``OVERRIDES``) the benches
-  and the ``python -m repro experiments`` CLI share.
+* :mod:`repro.harness.experiments` -- the registry of every committed
+  table (``EXPERIMENTS``) and the override table (``OVERRIDES``) the
+  table gate and the ``python -m repro experiments`` CLI share.
 """
 
 from repro.harness.experiments import (
@@ -18,6 +18,7 @@ from repro.harness.experiments import (
     OVERRIDES,
     Experiment,
     run_experiment,
+    write_table,
 )
 from repro.harness.record import (
     SCHEMA_VERSION,
@@ -59,4 +60,5 @@ __all__ = [
     "run_experiment",
     "run_spec",
     "write_jsonl",
+    "write_table",
 ]

@@ -1,4 +1,4 @@
-"""Ablations A1-A4: pricing the reproduction's own design choices.
+"""Ablations A1-A6: pricing the reproduction's own design choices.
 
 These are not paper tables; they isolate mechanisms the paper reasons
 about (or that this implementation chose), one knob at a time:
@@ -17,65 +17,69 @@ about (or that this implementation chose), one knob at a time:
   synthesis over a region partition vs flat full-topology synthesis.
 * **A6** -- triggered-update batching delay: update coalescing trades
   message volume against convergence time.
+
+A1-A5 are cell-less entries (their columns -- search work, stale LSDBs,
+PG state, per-class RIBs, corridor hits -- are not in any record); A6
+is a grid of harness cells, one per flush delay.
 """
 
-import pytest
+from __future__ import annotations
 
-from _common import emit
+from typing import Any, Dict, Sequence, Tuple
+
 from repro.adgraph.trees import spanning_tree_links
 from repro.analysis.tables import Table
 from repro.core.evaluation import evaluate_availability, sample_flows
+from repro.core.hierarchical import HierarchicalSynthesizer
 from repro.core.synthesis import (
     SynthesisStats,
     exhaustive_best_path,
     synthesize_route,
 )
-from repro.faults.plan import random_failure_plan, safe_failure_candidates
+from repro.faults.plan import safe_failure_candidates
+from repro.harness.experiments.common import Experiment
+from repro.harness.record import RunRecord
+from repro.harness.spec import (
+    ExperimentSpec,
+    FailureSpec,
+    ProtocolSpec,
+    ScenarioSpec,
+)
 from repro.policy.generators import source_class_policies
 from repro.policy.legality import path_cost
 from repro.protocols import make_protocol
-from repro.workloads import reference_scenario
+from repro.workloads import reference_scenario, scaled_scenario
+
+#: Every ablation runs on this reference internet (A5 sweeps sizes).
+ABLATION_SEED = 71
 
 
-@pytest.fixture(scope="module")
-def scenario():
-    return reference_scenario(seed=71)
-
-
-def test_a1_synthesis_fast_path(benchmark, scenario):
+def _a1_table() -> Tuple[str, Dict[str, Any]]:
     """Walk relaxation + fallback vs always-exact search."""
+    scenario = reference_scenario(seed=ABLATION_SEED)
     flows = scenario.flows[:40]
 
-    def fast():
-        stats = SynthesisStats()
-        routes = [
-            synthesize_route(scenario.graph, scenario.policies, f, stats=stats)
-            for f in flows
-        ]
-        return routes, stats
+    fast_stats = SynthesisStats()
+    fast_routes = [
+        synthesize_route(scenario.graph, scenario.policies, f, stats=fast_stats)
+        for f in flows
+    ]
+    exact_stats = SynthesisStats()
+    exact_paths = [
+        exhaustive_best_path(scenario.graph, scenario.policies, f, stats=exact_stats)
+        for f in flows
+    ]
 
-    def exact():
-        stats = SynthesisStats()
-        paths = [
-            exhaustive_best_path(scenario.graph, scenario.policies, f, stats=stats)
-            for f in flows
-        ]
-        return paths, stats
+    def cost(path, flow):
+        return None if path is None else path_cost(scenario.graph, path, flow.qos.metric)
 
-    fast_routes, fast_stats = fast()
-    exact_paths, exact_stats = exact()
-
-    # Same answers (cost-equal optima), wildly different work.
-    agreements = 0
-    for route, path, flow in zip(fast_routes, exact_paths, flows):
-        if route is None:
-            assert path is None
-        else:
-            assert path is not None
-            assert path_cost(scenario.graph, route.path, flow.qos.metric) == (
-                pytest.approx(path_cost(scenario.graph, path, flow.qos.metric))
-            )
-            agreements += 1
+    # Same answers (cost-equal optima), wildly different work: each
+    # flow's (fast, exact) route cost, None where no route was found.
+    costs = [
+        (cost(None if route is None else route.path, flow), cost(path, flow))
+        for route, path, flow in zip(fast_routes, exact_paths, flows)
+    ]
+    agreements = sum(route is not None for route in fast_routes)
 
     table = Table(
         "strategy",
@@ -88,14 +92,12 @@ def test_a1_synthesis_fast_path(benchmark, scenario):
               fast_stats.fallback_runs, fast_stats.routes_found)
     table.add("always exact", exact_stats.states_expanded,
               exact_stats.fallback_runs, agreements)
-    emit("ablation_a1_fast_path", table.render())
-
-    assert fast_stats.states_expanded < exact_stats.states_expanded / 2
-    benchmark.pedantic(fast, iterations=1, rounds=1)
+    return table.render(), dict(fast=fast_stats, exact=exact_stats, costs=costs)
 
 
-def test_a2_flooding_scope(benchmark, scenario):
+def _a2_table() -> Tuple[str, Dict[str, Any]]:
     """Full vs spanning-tree flooding: savings and robustness price."""
+    scenario = reference_scenario(seed=ABLATION_SEED)
 
     def converge(flooding):
         proto = make_protocol(
@@ -135,23 +137,23 @@ def test_a2_flooding_scope(benchmark, scenario):
     )
     table.add("full", full_res.messages, f"{full_res.bytes / 1024:.0f}", full_stale)
     table.add("tree", tree_res.messages, f"{tree_res.bytes / 1024:.0f}", tree_stale)
-    emit("ablation_a2_flooding", table.render())
+    facts = dict(
+        full_msgs=full_res.messages,
+        tree_msgs=tree_res.messages,
+        full_stale=full_stale,
+        tree_stale=tree_stale,
+    )
+    return table.render(), facts
 
-    assert tree_res.messages < full_res.messages
-    assert full_stale == 0
-    assert tree_stale > 0  # the robustness price
 
-    benchmark.pedantic(converge, args=("tree",), iterations=1, rounds=1)
-
-
-def test_a3_pg_cache_limits(benchmark, scenario):
+def _a3_table() -> Tuple[str, Dict[str, Any]]:
     """Bounded PG caches: delivery success vs state held."""
+    scenario = reference_scenario(seed=ABLATION_SEED)
     flows = [
         f
         for f in scenario.flows
         if synthesize_route(scenario.graph, scenario.policies, f) is not None
     ][:12]
-    assert len(flows) == 12
 
     def run(limit):
         proto = make_protocol(
@@ -188,21 +190,13 @@ def test_a3_pg_cache_limits(benchmark, scenario):
         results[limit] = (est, delivered, evictions, state)
         table.add("unbounded" if limit is None else limit, est, delivered,
                   evictions, state)
-    emit("ablation_a3_pg_cache", table.render())
-
-    unbounded = results[None]
-    tiny = results[2]
-    assert unbounded[2] == 0
-    assert tiny[1] < unbounded[1]  # deliveries lost to eviction
-    assert tiny[3] <= 2
-
-    benchmark.pedantic(run, args=(8,), iterations=1, rounds=1)
+    return table.render(), dict(flows=len(flows), results=results)
 
 
-def test_a4_idrp_multiroute(benchmark, scenario):
+def _a4_table() -> Tuple[str, Dict[int, Dict[str, Any]]]:
     """Section 5.2's multiple advertised routes: availability vs table
     replication."""
-    graph = scenario.graph
+    graph = reference_scenario(seed=ABLATION_SEED).graph
     scen = source_class_policies(graph, 6, refusal_prob=0.3, seed=7)
     flows = sample_flows(graph, 40, seed=8)
 
@@ -237,22 +231,13 @@ def test_a4_idrp_multiroute(benchmark, scenario):
         results[classes] = r
         table.add(classes, f"{r['avail']:.2f}", r["illegal"], r["rib"],
                   r["msgs"], f"{r['kb']:.0f}")
-    emit("ablation_a4_idrp_multiroute", table.render())
-
-    assert results[6]["avail"] >= results[1]["avail"]
-    assert results[6]["rib"] > 3 * results[1]["rib"]  # the replication bill
-    assert all(r["illegal"] == 0 for r in results.values())
-
-    benchmark.pedantic(run, args=(2,), iterations=1, rounds=1)
+    return table.render(), results
 
 
-def test_a5_hierarchical_synthesis(benchmark):
+def _a5_table() -> Tuple[str, Dict[int, Dict[str, Any]]]:
     """Section 6's pruning heuristic: corridor-restricted synthesis over a
     region partition vs flat full-topology synthesis, at several internet
     sizes."""
-    from repro.core.hierarchical import HierarchicalSynthesizer
-    from repro.workloads import scaled_scenario
-
     table = Table(
         "ADs",
         "routable flows",
@@ -289,7 +274,13 @@ def test_a5_hierarchical_synthesis(benchmark):
         saving = 1 - hier.stats.synthesis.states_expanded / max(
             1, flat_stats.states_expanded
         )
-        results[size] = (flat_stats, hier, flat_found, hier_found)
+        results[size] = dict(
+            flat_states=flat_stats.states_expanded,
+            hier_states=hier.stats.synthesis.states_expanded,
+            hit_ratio=hier.stats.hit_ratio,
+            flat_found=flat_found,
+            hier_found=hier_found,
+        )
         table.add(
             scen.graph.num_ads,
             len(flows),
@@ -300,50 +291,41 @@ def test_a5_hierarchical_synthesis(benchmark):
             hier.stats.fallbacks,
             "yes" if hier_found == flat_found else "NO",
         )
-    emit("ablation_a5_hierarchical", table.render())
+    return table.render(), results
 
-    for size, (flat_stats, hier, flat_found, hier_found) in results.items():
-        assert hier_found == flat_found  # fallback keeps completeness
-    # At the largest size the corridor pruning must pay off.
-    flat_stats, hier, _, _ = results[200]
-    assert hier.stats.synthesis.states_expanded < flat_stats.states_expanded
-    assert hier.stats.hit_ratio > 0.5
 
-    benchmark.pedantic(
-        lambda: [
-            HierarchicalSynthesizer(
-                scaled_scenario(100, seed=81).graph,
-                scaled_scenario(100, seed=81).policies,
+# --------------------------------------------------------------------------
+# A6 -- update batching: the triggered-update flush delay trades message
+# volume against convergence time.  A tiny delay sends near-per-change
+# updates; a long delay coalesces whole waves into single updates but
+# holds routes stale for longer.
+
+TRIGGER_DELAYS: Tuple[float, ...] = (0.1, 1.0, 5.0, 20.0)
+TRIGGER_DELAYS_SMOKE: Tuple[float, ...] = (0.1, 20.0)
+
+
+def _a6_spec(smoke: bool) -> ExperimentSpec:
+    delays = TRIGGER_DELAYS_SMOKE if smoke else TRIGGER_DELAYS
+    return ExperimentSpec(
+        name="ablation_a6_trigger_delay",
+        scenarios=(ScenarioSpec(kind="reference", seed=ABLATION_SEED),),
+        protocols=tuple(
+            ProtocolSpec(
+                "naive-dv",
+                label=f"naive-dv(delay={delay})",
+                options=(("trigger_delay", delay),),
             )
-        ],
-        iterations=1,
-        rounds=1,
+            for delay in delays
+        ),
+        failures=(
+            FailureSpec(
+                kind="random", count=2 if smoke else 4, repair=True, seed=ABLATION_SEED
+            ),
+        ),
     )
 
 
-def test_a6_trigger_delay(benchmark, scenario):
-    """Update batching: the triggered-update flush delay trades message
-    volume against convergence time.  A tiny delay sends near-per-change
-    updates; a long delay coalesces whole waves into single updates but
-    holds routes stale for longer."""
-    from repro.simul.runner import run_episodes
-
-    plan = random_failure_plan(scenario.graph, count=4, repair=True, seed=71)
-
-    def run(delay):
-        proto = make_protocol(
-            "naive-dv", scenario.graph.copy(), scenario.policies.copy(), trigger_delay=delay
-        )
-        initial, *episodes = run_episodes(proto, plan)
-        msgs = [e.messages for e in episodes]
-        times = [e.time for e in episodes]
-        return dict(
-            initial=initial.messages,
-            initial_time=initial.time,
-            mean_msgs=sum(msgs) / len(msgs),
-            mean_time=sum(times) / len(times),
-        )
-
+def _render_a6(spec: ExperimentSpec, records: Sequence[RunRecord]) -> str:
     table = Table(
         "flush delay",
         "initial msgs",
@@ -352,21 +334,55 @@ def test_a6_trigger_delay(benchmark, scenario):
         "time/event",
         title="A6: triggered-update batching delay (naive DV)",
     )
-    results = {}
-    for delay in (0.1, 1.0, 5.0, 20.0):
-        r = run(delay)
-        results[delay] = r
+    for protocol, rec in zip(spec.protocols, records):
+        msgs = [e.messages for e in rec.failure_episodes]
+        times = [e.time for e in rec.failure_episodes]
         table.add(
-            delay,
-            r["initial"],
-            f"{r['initial_time']:.0f}",
-            f"{r['mean_msgs']:.0f}",
-            f"{r['mean_time']:.0f}",
+            dict(protocol.options)["trigger_delay"],
+            rec.initial.messages,
+            f"{rec.initial.time:.0f}",
+            f"{sum(msgs) / len(msgs):.0f}",
+            f"{sum(times) / len(times):.0f}",
         )
-    emit("ablation_a6_trigger_delay", table.render())
+    return table.render()
 
-    # Shape: batching harder saves messages and costs time.
-    assert results[20.0]["initial"] <= results[0.1]["initial"]
-    assert results[20.0]["initial_time"] > results[0.1]["initial_time"]
 
-    benchmark.pedantic(run, args=(1.0,), iterations=1, rounds=1)
+ENTRIES: Tuple[Experiment, ...] = (
+    Experiment(
+        name="ablation_a1_fast_path",
+        eid="A1",
+        description="Synthesis fast path vs always-exact search",
+        tabulate=_a1_table,
+    ),
+    Experiment(
+        name="ablation_a2_flooding",
+        eid="A2",
+        description="Full vs spanning-tree flooding",
+        tabulate=_a2_table,
+    ),
+    Experiment(
+        name="ablation_a3_pg_cache",
+        eid="A3",
+        description="Bounded PG caches vs delivery",
+        tabulate=_a3_table,
+    ),
+    Experiment(
+        name="ablation_a4_idrp_multiroute",
+        eid="A4",
+        description="IDRP multiple routes per destination",
+        tabulate=_a4_table,
+    ),
+    Experiment(
+        name="ablation_a5_hierarchical",
+        eid="A5",
+        description="Hierarchical corridor vs flat synthesis",
+        tabulate=_a5_table,
+    ),
+    Experiment(
+        name="ablation_a6_trigger_delay",
+        eid="A6",
+        description="Triggered-update batching delay (naive DV)",
+        build_spec=_a6_spec,
+        render=_render_a6,
+    ),
+)

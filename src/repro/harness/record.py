@@ -2,7 +2,7 @@
 
 A :class:`RunRecord` is the unit of experiment output: one protocol, on
 one scenario, with one failure plan, measured end to end.  It carries
-everything the benches used to reduce to a single table row -- per-type
+everything a renderer reduces to a table row -- per-type
 message/byte histograms, per-AD computation counters, every convergence
 episode (with the :attr:`~EpisodeRecord.quiesced` verdict), route-quality
 summaries, and wall-clock phase timings from the profiling hooks -- so a

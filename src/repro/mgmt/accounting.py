@@ -25,7 +25,7 @@ from repro.core.routes import Route
 from repro.core.synthesis import synthesize_route
 from repro.policy.database import PolicyDatabase
 from repro.policy.flows import FlowSpec
-from repro.workloads.traffic import TrafficMatrix
+from repro.traffic.workload import TrafficMatrix
 
 RouteFinder = Callable[[FlowSpec], Optional[Union[Route, Sequence[ADId]]]]
 

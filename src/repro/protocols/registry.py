@@ -6,7 +6,7 @@ through :func:`make_protocol`, which accepts either a Table 1
 registry covers the eight design-point implementations *and* the
 baselines the paper measures them against (EGP, naive distance vector,
 plain SPF link-state flooding, BGP-2), so the scorecard (E1), the
-benches, the CLI, and the experiment harness all construct protocols the
+experiments, the CLI, and the harness all construct protocols the
 same way -- and a new protocol becomes visible everywhere by registering
 here once.
 """

@@ -3,7 +3,8 @@
 The subsystem has three layers, each usable alone:
 
 * :mod:`repro.traffic.workload` -- seeded zipf-skewed flow generation
-  (10^6+ flows, columnar storage, deterministic replay);
+  (10^6+ flows, columnar storage, deterministic replay), plus weighted
+  traffic matrices and Zipf request streams over the same leaf ADs;
 * :mod:`repro.traffic.fib` -- compiles a converged protocol's control
   state into flat lookup arrays (``compile_fib`` / ``lookup_batch``)
   from the same believed walk ``find_route`` answers from
@@ -32,7 +33,11 @@ from repro.traffic.replay import (
 )
 from repro.traffic.workload import (
     FlowWorkload,
+    TrafficMatrix,
     WorkloadSpec,
+    gravity_traffic,
+    request_sequence,
+    uniform_traffic,
     zipf_workload,
 )
 
@@ -55,6 +60,10 @@ __all__ = [
     "shortest_hops",
     "weighted_percentile",
     "FlowWorkload",
+    "TrafficMatrix",
     "WorkloadSpec",
+    "gravity_traffic",
+    "request_sequence",
+    "uniform_traffic",
     "zipf_workload",
 ]

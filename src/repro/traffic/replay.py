@@ -32,7 +32,6 @@ from repro.protocols.base import (
     HOP_BUDGET,
     LOOP,
     NO_ROUTE,
-    POLICY_DROP,
     VERDICT_NAMES,
 )
 from repro.traffic.fib import CompiledFIB
@@ -123,10 +122,6 @@ class ReplaySummary:
     @property
     def blackholes(self) -> int:
         return self.verdict_flows[DEAD_LINK]
-
-    @property
-    def policy_drops(self) -> int:
-        return self.verdict_flows[POLICY_DROP]
 
     @property
     def no_route(self) -> int:

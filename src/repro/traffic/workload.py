@@ -20,6 +20,15 @@ Design notes:
   same graph always yields byte-identical arrays (``random.Random``
   seeded, sorted candidate pools), so E14 runs replay the exact same
   traffic on every design point and on every run.
+
+The module also holds the small, object-level generators the setup-cache
+(E6) and synthesis-strategy (E10) experiments and settlement
+(:mod:`repro.mgmt.accounting`) use: :func:`uniform_traffic` /
+:func:`gravity_traffic` build a weighted :class:`TrafficMatrix` over the
+same leaf-AD pool, and :func:`request_sequence` draws a Zipf-popularity
+stream of route requests from one.  Section 5.4.1's handles amortise
+over reused flows (locality); Section 6 precomputes "commonly used
+routes" (popularity).
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from array import array
 from dataclasses import dataclass
 from math import exp, log
 from random import NV_MAGICCONST
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from repro.adgraph.ad import ADId
 from repro.adgraph.graph import InterADGraph
@@ -132,7 +141,8 @@ class FlowWorkload:
 
 
 def _edge_pool(graph: InterADGraph) -> List[ADId]:
-    """Where user traffic originates/terminates: the leaf-level ADs."""
+    """Where user traffic originates/terminates: the leaf-level ADs (every
+    AD when the graph has fewer than two leaves)."""
     pool = [a.ad_id for a in graph.ads() if a.level.rank == 0]
     return pool if len(pool) >= 2 else graph.ad_ids()
 
@@ -209,3 +219,108 @@ def zipf_workload(graph: InterADGraph, spec: WorkloadSpec) -> FlowWorkload:
     return FlowWorkload(
         spec, classes, class_of, sizes, array("l", counts), array("q", byte_sums)
     )
+
+
+@dataclass(frozen=True)
+class TrafficMatrix:
+    """A weighted population of flows."""
+
+    entries: Tuple[Tuple[FlowSpec, float], ...]
+
+    def __post_init__(self) -> None:
+        for _flow, weight in self.entries:
+            if weight <= 0:
+                raise ValueError(f"non-positive weight {weight}")
+
+    @property
+    def flows(self) -> List[FlowSpec]:
+        return [f for f, _ in self.entries]
+
+    @property
+    def total_weight(self) -> float:
+        return sum(w for _, w in self.entries)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+
+def uniform_traffic(
+    graph: InterADGraph,
+    n_flows: int,
+    seed: int = 0,
+    qos_choices: Sequence[QOS] = (QOS.DEFAULT,),
+    uci_choices: Sequence[UCI] = (UCI.DEFAULT,),
+    fixed_hour: int = None,
+) -> TrafficMatrix:
+    """Uniformly random edge-to-edge flows with unit weights.
+
+    ``fixed_hour`` pins every flow to one hour of day; by default each
+    flow gets a random hour (time-of-day policies then fragment the flow
+    population, which is realistic but makes cross-strategy comparisons
+    of identical flow universes harder).
+    """
+    rng = random.Random(seed)
+    pool = _edge_pool(graph)
+    entries = []
+    for _ in range(n_flows):
+        src, dst = rng.sample(pool, 2)
+        flow = FlowSpec(
+            src,
+            dst,
+            qos=rng.choice(list(qos_choices)),
+            uci=rng.choice(list(uci_choices)),
+            hour=rng.randrange(24) if fixed_hour is None else fixed_hour,
+        )
+        entries.append((flow, 1.0))
+    return TrafficMatrix(tuple(entries))
+
+
+def gravity_traffic(
+    graph: InterADGraph,
+    n_flows: int,
+    seed: int = 0,
+) -> TrafficMatrix:
+    """Gravity-model flows: endpoint choice and weight scale with degree.
+
+    Better-connected ADs attract proportionally more traffic, which
+    concentrates load on popular routes (the amortisation-friendly case).
+    """
+    rng = random.Random(seed)
+    pool = _edge_pool(graph)
+    masses = [max(1, graph.degree(a)) for a in pool]
+    entries = []
+    for _ in range(n_flows):
+        src = rng.choices(pool, weights=masses, k=1)[0]
+        dst = src
+        while dst == src:
+            dst = rng.choices(pool, weights=masses, k=1)[0]
+        weight = float(
+            max(1, graph.degree(src)) * max(1, graph.degree(dst))
+        )
+        entries.append((FlowSpec(src, dst), weight))
+    return TrafficMatrix(tuple(entries))
+
+
+def request_sequence(
+    matrix: TrafficMatrix,
+    n_requests: int,
+    zipf_s: float = 1.0,
+    seed: int = 0,
+) -> List[FlowSpec]:
+    """A stream of route requests with Zipf-ranked flow popularity.
+
+    Flows are ranked by their matrix weight (heaviest first) and then
+    drawn with probability proportional to ``1 / rank**zipf_s``; ``s=0``
+    is uniform, larger ``s`` concentrates requests on few flows (high
+    locality, high cache hit rates).
+    """
+    if n_requests < 0:
+        raise ValueError("n_requests must be non-negative")
+    if zipf_s < 0:
+        raise ValueError("zipf_s must be non-negative")
+    ranked = [f for f, _ in sorted(matrix.entries, key=lambda e: -e[1])]
+    if not ranked:
+        return []
+    rng = random.Random(seed)
+    weights = [1.0 / (rank + 1) ** zipf_s for rank in range(len(ranked))]
+    return rng.choices(ranked, weights=weights, k=n_requests)

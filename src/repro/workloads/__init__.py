@@ -1,4 +1,8 @@
-"""Workload generators: traffic matrices and bundled scenarios."""
+"""Bundled scenarios: topology, policies and a flow sample per seed.
+
+The flow workloads (zipf flows, traffic matrices, request streams) live
+in :mod:`repro.traffic.workload`.
+"""
 
 from repro.workloads.scenarios import (
     Scenario,
@@ -7,21 +11,11 @@ from repro.workloads.scenarios import (
     scaled_scenario,
     small_scenario,
 )
-from repro.workloads.traffic import (
-    TrafficMatrix,
-    gravity_traffic,
-    request_sequence,
-    uniform_traffic,
-)
 
 __all__ = [
     "Scenario",
-    "TrafficMatrix",
-    "gravity_traffic",
     "reference_scenario",
-    "request_sequence",
     "ring_scenario",
     "scaled_scenario",
     "small_scenario",
-    "uniform_traffic",
 ]

@@ -1,9 +1,10 @@
 """Seed-robustness of the headline experiment shapes.
 
-The benches run on committed seeds; these tests re-assert the *shape* of
-each headline claim on different seeds and smaller settings, so the
-reproduction's conclusions do not hinge on a lucky draw.  (Weaker
-thresholds than the benches: shapes, not exact values.)
+The table gate (``benchmarks/test_tables.py``) runs on committed seeds;
+these tests re-assert the *shape* of each headline claim on different
+seeds and smaller settings, so the reproduction's conclusions do not
+hinge on a lucky draw.  (Weaker thresholds than the gate: shapes, not
+exact values.)
 """
 
 import pytest

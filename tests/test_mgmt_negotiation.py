@@ -7,7 +7,7 @@ from repro.mgmt.negotiation import negotiate_ordering, renegotiate
 from repro.policy.database import PolicyDatabase
 from repro.policy.flows import FlowSpec
 from repro.policy.terms import PolicyTerm
-from repro.workloads.traffic import TrafficMatrix
+from repro.traffic.workload import TrafficMatrix
 from tests.helpers import line_graph
 
 
@@ -119,7 +119,7 @@ class TestAccountingProperties:
     def test_revenue_equals_payments(self, gen_graph, gen_restricted):
         from hypothesis import given, settings
         from hypothesis import strategies as st
-        from repro.workloads.traffic import uniform_traffic
+        from repro.traffic.workload import uniform_traffic
 
         @settings(max_examples=10, deadline=None)
         @given(seed=st.integers(0, 1000))

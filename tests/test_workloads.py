@@ -7,7 +7,7 @@ from repro.workloads.scenarios import (
     scaled_scenario,
     small_scenario,
 )
-from repro.workloads.traffic import (
+from repro.traffic.workload import (
     TrafficMatrix,
     gravity_traffic,
     request_sequence,
