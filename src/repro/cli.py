@@ -363,7 +363,12 @@ def cmd_experiments_run(args: argparse.Namespace) -> int:
     """Run registry experiments: tables to stdout, cell runs to JSONL."""
     import os
 
-    from repro.harness import EXPERIMENTS, OVERRIDES, run_experiment
+    from repro.harness import (
+        EXPERIMENTS,
+        OVERRIDES,
+        ExperimentArgumentError,
+        run_experiment,
+    )
 
     name = args.name.replace("-", "_")
     overrides = {row.name: getattr(args, row.name) for row in OVERRIDES}
@@ -385,15 +390,19 @@ def cmd_experiments_run(args: argparse.Namespace) -> int:
         )
         return 2
     for name in names:
-        spec, records, text = run_experiment(
-            name,
-            jobs=args.jobs,
-            smoke=args.smoke,
-            runs_dir=args.runs_dir,
-            trace=args.trace,
-            seed=args.exp_seed,
-            **overrides,
-        )
+        try:
+            spec, records, text = run_experiment(
+                name,
+                jobs=args.jobs,
+                smoke=args.smoke,
+                runs_dir=args.runs_dir,
+                trace=args.trace,
+                seed=args.exp_seed,
+                **overrides,
+            )
+        except ExperimentArgumentError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(text)
         if spec is None:  # cell-less: no runs, no telemetry
             print()

@@ -17,6 +17,7 @@ from repro.harness.experiments import (
     EXPERIMENTS,
     OVERRIDES,
     Experiment,
+    ExperimentArgumentError,
     run_experiment,
     write_table,
 )
@@ -44,6 +45,7 @@ __all__ = [
     "EXPERIMENTS",
     "EpisodeRecord",
     "Experiment",
+    "ExperimentArgumentError",
     "ExperimentSession",
     "ExperimentSpec",
     "FailureSpec",

@@ -35,16 +35,18 @@ from repro.harness.experiments import (
 from repro.harness.experiments.common import Experiment
 from repro.harness.experiments.overrides import (
     OVERRIDES,
+    ExperimentArgumentError,
     Override,
     _parse_liar,
     apply_override,
 )
-from repro.harness.session import ExperimentSession
+from repro.harness.session import ExperimentSession, _parse_trace
 from repro.harness.spec import ExperimentSpec
 
 __all__ = [
     "EXPERIMENTS",
     "Experiment",
+    "ExperimentArgumentError",
     "OVERRIDES",
     "Override",
     "_parse_liar",
@@ -98,11 +100,14 @@ def run_experiment(
     where ``measured`` holds the values its table was built from, and
     refuses ``smoke``, ``trace``, ``seed`` and every override, naming
     the entry.  ``jobs`` and ``runs_dir`` do not apply to it.
+
+    A bad name or argument raises :class:`ExperimentArgumentError` (a
+    ``ValueError``) before any cell runs.
     """
     try:
         experiment = EXPERIMENTS[name]
     except KeyError:
-        raise ValueError(
+        raise ExperimentArgumentError(
             f"unknown experiment {name!r}; available: "
             f"{', '.join(sorted(EXPERIMENTS))}"
         ) from None
@@ -120,12 +125,17 @@ def run_experiment(
             if value is not None
         ]
         if given:
-            raise ValueError(
+            raise ExperimentArgumentError(
                 f"experiment {name!r} is cell-less (no grid); "
                 f"{', '.join(given)} cannot apply to it"
             )
         text, measured = experiment.tabulate()
         return None, measured, text
+    if trace is not None:
+        try:
+            _parse_trace(trace)
+        except ValueError as exc:
+            raise ExperimentArgumentError(str(exc)) from None
     spec = experiment.build_spec(smoke)
     if smoke:
         spec = replace(spec, name=f"{spec.name}_smoke")

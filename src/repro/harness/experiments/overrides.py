@@ -9,6 +9,14 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.harness.spec import ExperimentSpec
 
 
+class ExperimentArgumentError(ValueError):
+    """A bad argument to ``run_experiment``, raised before any cell runs.
+
+    Only argument checks raise it, so a caller can report it as a usage
+    error while a ``ValueError`` from inside a cell still propagates.
+    """
+
+
 def _parse_liar(value: str) -> Dict[str, Any]:
     """Parse a ``--liar`` override: a role name or ``ad=<id>``."""
     from repro.faults.misbehavior import ROLES
@@ -20,7 +28,7 @@ def _parse_liar(value: str) -> Dict[str, Any]:
             pass
     elif value in ROLES:
         return {"liar_ad": -1, "liar_role": value}
-    raise ValueError(
+    raise ExperimentArgumentError(
         f"bad liar {value!r} (expected 'ad=<id>' or one of {', '.join(ROLES)})"
     )
 
@@ -29,7 +37,7 @@ def _parse_lie(value: str) -> Dict[str, Any]:
     from repro.faults.misbehavior import LIES
 
     if value not in LIES:
-        raise ValueError(f"bad lie {value!r} (expected one of {', '.join(LIES)})")
+        raise ExperimentArgumentError(f"bad lie {value!r} (expected one of {', '.join(LIES)})")
     return {"lie": value}
 
 
@@ -39,7 +47,9 @@ def _set(field: str, least: Optional[int] = None) -> Callable[[Any], Dict[str, A
     def changes(value: Any) -> Dict[str, Any]:
         if least is not None and value < least:
             kind = "positive" if least else "non-negative"
-            raise ValueError(f"--{field.replace('_', '-')} must be {kind}")
+            raise ExperimentArgumentError(
+                f"--{field.replace('_', '-')} must be {kind}"
+            )
         return {field: value}
 
     return changes

@@ -53,7 +53,7 @@ TEMPLATE_HOUR = 12
 FORGED_TERM_ID = 9_999
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RouteAd:
     """One advertised route: destination, class, path, metric, scope.
 
@@ -68,6 +68,10 @@ class RouteAd:
     protocol is classic IDRP; with more, one route is selected and
     advertised per (destination, QOS, class) -- availability recovers at
     the cost of a class-fold routing-table replication (ablation A4).
+
+    An advertiser builds one instance per (key, scope) in a flush and
+    hands it to every neighbour that gets that scope, so equal ads held
+    in different Adj-RIB-Ins are one object.
     """
 
     dest: ADId
@@ -102,7 +106,7 @@ class IDRPUpdate(Message):
         return super().size_bytes() + sum(r.size_bytes() for r in self.routes)
 
 
-@dataclass
+@dataclass(slots=True)
 class _LocEntry:
     """The selected route at an AD: the neighbour it came from, the full
     path from this AD, the metric at this AD, and the source scope."""
@@ -136,8 +140,14 @@ class IDRPNode(OverloadDefenseMixin, ProtocolNode):
         #: route is selected per (dest, qos, class).  The default single
         #: universal class is classic IDRP.
         self.class_sets = class_sets
-        # Adj-RIB-In: per (dest, qos), the latest usable ad per neighbour.
-        self.rib_in: Dict[_Key, Dict[ADId, RouteAd]] = {}
+        # Adj-RIB-In: one table per peer, the latest usable ad per key.
+        # Peers are kept in ascending id order, the decision process's
+        # tie-break order (see ``_peer_table``).
+        self.rib_in: Dict[ADId, Dict[_Key, RouteAd]] = {}
+        # Every key ever received (withdrawals included), in first-seen
+        # order, mapped to itself: the one key tuple all peer tables
+        # share, and the order a link-down reselects the lost keys in.
+        self._first_seen: Dict[_Key, _Key] = {}
         # Loc-RIB: the single selected route per (dest, qos).
         self.loc: Dict[_Key, _LocEntry] = {}
         # What we last advertised to each neighbour (withdrawals are only
@@ -165,6 +175,8 @@ class IDRPNode(OverloadDefenseMixin, ProtocolNode):
             return
         if self.guard is not None and self.guard.suppresses(sender):
             return
+        first_seen = self._first_seen
+        table = self.rib_in.get(sender)
         changed_keys = []
         for ad in msg.routes:
             if not 0 <= ad.cls < len(self.class_sets):
@@ -174,14 +186,14 @@ class IDRPNode(OverloadDefenseMixin, ProtocolNode):
             if not ad.is_withdrawal and self._rejects(sender, self._check_ad, sender, ad):
                 continue
             key = (ad.dest, ad.qos, ad.cls)
-            per_nbr = self.rib_in.setdefault(key, {})
+            key = first_seen.setdefault(key, key)
             if ad.is_withdrawal:
-                if sender in per_nbr:
-                    del per_nbr[sender]
-                else:
+                if table is None or table.pop(key, None) is None:
                     continue
             else:
-                per_nbr[sender] = ad
+                if table is None:
+                    table = self._peer_table(sender)
+                table[key] = ad
             if self._reselect(key):
                 changed_keys.append(key)
         if changed_keys:
@@ -197,18 +209,25 @@ class IDRPNode(OverloadDefenseMixin, ProtocolNode):
             self._pending.update(self.loc)
             self._schedule_flush()
             return
-        changed = []
-        for key, per_nbr in self.rib_in.items():
-            if nbr in per_nbr:
-                del per_nbr[nbr]
-                if self._reselect(key):
-                    changed.append(key)
+        lost = self.rib_in.pop(nbr, None)
+        if not lost:
+            return
+        # First-seen order, as ``_damp_loss`` arms reuse timers in it.
+        changed = [k for k in self._first_seen if k in lost and self._reselect(k)]
         # Even unselected candidate loss is fine; only selection changes
         # need advertising.
         if changed:
             self._enter_holddown()
             self._pending.update(changed)
             self._schedule_flush()
+
+    def _peer_table(self, peer: ADId) -> Dict[_Key, RouteAd]:
+        """A new, empty Adj-RIB-In for ``peer``, keeping peers in id order."""
+        rib_in = self.rib_in
+        table = rib_in[peer] = {}
+        if any(other > peer for other in rib_in):
+            self.rib_in = {p: rib_in[p] for p in sorted(rib_in)}
+        return table
 
     # ------------------------------------------------------------ validation
 
@@ -290,29 +309,28 @@ class IDRPNode(OverloadDefenseMixin, ProtocolNode):
             return False
         best_ad: Optional[RouteAd] = None
         best_rank = None
-        per_nbr = self.rib_in.get(key)
-        if per_nbr:
-            cls_set = self.class_sets[key[2]]
-            metric_name = key[1].metric
-            link_to = self.topology.link_if_exists
-            # Churn mostly leaves one candidate: nothing to put in order.
-            candidates = sorted(per_nbr.items()) if len(per_nbr) > 1 else per_nbr.items()
-            for nbr, ad in candidates:
-                if me in ad.path:
-                    continue  # loop suppression via full AD path
-                if ad.allowed.intersect(cls_set).is_empty:
-                    continue  # serves no source of this route's class
-                if not self._candidate_usable(ad):
-                    continue
-                link = link_to(me, nbr)
-                if link is None or not link.up:
-                    continue
-                link_metric = link.metric(metric_name)
-                rank = self._candidate_rank(ad, link_metric)
-                if best_rank is None or rank < best_rank:
-                    best_rank = rank
-                    best_ad, best_via = ad, nbr
-                    best_metric = ad.metric + link_metric
+        cls_set = self.class_sets[key[2]]
+        metric_name = key[1].metric
+        link_to = self.topology.link_if_exists
+        for nbr, table in self.rib_in.items():  # ascending peer id
+            ad = table.get(key)
+            if ad is None:
+                continue
+            if me in ad.path:
+                continue  # loop suppression via full AD path
+            if ad.allowed.intersect(cls_set).is_empty:
+                continue  # serves no source of this route's class
+            if not self._candidate_usable(ad):
+                continue
+            link = link_to(me, nbr)
+            if link is None or not link.up:
+                continue
+            link_metric = link.metric(metric_name)
+            rank = self._candidate_rank(ad, link_metric)
+            if best_rank is None or rank < best_rank:
+                best_rank = rank
+                best_ad, best_via = ad, nbr
+                best_metric = ad.metric + link_metric
         old = self.loc.get(key)
         if best_ad is None:
             if old is not None:
@@ -380,9 +398,9 @@ class IDRPNode(OverloadDefenseMixin, ProtocolNode):
                     self.suppressed_announcements += 1
         # Keys outermost: the Loc-RIB lookup, the suppressed test, the lie
         # and the withdrawal are per key; only split horizon and the export
-        # scope are per (key, neighbour).  Each neighbour's batch still
-        # lists its keys in sorted order, and batches go out in
-        # ``neighbors()`` order.
+        # scope are per (key, neighbour).  Neighbours given equal scopes
+        # share one ``RouteAd``.  Each neighbour's batch still lists its
+        # keys in sorted order, and batches go out in ``neighbors()`` order.
         batches: List[Tuple[ADId, set, List[RouteAd]]] = [
             (nbr, self._advertised.setdefault(nbr, set()), [])
             for nbr in self.neighbors()
@@ -394,6 +412,7 @@ class IDRPNode(OverloadDefenseMixin, ProtocolNode):
             if entry is not None:
                 metric = 0.0 if lying and dest != self.ad_id else entry.metric
             withdrawal = None
+            shared: Dict[ADSet, RouteAd] = {}
             for nbr, advertised, routes in batches:
                 if (
                     entry is not None
@@ -403,9 +422,12 @@ class IDRPNode(OverloadDefenseMixin, ProtocolNode):
                     scope = self._export_scope(entry, dest, qos, nbr, cls)
                     if not scope.is_empty:
                         advertised.add(key)
-                        routes.append(
-                            RouteAd(dest, qos, entry.path, metric, scope, cls)
-                        )
+                        ad = shared.get(scope)
+                        if ad is None:
+                            ad = shared[scope] = RouteAd(
+                                dest, qos, entry.path, metric, scope, cls
+                            )
+                        routes.append(ad)
                         continue
                 if key in advertised:
                     advertised.discard(key)

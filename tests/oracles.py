@@ -25,7 +25,10 @@ Each oracle is the plain version of a production path, kept here (not in
   enumeration in tests), and the networkx forms of the fault planners'
   candidate lists, connectivity and EGP's forest test, which the
   in-tree DFS/BFS must answer identically
-  (``tests/test_graph_cut_points.py``).
+  (``tests/test_graph_cut_points.py``);
+* :func:`idrp_selection`, IDRP's decision process as one pass over the
+  per-peer Adj-RIB-Ins, which every Loc-RIB entry must equal
+  (``tests/test_idrp_rib.py``).
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from repro.protocols.base import (
     ForwardingMode,
     RoutingProtocol,
 )
+from repro.protocols.idrp import IDRPNode, _Key, _LocEntry
 
 _LinkKey = Tuple[ADId, ADId]
 _State = Tuple[ADId, Optional[ADId]]
@@ -231,6 +235,24 @@ def nx_is_connected(graph: InterADGraph, live_only: bool = True) -> bool:
 def nx_is_forest(graph: InterADGraph) -> bool:
     """EGP's old cycle check: the live graph has no cycle basis."""
     return not nx.cycle_basis(nx_graph(graph))
+
+
+# ------------------------------------------------------- IDRP decision process
+
+
+def idrp_selection(node: IDRPNode, key: _Key) -> Optional[_LocEntry]:
+    """The best usable candidate for ``key`` over every peer's table, peers
+    in ascending id order, the first of equal ranks winning."""
+    me, cls_set, ranked = node.ad_id, node.class_sets[key[2]], []
+    for nbr in sorted(node.rib_in):
+        ad, link = node.rib_in[nbr].get(key), node.topology.link_if_exists(me, nbr)
+        if ad is None or link is None or not link.up or me in ad.path:
+            continue
+        if node._candidate_usable(ad) and not ad.allowed.intersect(cls_set).is_empty:
+            ranked.append((node._candidate_rank(ad, link.metric(key[1].metric)), nbr, ad))
+    for rank, nbr, ad in sorted(ranked, key=lambda r: r[0])[:1]:  # stable sort
+        return _LocEntry(nbr, (me,) + ad.path, rank[0], ad.allowed)
+    return None
 
 
 # ------------------------------------------------- the four searches, verbatim

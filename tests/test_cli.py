@@ -149,6 +149,30 @@ class TestExperimentsRun:
         assert main(["experiments", "run", "nope"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["fig1_topology", "--seed", "3"], "'fig1_topology' is cell-less"),
+        (["robustness", "--flows", "0"], "--flows must be positive"),
+        (["robustness", "--trace", "bogus"], "bad trace filter 'bogus'"),
+    ])
+    def test_bad_arguments_are_usage_errors(self, argv, message, capsys, tmp_path):
+        assert main(["experiments", "run", *argv, "--runs-dir", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err and not out
+        assert not list(tmp_path.iterdir())  # no cell ran
+
+    def test_value_error_inside_a_cell_surfaces(self, monkeypatch, tmp_path):
+        class FailingSession:
+            def __init__(self, spec, out_dir=None):
+                pass
+
+            def run(self, jobs=1):
+                raise ValueError("raised inside a cell")
+
+        monkeypatch.setattr("repro.harness.experiments.ExperimentSession", FailingSession)
+        with pytest.raises(ValueError, match="inside a cell"):
+            main(["experiments", "run", "robustness", "--runs-dir", str(tmp_path)])
+
     def test_seed_and_loss_flags_reach_harness(self, monkeypatch, capsys, tmp_path):
         calls = {}
 
