@@ -21,7 +21,10 @@ The cells (``CELLS``, name -> :class:`~repro.harness.spec.Cell`):
   ``lsdb-generations-pinned/<index>``: the cells of the perf programs
   that pinned their own parent records before this corpus existed
   (``test_probed_churn_records.py``, ``test_idrp_control_path.py``,
-  ``test_lsdb_generations.py`` keep what each cell is for).
+  ``test_lsdb_generations.py`` keep what each cell is for);
+* ``vector-damp/<index>``: naive-dv, ecma and topo-vector-src under
+  ``idrp-pinned-damp``'s churn with damping on, the only cells that
+  reach each vector engine's damped-flush path.
 
 The corpus file holds one line per cell,
 ``{"name": <cell name>, "record": <comparable()>}`` with sorted keys and
@@ -82,6 +85,11 @@ INGRESS = FaultSpec(
     churn_hz=0.1, churn_links=2, churn_duration=120.0, queue_capacity=4,
     seed=7, start_time=50.0, spacing=100.0, probe_interval=20.0,
     probe_flows=8, label="ingress",
+)
+#: The churn the damped vector cells run under.
+DAMP_CHURN = FaultSpec(
+    churn_hz=0.1, churn_links=4, churn_duration=160.0, seed=7,
+    start_time=50.0, spacing=100.0, probe_interval=50.0, probe_flows=8,
 )
 
 
@@ -144,13 +152,7 @@ def _idrp_pinned_specs():
             protocols=(
                 ProtocolSpec("idrp", label="idrp+damp", options=(("pacing", "damp"),)),
             ),
-            faults=(
-                FaultSpec(
-                    churn_hz=0.1, churn_links=4, churn_duration=160.0, seed=7,
-                    start_time=50.0, spacing=100.0, probe_interval=50.0,
-                    probe_flows=8,
-                ),
-            ),
+            faults=(DAMP_CHURN,),
             evaluate=True,
         ),
     )
@@ -175,6 +177,22 @@ def _lsdb_generations_spec():
     )
 
 
+def _vector_damp_spec():
+    """``idrp-pinned-damp``'s churn under damping for the other vector
+    engines, so DV's and ECMA's withdraw-once-then-silent suppression
+    and the topology path vector's damped export are pinned too."""
+    return ExperimentSpec(
+        name="vector-damp",
+        scenarios=(ScenarioSpec(kind="reference", seed=5, num_flows=12),),
+        protocols=tuple(
+            ProtocolSpec(name, label=f"{name}+damp", options=(("pacing", "damp"),))
+            for name in ("naive-dv", "ecma", "topo-vector-src")
+        ),
+        faults=(DAMP_CHURN,),
+        evaluate=True,
+    )
+
+
 def _cells() -> Dict[str, Cell]:
     cells: Dict[str, Cell] = {}
     for protocol in available_protocols():
@@ -193,7 +211,9 @@ def _cells() -> Dict[str, Cell]:
             )
     for protocol in ("plain-ls", "ls-hbh", "ls-src-topo"):
         cells[f"probed-churn/{protocol}"] = _probed_churn_cell(protocol)
-    for spec in (*_idrp_pinned_specs(), _lsdb_generations_spec()):
+    for spec in (
+        *_idrp_pinned_specs(), _lsdb_generations_spec(), _vector_damp_spec()
+    ):
         for cell in spec.cells():
             cells[f"{spec.name}/{cell.index}"] = cell
     return cells

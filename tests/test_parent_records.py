@@ -28,3 +28,10 @@ def test_the_corpus_holds_one_canonical_line_per_cell_in_order():
 @pytest.mark.parametrize("name", list(CELLS))
 def test_cell_records_what_the_parent_commit_recorded(name):
     assert canonical(record(name)) == canonical(corpus()[name])
+
+
+@pytest.mark.parametrize("name", [n for n in CELLS if n.startswith("vector-damp/")])
+def test_each_damped_vector_cell_really_suppresses(name):
+    # A damped cell that never crosses the suppress threshold would pin
+    # nothing of the withdraw-once / silent flush paths it is there for.
+    assert corpus()[name]["overload"]["suppressions"] > 0
