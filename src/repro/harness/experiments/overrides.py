@@ -41,15 +41,19 @@ def _parse_lie(value: str) -> Dict[str, Any]:
     return {"lie": value}
 
 
-def _set(field: str, least: Optional[int] = None) -> Callable[[Any], Dict[str, Any]]:
-    """Rewrite one field, refusing a value under ``least`` (0 or 1)."""
+def _set(
+    field: str, least: Optional[int] = None, probability: bool = False
+) -> Callable[[Any], Dict[str, Any]]:
+    """Rewrite one field, refusing a value under ``least`` (0 or 1), or
+    outside [0, 1] for a ``probability``."""
 
     def changes(value: Any) -> Dict[str, Any]:
+        flag = f"--{field.replace('_', '-')}"
         if least is not None and value < least:
             kind = "positive" if least else "non-negative"
-            raise ExperimentArgumentError(
-                f"--{field.replace('_', '-')} must be {kind}"
-            )
+            raise ExperimentArgumentError(f"{flag} must be {kind}")
+        if probability and not 0.0 <= value <= 1.0:
+            raise ExperimentArgumentError(f"{flag} must be a probability in [0, 1]")
         return {field: value}
 
     return changes
@@ -99,7 +103,7 @@ class Override:
 OVERRIDES: Tuple[Override, ...] = (
     Override("loss", "faults", float,
              "override message-loss probability on the fault axis "
-             "(robustness sweeps)", _set("loss")),
+             "(robustness sweeps)", _set("loss", probability=True)),
     Override("lie", "misbehaviors", str,
              "override the lie told on the misbehavior axis (route-leak, "
              "bogus-origin, stale-replay, metric-lie, term-forgery)",

@@ -594,8 +594,9 @@ class RoutingProtocol:
     # --------------------------------------------------------------- metrics
 
     def rib_size(self, ad_id: ADId) -> int:
-        """Routing-information entries held at an AD (protocol-defined)."""
-        raise NotImplementedError
+        """Routing-information entries held at an AD (protocol-defined;
+        by default, what the AD's node counts)."""
+        return self.network.node(ad_id).rib_size()
 
     def total_rib_size(self) -> int:
         """Sum of RIB entries across all ADs."""

@@ -1,14 +1,14 @@
 """Naive Bellman-Ford distance vector: the Section 4.3 baseline.
 
-A textbook hop-count DV protocol with triggered (batched) updates.  Two
-knobs matter for the convergence experiment (E4):
-
-* ``split_horizon`` / ``poison_reverse`` — off by default, so the protocol
-  exhibits the classic *count-to-infinity* the paper attributes to DV
-  ("they can converge slowly", Section 4.3): after a failure, stale
-  routes bounce between neighbours, inflating one hop per exchange until
-  the ``infinity`` cap kills them.
-* ``infinity`` — the metric cap (RIP's 16 by default).
+A textbook hop-count DV protocol with triggered (batched) updates, on
+the vector engine (:class:`~repro.protocols.vector.VectorNode`).  Every
+update carries the whole vector to every neighbour -- no split horizon,
+no poisoned reverse -- so the protocol exhibits the classic
+*count-to-infinity* the paper attributes to DV ("they can converge
+slowly", Section 4.3): after a failure, stale routes bounce between
+neighbours, inflating one hop per exchange until the ``infinity`` cap
+(RIP's 16 by default) kills them.  The convergence experiment (E4)
+measures this against ECMA.
 
 The protocol is policy-blind: it computes shortest hop-count routes and
 will happily forward through ADs whose policies forbid the traffic --
@@ -18,17 +18,16 @@ the availability evaluator counts those as illegal routes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Optional, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
-from repro.adgraph.ad import ADId, InterADLink
+from repro.adgraph.ad import ADId
 from repro.adgraph.graph import InterADGraph
 from repro.policy.database import PolicyDatabase
 from repro.policy.flows import FlowSpec
 from repro.protocols.base import ForwardingMode, RoutingProtocol
-from repro.protocols.pacing import TRIGGER_DELAY, OverloadDefenseMixin
+from repro.protocols.vector import TRIGGER_DELAY, VectorNode
 from repro.simul.messages import AD_ID_BYTES, METRIC_BYTES, Message
 from repro.simul.network import SimNetwork
-from repro.simul.node import ProtocolNode
 
 #: Default metric cap ("infinity"), after RIP.
 DEFAULT_INFINITY = 16
@@ -41,6 +40,7 @@ class DVUpdate(Message):
     ``poisons`` carries poisoned-reverse destinations separately from
     genuine entries: they are authoritative but must not solicit a
     re-offer (see the re-offer rule in :meth:`DVNode.on_message`).
+    Naive DV never poisons, but it honours a received poison.
     """
 
     entries: Tuple[Tuple[ADId, int], ...]
@@ -60,28 +60,26 @@ class _TableEntry:
     next_hop: Optional[ADId]
 
 
-class DVNode(OverloadDefenseMixin, ProtocolNode):
-    """The per-AD Bellman-Ford process."""
+class DVNode(VectorNode):
+    """The per-AD Bellman-Ford process.
+
+    One entry per destination: a lost route stays in the table at the
+    ``infinity`` metric, so news from its old next hop stays
+    authoritative (count-to-infinity needs exactly that).
+    """
 
     def __init__(
         self,
         ad_id: ADId,
         infinity: int = DEFAULT_INFINITY,
-        split_horizon: bool = False,
-        poison_reverse: bool = False,
         trigger_delay: float = TRIGGER_DELAY,
     ) -> None:
         super().__init__(ad_id)
         self.infinity = infinity
-        self.split_horizon = split_horizon
-        self.poison_reverse = poison_reverse
         self.trigger_delay = trigger_delay
-        self.table: Dict[ADId, _TableEntry] = {ad_id: _TableEntry(0, ad_id)}
+        self.table[ad_id] = _TableEntry(0, ad_id)
 
     # --------------------------------------------------------------- control
-
-    def start(self) -> None:
-        self._schedule_flush()
 
     def on_message(self, sender: ADId, msg: Message) -> None:
         assert isinstance(msg, DVUpdate)
@@ -90,18 +88,12 @@ class DVNode(OverloadDefenseMixin, ProtocolNode):
         changed = False
         have_better_news = False
         for dest in msg.poisons:
-            entry = self.table.get(dest)
-            if entry is not None and entry.next_hop == sender:
-                if entry.metric != self.infinity:
-                    entry.metric = self.infinity
-                    changed = True
-                    self._damp_loss(dest)
+            changed |= self._offer(dest, sender, None)
         for dest, metric in msg.entries:
             if dest == self.ad_id:
                 continue
             if self._rejects(sender, self._check_entry, sender, dest, metric):
                 continue
-            candidate = min(metric + 1, self.infinity)
             entry = self.table.get(dest)
             # Purely triggered updates need this re-offer rule: if the
             # sender is worse off than what we could give it, flush our
@@ -110,43 +102,24 @@ class DVNode(OverloadDefenseMixin, ProtocolNode):
             if entry is not None and entry.next_hop != sender:
                 if entry.metric + 1 < metric:
                     have_better_news = True
-            if entry is None:
-                if candidate < self.infinity:
-                    self.table[dest] = _TableEntry(candidate, sender)
-                    changed = True
-            elif entry.next_hop == sender:
-                # News from the current next hop is authoritative, better
-                # or worse -- this is what enables count-to-infinity.
-                if entry.metric != candidate:
-                    if candidate >= self.infinity > entry.metric:
-                        self._damp_loss(dest)
-                    entry.metric = candidate
-                    changed = True
-            elif candidate < entry.metric:
-                entry.metric = candidate
-                entry.next_hop = sender
-                changed = True
+            # News from the current next hop is authoritative, better or
+            # worse -- this is what enables count-to-infinity.
+            candidate = metric + 1
+            route = _TableEntry(candidate, sender) if candidate < self.infinity else None
+            changed |= self._offer(dest, sender, route)
         if changed:
             self.note_computation("dv_recompute")
         if changed or have_better_news:
             self._schedule_flush()
 
-    def on_link_change(self, link: InterADLink, up: bool) -> None:
-        nbr = link.other(self.ad_id)
-        if up:
-            # A new neighbour: share the full table immediately.
-            self._schedule_flush()
-            return
-        changed = False
-        for dest, entry in self.table.items():
-            if entry.next_hop == nbr and dest != self.ad_id:
-                if entry.metric != self.infinity:
-                    entry.metric = self.infinity
-                    changed = True
-                    self._damp_loss(dest)
-        if changed:
-            self._enter_holddown()
-            self._schedule_flush()
+    def _remove(self, dest: ADId) -> None:
+        self.table[dest].metric = self.infinity
+
+    def _via(self, entry: _TableEntry) -> Optional[ADId]:
+        return entry.next_hop if entry.metric < self.infinity else None
+
+    def rib_size(self) -> int:
+        return sum(1 for e in self.table.values() if e.metric < self.infinity)
 
     # ------------------------------------------------------------ validation
 
@@ -166,25 +139,31 @@ class DVNode(OverloadDefenseMixin, ProtocolNode):
 
     # ----------------------------------------------------------- misbehavior
 
-    def _tell_lie(self, lie: str, target: Optional[ADId]) -> bool:
-        if lie == "metric-lie":
-            self._active_lies[lie] = None
-            self._schedule_flush()
-            return True
-        if lie == "bogus-origin":
-            if target is None:
-                return False
-            self._active_lies[lie] = target
-            self._schedule_flush()
-            return True
+    def _start_lie(self, lie: str) -> bool:
         # DV is policy-blind (nothing to leak) and carries no sequence
-        # numbers or terms (nothing to replay or forge).
-        return False
+        # numbers or terms (nothing to replay or forge).  Its bogus
+        # origin rides the vector, like the metric lie.
+        return lie == "metric-lie"
 
-    def _reassert_lies(self) -> None:
-        self._schedule_flush()
+    # ------------------------------------------------------------- advertise
 
-    def _apply_lies(self, entries: "list") -> "list":
+    def _batch_keys(self) -> Dict[ADId, _TableEntry]:
+        # Every update carries the whole vector.
+        return self.table
+
+    def _export(self, dest: ADId, suppressed: bool, batches: List[tuple]) -> None:
+        if suppressed:
+            # Withdrawn once, then omitted from every flush until the flap
+            # penalty decays (repeating it would solicit re-offers forever).
+            if not self._suppress_withdraw_once(dest):
+                return
+            metric = self.infinity
+        else:
+            metric = self.table[dest].metric
+        for _nbr, entries in batches:
+            entries.append((dest, metric))
+
+    def _update(self, nbr: ADId, entries: list) -> Optional[DVUpdate]:
         if "metric-lie" in self._active_lies:
             entries = [(d, 0) for d, _m in entries]
         victim = self._active_lies.get("bogus-origin")
@@ -192,56 +171,14 @@ class DVNode(OverloadDefenseMixin, ProtocolNode):
             entries = [(d, m) for d, m in entries if d != victim]
             entries.append((victim, 0))
             entries.sort()
-        return entries
-
-    # ------------------------------------------------------------- advertise
-
-    def _flush_batch(self) -> None:
-        # Suppressed destinations are withdrawn once, then omitted from
-        # every flush until their flap penalty decays (repeating the
-        # withdrawal would solicit re-offers forever).
-        withdraw: set = set()
-        silent: set = set()
-        if self.pacing.damp and self._damper is not None:
-            for dest in self.table:
-                if dest != self.ad_id and self._damp_suppressed(dest):
-                    (withdraw if self._suppress_withdraw_once(dest) else silent).add(dest)
-                    self.suppressed_announcements += 1
-        for nbr in self.neighbors():
-            entries = []
-            poisons = []
-            for dest in sorted(self.table):
-                entry = self.table[dest]
-                if dest in withdraw:
-                    entries.append((dest, self.infinity))
-                    continue
-                if dest in silent:
-                    continue
-                if self.split_horizon and entry.next_hop == nbr and dest != self.ad_id:
-                    if self.poison_reverse:
-                        poisons.append(dest)
-                    continue
-                entries.append((dest, entry.metric))
-            if self._active_lies:
-                entries = self._apply_lies(entries)
-            if entries or poisons:
-                self.send(nbr, DVUpdate(tuple(entries), tuple(poisons)))
-
-    def _on_reuse(self, key) -> None:
-        # A damped destination became reusable: re-advertise its entry.
-        self._schedule_flush()
+        return DVUpdate(tuple(entries)) if entries else None
 
     # ------------------------------------------------------------ forwarding
 
     def route_to(self, dest: ADId) -> Optional[ADId]:
         """Next hop toward ``dest``, or ``None`` if unreachable."""
         entry = self.table.get(dest)
-        if entry is None or entry.metric >= self.infinity:
-            return None
-        return entry.next_hop
-
-    def reachable_count(self) -> int:
-        return sum(1 for e in self.table.values() if e.metric < self.infinity)
+        return None if entry is None else self._via(entry)
 
 
 class DistanceVectorProtocol(RoutingProtocol):
@@ -259,29 +196,17 @@ class DistanceVectorProtocol(RoutingProtocol):
         graph: InterADGraph,
         policies: PolicyDatabase,
         infinity: int = DEFAULT_INFINITY,
-        split_horizon: bool = False,
-        poison_reverse: bool = False,
         trigger_delay: float = TRIGGER_DELAY,
     ) -> None:
         super().__init__(graph, policies)
         if trigger_delay < 0:
             raise ValueError("trigger_delay must be non-negative")
         self.infinity = infinity
-        self.split_horizon = split_horizon
-        self.poison_reverse = poison_reverse
         self.trigger_delay = trigger_delay
 
     def _make_nodes(self, network: SimNetwork) -> None:
         for ad_id in self.graph.ad_ids():
-            network.add_node(
-                DVNode(
-                    ad_id,
-                    self.infinity,
-                    self.split_horizon,
-                    self.poison_reverse,
-                    self.trigger_delay,
-                )
-            )
+            network.add_node(DVNode(ad_id, self.infinity, self.trigger_delay))
 
     def next_hop(
         self, ad_id: ADId, flow: FlowSpec, prev: Optional[ADId]
@@ -290,8 +215,3 @@ class DistanceVectorProtocol(RoutingProtocol):
         assert isinstance(node, DVNode)
         nxt = node.route_to(flow.dst)
         return None if nxt == ad_id else nxt
-
-    def rib_size(self, ad_id: ADId) -> int:
-        node = self.network.node(ad_id)
-        assert isinstance(node, DVNode)
-        return node.reachable_count()

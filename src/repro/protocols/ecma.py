@@ -28,17 +28,16 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.adgraph.ad import ADId, ADKind, InterADLink
+from repro.adgraph.ad import ADId, ADKind
 from repro.adgraph.graph import InterADGraph
 from repro.adgraph.partial_order import Direction, PartialOrder
 from repro.policy.database import PolicyDatabase
 from repro.policy.flows import FlowSpec
 from repro.policy.qos import QOS
 from repro.protocols.base import ForwardingMode, RoutingProtocol
-from repro.protocols.pacing import OverloadDefenseMixin
+from repro.protocols.vector import VectorNode
 from repro.simul.messages import AD_ID_BYTES, METRIC_BYTES, Message
 from repro.simul.network import SimNetwork
-from repro.simul.node import ProtocolNode
 from repro.core.design_space import DV_HBH_TOPOLOGY
 
 #: Advertised metric meaning "withdrawn / unreachable".
@@ -102,8 +101,65 @@ def supported_qos_classes(policies: PolicyDatabase, ad_id: ADId) -> FrozenSet[QO
     return frozenset(supported) & additive
 
 
-class ECMANode(OverloadDefenseMixin, ProtocolNode):
-    """Per-AD ECMA process."""
+class TransitRole:
+    """Policy in topology: an AD's transit role, mixed into a vector node.
+
+    Stub and multi-homed ADs offer no transit; hybrid ADs offer it only
+    downward, except toward their customer cone; transit ADs offer it
+    freely.  A route leak is a lie about the role -- the AD starts
+    offering full transit -- and ``behave`` restores the registered one.
+    """
+
+    def _init_role(
+        self,
+        order: PartialOrder,
+        may_transit: bool,
+        down_only_transit: bool,
+        cone: FrozenSet[ADId] = frozenset(),
+    ) -> None:
+        self.order = order
+        self.may_transit = may_transit
+        self.down_only_transit = down_only_transit
+        self.cone = cone
+        self._honest_transit = (may_transit, down_only_transit)
+
+    def _offers_transit(self, dest: ADId, nbr: ADId) -> bool:
+        """Transit policy in topology: may we offer ``nbr`` a route to ``dest``?
+
+        Hybrid ADs apply the customer/provider export rule: destinations
+        inside their customer cone are advertised to everyone (anyone may
+        send *to* our customers through us), destinations outside the
+        cone only downward (only our customers may send *through* us to
+        the rest of the world).  That is "limited transit" expressed
+        purely in topology.
+        """
+        if dest == self.ad_id:
+            return True
+        if not self.may_transit:
+            return False
+        if self.down_only_transit and dest not in self.cone:
+            return self.order.direction(self.ad_id, nbr) is Direction.DOWN
+        return True
+
+    def _start_lie(self, lie: str) -> bool:
+        if lie != "route-leak":
+            return super()._start_lie(lie)
+        if self.may_transit and not self.down_only_transit:
+            # Already a full-transit AD in the topology regime.
+            return False
+        self.may_transit = True
+        self.down_only_transit = False
+        return True
+
+    def _stop_lying(self) -> None:
+        super()._stop_lying()
+        self.may_transit, self.down_only_transit = self._honest_transit
+
+
+class ECMANode(TransitRole, VectorNode):
+    """Per-AD ECMA process: one entry per (dest, QOS) key."""
+
+    _key_order = staticmethod(lambda key: (key[0], key[1].value))
 
     def __init__(
         self,
@@ -116,24 +172,14 @@ class ECMANode(OverloadDefenseMixin, ProtocolNode):
         cone: FrozenSet[ADId] = frozenset(),
     ) -> None:
         super().__init__(ad_id)
-        self.order = order
-        self.may_transit = may_transit
-        self.down_only_transit = down_only_transit
+        self._init_role(order, may_transit, down_only_transit, cone)
         self.supported_qos = supported_qos
         self.max_hops = max_hops
-        self.cone = cone
-        self.table: Dict[Tuple[ADId, QOS], _Entry] = {}
         for q in supported_qos:
             self.table[(ad_id, q)] = _Entry(0.0, 0, False, ad_id)
-        self._pending: Set[Tuple[ADId, QOS]] = set()
-        self._honest_transit = (may_transit, down_only_transit)
         self._trusted_cones: Dict[ADId, FrozenSet[ADId]] = {}
 
     # --------------------------------------------------------------- control
-
-    def start(self) -> None:
-        self._pending.update(self.table)
-        self._schedule_flush()
 
     def on_message(self, sender: ADId, msg: Message) -> None:
         assert isinstance(msg, ECMAUpdate)
@@ -149,83 +195,38 @@ class ECMANode(OverloadDefenseMixin, ProtocolNode):
         changed = False
         have_better_news = False
         for key in msg.poisons:
-            entry = self.table.get(key)
-            if entry is not None and entry.next_hop == sender:
-                del self.table[key]
-                self._pending.add(key)
-                changed = True
-                self._damp_loss(key)
+            changed |= self._offer(key, sender, None)
         for dest, qos, metric, hops, contains_up in msg.entries:
             if dest == self.ad_id or qos not in self.supported_qos:
                 continue
-            if not math.isinf(metric) and self._rejects(
+            withdrawal = math.isinf(metric)
+            if not withdrawal and self._rejects(
                 sender, self._check_entry, sender, dest, metric
             ):
                 continue
             key = (dest, qos)
             entry = self.table.get(key)
+            cost = link.metric(qos.metric)
             if entry is not None and entry.next_hop != sender:
-                my_offer = entry.metric + link.metric(qos.metric)
-                if my_offer < metric:
+                if entry.metric + cost < metric:
                     have_better_news = True
-            if math.isinf(metric):
-                # Withdrawal: only authoritative from our next hop.
-                if entry is not None and entry.next_hop == sender:
-                    del self.table[key]
-                    self._pending.add(key)
-                    changed = True
-                    self._damp_loss(key)
-                continue
+            # A withdrawal, or a route the up/down rule rejects outright,
+            # is unusable: our old route through the sender is gone too.
+            route = None
             valid = data_dir is Direction.UP or not contains_up
-            if not valid or hops + 1 > self.max_hops:
-                # The up/down rule rejects this route outright; if it came
-                # from our next hop, our old route is gone too.
-                if entry is not None and entry.next_hop == sender:
-                    del self.table[key]
-                    self._pending.add(key)
-                    changed = True
-                    self._damp_loss(key)
-                continue
-            new_metric = metric + link.metric(qos.metric)
-            new_up = contains_up or data_dir is Direction.UP
-            if entry is not None and entry.next_hop == sender:
-                if (entry.metric, entry.hops, entry.contains_up) != (
-                    new_metric,
-                    hops + 1,
-                    new_up,
-                ):
-                    entry.metric = new_metric
-                    entry.hops = hops + 1
-                    entry.contains_up = new_up
-                    self._pending.add(key)
-                    changed = True
-            elif entry is None or new_metric < entry.metric:
-                self.table[key] = _Entry(new_metric, hops + 1, new_up, sender)
-                self._pending.add(key)
-                changed = True
+            if not withdrawal and valid and hops + 1 <= self.max_hops:
+                new_up = contains_up or data_dir is Direction.UP
+                route = _Entry(metric + cost, hops + 1, new_up, sender)
+            changed |= self._offer(key, sender, route)
         if changed:
             self.note_computation("dv_recompute")
         if changed or have_better_news:
             if have_better_news:
-                self._pending.update(
-                    k for k, e in self.table.items() if e.next_hop != sender
-                )
+                self._pend(k for k, e in self.table.items() if e.next_hop != sender)
             self._schedule_flush()
 
-    def on_link_change(self, link: InterADLink, up: bool) -> None:
-        nbr = link.other(self.ad_id)
-        if up:
-            self._pending.update(self.table)
-            self._schedule_flush()
-            return
-        lost = [k for k, e in self.table.items() if e.next_hop == nbr]
-        for key in lost:
-            del self.table[key]
-            self._pending.add(key)
-            self._damp_loss(key)
-        if lost:
-            self._enter_holddown()
-            self._schedule_flush()
+    def _via(self, entry: _Entry) -> ADId:
+        return entry.next_hop
 
     # ------------------------------------------------------------ validation
 
@@ -260,33 +261,8 @@ class ECMANode(OverloadDefenseMixin, ProtocolNode):
 
     # ----------------------------------------------------------- misbehavior
 
-    def _tell_lie(self, lie: str, target: Optional[ADId]) -> bool:
-        if lie == "route-leak":
-            if self.may_transit and not self.down_only_transit:
-                # Already a full-transit AD in the topology regime.
-                return False
-            self._active_lies[lie] = None
-            self.may_transit = True
-            self.down_only_transit = False
-            self._pending.update(self.table)
-            self._schedule_flush()
-            return True
-        if lie == "metric-lie":
-            self._active_lies[lie] = None
-            self._pending.update(self.table)
-            self._schedule_flush()
-            return True
-        if lie == "bogus-origin":
-            if target is None:
-                return False
-            self._active_lies[lie] = target
-            self._advertise_bogus_origin(target)
-            return True
-        return False
-
-    def behave(self) -> None:
-        super().behave()
-        self.may_transit, self.down_only_transit = self._honest_transit
+    def _start_lie(self, lie: str) -> bool:
+        return lie == "metric-lie" or super()._start_lie(lie)
 
     def _advertise_bogus_origin(self, victim: ADId) -> None:
         entries = tuple(
@@ -296,84 +272,41 @@ class ECMANode(OverloadDefenseMixin, ProtocolNode):
         if entries:
             self.broadcast(ECMAUpdate(entries))
 
-    def _reassert_lies(self) -> None:
-        if "route-leak" in self._active_lies or "metric-lie" in self._active_lies:
-            self._pending.update(self.table)
-            self._schedule_flush()
-        victim = self._active_lies.get("bogus-origin")
-        if victim is not None:
-            self._advertise_bogus_origin(victim)
-
     # ------------------------------------------------------------- advertise
 
-    def _exportable(self, key: Tuple[ADId, QOS], nbr: ADId) -> bool:
-        """Transit policy in topology: may we offer this route to ``nbr``?
+    def _batch(self, nbr: ADId) -> tuple:
+        return nbr, [], []
 
-        Hybrid ADs apply the customer/provider export rule: destinations
-        inside their customer cone are advertised to everyone (anyone may
-        send *to* our customers through us), destinations outside the
-        cone only downward (only our customers may send *through* us to
-        the rest of the world).  That is "limited transit" expressed
-        purely in topology.
-        """
-        dest, _qos = key
-        if dest == self.ad_id:
-            return True
-        if not self.may_transit:
-            return False
-        if self.down_only_transit and dest not in self.cone:
-            return self.order.direction(self.ad_id, nbr) is Direction.DOWN
-        return True
-
-    def _flush_batch(self) -> None:
-        keys = sorted(self._pending, key=lambda k: (k[0], k[1].value))
-        self._pending.clear()
-        if not keys:
+    def _export(self, key: Tuple[ADId, QOS], suppressed: bool, batches: List[tuple]) -> None:
+        dest, qos = key
+        entry = None
+        if suppressed:
+            # Withdrawn once, then silenced until reuse.
+            if not self._suppress_withdraw_once(key):
+                return
+        else:
+            entry = self.table.get(key)
+        if entry is None:
+            # Withdrawals are not transit offers; they always go out (and
+            # solicit re-offers from neighbours that still hold a route).
+            withdrawal = (dest, qos, INFINITE_METRIC, 0, False)
+            for _nbr, entries, _poisons in batches:
+                entries.append(withdrawal)
             return
-        # Suppressed keys are withdrawn once, then silenced until reuse.
-        withdraw: Set[Tuple[ADId, QOS]] = set()
-        silent: Set[Tuple[ADId, QOS]] = set()
-        if self.pacing.damp and self._damper is not None:
-            for key in keys:
-                if key[0] != self.ad_id and self._damp_suppressed(key):
-                    (withdraw if self._suppress_withdraw_once(key) else silent).add(key)
-                    self.suppressed_announcements += 1
-        for nbr in self.neighbors():
-            entries: List[Tuple[ADId, QOS, float, int, bool]] = []
-            poisons: List[Tuple[ADId, QOS]] = []
-            for key in keys:
-                if key in withdraw:
-                    entries.append((key[0], key[1], INFINITE_METRIC, 0, False))
-                    continue
-                if key in silent:
-                    continue
-                entry = self.table.get(key)
-                if entry is None:
-                    # Withdrawals are not transit offers; they always go
-                    # out (and solicit re-offers from neighbours that
-                    # still hold a route).
-                    entries.append((key[0], key[1], INFINITE_METRIC, 0, False))
-                    continue
-                if not self._exportable(key, nbr):
-                    continue
-                if entry.next_hop != nbr:  # split horizon
-                    metric = (
-                        0.0
-                        if "metric-lie" in self._active_lies
-                        else entry.metric
-                    )
-                    entries.append(
-                        (key[0], key[1], metric, entry.hops, entry.contains_up)
-                    )
-                else:
-                    poisons.append(key)
-            if entries or poisons:
-                self.send(nbr, ECMAUpdate(tuple(entries), tuple(poisons)))
+        metric = 0.0 if "metric-lie" in self._active_lies else entry.metric
+        offer = (dest, qos, metric, entry.hops, entry.contains_up)
+        for nbr, entries, poisons in batches:
+            if not self._offers_transit(dest, nbr):
+                continue
+            if entry.next_hop != nbr:  # split horizon
+                entries.append(offer)
+            else:
+                poisons.append(key)
 
-    def _on_reuse(self, key) -> None:
-        # A damped (dest, qos) became reusable: re-advertise it.
-        self._pending.add(key)
-        self._schedule_flush()
+    def _update(self, nbr: ADId, entries: list, poisons: list) -> Optional[ECMAUpdate]:
+        if entries or poisons:
+            return ECMAUpdate(tuple(entries), tuple(poisons))
+        return None
 
     # ------------------------------------------------------------ forwarding
 
@@ -434,8 +367,3 @@ class ECMAProtocol(RoutingProtocol):
         node = self.network.node(ad_id)
         assert isinstance(node, ECMANode)
         return node.route_to(flow.dst, flow.qos)
-
-    def rib_size(self, ad_id: ADId) -> int:
-        node = self.network.node(ad_id)
-        assert isinstance(node, ECMANode)
-        return len(node.table)

@@ -23,17 +23,16 @@ scenarios; the availability evaluator quantifies this.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Optional, Set, Tuple
+from typing import ClassVar, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.adgraph.ad import ADId, InterADLink
 from repro.adgraph.graph import InterADGraph
 from repro.policy.database import PolicyDatabase
 from repro.policy.flows import FlowSpec
 from repro.protocols.base import ForwardingMode, RoutingProtocol
-from repro.protocols.pacing import OverloadDefenseMixin
+from repro.protocols.vector import VectorNode
 from repro.simul.messages import AD_ID_BYTES, Message
 from repro.simul.network import SimNetwork
-from repro.simul.node import ProtocolNode
 
 class TopologyViolationError(ValueError):
     """The topology contains a cycle, which strict EGP cannot tolerate."""
@@ -69,13 +68,16 @@ class NRAck(Message):
         return super().size_bytes() + 4
 
 
-class EGPNode(OverloadDefenseMixin, ProtocolNode):
-    """Per-AD reachability process over the (tree) topology."""
+class EGPNode(VectorNode):
+    """Per-AD reachability process over the (tree) topology.
+
+    ``table`` maps each reachable destination to the neighbour it was
+    first heard from.
+    """
 
     def __init__(self, ad_id: ADId) -> None:
         super().__init__(ad_id)
-        self.table: Dict[ADId, ADId] = {ad_id: ad_id}
-        self._pending: Set[ADId] = set()
+        self.table[ad_id] = ad_id
         self._update_seq = 0
         # Sequence numbers already processed, per sender.  Sets rather
         # than a high-water mark: jitter reorders, and a reordered update
@@ -86,10 +88,6 @@ class EGPNode(OverloadDefenseMixin, ProtocolNode):
         # independent of the dedup hardening's seen-sets).
         self._last_seq: Dict[ADId, int] = {}
         self._replay_seq = 0
-
-    def start(self) -> None:
-        self._pending.add(self.ad_id)
-        self._schedule_flush()
 
     def on_message(self, sender: ADId, msg: Message) -> None:
         if self.guard is not None and self.guard.suppresses(sender):
@@ -114,26 +112,19 @@ class EGPNode(OverloadDefenseMixin, ProtocolNode):
             if dest not in self.table:
                 self.table[dest] = sender
                 self._pending.add(dest)
-        if self._pending:
-            self._schedule_flush()
+        self._flush_pending()
 
-    def on_link_change(self, link: InterADLink, up: bool) -> None:
-        nbr = link.other(self.ad_id)
-        if up:
-            # Re-advertise everything we know over the restored adjacency.
-            self._pending.update(self.table)
-            self._schedule_flush()
-            return
-        lost = [d for d, nh in self.table.items() if nh == nbr]
-        for dest in lost:
-            del self.table[dest]
-            self._damp_loss(dest)
-        if lost:
-            self._enter_holddown()
-        # EGP has no unreachability propagation worth the name; downstream
-        # ADs learn of losses only through timeouts in the real protocol.
-        # We model the loss locally and let the tree remain silently stale,
-        # matching the paper's dim view of EGP adaptivity.
+    def _pend(self, dests: Iterable[ADId]) -> None:
+        # EGP has no unreachability propagation worth the name, so only
+        # destinations still reached are news: a loss (link down, or a
+        # lost destination's damping lifting) schedules nothing, and
+        # downstream ADs learn of it only through timeouts in the real
+        # protocol.  The tree remains silently stale, matching the
+        # paper's dim view of EGP adaptivity.
+        self._pending.update(d for d in dests if d in self.table)
+
+    def _via(self, next_hop: ADId) -> ADId:
+        return next_hop
 
     # ------------------------------------------------------------ validation
 
@@ -156,27 +147,17 @@ class EGPNode(OverloadDefenseMixin, ProtocolNode):
 
     # ----------------------------------------------------------- misbehavior
 
-    def _tell_lie(self, lie: str, target: Optional[ADId]) -> bool:
-        if lie == "bogus-origin":
-            if target is None:
-                return False
-            self._active_lies[lie] = target
-            self._advertise_bogus_origin(target)
-            return True
-        if lie == "stale-replay":
-            self._active_lies[lie] = None
-            self._flood_replay()
-            return True
+    def _start_lie(self, lie: str) -> bool:
         # No metrics to lie about, no paths or terms to forge, and every
         # destination is exported to every neighbour already.
-        return False
+        return lie == "stale-replay"
 
     def _advertise_bogus_origin(self, victim: ADId) -> None:
         """Claim direct reachability of the victim (no provenance exists
         to contradict us -- but first-heard-wins limits the audience)."""
         self.broadcast(NRUpdate((victim,)))
 
-    def _flood_replay(self) -> None:
+    def _replay_stale(self) -> None:
         """Re-send our full reachability snapshot far above the honest
         sequence range (inert when unsequenced; a seq-guard trips it)."""
         self._replay_seq += 1_000
@@ -184,48 +165,34 @@ class EGPNode(OverloadDefenseMixin, ProtocolNode):
         if dests:
             self.broadcast(NRUpdate(dests, seq=self._update_seq + self._replay_seq))
 
-    def _reassert_lies(self) -> None:
-        victim = self._active_lies.get("bogus-origin")
-        if victim is not None:
-            self._advertise_bogus_origin(victim)
-        if "stale-replay" in self._active_lies:
-            self._flood_replay()
-
     # ------------------------------------------------------------- advertise
 
-    def _flush_batch(self) -> None:
-        dests = tuple(sorted(self._pending))
-        self._pending.clear()
-        if not dests:
-            return
-        if self.pacing.damp and self._damper is not None:
+    def _export(self, dest: ADId, suppressed: bool, batches: List[tuple]) -> None:
+        if suppressed:
             # EGP has no withdrawal currency at all, so a suppressed
             # destination is simply left out of the advertisement.
-            kept = tuple(d for d in dests if not self._damp_suppressed(d))
-            self.suppressed_announcements += len(dests) - len(kept)
-            dests = kept
-            if not dests:
-                return
-        sequenced = self.hardening.dedup or self.hardening.retransmit
-        for nbr in self.neighbors():
-            advertise = tuple(d for d in dests if self.table.get(d) != nbr)
-            if not advertise:
-                continue
-            if sequenced:
-                self._update_seq += 1
-                update = NRUpdate(advertise, seq=self._update_seq)
-                if self.hardening.retransmit:
-                    self._unacked[(nbr, update.seq)] = update
-                    self.schedule(
-                        self.hardening.retransmit_timeout,
-                        self._retry_update,
-                        nbr,
-                        update.seq,
-                        self.hardening.max_retries,
-                    )
-            else:
-                update = NRUpdate(advertise)
-            self.send(nbr, update)
+            return
+        via = self.table.get(dest)
+        for nbr, dests in batches:
+            if via != nbr:
+                dests.append(dest)
+
+    def _update(self, nbr: ADId, dests: list) -> Optional[NRUpdate]:
+        if not dests:
+            return None
+        if not (self.hardening.dedup or self.hardening.retransmit):
+            return NRUpdate(tuple(dests))
+        self._update_seq += 1
+        update = NRUpdate(tuple(dests), seq=self._update_seq)
+        if self.hardening.retransmit:
+            self._unacked[(nbr, update.seq)] = update
+            self._arm_retry(nbr, update.seq, self.hardening.max_retries)
+        return update
+
+    def _arm_retry(self, nbr: ADId, seq: int, retries_left: int) -> None:
+        self.schedule(
+            self.hardening.retransmit_timeout, self._retry_update, nbr, seq, retries_left
+        )
 
     def _retry_update(self, nbr: ADId, seq: int, retries_left: int) -> None:
         update = self._unacked.get((nbr, seq))
@@ -235,20 +202,7 @@ class EGPNode(OverloadDefenseMixin, ProtocolNode):
             del self._unacked[(nbr, seq)]
             return
         self.send(nbr, update)
-        self.schedule(
-            self.hardening.retransmit_timeout,
-            self._retry_update,
-            nbr,
-            seq,
-            retries_left - 1,
-        )
-
-    def _on_reuse(self, key) -> None:
-        # A damped destination became reusable: re-advertise if we still
-        # (or again) know a route to it.
-        if key in self.table:
-            self._pending.add(key)
-            self._schedule_flush()
+        self._arm_retry(nbr, seq, retries_left - 1)
 
     def route_to(self, dest: ADId) -> Optional[ADId]:
         nxt = self.table.get(dest)
@@ -335,8 +289,3 @@ class EGPProtocol(RoutingProtocol):
         node = self.network.node(ad_id)
         assert isinstance(node, EGPNode)
         return node.route_to(flow.dst)
-
-    def rib_size(self, ad_id: ADId) -> int:
-        node = self.network.node(ad_id)
-        assert isinstance(node, EGPNode)
-        return len(node.table)

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar, Dict, List, Optional, Tuple
 
-from repro.adgraph.ad import ADId, InterADLink
+from repro.adgraph.ad import ADId
 from repro.adgraph.graph import InterADGraph
 from repro.core.design_space import DV_HBH_TERMS
 from repro.policy.database import PolicyDatabase
@@ -38,10 +38,9 @@ from repro.policy.sets import ADSet
 from repro.policy.terms import PolicyTerm
 from repro.policy.uci import UCI
 from repro.protocols.base import ForwardingMode, RoutingProtocol
-from repro.protocols.pacing import OverloadDefenseMixin
+from repro.protocols.vector import VectorNode
 from repro.simul.messages import AD_ID_BYTES, METRIC_BYTES, Message
 from repro.simul.network import SimNetwork
-from repro.simul.node import ProtocolNode
 
 #: Representative user class / hour used when evaluating PTs in the
 #: control plane (updates are not replicated per UCI or per hour).
@@ -121,8 +120,14 @@ class _LocEntry:
 _Key = Tuple[ADId, QOS, int]
 
 
-class IDRPNode(OverloadDefenseMixin, ProtocolNode):
-    """Per-AD path-vector process."""
+class IDRPNode(VectorNode):
+    """Per-AD path-vector process.
+
+    ``table`` is the Loc-RIB (also reachable as ``loc``): the single
+    selected route per (dest, qos, class) key.
+    """
+
+    _key_order = staticmethod(lambda key: (key[0], key[1].value, key[2]))
 
     def __init__(
         self,
@@ -148,26 +153,21 @@ class IDRPNode(OverloadDefenseMixin, ProtocolNode):
         # order, mapped to itself: the one key tuple all peer tables
         # share, and the order a link-down reselects the lost keys in.
         self._first_seen: Dict[_Key, _Key] = {}
-        # Loc-RIB: the single selected route per (dest, qos).
-        self.loc: Dict[_Key, _LocEntry] = {}
         # What we last advertised to each neighbour (withdrawals are only
         # sent for keys actually advertised there).
         self._advertised: Dict[ADId, set] = {}
-        self._pending: set = set()
+        for qos in qos_classes:
+            for cls in range(len(class_sets)):
+                self.table[(ad_id, qos, cls)] = _LocEntry(
+                    via=ad_id, path=(ad_id,), metric=0.0, allowed=ADSet.everyone()
+                )
+
+    @property
+    def loc(self) -> Dict[_Key, _LocEntry]:
+        """The Loc-RIB: the selected route per key."""
+        return self.table
 
     # --------------------------------------------------------------- control
-
-    def start(self) -> None:
-        for qos in self.qos_classes:
-            for cls in range(len(self.class_sets)):
-                self.loc[(self.ad_id, qos, cls)] = _LocEntry(
-                    via=self.ad_id,
-                    path=(self.ad_id,),
-                    metric=0.0,
-                    allowed=ADSet.everyone(),
-                )
-                self._pending.add((self.ad_id, qos, cls))
-        self._schedule_flush()
 
     def on_message(self, sender: ADId, msg: Message) -> None:
         assert isinstance(msg, IDRPUpdate)
@@ -198,28 +198,19 @@ class IDRPNode(OverloadDefenseMixin, ProtocolNode):
                 changed_keys.append(key)
         if changed_keys:
             self.note_computation("route_selection", len(changed_keys))
-            self._pending.update(changed_keys)
+            self._pend(changed_keys)
             self._schedule_flush()
 
-    def on_link_change(self, link: InterADLink, up: bool) -> None:
-        nbr = link.other(self.ad_id)
-        if up:
-            # Session restart: everything we select is news to them, and
-            # theirs to us arrives when they do the same.
-            self._pending.update(self.loc)
-            self._schedule_flush()
-            return
+    def _drop_peer(self, nbr: ADId) -> List[_Key]:
         lost = self.rib_in.pop(nbr, None)
         if not lost:
-            return
+            return []
         # First-seen order, as ``_damp_loss`` arms reuse timers in it.
-        changed = [k for k in self._first_seen if k in lost and self._reselect(k)]
         # Even unselected candidate loss is fine; only selection changes
         # need advertising.
-        if changed:
-            self._enter_holddown()
-            self._pending.update(changed)
-            self._schedule_flush()
+        changed = [k for k in self._first_seen if k in lost and self._reselect(k)]
+        self._pend(changed)
+        return changed
 
     def _peer_table(self, peer: ADId) -> Dict[_Key, RouteAd]:
         """A new, empty Adj-RIB-In for ``peer``, keeping peers in id order."""
@@ -331,11 +322,10 @@ class IDRPNode(OverloadDefenseMixin, ProtocolNode):
                 best_rank = rank
                 best_ad, best_via = ad, nbr
                 best_metric = ad.metric + link_metric
-        old = self.loc.get(key)
+        old = self.table.get(key)
         if best_ad is None:
             if old is not None:
-                del self.loc[key]
-                self._damp_loss(key)
+                self._lose(key)
                 return True
             return False
         path = (me,) + best_ad.path
@@ -346,7 +336,7 @@ class IDRPNode(OverloadDefenseMixin, ProtocolNode):
             or old.metric != best_metric
             or old.allowed != best_ad.allowed
         ):
-            self.loc[key] = _LocEntry(best_via, path, best_metric, best_ad.allowed)
+            self.table[key] = _LocEntry(best_via, path, best_metric, best_ad.allowed)
             return True
         return False
 
@@ -365,115 +355,78 @@ class IDRPNode(OverloadDefenseMixin, ProtocolNode):
         """
         if dest == self.ad_id:
             return self.class_sets[cls]
-        if not self.source_scope:
-            # BGP-2: scopes are not expressible; export is all-or-nothing
-            # on whether *any* matching term exists.
-            for term in self.own_terms:
-                if term.matches_except_source(
-                    dest, to_nbr, entry.via, qos, TEMPLATE_UCI, TEMPLATE_HOUR
-                ):
-                    return ADSet.everyone()
-            return ADSet.none()
         permitted = ADSet.none()
         for term in self.own_terms:
             if term.matches_except_source(
                 dest, to_nbr, entry.via, qos, TEMPLATE_UCI, TEMPLATE_HOUR
             ):
+                if not self.source_scope:
+                    # BGP-2: scopes are not expressible; export is all-or-
+                    # nothing on whether *any* matching term exists.
+                    return ADSet.everyone()
                 permitted = permitted.union(term.sources)
+        if not self.source_scope:
+            return permitted
         return entry.allowed.intersect(permitted).intersect(self.class_sets[cls])
 
-    def _flush_batch(self) -> None:
-        keys = sorted(self._pending, key=lambda k: (k[0], k[1].value, k[2]))
-        self._pending.clear()
-        if not keys:
-            return
-        # A suppressed key exports nowhere: the ``_advertised`` machinery
-        # below then emits the withdrawal exactly once per neighbour and
-        # stays silent until the penalty decays (``_on_reuse`` re-pends).
-        suppressed: set = set()
-        if self.pacing.damp and self._damper is not None:
-            for key in keys:
-                if key[0] != self.ad_id and self._damp_suppressed(key):
-                    suppressed.add(key)
-                    self.suppressed_announcements += 1
-        # Keys outermost: the Loc-RIB lookup, the suppressed test, the lie
-        # and the withdrawal are per key; only split horizon and the export
-        # scope are per (key, neighbour).  Neighbours given equal scopes
-        # share one ``RouteAd``.  Each neighbour's batch still lists its
-        # keys in sorted order, and batches go out in ``neighbors()`` order.
-        batches: List[Tuple[ADId, set, List[RouteAd]]] = [
-            (nbr, self._advertised.setdefault(nbr, set()), [])
-            for nbr in self.neighbors()
-        ]
-        lying = "metric-lie" in self._active_lies
-        for key in keys:
-            dest, qos, cls = key
-            entry = None if key in suppressed else self.loc.get(key)
-            if entry is not None:
-                metric = 0.0 if lying and dest != self.ad_id else entry.metric
-            withdrawal = None
-            shared: Dict[ADSet, RouteAd] = {}
-            for nbr, advertised, routes in batches:
-                if (
-                    entry is not None
-                    and entry.via != nbr  # split horizon on the path-vector
-                    and nbr not in entry.path  # receiver would reject anyway
-                ):
-                    scope = self._export_scope(entry, dest, qos, nbr, cls)
-                    if not scope.is_empty:
-                        advertised.add(key)
-                        ad = shared.get(scope)
-                        if ad is None:
-                            ad = shared[scope] = RouteAd(
-                                dest, qos, entry.path, metric, scope, cls
-                            )
-                        routes.append(ad)
-                        continue
-                if key in advertised:
-                    advertised.discard(key)
-                    if withdrawal is None:
-                        withdrawal = RouteAd(dest, qos, (), 0.0, ADSet.none(), cls)
-                    routes.append(withdrawal)
-        for nbr, _, routes in batches:
-            if routes:
-                self.send(nbr, IDRPUpdate(tuple(routes)))
+    def _batch(self, nbr: ADId) -> tuple:
+        return nbr, self._advertised.setdefault(nbr, set()), []
 
-    def _on_reuse(self, key) -> None:
-        # Damping lifted: re-advertise whatever the Loc-RIB holds now.
-        self._pending.add(key)
-        self._schedule_flush()
+    def _export(self, key: _Key, suppressed: bool, batches: List[tuple]) -> None:
+        # A suppressed key exports nowhere: the ``_advertised`` sets then
+        # emit its withdrawal exactly once per neighbour and stay silent
+        # until the penalty decays (``_on_reuse`` re-pends it).  The Loc-
+        # RIB lookup, the lie and the withdrawal are per key; only split
+        # horizon and the export scope are per (key, neighbour), and
+        # neighbours given equal scopes share one ``RouteAd``.
+        dest, qos, cls = key
+        entry = None if suppressed else self.table.get(key)
+        if entry is not None:
+            lying = "metric-lie" in self._active_lies and dest != self.ad_id
+            metric = 0.0 if lying else entry.metric
+        withdrawal = None
+        shared: Dict[ADSet, RouteAd] = {}
+        for nbr, advertised, routes in batches:
+            if (
+                entry is not None
+                and entry.via != nbr  # split horizon on the path-vector
+                and nbr not in entry.path  # receiver would reject anyway
+            ):
+                scope = self._export_scope(entry, dest, qos, nbr, cls)
+                if not scope.is_empty:
+                    advertised.add(key)
+                    ad = shared.get(scope)
+                    if ad is None:
+                        ad = shared[scope] = RouteAd(
+                            dest, qos, entry.path, metric, scope, cls
+                        )
+                    routes.append(ad)
+                    continue
+            if key in advertised:
+                advertised.discard(key)
+                if withdrawal is None:
+                    withdrawal = RouteAd(dest, qos, (), 0.0, ADSet.none(), cls)
+                routes.append(withdrawal)
+
+    def _update(self, nbr: ADId, advertised: set, routes: list) -> Optional[IDRPUpdate]:
+        return IDRPUpdate(tuple(routes)) if routes else None
 
     # ----------------------------------------------------------- misbehavior
 
-    def _tell_lie(self, lie: str, target: Optional[ADId]) -> bool:
+    def _start_lie(self, lie: str) -> bool:
         if lie == "route-leak":
             # Forge a maximally permissive own term: export scope widens
             # to everything AND our own forwarding-time transit check now
             # passes, so we are complicit in carrying the leaked traffic.
-            self._active_lies[lie] = None
             self.own_terms = self.own_terms + (
                 PolicyTerm(owner=self.ad_id, term_id=FORGED_TERM_ID),
             )
-            self._pending.update(self.loc)
-            self._schedule_flush()
-            return True
-        if lie == "metric-lie":
-            self._active_lies[lie] = None
-            self._pending.update(self.loc)
-            self._schedule_flush()
-            return True
-        if lie == "bogus-origin":
-            if target is None:
-                return False
-            self._active_lies[lie] = target
-            self._advertise_bogus_origin(target)
             return True
         # stale-replay and term-forgery need sequenced / term-carrying
         # updates; a path-vector update has neither.
-        return False
+        return lie == "metric-lie"
 
-    def behave(self) -> None:
-        super().behave()
+    def _stop_lying(self) -> None:
         self.own_terms = tuple(
             t for t in self.own_terms if t.term_id != FORGED_TERM_ID
         )
@@ -487,14 +440,6 @@ class IDRPNode(OverloadDefenseMixin, ProtocolNode):
         )
         self.broadcast(IDRPUpdate(routes))
 
-    def _reassert_lies(self) -> None:
-        if "route-leak" in self._active_lies or "metric-lie" in self._active_lies:
-            self._pending.update(self.loc)
-            self._schedule_flush()
-        victim = self._active_lies.get("bogus-origin")
-        if victim is not None:
-            self._advertise_bogus_origin(victim)
-
     # ------------------------------------------------------------ forwarding
 
     def class_of(self, src: ADId) -> int:
@@ -507,7 +452,7 @@ class IDRPNode(OverloadDefenseMixin, ProtocolNode):
     def entry_for(
         self, dest: ADId, qos: QOS, cls: int = 0
     ) -> Optional[_LocEntry]:
-        return self.loc.get((dest, qos, cls))
+        return self.table.get((dest, qos, cls))
 
 
 class IDRPProtocol(RoutingProtocol):
@@ -587,11 +532,6 @@ class IDRPProtocol(RoutingProtocol):
             if not permitted:
                 return None
         return entry.via
-
-    def rib_size(self, ad_id: ADId) -> int:
-        node = self.network.node(ad_id)
-        assert isinstance(node, IDRPNode)
-        return len(node.loc)
 
 
 class BGP2Protocol(IDRPProtocol):

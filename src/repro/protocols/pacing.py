@@ -25,6 +25,10 @@ variants):
   Decay is strictly monotone and suppression is always eventually
   lifted once flapping stops.
 
+The hooks here decide only *whether* and *when* an announcement may go
+out; the announcing itself -- the vector engine's triggered flush, LS
+origination -- belongs to each family.
+
 A :class:`PacingConfig` is the ``pacing`` row of the runtime-feature
 table (:mod:`repro.protocols.runtime`); nodes fall back to the exact
 legacy code path when a feature is off, which keeps unpaced runs
@@ -179,55 +183,27 @@ class FlapDamper:
 #: re-penalized while suppressed cannot busy-loop the scheduler.
 REUSE_TICK_MIN = 1.0
 
-#: Default delay before a triggered update batch is flushed.  Larger
-#: delays coalesce more changes per update (fewer messages) at the cost
-#: of slower convergence -- ablation A6 sweeps this trade-off for DV.
-TRIGGER_DELAY = 1.0
-
 
 class OverloadDefenseMixin:
     """Pacing/hold-down/damping hooks shared by the protocol node classes.
 
-    Mixed into each family's node base; every method is a no-op straight
-    line back to the legacy code path when the corresponding feature is
-    off, which is what keeps all-off runs byte-identical.  State is
-    created lazily (class-attribute defaults, instance attributes on
-    first use), so node constructors stay untouched.
-
-    It also owns the DV family's triggered updates: changes call
-    :meth:`_schedule_flush`, which coalesces them into one batch
-    ``trigger_delay`` later; :meth:`_flush` applies pace and hold-down,
-    then hands over to the family's :meth:`_flush_batch`.
+    Mixed into each family's node base, ``VectorNode`` and ``LSNode``;
+    every method is a no-op straight line back to the legacy code path
+    when the corresponding feature is off, which is what keeps all-off
+    runs byte-identical.  State is created lazily (class-attribute
+    defaults, instance attributes on first use), so node constructors
+    stay untouched.  When to announce is the family's own: the vector
+    engine's triggered flush (:mod:`repro.protocols.vector`) and LS
+    origination both ask :meth:`_pacing_defers_flush` first.
     """
 
-    trigger_delay = TRIGGER_DELAY
-    _flush_scheduled = False
     _damper = None
     _last_flush = None
     _holddown_until = 0.0
-    _suppression_announced = None
     #: Announcements replaced by withdrawals because of suppression.
     suppressed_announcements = 0
     #: Flushes/originations deferred by pace or hold-down.
     paced_deferrals = 0
-
-    # ---- triggered updates -------------------------------------------
-
-    def _schedule_flush(self) -> None:
-        if not self._flush_scheduled:
-            self._flush_scheduled = True
-            self.schedule(self.trigger_delay, self._flush)
-
-    def _flush(self) -> None:
-        wait = self._pacing_defers_flush()
-        if wait is not None:
-            self.schedule(wait, self._flush)
-            return
-        self._flush_scheduled = False
-        self._flush_batch()
-
-    def _flush_batch(self) -> None:
-        """Send the pending update batch.  Overridden per family."""
 
     # ---- update pacing + hold-down -----------------------------------
 
@@ -286,22 +262,6 @@ class OverloadDefenseMixin:
             return False
         return self._damper.is_suppressed(key, self.now)
 
-    def _suppress_withdraw_once(self, key: Hashable) -> bool:
-        """Whether a suppressed key's withdrawal is still unannounced.
-
-        DV-family flushes withdraw a suppressed route exactly once and
-        then fall *silent* about it: repeating the withdrawal every
-        flush would trip the neighbours' re-offer rule each time and
-        ping-pong forever.  Call once per flush decision, before the
-        per-neighbour loop.
-        """
-        if self._suppression_announced is None:
-            self._suppression_announced = set()
-        if key in self._suppression_announced:
-            return False
-        self._suppression_announced.add(key)
-        return True
-
     def _arm_reuse_check(self, key: Hashable) -> None:
         delay = max(self._damper.reuse_delay(key, self.now), REUSE_TICK_MIN)
         self.schedule(delay, self._reuse_check, key)
@@ -313,8 +273,6 @@ class OverloadDefenseMixin:
             # Re-penalized while suppressed; wait out the fresh decay.
             self._arm_reuse_check(key)
             return
-        if self._suppression_announced is not None:
-            self._suppression_announced.discard(key)
         self._on_reuse(key)
 
     def _on_reuse(self, key: Hashable) -> None:

@@ -37,6 +37,7 @@ from repro.policy.qos import QOS
 from repro.policy.selection import OPEN_SELECTION, RouteSelectionPolicy
 from repro.policy.sets import ADSet
 from repro.protocols.base import ForwardingMode, RoutingProtocol
+from repro.protocols.ecma import TransitRole
 from repro.protocols.flooding import LSDBGenerations, LSNode, successor_on
 from repro.protocols.idrp import IDRPNode, IDRPProtocol, RouteAd
 from repro.simul.network import SimNetwork
@@ -292,7 +293,7 @@ class DVSourceTermsProtocol(IDRPProtocol):
         return entry.path
 
 
-class _TopoVectorNode(IDRPNode):
+class _TopoVectorNode(TransitRole, IDRPNode):
     """Path-vector node whose only policy is the partial ordering.
 
     Candidates must satisfy the up/down rule end to end (recomputed from
@@ -309,10 +310,7 @@ class _TopoVectorNode(IDRPNode):
         down_only_transit: bool,
     ) -> None:
         super().__init__(ad_id, own_terms=(), qos_classes=qos_classes)
-        self.order = order
-        self.may_transit = may_transit
-        self.down_only_transit = down_only_transit
-        self._honest_transit = (may_transit, down_only_transit)
+        self._init_role(order, may_transit, down_only_transit)
 
     def _candidate_usable(self, ad: RouteAd) -> bool:
         return self.order.path_is_valid((self.ad_id,) + ad.path)
@@ -338,36 +336,13 @@ class _TopoVectorNode(IDRPNode):
                 return "registered hybrid AD transits upward"
         return None
 
-    def _tell_lie(self, lie: str, target: Optional[ADId]) -> bool:
-        if lie == "route-leak":
-            if self.may_transit and not self.down_only_transit:
-                # Already permitted full transit by the topology regime;
-                # there is nothing to leak.
-                return False
-            self._active_lies[lie] = None
-            self.may_transit = True
-            self.down_only_transit = False
-            self._pending.update(self.loc)
-            self._schedule_flush()
-            return True
-        return super()._tell_lie(lie, target)
-
-    def behave(self) -> None:
-        super().behave()
-        self.may_transit, self.down_only_transit = self._honest_transit
-
     def _export_scope(
         self, entry, dest: ADId, qos, to_nbr: ADId, cls: int = 0
     ) -> ADSet:
-        if dest == self.ad_id:
-            return ADSet.everyone()
-        if not self.may_transit:
-            return ADSet.none()
-        if self.down_only_transit:
-            if self.order.direction(self.ad_id, to_nbr) is not Direction.DOWN:
-                return ADSet.none()
         # The receiver revalidates the up/down rule itself; no term scopes.
-        return ADSet.everyone()
+        if self._offers_transit(dest, to_nbr):
+            return ADSet.everyone()
+        return ADSet.none()
 
 
 class DVSourceTopologyProtocol(RoutingProtocol):
@@ -415,8 +390,3 @@ class DVSourceTopologyProtocol(RoutingProtocol):
         if entry is None or not selection.acceptable(entry.path):
             return None
         return entry.path
-
-    def rib_size(self, ad_id: ADId) -> int:
-        node = self.network.node(ad_id)
-        assert isinstance(node, _TopoVectorNode)
-        return len(node.loc)

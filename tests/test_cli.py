@@ -152,6 +152,7 @@ class TestExperimentsRun:
     @pytest.mark.parametrize("argv, message", [
         (["fig1_topology", "--seed", "3"], "'fig1_topology' is cell-less"),
         (["robustness", "--flows", "0"], "--flows must be positive"),
+        (["robustness", "--loss", "2.0"], "--loss must be a probability in [0, 1]"),
         (["robustness", "--trace", "bogus"], "bad trace filter 'bogus'"),
     ])
     def test_bad_arguments_are_usage_errors(self, argv, message, capsys, tmp_path):

@@ -8,8 +8,10 @@ family supplies only its currency:
   it and a family's extras undo what its lie changed locally;
 * validation -- ``ProtocolNode._rejects`` runs a family's ``_check_*``
   only when a check is on;
-* triggered updates -- ``OverloadDefenseMixin._schedule_flush`` /
-  ``_flush`` coalesce, pace and hold down; a family sends the batch.
+* triggered updates -- ``VectorNode._schedule_flush`` / ``_flush``
+  coalesce, pace and hold down, and ``_flush_batch`` runs the damp pass
+  and sends one update per neighbour; a vector protocol supplies only
+  its per-key export and its update message.
 
 The stop contract is checked on every protocol and every lie it can
 tell: after ``stop_misbehavior`` and one forced re-advertisement,
@@ -29,7 +31,8 @@ from repro.protocols.ecma import ECMANode, ECMAUpdate
 from repro.protocols.egp import EGPNode, NRUpdate
 from repro.protocols.flooding import LinkStateAd, LSDBExchange, LSNode
 from repro.protocols.idrp import IDRPNode, IDRPUpdate
-from repro.protocols.pacing import TRIGGER_DELAY, OverloadDefenseMixin
+from repro.protocols.variants import _TopoVectorNode
+from repro.protocols.vector import TRIGGER_DELAY, VectorNode
 from repro.protocols.registry import available_protocols, make_protocol
 from repro.simul.network import SimNetwork
 from repro.simul.node import ProtocolNode
@@ -290,7 +293,7 @@ def test_one_trigger_delay_and_dvs_own_argument():
     for module in (dv, ecma, egp, idrp, flooding):
         assert "TRIGGER_DELAY" not in vars(module) or module.TRIGGER_DELAY is TRIGGER_DELAY
     for cls in (DVNode, ECMANode, EGPNode, IDRPNode):
-        assert issubclass(cls, OverloadDefenseMixin)
+        assert issubclass(cls, VectorNode)
         assert cls.trigger_delay == TRIGGER_DELAY
         assert "_flush" not in vars(cls) and "_schedule_flush" not in vars(cls)
     scenario = small_scenario(seed=3, num_flows=16)
@@ -311,3 +314,37 @@ def test_one_trigger_delay_and_dvs_own_argument():
     slowest = max(link.metrics.get("delay", 1.0) for link in proto.graph.links())
     fastest = min(link.metrics.get("delay", 1.0) for link in proto.graph.links())
     assert 5.0 + fastest <= min(first) <= 5.0 + slowest
+
+
+#: What the vector engine owns; no vector protocol may define its own.
+ENGINE_OWNED = (
+    "_flush_batch", "_tell_lie", "_reassert_lies", "_on_reuse", "on_link_change",
+    "start", "_schedule_flush", "_flush", "_suppress_withdraw_once", "behave",
+)
+
+
+@pytest.mark.parametrize(
+    "cls", (DVNode, ECMANode, EGPNode, IDRPNode, _TopoVectorNode),
+    ids=lambda cls: cls.__name__,
+)
+def test_every_vector_protocol_is_one_engine_plus_its_currency(cls):
+    assert issubclass(cls, VectorNode)
+    for klass in cls.__mro__[: cls.__mro__.index(VectorNode)]:
+        assert not set(ENGINE_OWNED) & set(vars(klass)), klass
+
+
+def test_the_engine_never_asks_which_protocol_it_serves():
+    import ast
+    import inspect
+
+    from repro.protocols import vector
+
+    tree = ast.parse(inspect.getsource(vector))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert "isinstance" not in names and "type" not in names
+    strings = {
+        n.value for n in ast.walk(tree)
+        if isinstance(n, ast.Constant) and isinstance(n.value, str)
+    }
+    protocols = set(available_protocols()) | {"dv", "egp", "ecma", "idrp", "bgp"}
+    assert not strings & protocols
