@@ -36,6 +36,7 @@ measurable.  The convergence experiments (E4) fail links from
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
@@ -310,10 +311,12 @@ def churn_storm_plan(
     alternate-path selection everywhere without partitioning anyone.
     Hierarchical links are used only when there are not enough.
     """
-    if hz <= 0:
-        raise ValueError("churn frequency must be > 0")
-    if duration <= 0:
-        raise ValueError("churn duration must be > 0")
+    # An infinite hz (a zero period) or duration never ends the flap loop
+    # below, and a NaN one schedules flaps at NaN times.
+    if not (0 < hz < math.inf):
+        raise ValueError("churn frequency must be finite and > 0")
+    if not (0 < duration < math.inf):
+        raise ValueError("churn duration must be finite and > 0")
     rng = random.Random(seed)
     candidates = safe_failure_candidates(graph)
     if len(candidates) < links:

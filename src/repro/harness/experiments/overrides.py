@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -44,11 +45,13 @@ def _parse_lie(value: str) -> Dict[str, Any]:
 def _set(
     field: str, least: Optional[int] = None, probability: bool = False
 ) -> Callable[[Any], Dict[str, Any]]:
-    """Rewrite one field, refusing a value under ``least`` (0 or 1), or
-    outside [0, 1] for a ``probability``."""
+    """Rewrite one field, refusing a non-finite value, a value under
+    ``least`` (0 or 1), or one outside [0, 1] for a ``probability``."""
 
     def changes(value: Any) -> Dict[str, Any]:
         flag = f"--{field.replace('_', '-')}"
+        if not math.isfinite(value):
+            raise ExperimentArgumentError(f"{flag} must be finite")
         if least is not None and value < least:
             kind = "positive" if least else "non-negative"
             raise ExperimentArgumentError(f"{flag} must be {kind}")
@@ -117,7 +120,7 @@ OVERRIDES: Tuple[Override, ...] = (
              lambda capacity: {"queue_capacity": None if capacity < 0 else capacity}),
     Override("churn_hz", "faults", float,
              "override the churn-storm flap frequency on the fault axis "
-             "(cycles per time unit)", _set("churn_hz")),
+             "(cycles per time unit)", _set("churn_hz", least=0)),
     Override("pacing", "protocols", str,
              "override every protocol point's pacing config ('off', 'full', "
              "or a feature name: pace, holddown, damp)",

@@ -19,32 +19,23 @@ knowledge heals.
 implies -- the node's *believed* internet, on which all its route
 computations run.  A link is believed up only if **both** endpoint LSAs
 report it up.  The view is a pure function of LSDB content, so it is a
-*value* owned by the :class:`LSDBGeneration` of that content: built once
-(cold, or forked from the view of the LSDB the asking node held before),
-shared by every node at that content, and never written to after it is
-published.  Modelled state and computation are counted per AD; host
-state and computation are shared per LSDB state (DESIGN section 4).
+*value* owned by the :class:`~repro.protocols.lsdb.LSDBGeneration` of
+that content: built once by :mod:`repro.protocols.lsdb` (cold, or forked
+from the view of the LSDB the asking node held before), shared by every
+node at that content, and never written to after it is published.
+Modelled state and computation are counted per AD; host state and
+computation are shared per LSDB state (DESIGN section 4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from time import perf_counter
-from typing import Any, Callable, Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
-from repro.adgraph.ad import (
-    AD,
-    ADId,
-    ADKind,
-    InterADLink,
-    Level,
-    LinkKind,
-    canonical_link_key,
-)
-from repro.adgraph.graph import InterADGraph
-from repro.policy.database import PolicyDatabase
+from repro.adgraph.ad import ADId, InterADLink, Level
 from repro.policy.terms import PolicyTerm
+from repro.protocols.lsdb import LSDBGeneration, LSDBGenerations, View, cold_view, derive_view
 from repro.protocols.pacing import OverloadDefenseMixin
 from repro.simul.messages import AD_ID_BYTES, METRIC_BYTES, Message
 from repro.simul.node import ProtocolNode
@@ -52,18 +43,6 @@ from repro.simul.node import ProtocolNode
 #: Term id used by a lying LS node for terms it fabricates; far above any
 #: id the policy generators assign, so forgeries never shadow real terms.
 FORGED_TERM_ID = 9_999
-
-#: Installs a queried node remembers (origin, LSA replaced); a view or
-#: SPF tree older than the retained window is rebuilt from scratch, which
-#: bounds the log under churn storms that never query a route.
-MAX_LSA_LOG = 4096
-
-#: Route memos a pool keeps per seq-free LSDB content after their
-#: generations die, least recently shared dropped first.
-ROUTE_MEMOS = 16
-
-#: A believed internet: what :meth:`LSNode.local_view` returns.
-View = Tuple[InterADGraph, PolicyDatabase]
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,127 +150,6 @@ def successor_on(
     return path[idx + 1] if idx + 1 < len(path) else None
 
 
-def _believed_link(origin: ADId, rec: LinkRecord, up: bool) -> InterADLink:
-    """The believed link ``origin``'s record describes (its metrics win)."""
-    return InterADLink(
-        origin,
-        rec.neighbor,
-        LinkKind.HIERARCHICAL,
-        {"delay": rec.delay, "cost": rec.cost, "bandwidth": rec.bandwidth},
-        up=up,
-    )
-
-
-class LSDBGeneration:
-    """One LSDB content that some node currently holds.
-
-    The believed view and deterministic route computation over it are
-    functions of LSDB content, so every node at this content shares one
-    ``view`` and one ``routes`` memo -- the pool's memo of the content
-    without sequence numbers, adopted on the first route asked -- and
-    the ``searches`` that fill that memo, which are this generation's
-    alone.
-    """
-
-    __slots__ = (
-        "lsdb", "bucket", "view", "routes", "uncarried", "inherited", "searches", "holders"
-    )
-
-    def __init__(self, lsdb: Dict[ADId, "LinkStateAd"], bucket: Hashable) -> None:
-        #: Private snapshot (a node's own dict is mutated by ``_install``).
-        self.lsdb = lsdb
-        self.bucket = bucket
-        #: The believed internet of this content, set once by the first
-        #: node to ask and read-only from then on (links and the policy
-        #: database are shared with the views forked from it).
-        self.view: Optional[View] = None
-        #: Protocol-defined route key -> computed route: the pool's memo of
-        #: this content, set on the first route asked (never on acquire).
-        self.routes: Optional[Dict[Hashable, Any]] = None
-        #: Keys of ``routes`` answered by a search that link loss can
-        #: change off the answer's path; never carried to a later content.
-        self.uncarried: Optional[Set[Hashable]] = None
-        #: ``(base.routes, base.uncarried, lost link keys)`` when this view
-        #: is the base generation's with only links lost (up there, down or
-        #: gone here): no AD added, no term changed, nothing came up.  The
-        #: base's memo, not the base itself, so generations never chain.
-        self.inherited: Optional[Tuple[Dict, Set, FrozenSet]] = None
-        #: Protocol-defined search key -> a resumable search over ``view``,
-        #: created by the first route asked of it.  Dies with this
-        #: generation: never in ``routes``, never carried or adopted.
-        self.searches: Optional[Dict[Hashable, Any]] = None
-        #: Nodes currently at this generation; released at zero.
-        self.holders = 0
-
-
-class LSDBGenerations:
-    """Content-addressed pool of the live :class:`LSDBGeneration` objects.
-
-    One pool per :class:`~repro.protocols.base.RoutingProtocol` instance,
-    handed to every node it constructs.  A generation is found by a cheap
-    bucket key and *confirmed by LSDB equality* -- never by the key alone
-    and never by ``(origin, seq)``, which a forged LSA may reuse.  Flooded
-    LSAs are shared objects (sim) or decode-memoised (live), so the
-    ``dict ==`` is pointer compares in practice.  Generations are
-    reference-counted and dropped the moment the last node leaves, so
-    what is shared never depends on garbage-collection timing.
-
-    Route memos outlive them: the pool keeps the last :data:`ROUTE_MEMOS`
-    by seq-free content, so a flap or crash that heals, re-flooding the
-    same content under new sequence numbers, reuses its routes.
-    """
-
-    def __init__(self) -> None:
-        self._buckets: Dict[Hashable, List[LSDBGeneration]] = {}
-        #: Seq-free content -> ``(routes, uncarried)``, least recently
-        #: shared first.
-        self._memos: Dict[Hashable, Tuple[Dict, Set]] = {}
-
-    def acquire(self, lsdb: Dict[ADId, "LinkStateAd"]) -> LSDBGeneration:
-        """The generation holding exactly ``lsdb``'s content, +1 holder."""
-        key = (len(lsdb), sum(lsa.seq for lsa in lsdb.values()))
-        bucket = self._buckets.setdefault(key, [])
-        for generation in bucket:
-            if generation.lsdb == lsdb:
-                break
-        else:
-            generation = LSDBGeneration(dict(lsdb), key)
-            bucket.append(generation)
-        generation.holders += 1
-        return generation
-
-    def release(self, generation: LSDBGeneration) -> None:
-        generation.holders -= 1
-        if generation.holders == 0:
-            bucket = self._buckets[generation.bucket]
-            bucket.remove(generation)
-            if not bucket:
-                del self._buckets[generation.bucket]
-
-    def share_memo(self, generation: LSDBGeneration) -> None:
-        """Point ``generation`` at the route memo of its seq-free content.
-
-        The first generation at a content registers a new memo; a later one
-        adopts it and moves it to the back of the eviction order.  The
-        content -- each origin's links, terms and level -- is confirmed by
-        full equality, never by hash or seq.
-        """
-        content = tuple(
-            (origin, lsa.links, lsa.terms, lsa.origin_level)
-            for origin, lsa in sorted(generation.lsdb.items())
-        )
-        memos = self._memos
-        memo = memos.pop(content, None) or ({}, set())
-        memos[content] = memo
-        generation.routes, generation.uncarried = memo
-        if len(memos) > ROUTE_MEMOS:
-            del memos[next(iter(memos))]
-
-    def live(self) -> List[LSDBGeneration]:
-        """Every generation some node is at (tests and observability)."""
-        return [g for bucket in self._buckets.values() for g in bucket]
-
-
 class LSNode(OverloadDefenseMixin, ProtocolNode):
     """A flooding participant with a link-state database."""
 
@@ -329,12 +187,6 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
         self._generations = generations
         self._generation: Optional[LSDBGeneration] = None
         self._generation_version = -1
-        #: (origin, LSA replaced or None) per install since the node was
-        #: first queried at ``db_version == _log_floor``; entry ``i`` took
-        #: the LSDB to version ``_log_floor + i + 1``.  What a view or an
-        #: SPF tree of an earlier version is brought up to date from.
-        self._lsa_log: Optional[List[Tuple[ADId, Optional[LinkStateAd]]]] = None
-        self._log_floor = 0
         #: Cold view builds / derivations from a previous view that *this
         #: node* performed (observability; most queries do neither).
         self.view_rebuilds = 0
@@ -481,12 +333,6 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
         if current is not None and current.seq >= lsa.seq:
             self.duplicates_ignored += 1
             return False
-        log = self._lsa_log
-        if log is not None:
-            if len(log) >= MAX_LSA_LOG:
-                del log[: MAX_LSA_LOG // 2]
-                self._log_floor += MAX_LSA_LOG // 2
-            log.append((lsa.origin, current))
         self.lsdb[lsa.origin] = lsa
         self.db_version += 1
         return True
@@ -765,24 +611,22 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
         per-message path never sees it.  The node stays a holder of the
         generation it last resolved until the next query (or
         :meth:`retire`), which is what keeps that generation's view alive
-        to fork the next one from.
+        to fork the next one from: a generation nobody has a view for yet
+        gets one derived from it by diffing the two snapshots, or cold
+        built when that cannot be exact.
         """
         if self._generation_version != self.db_version:
-            if self._lsa_log is None:
-                self._lsa_log = []
-                self._log_floor = self.db_version
             previous = self._generation
             generation = self._generations.acquire(self.lsdb)
             if generation.view is None:
-                generation.view = self._derive_view(previous, generation) or self._rebuild_view()
+                generation.view = derive_view(previous, generation)
+                if generation.view is None:
+                    generation.view = cold_view(generation.lsdb)
+                    self.view_rebuilds += 1
+                else:
+                    self.view_delta_refreshes += 1
             if previous is not None:
                 self._generations.release(previous)
-                # What predates the generation just left is not asked for
-                # again (an SPF tree lagging further behind recomputes).
-                stale = self._generation_version - self._log_floor
-                if stale > 0:
-                    del self._lsa_log[:stale]
-                    self._log_floor = self._generation_version
             self._generation = generation
             self._generation_version = self.db_version
         return self._generation
@@ -792,45 +636,15 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
     ) -> Any:
         """``compute(*args)``, run once per (seq-free LSDB content, ``key``).
 
-        The replicated hop-by-hop computation: every AD on a path must
-        derive the same route from the same LSDB, and each *counts* that
-        derivation in its own modelled table (``note_computation`` stays
-        with the caller) -- but the host derives it once, for whichever
-        node at this LSDB content asks first, and keeps it in the pool's
-        memo for the content (:meth:`LSDBGenerations.share_memo`) after
-        every node has moved on: a content re-entered under new sequence
-        numbers, while its memo is retained, searches nothing again.
-        ``compute`` may read only this node's :meth:`local_view` and
-        protocol-wide constants: its answer must be a function of view
-        content.
-
-        Nor does the host always derive it per content: when this view is
-        the one it was forked from minus lost links, the base's answer is
-        copied if it is ``None`` or an AD path over none of them.  So
-        ``compute`` must return ``None`` or an AD path, and be an optimal
-        path search whose every choice (parent, goal) is the first state
-        popped in a fixed order of (distance or width, state) -- link loss
-        cannot improve a state, so the answer's own states and tie-breaks
-        stand (DESIGN section 4).  A key answered any other way is added
-        to ``self._generation.uncarried`` by ``compute``.
+        The caller charges its own modelled computation
+        (``note_computation``); the host work is shared per content by
+        :meth:`LSDBGenerations.route
+        <repro.protocols.lsdb.LSDBGenerations.route>`, whose contract a
+        ``compute`` must meet: read only this node's :meth:`local_view`,
+        and be a carry-safe path search or add its key to
+        ``self._generation.uncarried``.
         """
-        generation = self._resolve_generation()
-        if generation.routes is None:
-            self._generations.share_memo(generation)
-        routes = generation.routes
-        if key not in routes:
-            inherited = generation.inherited
-            if inherited is not None:
-                base, uncarried, lost = inherited
-                if key in base and key not in uncarried:
-                    path = base[key]
-                    if path is None or not any(
-                        canonical_link_key(a, b) in lost for a, b in zip(path, path[1:])
-                    ):
-                        routes[key] = path
-                        return path
-            routes[key] = compute(*args)
-        return routes[key]
+        return self._generations.route(self._resolve_generation(), key, compute, *args)
 
     def _leave_generation(self) -> None:
         if self._generation is not None:
@@ -855,202 +669,3 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
         written to.  Consumers key their own caches off ``db_version``.
         """
         return self._resolve_generation().view
-
-    def _believed_ad(self, origin: ADId) -> AD:
-        # Kind is irrelevant to term-based computation (policy is in the
-        # terms); level comes from the LSA so views can be
-        # region-partitioned.
-        return AD(
-            origin, f"ad{origin}", self.lsdb[origin].origin_level, ADKind.HYBRID
-        )
-
-    def _rebuild_view(self) -> View:
-        """Cold build from the LSDB alone (and the derived path's oracle)."""
-        self.view_rebuilds += 1
-        graph = InterADGraph()
-        for origin in sorted(self.lsdb):
-            graph.add_ad(self._believed_ad(origin))
-        for origin in sorted(self.lsdb):
-            for rec in self.lsdb[origin].links:
-                if rec.neighbor not in graph:
-                    continue
-                if graph.has_link(origin, rec.neighbor):
-                    continue
-                # Believe a link only if both endpoints advertise it up.
-                other = self.lsdb.get(rec.neighbor)
-                other_rec = None
-                if other is not None:
-                    for r in other.links:
-                        if r.neighbor == origin:
-                            other_rec = r
-                            break
-                if other_rec is None:
-                    continue
-                graph.add_link(
-                    _believed_link(origin, rec, rec.up and other_rec.up)
-                )
-        policies = PolicyDatabase()
-        for origin in sorted(self.lsdb):
-            for term in self.lsdb[origin].terms:
-                policies.add_term(term)
-        return graph, policies
-
-    def _replaced_since(
-        self, version: int
-    ) -> Optional[Dict[ADId, Optional[LinkStateAd]]]:
-        """Origin -> the LSA held at ``version``, per origin installed since.
-
-        ``None`` when the log no longer (or never did) reach back there.
-        """
-        log = self._lsa_log
-        if log is None or version < self._log_floor:
-            return None
-        replaced: Dict[ADId, Optional[LinkStateAd]] = {}
-        for origin, old in log[version - self._log_floor :]:
-            replaced.setdefault(origin, old)
-        return replaced
-
-    def _incident_keys(
-        self, replaced: Dict[ADId, Optional[LinkStateAd]]
-    ) -> List[Tuple[ADId, ADId]]:
-        """Sorted keys of every link an origin in ``replaced`` names, then or now.
-
-        A believed link is a function of its two endpoints' LSAs, so no
-        other link can differ between the two LSDBs.
-        """
-        keys = set()
-        for origin, old in replaced.items():
-            for lsa in (old, self.lsdb[origin]):
-                if lsa is not None:
-                    for rec in lsa.links:
-                        keys.add(canonical_link_key(origin, rec.neighbor))
-        return sorted(keys)
-
-    def _derive_view(
-        self, base: Optional[LSDBGeneration], generation: LSDBGeneration
-    ) -> Optional[View]:
-        """``generation``'s view forked from the one this node held, or ``None``.
-
-        O(LSAs installed since): untouched links and ADs are shared with
-        ``base``'s view, a changed link is *replaced* in the fork, and the
-        policy database is ``base``'s own object unless a term changed.
-        ``None`` (cold build) on first demand, when the log has overflowed,
-        when an origin changed level (``AD`` objects are frozen and
-        shared), or when terms changed while some LSA, replaced or
-        current, carries a term it does not own -- per-owner replace is
-        only exact when owners are independent.  When only links were
-        lost, ``generation`` inherits ``base``'s routes, if it has any.
-        """
-        if base is None or base.view is None:
-            return None
-        replaced = self._replaced_since(self._generation_version)
-        if replaced is None:
-            return None
-        lsdb = self.lsdb
-        born, retermed = [], []
-        for origin in sorted(replaced):
-            old, new = replaced[origin], lsdb[origin]
-            if old is None:
-                born.append(origin)
-            elif old.origin_level != new.origin_level:
-                return None
-            if (() if old is None else old.terms) != new.terms:
-                retermed.append(origin)
-        if retermed and any(
-            term.owner != lsa.origin
-            for lsa in chain(lsdb.values(), replaced.values())
-            if lsa is not None
-            for term in lsa.terms
-        ):
-            return None
-        graph, policies = base.view
-        graph = graph.fork()
-        # All new ADs first (mirroring the cold build's two passes): an
-        # edge between two origins that both appeared since needs both.
-        for origin in born:
-            graph.add_ad(self._believed_ad(origin))
-        lost, gained = [], False
-        for key in self._incident_keys(replaced):
-            up = self._reconcile_edge(graph, key)
-            if up is False:
-                lost.append(key)
-            elif up:
-                gained = True
-        if not (born or retermed or gained) and base.routes is not None:
-            generation.inherited = (base.routes, base.uncarried, frozenset(lost))
-        if retermed:
-            # Per-owner replace reproduces the cold build's term-id
-            # stamping exactly: add_term stamps position-in-owner's list.
-            policies = policies.copy()
-            for origin in retermed:
-                policies.remove_terms(origin)
-                for term in lsdb[origin].terms:
-                    policies.add_term(term)
-        self.view_delta_refreshes += 1
-        return graph, policies
-
-    def _reconcile_edge(self, graph: InterADGraph, key: Tuple[ADId, ADId]) -> Optional[bool]:
-        """Drive one believed link of a fork to the state the LSDB implies.
-
-        Semantics mirror the cold build exactly: the edge exists iff both
-        endpoints' LSAs carry a record naming each other (first record
-        wins), metrics come from the smaller endpoint's record, and the
-        link is up only if both records say up.  A link that differs is
-        replaced by a new object: the old one belongs to other views too.
-
-        Returns ``None`` when no search can tell (unchanged, or down before
-        and after), else whether the link is up now: ``False`` for a link
-        *lost* (up in the fork's base), ``True`` for one that came up or
-        changed metrics while up.
-        """
-        a, b = key
-        lsa_a = self.lsdb.get(a)
-        lsa_b = self.lsdb.get(b)
-        rec_a = rec_b = None
-        if lsa_a is not None and lsa_b is not None:
-            for rec in lsa_a.links:
-                if rec.neighbor == b:
-                    rec_a = rec
-                    break
-            for rec in lsa_b.links:
-                if rec.neighbor == a:
-                    rec_b = rec
-                    break
-        existing = graph.link_if_exists(a, b)
-        was_up = existing is not None and existing.up
-        if rec_a is None or rec_b is None:
-            if existing is not None:
-                graph.remove_link(a, b)
-            return False if was_up else None
-        up = rec_a.up and rec_b.up
-        if existing is not None:
-            metrics = existing.metrics
-            if (
-                existing.up == up
-                and metrics["delay"] == rec_a.delay
-                and metrics["cost"] == rec_a.cost
-                and metrics["bandwidth"] == rec_a.bandwidth
-            ):
-                return None
-            graph.remove_link(a, b)
-        graph.add_link(_believed_link(a, rec_a, up))
-        return up if up or was_up else None
-
-    def view_edge_changes(
-        self, since_version: int
-    ) -> Optional[List[Tuple[ADId, ADId]]]:
-        """Link keys whose believed state may differ from ``since_version``'s.
-
-        Node-local (read off the install log, not off any view): every
-        link incident to an origin whose LSA was replaced in the window,
-        changed or not -- :meth:`IncrementalSPFState.apply
-        <repro.protocols.spf.IncrementalSPFState.apply>` filters against
-        its own weight snapshot.  ``None`` when the window fell out of the
-        log, in which case the consumer must recompute from scratch.
-        """
-        replaced = self._replaced_since(since_version)
-        return None if replaced is None else self._incident_keys(replaced)
-
-    def lsdb_bytes(self) -> int:
-        """Total size of the stored LSDB (state-size experiments)."""
-        return sum(lsa.size_bytes() for lsa in self.lsdb.values())

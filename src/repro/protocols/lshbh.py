@@ -28,7 +28,8 @@ from repro.core.design_space import LS_HBH_TERMS
 from repro.core.synthesis import SynthesisStats, synthesize_route
 from repro.policy.flows import FlowSpec
 from repro.protocols.base import ForwardingMode, RoutingProtocol
-from repro.protocols.flooding import LSDBGenerations, LSNode, successor_on
+from repro.protocols.flooding import LSNode, successor_on
+from repro.protocols.lsdb import LSDBGenerations
 from repro.simul.network import SimNetwork
 
 
@@ -44,8 +45,6 @@ class LSHbHNode(LSNode):
         # whole cache, and stale routes never linger past an LSDB change.
         self._route_cache: Dict[FlowSpec, Optional[Tuple[ADId, ...]]] = {}
         self._route_cache_version = -1
-        #: Wholesale invalidations (each LSDB change under churn pays one).
-        self.cache_rebuilds = 0
 
     def flow_route(self, flow: FlowSpec) -> Optional[Tuple[ADId, ...]]:
         """The canonical route for ``flow``, from this node's view.
@@ -56,14 +55,12 @@ class LSHbHNode(LSNode):
         computation charged to this AD, whoever does the work.  The work
         itself -- constrained synthesis over the local view -- is shared
         by every node holding the same LSDB content
-        (:meth:`~repro.protocols.flooding.LSNode.generation_route`), and
+        (:meth:`~repro.protocols.lsdb.LSDBGenerations.route`), and
         its per-edge legality queries are memoized in the view's policy
         database.  Modelled computations are counted per AD; host
         computations are shared per LSDB state.
         """
         if self._route_cache_version != self.db_version:
-            if self._route_cache:
-                self.cache_rebuilds += 1
             self._route_cache.clear()
             self._route_cache_version = self.db_version
         elif flow in self._route_cache:
@@ -122,16 +119,3 @@ class LinkStateHopByHopProtocol(RoutingProtocol):
         node = self.network.node(ad_id)
         assert isinstance(node, LSHbHNode)
         return len(node.lsdb) + node.cache_entries()
-
-    def computation_burden(self, ad_id: ADId) -> int:
-        """Route computations this AD has performed (E5 metric)."""
-        return self.network.metrics.computations.get((ad_id, "policy_route"), 0)
-
-    def cache_rebuilds(self) -> int:
-        """Route-cache wholesale invalidations, network-wide (churn cost)."""
-        network = self._require_network()
-        return sum(
-            node.cache_rebuilds
-            for node in network.nodes.values()
-            if isinstance(node, LSHbHNode)
-        )

@@ -19,7 +19,8 @@ from repro.adgraph.graph import InterADGraph
 from repro.policy.flows import FlowSpec
 from repro.policy.qos import QOS
 from repro.protocols.base import ForwardingMode, RoutingProtocol
-from repro.protocols.flooding import LSDBGenerations, LSNode
+from repro.protocols.flooding import LSNode
+from repro.protocols.lsdb import LSDB, LSDBGenerations, changed_links
 from repro.simul.network import SimNetwork
 
 #: A link key: the canonical (smaller, larger) endpoint pair.
@@ -40,8 +41,8 @@ class IncrementalSPFState:
     possible -- parents can be recomputed from final distances alone.
 
     :meth:`apply` takes the link keys that may differ between two LSDB
-    versions (from :meth:`~repro.protocols.flooding.LSNode.view_edge_changes`)
-    and the current believed graph, and repairs just the affected region.
+    snapshots (from :func:`~repro.protocols.lsdb.changed_links`) and the
+    current believed graph, and repairs just the affected region.
     The state keeps no graph: believed views are immutable values that a
     later LSDB state replaces (DESIGN section 4), so every call is handed
     the one to read, and old weights come from the state's own snapshot:
@@ -310,8 +311,9 @@ class SPFNode(LSNode):
         self._tables: Dict[
             QOS, Tuple[int, Callable[[ADId], Optional[ADId]], Sized]
         ] = {}
-        #: metric -> (view version the state is synced to, repairable tree).
-        self._spf_states: Dict[str, Tuple[int, IncrementalSPFState]] = {}
+        #: metric -> (LSDB snapshot the tree is synced to, repairable tree).
+        #: The snapshot dict alone: a held generation would keep its view.
+        self._spf_states: Dict[str, Tuple[LSDB, IncrementalSPFState]] = {}
 
     def next_hop_to(self, dest: ADId, qos: QOS) -> Optional[ADId]:
         if qos.is_bottleneck:
@@ -337,18 +339,16 @@ class SPFNode(LSNode):
         self, qos: QOS
     ) -> Tuple[Callable[[ADId], Optional[ADId]], Sized]:
         """Sync the QOS's tree to the view: (first-hop lookup, its entries)."""
-        graph, _ = self.local_view()
+        generation = self._resolve_generation()
+        graph, _ = generation.view
         metric = qos.metric
         entry = self._spf_states.get(metric)
-        state: Optional[IncrementalSPFState] = None
-        if entry is not None:
-            changes = self.view_edge_changes(entry[0])
-            if changes is not None:
-                state = entry[1]
-                state.apply(changes, graph)
-        if state is None:
+        if entry is None:
             state = IncrementalSPFState(graph, self.ad_id, metric)
-        self._spf_states[metric] = (self.db_version, state)
+        else:
+            snapshot, state = entry
+            state.apply(changed_links(snapshot, generation.lsdb), graph)
+        self._spf_states[metric] = (generation.lsdb, state)
         # The first hop is walked per asked destination, not derived for
         # all of them: a prober asks for one per tree version.
         return state.first_hop, state.parent

@@ -38,8 +38,9 @@ from repro.policy.selection import OPEN_SELECTION, RouteSelectionPolicy
 from repro.policy.sets import ADSet
 from repro.protocols.base import ForwardingMode, RoutingProtocol
 from repro.protocols.ecma import TransitRole
-from repro.protocols.flooding import LSDBGenerations, LSNode, successor_on
+from repro.protocols.flooding import LSNode, successor_on
 from repro.protocols.idrp import IDRPNode, IDRPProtocol, RouteAd
+from repro.protocols.lsdb import LSDBGenerations
 from repro.simul.network import SimNetwork
 
 
@@ -66,7 +67,7 @@ class ValleyFreeSearch:
 
     **Precondition:** ``graph`` must not change while the search is kept
     -- retain one only over a published, read-only view (an
-    :class:`~repro.protocols.flooding.LSDBGeneration`'s).
+    :class:`~repro.protocols.lsdb.LSDBGeneration`'s).
     """
 
     __slots__ = ("graph", "order", "src", "metric", "dist", "parent", "heap", "first", "pops")

@@ -173,5 +173,11 @@ class TestChurnStormPlan:
             churn_storm_plan(internet, hz=0.0)
         with pytest.raises(ValueError, match="duration"):
             churn_storm_plan(internet, duration=0.0)
+        # A zero period or an endless window would never end the plan.
+        for hz in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="frequency"):
+                churn_storm_plan(internet, hz=hz)
+        with pytest.raises(ValueError, match="duration"):
+            churn_storm_plan(internet, duration=float("inf"))
         with pytest.raises(ValueError, match="candidate"):
             churn_storm_plan(line_graph(4), links=2)  # all links are bridges

@@ -169,6 +169,10 @@ def test_unknown_override_is_a_type_error_listing_the_valid_names():
         ("mixed_version", {"upgrade_waves": -1}, "--upgrade-waves must be non-negative"),
         ("dataplane_tail", {"flows": 0}, "--flows must be positive"),
         ("dataplane_tail", {"zipf_s": -0.5}, "--zipf-s must be non-negative"),
+        ("dataplane_tail", {"zipf_s": float("nan")}, "--zipf-s must be finite"),
+        ("robustness_churn", {"churn_hz": -1.0}, "--churn-hz must be non-negative"),
+        ("robustness_churn", {"churn_hz": float("nan")}, "--churn-hz must be finite"),
+        ("robustness_churn", {"churn_hz": float("inf")}, "--churn-hz must be finite"),
         ("robustness_misbehavior", {"lie": "perjury"}, "bad lie 'perjury'"),
         ("robustness_misbehavior", {"liar": "tier-1"}, "bad liar 'tier-1'"),
         ("robustness_churn", {"pacing": "jitter"}, "unknown pacing"),

@@ -2,7 +2,7 @@
 
 The LS family derives each node's believed view per LSA delta and repairs
 each SPF tree per edge change; those are the only paths production runs.
-The cold build (:meth:`~repro.protocols.flooding.LSNode._rebuild_view`)
+The cold build (:func:`~repro.protocols.lsdb.cold_view`)
 and full Dijkstra (``spf_next_hops`` in ``tests/oracles.py``) stay as
 the references.  Here whole protocols converge, lose a link, restart a node
 (with or without its state), regain the link and reconverge; after every
@@ -18,6 +18,7 @@ from repro.adgraph.generator import TopologyConfig, generate_internet
 from repro.policy.generators import restricted_policies
 from repro.policy.qos import QOS
 from repro.protocols.flooding import LSNode
+from repro.protocols.lsdb import cold_view
 from repro.protocols.registry import make_protocol
 from tests.oracles import spf_next_hops
 
@@ -61,7 +62,7 @@ def live_ls_nodes(protocol):
 
 def assert_view_is_cold_build(node, stage):
     graph, policies = node.local_view()
-    cold_graph, cold_policies = node._rebuild_view()
+    cold_graph, cold_policies = cold_view(node.lsdb)
     where = (stage, node.ad_id)
     assert graph.ad_ids() == cold_graph.ad_ids(), where
     for ad_id in cold_graph.ad_ids():

@@ -4,13 +4,15 @@
 are fed identical LSA install sequences and asked for their view at
 different times, so a view is sometimes forked from a stale predecessor,
 sometimes picked up already published by a peer.  An oracle node fed the
-same installs answers with its cold build
-(:meth:`~repro.protocols.flooding.LSNode._rebuild_view`) every time.
+same installs answers with the cold build of its LSDB
+(:func:`~repro.protocols.lsdb.cold_view`) every time.
 Whenever a node is asked, its believed graph and policy database must be
 indistinguishable from the cold build -- same ADs, levels, links, metrics, statuses, and per-owner stamped
 terms.  Targeted cases pin when a view must *not* be derived: cross-owner
 terms (term forgery) anywhere in the LSDB or in a replaced LSA, and origin
-level changes, cold-build rather than derive wrongly.
+level changes, cold-build rather than derive wrongly.  Derivation reads only
+the two snapshots, so no install count forces a cold build
+(``tests/test_lsdb.py`` pins a storm of them).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.protocols.flooding import (
     LSDBGenerations,
     LSNode,
 )
+from repro.protocols.lsdb import cold_view
 from repro.protocols.registry import make_protocol
 from repro.workloads.scenarios import reference_scenario
 
@@ -47,7 +50,7 @@ def make_nodes(sharing=1):
 
 def assert_views_equal(delta, oracle):
     dg, dp = delta.local_view()
-    og, op = oracle._rebuild_view()
+    og, op = cold_view(oracle.lsdb)
     assert dg.ad_ids() == og.ad_ids()
     for ad_id in og.ad_ids():
         assert dg.ad(ad_id).level == og.ad(ad_id).level
@@ -203,58 +206,11 @@ def test_origin_level_change_forces_cold_build():
     assert graph.ad(1).level == Level.REGIONAL
 
 
-def test_view_edge_changes_is_the_links_of_the_replaced_origins():
-    delta, _ = make_nodes()
-    assert delta.view_edge_changes(0) is None  # never queried: no log
-    delta._install(lsa(0, 1, [1, 2]))
-    delta._install(lsa(1, 1, [0]))
-    delta._install(lsa(2, 1, [0]))
-    delta.local_view()
-    v0 = delta.db_version
-    assert delta.view_edge_changes(v0) == []
-    assert delta.view_edge_changes(v0 - 1) is None  # predates the log
-    delta._install(lsa(1, 2, []))  # withdraw the adjacency
-    # Node-local: answered off the install log, no view refresh needed.
-    assert delta.view_edge_changes(v0) == [(0, 1)]
-    delta._install(lsa(1, 3, [2]))
-    # Sorted, deduplicated; names every link the origin named then or now.
-    assert delta.view_edge_changes(v0) == [(0, 1), (1, 2)]
-    assert delta.view_edge_changes(v0 + 1) == [(1, 2)]
-    delta._install(lsa(0, 2, [1, 2]))  # same content: over-reported, harmless
-    assert delta.view_edge_changes(v0 + 2) == [(0, 1), (0, 2)]
-    # The log reaches back to the generation the node last left, no further.
-    delta.local_view()
-    assert delta.view_edge_changes(v0) == [(0, 1), (0, 2), (1, 2)]
-    delta._install(lsa(2, 2, [0]))
-    delta.local_view()
-    assert delta.view_edge_changes(v0) is None
-    assert delta.view_edge_changes(v0 + 3) == [(0, 2)]
-
-
-def test_log_overflow_cold_builds_and_answers_no_stale_window(monkeypatch):
-    from repro.protocols import flooding
-
-    monkeypatch.setattr(flooding, "MAX_LSA_LOG", 8)
-    delta, oracle = make_nodes()
-    for node in (delta, oracle):
-        node._install(lsa(0, 1, [1]))
-        node._install(lsa(1, 1, [0]))
-    assert_views_equal(delta, oracle)
-    v0 = delta.db_version
-    for seq in range(2, 12):
-        for node in (delta, oracle):
-            node._install(lsa(1, seq, [0] if seq % 2 else []))
-    assert delta.view_edge_changes(v0) is None  # window fell out of the log
-    assert delta.view_edge_changes(delta.db_version - 2) == [(0, 1)]
-    assert_views_equal(delta, oracle)
-    assert (delta.view_rebuilds, delta.view_delta_refreshes) == (2, 0)
-
-
 def test_a_bandwidth_only_change_reaches_the_derived_view():
     """A ground-truth bandwidth change, re-originated, is derived, not lost.
 
     ``InterADGraph`` has no metric setter, so only a re-originated LSA
-    reaches ``_reconcile_edge``'s bandwidth comparison; without it the
+    reaches the derivation's bandwidth comparison; without it the
     derived view keeps the old figure while a cold build reads the new.
     """
     scenario = reference_scenario(seed=5)
@@ -271,7 +227,7 @@ def test_a_bandwidth_only_change_reaches_the_derived_view():
     network.run()
     graph, _ = node.local_view()
     assert graph is not before and node.view_delta_refreshes > derived
-    cold, _ = node._rebuild_view()
+    cold, _ = cold_view(node.lsdb)
     assert {ln.key: ln.metrics for ln in graph.links()} == {
         ln.key: ln.metrics for ln in cold.links()
     }

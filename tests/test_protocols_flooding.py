@@ -147,4 +147,4 @@ class TestDynamics:
 
     def test_lsdb_bytes_positive(self, hierarchy):
         net = build_ls_network(hierarchy, open_db(hierarchy))
-        assert net.node(0).lsdb_bytes() > 0
+        assert sum(lsa.size_bytes() for lsa in net.node(0).lsdb.values()) > 0

@@ -32,7 +32,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.adgraph.ad import AD, ADKind, InterADLink, Level, LinkKind
+from repro.adgraph.ad import AD, ADKind, InterADLink, Level, LinkKind, canonical_link_key
 from repro.adgraph.graph import InterADGraph
 from repro.adgraph.partial_order import PartialOrder
 from repro.core.synthesis import constrained_dijkstra, synthesize_route
@@ -51,7 +51,7 @@ from repro.policy.qos import QOS
 from repro.policy.sets import ADSet
 from repro.policy.terms import PolicyTerm
 from repro.protocols import lshbh, registry
-from repro.protocols.flooding import LinkStateAd, canonical_link_key
+from repro.protocols.flooding import LinkStateAd
 from repro.protocols.registry import make_protocol
 
 from .helpers import mk_graph
@@ -189,7 +189,7 @@ def term_owner(node):
 
 @pytest.mark.parametrize(
     "change",
-    ["link-up", "metric", "term", "born-ad", "level", "cold", "log-overflow"],
+    ["link-up", "metric", "term", "born-ad", "level", "cold"],
 )
 def test_only_lost_links_carry(change):
     protocol, node, flows = asker()
@@ -211,12 +211,9 @@ def test_only_lost_links_carry(change):
         reinstall(node, a, origin_level=Level.BACKBONE)
     elif change == "cold":
         assert rebuilds == 1  # the asker's first generation: nothing to inherit
-    elif change == "log-overflow":
-        node._lsa_log = None  # what a storm longer than MAX_LSA_LOG leaves
-        relink(node, a, b, up=False)
     generation = ask(node, flows)
     assert generation.inherited is None
-    cold = change in ("level", "log-overflow")
+    cold = change == "level"
     assert node.view_rebuilds == rebuilds + cold  # derived, yet inherits nothing
     assert all(generation.routes[f] == fresh(generation, f) for f in flows)
 

@@ -5,7 +5,7 @@ under new sequence numbers: the LSDB returns to a content it held before,
 but as a *new* generation.  The pool under
 :class:`~repro.protocols.flooding.LSNode` keys route memos by the content
 with ``seq`` left out -- each origin's ``(links, terms, origin_level)`` --
-and keeps the last :data:`~repro.protocols.flooding.ROUTE_MEMOS` of them,
+and keeps the last :data:`~repro.protocols.lsdb.ROUTE_MEMOS` of them,
 so such a generation adopts the routes it heals back to.  This file pins:
 
 * reuse: a flap that heals and a state-losing crash that restarts adopt
@@ -32,13 +32,9 @@ from repro.policy.database import PolicyDatabase
 from repro.policy.flows import FlowSpec
 from repro.policy.qos import QOS
 from repro.policy.terms import PolicyTerm
-from repro.protocols.flooding import (
-    ROUTE_MEMOS,
-    LinkRecord,
-    LinkStateAd,
-    LSDBGenerations,
-    LSNode,
-)
+from repro.protocols import lsdb
+from repro.protocols.flooding import LinkRecord, LinkStateAd
+from repro.protocols.lsdb import ROUTE_MEMOS, LSDBGenerations
 from repro.protocols.registry import make_protocol
 
 from .test_lsdb_generations import compute_function, reference, storm, unshared_route
@@ -268,14 +264,12 @@ def test_a_liars_content_adopts_only_an_equal_body(lie):
 
 def cold_view(lsdb_content):
     """The view an LSDB of ``lsdb_content`` builds from scratch."""
-    node = LSNode(0, generations=LSDBGenerations())
-    node.lsdb = {
+    return lsdb.cold_view({
         origin: LinkStateAd(
             origin=origin, seq=1, links=links, terms=terms, origin_level=level
         )
         for origin, links, terms, level in lsdb_content
-    }
-    return node._rebuild_view()
+    })
 
 
 def check_every_memo(pool, seen):
