@@ -91,14 +91,6 @@ class TopologyConfig:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {p}")
 
-    def expected_size(self) -> int:
-        """Rough expected AD count for this config."""
-        regionals = self.num_backbones * self.regionals_per_backbone
-        metros = regionals * self.metros_per_regional
-        parents = metros if self.metros_per_regional else regionals
-        campuses = parents * self.campuses_per_parent
-        return self.num_backbones + regionals + metros + campuses
-
 
 def scaled_config(target_ads: int, seed: int = 0, **overrides: object) -> TopologyConfig:
     """Build a config whose expected size approximates ``target_ads``.

@@ -38,7 +38,6 @@ from repro.faults.plan import (
     ad_crash_plan,
     crash_candidates,
     link_flap_plan,
-    lossy_period_plan,
     merge_plans,
 )
 from repro.faults.misbehavior import (
@@ -74,7 +73,6 @@ __all__ = [
     "crash_candidates",
     "liar_by_role",
     "link_flap_plan",
-    "lossy_period_plan",
     "merge_plans",
     "misbehavior_plan",
     "pick_victim_stub",

@@ -43,7 +43,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.adgraph.ad import ADId, LinkKind
 from repro.adgraph.graph import InterADGraph
-from repro.faults.channel import PERFECT, Impairment
+from repro.faults.channel import Impairment
 
 
 @dataclass(frozen=True)
@@ -436,23 +436,3 @@ def partition_plan(
         LinkFault(start_time + duration, a, b, up=True) for a, b in cut
     )
     return FaultPlan(tuple(events))
-
-
-def lossy_period_plan(
-    spec: Impairment,
-    start_time: float = 100.0,
-    duration: float = 400.0,
-    link: Optional[Tuple[ADId, ADId]] = None,
-) -> FaultPlan:
-    """Apply an impairment for a bounded window, then restore ``PERFECT``.
-
-    ``link=None`` impairs every link (the channel default); note the
-    restore resets the affected scope to :data:`~repro.faults.channel.PERFECT`,
-    not to whatever impairment preceded the window.
-    """
-    return FaultPlan(
-        (
-            ImpairmentChange(start_time, spec, link),
-            ImpairmentChange(start_time + duration, PERFECT, link),
-        )
-    )

@@ -29,7 +29,6 @@ from repro.protocols.registry import (
     available_protocols,
     design_point_of,
     make_protocol,
-    protocol_for,
 )
 from repro.protocols.spf import PlainLinkStateProtocol
 
@@ -48,5 +47,4 @@ __all__ = [
     "available_protocols",
     "design_point_of",
     "make_protocol",
-    "protocol_for",
 ]

@@ -150,7 +150,8 @@ class RoutingProtocol:
         :attr:`substrate`: a fresh :class:`SimNetwork` for ``"sim"``
         (``"live"`` networks need a running event loop, so
         :mod:`repro.live` constructs one and passes it here).  An
-        explicitly-passed transport is adopted as-is.
+        explicitly-passed transport is adopted as-is.  Every node is
+        stamped with the full runtime container here, and only here.
         """
         if self.network is None:
             if network is None:
@@ -162,19 +163,9 @@ class RoutingProtocol:
                 network = SimNetwork(self.graph)
             self.network = network
             self._make_nodes(network)
-            self._distribute_runtime(network)
+            for node in network.nodes.values():
+                self._stamp_runtime(node)
         return self.network
-
-    def _distribute_runtime(self, network: Transport) -> None:
-        """Stamp the full runtime container onto every node (single hook).
-
-        Also attaches the runtime's ingress queue, when one is configured
-        and the substrate models one (the sim's delivery stage).
-        """
-        for node in network.nodes.values():
-            self._stamp_runtime(node)
-        if self.runtime.ingress is not None and hasattr(network, "set_ingress"):
-            network.set_ingress(self.runtime.ingress)
 
     def _stamp_runtime(self, node: ProtocolNode) -> None:
         """Configure one node with every runtime component.
@@ -227,10 +218,7 @@ class RoutingProtocol:
         (defined next to the feature's config) does the gathering.
         """
         self._require_network()
-        collect = feature(name).collect
-        if collect is None:
-            raise ValueError(f"runtime feature {name!r} keeps no counters")
-        return collect(self)
+        return feature(name).collect(self)
 
     def converge(self, max_events: int = 5_000_000) -> ConvergenceResult:
         """Build if needed and run the control plane to quiescence.
@@ -306,7 +294,6 @@ class RoutingProtocol:
             # is what guarantees no pre-crash timer ever fires, during the
             # outage or after the fresh process takes over.
             network.nodes[ad_id].retire()
-        if not retain_state:
             # No NVRAM: messages sitting in the dead process's input
             # queue are lost with the rest of its state.
             network.flush_ingress(ad_id)

@@ -83,7 +83,6 @@ class EGPNode(VectorNode):
         # than a high-water mark: jitter reorders, and a reordered update
         # is new content, not a duplicate.
         self._seen: Dict[ADId, Set[int]] = {}
-        self._unacked: Dict[Tuple[ADId, int], NRUpdate] = {}
         # Highest sequence number observed per sender (seq-guard state;
         # independent of the dedup hardening's seen-sets).
         self._last_seq: Dict[ADId, int] = {}
@@ -93,7 +92,7 @@ class EGPNode(VectorNode):
         if self.guard is not None and self.guard.suppresses(sender):
             return
         if isinstance(msg, NRAck):
-            self._unacked.pop((sender, msg.seq), None)
+            self.clear_retransmit((sender, msg.seq))
             return
         assert isinstance(msg, NRUpdate)
         if self._rejects(sender, self._check_update, sender, msg):
@@ -185,24 +184,10 @@ class EGPNode(VectorNode):
         self._update_seq += 1
         update = NRUpdate(tuple(dests), seq=self._update_seq)
         if self.hardening.retransmit:
-            self._unacked[(nbr, update.seq)] = update
-            self._arm_retry(nbr, update.seq, self.hardening.max_retries)
+            # Armed before the engine sends the update: arming after it
+            # could reorder same-instant events in hardened runs.
+            self.arm_retransmit((nbr, update.seq), nbr, update)
         return update
-
-    def _arm_retry(self, nbr: ADId, seq: int, retries_left: int) -> None:
-        self.schedule(
-            self.hardening.retransmit_timeout, self._retry_update, nbr, seq, retries_left
-        )
-
-    def _retry_update(self, nbr: ADId, seq: int, retries_left: int) -> None:
-        update = self._unacked.get((nbr, seq))
-        if update is None:
-            return
-        if retries_left <= 0:
-            del self._unacked[(nbr, seq)]
-            return
-        self.send(nbr, update)
-        self._arm_retry(nbr, seq, retries_left - 1)
 
     def route_to(self, dest: ADId) -> Optional[ADId]:
         nxt = self.table.get(dest)
@@ -266,10 +251,7 @@ class EGPProtocol(RoutingProtocol):
                 "EGP requires a cycle-free inter-AD topology"
             )
         self.tree_graph, self.excluded_links = _spanning_tree(self.graph)
-        self.network = SimNetwork(self.tree_graph)
-        self._make_nodes(self.network)
-        self._distribute_runtime(self.network)
-        return self.network
+        return super().build(SimNetwork(self.tree_graph))
 
     def _make_nodes(self, network: SimNetwork) -> None:
         for ad_id in self.graph.ad_ids():

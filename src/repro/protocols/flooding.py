@@ -195,9 +195,8 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
         # and whether a tick is already scheduled (at most one in flight).
         self._refresh_left = 0
         self._refresh_pending = False
-        # Retransmit hardening: token generator and unacked DB exchanges.
+        # Retransmit hardening: the DB-exchange token generator.
         self._exchange_seq = 0
-        self._pending_exchanges: Dict[int, Tuple[ADId, LSDBExchange]] = {}
         # Terms a liar adds to its own LSA (empty when honest).
         self._forged_terms: Tuple[PolicyTerm, ...] = ()
 
@@ -353,7 +352,7 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
                 finally:
                     profiler.add("proto.flood", perf_counter() - t0)
         elif isinstance(msg, ExchangeAck):
-            self._pending_exchanges.pop(msg.token, None)
+            self.clear_retransmit(msg.token)
         else:
             super().on_message(sender, msg)
 
@@ -559,35 +558,12 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
             ads = tuple(self.lsdb[o] for o in sorted(self.lsdb))
             if self.hardening.retransmit:
                 self._exchange_seq += 1
-                token = self._exchange_seq
-                exchange = LSDBExchange(ads, token=token)
-                self._pending_exchanges[token] = (nbr, exchange)
+                exchange = LSDBExchange(ads, token=self._exchange_seq)
                 self.send(nbr, exchange)
-                self.schedule(
-                    self.hardening.retransmit_timeout,
-                    self._retry_exchange,
-                    token,
-                    self.hardening.max_retries,
-                )
+                self.arm_retransmit(exchange.token, nbr, exchange)
             else:
                 self.send(nbr, LSDBExchange(ads))
         self.on_lsdb_change()
-
-    def _retry_exchange(self, token: int, retries_left: int) -> None:
-        pending = self._pending_exchanges.get(token)
-        if pending is None:
-            return
-        if retries_left <= 0:
-            del self._pending_exchanges[token]
-            return
-        nbr, exchange = pending
-        self.send(nbr, exchange)
-        self.schedule(
-            self.hardening.retransmit_timeout,
-            self._retry_exchange,
-            token,
-            retries_left - 1,
-        )
 
     def inherit_nonvolatile(self, previous: ProtocolNode) -> None:
         """Keep the LSA sequence counter across a state-losing restart.

@@ -8,15 +8,19 @@ each independently switchable so E11 can ablate what every one buys:
 * ``dedup`` -- suppress duplicate control messages by sequence number
   (LS flooding already dedups by LSA sequence; this extends the idea to
   EGP reachability updates and ORWG setup packets);
-* ``retransmit`` -- ack + bounded retransmission timers on the messages
-  whose loss otherwise wedges the protocol (EGP updates, ORWG route
-  setup, LS topology-exchange on link-up);
+* ``retransmit`` -- ack + bounded retransmission on the messages whose
+  loss otherwise wedges the protocol (EGP updates, ORWG route setup, LS
+  topology-exchange on link-up).  Each family keeps its own ack message;
+  the one timer is :meth:`ProtocolNode.arm_retransmit
+  <repro.simul.node.ProtocolNode.arm_retransmit>` /
+  ``clear_retransmit``;
 * ``refresh`` -- periodic re-origination of LSAs for a bounded burst
   after every change, so a lost flood heals instead of persisting as a
   stale LSDB entry.
 
-The config is the ``hardening`` row of the runtime-feature table
-(:mod:`repro.protocols.runtime`): nodes consult ``self.hardening`` at
+The config is the ``hardening`` row of the five-row runtime-feature
+table (:mod:`repro.protocols.runtime`; the bounded ingress queue is a
+fault axis, not a row): nodes consult ``self.hardening`` at
 each decision point and fall back to the exact legacy behaviour when a
 feature is off, which keeps unhardened runs byte-identical.
 """

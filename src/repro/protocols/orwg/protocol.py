@@ -22,6 +22,7 @@ full setup/data/teardown machinery used by experiment E6
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import ClassVar, Dict, List, Optional, Tuple
 
 from repro.adgraph.ad import ADId
@@ -186,8 +187,7 @@ class ORWGNode(LSNode):
         attempt.start_time = self.now
         route = self.compute_route(attempt.flow, selection)
         if route is None:
-            attempt.state = "failed"
-            attempt.reason = "no legal route found"
+            self.fail(attempt, "no legal route found")
             return
         attempt.route = route.path
         self.attempts[attempt.handle] = attempt
@@ -206,8 +206,7 @@ class ORWGNode(LSNode):
                 route.path[i], attempt.flow, route.path[i - 1], route.path[i + 1]
             )
             if term is None:
-                attempt.state = "failed"
-                attempt.reason = f"view has no permitting term at AD {route.path[i]}"
+                self.fail(attempt, f"view has no permitting term at AD {route.path[i]}")
                 return
             refs.append(term.ref)
         # The source itself caches the handle (prev=None).
@@ -231,34 +230,25 @@ class ORWGNode(LSNode):
         )
         self.send(route.path[1], packet)
         if self.hardening.retransmit:
-            self.schedule(
-                self.hardening.retransmit_timeout,
-                self._retry_setup,
-                attempt,
+            # Keyed by the handle; the hop-0 ack and ``fail`` clear it.
+            self.arm_retransmit(
+                attempt.handle,
+                route.path[1],
                 packet,
-                self.hardening.max_retries,
+                partial(self._setup_timed_out, attempt),
             )
 
-    def _retry_setup(
-        self, attempt: SetupAttempt, packet: SetupPacket, retries_left: int
-    ) -> None:
-        """Resend a setup packet whose ack never came (hardening only)."""
-        if attempt.state != "pending":
-            return
-        if retries_left <= 0:
-            attempt.state = "failed"
-            attempt.reason = "setup timed out after retransmissions"
-            attempt.end_time = self.now
-            self.pg.remove(attempt.handle)
-            return
-        self.send(packet.route[1], packet)
-        self.schedule(
-            self.hardening.retransmit_timeout,
-            self._retry_setup,
-            attempt,
-            packet,
-            retries_left - 1,
-        )
+    def _setup_timed_out(self, attempt: SetupAttempt) -> None:
+        """Every retransmission of the setup went unacknowledged."""
+        self.fail(attempt, "setup timed out after retransmissions")
+        attempt.end_time = self.now
+        self.pg.remove(attempt.handle)
+
+    def fail(self, attempt: SetupAttempt, reason: str) -> None:
+        """The attempt failed: record why, and resend its setup no more."""
+        attempt.state = "failed"
+        attempt.reason = reason
+        self.clear_retransmit(attempt.handle)
 
     # ------------------------------------------------------------- messaging
 
@@ -344,6 +334,7 @@ class ORWGNode(LSNode):
             if attempt is not None and attempt.state == "pending":
                 attempt.state = "established"
                 attempt.end_time = self.now
+                self.clear_retransmit(msg.handle)
             return
         self.send(msg.route[msg.hop - 1], SetupAck(msg.handle, msg.route, msg.hop - 1))
 
@@ -354,8 +345,7 @@ class ORWGNode(LSNode):
             self.pg.remove(msg.handle)
             attempt = self.attempts.get(msg.handle)
             if attempt is not None:
-                attempt.state = "failed"
-                attempt.reason = f"rejected by AD {msg.rejected_by}: {msg.reason}"
+                self.fail(attempt, f"rejected by AD {msg.rejected_by}: {msg.reason}")
                 return
             if entry is not None and entry.prev is not None:
                 self.send(entry.prev, msg)
@@ -364,8 +354,7 @@ class ORWGNode(LSNode):
         if msg.hop == 0:
             attempt = self.attempts.get(msg.handle)
             if attempt is not None:
-                attempt.state = "failed"
-                attempt.reason = f"rejected by AD {msg.rejected_by}: {msg.reason}"
+                self.fail(attempt, f"rejected by AD {msg.rejected_by}: {msg.reason}")
             return
         self.send(
             msg.route[msg.hop - 1],
@@ -598,8 +587,7 @@ class ORWGProtocol(RoutingProtocol):
             graph = self.network.graph
             if not graph.link(attempt.flow.src, first_hop).up:
                 # The source sees its own dead access link immediately.
-                attempt.state = "failed"
-                attempt.reason = f"link {attempt.flow.src}-{first_hop} is down"
+                node.fail(attempt, f"link {attempt.flow.src}-{first_hop} is down")
                 node.pg.remove(attempt.handle)
                 return
             route = attempt.route if carry_route else None

@@ -173,11 +173,6 @@ class FlapDamper:
             current / self.config.reuse_threshold
         )
 
-    def suppressed_keys(self, now: float) -> Tuple[Hashable, ...]:
-        return tuple(
-            k for k in self._states if self.is_suppressed(k, now)
-        )
-
 
 #: Floor on re-advertisement check spacing, so a key that keeps being
 #: re-penalized while suppressed cannot busy-loop the scheduler.

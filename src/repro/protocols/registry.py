@@ -172,13 +172,6 @@ def design_point_of(name: str) -> Optional[DesignPoint]:
     return None
 
 
-def protocol_for(
-    point: DesignPoint, graph: InterADGraph, policies: PolicyDatabase
-) -> RoutingProtocol:
-    """Instantiate the implementation for a Table 1 cell."""
-    return make_protocol(point, graph, policies)
-
-
 def all_protocol_names() -> List[str]:
     """Names of the eight design-point implementations."""
     return [factory.name for factory in PROTOCOL_FOR_POINT.values()]  # type: ignore[attr-defined]

@@ -1,31 +1,35 @@
 """The runtime-feature table: how a named setting reaches a node.
 
 A runtime feature -- hardening, validation, pacing, graceful restart,
-wire versioning, the ingress queue -- is spelled as a string on a CLI
-flag or in a :class:`~repro.harness.spec.ProtocolSpec` option and
-acts as a config object on every protocol node.  Everything between the
-two is driven by :data:`RUNTIME_FEATURES`, one row per feature:
+wire versioning -- is spelled as a string on a CLI flag or in a
+:class:`~repro.harness.spec.ProtocolSpec` option and acts as a config
+object on every protocol node.  Everything between the two is driven by
+:data:`RUNTIME_FEATURES`, five rows, one per feature:
 
 * :func:`runtime_from` and the registry's pseudo-options parse each
   spelling with its row's parser (the flag sets share the one grammar of
   :mod:`repro.protocols.flagset`; ``wire`` keeps its own);
 * :class:`NodeRuntimeConfig`, the immutable container a protocol driver
   holds, has one field per row;
-* :func:`stamp` copies the node-level rows onto a node -- at build time,
-  and again when a state-losing restart swaps in a fresh process;
+* :func:`stamp` copies every row onto a node -- at build time, and
+  again when a state-losing restart swaps in a fresh process;
 * :meth:`RoutingProtocol.runtime_summary
   <repro.protocols.base.RoutingProtocol.runtime_summary>` runs a row's
   collector to gather its network-wide counters for the run record.
 
 Every feature is off by default, so a default container is
 byte-identical to a feature-free build.
+
+The bounded ingress queue is not a row but a fault axis: it models the
+network's delivery stage, armed from ``FaultSpec.queue_*`` after initial
+convergence.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Tuple
 
 from repro.protocols.graceful import (
     GracefulRestartConfig,
@@ -48,7 +52,6 @@ from repro.protocols.versioning import (
     negotiation_summary,
     wire_from,
 )
-from repro.simul.ingress import IngressConfig
 from repro.simul.node import ProtocolNode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -60,28 +63,19 @@ class Feature:
     """One row of the runtime-feature table."""
 
     #: The ``make_protocol`` option, ``NodeRuntimeConfig`` field and
-    #: (for node-level rows) node attribute -- one name throughout.
+    #: node attribute -- one name throughout.
     name: str
     #: The config type the parsed spelling becomes.
     config: type
     #: Spelling parser: ``None`` -> the feature's default, a ready config
     #: unchanged, anything else by the feature's grammar.
     parse: Callable[[Any], Any]
-    #: Network-wide counters for the run record, if the feature has any.
-    collect: Optional[Callable[["RoutingProtocol"], Any]] = None
-    #: Whether :func:`stamp` copies the config onto every node.
-    on_node: bool = True
+    #: Network-wide counters for the run record.
+    collect: Callable[["RoutingProtocol"], Any]
 
     @property
     def default(self) -> Any:
         return self.parse(None)
-
-
-def _ingress_from(value: Optional[IngressConfig]) -> Optional[IngressConfig]:
-    """Ingress has no string spelling: a ready config, or ``None`` (off)."""
-    if value is None or isinstance(value, IngressConfig):
-        return value
-    raise TypeError(f"ingress must be an IngressConfig, got {value!r}")
 
 
 RUNTIME_FEATURES: Tuple[Feature, ...] = (
@@ -96,10 +90,6 @@ RUNTIME_FEATURES: Tuple[Feature, ...] = (
     # The wire version a node speaks and whether it negotiates at HELLO
     # time (drivers may pin the version per AD on top of this).
     Feature("wire", WireConfig, wire_from, negotiation_summary),
-    # The bounded control-plane input queue, or None for instant
-    # delivery.  It models the substrate's delivery stage, so it attaches
-    # to the *network*, not to nodes.
-    Feature("ingress", IngressConfig, _ingress_from, on_node=False),
 )
 
 
@@ -146,10 +136,9 @@ def runtime_from(**specs: Any) -> NodeRuntimeConfig:
 
 
 def stamp(target: Any, runtime: NodeRuntimeConfig) -> None:
-    """Copy every node-level component of ``runtime`` onto ``target``."""
+    """Copy every component of ``runtime`` onto ``target``."""
     for row in RUNTIME_FEATURES:
-        if row.on_node:
-            setattr(target, row.name, getattr(runtime, row.name))
+        setattr(target, row.name, getattr(runtime, row.name))
 
 
 # A node nobody stamped (built without a driver, as unit tests do) runs

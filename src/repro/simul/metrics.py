@@ -35,9 +35,7 @@ class MetricsSnapshot:
     computations: Mapping[Tuple[ADId, str], int]
     last_activity: float
     channel_dropped: int = 0
-    duplicated: int = 0
     queue_dropped: int = 0
-    deferred: int = 0
     live_send_retries: int = 0
     live_send_drops: int = 0
     #: Messages rejected on version grounds (failed negotiations plus
@@ -77,9 +75,7 @@ class MetricsSnapshot:
             computations=comps,
             last_activity=self.last_activity,
             channel_dropped=self.channel_dropped - earlier.channel_dropped,
-            duplicated=self.duplicated - earlier.duplicated,
             queue_dropped=self.queue_dropped - earlier.queue_dropped,
-            deferred=self.deferred - earlier.deferred,
             live_send_retries=(
                 self.live_send_retries - earlier.live_send_retries
             ),
@@ -108,9 +104,7 @@ class MetricsCollector:
         self.computations: Counter = Counter()
         self.last_activity = 0.0
         self.channel_dropped = 0
-        self.duplicated = 0
         self.queue_dropped = 0
-        self.deferred = 0
         self.live_send_retries = 0
         self.live_send_drops = 0
         self.version_rejected = 0
@@ -130,17 +124,9 @@ class MetricsCollector:
         """Record a message lost to channel impairment (not a dead link)."""
         self.channel_dropped += 1
 
-    def count_duplicated(self, n: int = 1) -> None:
-        """Record extra copies injected by channel duplication."""
-        self.duplicated += n
-
     def count_queue_drop(self, n: int = 1) -> None:
         """Record messages lost to a full or flushed ingress queue."""
         self.queue_dropped += n
-
-    def count_deferred(self) -> None:
-        """Record a backpressure deferral (redelivery scheduled)."""
-        self.deferred += 1
 
     def count_live_send_retry(self) -> None:
         """Record a transient UDP send error that will be retried."""
@@ -180,9 +166,7 @@ class MetricsCollector:
             computations=dict(self.computations),
             last_activity=self.last_activity,
             channel_dropped=self.channel_dropped,
-            duplicated=self.duplicated,
             queue_dropped=self.queue_dropped,
-            deferred=self.deferred,
             live_send_retries=self.live_send_retries,
             live_send_drops=self.live_send_drops,
             version_rejected=self.version_rejected,

@@ -93,8 +93,6 @@ class SimNetwork(Transport):
         if not copies:
             self.metrics.count_channel_drop()
             return
-        if len(copies) > 1:
-            self.metrics.count_duplicated(len(copies) - 1)
         for extra in copies:
             self.sim.post(delay + extra, self._deliver, src, dst, msg)
 
@@ -165,7 +163,6 @@ class SimNetwork(Transport):
             return
         if cfg.policy == "backpressure" and attempt < cfg.max_redeliveries:
             q.deferred += 1
-            self.metrics.count_deferred()
             self.sim.post(cfg.retry_delay, self._deliver, src, dst, msg, attempt + 1)
             return
         q.dropped += 1

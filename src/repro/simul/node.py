@@ -17,15 +17,17 @@ Subclasses implement three hooks:
 * :meth:`ProtocolNode.on_message` — a control message arrived.
 * :meth:`ProtocolNode.on_link_change` — an incident link went up or down.
 
-The misbehavior and validation plumbing lives here once; a family that
-can lie supplies ``_tell_lie`` / ``_reassert_lies`` (and ``behave``
-extras), and one that validates supplies the ``check`` it hands to
-:meth:`ProtocolNode._rejects`.
+The misbehavior, validation and retransmission plumbing lives here
+once; a family that can lie supplies ``_tell_lie`` / ``_reassert_lies``
+(and ``behave`` extras), one that validates supplies the ``check`` it
+hands to :meth:`ProtocolNode._rejects`, and one that acknowledges its
+control exchanges pairs :meth:`ProtocolNode.arm_retransmit` with
+:meth:`ProtocolNode.clear_retransmit`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.adgraph.ad import ADId, InterADLink
 from repro.simul.messages import Message
@@ -45,7 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class ProtocolNode:
     """Base class for the per-AD routing process."""
 
-    # The runtime stamp: one attribute per node-level row of
+    # The runtime stamp: one attribute per row of
     # ``repro.protocols.runtime.RUNTIME_FEATURES``, set on the instance
     # by the driver (``RoutingProtocol._stamp_runtime``) at build time
     # and on every state-losing restart.  That module also installs the
@@ -85,6 +87,8 @@ class ProtocolNode:
         self.version_drops = 0
         #: Active misbehaviors: lie name -> victim AD (or ``None``).
         self._active_lies: Dict[str, Optional[ADId]] = {}
+        #: Armed retransmissions: key -> (peer, message, give-up effect).
+        self._unacked: Dict[Hashable, Tuple[ADId, Message, Optional[Callable]]] = {}
 
     # ----------------------------------------------------------- plumbing
 
@@ -119,17 +123,6 @@ class ProtocolNode:
         if self._transport is None:
             raise RuntimeError(f"node {self.ad_id} is not attached to a network")
         return self._transport
-
-    @property
-    def network(self) -> Transport:
-        """Historical alias for :attr:`transport`.
-
-        Protocol *drivers* and tests grew up calling the substrate "the
-        network"; node subclasses should prefer the interface-shaped
-        accessors (:attr:`topology`, :attr:`profiler`, :meth:`schedule`,
-        ...).
-        """
-        return self.transport
 
     @property
     def topology(self) -> "InterADGraph":
@@ -324,6 +317,44 @@ class ProtocolNode:
         if self.guard is not None:
             self.guard.violation(sender, reason)
         return True
+
+    # ------------------------------------------------------ retransmission
+
+    def arm_retransmit(
+        self, key: Hashable, peer: ADId, msg: Message, give_up: Optional[Callable] = None
+    ) -> None:
+        """Resend ``msg`` (which the caller sends) until ``key`` is cleared.
+
+        Resends go to ``peer`` every ``hardening.retransmit_timeout``, at
+        most ``hardening.max_retries`` times; one timeout after the last,
+        the key is dropped and ``give_up`` (if any) runs.  ``key`` names
+        the exchange within this node: an LS token, an EGP ``(peer, seq)``
+        or an ORWG handle.  No key is armed twice, so a cleared key's
+        pending timer only finds it gone.
+        """
+        self._unacked[key] = (peer, msg, give_up)
+        self._retransmit_in(key, self.hardening.max_retries)
+
+    def clear_retransmit(self, key: Hashable) -> None:
+        """The exchange ``key`` was acknowledged or ended: resend no more."""
+        self._unacked.pop(key, None)
+
+    def _retransmit_in(self, key: Hashable, retries_left: int) -> None:
+        self.schedule(
+            self.hardening.retransmit_timeout, self._retransmit, key, retries_left
+        )
+
+    def _retransmit(self, key: Hashable, retries_left: int) -> None:
+        if key not in self._unacked:
+            return
+        if retries_left <= 0:
+            give_up = self._unacked.pop(key)[2]
+            if give_up is not None:
+                give_up()
+            return
+        peer, msg, _ = self._unacked[key]
+        self.send(peer, msg)
+        self._retransmit_in(key, retries_left - 1)
 
     # --------------------------------------------------------- misbehavior
 

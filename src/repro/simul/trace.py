@@ -142,15 +142,5 @@ class Tracer:
         """Delivered messages per type."""
         return Counter(r.detail for r in self.records if r.kind == "msg")
 
-    def conversation(
-        self, a: ADId, b: ADId
-    ) -> List[TraceRecord]:
-        """All messages exchanged between two ADs, in order."""
-        return [
-            r
-            for r in self.records
-            if r.kind == "msg" and {r.src, r.dst} == {a, b}
-        ]
-
     def __len__(self) -> int:
         return len(self.records)

@@ -29,9 +29,7 @@ from repro.adgraph.graph import InterADGraph
 from repro.protocols.base import (
     DEAD_LINK,
     DELIVERED,
-    HOP_BUDGET,
     LOOP,
-    NO_ROUTE,
     VERDICT_NAMES,
 )
 from repro.traffic.fib import CompiledFIB
@@ -122,10 +120,6 @@ class ReplaySummary:
     @property
     def blackholes(self) -> int:
         return self.verdict_flows[DEAD_LINK]
-
-    @property
-    def no_route(self) -> int:
-        return self.verdict_flows[NO_ROUTE] + self.verdict_flows[HOP_BUDGET]
 
     def as_dict(self) -> Dict[str, object]:
         return {

@@ -8,6 +8,15 @@ from repro.adgraph.ad import ADKind, Level, LinkKind
 from repro.adgraph.generator import TopologyConfig, generate_internet, scaled_config
 
 
+def expected_size(cfg: TopologyConfig) -> int:
+    """The AD count a config's hierarchy implies."""
+    regionals = cfg.num_backbones * cfg.regionals_per_backbone
+    metros = regionals * cfg.metros_per_regional
+    parents = metros if cfg.metros_per_regional else regionals
+    campuses = parents * cfg.campuses_per_parent
+    return cfg.num_backbones + regionals + metros + campuses
+
+
 class TestConfigValidation:
     def test_rejects_zero_backbones(self):
         with pytest.raises(ValueError):
@@ -23,7 +32,7 @@ class TestConfigValidation:
         cfg = TopologyConfig(
             num_backbones=2, regionals_per_backbone=3, campuses_per_parent=4
         )
-        assert cfg.expected_size() == 2 + 6 + 24
+        assert expected_size(cfg) == 2 + 6 + 24
 
 
 class TestGeneration:
@@ -149,6 +158,6 @@ def test_generator_invariants(backbones, regionals, campuses, seed):
     )
     g = generate_internet(cfg)
     assert g.is_connected()
-    assert g.num_ads == cfg.expected_size()
+    assert g.num_ads == expected_size(cfg)
     for ad in g.ads_by_kind(ADKind.STUB):
         assert g.degree(ad.ad_id) == 1

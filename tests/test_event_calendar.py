@@ -12,6 +12,11 @@ requiring the same observations after every step.
 The second half is the tripwire: heap operations the engine issues per
 processed event.  It is a count, not a timing, so it repeats exactly on
 any host and fails the moment a per-event heap operation comes back.
+
+Marked ``hashseed``: CI runs this module again under two fixed
+``PYTHONHASHSEED`` values, because the simulator's firing order must
+come from the heap of instants and FIFO position, never from dict
+iteration order (compaction rebuilds that heap from the dict).
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ from hypothesis import strategies as st
 from repro.protocols.registry import make_protocol
 from repro.simul.engine import SimulationLimitError, Simulator
 from repro.workloads.scenarios import scaled_scenario
+
+pytestmark = pytest.mark.hashseed
 
 # ------------------------------------------------------------------ oracle
 

@@ -4,17 +4,14 @@ import pytest
 
 from repro.adgraph.ad import LinkKind
 from repro.adgraph.generator import TopologyConfig, generate_internet
-from repro.faults.channel import PERFECT, Impairment
 from repro.faults.plan import (
     FaultPlan,
-    ImpairmentChange,
     LinkFault,
     NodeFault,
     ad_crash_plan,
     crash_candidates,
     link_flap_plan,
     churn_storm_plan,
-    lossy_period_plan,
     merge_plans,
     safe_failure_candidates,
 )
@@ -114,20 +111,6 @@ class TestCrashPlans:
         g = line_graph(3)  # only the two endpoints are crash-safe
         with pytest.raises(ValueError, match="crash-safe ADs"):
             ad_crash_plan(g, crashes=3)
-
-
-class TestLossyPeriodPlan:
-    def test_window_then_restore(self):
-        spec = Impairment(drop_prob=0.5)
-        plan = lossy_period_plan(spec, start_time=100, duration=50, link=(1, 2))
-        first, second = list(plan)
-        assert isinstance(first, ImpairmentChange)
-        assert first.time == 100 and first.spec == spec and first.link == (1, 2)
-        assert second.time == 150 and second.spec == PERFECT and second.link == (1, 2)
-
-    def test_default_scope_is_all_links(self):
-        plan = lossy_period_plan(Impairment(drop_prob=0.1))
-        assert all(e.link is None for e in plan)
 
 
 class TestChurnStormPlan:

@@ -7,6 +7,12 @@ does not have is statically ``DEAD_LINK``) and the per-packet oracle
 (:func:`tests.oracles.forward_verdict`) judges ground truth on its own.
 These tests pin the two endings that only show in a running network: a
 route over a forged link, and a transient forwarding loop.
+
+Marked ``hashseed``: CI runs this module again under two fixed
+``PYTHONHASHSEED`` values, because the walk that ``find_route``, the FIB
+and the routes digest share must come from ``next_hop`` decisions, never
+from set or dict order: the fib-key memo's keys hold QOS members, which
+hash by identity.
 """
 
 import pytest
@@ -28,6 +34,8 @@ from repro.traffic import (
 from repro.workloads.scenarios import small_scenario
 from tests.helpers import line_graph, open_db, program_path
 from tests.oracles import forward_verdict
+
+pytestmark = pytest.mark.hashseed
 
 
 def probe_once(protocol, flow, until):

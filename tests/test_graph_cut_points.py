@@ -7,6 +7,13 @@ drawn from the candidate lists built on them, so the lists must equal the
 networkx forms (``tests/oracles.py``) element for element, in order, on
 every graph: random small graphs with down links and isolated ADs, trees,
 rings, and generated internets with some links down.
+
+Marked ``hashseed``: CI runs this module again under two fixed
+``PYTHONHASHSEED`` values, because the fault planners' candidate lists
+(bridges, articulation ADs from the in-tree DFS) must come out in
+``graph.links()`` / ``graph.ad_ids()`` order, never set order, since
+every seeded plan draws from them; and no cell that reaches them, or
+EGP's forest test, may import networkx.
 """
 
 from __future__ import annotations
@@ -29,6 +36,8 @@ from tests.oracles import (
     nx_is_forest,
     nx_safe_failure_candidates,
 )
+
+pytestmark = pytest.mark.hashseed
 
 
 def assert_matches_networkx(graph: InterADGraph) -> None:

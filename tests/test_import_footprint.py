@@ -8,6 +8,13 @@ which importing networkx raises, imports every ``repro`` module the way
 the end-to-end ledger's child process does, runs the smallest cell that
 reaches one former networkx caller, and requires it to finish with
 networkx never loaded.  A fact, not a timing: no memory figure is asserted.
+
+Marked ``hashseed``: CI runs this module again under two fixed
+``PYTHONHASHSEED`` values, because the fault planners' candidate lists
+(bridges, articulation ADs from the in-tree DFS) must come out in
+``graph.links()`` / ``graph.ad_ids()`` order, never set order, since
+every seeded plan draws from them; and no cell that reaches them, or
+EGP's forest test, may import networkx.
 """
 
 from __future__ import annotations
@@ -18,6 +25,8 @@ import sys
 import textwrap
 
 import pytest
+
+pytestmark = pytest.mark.hashseed
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

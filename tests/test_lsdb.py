@@ -15,6 +15,13 @@ history of its installs.  This file pins:
   what Dijkstra answers;
 * the layering: the derivation lives in ``lsdb.py`` only, and
   ``lsdb.py`` imports ``flooding.py`` for type checking only.
+
+Marked ``hashseed``: CI runs this module again under two fixed
+``PYTHONHASHSEED`` values, because the origins and links a view
+derivation or an SPF repair reads off two LSDB snapshots
+(``changed_origins``, ``changed_links``) must come from sorted LSDB
+content, never from dict or set order: the keys of a snapshot diff are a
+set of link tuples.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import ast
 import inspect
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +43,8 @@ from repro.protocols.registry import make_protocol
 from repro.workloads.scenarios import scaled_scenario
 
 from .oracles import spf_next_hops
+
+pytestmark = pytest.mark.hashseed
 
 ORIGINS = [0, 1, 2, 3, 4]
 METRICS = [1.0, 2.0, 8.0]

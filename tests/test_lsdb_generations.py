@@ -15,6 +15,11 @@ things that makes safe:
 * the bound: N distinct flows cost N computations network-wide, live
   generations track the distinct LSDB states among nodes, and a dead
   process holds none.
+
+Marked ``hashseed``: CI runs this module again under two fixed
+``PYTHONHASHSEED`` values, because which LSDB generation a node resolves
+to, and the order generations are released in, must come from LSDB
+content, never from dict or set hash order.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ from repro.simul.runner import run_episodes
 from repro.workloads.scenarios import reference_scenario, ring_scenario
 from tests.oracles import valley_free_shortest_path
 from tests.parent_records import corpus
+
+pytestmark = pytest.mark.hashseed
 
 PROTOCOLS = ("ls-hbh", "ls-hbh-topo", "ls-src-topo")
 

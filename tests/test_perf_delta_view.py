@@ -13,10 +13,16 @@ terms (term forgery) anywhere in the LSDB or in a replaced LSA, and origin
 level changes, cold-build rather than derive wrongly.  Derivation reads only
 the two snapshots, so no install count forces a cold build
 (``tests/test_lsdb.py`` pins a storm of them).
+
+Marked ``hashseed``: CI runs this module again under two fixed
+``PYTHONHASHSEED`` values, because which view a generation is forked
+from, and the order origins and links are reconciled in, must come from
+sorted LSDB content, never from dict or set hash order.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +37,8 @@ from repro.protocols.flooding import (
 from repro.protocols.lsdb import cold_view
 from repro.protocols.registry import make_protocol
 from repro.workloads.scenarios import reference_scenario
+
+pytestmark = pytest.mark.hashseed
 
 NODE_ID = 0
 ORIGINS = [0, 1, 2, 3, 4]

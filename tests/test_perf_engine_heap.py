@@ -4,11 +4,20 @@ Pins the cancelled-handle compaction contract: cancelling more than half
 of a large queue compacts it in place (heap shrinks, ``compactions``
 increments) without perturbing the (time, seq) pop order of the
 survivors, while small queues rely on the cheaper lazy skip.
+
+Marked ``hashseed``: CI runs this module again under two fixed
+``PYTHONHASHSEED`` values, because the simulator's firing order must
+come from the heap of instants and FIFO position, never from dict
+iteration order (compaction rebuilds that heap from the dict).
 """
 
 from __future__ import annotations
 
+import pytest
+
 from repro.simul.engine import Simulator
+
+pytestmark = pytest.mark.hashseed
 
 
 # ------------------------------------------------------------ heap hygiene

@@ -12,10 +12,16 @@ The state pins no graph: each batch is applied to a *fork* of the previous
 graph in which changed links are replaced, never written to (how believed
 views succeed each other), and ``apply(keys, graph)`` is handed the new
 object together with keys that did not change at all.
+
+Marked ``hashseed``: CI runs this module again under two fixed
+``PYTHONHASHSEED`` values, because which view a generation is forked
+from, and the order origins and links are reconciled in, must come from
+sorted LSDB content, never from dict or set hash order.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +29,8 @@ from repro.adgraph.ad import AD, ADKind, InterADLink, Level, LinkKind
 from repro.adgraph.graph import InterADGraph
 from repro.protocols.spf import IncrementalSPFState
 from tests.oracles import spf_next_hops
+
+pytestmark = pytest.mark.hashseed
 
 ROOT = 0
 

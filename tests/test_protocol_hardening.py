@@ -1,5 +1,10 @@
 """Tests for the hardening toggles: config parsing, registry plumbing,
-wire-size compatibility, and the per-protocol mechanisms."""
+wire-size compatibility, the per-protocol mechanisms, and the one
+acknowledged-send path (``ProtocolNode.arm_retransmit`` /
+``clear_retransmit``) that EGP updates, LS database exchanges and ORWG
+route setups share."""
+
+import pathlib
 
 import pytest
 
@@ -7,6 +12,7 @@ from repro.faults.channel import ChannelModel, ImpairedChannel, Impairment
 from repro.policy.flows import FlowSpec
 from repro.protocols.egp import NRAck, NRUpdate
 from repro.protocols.flooding import ExchangeAck, LSDBExchange
+from repro.protocols.orwg.messages import SetupAck, SetupNak, SetupPacket
 from repro.protocols.hardening import (
     FEATURES,
     HARDENED,
@@ -207,7 +213,7 @@ class TestLSHardening:
         proto.network.run()
         # The link-up DB exchanges were tokened, acked, and cleared.
         for node in proto.network.nodes.values():
-            assert node._pending_exchanges == {}
+            assert node._unacked == {}
 
 
 class TestORWGHardening:
@@ -255,3 +261,182 @@ class TestORWGHardening:
         proto.network.run()
         assert attempt.established
         assert proto.runtime_summary("hardening") >= 1
+
+
+# ------------------------------------------- the one retransmission path
+
+#: Non-default timing, so the test shows the config is what paces resends.
+TIMING = HardeningConfig(retransmit=True, retransmit_timeout=7.0, max_retries=2)
+
+
+def _total_loss(network):
+    network.set_channel(ImpairedChannel(default=Impairment(drop_prob=1.0), seed=0))
+
+
+def _egp_update():
+    g = line_graph(2)
+    proto = make_protocol("egp", g, open_db(g), hardening=TIMING)
+    _total_loss(proto.build())
+    return proto, NRUpdate, proto.converge
+
+
+def _ls_exchange():
+    g = ring4()
+    proto = make_protocol("ls-hbh", g, open_db(g), hardening=TIMING)
+    proto.converge()
+    proto.apply_link_status(0, 1, False)
+    proto.network.run()
+    _total_loss(proto.network)
+
+    def link_up():
+        proto.apply_link_status(0, 1, True)
+        proto.network.run()
+
+    return proto, LSDBExchange, link_up
+
+
+def _orwg_setup():
+    g = ring4()
+    proto = make_protocol("orwg", g, open_db(g), hardening=TIMING)
+    proto.converge()
+    _total_loss(proto.network)
+
+    def open_route():
+        proto.open_route(FlowSpec(0, 2))
+        proto.network.run()
+
+    return proto, SetupPacket, open_route
+
+
+#: Each family's episode, on links that lose everything: AD 0 sends the
+#: acknowledged message once, then only retransmissions can follow.
+FAMILIES = {
+    "egp-update": _egp_update,
+    "ls-exchange": _ls_exchange,
+    "orwg-setup": _orwg_setup,
+}
+
+
+def _run(family, on_send):
+    """Run ``family``'s episode; log ``(time, msg)`` per send by AD 0.
+
+    A send is logged before the channel or a dead link can drop it, so
+    a resend counts even though nothing arrives.  ``on_send(proto, n,
+    msg)`` runs after the n-th one.
+    """
+    proto, kind, episode = FAMILIES[family]()
+    network = proto.network
+    sent = []
+    send = network.send
+
+    def recording_send(src, dst, msg):
+        if src == 0 and isinstance(msg, kind):
+            sent.append((network.clock.now, msg))
+            on_send(proto, len(sent), msg)
+        send(src, dst, msg)
+
+    network.send = recording_send
+    episode()
+    return proto, sent
+
+
+def _receive(proto, sender, msg):
+    proto.network.node(0).receive(sender, msg)
+
+
+def _dead_access_link(proto, setup):
+    attempt = proto.network.node(0).attempts[setup.handle]
+    proto.apply_link_status(0, setup.route[1], False)
+    proto.send_data(attempt)
+
+
+#: Every site that ends an armed exchange, as (family, the event, and
+#: the state it leaves an ORWG attempt in).
+CLEARINGS = {
+    "egp-ack": (
+        "egp-update", lambda p, m: _receive(p, 1, NRAck(m.seq)), None,
+    ),
+    "ls-ack": (
+        "ls-exchange", lambda p, m: _receive(p, 1, ExchangeAck(m.token)), None,
+    ),
+    "orwg-hop0-ack": (
+        "orwg-setup",
+        lambda p, m: _receive(p, m.route[1], SetupAck(m.handle, m.route, hop=0)),
+        "established",
+    ),
+    "orwg-setup-nak": (
+        "orwg-setup",
+        lambda p, m: _receive(
+            p, m.route[1], SetupNak(m.handle, m.route, 0, m.route[1], "refused")
+        ),
+        "failed",
+    ),
+    "orwg-data-nak": (
+        "orwg-setup",
+        lambda p, m: _receive(
+            p, m.route[1], SetupNak(m.handle, (), -1, m.route[1], "refused")
+        ),
+        "failed",
+    ),
+    "orwg-dead-access-link": ("orwg-setup", _dead_access_link, "failed"),
+}
+
+
+class TestOneRetransmissionPath:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_total_loss_resends_max_retries_then_gives_up(self, family):
+        timeout = TIMING.retransmit_timeout
+        armed = []  # whether AD 0 still holds the exchange, per probe
+
+        def on_send(proto, n, msg):
+            if n == 1 + TIMING.max_retries:
+                # The give-up falls one timeout after the last resend.
+                node = proto.network.node(0)
+                for offset in (timeout - 0.5, timeout + 0.5):
+                    node.schedule(offset, lambda: armed.append(bool(node._unacked)))
+
+        proto, sent = _run(family, on_send)
+        times = [t for t, _ in sent]
+        start = times[0]
+        assert times == [start + i * timeout for i in range(1 + TIMING.max_retries)]
+        assert len({msg for _, msg in sent}) == 1  # the same message resent
+        assert armed == [True, False]
+        assert proto.network.node(0)._unacked == {}
+        if family == "orwg-setup":
+            attempt = proto.network.node(0).attempts[sent[0][1].handle]
+            assert attempt.state == "failed"
+            assert attempt.reason == "setup timed out after retransmissions"
+            assert attempt.end_time == start + (1 + TIMING.max_retries) * timeout
+            assert proto.network.node(0).pg.lookup(attempt.handle) is None
+
+    @pytest.mark.parametrize("clearing", CLEARINGS)
+    def test_clearing_after_the_first_resend_stops_all_resends(self, clearing):
+        family, event, state = CLEARINGS[clearing]
+
+        def on_send(proto, n, msg):
+            if n == 2:  # the first resend went out; end it mid-timeout
+                proto.network.node(0).schedule(
+                    TIMING.retransmit_timeout / 2, event, proto, msg
+                )
+
+        proto, sent = _run(family, on_send)
+        assert len(sent) == 2
+        assert proto.network.node(0)._unacked == {}
+        if state is not None:
+            attempt = proto.network.node(0).attempts[sent[0][1].handle]
+            assert attempt.state == state
+            assert "timed out" not in attempt.reason
+
+
+def test_retransmission_has_one_timer():
+    # The families arm and clear; only ProtocolNode schedules resends.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+    gone = ("_retry_setup", "_retry_exchange", "_retry_update", "_arm_retry",
+            "_pending_exchanges")
+    timer_users = set()
+    for path in src.rglob("*.py"):
+        text = path.read_text()
+        assert not [name for name in gone if name in text], path
+        if "retransmit_timeout" in text:
+            timer_users.add(path.relative_to(src).as_posix())
+    assert timer_users == {"simul/node.py", "protocols/hardening.py"}

@@ -1,5 +1,14 @@
-"""Tests for IDRP / BGP-2 (path vector + policy attributes)."""
+"""Tests for IDRP / BGP-2 (path vector + policy attributes).
 
+Marked ``hashseed``: CI runs this module again under two fixed
+``PYTHONHASHSEED`` values, because QOS members hash by identity, not by
+name, so the hash of a ``(dest, qos, cls)`` routing key differs in every
+process whatever the seed: IDRP's pinned records, its allocation budget
+and the set algebra, together with the bench-determinism job, show that
+no output depends on it.
+"""
+
+import pytest
 
 from repro.policy.database import PolicyDatabase
 from repro.policy.flows import FlowSpec
@@ -10,6 +19,8 @@ from repro.policy.terms import PolicyTerm
 from repro.policy.qos import QOS
 from repro.protocols.idrp import BGP2Protocol, IDRPProtocol, IDRPUpdate, RouteAd
 from tests.helpers import diamond_graph, line_graph, mk_graph, open_db
+
+pytestmark = pytest.mark.hashseed
 
 
 class TestBasicRouting:

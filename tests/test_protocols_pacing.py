@@ -108,7 +108,6 @@ class TestFlapDamper:
         assert damper.flaps == 3
         assert damper.suppressions == 1
         assert damper.is_suppressed("k", 0.0)
-        assert damper.suppressed_keys(0.0) == ("k",)
 
     def test_penalty_halves_every_half_life(self):
         damper = FlapDamper(FULL)

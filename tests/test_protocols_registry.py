@@ -10,7 +10,6 @@ from repro.protocols.registry import (
     available_protocols,
     design_point_of,
     make_protocol,
-    protocol_for,
 )
 from tests.helpers import open_db, small_hierarchy
 
@@ -38,7 +37,7 @@ def test_instantiation_and_convergence():
     g = small_hierarchy()
     db = open_db(g)
     for point in enumerate_design_space():
-        proto = protocol_for(point, g.copy(), db.copy())
+        proto = make_protocol(point, g.copy(), db.copy())
         result = proto.converge()
         assert result.messages > 0, f"{point.label} never exchanged messages"
 

@@ -17,6 +17,12 @@ so such a generation adopts the routes it heals back to.  This file pins:
   that content;
 * the bound: at most ``ROUTE_MEMOS`` memos, the least recently shared
   dropped first, and none at all where no route is asked (plain-ls).
+
+Marked ``hashseed``: CI runs this module again under two fixed
+``PYTHONHASHSEED`` values, because which route memo a generation adopts
+(the memo key hashes LSA terms and links) must follow from seq-free LSDB
+content and the order routes are asked in, never from hash order, and
+the least recently shared memo is the one dropped.
 """
 
 from __future__ import annotations
@@ -47,6 +53,8 @@ from .test_route_carry_over import (
     relink,
     used_link,
 )
+
+pytestmark = pytest.mark.hashseed
 
 
 def content(generation):

@@ -1,7 +1,7 @@
 """The unified node runtime config and the engine/transport boundary.
 
 One container (:class:`NodeRuntimeConfig`) now carries every build-time
-node knob -- hardening, validation, pacing, ingress -- through one
+node knob -- hardening, validation, pacing, graceful, wire -- through one
 distribution hook; these tests pin the container's semantics, the
 registry's option handling, and the transport-level timer contract that
 both substrates implement.
@@ -16,7 +16,6 @@ from repro.protocols.registry import make_protocol
 from repro.protocols.runtime import NodeRuntimeConfig, runtime_from
 from repro.protocols.validation import ValidationConfig
 from repro.simul.engine import Simulator
-from repro.simul.ingress import IngressConfig
 from repro.simul.network import SimNetwork
 from repro.simul.transport import Clock, TimerHandle, Transport
 
@@ -39,7 +38,6 @@ def test_default_runtime_is_inert():
     assert not runtime.hardening.any_enabled
     assert not runtime.validation.any_enabled
     assert not runtime.pacing.any_enabled
-    assert runtime.ingress is None
 
 
 def test_replace_returns_new_container():
@@ -56,12 +54,10 @@ def test_runtime_from_accepts_primitives():
         hardening="all",
         validation="all",
         pacing="pace",
-        ingress=IngressConfig(capacity=8),
     )
     assert runtime.hardening.any_enabled
     assert runtime.validation.any_enabled
     assert runtime.pacing.any_enabled
-    assert runtime.ingress.capacity == 8
     assert isinstance(runtime.hardening, HardeningConfig)
     assert isinstance(runtime.validation, ValidationConfig)
     assert isinstance(runtime.pacing, PacingConfig)
@@ -108,15 +104,6 @@ def test_registry_substrate_option():
     with pytest.raises(ValueError, match="substrate"):
         make_protocol("plain-ls", graph.copy(), policies.copy(),
                       substrate="quantum")
-
-
-def test_ingress_distributed_through_runtime():
-    graph, policies = small_setting()
-    proto = make_protocol("plain-ls", graph, policies,
-                          ingress=IngressConfig(capacity=16))
-    network = proto.build()
-    assert network.ingress is not None
-    assert network.ingress.config.capacity == 16
 
 
 # ------------------------------------------------- transport timer contract

@@ -15,19 +15,18 @@ from repro.protocols.flagset import FlagSet
 from repro.protocols.registry import make_protocol
 from repro.protocols.runtime import (
     RUNTIME_FEATURES,
+    Feature,
     NodeRuntimeConfig,
     feature,
     runtime_from,
 )
 from repro.protocols.versioning import DEFAULT_WIRE, WireConfig, wire_from
-from repro.simul.ingress import IngressConfig
 from repro.simul.node import ProtocolNode
 from repro.simul.wire import MIN_WIRE_VERSION, WIRE_VERSION
 
 from .helpers import mk_graph, open_db
 
 FLAG_ROWS = [row for row in RUNTIME_FEATURES if issubclass(row.config, FlagSet)]
-NODE_ROWS = [row for row in RUNTIME_FEATURES if row.on_node]
 
 
 def _ids(rows):
@@ -39,12 +38,14 @@ def _subsets(flags):
         yield from itertools.combinations(flags, size)
 
 
-def test_table_names_the_six_components():
+def test_table_names_the_five_components():
     assert _ids(RUNTIME_FEATURES) == [
-        "hardening", "validation", "pacing", "graceful", "wire", "ingress",
+        "hardening", "validation", "pacing", "graceful", "wire",
     ]
     assert _ids(FLAG_ROWS) == _ids(RUNTIME_FEATURES)[:4]
-    assert [row.name for row in RUNTIME_FEATURES if not row.on_node] == ["ingress"]
+    # One path each: every row lands on the node and has a collector.
+    assert not hasattr(Feature, "on_node")
+    assert all(callable(row.collect) for row in RUNTIME_FEATURES)
     assert feature("pacing") is RUNTIME_FEATURES[2]
     with pytest.raises(ValueError, match="unknown runtime feature 'jitter'.*pacing"):
         feature("jitter")
@@ -127,13 +128,14 @@ def test_wire_has_no_off(spelling):
         wire_from(spelling)
 
 
-def test_ingress_takes_a_config_or_nothing():
-    ingress = feature("ingress")
-    queue = IngressConfig(capacity=8)
-    assert ingress.parse(None) is None
-    assert ingress.parse(queue) is queue
-    with pytest.raises(TypeError, match="IngressConfig"):
-        ingress.parse("bounded")
+def test_ingress_is_a_fault_axis_not_a_row():
+    # The bounded queue is armed on the network through FaultSpec's
+    # queue_* fields; make_protocol has no second path to it.
+    with pytest.raises(ValueError, match="unknown runtime feature 'ingress'"):
+        feature("ingress")
+    graph = _ring()
+    with pytest.raises(TypeError, match="ingress"):
+        make_protocol("ls-hbh", graph, open_db(graph), ingress=None)
 
 
 def test_runtime_from_iterates_the_table():
@@ -156,7 +158,6 @@ SPELLINGS = {
     "pacing": "pace,damp",
     "graceful": "helper",
     "wire": "v1+negotiate",
-    "ingress": IngressConfig(capacity=8),
 }
 
 
@@ -166,7 +167,7 @@ def _ring(n=6):
 
 def test_unstamped_node_runs_the_default_runtime():
     node = ProtocolNode(0)
-    for row in NODE_ROWS:
+    for row in RUNTIME_FEATURES:
         assert getattr(node, row.name) == row.default
     assert node.guard is None and node.trusted_graph is None
 
@@ -184,12 +185,9 @@ def test_spelling_reaches_every_node_and_survives_a_stateless_restart(protocol, 
     assert proto.runtime.replace(**blank) == NodeRuntimeConfig().replace(**blank)
     proto.converge()
     network = proto.network
-    if not row.on_node:
-        assert network.ingress.config is expected
-        return
 
     def stamped(node):
-        return {r.name: getattr(node, r.name) for r in NODE_ROWS}
+        return {r.name: getattr(node, r.name) for r in RUNTIME_FEATURES}
 
     for node in network.nodes.values():
         assert getattr(node, row.name) is getattr(proto.runtime, row.name)
@@ -228,7 +226,5 @@ def test_runtime_summary_runs_the_rows_collector():
         "holds": 0, "expirations": 0, "resyncs": 0,
     }
     assert proto.runtime_summary("wire")["nodes"] == {f"v{WIRE_VERSION}": 6}
-    with pytest.raises(ValueError, match="keeps no counters"):
-        proto.runtime_summary("ingress")
     with pytest.raises(ValueError, match="unknown runtime feature"):
         proto.runtime_summary("telemetry")

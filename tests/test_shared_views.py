@@ -15,6 +15,11 @@ This file pins what makes that safe:
 * the key: a liar's LSDB is its own generation, so its view is too;
 * the bound: views alive never exceed generations alive, and the objects
   behind them are counted, not timed.
+
+Marked ``hashseed``: CI runs this module again under two fixed
+``PYTHONHASHSEED`` values, because which view a generation is forked
+from, and the order origins and links are reconciled in, must come from
+sorted LSDB content, never from dict or set hash order.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ from repro.protocols.registry import make_protocol
 from repro.workloads.scenarios import ring_scenario, scaled_scenario
 
 from .test_lsdb_generations import distinct_lsdbs, reference, storm
+
+pytestmark = pytest.mark.hashseed
 
 PROTOCOLS = ("plain-ls", "ls-hbh", "ls-hbh-topo", "orwg")
 

@@ -1,8 +1,17 @@
-"""Tests for the discrete-event engine."""
+"""Tests for the discrete-event engine.
+
+Marked ``hashseed``: CI runs this module again under two fixed
+``PYTHONHASHSEED`` values, because the simulator's delivery order must
+come from the sorted incident-link tuple, never from set order
+(``flood_links``, ``_crashed``), and the calls-per-message budget must
+hold under both seeds.
+"""
 
 import pytest
 
 from repro.simul.engine import SimulationLimitError, Simulator
+
+pytestmark = pytest.mark.hashseed
 
 
 class TestScheduling:

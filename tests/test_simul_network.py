@@ -89,7 +89,7 @@ class TestNodeManagement:
     def test_unattached_node_has_no_network(self):
         node = Recorder(1)
         with pytest.raises(RuntimeError):
-            _ = node.network
+            _ = node.transport
 
 
 class TestLinkChanges:

@@ -1,4 +1,11 @@
-"""Tests for the event tracer."""
+"""Tests for the event tracer.
+
+Marked ``hashseed``: CI runs this module again under two fixed
+``PYTHONHASHSEED`` values, because the simulator's delivery order must
+come from the sorted incident-link tuple, never from set order
+(``flood_links``, ``_crashed``), and the calls-per-message budget must
+hold under both seeds.
+"""
 
 import pytest
 
@@ -7,6 +14,8 @@ from repro.protocols.dv import DistanceVectorProtocol, DVUpdate
 from repro.simul.ingress import IngressConfig
 from repro.simul.trace import Tracer
 from tests.helpers import line_graph, mk_graph
+
+pytestmark = pytest.mark.hashseed
 
 
 @pytest.fixture
@@ -53,13 +62,6 @@ class TestTracer:
         assert late
         assert all(r.time >= t for r in late)
 
-    def test_conversation_is_symmetric_pairwise(self, traced_run):
-        _, tracer = traced_run
-        convo = tracer.conversation(0, 1)
-        assert convo
-        for rec in convo:
-            assert {rec.src, rec.dst} == {0, 1}
-
     def test_timeline_renders(self, traced_run):
         _, tracer = traced_run
         text = tracer.timeline(limit=5)
@@ -104,16 +106,18 @@ class TestTracer:
             net.set_ingress(IngressConfig(capacity=0, policy="backpressure"))
             tracer = Tracer.attach(net) if traced else None
             proto.converge()
-            return net.metrics, tracer
+            return net, tracer
 
-        metrics, tracer = run(traced=True)
-        assert metrics.deferred > 0  # the redelivery path really ran
+        net, tracer = run(traced=True)
+        metrics, deferred = net.metrics, net.ingress.deferred
+        assert deferred > 0  # the redelivery path really ran
         plain, _ = run(traced=False)
-        assert metrics.snapshot(0.0) == plain.snapshot(0.0)
+        assert metrics.snapshot(0.0) == plain.metrics.snapshot(0.0)
+        assert plain.ingress.deferred == deferred
         # One record per delivery attempt: first tries that were admitted
         # or dropped at the queue, plus every redelivery.
         attempts = sum(metrics.messages.values()) + metrics.queue_dropped
-        assert len(tracer.filtered(kind="msg")) == attempts + metrics.deferred
+        assert len(tracer.filtered(kind="msg")) == attempts + deferred
 
     def test_capacity_validation(self):
         g = line_graph(2)

@@ -4,6 +4,11 @@ Every message type that can cross the live substrate's sockets must
 survive ``to_wire``/``from_wire`` exactly (hypothesis-generated values),
 the text form must be canonical (equal messages encode to equal bytes),
 and the decoder must reject anything outside its registered vocabulary.
+
+Marked ``hashseed``: CI runs this module again under two fixed
+``PYTHONHASHSEED`` values, because canonical frozenset ordering and the
+spliced envelope must not depend on set or dict hash order: the golden
+frames and the reference-encoder comparison must hold under either seed.
 """
 
 import dataclasses
@@ -46,6 +51,8 @@ from repro.simul.wire import (
     loads,
     to_wire,
 )
+
+pytestmark = pytest.mark.hashseed
 
 # --------------------------------------------------------------- strategies
 

@@ -7,6 +7,10 @@ every drawn case each search must return the oracle's path (or ``None``)
 and identical :class:`~repro.core.synthesis.SynthesisStats`, ask a subset
 of the oracle's ``(ad, prev, next)`` queries, and read each AD's links at
 most once per search.
+
+Marked ``hashseed``: CI runs this module again under two fixed
+``PYTHONHASHSEED`` values, because every synthesis answer must come from
+the sorted incident tuple, never from the out-edge table's dict order.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ from repro.policy.selection import RouteSelectionPolicy
 
 from tests import oracles
 from tests.helpers import mk_graph
+
+pytestmark = pytest.mark.hashseed
 
 QOS_CLASSES = (QOS.DEFAULT, QOS.LOW_COST, QOS.HIGH_BANDWIDTH)
 CHARGES = (0.0, 1.0, 2.5)

@@ -1,4 +1,11 @@
-"""Tests for batched replay: percentiles, summaries, epoch tails."""
+"""Tests for batched replay: percentiles, summaries, epoch tails.
+
+Marked ``hashseed``: CI runs this module again under two fixed
+``PYTHONHASHSEED`` values, because the walk that ``find_route``, the FIB
+and the routes digest share must come from ``next_hop`` decisions, never
+from set or dict order: the fib-key memo's keys hold QOS members, which
+hash by identity.
+"""
 
 from array import array
 from types import SimpleNamespace
@@ -21,6 +28,8 @@ from repro.traffic.replay import (
 from repro.traffic.workload import WorkloadSpec, zipf_workload
 from tests.helpers import line_graph
 from tests.oracles import forward_verdict
+
+pytestmark = pytest.mark.hashseed
 
 
 @pytest.fixture(scope="module")

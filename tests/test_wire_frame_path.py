@@ -7,6 +7,11 @@ frames stay byte-identical to the plain ``json.dumps`` encoder (kept
 here as the reference oracle), every per-frame check still runs on an
 intern hit, the tables are bounded, and nothing but ``WireError``
 escapes the decoder whatever a peer sends.
+
+Marked ``hashseed``: CI runs this module again under two fixed
+``PYTHONHASHSEED`` values, because canonical frozenset ordering and the
+spliced envelope must not depend on set or dict hash order: the golden
+frames and the reference-encoder comparison must hold under either seed.
 """
 
 import asyncio
@@ -37,6 +42,8 @@ from repro.simul.wire import (
 from .helpers import mk_graph
 from .test_simul_wire import ad_ids, messages
 from .test_wire_golden import SAMPLES, VERSIONS, _golden
+
+pytestmark = pytest.mark.hashseed
 
 
 def reference_frame(src, dst, msg, version):

@@ -14,6 +14,11 @@ the goldens with::
     PYTHONPATH=src REGEN_WIRE_GOLDEN=1 python -m pytest tests/test_wire_golden.py
 
 and review the diff like any other wire-compatibility decision.
+
+Marked ``hashseed``: CI runs this module again under two fixed
+``PYTHONHASHSEED`` values, because canonical frozenset ordering and the
+spliced envelope must not depend on set or dict hash order: the golden
+frames and the reference-encoder comparison must hold under either seed.
 """
 
 import json
@@ -54,6 +59,8 @@ from repro.simul.wire import (
     decode_frame_ex,
     encode_frame,
 )
+
+pytestmark = pytest.mark.hashseed
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "wire_golden.json")
 
