@@ -75,9 +75,6 @@ class InterADGraph:
     def ads_by_level(self, level: Level) -> List[AD]:
         return [a for a in self.ads() if a.level == level]
 
-    def ads_by_kind(self, kind: ADKind) -> List[AD]:
-        return [a for a in self.ads() if a.kind == kind]
-
     def transit_ads(self) -> List[AD]:
         """ADs whose kind permits carrying third-party traffic."""
         return [a for a in self.ads() if a.kind.may_transit]

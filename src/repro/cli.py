@@ -170,7 +170,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
 
 
 def cmd_live_run(args: argparse.Namespace) -> int:
-    from repro.faults.plan import link_flap_plan
+    from repro.faults.plan import random_failure_plan
     from repro.protocols import make_protocol
     from repro.simul.runner import run_episodes
     from repro.workloads import reference_scenario, small_scenario
@@ -185,7 +185,9 @@ def cmd_live_run(args: argparse.Namespace) -> int:
     )
     plan = ()
     if args.flaps:
-        plan = link_flap_plan(scenario.graph, flaps=args.flaps, seed=args.seed)
+        plan = random_failure_plan(
+            scenario.graph, count=args.flaps, spacing=400.0, repair=True, seed=args.seed
+        )
     opened = time.perf_counter()
     results = run_episodes(
         protocol, plan, time_scale=args.time_scale, timeout_s=args.timeout

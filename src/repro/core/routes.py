@@ -53,12 +53,6 @@ class Route:
         """The intermediate ADs (those that need transit permission)."""
         return self.path[1:-1]
 
-    def next_hop_after(self, ad_id: ADId) -> ADId:
-        """The AD following ``ad_id`` on the route (source-route lookup)."""
-        idx = self.path.index(ad_id)
-        if idx == len(self.path) - 1:
-            raise ValueError(f"AD {ad_id} is the route's destination")
-        return self.path[idx + 1]
 
     def header_bytes(self) -> int:
         """Modelled size of this route carried in a packet header."""

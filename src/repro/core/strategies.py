@@ -43,10 +43,6 @@ class StrategyStats:
     request_states: int = 0
 
     @property
-    def misses(self) -> int:
-        return self.requests - self.hits
-
-    @property
     def hit_ratio(self) -> float:
         return self.hits / self.requests if self.requests else 0.0
 

@@ -10,7 +10,7 @@ that qualitative claim into measurable sweeps (experiments E4, E11):
   plugged into :class:`~repro.simul.network.SimNetwork`;
 * :mod:`repro.faults.plan` -- the :class:`FaultPlan` DSL, the one plan
   type: link failures and repairs, AD crash/restart events and
-  scheduled impairment changes, plus seeded generators;
+  wire-version flips, plus seeded generators;
 * :mod:`repro.faults.prober` -- :class:`RoutePulse`, a data-plane
   reachability sampler producing blackhole-time, loop-count, hijack, and
   time-to-repair distributions;
@@ -32,12 +32,10 @@ from repro.faults.channel import (
 )
 from repro.faults.plan import (
     FaultPlan,
-    ImpairmentChange,
     LinkFault,
     NodeFault,
     ad_crash_plan,
     crash_candidates,
-    link_flap_plan,
     merge_plans,
 )
 from repro.faults.misbehavior import (
@@ -61,7 +59,6 @@ __all__ = [
     "FlowOutage",
     "ImpairedChannel",
     "Impairment",
-    "ImpairmentChange",
     "LinkFault",
     "MisbehaviorPlan",
     "MisbehaviorStart",
@@ -72,7 +69,6 @@ __all__ = [
     "ad_crash_plan",
     "crash_candidates",
     "liar_by_role",
-    "link_flap_plan",
     "merge_plans",
     "misbehavior_plan",
     "pick_victim_stub",

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.adgraph.ad import ADId
 
@@ -96,14 +96,6 @@ class ChannelModel:
         """Decide the fate of one transmission from ``src`` to ``dst``."""
         return (0.0,)
 
-    def set_impairment(
-        self, link: Optional[Tuple[ADId, ADId]], spec: Impairment
-    ) -> None:
-        """Change impairment parameters mid-run (scheduled fault plans)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support impairment changes"
-        )
-
     def counters(self) -> Dict[str, int]:
         """Accumulated impairment counts (empty for the perfect channel)."""
         return {}
@@ -112,16 +104,12 @@ class ChannelModel:
 class ImpairedChannel(ChannelModel):
     """Seed-deterministic lossy channel with per-link RNG streams.
 
-    ``default`` applies to every link without an override;
-    :meth:`set_impairment` installs per-link overrides (or replaces the
-    default) at any time, which is how scheduled ``lossy period`` fault
-    events work.
+    ``default`` applies to every link, for the whole run.
     """
 
     def __init__(self, default: Impairment = PERFECT, seed: int = 0) -> None:
         self.default = default
         self.seed = seed
-        self._overrides: Dict[Tuple[ADId, ADId], Impairment] = {}
         self._rngs: Dict[Tuple[ADId, ADId], random.Random] = {}
         self._burst: Dict[Tuple[ADId, ADId], bool] = {}
         self.transmissions = 0
@@ -137,22 +125,10 @@ class ImpairedChannel(ChannelModel):
             self._rngs[key] = rng
         return rng
 
-    def impairment_for(self, key: Tuple[ADId, ADId]) -> Impairment:
-        return self._overrides.get(key, self.default)
-
-    def set_impairment(
-        self, link: Optional[Tuple[ADId, ADId]], spec: Impairment
-    ) -> None:
-        """Override one link's impairment, or (``link=None``) the default."""
-        if link is None:
-            self.default = spec
-        else:
-            self._overrides[link_key(*link)] = spec
-
     def transmit(self, src: ADId, dst: ADId) -> Tuple[float, ...]:
         self.transmissions += 1
         key = link_key(src, dst)
-        spec = self.impairment_for(key)
+        spec = self.default
         if spec.perfect:
             return (0.0,)
         rng = self._rng(key)
@@ -186,6 +162,5 @@ class ImpairedChannel(ChannelModel):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"ImpairedChannel(seed={self.seed}, default={self.default}, "
-            f"overrides={len(self._overrides)})"
+            f"ImpairedChannel(seed={self.seed}, default={self.default})"
         )

@@ -1,7 +1,7 @@
-"""The fault-plan DSL: link churn, AD crash/restart, impairment changes.
+"""The fault-plan DSL: link churn, AD crash/restart, wire-version flips.
 
 A :class:`FaultPlan` is the one plan type every driver runs: a
-time-ordered sequence of four event kinds.
+time-ordered sequence of three event kinds.
 
 * :class:`LinkFault` -- one inter-AD link fails or is repaired.  Section
   2.2 of the paper assumes ADs keep themselves internally connected but
@@ -12,11 +12,12 @@ time-ordered sequence of four event kinds.
   retaining its RIB/LSDB (``retain_state=True``: a gateway whose
   interfaces bounced) or losing it (``retain_state=False``: the process
   is replaced wholesale and must relearn the internet);
-* :class:`ImpairmentChange` -- the channel model's parameters for one
-  link (or the default for all links) change at a scheduled time, which
-  is how lossy periods and flapping-quality links are expressed;
 * :class:`WireVersionChange` -- one AD's wire version flips (the E16
   rolling-upgrade waves).
+
+Channel impairment is not an event: a cell's channel is set once, at
+t=0, from :meth:`FaultSpec.impairment
+<repro.harness.spec.FaultSpec.impairment>`.
 
 Event times are **relative**: :meth:`RoutingProtocol.schedule_fault_plan
 <repro.protocols.base.RoutingProtocol.schedule_fault_plan>` offsets them
@@ -39,11 +40,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Tuple, Union
 
 from repro.adgraph.ad import ADId, LinkKind
 from repro.adgraph.graph import InterADGraph
-from repro.faults.channel import Impairment
 
 
 @dataclass(frozen=True)
@@ -73,19 +73,6 @@ class NodeFault:
 
 
 @dataclass(frozen=True)
-class ImpairmentChange:
-    """A scheduled change of channel impairment parameters.
-
-    ``link=None`` replaces the channel's default (all links without an
-    override); otherwise only the named link changes.
-    """
-
-    time: float
-    spec: Impairment
-    link: Optional[Tuple[ADId, ADId]] = None
-
-
-@dataclass(frozen=True)
 class WireVersionChange:
     """One AD's wire version flips: a rolling upgrade or rollback (E16).
 
@@ -98,7 +85,7 @@ class WireVersionChange:
     version: int
 
 
-FaultEvent = Union[LinkFault, NodeFault, ImpairmentChange, WireVersionChange]
+FaultEvent = Union[LinkFault, NodeFault, WireVersionChange]
 
 
 @dataclass(frozen=True)
@@ -166,7 +153,6 @@ def random_failure_plan(
     start_time: float = 100.0,
     spacing: float = 500.0,
     repair: bool = False,
-    kinds: Optional[Sequence[LinkKind]] = None,
     seed: int = 0,
 ) -> FaultPlan:
     """Build a plan failing ``count`` random non-bridge links.
@@ -183,20 +169,11 @@ def random_failure_plan(
         start_time: Time of the first failure.
         spacing: Gap between consecutive failures.
         repair: Whether to schedule repairs.
-        kinds: Restrict candidates to these link kinds (default: any).
         seed: RNG seed.
     """
     rng = random.Random(seed)
-
-    def pool_of(g: InterADGraph) -> List[Tuple[ADId, ADId]]:
-        cands = safe_failure_candidates(g)
-        if kinds is not None:
-            wanted = set(kinds)
-            cands = [key for key in cands if g.link(*key).kind in wanted]
-        return cands
-
     if repair:
-        candidates = pool_of(graph)
+        candidates = safe_failure_candidates(graph)
         if len(candidates) < count:
             raise ValueError(
                 f"only {len(candidates)} safe candidate links, need {count}"
@@ -210,7 +187,7 @@ def random_failure_plan(
         scratch = graph.copy()
         chosen = []
         for _ in range(count):
-            pool = pool_of(scratch)
+            pool = safe_failure_candidates(scratch)
             if not pool:
                 raise ValueError(
                     f"no safe candidate links left after "
@@ -257,38 +234,6 @@ def stub_partition_plan(
     return FaultPlan(tuple(events))
 
 
-def link_flap_plan(
-    graph: InterADGraph,
-    flaps: int = 1,
-    start_time: float = 100.0,
-    spacing: float = 400.0,
-    down_for: Optional[float] = None,
-    seed: int = 0,
-) -> FaultPlan:
-    """Flap ``flaps`` random non-bridge links (down, then up again).
-
-    Each flap occupies one ``spacing`` window: down at the window start,
-    up ``down_for`` later (default half the spacing), so reconvergence
-    after each change is observable in isolation.
-    """
-    rng = random.Random(seed)
-    candidates = safe_failure_candidates(graph)
-    if len(candidates) < flaps:
-        raise ValueError(
-            f"only {len(candidates)} safe candidate links, need {flaps}"
-        )
-    chosen = rng.sample(candidates, flaps)
-    if down_for is None:
-        down_for = spacing / 2.0
-    events: List[FaultEvent] = []
-    t = start_time
-    for a, b in chosen:
-        events.append(LinkFault(t, a, b, up=False))
-        events.append(LinkFault(t + down_for, a, b, up=True))
-        t += spacing
-    return FaultPlan(tuple(events))
-
-
 def churn_storm_plan(
     graph: InterADGraph,
     hz: float = 0.02,
@@ -301,10 +246,11 @@ def churn_storm_plan(
 
     ``links`` links each flap at ``hz`` cycles per time unit for
     ``duration``: down at every period start, up half a period later,
-    all links in phase.  Unlike :func:`link_flap_plan` the flaps overlap
-    rather than occupying separate windows, so update load accumulates
-    -- this is the workload that overflows bounded ingress queues and
-    that flap damping is designed to quench.
+    all links in phase.  Unlike :func:`random_failure_plan` with
+    ``repair=True`` the flaps overlap rather than occupying separate
+    windows, so update load accumulates -- this is the workload that
+    overflows bounded ingress queues and that flap damping is designed
+    to quench.
 
     Candidates are the non-bridge links, *preferring* lateral/bypass
     links (the paper's redundancy links): flapping those stresses
@@ -362,10 +308,12 @@ def ad_crash_plan(
     retain_state: bool = False,
     start_time: float = 100.0,
     spacing: float = 400.0,
-    down_for: Optional[float] = None,
     seed: int = 0,
 ) -> FaultPlan:
-    """Crash-and-restart ``crashes`` random non-articulation-point ADs."""
+    """Crash-and-restart ``crashes`` random non-articulation-point ADs.
+
+    Each AD is down for half a ``spacing`` window.
+    """
     rng = random.Random(seed)
     candidates = crash_candidates(graph)
     if len(candidates) < crashes:
@@ -373,44 +321,43 @@ def ad_crash_plan(
             f"only {len(candidates)} crash-safe ADs, need {crashes}"
         )
     chosen = rng.sample(candidates, crashes)
-    if down_for is None:
-        down_for = spacing / 2.0
     events: List[FaultEvent] = []
     t = start_time
     for ad_id in chosen:
         events.append(NodeFault(t, ad_id, up=False, retain_state=retain_state))
         events.append(
-            NodeFault(t + down_for, ad_id, up=True, retain_state=retain_state)
+            NodeFault(t + spacing / 2.0, ad_id, up=True, retain_state=retain_state)
         )
         t += spacing
     return FaultPlan(tuple(events))
+
+
+#: Share of the ADs a :func:`partition_plan` island holds.
+PARTITION_FRACTION = 0.3
 
 
 def partition_plan(
     graph: InterADGraph,
     start_time: float = 100.0,
     duration: float = 200.0,
-    fraction: float = 0.3,
     seed: int = 0,
 ) -> FaultPlan:
     """Partition the internet for a bounded window, then heal it.
 
     A seeded BFS from a random AD grows a connected island of roughly
-    ``fraction`` of the ADs; every link crossing the island boundary
-    goes down at ``start_time`` and comes back at ``start_time +
-    duration``.  Unlike the flap/crash generators this *deliberately*
+    ``PARTITION_FRACTION`` of the ADs; every link crossing the island
+    boundary goes down at ``start_time`` and comes back at
+    ``start_time + duration``.  Unlike the flap/crash generators this *deliberately*
     disconnects the internet -- partition behaviour is the thing being
     measured -- so candidates are not restricted to non-bridges.
     """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must be in (0, 1), got {fraction}")
     if duration <= 0:
         raise ValueError("partition duration must be > 0")
     rng = random.Random(seed)
     ids = sorted(graph.ad_ids())
     if len(ids) < 2:
         raise ValueError("cannot partition a single-AD internet")
-    target = max(1, int(len(ids) * fraction))
+    target = max(1, int(len(ids) * PARTITION_FRACTION))
     start = rng.choice(ids)
     island = {start}
     frontier = [start]

@@ -146,11 +146,7 @@ class TrafficMeter:
         if not self.active:
             return None
         with self.profiler.phase("traffic.fib"):
-            fib = compile_fib(
-                self.protocol,
-                self.workload.classes,
-                enforce_policy=self.spec.enforce_policy,
-            )
+            fib = compile_fib(self.protocol, self.workload.classes)
         if not self.fib_stats:
             self.fib_stats.update(fib.stats.as_dict())
         return fib
@@ -211,14 +207,14 @@ def open_substrate(
     """
     fault = cell.fault
     if cell.substrate == "live":
-        from repro.live import LiveSubstrate, SupervisorConfig
+        from repro.live import LiveSubstrate
 
         pacing = {"time_scale": time_scale, "timeout_s": settle_timeout_s}
         supervised = fault.chaotic or fault.versioned
         with profiler.phase("build"):
             substrate = LiveSubstrate(
                 protocol,
-                supervisor=SupervisorConfig(seed=fault.seed) if supervised else None,
+                supervisor_seed=fault.seed if supervised else None,
                 **{name: v for name, v in pacing.items() if v is not None},
             )
         if fault.loss > 0:
@@ -375,13 +371,7 @@ async def _run_cell(cell: Cell) -> RunRecord:
             # The bounded queue arms *after* initial convergence, so E13
             # measures the overload response to churn, not a cold start
             # through a saturated queue.
-            network.set_ingress(
-                IngressConfig(
-                    capacity=cell.fault.queue_capacity,
-                    service_time=cell.fault.queue_service,
-                    policy=cell.fault.queue_policy,
-                )
-            )
+            network.set_ingress(IngressConfig(capacity=cell.fault.queue_capacity))
         if len(plan):
             with profiler.phase("failures"):
                 async for ev, result in loop:

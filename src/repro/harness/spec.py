@@ -26,7 +26,6 @@ from repro.faults.plan import (
     FaultPlan,
     ad_crash_plan,
     churn_storm_plan,
-    link_flap_plan,
     merge_plans,
     partition_plan,
     random_failure_plan,
@@ -229,7 +228,6 @@ class FaultSpec:
     #: instead of the legacy sim fault timeline.
     restarts: int = 0
     partitions: int = 0
-    partition_fraction: float = 0.3
     #: Mixed-version upgrade program (E16): ``upgrade_waves`` > 0 starts
     #: every AD at wire v1 (negotiating) and upgrades the population to
     #: the current wire version in that many rolling waves, measuring a
@@ -243,8 +241,6 @@ class FaultSpec:
     #: :class:`~repro.simul.ingress.IngressModel` after initial
     #: convergence; ``None`` keeps the unbounded legacy delivery.
     queue_capacity: Optional[int] = None
-    queue_policy: str = "tail-drop"
-    queue_service: float = 0.5
     seed: int = 0
     start_time: float = 100.0
     spacing: float = 400.0
@@ -333,11 +329,12 @@ class FaultSpec:
         plans = []
         if self.flaps > 0:
             plans.append(
-                link_flap_plan(
+                random_failure_plan(
                     graph,
-                    flaps=self.flaps,
+                    count=self.flaps,
                     start_time=self.start_time,
                     spacing=self.spacing,
+                    repair=True,
                     seed=self.seed,
                 )
             )
@@ -381,8 +378,9 @@ class FaultSpec:
         is down for half a ``spacing`` window -- shorter than the
         default graceful-restart hold time, so a helper-enabled
         neighbourhood rides the restart out).  Each partition window
-        cuts a seeded island of ``partition_fraction`` of the ADs loose
-        for half a spacing window, then heals it.
+        cuts a seeded island of
+        :data:`~repro.faults.plan.PARTITION_FRACTION` of the ADs loose for
+        half a spacing window, then heals it.
         """
         plans = []
         if self.restarts > 0:
@@ -393,7 +391,6 @@ class FaultSpec:
                     retain_state=True,
                     start_time=self.start_time,
                     spacing=self.spacing,
-                    down_for=self.spacing / 2.0,
                     seed=self.seed,
                 )
             )
@@ -404,7 +401,6 @@ class FaultSpec:
                     graph,
                     start_time=partition_start + i * self.spacing,
                     duration=self.spacing / 2.0,
-                    fraction=self.partition_fraction,
                     seed=self.seed + 3 + i,
                 )
             )
@@ -483,8 +479,6 @@ class TrafficSpec:
     zipf_s: float = 1.1
     pairs: int = 4096
     seed: int = 0
-    hour: int = 12
-    enforce_policy: bool = True
     label: Optional[str] = None
 
     @property
@@ -507,7 +501,6 @@ class TrafficSpec:
             zipf_s=self.zipf_s,
             pairs=self.pairs,
             seed=self.seed,
-            hour=self.hour,
         )
 
     def build(self, graph: InterADGraph):

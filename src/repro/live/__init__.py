@@ -23,7 +23,7 @@ UDP sockets on the loopback interface.
 from repro.live.clock import LiveClock, LiveTimerHandle
 from repro.live.network import LiveNetwork, NodeState
 from repro.live.runner import LiveSubstrate, SettleTimeout, settle, try_settle
-from repro.live.supervisor import Supervisor, SupervisorConfig
+from repro.live.supervisor import Supervisor
 from repro.live.fidelity import FidelityReport, fidelity_report, format_report
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "NodeState",
     "SettleTimeout",
     "Supervisor",
-    "SupervisorConfig",
     "fidelity_report",
     "format_report",
     "settle",

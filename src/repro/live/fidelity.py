@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.adgraph.ad import ADId
-from repro.faults.plan import link_flap_plan
+from repro.faults.plan import random_failure_plan
 from repro.policy.flows import FlowSpec
 from repro.protocols.registry import make_protocol
 from repro.simul.runner import run_episodes
@@ -88,7 +88,9 @@ def fidelity_report(
         raise ValueError(
             f"unknown scenario {scenario!r}; use one of {sorted(builders)}"
         ) from None
-    plan = link_flap_plan(scn.graph, flaps=flaps, seed=seed)
+    plan = random_failure_plan(
+        scn.graph, count=flaps, spacing=400.0, repair=True, seed=seed
+    )
 
     # The same episode loop on both substrates (initial convergence,
     # then one settled episode per fault), so the two result sequences

@@ -144,9 +144,10 @@ class _NodeRuntime(asyncio.DatagramProtocol):
         self.unprocessed = 0
         #: Frames fully dispatched over this runtime's lifetime.
         self.dispatched = 0
-        #: Wall-clock instant of the last dispatch completion; the
-        #: supervisor's hung-node heartbeat (``unprocessed > 0`` with no
-        #: progress past the deadline means the serve task is wedged).
+        #: Wall-clock instant of the last dispatch completion, or of the
+        #: arrival of work at an idle runtime; the supervisor's hung-node
+        #: heartbeat (``unprocessed > 0`` with no progress past the
+        #: deadline means the serve task is wedged).
         self.last_progress = network._loop.time()
         #: Serve-task restarts performed by the supervisor.
         self.restarts = 0
@@ -185,7 +186,8 @@ class _NodeRuntime(asyncio.DatagramProtocol):
         self.task.add_done_callback(self._task_done)
 
     def _task_done(self, task: asyncio.Task) -> None:
-        # stop() reads STOPPED before it cancels; a replaced task is not ours.
+        # stop() reads STOPPED before it cancels, and restart_task() lets
+        # go of the task before it cancels: a replaced task is not ours.
         if task is self.task and self.state is not NodeState.STOPPED:
             self.dead = True
             self.network._dead_tasks += 1
@@ -227,6 +229,9 @@ class _NodeRuntime(asyncio.DatagramProtocol):
             network.metrics.count_drop(count)
             network._frames_settled()
             return
+        if not self.unprocessed:
+            # The heartbeat runs from here: an idle spell is no hang.
+            self.last_progress = network._loop.time()
         self.unprocessed += count
         network._queued += count
         self.queue.put_nowait(frames)
@@ -354,9 +359,12 @@ class _NodeRuntime(asyncio.DatagramProtocol):
         handed to the kernel for it) survives, so idle detection's
         ``sent == received`` invariant is preserved across the restart.
         Queued-but-undispatched frames die with the old task; the count
-        of lost frames is returned and accounted as queue drops.
+        of lost frames is returned and accounted as queue drops.  The
+        runtime holds no task until the new one is spawned, so neither
+        the old task's end nor the wait for it reads as a dead or hung
+        serve task to the supervisor.
         """
-        old = self.task
+        old, self.task = self.task, None
         if old is not None:
             if old.done():
                 # A crashed task's exception must be observed exactly
@@ -699,26 +707,6 @@ class LiveNetwork(Transport):
             raise ValueError(f"loss rate {rate} outside [0, 1]")
         self._recv_loss_rate = rate
         self._recv_loss_rng = random.Random(seed)
-
-    def set_impairment(self, link, spec) -> None:
-        """Network-wide loss, the one impairment real loopback can emulate.
-
-        It maps onto the receive-path loss of :meth:`set_recv_loss`
-        (keeping the seeded stream already in force); per-link, dup,
-        jitter and burst impairments are simulator models and are
-        refused loudly rather than silently dropped.
-        """
-        if link is not None:
-            raise ValueError(
-                "live loss is injected at the receive path (network-wide); "
-                "per-link impairments are sim-only"
-            )
-        if spec.dup_prob > 0.0 or spec.jitter > 0.0 or spec.burst_enter > 0.0:
-            raise ValueError(
-                "live chaos supports loss impairments only; dup/jitter/burst "
-                f"in {spec!r} cannot be induced on a real loopback socket"
-            )
-        self._recv_loss_rate = spec.drop_prob
 
     async def restart_runtime(self, ad_id: ADId) -> int:
         """Supervised serve-task restart for one AD (socket preserved).

@@ -21,7 +21,7 @@ from typing import Dict, Optional
 
 from repro.faults.plan import WireVersionChange
 from repro.live.network import LiveNetwork
-from repro.live.supervisor import Supervisor, SupervisorConfig
+from repro.live.supervisor import MAX_RESTARTS, Supervisor
 from repro.protocols.base import RoutingProtocol
 from repro.simul.runner import ConvergenceResult, Substrate
 
@@ -78,7 +78,7 @@ def _timeout_diagnostics(network: LiveNetwork, timeout_s: float) -> str:
         budget = None
         if supervisor is not None:
             used = supervisor.restart_counts.get(ad_id, 0)
-            budget = supervisor.config.max_restarts - used
+            budget = MAX_RESTARTS - used
         if (
             stats["unprocessed"] == 0
             and state.value == "serving"
@@ -151,8 +151,10 @@ class LiveSubstrate(Substrate):
 
     Builds ``protocol`` on a fresh :class:`LiveNetwork` over the running
     loop.  Settled means :func:`try_settle`'s exact quiescence; an episode's
-    event count is the frames received meanwhile.  With a ``supervisor``
-    config the serve tasks are watched, and :meth:`sweep` is available.
+    event count is the frames received meanwhile.  With a
+    ``supervisor_seed`` the serve tasks are watched by a
+    :class:`~repro.live.supervisor.Supervisor` seeded with it, and
+    :meth:`sweep` is available.
     """
 
     def __init__(
@@ -161,7 +163,7 @@ class LiveSubstrate(Substrate):
         *,
         time_scale: float = 0.005,
         timeout_s: float = 60.0,
-        supervisor: Optional[SupervisorConfig] = None,
+        supervisor_seed: Optional[int] = None,
     ) -> None:
         if protocol.network is not None:
             raise RuntimeError(f"{protocol.name} is already built on a substrate")
@@ -172,9 +174,9 @@ class LiveSubstrate(Substrate):
         protocol.substrate = "live"
         protocol.build(network=self.network)
         self.timeout_s = timeout_s
-        self.supervisor = (
-            Supervisor(self.network, supervisor) if supervisor is not None else None
-        )
+        self.supervisor = None
+        if supervisor_seed is not None:
+            self.supervisor = Supervisor(self.network, supervisor_seed)
 
     async def start(self) -> None:
         await self.network.start()
@@ -191,7 +193,7 @@ class LiveSubstrate(Substrate):
         """Wait for quiescence, but no further than ``until``: one episode.
 
         The bound is load-bearing here for the reason it is on the
-        simulator: a graceful crash arms a hold timer ``hold_time``
+        simulator: a graceful crash arms a hold timer ``HOLD_TIME``
         ahead, which the *next* plan step must get the chance to cancel.
         """
         before = self.snapshot()

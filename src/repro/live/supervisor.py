@@ -10,7 +10,9 @@ system:
 * **dead-task detection** -- a serve task that finished while its
   runtime still claims SERVING/DRAINING is restarted;
 * **hung-task detection** -- a runtime with queued frames and no
-  dispatch progress past the heartbeat deadline is restarted;
+  dispatch progress past the heartbeat deadline is restarted (the
+  deadline runs from the last dispatch, or from the arrival of work at
+  an idle runtime);
 * **exponential backoff + jitter** -- restarts of a crash-looping node
   space out geometrically (seeded jitter keeps the schedule
   deterministic per seed) up to a bounded per-AD budget; exhausting the
@@ -19,6 +21,12 @@ system:
 * **rolling restarts** -- an orchestrated one-AD-at-a-time sweep of
   serve-task restarts across the topology, the maintenance-window
   scenario E15 measures.
+
+The policy -- deadlines, backoff and budget -- is module constants;
+only the jitter seed varies per run.  An operator bounce
+(:meth:`LiveNetwork.restart_runtime
+<repro.live.network.LiveNetwork.restart_runtime>`, which rolling
+restarts and wire-version upgrades use) is never seen as a dead task.
 
 Restarts preserve the AD's socket (see
 :meth:`~repro.live.network.LiveNetwork.restart_runtime`): the port and
@@ -30,55 +38,44 @@ from __future__ import annotations
 
 import asyncio
 import random
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.adgraph.ad import ADId
 from repro.live.network import LiveNetwork
 
-__all__ = ["Supervisor", "SupervisorConfig"]
+__all__ = ["Supervisor"]
 
+# Supervision policy: detection deadlines and the restart budget.  All
+# times are wall-clock seconds (supervision is a substrate concern, not
+# a protocol one, so it does not scale with ``time_scale``).
 
-@dataclass(frozen=True)
-class SupervisorConfig:
-    """Supervision policy: detection deadlines and the restart budget.
-
-    All times are wall-clock seconds (supervision is a substrate
-    concern, not a protocol one, so it does not scale with
-    ``time_scale``).
-    """
-
-    #: How often the watch loop inspects every runtime.
-    poll_s: float = 0.02
-    #: A runtime with queued frames and no dispatch progress for this
-    #: long is declared hung and restarted.
-    heartbeat_s: float = 1.0
-    #: First restart delay; doubles (``backoff_factor``) per successive
-    #: restart of the same AD, capped at ``backoff_max_s``.
-    backoff_initial_s: float = 0.02
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 1.0
-    #: Jitter fraction: each delay is stretched by up to this much
-    #: (seeded, so a given seed replays the same schedule).
-    jitter: float = 0.1
-    #: Restarts per AD before the supervisor gives the node up and
-    #: fails the run through ``network.errors``.
-    max_restarts: int = 5
-    #: Seed for the jitter RNG.
-    seed: int = 0
+#: How often the watch loop inspects every runtime.
+POLL_S = 0.02
+#: A runtime with queued frames and no dispatch progress for this long
+#: is declared hung and restarted.
+HEARTBEAT_S = 1.0
+#: First restart delay; multiplied by ``BACKOFF_FACTOR`` per successive
+#: restart of the same AD, capped at ``BACKOFF_MAX_S``.
+BACKOFF_INITIAL_S = 0.02
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX_S = 1.0
+#: Jitter fraction: each delay is stretched by up to this much (seeded,
+#: so a given seed replays the same schedule).
+JITTER = 0.1
+#: Restarts per AD before the supervisor gives the node up and fails the
+#: run through ``network.errors``.
+MAX_RESTARTS = 5
 
 
 class Supervisor:
-    """Watches a :class:`LiveNetwork`'s serve tasks and restarts casualties."""
+    """Watches a :class:`LiveNetwork`'s serve tasks and restarts casualties.
 
-    def __init__(
-        self,
-        network: LiveNetwork,
-        config: Optional[SupervisorConfig] = None,
-    ) -> None:
+    ``seed`` seeds the backoff jitter.
+    """
+
+    def __init__(self, network: LiveNetwork, seed: int = 0) -> None:
         self.network = network
-        self.config = config or SupervisorConfig()
-        self._rng = random.Random(self.config.seed)
+        self._rng = random.Random(seed)
         self._task: Optional[asyncio.Task] = None
         #: Per-AD restart counts (the budget accumulator).
         self.restart_counts: Dict[ADId, int] = {}
@@ -123,7 +120,6 @@ class Supervisor:
 
     async def _watch(self) -> None:
         loop = asyncio.get_running_loop()
-        cfg = self.config
         while True:
             for ad_id, pending in self.network.dead_serve_tasks():
                 if ad_id not in self.given_up:
@@ -135,18 +131,17 @@ class Supervisor:
                     rt.unprocessed > 0
                     and rt.task is not None
                     and not rt.task.done()
-                    and loop.time() - rt.last_progress > cfg.heartbeat_s
+                    and loop.time() - rt.last_progress > HEARTBEAT_S
                 ):
                     await self._recover(
                         ad_id, f"hung ({rt.unprocessed} queued, no progress)"
                     )
-            await asyncio.sleep(cfg.poll_s)
+            await asyncio.sleep(POLL_S)
 
     async def _recover(self, ad_id: ADId, reason: str) -> None:
         """Restart one AD's serve task after the backed-off delay."""
-        cfg = self.config
         count = self.restart_counts.get(ad_id, 0)
-        if count >= cfg.max_restarts:
+        if count >= MAX_RESTARTS:
             self.given_up.add(ad_id)
             self.events.append(
                 {"ad": ad_id, "reason": reason, "gave_up": True}
@@ -158,11 +153,8 @@ class Supervisor:
                 )
             )
             return
-        delay = min(
-            cfg.backoff_initial_s * (cfg.backoff_factor ** count),
-            cfg.backoff_max_s,
-        )
-        delay *= 1.0 + cfg.jitter * self._rng.random()
+        delay = min(BACKOFF_INITIAL_S * (BACKOFF_FACTOR ** count), BACKOFF_MAX_S)
+        delay *= 1.0 + JITTER * self._rng.random()
         self.events.append(
             {"ad": ad_id, "reason": reason, "delay": delay, "gave_up": False}
         )

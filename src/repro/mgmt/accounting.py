@@ -62,10 +62,6 @@ class Ledger:
     def total_revenue(self) -> float:
         return sum(e.revenue for e in self.entries.values())
 
-    @property
-    def total_paid(self) -> float:
-        return sum(e.paid for e in self.entries.values())
-
     def summary(self) -> str:
         lines = [
             f"Accounting: routed volume {self.routed_volume:g}, "

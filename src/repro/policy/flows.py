@@ -56,11 +56,5 @@ class FlowSpec:
         """The same flow in the opposite direction."""
         return replace(self, src=self.dst, dst=self.src)
 
-    @property
-    def traffic_class(self) -> Tuple[QOS, UCI]:
-        """The (QOS, UCI) pair -- the packet classification axis whose
-        growth the paper warns about for hop-by-hop schemes."""
-        return (self.qos, self.uci)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.src}->{self.dst}/{self.qos.value}/{self.uci.value}@{self.hour:02d}h"

@@ -138,19 +138,6 @@ class PolicyTerm:
             axes.append(("uci", self.ucis))
         return tuple(axes)
 
-    @property
-    def is_open(self) -> bool:
-        """Whether the term is fully unconstrained (permits everything)."""
-        return (
-            self.sources.is_universal
-            and self.dests.is_universal
-            and self.prev_ads.is_universal
-            and self.next_ads.is_universal
-            and self.qos_classes is None
-            and self.ucis is None
-            and self.window.is_universal
-        )
-
     def size_bytes(self) -> int:
         """Estimated wire size of the term in a link-state advertisement.
 

@@ -30,6 +30,7 @@ from repro.core.design_space import DesignPoint
 from repro.policy.database import PolicyDatabase
 from repro.policy.flows import FlowSpec
 from repro.policy.selection import OPEN_SELECTION, RouteSelectionPolicy
+from repro.protocols.graceful import HOLD_TIME
 from repro.protocols.runtime import NodeRuntimeConfig, feature, stamp
 from repro.protocols.validation import NeighborGuard
 from repro.protocols.versioning import WireConfig
@@ -270,7 +271,7 @@ class RoutingProtocol:
         ``graceful`` selects graceful-restart helper semantics: instead
         of dropping the AD's incident links (the disruptive path),
         surviving neighbours are told to hold its routes as stale for
-        the configured hold time, so the data plane keeps forwarding
+        ``HOLD_TIME``, so the data plane keeps forwarding
         through the restart.  ``None`` defers to the distributed
         :class:`~repro.protocols.graceful.GracefulRestartConfig`
         (``helper`` flag); with that off, the legacy disruptive path
@@ -307,12 +308,10 @@ class RoutingProtocol:
                 if survivor not in network.nodes:
                     continue
                 if not self.is_crashed(survivor):
-                    network.nodes[survivor].on_neighbor_grace(
-                        ad_id, gr.hold_time
-                    )
+                    network.nodes[survivor].on_neighbor_grace(ad_id)
             self._graceful_down[ad_id] = True
             self._graceful_holds[ad_id] = network.clock.call_later(
-                gr.hold_time, self._grace_expired, ad_id
+                HOLD_TIME, self._grace_expired, ad_id
             )
         else:
             for a, b in live:
@@ -418,16 +417,10 @@ class RoutingProtocol:
         """Apply one fault event now: THE applier, on either substrate.
 
         Scheduled plans, episodic drivers and both substrate adapters
-        all come through here; what an impairment means on real sockets
-        is the transport's business (``set_impairment``).
+        all come through here.
         """
         from repro.faults.misbehavior import MisbehaviorStart, MisbehaviorStop
-        from repro.faults.plan import (
-            ImpairmentChange,
-            LinkFault,
-            NodeFault,
-            WireVersionChange,
-        )
+        from repro.faults.plan import LinkFault, NodeFault, WireVersionChange
 
         if isinstance(ev, LinkFault):
             self.apply_link_status(ev.a, ev.b, ev.up)
@@ -436,8 +429,6 @@ class RoutingProtocol:
                 self.restore_node(ev.ad)
             else:
                 self.crash_node(ev.ad, retain_state=ev.retain_state)
-        elif isinstance(ev, ImpairmentChange):
-            self._require_network().set_impairment(ev.link, ev.spec)
         elif isinstance(ev, WireVersionChange):
             self.set_wire_version(ev.ad, ev.version)
         elif isinstance(ev, MisbehaviorStart):

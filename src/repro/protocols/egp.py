@@ -30,6 +30,7 @@ from repro.adgraph.graph import InterADGraph
 from repro.policy.database import PolicyDatabase
 from repro.policy.flows import FlowSpec
 from repro.protocols.base import ForwardingMode, RoutingProtocol
+from repro.protocols.validation import MAX_SEQ_JUMP
 from repro.protocols.vector import VectorNode
 from repro.simul.messages import AD_ID_BYTES, Message
 from repro.simul.network import SimNetwork
@@ -139,7 +140,7 @@ class EGPNode(VectorNode):
                     return "unregistered destination"
         if cfg.seq_guard and msg.seq:
             last = self._last_seq.get(sender, 0)
-            if last and msg.seq > last + self.validation.max_seq_jump:
+            if last and msg.seq > last + MAX_SEQ_JUMP:
                 return "implausible sequence jump"
             self._last_seq[sender] = max(last, msg.seq)
         return None

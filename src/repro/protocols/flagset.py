@@ -1,10 +1,11 @@
 """The base of the flag-set runtime configs, and their one spelling parser.
 
-Hardening, validation, pacing and graceful restart are each a
-frozen dataclass of individually toggleable boolean *flags* plus a few
-numeric parameters.  What they share -- which flags are on, how a config
-prints, and how a user-facing spelling (a CLI flag value, a
-``ProtocolSpec`` option) becomes a config -- lives here once.
+Hardening, validation, pacing and graceful restart are each a frozen
+dataclass of individually toggleable boolean *flags* and nothing else
+(their timers and thresholds are constants of their modules).  What
+they share -- which flags are on, how a config prints, and how a
+user-facing spelling (a CLI flag value, a ``ProtocolSpec`` option)
+becomes a config -- lives here once.
 
 The spelling grammar, for every flag set:
 
@@ -17,7 +18,7 @@ The spelling grammar, for every flag set:
   ones.
 
 A config's ``str()`` is one of those spellings, so
-``cls.parse(str(cfg)) == cfg`` for any config with default parameters.
+``cls.parse(str(cfg)) == cfg`` for every config.
 """
 
 from __future__ import annotations

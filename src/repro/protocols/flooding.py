@@ -35,8 +35,10 @@ from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 from repro.adgraph.ad import ADId, InterADLink, Level
 from repro.policy.terms import PolicyTerm
+from repro.protocols.hardening import REFRESH_COUNT, REFRESH_INTERVAL
 from repro.protocols.lsdb import LSDBGeneration, LSDBGenerations, View, cold_view, derive_view
 from repro.protocols.pacing import OverloadDefenseMixin
+from repro.protocols.validation import MAX_SEQ_JUMP
 from repro.simul.messages import AD_ID_BYTES, METRIC_BYTES, Message
 from repro.simul.node import ProtocolNode
 
@@ -297,10 +299,10 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
                 return
         self._originate()
         if self.hardening.refresh:
-            self._refresh_left = self.hardening.refresh_count
+            self._refresh_left = REFRESH_COUNT
             if not self._refresh_pending:
                 self._refresh_pending = True
-                self.schedule(self.hardening.refresh_interval, self._refresh_tick)
+                self.schedule(REFRESH_INTERVAL, self._refresh_tick)
 
     def _deferred_originate(self) -> None:
         self._originate_deferred = False
@@ -319,7 +321,7 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
         self._originate()
         if self._refresh_left > 0:
             self._refresh_pending = True
-            self.schedule(self.hardening.refresh_interval, self._refresh_tick)
+            self.schedule(REFRESH_INTERVAL, self._refresh_tick)
 
     # --------------------------------------------------------------- control
 
@@ -417,7 +419,7 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
             current = self.lsdb.get(lsa.origin)
             if (
                 current is not None
-                and lsa.seq > current.seq + v.max_seq_jump
+                and lsa.seq > current.seq + MAX_SEQ_JUMP
             ):
                 return f"implausible sequence jump from AD {lsa.origin}"
         if v.term_guard and self.trusted_policies is not None:

@@ -11,8 +11,8 @@ BGP/OSPF mechanism family, RFC 4724 / RFC 3623 in spirit) makes the
 restart *hitless*:
 
 * ``helper`` -- neighbours of a gracefully restarting AD keep its routes
-  installed as **stale** for a bounded hold period instead of
-  withdrawing them.  The data plane (the compiled FIB of
+  installed as **stale** for ``HOLD_TIME`` instead of withdrawing
+  them.  The data plane (the compiled FIB of
   :mod:`repro.traffic`) keeps forwarding through the restarting AD, so
   a restart that completes within the hold window never perturbs the
   rest of the internet.  If the hold timer expires first, the helpers
@@ -25,7 +25,8 @@ restart *hitless*:
   refreshes the helpers' stale entries.
 
 The config is the ``graceful`` row of the runtime-feature table
-(:mod:`repro.protocols.runtime`).  With every feature off (the default)
+(:mod:`repro.protocols.runtime`) and holds only its two flags; the hold
+period is a module constant.  With every feature off (the default)
 the crash/restore machinery behaves byte-identically to the legacy
 disruptive path.
 """
@@ -43,34 +44,33 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: The individually toggleable feature names, in canonical order.
 FEATURES: Tuple[str, ...] = ("helper", "resync")
 
+#: How long helpers hold a restarting AD's routes stale before giving
+#: up, in simulated time units (wall-clock seconds times ``time_scale``
+#: on the live substrate).  Generated-internet link delays are 3--30
+#: units, so it comfortably covers a restart plus a few round trips of
+#: resynchronisation.
+HOLD_TIME = 300.0
+
 
 @dataclass(frozen=True)
 class GracefulRestartConfig(FlagSet):
-    """Which graceful-restart features are on, plus the hold timer.
-
-    ``hold_time`` is in simulated time units (wall-clock seconds times
-    ``time_scale`` on the live substrate); generated-internet link
-    delays are 3--30 units, so the default comfortably covers a restart
-    plus a few round trips of resynchronisation.
-    """
+    """Which graceful-restart features are on."""
 
     FLAGS = FEATURES
     NOUN = "graceful-restart"
 
     #: Neighbours retain a restarting AD's routes as stale for
-    #: ``hold_time`` instead of withdrawing them.
+    #: ``HOLD_TIME`` instead of withdrawing them.
     helper: bool = False
     #: On restore within the hold window, surviving neighbours replay
     #: adjacency bring-up with the restarter.
     resync: bool = False
-    #: How long helpers hold stale routes before giving up.
-    hold_time: float = 300.0
 
 
 #: No graceful restart: every crash is a disruptive topology change.
 GR_OFF = GracefulRestartConfig()
 
-#: Every feature on, default hold timer.
+#: Every feature on.
 GR_FULL = GracefulRestartConfig(helper=True, resync=True)
 
 graceful_from = GracefulRestartConfig.parse

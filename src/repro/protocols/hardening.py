@@ -13,16 +13,21 @@ each independently switchable so E11 can ablate what every one buys:
   topology-exchange on link-up).  Each family keeps its own ack message;
   the one timer is :meth:`ProtocolNode.arm_retransmit
   <repro.simul.node.ProtocolNode.arm_retransmit>` /
-  ``clear_retransmit``;
+  ``clear_retransmit``, whose timeout and retry budget are the
+  constants ``RETRANSMIT_TIMEOUT`` / ``MAX_RETRIES`` of
+  :mod:`repro.simul.node`;
 * ``refresh`` -- periodic re-origination of LSAs for a bounded burst
-  after every change, so a lost flood heals instead of persisting as a
-  stale LSDB entry.
+  after every change (``REFRESH_COUNT`` of them, ``REFRESH_INTERVAL``
+  apart), so a lost flood heals instead of persisting as a stale LSDB
+  entry.
 
 The config is the ``hardening`` row of the five-row runtime-feature
 table (:mod:`repro.protocols.runtime`; the bounded ingress queue is a
-fault axis, not a row): nodes consult ``self.hardening`` at
-each decision point and fall back to the exact legacy behaviour when a
-feature is off, which keeps unhardened runs byte-identical.
+fault axis, not a row) and holds only its flags: no experiment varies a
+timer, so the timers are module constants.  Nodes consult
+``self.hardening`` at each decision point and fall back to the exact
+legacy behaviour when a feature is off, which keeps unhardened runs
+byte-identical.
 """
 
 from __future__ import annotations
@@ -38,15 +43,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: The individually toggleable feature names, in canonical order.
 FEATURES: Tuple[str, ...] = ("dedup", "retransmit", "refresh")
 
+#: Gap between periodic LSA re-originations, in simulated time units
+#: (link delays in generated internets are 3--30).
+REFRESH_INTERVAL = 40.0
+#: Re-originations after each change (bounded, so runs quiesce).
+REFRESH_COUNT = 2
+
 
 @dataclass(frozen=True)
 class HardeningConfig(FlagSet):
-    """Which robustness features are on, and their timer parameters.
-
-    Timer values are in simulated time units; link delays in generated
-    internets are 3--30 units, so the defaults sit comfortably above one
-    round trip without dragging out convergence.
-    """
+    """Which robustness features are on."""
 
     FLAGS = FEATURES
     NOUN = "hardening"
@@ -54,20 +60,12 @@ class HardeningConfig(FlagSet):
     dedup: bool = False
     retransmit: bool = False
     refresh: bool = False
-    #: Ack wait before a retransmission (about two worst-case RTTs).
-    retransmit_timeout: float = 60.0
-    #: Retransmissions before giving a message up for lost.
-    max_retries: int = 3
-    #: Gap between periodic LSA re-originations.
-    refresh_interval: float = 40.0
-    #: Re-originations after each change (bounded, so runs quiesce).
-    refresh_count: int = 2
 
 
 #: No hardening: the exact legacy protocol behaviour.
 SOFT = HardeningConfig()
 
-#: Every feature on, default timers.
+#: Every feature on.
 HARDENED = HardeningConfig(dedup=True, retransmit=True, refresh=True)
 
 hardening_from = HardeningConfig.parse

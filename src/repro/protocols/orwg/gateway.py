@@ -179,6 +179,3 @@ class PolicyGatewayCache:
     def size(self) -> int:
         """Number of cached policy routes (PG state, Section 6 issue 3)."""
         return len(self._entries)
-
-    def total_forwarded(self) -> int:
-        return sum(e.packets_forwarded for e in self._entries.values())

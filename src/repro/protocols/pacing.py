@@ -18,10 +18,10 @@ variants):
   the window produces one announcement of the settled state instead of
   two of transient states.
 * ``damp`` — per-route (DV) or per-link (LS) flap damping in the
-  BGP-style penalty model: every loss adds ``penalty``; the accumulated
-  figure-of-merit decays exponentially with ``half_life``; crossing
-  ``suppress_threshold`` suppresses the route/link (advertised as
-  withdrawn/down) until decay brings it under ``reuse_threshold``.
+  BGP-style penalty model: every loss adds ``PENALTY``; the accumulated
+  figure-of-merit decays exponentially with ``HALF_LIFE``; crossing
+  ``SUPPRESS_THRESHOLD`` suppresses the route/link (advertised as
+  withdrawn/down) until decay brings it under ``REUSE_THRESHOLD``.
   Decay is strictly monotone and suppression is always eventually
   lifted once flapping stops.
 
@@ -30,9 +30,10 @@ out; the announcing itself -- the vector engine's triggered flush, LS
 origination -- belongs to each family.
 
 A :class:`PacingConfig` is the ``pacing`` row of the runtime-feature
-table (:mod:`repro.protocols.runtime`); nodes fall back to the exact
-legacy code path when a feature is off, which keeps unpaced runs
-byte-identical.
+table (:mod:`repro.protocols.runtime`) and holds only its flags; the
+intervals and damping figures are module constants, because no
+experiment varies them.  Nodes fall back to the exact legacy code path
+when a feature is off, which keeps unpaced runs byte-identical.
 """
 
 from __future__ import annotations
@@ -49,15 +50,27 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: The individually toggleable feature names, in canonical order.
 FEATURES: Tuple[str, ...] = ("pace", "holddown", "damp")
 
+# Times are in simulated units (link delays run 3--30): a few
+# triggered-update delays wide, so pacing visibly batches without
+# stalling honest convergence.
+
+#: Minimum gap between successive update batches to the neighbours.
+MIN_ADVERT_INTERVAL = 8.0
+#: How long bad news is held before the reaction is announced.
+HOLDDOWN_TIME = 20.0
+#: Penalty added per flap (route loss / link down).
+PENALTY = 1.0
+#: Figure-of-merit at which a route/link is suppressed.
+SUPPRESS_THRESHOLD = 3.0
+#: Figure-of-merit below which a suppressed route/link is reusable.
+REUSE_THRESHOLD = 1.0
+#: Exponential decay half-life of the accumulated penalty.
+HALF_LIFE = 120.0
+
 
 @dataclass(frozen=True)
 class PacingConfig(FlagSet):
-    """Which overload defenses are on, and their timer parameters.
-
-    Times are in simulated units (link delays run 3--30); the defaults
-    are deliberately a few triggered-update delays wide so pacing
-    visibly batches without stalling honest convergence.
-    """
+    """Which overload defenses are on."""
 
     FLAGS = FEATURES
     NOUN = "pacing"
@@ -65,37 +78,12 @@ class PacingConfig(FlagSet):
     pace: bool = False
     holddown: bool = False
     damp: bool = False
-    #: Minimum gap between successive update batches to the neighbours.
-    min_advert_interval: float = 8.0
-    #: How long bad news is held before the reaction is announced.
-    holddown_time: float = 20.0
-    #: Penalty added per flap (route loss / link down).
-    penalty: float = 1.0
-    #: Figure-of-merit at which a route/link is suppressed.
-    suppress_threshold: float = 3.0
-    #: Figure-of-merit below which a suppressed route/link is reusable.
-    reuse_threshold: float = 1.0
-    #: Exponential decay half-life of the accumulated penalty.
-    half_life: float = 120.0
-
-    def __post_init__(self) -> None:
-        if self.min_advert_interval <= 0:
-            raise ValueError("min advertisement interval must be > 0")
-        if self.holddown_time <= 0:
-            raise ValueError("hold-down time must be > 0")
-        if self.penalty <= 0 or self.half_life <= 0:
-            raise ValueError("damping penalty and half-life must be > 0")
-        if not 0 < self.reuse_threshold < self.suppress_threshold:
-            raise ValueError(
-                "need 0 < reuse_threshold < suppress_threshold "
-                f"(got {self.reuse_threshold} / {self.suppress_threshold})"
-            )
 
 
 #: No pacing: the exact legacy protocol behaviour.
 UNPACED = PacingConfig()
 
-#: Every defense on, default timers.
+#: Every defense on.
 FULL = PacingConfig(pace=True, holddown=True, damp=True)
 
 pacing_from = PacingConfig.parse
@@ -121,8 +109,7 @@ class FlapDamper:
     :meth:`reuse_delay`.
     """
 
-    def __init__(self, config: PacingConfig) -> None:
-        self.config = config
+    def __init__(self) -> None:
         self._states: Dict[Hashable, _DampState] = {}
         #: Flaps recorded (route losses / link downs seen by this damper).
         self.flaps = 0
@@ -133,7 +120,7 @@ class FlapDamper:
         dt = now - state.stamp
         if dt <= 0:
             return state.penalty
-        return state.penalty * 0.5 ** (dt / self.config.half_life)
+        return state.penalty * 0.5 ** (dt / HALF_LIFE)
 
     def penalty_of(self, key: Hashable, now: float) -> float:
         """Current (decayed) figure-of-merit for ``key``."""
@@ -145,10 +132,10 @@ class FlapDamper:
         state = self._states.get(key)
         if state is None:
             state = self._states[key] = _DampState()
-        state.penalty = self._decayed(state, now) + self.config.penalty
+        state.penalty = self._decayed(state, now) + PENALTY
         state.stamp = now
         self.flaps += 1
-        if not state.suppressed and state.penalty >= self.config.suppress_threshold:
+        if not state.suppressed and state.penalty >= SUPPRESS_THRESHOLD:
             state.suppressed = True
             self.suppressions += 1
             return True
@@ -159,7 +146,7 @@ class FlapDamper:
         state = self._states.get(key)
         if state is None or not state.suppressed:
             return False
-        if self._decayed(state, now) <= self.config.reuse_threshold:
+        if self._decayed(state, now) <= REUSE_THRESHOLD:
             state.suppressed = False
             return False
         return True
@@ -167,11 +154,9 @@ class FlapDamper:
     def reuse_delay(self, key: Hashable, now: float) -> float:
         """Time until ``key``'s penalty decays to the reuse threshold."""
         current = self.penalty_of(key, now)
-        if current <= self.config.reuse_threshold:
+        if current <= REUSE_THRESHOLD:
             return 0.0
-        return self.config.half_life * math.log2(
-            current / self.config.reuse_threshold
-        )
+        return HALF_LIFE * math.log2(current / REUSE_THRESHOLD)
 
 
 #: Floor on re-advertisement check spacing, so a key that keeps being
@@ -212,9 +197,7 @@ class OverloadDefenseMixin:
             return None
         earliest = self.now
         if self.pacing.pace and self._last_flush is not None:
-            earliest = max(
-                earliest, self._last_flush + self.pacing.min_advert_interval
-            )
+            earliest = max(earliest, self._last_flush + MIN_ADVERT_INTERVAL)
         if self.pacing.holddown:
             earliest = max(earliest, self._holddown_until)
         if earliest > self.now:
@@ -230,10 +213,10 @@ class OverloadDefenseMixin:
         An already-armed timer is *not* extended: under sustained
         flapping an extending hold-down would starve announcements for
         the whole storm, leaving every neighbour stale.  Bad news is
-        thus delayed at most one ``holddown_time`` from the first loss.
+        thus delayed at most one ``HOLDDOWN_TIME`` from the first loss.
         """
         if self.pacing.holddown and self.now >= self._holddown_until:
-            self._holddown_until = self.now + self.pacing.holddown_time
+            self._holddown_until = self.now + HOLDDOWN_TIME
 
     # ---- flap damping -------------------------------------------------
 
@@ -246,7 +229,7 @@ class OverloadDefenseMixin:
         if not self.pacing.damp:
             return False
         if self._damper is None:
-            self._damper = FlapDamper(self.pacing)
+            self._damper = FlapDamper()
         if self._damper.record_flap(key, self.now):
             self._arm_reuse_check(key)
             return True

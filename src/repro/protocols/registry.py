@@ -36,11 +36,7 @@ from repro.protocols.egp import EGPProtocol
 from repro.protocols.idrp import BGP2Protocol, IDRPProtocol
 from repro.protocols.lshbh import LinkStateHopByHopProtocol
 from repro.protocols.orwg import ORWGProtocol
-from repro.protocols.runtime import (
-    RUNTIME_FEATURES,
-    NodeRuntimeConfig,
-    runtime_from,
-)
+from repro.protocols.runtime import RUNTIME_FEATURES, runtime_from
 from repro.protocols.spf import PlainLinkStateProtocol
 from repro.protocols.variants import (
     DVSourceTermsProtocol,
@@ -111,9 +107,7 @@ def make_protocol(
     the row's grammar (``"all"``, a feature name, a ``+``/``,``-joined
     list, ...) or the respective config object; they are folded into one
     :class:`~repro.protocols.runtime.NodeRuntimeConfig` on the driver
-    and stamped onto nodes at build time.  A ready-made container may
-    also be passed whole as ``runtime=...`` (mutually exclusive with the
-    per-component options).
+    and stamped onto nodes at build time.
 
     ``substrate`` selects the execution substrate: ``"sim"`` (default,
     the discrete-event engine) or ``"live"`` (asyncio/UDP nodes driven
@@ -130,7 +124,6 @@ def make_protocol(
                 f"available: {', '.join(available_protocols())}"
             ) from None
     opts = _normalize_options(dict(options))
-    runtime = opts.pop("runtime", None)
     components = {
         row.name: opts.pop(row.name, None) for row in RUNTIME_FEATURES
     }
@@ -138,15 +131,7 @@ def make_protocol(
     if substrate not in ("sim", "live"):
         raise ValueError(f"unknown substrate {substrate!r}; use 'sim' or 'live'")
     protocol = factory(graph, policies, **opts)
-    if runtime is not None:
-        if any(v is not None for v in components.values()):
-            raise ValueError(
-                "pass either runtime=... or per-component options, not both"
-            )
-        if not isinstance(runtime, NodeRuntimeConfig):
-            raise TypeError(f"runtime must be a NodeRuntimeConfig, got {runtime!r}")
-        protocol.runtime = runtime
-    elif any(v is not None for v in components.values()):
+    if any(v is not None for v in components.values()):
         protocol.runtime = runtime_from(**components)
     protocol.substrate = substrate
     return protocol
@@ -170,8 +155,3 @@ def design_point_of(name: str) -> Optional[DesignPoint]:
         if factory is cls:
             return point
     return None
-
-
-def all_protocol_names() -> List[str]:
-    """Names of the eight design-point implementations."""
-    return [factory.name for factory in PROTOCOL_FOR_POINT.values()]  # type: ignore[attr-defined]

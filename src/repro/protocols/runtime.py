@@ -21,8 +21,8 @@ Every feature is off by default, so a default container is
 byte-identical to a feature-free build.
 
 The bounded ingress queue is not a row but a fault axis: it models the
-network's delivery stage, armed from ``FaultSpec.queue_*`` after initial
-convergence.
+network's delivery stage, armed from ``FaultSpec.queue_capacity`` after
+initial convergence.
 """
 
 from __future__ import annotations

@@ -22,9 +22,12 @@ installing anything:
   registered link costs (no free zero-cost transit);
 * ``term_guard``   -- policy terms carried in advertisements must match
   the trusted registry entry for their owner (no forged terms);
-* ``quarantine``   -- a neighbour caught violating ``threshold`` times
-  is suppressed for ``quarantine_period``, then put on probation where a
+* ``quarantine``   -- a neighbour caught violating ``THRESHOLD`` times
+  is suppressed for ``QUARANTINE_PERIOD``, then put on probation where a
   single further violation re-quarantines it.
+
+The config holds only these flags; the guard's figures are module
+constants, because no experiment varies them.
 
 Checks validate *claims against registered ground truth* (the configured
 AD graph and policy database -- what RPKI/IRR databases provide in the
@@ -54,16 +57,23 @@ FEATURES: Tuple[str, ...] = (
     "quarantine",
 )
 
+#: Violations from one neighbour before it is quarantined.
+THRESHOLD = 3
+#: How long a quarantined neighbour's updates are suppressed.
+QUARANTINE_PERIOD = 300.0
+#: Window after release in which one violation re-quarantines.
+PROBATION_PERIOD = 300.0
+#: Largest honest sequence-number advance ``seq_guard`` tolerates.
+#: Generous: honest floods advance sequence numbers by one per
+#: origination and bounded refresh bursts add a handful, while
+#: stale-replay attacks need jumps of hundreds to durably displace fresh
+#: state, so the guard separates the two cleanly.
+MAX_SEQ_JUMP = 64
+
 
 @dataclass(frozen=True)
 class ValidationConfig(FlagSet):
-    """Which receiver-side checks are on, and their parameters.
-
-    ``max_seq_jump`` is generous (honest floods advance sequence numbers
-    by one per origination; bounded refresh bursts add a handful) while
-    stale-replay attacks need jumps of hundreds to durably displace
-    fresh state, so the guard separates the two cleanly.
-    """
+    """Which receiver-side checks are on."""
 
     FLAGS = FEATURES
     NOUN = "validation"
@@ -74,14 +84,6 @@ class ValidationConfig(FlagSet):
     metric_guard: bool = False
     term_guard: bool = False
     quarantine: bool = False
-    #: Violations from one neighbour before it is quarantined.
-    threshold: int = 3
-    #: How long a quarantined neighbour's updates are suppressed.
-    quarantine_period: float = 300.0
-    #: Window after release in which one violation re-quarantines.
-    probation_period: float = 300.0
-    #: Largest honest sequence-number advance the guard tolerates.
-    max_seq_jump: int = 64
 
     @cached_property
     def checks_enabled(self) -> bool:
@@ -96,7 +98,7 @@ class ValidationConfig(FlagSet):
 #: No validation: the exact legacy receive-path behaviour.
 OFF = ValidationConfig()
 
-#: Every check on, default parameters.
+#: Every check on.
 FULL = ValidationConfig(
     path_check=True,
     origin_check=True,
@@ -122,9 +124,9 @@ class NeighborGuard:
     """Per-receiver violation ledger and penalty-timer state machine.
 
     Every validation failure is charged to the *sender* of the offending
-    message.  After ``threshold`` violations the sender is quarantined
-    (its updates dropped) for ``quarantine_period``, after which it is
-    on probation for ``probation_period``: one more violation during
+    message.  After ``THRESHOLD`` violations the sender is quarantined
+    (its updates dropped) for ``QUARANTINE_PERIOD``, after which it is
+    on probation for ``PROBATION_PERIOD``: one more violation during
     probation re-quarantines it immediately.  All state is plain data
     driven by the caller-supplied clock, so a crashed-and-replaced node
     simply starts a fresh ledger.
@@ -160,9 +162,9 @@ class NeighborGuard:
         now = self._clock()
         on_probation = now < self._probation_until.get(neighbor, -1.0)
         self.strikes[neighbor] = self.strikes.get(neighbor, 0) + 1
-        if self.strikes[neighbor] < self.config.threshold and not on_probation:
+        if self.strikes[neighbor] < THRESHOLD and not on_probation:
             return False
-        self._quarantined_until[neighbor] = now + self.config.quarantine_period
+        self._quarantined_until[neighbor] = now + QUARANTINE_PERIOD
         self._probation_until.pop(neighbor, None)
         self.strikes[neighbor] = 0
         self.quarantine_events.append(QuarantineEvent(now, neighbor, reason))
@@ -181,7 +183,7 @@ class NeighborGuard:
         now = self._clock()
         self.violations[neighbor] = self.violations.get(neighbor, 0) + 1
         already = now < self._quarantined_until.get(neighbor, -1.0)
-        self._quarantined_until[neighbor] = now + self.config.quarantine_period
+        self._quarantined_until[neighbor] = now + QUARANTINE_PERIOD
         self._probation_until.pop(neighbor, None)
         self.strikes[neighbor] = 0
         if not already:
@@ -204,7 +206,7 @@ class NeighborGuard:
             self.suppressed += 1
             return True
         del self._quarantined_until[neighbor]
-        self._probation_until[neighbor] = now + self.config.probation_period
+        self._probation_until[neighbor] = now + PROBATION_PERIOD
         return False
 
 

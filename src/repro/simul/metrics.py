@@ -58,10 +58,6 @@ class MetricsSnapshot:
     def total_bytes(self) -> int:
         return sum(self.bytes.values())
 
-    @property
-    def total_computations(self) -> int:
-        return sum(self.computations.values())
-
     def delta(self, earlier: "MetricsSnapshot") -> "MetricsSnapshot":
         """This snapshot minus an earlier one (per-key subtraction)."""
         messages = _sub(self.messages, earlier.messages)

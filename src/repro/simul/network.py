@@ -12,7 +12,7 @@ nodes synchronously at the scheduled time.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 from repro.adgraph.ad import ADId
 from repro.adgraph.graph import InterADGraph
@@ -24,7 +24,7 @@ from repro.simul.profiling import PhaseProfiler
 from repro.simul.transport import Clock, SimClock, Transport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.faults.channel import ChannelModel, Impairment
+    from repro.faults.channel import ChannelModel
 
 
 class SimNetwork(Transport):
@@ -232,16 +232,6 @@ class SimNetwork(Transport):
     def set_channel(self, model: Optional["ChannelModel"]) -> None:
         """Attach an impairment channel (``None`` restores perfect links)."""
         self.channel = model
-
-    def set_impairment(
-        self, link: Optional[Tuple[ADId, ADId]], spec: "Impairment"
-    ) -> None:
-        """Change impairment parameters, attaching a channel if needed."""
-        if self.channel is None:
-            from repro.faults.channel import ImpairedChannel
-
-            self.channel = ImpairedChannel()
-        self.channel.set_impairment(link, spec)
 
     # --------------------------------------------------------------- crashes
 

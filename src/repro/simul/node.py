@@ -43,6 +43,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.protocols.versioning import WireConfig
     from repro.simul.profiling import PhaseProfiler
 
+#: Ack wait before a hardening retransmission, in simulated time units:
+#: about two worst-case round trips (link delays run 3--30).
+RETRANSMIT_TIMEOUT = 60.0
+#: Retransmissions before an exchange is given up for lost.
+MAX_RETRIES = 3
+
 
 class ProtocolNode:
     """Base class for the per-AD routing process."""
@@ -275,7 +281,7 @@ class ProtocolNode:
     def on_link_change(self, link: InterADLink, up: bool) -> None:
         """An incident link changed status.  Default: do nothing."""
 
-    def on_neighbor_grace(self, neighbor: ADId, hold_time: float) -> None:
+    def on_neighbor_grace(self, neighbor: ADId) -> None:
         """A neighbour began a graceful restart: hold its routes as stale.
 
         The default helper behaviour is *inaction* -- the neighbour's
@@ -325,24 +331,22 @@ class ProtocolNode:
     ) -> None:
         """Resend ``msg`` (which the caller sends) until ``key`` is cleared.
 
-        Resends go to ``peer`` every ``hardening.retransmit_timeout``, at
-        most ``hardening.max_retries`` times; one timeout after the last,
+        Resends go to ``peer`` every ``RETRANSMIT_TIMEOUT``, at most
+        ``MAX_RETRIES`` times; one timeout after the last,
         the key is dropped and ``give_up`` (if any) runs.  ``key`` names
         the exchange within this node: an LS token, an EGP ``(peer, seq)``
         or an ORWG handle.  No key is armed twice, so a cleared key's
         pending timer only finds it gone.
         """
         self._unacked[key] = (peer, msg, give_up)
-        self._retransmit_in(key, self.hardening.max_retries)
+        self._retransmit_in(key, MAX_RETRIES)
 
     def clear_retransmit(self, key: Hashable) -> None:
         """The exchange ``key`` was acknowledged or ended: resend no more."""
         self._unacked.pop(key, None)
 
     def _retransmit_in(self, key: Hashable, retries_left: int) -> None:
-        self.schedule(
-            self.hardening.retransmit_timeout, self._retransmit, key, retries_left
-        )
+        self.schedule(RETRANSMIT_TIMEOUT, self._retransmit, key, retries_left)
 
     def _retransmit(self, key: Hashable, retries_left: int) -> None:
         if key not in self._unacked:

@@ -162,7 +162,7 @@ class SimSubstrate(Substrate):
         """Run to quiescence, but no further than ``until``: one episode.
 
         The bound is load-bearing: a graceful crash arms a hold timer
-        ``hold_time`` ahead, and running to quiescence would fast-forward
+        ``HOLD_TIME`` ahead, and running to quiescence would fast-forward
         straight through it, expiring holds that a restart scheduled
         *sooner* should have cancelled.
         """

@@ -45,21 +45,23 @@ class TraceRecord:
         return f"[{self.time:10.2f}] link {self.src}-{self.dst} {self.detail}"
 
 
+#: Records a tracer keeps; later events are only counted
+#: (``dropped_records``), so a long run cannot exhaust memory.
+CAPACITY = 100_000
+
+
 class Tracer:
     """Records deliveries and link changes on a network."""
 
-    def __init__(self, network: SimNetwork, capacity: int = 100_000) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
+    def __init__(self, network: SimNetwork) -> None:
         self.network = network
-        self.capacity = capacity
         self.records: List[TraceRecord] = []
         self.dropped_records = 0
 
     @classmethod
-    def attach(cls, network: SimNetwork, capacity: int = 100_000) -> "Tracer":
+    def attach(cls, network: SimNetwork) -> "Tracer":
         """Wrap the network's delivery and link-change paths."""
-        tracer = cls(network, capacity)
+        tracer = cls(network)
         original_deliver = network._deliver
         original_set_link = network.set_link_status
 
@@ -97,7 +99,7 @@ class Tracer:
         return tracer
 
     def _record(self, record: TraceRecord) -> None:
-        if len(self.records) >= self.capacity:
+        if len(self.records) >= CAPACITY:
             self.dropped_records += 1
             return
         self.records.append(record)

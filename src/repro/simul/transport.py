@@ -47,7 +47,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -186,10 +185,6 @@ class Transport(abc.ABC):
         self.nodes[node.ad_id] = node
         node.attach(self)
         return node
-
-    def add_nodes(self, nodes: Iterable["ProtocolNode"]) -> None:
-        for node in nodes:
-            self.add_node(node)
 
     def node(self, ad_id: ADId) -> "ProtocolNode":
         return self.nodes[ad_id]

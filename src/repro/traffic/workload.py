@@ -38,7 +38,7 @@ from array import array
 from dataclasses import dataclass
 from math import exp, log
 from random import NV_MAGICCONST
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.adgraph.ad import ADId
 from repro.adgraph.graph import InterADGraph
@@ -125,12 +125,6 @@ class FlowWorkload:
     @property
     def num_classes(self) -> int:
         return len(self.classes)
-
-    def iter_flows(self) -> Iterator[Tuple[FlowSpec, int]]:
-        """Lazy per-packet view: (flow spec, size) per flow, in order."""
-        classes = self.classes
-        for idx, size in zip(self.class_of, self.sizes):
-            yield classes[idx], size
 
     def head_share(self, head: int = 10) -> float:
         """Fraction of flows carried by the ``head`` most popular classes
@@ -235,10 +229,6 @@ class TrafficMatrix:
     @property
     def flows(self) -> List[FlowSpec]:
         return [f for f, _ in self.entries]
-
-    @property
-    def total_weight(self) -> float:
-        return sum(w for _, w in self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -103,6 +103,24 @@ def open_db(graph: InterADGraph) -> PolicyDatabase:
     return db
 
 
+def term_is_open(term: PolicyTerm) -> bool:
+    """Whether ``term`` is fully unconstrained (permits everything)."""
+    return (
+        term.sources.is_universal
+        and term.dests.is_universal
+        and term.prev_ads.is_universal
+        and term.next_ads.is_universal
+        and term.qos_classes is None
+        and term.ucis is None
+        and term.window.is_universal
+    )
+
+
+def ads_of_kind(graph: InterADGraph, kind: ADKind) -> list:
+    """``graph``'s ADs of one kind, in id order."""
+    return [ad for ad in graph.ads() if ad.kind == kind]
+
+
 def program_path(fib, c):
     """The AD path class ``c``'s compiled program crosses."""
     path = [fib.classes[c].src]

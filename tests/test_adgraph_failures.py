@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.adgraph.ad import LinkKind
 from repro.adgraph.generator import TopologyConfig, generate_internet
 from repro.faults.plan import (
     LinkFault,
@@ -51,12 +50,6 @@ class TestRandomPlan:
         times = [e.time for e in plan]
         assert times == [100, 125, 150, 175]
         assert [e.up for e in plan] == [False, True, False, True]
-
-    def test_kind_filter(self):
-        g = generate_internet(TopologyConfig(seed=3, lateral_prob=0.8))
-        plan = random_failure_plan(g, count=1, kinds=[LinkKind.LATERAL], seed=1)
-        ev = list(plan)[0]
-        assert g.link(ev.a, ev.b).kind is LinkKind.LATERAL
 
     def test_raises_when_not_enough_candidates(self):
         g = line_graph(4)

@@ -13,10 +13,8 @@ import json
 
 import pytest
 
-from repro.faults.channel import Impairment
 from repro.faults.plan import (
     FaultPlan,
-    ImpairmentChange,
     LinkFault,
     NodeFault,
     grouped_events,
@@ -36,11 +34,9 @@ from repro.harness.spec import (
     ScenarioSpec,
     TrafficSpec,
 )
-from repro.live import LiveNetwork
-from repro.protocols import make_protocol
 from repro.workloads import ring_scenario
 
-from .helpers import mk_graph, open_db
+from .helpers import mk_graph
 
 
 def ring8():
@@ -88,8 +84,7 @@ def graced_record():
 
 def test_partition_plan_cuts_a_boundary_and_heals_it():
     graph = ring8()
-    plan = partition_plan(graph, start_time=100.0, duration=200.0,
-                          fraction=0.3, seed=7)
+    plan = partition_plan(graph, start_time=100.0, duration=200.0, seed=7)
     downs = [ev for ev in plan if not ev.up]
     ups = [ev for ev in plan if ev.up]
     # An island of ~30% of a ring has exactly two boundary links.
@@ -100,17 +95,12 @@ def test_partition_plan_cuts_a_boundary_and_heals_it():
         (ev.a, ev.b) for ev in ups
     )
     # Seeded: the same seed replays the same cut.
-    again = partition_plan(graph, start_time=100.0, duration=200.0,
-                           fraction=0.3, seed=7)
+    again = partition_plan(graph, start_time=100.0, duration=200.0, seed=7)
     assert list(plan) == list(again)
 
 
 def test_partition_plan_validation():
     graph = ring8()
-    with pytest.raises(ValueError, match="fraction must be in"):
-        partition_plan(graph, fraction=0.0)
-    with pytest.raises(ValueError, match="fraction must be in"):
-        partition_plan(graph, fraction=1.0)
     with pytest.raises(ValueError, match="duration must be > 0"):
         partition_plan(graph, duration=0.0)
     with pytest.raises(ValueError, match="single-AD"):
@@ -204,29 +194,6 @@ def test_execute_chaos_cell_rejections():
         execute_chaos_cell(
             _chaos_cell(fault=FaultSpec(restarts=1), substrate="quantum")
         )
-
-
-def test_live_fault_plan_rejects_sim_only_impairments():
-    """The one fault applier on live: loss translates, the rest is refused."""
-
-    async def scenario():
-        graph = ring8()
-        proto = make_protocol(
-            "plain-ls", graph, open_db(graph), substrate="live"
-        )
-        network = LiveNetwork(graph)
-        proto.build(network=network)
-        dup = ImpairmentChange(10.0, Impairment(dup_prob=0.1))
-        with pytest.raises(ValueError, match="dup/jitter"):
-            proto.apply_fault_event(dup)
-        per_link = ImpairmentChange(10.0, Impairment(drop_prob=0.1), link=(0, 1))
-        with pytest.raises(ValueError, match="per-link impairments"):
-            proto.apply_fault_event(per_link)
-        # Plain network-wide loss is the one translatable impairment.
-        proto.apply_fault_event(ImpairmentChange(10.0, Impairment(drop_prob=0.1)))
-        assert network._recv_loss_rate == 0.1
-
-    asyncio.run(scenario())
 
 
 def test_grouped_events_buckets_identical_fire_times():

@@ -19,13 +19,6 @@ class TestRoute:
         assert r.transit_ads == (2,)
         assert r.is_loop_free
 
-    def test_next_hop_after(self):
-        r = Route(path=(1, 2, 3), flow=FlowSpec(1, 3), cost=2.0)
-        assert r.next_hop_after(1) == 2
-        assert r.next_hop_after(2) == 3
-        with pytest.raises(ValueError):
-            r.next_hop_after(3)
-
     def test_header_bytes(self):
         r = Route(path=(1, 2, 3), flow=FlowSpec(1, 3), cost=2.0)
         assert r.header_bytes() == 6

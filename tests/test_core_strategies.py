@@ -36,7 +36,7 @@ class TestPrecompute:
     def test_outside_universe_misses(self, synthesizer):
         strat = PrecomputeStrategy(synthesizer, [FLOW_A])
         assert strat.lookup(FLOW_C) is None
-        assert strat.stats.misses == 1
+        assert strat.stats.requests - strat.stats.hits == 1
 
     def test_table_size(self, synthesizer):
         strat = PrecomputeStrategy(synthesizer, [FLOW_A, FLOW_B, FLOW_C])

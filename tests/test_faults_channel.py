@@ -57,10 +57,6 @@ class TestBaseChannel:
         assert ch.transmit(1, 2) == (0.0,)
         assert ch.counters() == {}
 
-    def test_impairment_changes_unsupported(self):
-        with pytest.raises(NotImplementedError):
-            ChannelModel().set_impairment(None, PERFECT)
-
 
 class TestImpairedChannel:
     def test_perfect_default_never_alters(self):
@@ -99,18 +95,11 @@ class TestImpairedChannel:
         ]
 
     def test_perfect_links_consume_no_randomness(self):
-        # A perfect-spec transmission must not advance the link's RNG, so
-        # interleaving perfect periods leaves later decisions unchanged.
-        lossy = Impairment(drop_prob=0.5)
-        a = ImpairedChannel(default=lossy, seed=3)
-        b = ImpairedChannel(default=lossy, seed=3)
-        b.set_impairment((1, 2), PERFECT)
+        # A perfect-spec transmission never draws: no link RNG is created.
+        ch = ImpairedChannel(default=PERFECT, seed=3)
         for _ in range(50):
-            b.transmit(1, 2)
-        b.set_impairment((1, 2), lossy)
-        assert [a.transmit(1, 2) for _ in range(100)] == [
-            b.transmit(1, 2) for _ in range(100)
-        ]
+            ch.transmit(1, 2)
+        assert ch._rngs == {}
 
     def test_direction_shares_one_stream(self):
         # Both directions of a link share the canonical key (and RNG).
@@ -150,17 +139,6 @@ class TestImpairedChannel:
             assert ch.transmit(1, 2) == ()
         assert ch.burst_dropped == 20
         assert ch.dropped == 20
-
-    def test_override_scopes_to_one_link(self):
-        ch = ImpairedChannel(seed=0)
-        ch.set_impairment((1, 2), Impairment(drop_prob=1.0))
-        assert ch.transmit(1, 2) == ()
-        assert ch.transmit(3, 4) == (0.0,)
-
-    def test_default_override(self):
-        ch = ImpairedChannel(seed=0)
-        ch.set_impairment(None, Impairment(drop_prob=1.0))
-        assert ch.transmit(1, 2) == ()
 
     def test_counters_shape(self):
         ch = ImpairedChannel(default=Impairment(drop_prob=0.5), seed=1)

@@ -3,8 +3,7 @@ protocol-level recovery with and without retained state."""
 
 import pytest
 
-from repro.faults.plan import FaultPlan, ImpairmentChange, LinkFault, NodeFault
-from repro.faults.channel import Impairment
+from repro.faults.plan import FaultPlan, LinkFault, NodeFault
 from repro.policy.flows import FlowSpec
 from repro.protocols.flooding import LSNode
 from repro.protocols.lshbh import LinkStateHopByHopProtocol
@@ -215,15 +214,3 @@ class TestFaultPlanScheduling:
         )
         proto.network.run()
         assert not proto.graph.link(0, 1).up
-
-    def test_impairment_change_attaches_channel(self):
-        proto = converged_proto()
-        assert proto.network.channel is None
-        proto.schedule_fault_plan(
-            FaultPlan(
-                (ImpairmentChange(5.0, Impairment(drop_prob=1.0), (0, 1)),)
-            )
-        )
-        proto.network.run()
-        assert proto.network.channel is not None
-        assert proto.network.channel.transmit(0, 1) == ()

@@ -10,9 +10,9 @@ from repro.faults.plan import (
     NodeFault,
     ad_crash_plan,
     crash_candidates,
-    link_flap_plan,
     churn_storm_plan,
     merge_plans,
+    random_failure_plan,
     safe_failure_candidates,
 )
 from tests.helpers import line_graph, mk_graph
@@ -53,34 +53,35 @@ class TestFaultPlan:
         assert isinstance(merged.events[1], NodeFault)
 
 
-class TestLinkFlapPlan:
+class TestRepairedFailurePlan:
+    """Link flaps: ``random_failure_plan`` with ``repair=True``."""
+
     def test_each_flap_is_down_then_up(self, internet):
-        plan = link_flap_plan(internet, flaps=3, seed=2)
+        plan = random_failure_plan(
+            internet, count=3, spacing=400.0, repair=True, seed=2
+        )
         events = list(plan)
         assert len(events) == 6
         for down, up in zip(events[0::2], events[1::2]):
             assert (down.a, down.b) == (up.a, up.b)
             assert not down.up and up.up
-            assert up.time == down.time + 200.0  # half the default spacing
+            assert up.time == down.time + 200.0  # half the spacing
 
     def test_flapped_links_are_safe(self, internet):
-        plan = link_flap_plan(internet, flaps=3, seed=2)
+        plan = random_failure_plan(internet, count=3, repair=True, seed=2)
         safe = set(safe_failure_candidates(internet))
         for ev in plan:
             assert (ev.a, ev.b) in safe
 
-    def test_down_for_override(self, internet):
-        plan = link_flap_plan(internet, flaps=1, start_time=50, down_for=30, seed=0)
-        assert [e.time for e in plan] == [50, 80]
-
     def test_deterministic(self, internet):
-        assert list(link_flap_plan(internet, flaps=2, seed=5)) == list(
-            link_flap_plan(internet, flaps=2, seed=5)
-        )
+        def plan():
+            return list(random_failure_plan(internet, count=2, repair=True, seed=5))
+
+        assert plan() == plan()
 
     def test_raises_when_candidates_run_out(self):
         with pytest.raises(ValueError, match="safe candidate links"):
-            link_flap_plan(line_graph(4), flaps=1)
+            random_failure_plan(line_graph(4), count=1, repair=True)
 
 
 class TestCrashPlans:
@@ -129,8 +130,8 @@ class TestChurnStormPlan:
         assert times == sorted(times)
         flapped = {(e.a, e.b) for e in plan}
         assert len(flapped) == 3
-        # Unlike link_flap_plan, every chosen link is down at once at the
-        # start of each period.
+        # Unlike a repaired failure plan, every chosen link is down at
+        # once at the start of each period.
         first = min(times)
         assert sum(1 for e in plan if e.time == first and not e.up) == 3
 

@@ -13,6 +13,7 @@ from repro.protocols.graceful import (
     FEATURES,
     GR_FULL,
     GR_OFF,
+    HOLD_TIME,
     GracefulRestartConfig,
 )
 from repro.protocols.registry import make_protocol
@@ -79,11 +80,9 @@ def test_helper_crash_keeps_links_up_and_counts_holds():
 
 
 def test_hold_expiry_turns_the_restart_disruptive():
-    proto, network = _build(
-        graceful=GracefulRestartConfig(helper=True, hold_time=50.0)
-    )
+    proto, network = _build(graceful=GracefulRestartConfig(helper=True))
     proto.crash_node(3, retain_state=True)
-    network.run(until=network.sim.now + 200.0)
+    network.run(until=network.sim.now + HOLD_TIME + 150.0)
     summary = proto.runtime_summary("graceful")
     assert summary["expirations"] == 1
     # Helpers gave up: the withdrawal machinery ran after all.
@@ -94,7 +93,7 @@ def test_restore_within_hold_cancels_timer_and_resyncs():
     proto, network = _build(graceful="all")
     before = _routes(proto)
     proto.crash_node(3, retain_state=True)
-    network.run(until=network.sim.now + 50.0)  # well inside hold_time=300
+    network.run(until=network.sim.now + HOLD_TIME / 6)  # well inside the hold
     proto.restore_node(3)
     network.run()
     summary = proto.runtime_summary("graceful")

@@ -50,7 +50,7 @@ print("ok")
 """
 
 CELLS = {
-    # link_flap_plan -> safe_failure_candidates (bridges)
+    # random_failure_plan -> safe_failure_candidates (bridges)
     "sim-plain-ls-churn": """
         (record,) = run_spec(ExperimentSpec(
             name="footprint-churn",

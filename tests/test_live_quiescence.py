@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from repro.faults.plan import link_flap_plan
+from repro.faults.plan import random_failure_plan
 from repro.harness.chaos import execute_chaos_cell
 from repro.harness.spec import (
     Cell,
@@ -28,7 +28,7 @@ from repro.harness.spec import (
     TrafficSpec,
 )
 from repro.live import LiveSubstrate, settle
-from repro.live.supervisor import Supervisor, SupervisorConfig
+from repro.live.supervisor import Supervisor
 from repro.policy.generators import open_policies
 from repro.protocols.egp import NRAck
 from repro.protocols.registry import make_protocol
@@ -51,7 +51,9 @@ def test_live_episode_messages_equal_the_simulators(runtime):
     silence window; exact quiescence charges them to the episode that
     armed them, as the simulator's drained queue does."""
     scenario = small_scenario(seed=0)
-    plan = list(link_flap_plan(scenario.graph, flaps=2, seed=0))
+    plan = list(
+        random_failure_plan(scenario.graph, count=2, spacing=400.0, repair=True, seed=0)
+    )
 
     sim_proto = make_protocol(
         "plain-ls", scenario.graph.copy(), scenario.policies.copy(), **runtime
@@ -186,7 +188,7 @@ def test_drained_raises_when_the_books_cannot_balance(monkeypatch):
 
     async def scenario():
         proto, network = await _converged_network(ring8())
-        supervisor = Supervisor(network, SupervisorConfig(seed=2))
+        supervisor = Supervisor(network, seed=2)
         await supervisor.start()
         try:
             network._sent_frames += 1  # handed to the kernel, never delivered
@@ -235,7 +237,7 @@ def test_episodic_run_requests_no_timed_sleep(sleep_log):
     proto = make_protocol(
         "plain-ls", graph, open_policies(graph).policies, substrate="live"
     )
-    plan = link_flap_plan(proto.graph, flaps=2, seed=0)
+    plan = random_failure_plan(proto.graph, count=2, spacing=400.0, repair=True, seed=0)
     initial, *episodes = run_episodes(
         proto, plan, time_scale=TIME_SCALE, timeout_s=30.0
     )
@@ -248,7 +250,7 @@ def test_episodic_run_requests_no_timed_sleep(sleep_log):
 def test_rolling_restart_and_settle_request_no_timed_sleep(sleep_log):
     async def scenario():
         proto, network = await _converged_network(ring8())
-        supervisor = Supervisor(network, SupervisorConfig(seed=1))
+        supervisor = Supervisor(network, seed=1)
         await supervisor.start()
         try:
             assert await supervisor.rolling_restart() == 8

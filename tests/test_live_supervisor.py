@@ -13,7 +13,8 @@ import re
 import pytest
 
 from repro.live import LiveNetwork, NodeState, settle
-from repro.live.supervisor import Supervisor, SupervisorConfig
+from repro.live import supervisor as supervisor_mod
+from repro.live.supervisor import Supervisor
 from repro.policy.flows import FlowSpec
 from repro.policy.generators import open_policies
 from repro.protocols.registry import make_protocol
@@ -96,7 +97,7 @@ async def _wait_for(predicate, timeout_s, what):
 def test_supervisor_restarts_dead_serve_task():
     async def scenario():
         proto, network = await _converged_network(ring8())
-        supervisor = Supervisor(network, SupervisorConfig(seed=1))
+        supervisor = Supervisor(network, seed=1)
         await supervisor.start()
         try:
             routes_before = _all_routes(proto)
@@ -119,13 +120,12 @@ def test_supervisor_restarts_dead_serve_task():
     _run(scenario())
 
 
-def test_supervisor_recovers_crash_looping_node_within_budget():
+def test_supervisor_recovers_crash_looping_node_within_budget(monkeypatch):
+    monkeypatch.setattr(supervisor_mod, "BACKOFF_INITIAL_S", 0.01)
+
     async def scenario():
         proto, network = await _converged_network(ring8())
-        supervisor = Supervisor(
-            network,
-            SupervisorConfig(seed=2, backoff_initial_s=0.01, max_restarts=5),
-        )
+        supervisor = Supervisor(network, seed=2)
         await supervisor.start()
         try:
             victim = network._runtimes[5]
@@ -151,13 +151,13 @@ def test_supervisor_recovers_crash_looping_node_within_budget():
     _run(scenario())
 
 
-def test_budget_exhaustion_fails_the_run_loudly():
+def test_budget_exhaustion_fails_the_run_loudly(monkeypatch):
+    monkeypatch.setattr(supervisor_mod, "BACKOFF_INITIAL_S", 0.01)
+    monkeypatch.setattr(supervisor_mod, "MAX_RESTARTS", 1)
+
     async def scenario():
         proto, network = await _converged_network(ring8())
-        supervisor = Supervisor(
-            network,
-            SupervisorConfig(seed=3, backoff_initial_s=0.01, max_restarts=1),
-        )
+        supervisor = Supervisor(network, seed=3)
         await supervisor.start()
         try:
             victim = network._runtimes[2]
@@ -180,7 +180,10 @@ def test_budget_exhaustion_fails_the_run_loudly():
     _run(scenario())
 
 
-def test_hung_task_detected_by_heartbeat():
+def test_hung_task_detected_by_heartbeat(monkeypatch):
+    monkeypatch.setattr(supervisor_mod, "HEARTBEAT_S", 0.2)
+    monkeypatch.setattr(supervisor_mod, "BACKOFF_INITIAL_S", 0.01)
+
     async def scenario():
         proto, network = await _converged_network(ring8())
         loop = asyncio.get_running_loop()
@@ -199,10 +202,7 @@ def test_hung_task_detected_by_heartbeat():
 
         network.send(3, 4, NRAck(seq=1))
         await _wait_for(lambda: victim.unprocessed > 0, 10.0, "frame queued")
-        supervisor = Supervisor(
-            network,
-            SupervisorConfig(seed=4, heartbeat_s=0.2, backoff_initial_s=0.01),
-        )
+        supervisor = Supervisor(network, seed=4)
         await supervisor.start()
         try:
             await _wait_for(
@@ -222,13 +222,68 @@ def test_hung_task_detected_by_heartbeat():
     _run(scenario())
 
 
+def test_operator_bounce_is_not_charged_as_a_dead_task(monkeypatch):
+    """``restart_task`` owns the runtime from cancel to respawn.
+
+    The watch polls every loop turn here, so it runs in the turn where
+    the old serve task has finished but has not yet been replaced; that
+    task must not read as dead (E16's upgrade bounces charged a restart
+    this way under load).
+    """
+    monkeypatch.setattr(supervisor_mod, "POLL_S", 0.0)
+
+    async def scenario():
+        proto, network = await _converged_network(ring8())
+        supervisor = Supervisor(network, seed=1)
+        await supervisor.start()
+        try:
+            for bounce in range(16):
+                await network.restart_runtime(bounce % 8)
+                await network.drained()
+            # Long enough for a recovery that had started to finish.
+            await asyncio.sleep(4 * supervisor_mod.BACKOFF_INITIAL_S)
+            assert supervisor.events == []
+            assert supervisor.summary()["restarts"] == 0
+            assert all(rt.restarts == 2 for rt in network._runtimes.values())
+            assert await settle(network, timeout_s=30.0)
+        finally:
+            await supervisor.stop()
+            await network.close()
+
+    _run(scenario())
+
+
+def test_frame_after_an_idle_spell_is_not_a_hang(monkeypatch):
+    """The heartbeat measures progress since work arrived, not since the
+    last dispatch: a node idle for longer than ``HEARTBEAT_S`` that is
+    handed a frame is not hung in the turns before it dispatches it."""
+    monkeypatch.setattr(supervisor_mod, "POLL_S", 0.0)
+    monkeypatch.setattr(supervisor_mod, "HEARTBEAT_S", 0.05)
+
+    async def scenario():
+        proto, network = await _converged_network(ring8())
+        supervisor = Supervisor(network, seed=1)
+        await supervisor.start()
+        try:
+            for round_ in range(4):
+                await asyncio.sleep(2 * supervisor_mod.HEARTBEAT_S)
+                proto.apply_link_status(0, 1, up=round_ % 2 == 1)
+                assert await settle(network, timeout_s=30.0)
+            assert supervisor.events == []
+        finally:
+            await supervisor.stop()
+            await network.close()
+
+    _run(scenario())
+
+
 # --------------------------------------------------------------- rolling
 
 
 def test_rolling_restart_is_hitless():
     async def scenario():
         proto, network = await _converged_network(ring8())
-        supervisor = Supervisor(network, SupervisorConfig(seed=5))
+        supervisor = Supervisor(network, seed=5)
         await supervisor.start()
         try:
             routes_before = _all_routes(proto)
@@ -248,13 +303,13 @@ def test_rolling_restart_is_hitless():
     _run(scenario())
 
 
-def test_rolling_restart_never_charges_the_crash_budget():
+def test_rolling_restart_never_charges_the_crash_budget(monkeypatch):
+    monkeypatch.setattr(supervisor_mod, "BACKOFF_INITIAL_S", 0.01)
+    monkeypatch.setattr(supervisor_mod, "MAX_RESTARTS", 2)
+
     async def scenario():
         proto, network = await _converged_network(ring8())
-        supervisor = Supervisor(
-            network,
-            SupervisorConfig(seed=6, backoff_initial_s=0.01, max_restarts=2),
-        )
+        supervisor = Supervisor(network, seed=6)
         await supervisor.start()
         try:
             # Spend the victim's entire crash budget on real crashes.
@@ -292,18 +347,17 @@ def test_rolling_restart_never_charges_the_crash_budget():
 # ---------------------------------------------------------- settle contract
 
 
-def test_settle_timeout_carries_per_ad_diagnostics():
+def test_settle_timeout_carries_per_ad_diagnostics(monkeypatch):
+    # A heartbeat far past the settle timeout: the wedged node must
+    # still be wedged when settle gives up.
+    monkeypatch.setattr(supervisor_mod, "HEARTBEAT_S", 60.0)
+
     async def scenario():
         from repro.live.runner import SettleTimeout, try_settle
         from repro.protocols.egp import NRAck
 
         proto, network = await _converged_network(ring8())
-        supervisor = Supervisor(
-            network,
-            # A heartbeat far past the settle timeout: the wedged node
-            # must still be wedged when settle gives up.
-            SupervisorConfig(seed=7, heartbeat_s=60.0, max_restarts=5),
-        )
+        supervisor = Supervisor(network, seed=7)
         await supervisor.start()
         try:
             loop = asyncio.get_running_loop()
@@ -346,8 +400,9 @@ def test_settle_timeout_carries_per_ad_diagnostics():
     _run(scenario())
 
 
-def test_settle_timeout_names_each_outstanding_term():
+def test_settle_timeout_names_each_outstanding_term(monkeypatch):
     """One line per cause: what exactly kept the network non-quiescent."""
+    monkeypatch.setattr(supervisor_mod, "BACKOFF_INITIAL_S", 30.0)
 
     async def scenario():
         from repro.live.runner import SettleTimeout
@@ -359,9 +414,7 @@ def test_settle_timeout_names_each_outstanding_term():
             return str(exc.value)
 
         proto, network = await _converged_network(ring8())
-        supervisor = Supervisor(
-            network, SupervisorConfig(seed=8, backoff_initial_s=30.0)
-        )
+        supervisor = Supervisor(network, seed=8)
         try:
             # An armed protocol timer, and how far off it is.
             handle = network.clock.call_later(5000.0, lambda: None)
@@ -464,7 +517,7 @@ def test_serve_task_death_wakes_a_waiting_settle():
 def test_rolling_restart_stops_at_a_recorded_failure():
     async def scenario():
         proto, network = await _converged_network(ring8())
-        supervisor = Supervisor(network, SupervisorConfig(seed=9))
+        supervisor = Supervisor(network, seed=9)
         await supervisor.start()
         try:
             network.fail(ValueError("boom"))

@@ -119,7 +119,8 @@ def drive(case, fan_out, messages):
     )
     network = SimNetwork(graph)
     log = []
-    network.add_nodes(Flooder(i, fan_out, log) for i in range(case["n"]))
+    for i in range(case["n"]):
+        network.add_node(Flooder(i, fan_out, log))
     for a, b in case["down"]:
         graph.link(a, b).up = False  # a bare write: nothing may cache ``up``
     if case["channel_seed"] is not None:
@@ -175,7 +176,8 @@ def test_every_check_of_send_survives_beside_broadcast():
     graph = _star()
     network = SimNetwork(graph)
     log = []
-    network.add_nodes(Flooder(i, reference_broadcast, log) for i in range(5))
+    for i in range(5):
+        network.add_node(Flooder(i, reference_broadcast, log))
     with pytest.raises(ValueError, match="not neighbours"):
         network.send(1, 2, Probe(0))
     graph.link(0, 3).up = False

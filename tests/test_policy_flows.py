@@ -29,10 +29,6 @@ class TestFlowSpec:
         assert len({FlowSpec(1, 2), FlowSpec(1, 2)}) == 1
         assert FlowSpec(1, 2) != FlowSpec(1, 2, hour=3)
 
-    def test_traffic_class(self):
-        f = FlowSpec(1, 2, qos=QOS.LOW_DELAY, uci=UCI.RESEARCH)
-        assert f.traffic_class == (QOS.LOW_DELAY, UCI.RESEARCH)
-
     def test_endpoints(self):
         assert FlowSpec(4, 9).endpoints == (4, 9)
 

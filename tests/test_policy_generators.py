@@ -14,6 +14,7 @@ from repro.policy.generators import (
     source_class_of,
     source_class_policies,
 )
+from tests.helpers import ads_of_kind, term_is_open
 
 
 @pytest.fixture
@@ -45,7 +46,7 @@ class TestOpenPolicies:
         db = open_policies(graph).policies
         for ad in graph.transit_ads():
             terms = db.terms_of(ad.ad_id)
-            assert len(terms) == 1 and terms[0].is_open
+            assert len(terms) == 1 and term_is_open(terms[0])
         for ad in graph.stub_ads():
             assert db.terms_of(ad.ad_id) == ()
 
@@ -53,12 +54,12 @@ class TestOpenPolicies:
 class TestHierarchicalPolicies:
     def test_pure_transit_open(self, graph):
         db = hierarchical_policies(graph).policies
-        for ad in graph.ads_by_kind(ADKind.TRANSIT):
-            assert any(t.is_open for t in db.terms_of(ad.ad_id))
+        for ad in ads_of_kind(graph, ADKind.TRANSIT):
+            assert any(term_is_open(t) for t in db.terms_of(ad.ad_id))
 
     def test_hybrid_limited_to_cone(self, graph):
         db = hierarchical_policies(graph).policies
-        hybrids = graph.ads_by_kind(ADKind.HYBRID)
+        hybrids = ads_of_kind(graph, ADKind.HYBRID)
         assert hybrids, "fixture must contain hybrid ADs"
         for ad in hybrids:
             cone = customer_cone(graph, ad.ad_id)
@@ -87,13 +88,13 @@ class TestRestrictedPolicies:
         assert base.num_terms == restricted.num_terms
         for b, r in zip(base.all_terms(), restricted.all_terms()):
             assert b.owner == r.owner
-            assert b.is_open == r.is_open
+            assert term_is_open(b) == term_is_open(r)
 
     def test_restrictions_narrow_terms(self, graph):
         base = hierarchical_policies(graph).policies
         tight = restricted_policies(graph, 1.0, seed=1).policies
-        open_before = sum(t.is_open for t in base.all_terms())
-        open_after = sum(t.is_open for t in tight.all_terms())
+        open_before = sum(term_is_open(t) for t in base.all_terms())
+        open_after = sum(term_is_open(t) for t in tight.all_terms())
         assert open_after < open_before
 
     def test_invalid_restrictiveness(self, graph):

@@ -9,6 +9,7 @@ from repro.policy.qos import QOS
 from repro.policy.sets import ADSet, TimeWindow
 from repro.policy.terms import PolicyTerm, TermRef
 from repro.policy.uci import UCI
+from tests.helpers import term_is_open
 
 
 def flow(**kw):
@@ -20,7 +21,7 @@ def flow(**kw):
 class TestPermits:
     def test_open_term_permits_everything(self):
         t = PolicyTerm(owner=5)
-        assert t.is_open
+        assert term_is_open(t)
         assert t.permits(flow(), prev=2, nxt=3)
 
     def test_source_constraint(self):
@@ -103,5 +104,5 @@ class TestMisc:
         assert narrow.size_bytes() > open_term.size_bytes()
 
     def test_is_open_false_when_constrained(self):
-        assert not PolicyTerm(owner=1, ucis=frozenset({UCI.DEFAULT})).is_open
-        assert not PolicyTerm(owner=1, window=TimeWindow(1, 2)).is_open
+        assert not term_is_open(PolicyTerm(owner=1, ucis=frozenset({UCI.DEFAULT})))
+        assert not term_is_open(PolicyTerm(owner=1, window=TimeWindow(1, 2)))

@@ -16,11 +16,13 @@ from repro.protocols.orwg.messages import SetupAck, SetupNak, SetupPacket
 from repro.protocols.hardening import (
     FEATURES,
     HARDENED,
+    REFRESH_COUNT,
     SOFT,
     HardeningConfig,
     hardening_from,
 )
 from repro.protocols.registry import make_protocol
+from repro.simul.node import MAX_RETRIES, RETRANSMIT_TIMEOUT
 from tests.helpers import line_graph, mk_graph, open_db
 
 
@@ -83,7 +85,7 @@ class TestHardeningFrom:
         assert hardening_from(["retransmit"]) == HardeningConfig(retransmit=True)
 
     def test_config_passthrough(self):
-        cfg = HardeningConfig(dedup=True, max_retries=7)
+        cfg = HardeningConfig(dedup=True)
         assert hardening_from(cfg) is cfg
 
 
@@ -182,7 +184,7 @@ class TestLSHardening:
         proto = make_protocol("ls-hbh", g, open_db(g), hardening="refresh")
         proto.converge()
         # Initial origination plus the bounded refresh burst.
-        expected = 1 + proto.runtime.hardening.refresh_count
+        expected = 1 + REFRESH_COUNT
         assert all(
             node._seq == expected for node in proto.network.nodes.values()
         )
@@ -265,8 +267,7 @@ class TestORWGHardening:
 
 # ------------------------------------------- the one retransmission path
 
-#: Non-default timing, so the test shows the config is what paces resends.
-TIMING = HardeningConfig(retransmit=True, retransmit_timeout=7.0, max_retries=2)
+TIMING = HardeningConfig(retransmit=True)
 
 
 def _total_loss(network):
@@ -385,11 +386,11 @@ CLEARINGS = {
 class TestOneRetransmissionPath:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_total_loss_resends_max_retries_then_gives_up(self, family):
-        timeout = TIMING.retransmit_timeout
+        timeout = RETRANSMIT_TIMEOUT
         armed = []  # whether AD 0 still holds the exchange, per probe
 
         def on_send(proto, n, msg):
-            if n == 1 + TIMING.max_retries:
+            if n == 1 + MAX_RETRIES:
                 # The give-up falls one timeout after the last resend.
                 node = proto.network.node(0)
                 for offset in (timeout - 0.5, timeout + 0.5):
@@ -398,7 +399,7 @@ class TestOneRetransmissionPath:
         proto, sent = _run(family, on_send)
         times = [t for t, _ in sent]
         start = times[0]
-        assert times == [start + i * timeout for i in range(1 + TIMING.max_retries)]
+        assert times == [start + i * timeout for i in range(1 + MAX_RETRIES)]
         assert len({msg for _, msg in sent}) == 1  # the same message resent
         assert armed == [True, False]
         assert proto.network.node(0)._unacked == {}
@@ -406,7 +407,7 @@ class TestOneRetransmissionPath:
             attempt = proto.network.node(0).attempts[sent[0][1].handle]
             assert attempt.state == "failed"
             assert attempt.reason == "setup timed out after retransmissions"
-            assert attempt.end_time == start + (1 + TIMING.max_retries) * timeout
+            assert attempt.end_time == start + (1 + MAX_RETRIES) * timeout
             assert proto.network.node(0).pg.lookup(attempt.handle) is None
 
     @pytest.mark.parametrize("clearing", CLEARINGS)
@@ -416,7 +417,7 @@ class TestOneRetransmissionPath:
         def on_send(proto, n, msg):
             if n == 2:  # the first resend went out; end it mid-timeout
                 proto.network.node(0).schedule(
-                    TIMING.retransmit_timeout / 2, event, proto, msg
+                    RETRANSMIT_TIMEOUT / 2, event, proto, msg
                 )
 
         proto, sent = _run(family, on_send)
@@ -437,6 +438,6 @@ def test_retransmission_has_one_timer():
     for path in src.rglob("*.py"):
         text = path.read_text()
         assert not [name for name in gone if name in text], path
-        if "retransmit_timeout" in text:
+        if "RETRANSMIT_TIMEOUT" in text:
             timer_users.add(path.relative_to(src).as_posix())
     assert timer_users == {"simul/node.py", "protocols/hardening.py"}

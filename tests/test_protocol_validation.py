@@ -15,6 +15,9 @@ from repro.protocols.validation import (
     FEATURES,
     FULL,
     OFF,
+    PROBATION_PERIOD,
+    QUARANTINE_PERIOD,
+    THRESHOLD,
     NeighborGuard,
     ValidationConfig,
     validation_from,
@@ -32,7 +35,7 @@ class TestValidationFrom:
         assert validation_from("all") == FULL
 
     def test_config_passes_through(self):
-        config = ValidationConfig(seq_guard=True, threshold=5)
+        config = ValidationConfig(seq_guard=True)
         assert validation_from(config) is config
 
     def test_single_feature_name(self):
@@ -90,10 +93,7 @@ class _Clock:
 
 
 def make_guard(**overrides):
-    defaults = dict(
-        quarantine=True, threshold=3,
-        quarantine_period=300.0, probation_period=300.0,
-    )
+    defaults = dict(quarantine=True)
     defaults.update(overrides)
     clock = _Clock()
     return NeighborGuard(ValidationConfig(**defaults), clock), clock
@@ -120,19 +120,19 @@ class TestNeighborGuard:
 
     def test_suppresses_during_quarantine_only(self):
         guard, clock = make_guard()
-        for _ in range(3):
+        for _ in range(THRESHOLD):
             guard.violation(7, "x")
         assert guard.suppresses(7)
         assert guard.suppressed == 1
-        clock.t = 301.0  # past the penalty timer
+        clock.t = QUARANTINE_PERIOD + 1.0  # past the penalty timer
         assert not guard.suppresses(7)
         assert guard.suppressed == 1
 
     def test_probation_violation_requarantines_immediately(self):
         guard, clock = make_guard()
-        for _ in range(3):
+        for _ in range(THRESHOLD):
             guard.violation(7, "x")
-        clock.t = 301.0
+        clock.t = QUARANTINE_PERIOD + 1.0
         assert not guard.suppresses(7)  # released, now on probation
         assert guard.violation(7, "relapse")
         assert len(guard.quarantine_events) == 2
@@ -140,11 +140,11 @@ class TestNeighborGuard:
 
     def test_probation_expires(self):
         guard, clock = make_guard()
-        for _ in range(3):
+        for _ in range(THRESHOLD):
             guard.violation(7, "x")
-        clock.t = 301.0
+        clock.t = QUARANTINE_PERIOD + 1.0
         guard.suppresses(7)  # release into probation
-        clock.t = 301.0 + 300.0  # probation over
+        clock.t = QUARANTINE_PERIOD + 1.0 + PROBATION_PERIOD  # probation over
         assert not guard.violation(7, "late")  # needs a full cycle again
 
     def test_honest_neighbor_never_suppressed(self):

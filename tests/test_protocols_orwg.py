@@ -119,7 +119,7 @@ class TestDataForwarding:
         diamond_proto.send_data(attempt, packets=4)
         diamond_proto.network.run()
         node1 = diamond_proto.network.node(1)
-        assert node1.pg.total_forwarded() == 4
+        assert node1.pg.lookup(attempt.handle).packets_forwarded == 4
 
 
 class TestPolicyDynamics:

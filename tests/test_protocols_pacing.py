@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from repro.protocols.pacing import (
     FEATURES,
     FULL,
+    HALF_LIFE,
+    HOLDDOWN_TIME,
+    MIN_ADVERT_INTERVAL,
     REUSE_TICK_MIN,
     UNPACED,
     FlapDamper,
@@ -36,21 +39,6 @@ class TestPacingConfig:
         cfg = PacingConfig(damp=True, pace=True)
         assert cfg.enabled == ("pace", "damp")
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(min_advert_interval=0.0),
-            dict(holddown_time=-1.0),
-            dict(penalty=0.0),
-            dict(half_life=0.0),
-            dict(reuse_threshold=3.0, suppress_threshold=3.0),
-            dict(reuse_threshold=0.0),
-        ],
-    )
-    def test_bad_parameters_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            PacingConfig(**kwargs)
-
 
 class TestPacingFrom:
     @pytest.mark.parametrize("value", [None, "none", "off", ""])
@@ -72,7 +60,7 @@ class TestPacingFrom:
         assert pacing_from(["holddown"]) == PacingConfig(holddown=True)
 
     def test_config_passthrough(self):
-        cfg = PacingConfig(pace=True, min_advert_interval=3.0)
+        cfg = PacingConfig(pace=True)
         assert pacing_from(cfg) is cfg
 
 
@@ -101,7 +89,7 @@ class TestRegistryPlumbing:
 
 class TestFlapDamper:
     def test_penalty_accumulates_to_suppression(self):
-        damper = FlapDamper(FULL)
+        damper = FlapDamper()
         assert not damper.record_flap("k", 0.0)
         assert not damper.record_flap("k", 0.0)
         assert damper.record_flap("k", 0.0)  # 3.0 crosses the threshold
@@ -110,13 +98,13 @@ class TestFlapDamper:
         assert damper.is_suppressed("k", 0.0)
 
     def test_penalty_halves_every_half_life(self):
-        damper = FlapDamper(FULL)
+        damper = FlapDamper()
         damper.record_flap("k", 0.0)
-        assert damper.penalty_of("k", FULL.half_life) == pytest.approx(0.5)
-        assert damper.penalty_of("k", 2 * FULL.half_life) == pytest.approx(0.25)
+        assert damper.penalty_of("k", HALF_LIFE) == pytest.approx(0.5)
+        assert damper.penalty_of("k", 2 * HALF_LIFE) == pytest.approx(0.25)
 
     def test_decay_lifts_suppression(self):
-        damper = FlapDamper(FULL)
+        damper = FlapDamper()
         for _ in range(3):
             damper.record_flap("k", 0.0)
         lift = damper.reuse_delay("k", 0.0)
@@ -125,7 +113,7 @@ class TestFlapDamper:
         assert not damper.is_suppressed("k", lift + 1e-6)
 
     def test_reuse_delay_zero_below_threshold(self):
-        damper = FlapDamper(FULL)
+        damper = FlapDamper()
         damper.record_flap("k", 0.0)  # 1.0 == reuse threshold
         assert damper.reuse_delay("k", 0.0) == 0.0
         assert damper.penalty_of("missing", 0.0) == 0.0
@@ -164,7 +152,7 @@ class TestDefensesEndToEnd:
         network = proto.network
         t0 = network.sim.now
         proto.apply_link_status(1, 2, False)
-        network.run(until=t0 + UNPACED.holddown_time / 2)
+        network.run(until=t0 + HOLDDOWN_TIME / 2)
         # AD 1 is sitting on the bad news; AD 0 still routes via it.
         assert network.node(0).route_to(2) == 1
         network.run()
@@ -215,7 +203,7 @@ class TestHypothesisInvariants:
     )
     def test_penalty_decay_is_monotone(self, flaps, gaps):
         # Once flapping stops, the figure-of-merit only ever decreases.
-        damper = FlapDamper(FULL)
+        damper = FlapDamper()
         now = 0.0
         for _ in range(flaps):
             damper.record_flap("k", now)
@@ -235,7 +223,7 @@ class TestHypothesisInvariants:
         # Closely-spaced flaps always suppress, and the suppression is
         # always lifted once flapping stops: within reuse_delay the key
         # decays below the reuse threshold.
-        damper = FlapDamper(FULL)
+        damper = FlapDamper()
         now = 0.0
         for _ in range(flaps):
             damper.record_flap("k", now)
@@ -271,7 +259,7 @@ class TestHypothesisInvariants:
             sent.append(node.now)
         assert sent == sorted(sent)
         assert all(
-            b - a >= node.pacing.min_advert_interval - 1e-9
+            b - a >= MIN_ADVERT_INTERVAL - 1e-9
             for a, b in zip(sent, sent[1:])
         )
 

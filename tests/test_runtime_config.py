@@ -76,26 +76,6 @@ def test_build_stamps_every_node_once():
         assert node.pacing is proto.runtime.pacing
 
 
-def test_registry_runtime_option():
-    graph, policies = small_setting()
-    runtime = runtime_from(hardening="all")
-    proto = make_protocol("plain-ls", graph, policies, runtime=runtime)
-    assert proto.runtime is runtime
-
-
-def test_registry_rejects_runtime_plus_components():
-    graph, policies = small_setting()
-    with pytest.raises(ValueError, match="not both"):
-        make_protocol("plain-ls", graph, policies,
-                      runtime=NodeRuntimeConfig(), hardening="all")
-
-
-def test_registry_rejects_bad_runtime_type():
-    graph, policies = small_setting()
-    with pytest.raises(TypeError, match="NodeRuntimeConfig"):
-        make_protocol("plain-ls", graph, policies, runtime="all")
-
-
 def test_registry_substrate_option():
     graph, policies = small_setting()
     proto = make_protocol("plain-ls", graph, policies, substrate="live")

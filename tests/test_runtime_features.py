@@ -7,9 +7,14 @@ one grammar (``parse(str(cfg)) == cfg``), ``wire`` keeps its own, and
 node identically after a state-losing restart.
 """
 
+import dataclasses
 import itertools
+import pathlib
+import typing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.protocols.flagset import FlagSet
 from repro.protocols.registry import make_protocol
@@ -66,6 +71,28 @@ def test_every_subset_round_trips_through_its_display_string(row):
             assert row.parse(",".join(subset)) == cfg
             assert row.parse(" + ".join(subset)) == cfg  # whitespace stripped
             assert row.parse("+".join(subset).replace("_", "-")) == cfg
+
+
+@pytest.mark.parametrize("row", FLAG_ROWS, ids=_ids(FLAG_ROWS))
+def test_a_flag_set_row_is_exactly_its_flags(row):
+    # Timers, thresholds and budgets are module constants: a config has
+    # no field its spelling cannot express.
+    fields = tuple(f.name for f in dataclasses.fields(row.config))
+    assert fields == row.config.FLAGS
+
+
+@pytest.mark.parametrize("row", FLAG_ROWS, ids=_ids(FLAG_ROWS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_any_constructible_config_round_trips(row, data):
+    # Every field of the dataclass is drawn from its type, so a numeric
+    # parameter would be drawn too and lost by the display string.
+    hints = typing.get_type_hints(row.config)
+    fields = {
+        f.name: st.from_type(hints[f.name]) for f in dataclasses.fields(row.config)
+    }
+    cfg = data.draw(st.builds(row.config, **fields))
+    assert row.parse(str(cfg)) == cfg
 
 
 @pytest.mark.parametrize("row", FLAG_ROWS, ids=_ids(FLAG_ROWS))
@@ -136,6 +163,17 @@ def test_ingress_is_a_fault_axis_not_a_row():
     graph = _ring()
     with pytest.raises(TypeError, match="ingress"):
         make_protocol("ls-hbh", graph, open_db(graph), ingress=None)
+
+
+def test_removed_inputs_stay_removed():
+    # Each was a second way to set a value that every run fixes: the
+    # supervisor policy, a mid-run impairment change, a flap plan that
+    # is random_failure_plan(repair=True).
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+    gone = ("ImpairmentChange", "set_impairment", "link_flap_plan", "SupervisorConfig")
+    for path in src.rglob("*.py"):
+        text = path.read_text()
+        assert [name for name in gone if name in text] == [], path
 
 
 def test_runtime_from_iterates_the_table():

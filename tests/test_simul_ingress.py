@@ -39,7 +39,8 @@ class Recorder(ProtocolNode):
 def recorder_net(n=3):
     graph = line_graph(n)
     net = SimNetwork(graph)
-    net.add_nodes(Recorder(i) for i in graph.ad_ids())
+    for i in graph.ad_ids():
+        net.add_node(Recorder(i))
     return net
 
 

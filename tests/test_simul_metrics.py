@@ -98,4 +98,4 @@ class TestSnapshots:
         delta = b.delta(a)
         assert delta.total_messages == 0
         assert delta.time == 4.0
-        assert delta.total_computations == 0
+        assert sum(delta.computations.values()) == 0

@@ -39,7 +39,8 @@ class Recorder(ProtocolNode):
 def net():
     graph = line_graph(3)
     network = SimNetwork(graph)
-    network.add_nodes(Recorder(i) for i in graph.ad_ids())
+    for i in graph.ad_ids():
+        network.add_node(Recorder(i))
     return network
 
 

@@ -12,6 +12,7 @@ import pytest
 from repro.policy.database import PolicyDatabase
 from repro.protocols.dv import DistanceVectorProtocol, DVUpdate
 from repro.simul.ingress import IngressConfig
+from repro.simul import trace
 from repro.simul.trace import Tracer
 from tests.helpers import line_graph, mk_graph
 
@@ -68,11 +69,12 @@ class TestTracer:
         assert "DVUpdate" in text
         assert "elided" in text or len(tracer) <= 5
 
-    def test_capacity_bound(self):
+    def test_capacity_bound(self, monkeypatch):
+        monkeypatch.setattr(trace, "CAPACITY", 3)
         g = line_graph(3)
         proto = DistanceVectorProtocol(g, PolicyDatabase())
         net = proto.build()
-        tracer = Tracer.attach(net, capacity=3)
+        tracer = Tracer.attach(net)
         proto.converge()
         assert len(tracer) == 3
         assert tracer.dropped_records > 0
@@ -118,12 +120,6 @@ class TestTracer:
         # or dropped at the queue, plus every redelivery.
         attempts = sum(metrics.messages.values()) + metrics.queue_dropped
         assert len(tracer.filtered(kind="msg")) == attempts + deferred
-
-    def test_capacity_validation(self):
-        g = line_graph(2)
-        net = DistanceVectorProtocol(g, PolicyDatabase()).build()
-        with pytest.raises(ValueError):
-            Tracer.attach(net, capacity=0)
 
     def test_empty_timeline(self):
         g = line_graph(2)

@@ -32,7 +32,7 @@ from repro.policy.generators import restricted_policies
 from repro.policy.qos import QOS
 from repro.policy.uci import UCI
 from repro.protocols.registry import (
-    all_protocol_names,
+    PROTOCOL_FOR_POINT,
     available_protocols,
     make_protocol,
 )
@@ -51,7 +51,7 @@ from tests.oracles import forward_verdict
 
 pytestmark = pytest.mark.hashseed
 
-DESIGN_POINTS = all_protocol_names()
+DESIGN_POINTS = [factory.name for factory in PROTOCOL_FOR_POINT.values()]
 ALL_PROTOCOLS = available_protocols()
 
 

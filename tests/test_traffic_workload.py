@@ -136,10 +136,3 @@ class TestGeneration:
             assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
             assert wl.total_bytes == total
 
-    def test_iter_flows_matches_columns(self, graph):
-        wl = zipf_workload(graph, WorkloadSpec(flows=500, pairs=32, seed=7))
-        flows = list(wl.iter_flows())
-        assert len(flows) == 500
-        for (flow, size), idx, sz in zip(flows, wl.class_of, wl.sizes):
-            assert flow is wl.classes[idx]
-            assert size == sz

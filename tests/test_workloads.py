@@ -20,7 +20,7 @@ class TestTrafficMatrices:
     def test_uniform_basics(self, gen_graph):
         tm = uniform_traffic(gen_graph, 30, seed=1)
         assert len(tm) == 30
-        assert tm.total_weight == 30.0
+        assert sum(w for _, w in tm.entries) == 30.0
         for flow in tm.flows:
             assert flow.src != flow.dst
 
