@@ -10,10 +10,12 @@ legacy path cannot.
 
 import asyncio
 import json
+import random
 
 import pytest
 
 from repro.faults.plan import (
+    PARTITION_FRACTION,
     FaultPlan,
     LinkFault,
     NodeFault,
@@ -23,7 +25,7 @@ from repro.faults.plan import (
 from repro.harness import run_experiment
 from repro.harness.chaos import execute_chaos_cell
 from repro.harness.record import SCHEMA_VERSION, RunRecord
-from repro.harness.session import execute_cell
+from repro.harness.session import build_cell, execute_cell, open_substrate
 from repro.harness.spec import (
     Cell,
     ExperimentSpec,
@@ -34,6 +36,7 @@ from repro.harness.spec import (
     ScenarioSpec,
     TrafficSpec,
 )
+from repro.simul.profiling import PhaseProfiler
 from repro.workloads import ring_scenario
 
 from .helpers import mk_graph
@@ -97,6 +100,38 @@ def test_partition_plan_cuts_a_boundary_and_heals_it():
     # Seeded: the same seed replays the same cut.
     again = partition_plan(graph, start_time=100.0, duration=200.0, seed=7)
     assert list(plan) == list(again)
+
+
+def test_partition_island_holds_the_partition_fraction():
+    n = 20
+    graph = mk_graph(
+        [(i, "Rt") for i in range(n)],
+        [(i, (i + 1) % n) for i in range(n)],
+    )
+    plan = partition_plan(graph, seed=4)
+    cut = {(ev.a, ev.b) for ev in plan if not ev.up}
+    # Walk the ring with the cut links removed: the island is the
+    # smaller side, int(n * PARTITION_FRACTION) ADs.
+    adjacency = {i: set() for i in range(n)}
+    for link in graph.links(include_down=False):
+        if link.key not in cut:
+            a, b = link.key
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+    seen, sides = set(), []
+    for start in range(n):
+        if start in seen:
+            continue
+        side, stack = set(), [start]
+        while stack:
+            node = stack.pop()
+            if node not in side:
+                side.add(node)
+                stack.extend(adjacency[node] - side)
+        seen |= side
+        sides.append(len(side))
+    assert sorted(sides) == [int(n * PARTITION_FRACTION),
+                             n - int(n * PARTITION_FRACTION)]
 
 
 def test_partition_plan_validation():
@@ -194,6 +229,35 @@ def test_execute_chaos_cell_rejections():
         execute_chaos_cell(
             _chaos_cell(fault=FaultSpec(restarts=1), substrate="quantum")
         )
+
+
+@pytest.mark.parametrize("impairment", ["dup", "jitter", "burst_enter"])
+def test_live_chaos_cell_refuses_sim_only_impairments(impairment):
+    """Loopback UDP can only lose frames; the cell is refused up front."""
+    fault = FaultSpec(restarts=1, **{impairment: 0.1})
+    with pytest.raises(ValueError, match="loss impairments only"):
+        execute_chaos_cell(_chaos_cell(fault=fault, substrate="live"))
+
+
+def test_live_loss_is_in_force_from_t0():
+    """Live, a cell's loss is seeded receive-path loss, set at open."""
+    cell = _chaos_cell(
+        fault=FaultSpec(restarts=1, loss=0.2, seed=5), substrate="live"
+    )
+
+    async def scenario():
+        profiler = PhaseProfiler()
+        _, protocol = build_cell(cell, profiler)
+        substrate = open_substrate(cell, protocol, profiler)
+        try:
+            network = substrate.network
+            assert network._recv_loss_rate == 0.2
+            assert network._recv_loss_rng.random() == random.Random(5).random()
+            assert substrate.supervisor is not None
+        finally:
+            await substrate.close()
+
+    asyncio.run(asyncio.wait_for(scenario(), timeout=60.0))
 
 
 def test_grouped_events_buckets_identical_fire_times():

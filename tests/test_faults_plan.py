@@ -83,6 +83,15 @@ class TestRepairedFailurePlan:
         with pytest.raises(ValueError, match="safe candidate links"):
             random_failure_plan(line_graph(4), count=1, repair=True)
 
+    def test_distinct_links_fail_one_spacing_apart(self, internet):
+        plan = random_failure_plan(
+            internet, count=4, start_time=50.0, spacing=300.0,
+            repair=True, seed=8,
+        )
+        downs = [ev for ev in plan if not ev.up]
+        assert [ev.time for ev in downs] == [50, 350, 650, 950]
+        assert len({(ev.a, ev.b) for ev in downs}) == 4
+
 
 class TestCrashPlans:
     def test_articulation_points_excluded(self):
@@ -103,6 +112,14 @@ class TestCrashPlans:
             assert not down.up and up.up
             assert down.retain_state and up.retain_state
         assert all(e.ad in crash_candidates(internet) for e in events)
+
+    def test_each_ad_is_down_for_half_a_spacing(self, internet):
+        plan = ad_crash_plan(
+            internet, crashes=3, start_time=50.0, spacing=300.0, seed=4
+        )
+        events = list(plan)
+        assert [e.time for e in events] == [50, 200, 350, 500, 650, 800]
+        assert [e.up for e in events] == [False, True] * 3
 
     def test_state_loss_flag(self, internet):
         plan = ad_crash_plan(internet, crashes=1, retain_state=False, seed=0)

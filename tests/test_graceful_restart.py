@@ -89,6 +89,17 @@ def test_hold_expiry_turns_the_restart_disruptive():
     assert all(not link.up for link in proto.graph.links_of(3))
 
 
+def test_hold_expires_at_hold_time_after_the_crash():
+    proto, network = _build(graceful=GracefulRestartConfig(helper=True))
+    t0 = network.sim.now
+    proto.crash_node(3, retain_state=True)
+    network.run(until=t0 + HOLD_TIME - 1.0)
+    assert proto.runtime_summary("graceful")["expirations"] == 0
+    assert all(link.up for link in proto.graph.links_of(3))
+    network.run(until=t0 + HOLD_TIME + 1.0)
+    assert proto.runtime_summary("graceful")["expirations"] == 1
+
+
 def test_restore_within_hold_cancels_timer_and_resyncs():
     proto, network = _build(graceful="all")
     before = _routes(proto)

@@ -151,6 +151,48 @@ def test_supervisor_recovers_crash_looping_node_within_budget(monkeypatch):
     _run(scenario())
 
 
+class _RecordingNetwork:
+    """Just what ``Supervisor._recover`` touches: a restart hook."""
+
+    def __init__(self):
+        self.restarted = []
+
+    async def restart_runtime(self, ad_id):
+        self.restarted.append(ad_id)
+        return 0
+
+
+def _backoff_delays(seed, recoveries):
+    """Delays a fresh supervisor schedules for ``recoveries`` (AD ids)."""
+    network = _RecordingNetwork()
+    supervisor = Supervisor(network, seed=seed)
+
+    async def scenario():
+        for ad_id in recoveries:
+            await supervisor._recover(ad_id, "test")
+
+    _run(scenario())
+    assert network.restarted == list(recoveries)
+    return [ev["delay"] for ev in supervisor.events]
+
+
+def test_backoff_doubles_per_ad_up_to_the_cap(monkeypatch):
+    monkeypatch.setattr(supervisor_mod, "BACKOFF_INITIAL_S", 0.001)
+    monkeypatch.setattr(supervisor_mod, "BACKOFF_MAX_S", 0.004)
+    delays = _backoff_delays(seed=1, recoveries=[5, 5, 5, 5, 2])
+    # AD 5: 1, 2, 4, then capped at 4 ms; AD 2 starts its own count.
+    for delay, base in zip(delays, [0.001, 0.002, 0.004, 0.004, 0.001]):
+        assert base <= delay <= base * (1.0 + supervisor_mod.JITTER)
+
+
+def test_backoff_jitter_replays_per_seed(monkeypatch):
+    monkeypatch.setattr(supervisor_mod, "BACKOFF_INITIAL_S", 0.001)
+    recoveries = [1, 1, 1]
+    again = _backoff_delays(seed=7, recoveries=recoveries)
+    assert _backoff_delays(seed=7, recoveries=recoveries) == again
+    assert _backoff_delays(seed=8, recoveries=recoveries) != again
+
+
 def test_budget_exhaustion_fails_the_run_loudly(monkeypatch):
     monkeypatch.setattr(supervisor_mod, "BACKOFF_INITIAL_S", 0.01)
     monkeypatch.setattr(supervisor_mod, "MAX_RESTARTS", 1)

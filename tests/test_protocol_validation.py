@@ -2,6 +2,8 @@
 per-neighbor quarantine state machine, registry plumbing, and end-to-end
 containment of a lying AD."""
 
+import dataclasses
+
 import pytest
 
 from repro.policy.database import PolicyDatabase
@@ -14,6 +16,7 @@ from repro.protocols.registry import make_protocol
 from repro.protocols.validation import (
     FEATURES,
     FULL,
+    MAX_SEQ_JUMP,
     OFF,
     PROBATION_PERIOD,
     QUARANTINE_PERIOD,
@@ -201,6 +204,26 @@ def leak_setting():
     g = mk_graph([(0, "Bt"), (3, "Cs"), (4, "Cs")], [(0, 3), (0, 4)])
     db = PolicyDatabase([PolicyTerm(owner=0, sources=ADSet.excluding([3]))])
     return g, db
+
+
+@pytest.mark.parametrize(
+    "jump, accepted", [(MAX_SEQ_JUMP, True), (MAX_SEQ_JUMP + 1, False)]
+)
+def test_seq_guard_tolerates_jumps_up_to_max_seq_jump(jump, accepted):
+    g, db = leak_setting()
+    proto = LinkStateHopByHopProtocol(g, db)
+    proto.runtime = proto.runtime.replace(
+        validation=ValidationConfig(seq_guard=True)
+    )
+    proto.converge()
+    receiver = proto.network.node(3)
+    current = receiver.lsdb[0]
+    jumped = dataclasses.replace(current, seq=current.seq + jump)
+    verdict = receiver._check_lsa(jumped)
+    if accepted:
+        assert verdict is None
+    else:
+        assert "implausible sequence jump" in verdict
 
 
 @pytest.mark.parametrize("cls", [LinkStateHopByHopProtocol, IDRPProtocol])

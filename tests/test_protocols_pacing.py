@@ -191,6 +191,23 @@ class _Clocked(OverloadDefenseMixin):
         self.scheduled.append((self.now + delay, fn, args))
 
 
+class TestHolddownTimer:
+    def test_armed_once_per_storm_then_rearmed(self):
+        node = _Clocked(PacingConfig(holddown=True))
+        node._enter_holddown()
+        assert node._pacing_defers_flush() == HOLDDOWN_TIME
+        # A second loss inside the window does not extend it.
+        node.now = HOLDDOWN_TIME / 2
+        node._enter_holddown()
+        assert node._pacing_defers_flush() == HOLDDOWN_TIME / 2
+        node.now = HOLDDOWN_TIME
+        assert node._pacing_defers_flush() is None
+        # Bad news after the window arms a fresh one.
+        node._enter_holddown()
+        assert node._pacing_defers_flush() == HOLDDOWN_TIME
+        assert node.paced_deferrals == 3
+
+
 class TestHypothesisInvariants:
     @_slow
     @given(
