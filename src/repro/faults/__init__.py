@@ -6,7 +6,7 @@ control message perfectly.  This package is the chaos layer that turns
 that qualitative claim into measurable sweeps (experiments E4, E11):
 
 * :mod:`repro.faults.channel` -- per-link, seed-deterministic message
-  impairments (loss, duplication, reordering jitter, burst outages)
+  impairments (loss, duplication, reordering jitter)
   plugged into :class:`~repro.simul.network.SimNetwork`;
 * :mod:`repro.faults.plan` -- the :class:`FaultPlan` DSL, the one plan
   type: link failures and repairs, AD crash/restart events and

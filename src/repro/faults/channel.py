@@ -44,20 +44,14 @@ class Impairment:
         dup_prob: Probability a delivered message arrives twice.
         jitter: Extra delivery delay drawn uniformly from ``[0, jitter]``;
             enough to reorder messages whose spacing is below it.
-        burst_enter: Gilbert-Elliott transition probability into the
-            burst-outage state (checked once per transmission); while in
-            the burst state every message is lost.
-        burst_exit: Transition probability out of the burst state.
     """
 
     drop_prob: float = 0.0
     dup_prob: float = 0.0
     jitter: float = 0.0
-    burst_enter: float = 0.0
-    burst_exit: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("drop_prob", "dup_prob", "burst_enter", "burst_exit"):
+        for name in ("drop_prob", "dup_prob"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {p}")
@@ -67,12 +61,7 @@ class Impairment:
     @property
     def perfect(self) -> bool:
         """Whether this spec never alters delivery (no RNG is consumed)."""
-        return (
-            self.drop_prob == 0.0
-            and self.dup_prob == 0.0
-            and self.jitter == 0.0
-            and self.burst_enter == 0.0
-        )
+        return self.drop_prob == 0.0 and self.dup_prob == 0.0 and self.jitter == 0.0
 
 
 #: The no-op impairment: deliver one copy, on time, always.
@@ -111,10 +100,8 @@ class ImpairedChannel(ChannelModel):
         self.default = default
         self.seed = seed
         self._rngs: Dict[Tuple[ADId, ADId], random.Random] = {}
-        self._burst: Dict[Tuple[ADId, ADId], bool] = {}
         self.transmissions = 0
         self.dropped = 0
-        self.burst_dropped = 0
         self.duplicated = 0
 
     def _rng(self, key: Tuple[ADId, ADId]) -> random.Random:
@@ -132,15 +119,6 @@ class ImpairedChannel(ChannelModel):
         if spec.perfect:
             return (0.0,)
         rng = self._rng(key)
-        if spec.burst_enter > 0.0:
-            in_burst = self._burst.get(key, False)
-            if rng.random() < (spec.burst_exit if in_burst else spec.burst_enter):
-                in_burst = not in_burst
-            self._burst[key] = in_burst
-            if in_burst:
-                self.burst_dropped += 1
-                self.dropped += 1
-                return ()
         if spec.drop_prob > 0.0 and rng.random() < spec.drop_prob:
             self.dropped += 1
             return ()
@@ -156,7 +134,6 @@ class ImpairedChannel(ChannelModel):
         return {
             "transmissions": self.transmissions,
             "dropped": self.dropped,
-            "burst_dropped": self.burst_dropped,
             "duplicated": self.duplicated,
         }
 

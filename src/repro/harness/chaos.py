@@ -314,13 +314,11 @@ async def _run_cell(
         await _done(substrate.close())
 
 
-def _execute(
-    cell: Cell,
-    program_type,
-    time_scale: Optional[float],
-    settle_timeout_s: Optional[float],
-) -> RunRecord:
-    """Validate the cell (once, for every program) and run it."""
+def check_program_cell(cell: Cell, program_type=None) -> None:
+    """Raise ``ValueError`` unless ``program_type`` (by default the one
+    ``execute_cell`` picks) can run the cell; runs nothing."""
+    if program_type is None:
+        program_type = _UpgradeProgram if cell.fault.versioned else _ChaosProgram
     fault = cell.fault
     if not getattr(fault, program_type.axis):
         raise ValueError(f"cell has no {program_type.needs}")
@@ -330,12 +328,22 @@ def _execute(
         )
     if any(getattr(fault, axis) for axis in program_type.conflicts):
         raise ValueError(program_type.conflict)
-    live = cell.substrate == "live"
-    if live and (fault.dup > 0 or fault.jitter > 0 or fault.burst_enter > 0):
+    if cell.substrate == "live" and (fault.dup > 0 or fault.jitter > 0):
         raise ValueError(
             f"live {program_type.noun} cells support loss impairments only; "
-            "dup/jitter/burst are simulator models"
+            "dup/jitter are simulator models"
         )
+
+
+def _execute(
+    cell: Cell,
+    program_type,
+    time_scale: Optional[float],
+    settle_timeout_s: Optional[float],
+) -> RunRecord:
+    """Validate the cell (once, for every program) and run it."""
+    check_program_cell(cell, program_type)
+    live = cell.substrate == "live"
     return drive(_run_cell(cell, program_type, time_scale, settle_timeout_s), live)
 
 

@@ -40,7 +40,7 @@ from repro.harness.experiments.overrides import (
     _parse_liar,
     apply_override,
 )
-from repro.harness.session import ExperimentSession, _parse_trace
+from repro.harness.session import ExperimentSession, _parse_trace, check_cell
 from repro.harness.spec import ExperimentSpec
 
 __all__ = [
@@ -146,6 +146,12 @@ def run_experiment(
     for row in OVERRIDES:
         if overrides.get(row.name) is not None:
             spec = apply_override(spec, row, overrides[row.name])
+    for cell in spec.cells():
+        # An override can leave a cell that its driver refuses.
+        try:
+            check_cell(cell)
+        except ValueError as exc:
+            raise ExperimentArgumentError(str(exc)) from None
     records = ExperimentSession(spec, out_dir=runs_dir).run(jobs=jobs)
     return spec, records, experiment.render(spec, records)
 

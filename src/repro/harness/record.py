@@ -24,7 +24,7 @@ from repro.core.evaluation import evaluate_availability
 from repro.protocols.base import ForwardingMode
 
 #: Bump on any incompatible change to RunRecord's shape.
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 
 @dataclass(frozen=True)
@@ -81,16 +81,17 @@ class RunRecord:
         route_quality: Availability evaluation summary, when the spec
             asked for one (``availability``, ``n_illegal``, ...).
         channel: Impairment-channel counters (transmissions, dropped,
-            burst_dropped, duplicated), when a channel was attached.
+            duplicated), when a channel was attached.
         robustness: RoutePulse summary (sample counts, availability,
             outage/time-to-repair stats), when the cell had a fault axis.
         misbehavior: Misbehaving-AD block (liar, lie, whether the lie was
             expressible, blast-radius series stats, containment latency,
             validation counters), when the cell had a misbehavior axis.
-        overload: Control-plane overload block (ingress-queue peak depth,
-            drops, deferred deliveries, service duty cycle, plus pacing
-            deferrals and damping suppression totals), when the cell had
-            a bounded ingress queue or any pacing feature enabled.
+        overload: Control-plane overload block (ingress-queue capacity,
+            service time, peak depth, drops, served messages and service
+            duty cycle, plus pacing deferrals and damping suppression
+            totals), when the cell had a bounded ingress queue or any
+            pacing feature enabled.
         dataplane: Compiled-FIB replay block (E14), when the cell had a
             traffic axis: workload shape, per-epoch replay series (time,
             reachability gap, latency/stretch percentiles, FIB bytes),

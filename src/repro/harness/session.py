@@ -36,7 +36,7 @@ from repro.faults.channel import ImpairedChannel
 from repro.faults.prober import RoutePulse
 from repro.harness.record import EpisodeRecord, RunRecord, write_jsonl
 from repro.harness.spec import Cell, ExperimentSpec
-from repro.simul.ingress import IngressConfig
+from repro.simul.ingress import IngressModel
 from repro.simul.profiling import PhaseProfiler
 from repro.simul.runner import SimSubstrate, Substrate, _done, drive, plain_episodes
 from repro.simul.trace import Tracer
@@ -304,28 +304,19 @@ def _timeline(cell, scenario, protocol, substrate, traffic):
     return episode, pulse.summary(), misbehavior
 
 
-def execute_cell(cell: Cell) -> RunRecord:
-    """Run one cell end to end and measure it (worker entry point).
+def check_cell(cell: Cell) -> None:
+    """Raise ``ValueError`` if the cell's driver would refuse it; runs
+    nothing.
 
-    Live cells cover the scenario x protocol x failure axes (plus the
-    availability evaluation); the sim-only axes are rejected loudly
-    rather than silently skipped.  Live episode times are honest
-    wall-clock (in protocol units), so live records vary run to run the
-    way ``timings`` do; never feed them to a determinism gate.
+    Live plain cells cover the scenario x protocol x failure axes (plus
+    the availability evaluation); the sim-only axes are rejected loudly
+    rather than silently skipped.
     """
-    if cell.fault.versioned:
-        # Versioned cells (mixed-version upgrade waves) and chaotic cells
-        # (rolling restarts / partitions) take the episodic driver, on
-        # EITHER substrate.
-        from repro.harness.chaos import execute_version_cell
+    if cell.fault.versioned or cell.fault.chaotic:
+        from repro.harness.chaos import check_program_cell
 
-        return execute_version_cell(cell)
-    if cell.fault.chaotic:
-        from repro.harness.chaos import execute_chaos_cell
-
-        return execute_chaos_cell(cell)
-    live = cell.substrate == "live"
-    if live:
+        check_program_cell(cell)
+    elif cell.substrate == "live":
         unsupported = [
             name
             for name, on in (
@@ -342,7 +333,28 @@ def execute_cell(cell: Cell) -> RunRecord:
                 "run these cells on the sim substrate (or give the cell a "
                 "chaos program -- chaotic cells run faults and traffic live)"
             )
-    return drive(_run_cell(cell), live)
+
+
+def execute_cell(cell: Cell) -> RunRecord:
+    """Run one cell end to end and measure it (worker entry point).
+
+    Live episode times are honest wall-clock (in protocol units), so
+    live records vary run to run the way ``timings`` do; never feed them
+    to a determinism gate.
+    """
+    if cell.fault.versioned:
+        # Versioned cells (mixed-version upgrade waves) and chaotic cells
+        # (rolling restarts / partitions) take the episodic driver, on
+        # EITHER substrate.
+        from repro.harness.chaos import execute_version_cell
+
+        return execute_version_cell(cell)
+    if cell.fault.chaotic:
+        from repro.harness.chaos import execute_chaos_cell
+
+        return execute_chaos_cell(cell)
+    check_cell(cell)
+    return drive(_run_cell(cell), cell.substrate == "live")
 
 
 async def _run_cell(cell: Cell) -> RunRecord:
@@ -371,7 +383,7 @@ async def _run_cell(cell: Cell) -> RunRecord:
             # The bounded queue arms *after* initial convergence, so E13
             # measures the overload response to churn, not a cold start
             # through a saturated queue.
-            network.set_ingress(IngressConfig(capacity=cell.fault.queue_capacity))
+            network.set_ingress(IngressModel(cell.fault.queue_capacity))
         if len(plan):
             with profiler.phase("failures"):
                 async for ev, result in loop:

@@ -194,7 +194,7 @@ class FailureSpec:
 class FaultSpec:
     """Recipe for the robustness axis: channel impairment + churn timeline.
 
-    The impairment (``loss``/``dup``/``jitter``/burst parameters) is in
+    The impairment (``loss``/``dup``/``jitter``) is in
     force for the whole run, including initial convergence -- that is the
     regime the hardening toggles are measured against.  ``flaps`` and
     ``crashes`` build a post-convergence churn timeline (link flaps
@@ -208,8 +208,6 @@ class FaultSpec:
     loss: float = 0.0
     dup: float = 0.0
     jitter: float = 0.0
-    burst_enter: float = 0.0
-    burst_exit: float = 0.5
     flaps: int = 0
     crashes: int = 0
     retain_state: bool = False
@@ -251,12 +249,7 @@ class FaultSpec:
     @property
     def impaired(self) -> bool:
         """Whether any channel impairment is configured."""
-        return (
-            self.loss > 0
-            or self.dup > 0
-            or self.jitter > 0
-            or self.burst_enter > 0
-        )
+        return self.loss > 0 or self.dup > 0 or self.jitter > 0
 
     @property
     def churns(self) -> bool:
@@ -295,8 +288,6 @@ class FaultSpec:
             parts.append(f"dup={self.dup:g}")
         if self.jitter > 0:
             parts.append(f"jitter={self.jitter:g}")
-        if self.burst_enter > 0:
-            parts.append(f"burst={self.burst_enter:g}")
         if self.flaps > 0:
             parts.append(f"flaps={self.flaps}")
         if self.crashes > 0:
@@ -316,13 +307,7 @@ class FaultSpec:
         return ",".join(parts)
 
     def impairment(self) -> Impairment:
-        return Impairment(
-            drop_prob=self.loss,
-            dup_prob=self.dup,
-            jitter=self.jitter,
-            burst_enter=self.burst_enter,
-            burst_exit=self.burst_exit,
-        )
+        return Impairment(drop_prob=self.loss, dup_prob=self.dup, jitter=self.jitter)
 
     def build_plan(self, graph: InterADGraph) -> FaultPlan:
         """The churn timeline (empty when only impairment is configured)."""

@@ -2,22 +2,16 @@
 
 Real routers do not process updates instantly — each message occupies a
 finite input queue and takes CPU time to service.  :class:`IngressModel`
-gives every simulated node that bottleneck: a bounded FIFO with a
-configurable service time and an overflow policy.  It attaches to a
+gives every simulated node that bottleneck: a bounded FIFO served one
+message per :data:`SERVICE_TIME`.  It attaches to a
 :class:`~repro.simul.network.SimNetwork` the same way a
 :class:`~repro.faults.channel.ChannelModel` does — ``set_ingress(None)``
 (the default) keeps the exact legacy instant-delivery path, so every
 committed benchmark output stays byte-identical until a queue is
 explicitly configured.
 
-Overflow policies:
-
-* ``tail-drop`` — an arrival finding the queue full is discarded and
-  counted (``queue_dropped`` in :class:`MetricsSnapshot`).
-* ``backpressure`` — the arrival is deferred and redelivered after
-  ``retry_delay``; each message gets at most ``max_redeliveries``
-  attempts before it is dropped, so a persistently-full queue cannot
-  recirculate traffic forever.
+Overflow is tail-drop: an arrival finding the queue full is discarded
+and counted (``queue_dropped`` in :class:`MetricsSnapshot`).
 
 Crash semantics follow the NVRAM model: crashing a node freezes its
 queue (the message in service is pushed back to the head); restoring
@@ -28,67 +22,30 @@ flushes the queue (counted as drops) before the fresh node starts.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Dict, Optional, Tuple
 
 from repro.adgraph.ad import ADId
 from repro.simul.messages import Message
 
-OVERFLOW_POLICIES: Tuple[str, ...] = ("tail-drop", "backpressure")
-
-
-@dataclass(frozen=True)
-class IngressConfig:
-    """Sizing of one node's control-plane input stage.
-
-    ``capacity`` bounds the number of messages *waiting* (the message in
-    service has left the queue); ``service_time`` is the simulated time
-    to process one message.  ``capacity is None`` disables the queue
-    entirely (legacy instant delivery).
-    """
-
-    capacity: Optional[int] = None
-    service_time: float = 0.5
-    policy: str = "tail-drop"
-    retry_delay: float = 2.0
-    max_redeliveries: int = 3
-
-    def __post_init__(self) -> None:
-        if self.capacity is not None and self.capacity < 0:
-            raise ValueError("queue capacity must be >= 0 (or None)")
-        if self.service_time < 0:
-            raise ValueError("service time must be >= 0")
-        if self.policy not in OVERFLOW_POLICIES:
-            raise ValueError(
-                f"unknown overflow policy {self.policy!r}; "
-                f"choose from {OVERFLOW_POLICIES}"
-            )
-        if self.retry_delay <= 0:
-            raise ValueError("backpressure retry delay must be > 0")
-        if self.max_redeliveries < 0:
-            raise ValueError("max redeliveries must be >= 0")
-
-    @property
-    def bounded(self) -> bool:
-        return self.capacity is not None
+#: Simulated time to process one message.
+SERVICE_TIME = 0.5
 
 
 class _NodeQueue:
     """Mutable per-node queue state."""
 
     __slots__ = (
-        "items", "serving", "busy", "epoch",
-        "peak_depth", "dropped", "deferred", "served", "busy_time",
+        "items", "serving", "epoch",
+        "peak_depth", "dropped", "served", "busy_time",
     )
 
     def __init__(self) -> None:
-        self.items: Deque[Tuple[ADId, Message, int]] = deque()
+        self.items: Deque[Tuple[ADId, Message]] = deque()
+        #: The message in service; ``None`` while the server is idle.
         self.serving: Optional[Tuple[ADId, Message]] = None
-        self.busy = False
         self.epoch = 0
         self.peak_depth = 0
         self.dropped = 0
-        self.deferred = 0
         self.served = 0
         self.busy_time = 0.0
 
@@ -100,8 +57,12 @@ class _NodeQueue:
 class IngressModel:
     """All per-node queues plus aggregate accounting for one network."""
 
-    def __init__(self, config: Optional[IngressConfig] = None) -> None:
-        self.config = config or IngressConfig()
+    def __init__(self, capacity: int) -> None:
+        """``capacity`` bounds the messages *waiting*; the message in
+        service has left the queue."""
+        if capacity < 0:
+            raise ValueError("queue capacity must be >= 0")
+        self.capacity = capacity
         self.queues: Dict[ADId, _NodeQueue] = {}
 
     def queue_of(self, ad_id: ADId) -> _NodeQueue:
@@ -121,10 +82,6 @@ class IngressModel:
         return sum(q.dropped for q in self.queues.values())
 
     @property
-    def deferred(self) -> int:
-        return sum(q.deferred for q in self.queues.values())
-
-    @property
     def served(self) -> int:
         return sum(q.served for q in self.queues.values())
 
@@ -138,12 +95,10 @@ class IngressModel:
     def counters(self, elapsed: float = 0.0, n_nodes: int = 0) -> Dict[str, object]:
         """Aggregate overload telemetry for a run record."""
         return {
-            "capacity": self.config.capacity,
-            "service_time": self.config.service_time,
-            "policy": self.config.policy,
+            "capacity": self.capacity,
+            "service_time": SERVICE_TIME,
             "peak_depth": self.peak_depth,
             "dropped": self.dropped,
-            "deferred": self.deferred,
             "served": self.served,
             "duty_cycle": round(self.duty_cycle(elapsed, n_nodes), 6),
         }

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.adgraph.ad import ADId
 from repro.adgraph.graph import InterADGraph
 from repro.simul.engine import Simulator
-from repro.simul.ingress import IngressConfig, IngressModel
+from repro.simul.ingress import SERVICE_TIME, IngressModel
 from repro.simul.messages import Message
 from repro.simul.node import ProtocolNode
 from repro.simul.profiling import PhaseProfiler
@@ -119,14 +119,14 @@ class SimNetwork(Transport):
                 if dst != exclude:
                     post(link.metrics.get("delay", 1.0), deliver, src, dst, msg)
 
-    def _deliver(self, src: ADId, dst: ADId, msg: Message, attempt: int = 0) -> None:
+    def _deliver(self, src: ADId, dst: ADId, msg: Message) -> None:
         # A link that died in flight still delivers what was already sent;
         # the failure notification races the last messages, as in reality.
         if dst in self._crashed:
             self.metrics.count_drop()
             return
-        if self.ingress is not None and self.ingress.config.bounded:
-            self._enqueue(src, dst, msg, attempt)
+        if self.ingress is not None:
+            self._enqueue(src, dst, msg)
             return
         # type(msg).__name__ / sim._now are msg.type_name / sim.now minus
         # the two property calls (this line runs once per message).
@@ -138,32 +138,21 @@ class SimNetwork(Transport):
     # -------------------------------------------------------------- ingress
 
     def set_ingress(self, model: Optional[IngressModel]) -> None:
-        """Attach a bounded ingress stage (``None`` restores instant delivery).
-
-        Accepts an :class:`IngressModel` or a bare :class:`IngressConfig`.
-        """
-        if isinstance(model, IngressConfig):
-            model = IngressModel(model)
+        """Attach a bounded ingress stage (``None`` restores instant delivery)."""
         self.ingress = model
 
-    def _enqueue(self, src: ADId, dst: ADId, msg: Message, attempt: int) -> None:
+    def _enqueue(self, src: ADId, dst: ADId, msg: Message) -> None:
         """Admit a delivered message to ``dst``'s bounded input queue."""
         assert self.ingress is not None
-        cfg = self.ingress.config
         q = self.ingress.queue_of(dst)
-        if not q.busy:
-            q.busy = True
+        if q.serving is None:
             q.serving = (src, msg)
             q.peak_depth = max(q.peak_depth, q.depth)
-            self.sim.schedule(cfg.service_time, self._pump, dst, q.epoch)
+            self.sim.schedule(SERVICE_TIME, self._pump, dst, q.epoch)
             return
-        if len(q.items) < cfg.capacity:  # type: ignore[operator]
-            q.items.append((src, msg, attempt))
+        if len(q.items) < self.ingress.capacity:
+            q.items.append((src, msg))
             q.peak_depth = max(q.peak_depth, q.depth)
-            return
-        if cfg.policy == "backpressure" and attempt < cfg.max_redeliveries:
-            q.deferred += 1
-            self.sim.post(cfg.retry_delay, self._deliver, src, dst, msg, attempt + 1)
             return
         q.dropped += 1
         self.metrics.count_queue_drop()
@@ -172,21 +161,17 @@ class SimNetwork(Transport):
         """Finish servicing ``dst``'s current message; start the next."""
         assert self.ingress is not None
         q = self.ingress.queue_of(dst)
-        if epoch != q.epoch or not q.busy or q.serving is None:
+        if epoch != q.epoch or q.serving is None:
             return  # cancelled by a crash or flush since being scheduled
-        cfg = self.ingress.config
         src, msg = q.serving
         q.serving = None
-        q.busy_time += cfg.service_time
+        q.busy_time += SERVICE_TIME
         q.served += 1
         self.metrics.count_message(msg.type_name, msg.size_bytes(), self.sim.now)
         self.nodes[dst].receive(src, msg)
         if q.items:
-            nsrc, nmsg, _ = q.items.popleft()
-            q.serving = (nsrc, nmsg)
-            self.sim.schedule(cfg.service_time, self._pump, dst, q.epoch)
-        else:
-            q.busy = False
+            q.serving = q.items.popleft()
+            self.sim.schedule(SERVICE_TIME, self._pump, dst, q.epoch)
 
     def _freeze_ingress(self, ad_id: ADId) -> None:
         """Halt service at a crashing node, preserving queued messages."""
@@ -195,9 +180,8 @@ class SimNetwork(Transport):
         q = self.ingress.queue_of(ad_id)
         q.epoch += 1  # orphan any scheduled _pump
         if q.serving is not None:
-            q.items.appendleft((q.serving[0], q.serving[1], 0))
+            q.items.appendleft(q.serving)
             q.serving = None
-        q.busy = False
 
     def flush_ingress(self, ad_id: ADId) -> int:
         """Discard a node's pending ingress queue (state-losing restart).
@@ -220,12 +204,10 @@ class SimNetwork(Transport):
         if self.ingress is None:
             return
         q = self.ingress.queue_of(ad_id)
-        if q.busy or not q.items:
+        if q.serving is not None or not q.items:
             return
-        src, msg, _ = q.items.popleft()
-        q.busy = True
-        q.serving = (src, msg)
-        self.sim.schedule(self.ingress.config.service_time, self._pump, ad_id, q.epoch)
+        q.serving = q.items.popleft()
+        self.sim.schedule(SERVICE_TIME, self._pump, ad_id, q.epoch)
 
     # -------------------------------------------------------------- channel
 

@@ -65,11 +65,7 @@ class Tracer:
         original_deliver = network._deliver
         original_set_link = network.set_link_status
 
-        def traced_deliver(
-            src: ADId, dst: ADId, msg: Message, attempt: int = 0
-        ) -> None:
-            # ``attempt`` is the bounded ingress's redelivery count; each
-            # attempt is a delivery event and is recorded as one.
+        def traced_deliver(src: ADId, dst: ADId, msg: Message) -> None:
             tracer._record(
                 TraceRecord(
                     time=network.sim.now,
@@ -80,7 +76,7 @@ class Tracer:
                     size=msg.size_bytes(),
                 )
             )
-            original_deliver(src, dst, msg, attempt)
+            original_deliver(src, dst, msg)
 
         def traced_set_link(a: ADId, b: ADId, up: bool) -> None:
             tracer._record(

@@ -231,7 +231,7 @@ def test_execute_chaos_cell_rejections():
         )
 
 
-@pytest.mark.parametrize("impairment", ["dup", "jitter", "burst_enter"])
+@pytest.mark.parametrize("impairment", ["dup", "jitter"])
 def test_live_chaos_cell_refuses_sim_only_impairments(impairment):
     """Loopback UDP can only lose frames; the cell is refused up front."""
     fault = FaultSpec(restarts=1, **{impairment: 0.1})

@@ -162,6 +162,26 @@ class TestExperimentsRun:
         assert "Traceback" not in err and not out
         assert not list(tmp_path.iterdir())  # no cell ran
 
+    @pytest.mark.parametrize("argv", [
+        ["live_chaos", "--smoke", "--restarts", "0", "--partitions", "0"],
+        ["mixed_version", "--smoke", "--upgrade-waves", "0"],
+    ])
+    def test_override_that_drops_the_program_is_refused_up_front(
+        self, argv, monkeypatch, capsys, tmp_path
+    ):
+        # Zeroing the program leaves a live traffic cell on the plain
+        # driver, which refuses it: that is a usage error, and no cell
+        # (not even the sim ones ahead of it) may run first.
+        def no_cell_runs(cell):
+            raise AssertionError(f"cell {cell.index} ran")
+
+        monkeypatch.setattr("repro.harness.session.execute_cell", no_cell_runs)
+        assert main(["experiments", "run", *argv, "--runs-dir", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: live cells do not support the traffic")
+        assert "Traceback" not in err and not out
+        assert not list(tmp_path.iterdir())
+
     def test_value_error_inside_a_cell_surfaces(self, monkeypatch, tmp_path):
         class FailingSession:
             def __init__(self, spec, out_dir=None):

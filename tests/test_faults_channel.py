@@ -22,7 +22,6 @@ class TestImpairment:
             {"drop_prob": 0.1},
             {"dup_prob": 0.1},
             {"jitter": 2.0},
-            {"burst_enter": 0.05},
         ],
     )
     def test_any_parameter_breaks_perfection(self, kwargs):
@@ -34,8 +33,6 @@ class TestImpairment:
             {"drop_prob": -0.1},
             {"drop_prob": 1.5},
             {"dup_prob": 2.0},
-            {"burst_enter": -1.0},
-            {"burst_exit": 1.1},
             {"jitter": -1.0},
         ],
     )
@@ -129,17 +126,6 @@ class TestImpairedChannel:
             (delay,) = ch.transmit(1, 2)
             assert 0.0 <= delay <= 3.0
 
-    def test_burst_state_drops_everything(self):
-        # burst_enter=1 enters the burst on the first transmission and
-        # burst_exit=0 never leaves: every message is lost.
-        ch = ImpairedChannel(
-            default=Impairment(burst_enter=1.0, burst_exit=0.0), seed=0
-        )
-        for _ in range(20):
-            assert ch.transmit(1, 2) == ()
-        assert ch.burst_dropped == 20
-        assert ch.dropped == 20
-
     def test_counters_shape(self):
         ch = ImpairedChannel(default=Impairment(drop_prob=0.5), seed=1)
         for _ in range(10):
@@ -148,7 +134,6 @@ class TestImpairedChannel:
         assert set(counters) == {
             "transmissions",
             "dropped",
-            "burst_dropped",
             "duplicated",
         }
         assert counters["transmissions"] == 10

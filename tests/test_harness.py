@@ -24,6 +24,7 @@ from repro.harness import (
 )
 from repro.harness.experiments import _parse_liar
 from repro.harness.session import _parse_trace
+from repro.simul.ingress import SERVICE_TIME
 
 
 def small_spec(**overrides):
@@ -477,7 +478,7 @@ class TestOverloadCell:
         block = record.overload
         assert block is not None
         assert block["capacity"] == 8
-        assert block["policy"] == "tail-drop"
+        assert block["service_time"] == SERVICE_TIME
         assert block["served"] > 0
         assert block["pacing"] == "pace+holddown+damp"
         for key in (

@@ -34,7 +34,7 @@ from repro.faults.channel import ImpairedChannel, Impairment
 from repro.live import LiveNetwork, settle
 from repro.protocols.flooding import ExchangeAck
 from repro.protocols.registry import make_protocol
-from repro.simul.ingress import IngressConfig
+from repro.simul.ingress import IngressModel
 from repro.simul.messages import Message
 from repro.simul.network import SimNetwork
 from repro.simul.node import ProtocolNode
@@ -97,17 +97,7 @@ def cases(draw):
         crashed=draw(st.none() | st.integers(0, n - 1)),
         traced=draw(st.booleans()),
         channel_seed=draw(st.none() | st.integers(0, 5)),
-        ingress=draw(
-            st.none()
-            | st.builds(
-                IngressConfig,
-                capacity=st.integers(0, 2),
-                service_time=st.sampled_from([0.0, 0.5, 2.0]),
-                policy=st.sampled_from(["tail-drop", "backpressure"]),
-                retry_delay=st.sampled_from([0.5, 2.0]),
-                max_redeliveries=st.integers(0, 2),
-            )
-        ),
+        queue_capacity=draw(st.none() | st.integers(0, 2)),
     )
 
 
@@ -130,8 +120,8 @@ def drive(case, fan_out, messages):
                 seed=case["channel_seed"],
             )
         )
-    if case["ingress"] is not None:
-        network.set_ingress(case["ingress"])
+    if case["queue_capacity"] is not None:
+        network.set_ingress(IngressModel(case["queue_capacity"]))
     if case["crashed"] is not None:
         network.crash_node(case["crashed"])
     tracer = Tracer.attach(network) if case["traced"] else None
@@ -139,11 +129,10 @@ def drive(case, fan_out, messages):
         fan_out(network, origin, msg, case["exclude"])
     network.run()
     m = network.metrics
-    channel, ingress = network.channel, network.ingress
+    channel = network.channel
     counters = (
         dict(m.messages), dict(m.bytes), m.dropped, m.channel_dropped,
         None if channel is None else channel.counters()["duplicated"],
-        None if ingress is None else ingress.counters()["deferred"],
         m.queue_dropped,
     )
     traced = (

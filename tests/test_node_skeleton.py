@@ -103,10 +103,10 @@ def capture(network, liar):
     sent = []
     deliver = functools.partial(SimNetwork._deliver, network)
 
-    def recording(src, dst, msg, attempt=0):
+    def recording(src, dst, msg):
         if src == liar:
             sent.append((dst, msg))
-        deliver(src, dst, msg, attempt)
+        deliver(src, dst, msg)
 
     network._deliver = recording
     return sent
@@ -312,9 +312,9 @@ def test_one_trigger_delay_and_dvs_own_argument():
     first = []
     deliver = network._deliver
 
-    def recording(src, dst, msg, attempt=0):
+    def recording(src, dst, msg):
         first.append(network.clock.now)
-        deliver(src, dst, msg, attempt)
+        deliver(src, dst, msg)
 
     network._deliver = recording
     network.start()

@@ -1,5 +1,5 @@
-"""Tests for the bounded ingress queue: config validation, service
-discipline, overflow policies, crash/restore (NVRAM) semantics, and the
+"""Tests for the bounded ingress queue: capacity validation, service
+discipline, tail-drop overflow, crash/restore (NVRAM) semantics, and the
 interaction with retransmission hardening."""
 
 from dataclasses import dataclass
@@ -8,12 +8,12 @@ from typing import List, Tuple
 import pytest
 
 from repro.adgraph.ad import ADId
-from repro.simul.ingress import OVERFLOW_POLICIES, IngressConfig
+from repro.simul.ingress import SERVICE_TIME, IngressModel
 from repro.simul.messages import Message
 from repro.simul.network import SimNetwork
 from repro.simul.node import ProtocolNode
 from repro.protocols.registry import make_protocol
-from tests.helpers import line_graph, open_db
+from tests.helpers import line_graph, mk_graph, open_db
 
 
 @dataclass(frozen=True)
@@ -44,57 +44,26 @@ def recorder_net(n=3):
     return net
 
 
-class TestIngressConfig:
-    def test_default_is_unbounded(self):
-        cfg = IngressConfig()
-        assert cfg.capacity is None
-        assert not cfg.bounded
-
+class TestCapacity:
     def test_zero_capacity_is_legal(self):
         # Only the in-service slot: every arrival while busy overflows.
-        assert IngressConfig(capacity=0).bounded
+        net = recorder_net()
+        net.set_ingress(IngressModel(0))
+        for k in range(3):
+            net.send(0, 1, Ping(k))
+        net.run()
+        assert [m.payload for _, m, _ in net.node(1).heard] == [0]
+        assert net.ingress.dropped == 2
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError, match="capacity"):
-            IngressConfig(capacity=-1)
-
-    def test_negative_service_time_rejected(self):
-        with pytest.raises(ValueError, match="service"):
-            IngressConfig(capacity=4, service_time=-0.1)
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="policy"):
-            IngressConfig(capacity=4, policy="red")
-        for policy in OVERFLOW_POLICIES:
-            IngressConfig(capacity=4, policy=policy)
-
-    def test_backpressure_knobs_validated(self):
-        with pytest.raises(ValueError, match="retry"):
-            IngressConfig(capacity=4, retry_delay=0.0)
-        with pytest.raises(ValueError, match="redeliveries"):
-            IngressConfig(capacity=4, max_redeliveries=-1)
+            IngressModel(-1)
 
 
 class TestUnboundedPath:
-    def test_unbounded_config_keeps_instant_delivery(self):
-        # capacity=None attaches the model but leaves the legacy path:
-        # delivery at exactly the link delay, no service stage.
-        plain = recorder_net()
-        plain.send(0, 1, Ping(7))
-        plain.run()
-        queued = recorder_net()
-        queued.set_ingress(IngressConfig())
-        queued.send(0, 1, Ping(7))
-        queued.run()
-        assert [(s, m.payload, t) for s, m, t in plain.node(1).heard] == [
-            (s, m.payload, t) for s, m, t in queued.node(1).heard
-        ]
-        assert queued.metrics.queue_dropped == 0
-        assert queued.ingress.served == 0
-
     def test_detach_restores_legacy_path(self):
         net = recorder_net()
-        net.set_ingress(IngressConfig(capacity=4, service_time=0.5))
+        net.set_ingress(IngressModel(4))
         net.set_ingress(None)
         net.send(0, 1, Ping())
         net.run()
@@ -105,15 +74,16 @@ class TestUnboundedPath:
 class TestBoundedService:
     def test_service_time_delays_delivery(self):
         net = recorder_net()
-        net.set_ingress(IngressConfig(capacity=4, service_time=0.5))
+        net.set_ingress(IngressModel(4))
         net.send(0, 1, Ping())
         net.run()
         (_, _, t), = net.node(1).heard
-        assert t == net.graph.link(0, 1).metric("delay") + 0.5
+        assert SERVICE_TIME == 0.5
+        assert t == net.graph.link(0, 1).metric("delay") + SERVICE_TIME
 
     def test_fifo_single_server_discipline(self):
         net = recorder_net()
-        net.set_ingress(IngressConfig(capacity=4, service_time=0.5))
+        net.set_ingress(IngressModel(4))
         for k in range(3):
             net.send(0, 1, Ping(k))
         net.run()
@@ -129,12 +99,17 @@ class TestBoundedService:
 
     def test_counters_rollup(self):
         net = recorder_net()
-        net.set_ingress(IngressConfig(capacity=4, service_time=0.5))
+        net.set_ingress(IngressModel(4))
         for k in range(3):
             net.send(0, 1, Ping(k))
         net.run()
         counters = net.ingress.counters(elapsed=net.sim.now, n_nodes=3)
+        assert set(counters) == {
+            "capacity", "service_time", "peak_depth", "dropped", "served",
+            "duty_cycle",
+        }
         assert counters["capacity"] == 4
+        assert counters["service_time"] == SERVICE_TIME
         assert counters["served"] == 3
         assert counters["dropped"] == 0
         assert counters["peak_depth"] == 3
@@ -144,7 +119,7 @@ class TestBoundedService:
 class TestTailDrop:
     def test_overflow_drops_and_counts(self):
         net = recorder_net()
-        net.set_ingress(IngressConfig(capacity=1, service_time=10.0))
+        net.set_ingress(IngressModel(1))
         for k in range(4):
             net.send(0, 1, Ping(k))
         net.run()
@@ -153,41 +128,17 @@ class TestTailDrop:
         assert net.ingress.dropped == 2
         assert net.metrics.queue_dropped == 2
 
-
-class TestBackpressure:
-    def test_deferred_arrival_is_redelivered(self):
+    def test_a_served_slot_admits_the_next_arrival(self):
+        # Tail-drop refuses only while the queue is full: an arrival after
+        # the first message's service ends finds the slot free.
         net = recorder_net()
-        net.set_ingress(
-            IngressConfig(
-                capacity=0, service_time=0.5,
-                policy="backpressure", retry_delay=2.0,
-            )
-        )
+        net.set_ingress(IngressModel(0))
         net.send(0, 1, Ping(0))
-        net.send(0, 1, Ping(1))
+        net.send(0, 1, Ping(1))  # same instant: overflows
+        net.sim.schedule(2 * SERVICE_TIME, net.send, 0, 1, Ping(2))
         net.run()
-        # The second arrival found the queue full, waited 2.0, and got in.
-        assert [m.payload for _, m, _ in net.node(1).heard] == [0, 1]
-        assert net.ingress.deferred == 1
-        assert net.ingress.counters()["deferred"] == 1
-        assert net.ingress.dropped == 0
-
-    def test_redeliveries_are_bounded(self):
-        # A persistently full queue cannot recirculate a message forever:
-        # after max_redeliveries attempts it drops.
-        net = recorder_net()
-        net.set_ingress(
-            IngressConfig(
-                capacity=0, service_time=1000.0,
-                policy="backpressure", retry_delay=1.0, max_redeliveries=2,
-            )
-        )
-        net.send(0, 1, Ping(0))
-        net.send(0, 1, Ping(1))
-        net.run()
-        assert net.ingress.queue_of(1).deferred == 2
-        assert net.ingress.queue_of(1).dropped == 1
-        assert [m.payload for _, m, _ in net.node(1).heard] == [0]
+        assert [m.payload for _, m, _ in net.node(1).heard] == [0, 2]
+        assert net.ingress.dropped == 1
 
 
 class TestCrashSemantics:
@@ -196,10 +147,10 @@ class TestCrashSemantics:
 
     def _loaded(self):
         net = recorder_net()
-        net.set_ingress(IngressConfig(capacity=8, service_time=5.0))
+        net.set_ingress(IngressModel(8))
         for k in range(3):
             net.send(0, 1, Ping(k))
-        net.run(until=1.5)  # deliveries enqueue; nothing served yet
+        net.run(until=1.25)  # deliveries enqueue; nothing served yet
         assert net.ingress.queue_of(1).depth == 3
         return net
 
@@ -226,7 +177,7 @@ class TestCrashSemantics:
 
     def test_delivery_to_crashed_node_is_dropped(self):
         net = recorder_net()
-        net.set_ingress(IngressConfig(capacity=8, service_time=0.5))
+        net.set_ingress(IngressModel(8))
         net.crash_node(1)
         net.send(0, 1, Ping())
         net.run()
@@ -241,7 +192,7 @@ class TestProtocolCrashIntegration:
         g = line_graph(3)
         proto = make_protocol("egp", g, open_db(g))
         network = proto.build()
-        network.set_ingress(IngressConfig(capacity=16, service_time=2.0))
+        network.set_ingress(IngressModel(16))
         proto.converge()
         return proto, network
 
@@ -251,7 +202,7 @@ class TestProtocolCrashIntegration:
 
         t0 = network.sim.now
         network.send(0, 1, NRUpdate((0,)))
-        network.run(until=t0 + 1.5)  # delivered (delay 1), service needs 2
+        network.run(until=t0 + 1.25)  # delivered (delay 1), service needs 0.5
         assert network.ingress.queue_of(1).depth == 1
 
     def test_state_losing_crash_flushes_pending_ingress(self):
@@ -278,13 +229,17 @@ class TestProtocolCrashIntegration:
 class TestRetransmitInteraction:
     def test_queue_drop_consumes_a_bounded_retry(self):
         # The adversarial composition: retransmission hardening keeps
-        # resending what a full 1-slot queue keeps dropping.  Retries are
-        # bounded, so the storm terminates instead of ping-ponging -- a
-        # dropped message costs a retry, it does not earn a free one.
-        g = line_graph(2)
+        # resending what the hub's full 1-slot queue keeps dropping.
+        # Retries are bounded, so the storm terminates instead of
+        # ping-ponging -- a dropped message costs a retry, it does not
+        # earn a free one.
+        g = mk_graph(
+            [(0, "Rt")] + [(i, "Cs") for i in range(1, 6)],
+            [(0, i) for i in range(1, 6)],
+        )
         proto = make_protocol("egp", g, open_db(g), hardening="retransmit")
         network = proto.build()
-        network.set_ingress(IngressConfig(capacity=1, service_time=100.0))
+        network.set_ingress(IngressModel(1))
         result = proto.converge()
         assert result.quiesced
         assert network.metrics.queue_dropped > 0

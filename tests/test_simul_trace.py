@@ -11,7 +11,7 @@ import pytest
 
 from repro.policy.database import PolicyDatabase
 from repro.protocols.dv import DistanceVectorProtocol, DVUpdate
-from repro.simul.ingress import IngressConfig
+from repro.simul.ingress import IngressModel
 from repro.simul import trace
 from repro.simul.trace import Tracer
 from tests.helpers import line_graph, mk_graph
@@ -94,10 +94,9 @@ class TestTracer:
             plain.network.metrics.messages == traced.network.metrics.messages
         )
 
-    def test_backpressure_redeliveries_pass_through_the_tracer(self):
-        # The bounded ingress redelivers through network._deliver with an
-        # attempt count; the tracer's wrapper used to take three arguments
-        # and died with a TypeError on the first deferral.
+    def test_queue_dropped_deliveries_pass_through_the_tracer(self):
+        # The tracer wraps network._deliver, ahead of the bounded ingress:
+        # a delivery the full queue drops is still a delivery event.
         def run(traced):
             g = mk_graph(
                 [(0, "Rt")] + [(i, "Cs") for i in range(1, 6)],
@@ -105,21 +104,19 @@ class TestTracer:
             )
             proto = DistanceVectorProtocol(g, PolicyDatabase())
             net = proto.build()
-            net.set_ingress(IngressConfig(capacity=0, policy="backpressure"))
+            net.set_ingress(IngressModel(0))
             tracer = Tracer.attach(net) if traced else None
             proto.converge()
             return net, tracer
 
         net, tracer = run(traced=True)
-        metrics, deferred = net.metrics, net.ingress.deferred
-        assert deferred > 0  # the redelivery path really ran
+        metrics = net.metrics
+        assert metrics.queue_dropped > 0  # the tail-drop path really ran
         plain, _ = run(traced=False)
         assert metrics.snapshot(0.0) == plain.metrics.snapshot(0.0)
-        assert plain.ingress.deferred == deferred
-        # One record per delivery attempt: first tries that were admitted
-        # or dropped at the queue, plus every redelivery.
-        attempts = sum(metrics.messages.values()) + metrics.queue_dropped
-        assert len(tracer.filtered(kind="msg")) == attempts + deferred
+        # One record per delivery: served or dropped at the queue.
+        deliveries = sum(metrics.messages.values()) + metrics.queue_dropped
+        assert len(tracer.filtered(kind="msg")) == deliveries
 
     def test_empty_timeline(self):
         g = line_graph(2)
