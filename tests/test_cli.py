@@ -162,23 +162,29 @@ class TestExperimentsRun:
         assert "Traceback" not in err and not out
         assert not list(tmp_path.iterdir())  # no cell ran
 
-    @pytest.mark.parametrize("argv", [
-        ["live_chaos", "--smoke", "--restarts", "0", "--partitions", "0"],
-        ["mixed_version", "--smoke", "--upgrade-waves", "0"],
-    ])
-    def test_override_that_drops_the_program_is_refused_up_front(
-        self, argv, monkeypatch, capsys, tmp_path
-    ):
+    @pytest.mark.parametrize("argv, message", [
         # Zeroing the program leaves a live traffic cell on the plain
-        # driver, which refuses it: that is a usage error, and no cell
-        # (not even the sim ones ahead of it) may run first.
+        # driver, which refuses it.
+        (["live_chaos", "--smoke", "--restarts", "0", "--partitions", "0"],
+         "live cells do not support the traffic"),
+        (["mixed_version", "--smoke", "--upgrade-waves", "0"],
+         "live cells do not support the traffic"),
+        # A queue on a chaotic cell is refused by the chaos program.
+        (["live_chaos", "--smoke", "--queue-capacity", "4"],
+         "chaotic cells replace the churn/queue timeline"),
+    ])
+    def test_override_its_driver_refuses_is_refused_up_front(
+        self, argv, message, monkeypatch, capsys, tmp_path
+    ):
+        # A usage error: no cell, not even the sim ones ahead of the
+        # refused one, may run first.
         def no_cell_runs(cell):
             raise AssertionError(f"cell {cell.index} ran")
 
         monkeypatch.setattr("repro.harness.session.execute_cell", no_cell_runs)
         assert main(["experiments", "run", *argv, "--runs-dir", str(tmp_path)]) == 2
         out, err = capsys.readouterr()
-        assert err.startswith("error: live cells do not support the traffic")
+        assert err.startswith(f"error: {message}")
         assert "Traceback" not in err and not out
         assert not list(tmp_path.iterdir())
 
