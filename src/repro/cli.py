@@ -14,6 +14,7 @@ Small, scriptable entry points over the library:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from typing import List, Optional
@@ -169,7 +170,30 @@ def cmd_converge(args: argparse.Namespace) -> int:
     return 0
 
 
+def _refuse_bad_numbers(args: argparse.Namespace) -> bool:
+    """Print ``error: ...`` and say so if a ``live`` command's numbers are bad.
+
+    Checked before any socket is bound: a NaN or infinite time scale or
+    timeout would otherwise run to a meaningless table, and a negative
+    count would die in a traceback or silently do less.
+    """
+    problems = [
+        f"--{flag.replace('_', '-')} must be a finite number > 0, got {getattr(args, flag)}"
+        for flag in ("time_scale", "timeout")
+        if not 0 < getattr(args, flag) < math.inf
+    ] + [
+        f"--{flag} must be >= 0, got {getattr(args, flag)}"
+        for flag in ("flaps", "restarts", "partitions", "flows")
+        if getattr(args, flag, 0) < 0
+    ]
+    if problems:
+        print(f"error: {problems[0]}", file=sys.stderr)
+    return bool(problems)
+
+
 def cmd_live_run(args: argparse.Namespace) -> int:
+    if _refuse_bad_numbers(args):
+        return 2
     from repro.faults.plan import random_failure_plan
     from repro.protocols import make_protocol
     from repro.simul.runner import run_episodes
@@ -216,6 +240,8 @@ def cmd_live_run(args: argparse.Namespace) -> int:
 
 
 def cmd_live_fidelity(args: argparse.Namespace) -> int:
+    if _refuse_bad_numbers(args):
+        return 2
     from repro.live import fidelity_report, format_report
 
     report = fidelity_report(
@@ -241,7 +267,9 @@ def cmd_live_chaos(args: argparse.Namespace) -> int:
         TrafficSpec,
     )
 
-    if args.restarts <= 0 and args.partitions <= 0:
+    if _refuse_bad_numbers(args):
+        return 2
+    if args.restarts == 0 and args.partitions == 0:
         print("error: need --restarts or --partitions > 0", file=sys.stderr)
         return 2
     options = (("graceful", args.gr),) if args.gr else ()
@@ -369,6 +397,7 @@ def cmd_experiments_run(args: argparse.Namespace) -> int:
         EXPERIMENTS,
         OVERRIDES,
         ExperimentArgumentError,
+        experiment_spec,
         run_experiment,
     )
 
@@ -391,20 +420,18 @@ def cmd_experiments_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    options = dict(smoke=args.smoke, trace=args.trace, seed=args.exp_seed, **overrides)
+    try:
+        # Every entry's cells are checked before the first one runs.
+        for name in names:
+            experiment_spec(name, **options)
+    except ExperimentArgumentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     for name in names:
-        try:
-            spec, records, text = run_experiment(
-                name,
-                jobs=args.jobs,
-                smoke=args.smoke,
-                runs_dir=args.runs_dir,
-                trace=args.trace,
-                seed=args.exp_seed,
-                **overrides,
-            )
-        except ExperimentArgumentError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        spec, records, text = run_experiment(
+            name, jobs=args.jobs, runs_dir=args.runs_dir, **options
+        )
         print(text)
         if spec is None:  # cell-less: no runs, no telemetry
             print()

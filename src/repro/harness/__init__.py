@@ -18,6 +18,7 @@ from repro.harness.experiments import (
     OVERRIDES,
     Experiment,
     ExperimentArgumentError,
+    experiment_spec,
     run_experiment,
     write_table,
 )
@@ -58,6 +59,7 @@ __all__ = [
     "ScenarioSpec",
     "TrafficSpec",
     "execute_cell",
+    "experiment_spec",
     "read_jsonl",
     "run_experiment",
     "run_spec",

@@ -50,6 +50,7 @@ __all__ = [
     "OVERRIDES",
     "Override",
     "_parse_liar",
+    "experiment_spec",
     "run_experiment",
     "write_table",
 ]
@@ -74,6 +75,70 @@ EXPERIMENTS: Dict[str, Experiment] = {
         key=_paper_order,
     )
 }
+
+
+def experiment_spec(
+    name: str,
+    smoke: bool = False,
+    trace: Optional[str] = None,
+    seed: Optional[int] = None,
+    **overrides: Any,
+) -> Optional[ExperimentSpec]:
+    """The spec :func:`run_experiment` would run, every cell checked.
+
+    ``None`` for a cell-less entry.  A bad name or argument, or a cell
+    that :func:`check_cell` refuses, raises
+    :class:`ExperimentArgumentError` (a ``ValueError``); nothing runs, so
+    a caller may check several entries before it runs the first.
+    """
+    try:
+        experiment = EXPERIMENTS[name]
+    except KeyError:
+        raise ExperimentArgumentError(
+            f"unknown experiment {name!r}; available: "
+            f"{', '.join(sorted(EXPERIMENTS))}"
+        ) from None
+    unknown = set(overrides) - {row.name for row in OVERRIDES}
+    if unknown:
+        raise TypeError(
+            f"run_experiment() got unknown override(s) "
+            f"{', '.join(sorted(unknown))}; valid overrides: "
+            f"{', '.join(row.name for row in OVERRIDES)}"
+        )
+    if not experiment.has_cells:
+        given = ["smoke"] * smoke + [
+            key
+            for key, value in (("trace", trace), ("seed", seed), *overrides.items())
+            if value is not None
+        ]
+        if given:
+            raise ExperimentArgumentError(
+                f"experiment {name!r} is cell-less (no grid); "
+                f"{', '.join(given)} cannot apply to it"
+            )
+        return None
+    if trace is not None:
+        try:
+            _parse_trace(trace)
+        except ValueError as exc:
+            raise ExperimentArgumentError(str(exc)) from None
+    spec = experiment.build_spec(smoke)
+    if smoke:
+        spec = replace(spec, name=f"{spec.name}_smoke")
+    if trace is not None:
+        spec = replace(spec, trace=trace)
+    if seed is not None:
+        spec = replace(spec, seeds=(seed,))
+    for row in OVERRIDES:
+        if overrides.get(row.name) is not None:
+            spec = apply_override(spec, row, overrides[row.name])
+    for cell in spec.cells():
+        # An override can leave a cell that its driver refuses.
+        try:
+            check_cell(cell)
+        except ValueError as exc:
+            raise ExperimentArgumentError(str(exc)) from None
+    return spec
 
 
 def run_experiment(
@@ -102,56 +167,13 @@ def run_experiment(
     the entry.  ``jobs`` and ``runs_dir`` do not apply to it.
 
     A bad name or argument raises :class:`ExperimentArgumentError` (a
-    ``ValueError``) before any cell runs.
+    ``ValueError``) before any cell runs (:func:`experiment_spec`).
     """
-    try:
-        experiment = EXPERIMENTS[name]
-    except KeyError:
-        raise ExperimentArgumentError(
-            f"unknown experiment {name!r}; available: "
-            f"{', '.join(sorted(EXPERIMENTS))}"
-        ) from None
-    unknown = set(overrides) - {row.name for row in OVERRIDES}
-    if unknown:
-        raise TypeError(
-            f"run_experiment() got unknown override(s) "
-            f"{', '.join(sorted(unknown))}; valid overrides: "
-            f"{', '.join(row.name for row in OVERRIDES)}"
-        )
-    if not experiment.has_cells:
-        given = ["smoke"] * smoke + [
-            key
-            for key, value in (("trace", trace), ("seed", seed), *overrides.items())
-            if value is not None
-        ]
-        if given:
-            raise ExperimentArgumentError(
-                f"experiment {name!r} is cell-less (no grid); "
-                f"{', '.join(given)} cannot apply to it"
-            )
+    spec = experiment_spec(name, smoke, trace, seed, **overrides)
+    experiment = EXPERIMENTS[name]
+    if spec is None:
         text, measured = experiment.tabulate()
         return None, measured, text
-    if trace is not None:
-        try:
-            _parse_trace(trace)
-        except ValueError as exc:
-            raise ExperimentArgumentError(str(exc)) from None
-    spec = experiment.build_spec(smoke)
-    if smoke:
-        spec = replace(spec, name=f"{spec.name}_smoke")
-    if trace is not None:
-        spec = replace(spec, trace=trace)
-    if seed is not None:
-        spec = replace(spec, seeds=(seed,))
-    for row in OVERRIDES:
-        if overrides.get(row.name) is not None:
-            spec = apply_override(spec, row, overrides[row.name])
-    for cell in spec.cells():
-        # An override can leave a cell that its driver refuses.
-        try:
-            check_cell(cell)
-        except ValueError as exc:
-            raise ExperimentArgumentError(str(exc)) from None
     records = ExperimentSession(spec, out_dir=runs_dir).run(jobs=jobs)
     return spec, records, experiment.render(spec, records)
 

@@ -11,6 +11,7 @@ cancellation is idempotent and harmless after the timer fired.
 from __future__ import annotations
 
 import asyncio
+import math
 from typing import Any, Callable, Optional, Set
 
 from repro.simul.transport import Clock, TimerHandle
@@ -53,8 +54,11 @@ class LiveClock(Clock):
     def __init__(
         self, loop: asyncio.AbstractEventLoop, time_scale: float = 0.005
     ) -> None:
-        if time_scale <= 0:
-            raise ValueError("time_scale must be > 0 seconds per time unit")
+        if not 0 < time_scale < math.inf:
+            raise ValueError(
+                f"time_scale must be a finite number > 0 seconds per time "
+                f"unit, got {time_scale}"
+            )
         self._loop = loop
         self._t0 = loop.time()
         #: Wall-clock seconds per protocol time unit.
@@ -92,7 +96,7 @@ class LiveClock(Clock):
         self, delay: float, fn: Callable[..., None], *args: Any
     ) -> LiveTimerHandle:
         """Run ``fn(*args)`` after ``delay`` protocol time units."""
-        if delay < 0:
+        if not delay >= 0:  # as the simulator's schedule: NaN is refused too
             raise ValueError(f"negative delay {delay}")
         box: list = []
 

@@ -49,25 +49,39 @@ serve task.  Anything else a peer can put in a frame raises
 :class:`WireError` and nothing but :class:`WireError`.
 
 The frame path.  Link-state flooding hands the *same* message to every
-neighbour and every AD receives the *same* body once per adjacency, so
-the per-frame cost is kept to what is per-frame:
+neighbour, every AD receives the *same* body once per adjacency, and a
+database exchange carries LSAs that were flooded already, so each pure
+function of a message is computed once per process in each direction:
 
 * each registered class has a compiled :func:`_plan` (init fields,
   known-field set, enum-typed fields), and encoding dispatches on the
   exact value type (:data:`_ENCODERS`), so no frame pays for
   ``dataclasses.fields`` or an ``isinstance`` ladder;
 * :func:`encode_frame` memoises the canonical text of the ``"m"`` value
-  per (message object, wire version) and splices the envelope around
-  it: a flood to *k* neighbours serialises once;
+  per (message object, wire version) and splices around it the envelope
+  bytes of its (sender, receiver, version), also made once: a flood to
+  *k* neighbours serialises once;
+* a registered message nested in another (the LSAs of an
+  :class:`LSDBExchange`) is cut from that same memoised text, so an
+  exchange is joined from its LSAs' texts, not serialised again;
+* a body that travels losslessly (every field of the message is in it)
+  is registered in the decoder's table as it is encoded, mapped to the
+  message itself;
 * :func:`decode_frame_ex` checks length prefix, envelope and version of
-  every frame, then looks the exact ``"m"`` bytes up in a byte-bounded
-  table of already-decoded messages.  A hit skips only work that is a
-  pure function of those bytes (JSON parse, vocabulary checks, object
-  construction).  Decoded messages are deeply immutable (enforced by
-  :func:`_plan`), so receivers can share them exactly as the simulator
-  shares message objects.  Both tables are module-level, hence
-  per-process: a fleet with one process per AD would see them degrade
-  to per-AD duplicate caches, never to wrong answers.
+  every frame, then looks the exact ``"m"`` bytes up in that byte-bounded
+  table.  A hit skips only work that is a pure function of those bytes
+  (JSON parse, vocabulary checks, object construction), and a
+  registered hit returns the equal message parsing would build.
+  Messages are deeply immutable (enforced by :func:`_plan`), so
+  receivers share them exactly as the simulator shares message objects.
+
+Both tables are module-level, so the saving is per process.  In the
+one-process fleet a receiver holds the sender's objects; it parses a
+body only if the body was down-emitted without some field or its entry
+was evicted.  A fleet with one process per AD would keep
+only the splice: each process would parse each body once and cache it
+for its own AD, slower but never wrong, because every entry is keyed by
+the object it encodes or the exact bytes it decodes.
 """
 
 from __future__ import annotations
@@ -433,7 +447,8 @@ def _encode_fields(
     return {name: _encode_value(getattr(obj, name), lists) for name in names}
 
 
-def _to_wire(msg: Message, version: int, lists: List[Any]) -> Dict[str, Any]:
+def _wire_names(msg: Message, version: int) -> Tuple[str, Tuple[str, ...]]:
+    """A message's type name and the fields it carries at ``version``."""
     name = type(msg).__name__
     if name not in _message_types():
         raise WireError(f"unregistered message type {name}")
@@ -447,14 +462,7 @@ def _to_wire(msg: Message, version: int, lists: List[Any]) -> Dict[str, Any]:
         # Down-emit shim: omit fields newer than the target version so
         # an old peer never sees a field it cannot name.
         names = tuple(n for n in names if introduced.get(n, 1) <= version)
-    fields = _encode_fields(msg, names, lists)
-    if version == 1:
-        return {"t": name, "f": fields}
-    return {
-        "t": name,
-        "f": fields,
-        "r": min(SCHEMA_REVISIONS.get(name, 1), version),
-    }
+    return name, names
 
 
 def to_wire(msg: Message, *, version: int = WIRE_VERSION) -> Dict[str, Any]:
@@ -465,7 +473,15 @@ def to_wire(msg: Message, *, version: int = WIRE_VERSION) -> Dict[str, Any]:
     post-v1 fields); version 2+ stamps the message's schema revision as
     ``"r"`` and carries the full field set allowed at that version.
     """
-    return _to_wire(msg, version, [])
+    name, names = _wire_names(msg, version)
+    fields = _encode_fields(msg, names, [])
+    if version == 1:
+        return {"t": name, "f": fields}
+    return {
+        "t": name,
+        "f": fields,
+        "r": min(SCHEMA_REVISIONS.get(name, 1), version),
+    }
 
 
 # ---------------------------------------------------------------- decoding
@@ -559,6 +575,143 @@ def _address(ad_id: ADId) -> bytes:
     return _CANONICAL.encode(ad_id).encode("ascii")
 
 
+@lru_cache(maxsize=1 << 14, typed=True)
+def _envelope(src: ADId, dst: ADId, version: int) -> Tuple[bytes, bytes]:
+    """The bytes before and after the ``"m"`` text of one adjacency's frames.
+
+    Sorted-key order.  ``typed``: ``1`` and ``True`` are equal keys but
+    different addresses.
+    """
+    if not MIN_WIRE_VERSION <= version <= WIRE_VERSION:
+        raise WireVersionError(
+            f"cannot encode wire version {version!r}", src=src, version=version
+        )
+    head = b'{"d":%b,"m":' % _address(dst)
+    if version == 1:
+        return head, b',"s":%b}' % _address(src)
+    return head, b',"s":%b,"v":%d}' % (_address(src), version)
+
+
+@lru_cache(maxsize=1)
+def _spliceable() -> FrozenSet[type]:
+    """Message types a container may carry as text it already holds.
+
+    Registered both as a message and as a nested payload, with no field
+    revisions: their fields are then the same at every wire version and
+    in both roles, so the nested form is the top-level text re-wrapped.
+    """
+    nested = _nested_types()
+    return frozenset(
+        cls
+        for name, cls in _message_types().items()
+        if nested.get(name) is cls and name not in FIELD_REVISIONS
+    )
+
+
+@lru_cache(maxsize=None)
+def _spliced_fields(cls: type) -> FrozenSet[str]:
+    """Fields of ``cls`` declared as ``Tuple[<spliceable type>, ...]``."""
+    hints = typing.get_type_hints(cls)
+    spliced = set()
+    for name in _plan(cls).names:
+        args = typing.get_args(hints[name])
+        if (
+            typing.get_origin(hints[name]) is tuple
+            and args[1:] == (Ellipsis,)
+            and args[0] in _spliceable()
+        ):
+            spliced.add(name)
+    return frozenset(spliced)
+
+
+#: Every message text starts with its fields: ``"f"`` sorts first.
+_HEAD = b'{"f":'
+
+
+@lru_cache(maxsize=None)
+def _tail(name: str, version: int) -> bytes:
+    """What follows the fields in a message's canonical text."""
+    quoted = _CANONICAL.encode(name).encode("ascii")
+    if version == 1:
+        return b',"t":%b}' % quoted
+    revision = min(SCHEMA_REVISIONS.get(name, 1), version)
+    return b',"r":%d,"t":%b}' % (revision, quoted)
+
+
+def _json(value: Any, lists: List[Any]) -> bytes:
+    return _CANONICAL.encode(_encode_value(value, lists)).encode("ascii")
+
+
+def _nested_text(item: Any, version: int, lists: List[Any]) -> bytes:
+    """``item``'s nested form, cut from its top-level text when it has one."""
+    cls = type(item)
+    if cls not in _spliceable():
+        return _json(item, lists)
+    text = _message_text(item, version, lists)
+    fields = text[len(_HEAD) : len(text) - len(_tail(cls.__name__, version))]
+    return b'{"__d":%b,"f":%b}' % (_CANONICAL.encode(cls.__name__).encode("ascii"), fields)
+
+
+def _render(msg: Message, version: int, lists: List[Any]) -> bytes:
+    """The canonical text of :func:`to_wire`'s dict, byte for byte.
+
+    A field declared as a tuple of spliceable messages (the LSAs of an
+    :class:`LSDBExchange`) is joined from its members' texts instead of
+    walking each member through the encoder again.
+    """
+    name, names = _wire_names(msg, version)
+    spliced = _spliced_fields(type(msg))
+    if not spliced:
+        fields = _CANONICAL.encode(_encode_fields(msg, names, lists)).encode("ascii")
+    else:
+        parts = []
+        for field in sorted(names):
+            value = getattr(msg, field)
+            if field in spliced and type(value) is tuple:
+                text = b"[%b]" % b",".join(
+                    [_nested_text(item, version, lists) for item in value]
+                )
+            else:
+                text = _json(value, lists)
+            parts.append(b"%b:%b" % (_CANONICAL.encode(field).encode("ascii"), text))
+        fields = b"{%b}" % b",".join(parts)
+    return _HEAD + fields + _tail(name, version)
+
+
+def _message_text(msg: Message, version: int, lists: List[Any]) -> bytes:
+    """``msg``'s canonical text, rendered once per (object, wire version).
+
+    A rendering that met a ``list`` is returned but neither kept nor
+    registered: nothing stops the owner from mutating it between sends.
+    Its lists are reported to the caller's ``lists``, so a container
+    holding such a message is not kept either.
+
+    A new text that travels losslessly -- at :data:`WIRE_VERSION`, or at
+    an older version for a type without :data:`FIELD_REVISIONS` -- is
+    registered in the decoder's table under the key
+    :func:`decode_frame_ex` looks up, mapped to ``msg`` itself.  Parsing
+    those bytes would build an equal message of the same types, as long
+    as every value has its field's declared type (what the round-trip
+    tests check), so a receiver in this process gets the sender's object,
+    exactly as on the simulator.
+    """
+    key = (id(msg), version)
+    entry = _ENCODED.get(key)
+    if entry is not None:
+        return entry[1]
+    own: List[Any] = []
+    text = _render(msg, version, own)
+    if own:
+        lists.extend(own)
+        return text
+    _ENCODED.put(key, (msg, text), len(text))
+    if version == WIRE_VERSION or type(msg).__name__ not in FIELD_REVISIONS:
+        interned = (text, version > 1)
+        if _INTERN.get(interned) is None:
+            _INTERN.put(interned, msg, len(text))
+    return text
+
+
 def encode_frame(
     src: ADId, dst: ADId, msg: Message, *, version: int = WIRE_VERSION
 ) -> bytes:
@@ -569,33 +722,18 @@ def encode_frame(
     down-emitting to a v1 peer safe.  Version 2+ adds ``"v"`` so the
     receiver knows the sender's tx version.
 
-    The ``"m"`` text is serialised once per (message object, version)
-    and the envelope spliced around it, in sorted-key order.  A message
-    that holds a ``list`` anywhere is re-encoded on every call instead:
-    nothing stops its owner from mutating it between sends.
+    The ``"m"`` text comes from :func:`_message_text` (once per message
+    object and version) and the adjacency's envelope (:func:`_envelope`)
+    is spliced around it.
     """
-    if not MIN_WIRE_VERSION <= version <= WIRE_VERSION:
-        raise WireVersionError(
-            f"cannot encode wire version {version!r}", src=src, version=version
-        )
-    key = (id(msg), version)
-    entry = _ENCODED.get(key)
-    if entry is None:
-        lists: List[Any] = []
-        text = _CANONICAL.encode(_to_wire(msg, version, lists)).encode("ascii")
-        if not lists:
-            _ENCODED.put(key, (msg, text), len(text))
-    else:
-        text = entry[1]
-    if version == 1:
-        body = b'{"d":%b,"m":%b,"s":%b}' % (_address(dst), text, _address(src))
-    else:
-        body = b'{"d":%b,"m":%b,"s":%b,"v":%d}' % (
-            _address(dst), text, _address(src), version
-        )
-    if len(body) > MAX_FRAME_BYTES:  # pragma: no cover - defensive
-        raise WireError(f"frame body of {len(body)} bytes exceeds the cap")
-    return _LEN.pack(len(body)) + body
+    head, tail = _envelope(src, dst, version)
+    # The memo hit, inline: every flooded copy after the first takes it.
+    entry = _ENCODED.get((id(msg), version))
+    text = entry[1] if entry is not None else _message_text(msg, version, [])
+    size = len(head) + len(text) + len(tail)
+    if size > MAX_FRAME_BYTES:  # pragma: no cover - defensive
+        raise WireError(f"frame body of {size} bytes exceeds the cap")
+    return b"".join((_LEN.pack(size), head, text, tail))
 
 
 _INT = rb"(-?(?:0|[1-9][0-9]{0,17}))"

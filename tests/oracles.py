@@ -28,12 +28,20 @@ Each oracle is the plain version of a production path, kept here (not in
   (``tests/test_graph_cut_points.py``);
 * :func:`idrp_selection`, IDRP's decision process as one pass over the
   per-peer Adj-RIB-Ins, which every Loc-RIB entry must equal
-  (``tests/test_idrp_rib.py``).
+  (``tests/test_idrp_rib.py``);
+* :func:`reference_frame` (over :func:`framed`), one ``json.dumps`` of a
+  whole frame envelope, which every ``encode_frame`` output must equal
+  byte for byte, memo cold or warm, container spliced or not
+  (``tests/test_wire_frame_path.py``);
+* :func:`reference_broadcast`, one ``send`` per live neighbour, the loop
+  every substrate's ``Transport.broadcast`` must match delivery for
+  delivery (``tests/test_message_path.py``).
 """
 
 from __future__ import annotations
 
 import heapq
+import json
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import networkx as nx
@@ -57,9 +65,34 @@ from repro.protocols.base import (
     RoutingProtocol,
 )
 from repro.protocols.idrp import IDRPNode, _Key, _LocEntry
+from repro.simul.wire import to_wire
 
 _LinkKey = Tuple[ADId, ADId]
 _State = Tuple[ADId, Optional[ADId]]
+
+
+def reference_frame(src, dst, msg, version: int) -> bytes:
+    """The pre-memo encoder: one ``json.dumps`` of the whole envelope."""
+    envelope = {"s": src, "d": dst, "m": to_wire(msg, version=version)}
+    if version > 1:
+        envelope["v"] = version
+    return framed(envelope)
+
+
+def framed(envelope, **dumps_options) -> bytes:
+    """A length-prefixed frame around ``json.dumps(envelope)`` (canonical
+    options unless overridden)."""
+    options = dict(sort_keys=True, separators=(",", ":"))
+    options.update(dumps_options)
+    body = json.dumps(envelope, **options).encode("utf-8")
+    return len(body).to_bytes(4, "big") + body
+
+
+def reference_broadcast(transport, src, msg, exclude=None) -> None:
+    """The loop ``Transport.broadcast`` replaced, verbatim."""
+    for nbr in transport.neighbors(src):
+        if nbr != exclude:
+            transport.send(src, nbr, msg)
 
 
 def scan_permitting_term(

@@ -134,6 +134,37 @@ class TestLiveRun:
         assert re.fullmatch(r"wall time: \d+\.\d\ds", lines[-1])
 
 
+_SCALE = "--time-scale must be a finite number > 0"
+
+#: One bad ``live`` command line each, and the start of its refusal.
+LIVE_REFUSALS = [
+    ("run small --time-scale nan", _SCALE),
+    ("fidelity small --time-scale nan", _SCALE),
+    ("chaos ring --time-scale nan", _SCALE),
+    ("fidelity small --time-scale inf", _SCALE),
+    ("run small --time-scale 0", _SCALE),
+    ("run small --timeout nan", "--timeout must be a finite number > 0"),
+    ("run small --flaps -1", "--flaps must be >= 0"),
+    ("chaos ring --restarts -1", "--restarts must be >= 0"),
+    ("chaos ring --flows -5", "--flows must be >= 0"),
+]
+
+
+class TestLiveRefusesBadNumbers:
+    @pytest.mark.parametrize(
+        "command, message", LIVE_REFUSALS, ids=[c for c, _ in LIVE_REFUSALS]
+    )
+    def test_refused_before_any_socket_is_bound(self, command, message, monkeypatch, capsys):
+        def no_network(self):
+            raise AssertionError("a live network started")
+
+        monkeypatch.setattr("repro.live.network.LiveNetwork.start", no_network)
+        assert main(["live", *command.split()]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err and not out
+
+
 class TestReport:
     def test_collates_existing_artifacts(self, tmp_path, capsys):
         out = tmp_path / "REPORT.txt"
@@ -187,6 +218,24 @@ class TestExperimentsRun:
         assert err.startswith(f"error: {message}")
         assert "Traceback" not in err and not out
         assert not list(tmp_path.iterdir())
+
+    def test_all_checks_every_entry_before_the_first_runs(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        # live_chaos refuses a queue; the eight cell entries ahead of it
+        # in the registry must not run first.
+        ran = []
+
+        def recording_run(name, **kwargs):
+            ran.append(name)
+            return None, [], ""
+
+        monkeypatch.setattr("repro.harness.run_experiment", recording_run)
+        argv = ["all", "--smoke", "--queue-capacity", "4", "--runs-dir", str(tmp_path)]
+        assert main(["experiments", "run", *argv]) == 2
+        assert ran == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: chaotic cells replace the churn/queue timeline")
 
     def test_value_error_inside_a_cell_surfaces(self, monkeypatch, tmp_path):
         class FailingSession:

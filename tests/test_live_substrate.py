@@ -110,6 +110,28 @@ def test_live_clock_runs_in_protocol_units():
     asyncio.run(scenario())
 
 
+@pytest.mark.parametrize("scale", [0.0, -0.001, float("nan"), float("inf")])
+def test_live_clock_refuses_a_scale_that_is_not_finite_and_positive(scale):
+    loop = asyncio.new_event_loop()
+    try:
+        with pytest.raises(ValueError, match="finite number > 0"):
+            LiveClock(loop, time_scale=scale)
+    finally:
+        loop.close()
+
+
+@pytest.mark.parametrize("delay", [-1.0, float("nan")])
+def test_live_timer_refuses_a_delay_the_simulator_refuses(delay):
+    loop = asyncio.new_event_loop()
+    try:
+        clock = LiveClock(loop, time_scale=0.001)
+        with pytest.raises(ValueError, match="negative delay"):
+            clock.call_later(delay, lambda: None)
+        assert clock.pending_timers == 0
+    finally:
+        loop.close()
+
+
 # ------------------------------------------------------------------ smoke
 
 

@@ -44,6 +44,7 @@ from repro.simul.transport import Transport
 from repro.workloads.scenarios import scaled_scenario
 
 from .helpers import mk_graph
+from .oracles import reference_broadcast
 
 pytestmark = pytest.mark.hashseed
 
@@ -56,13 +57,6 @@ class Probe(Message):
 def transport_broadcast(transport, src, msg, exclude=None):
     """The verb under test (whatever the substrate's class makes of it)."""
     transport.broadcast(src, msg, exclude)
-
-
-def reference_broadcast(transport, src, msg, exclude=None):
-    """The loop ``broadcast`` replaced, verbatim."""
-    for nbr in transport.neighbors(src):
-        if nbr != exclude:
-            transport.send(src, nbr, msg)
 
 
 class Flooder(ProtocolNode):

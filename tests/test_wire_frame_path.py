@@ -1,10 +1,13 @@
 """The live frame path: plans, the encode memo, the decode intern table.
 
 ``encode_frame`` serialises a message once and splices envelopes around
-the text; ``decode_frame_ex`` rebuilds a body's object graph once and
-hands later copies the same message.  Both shortcuts must be invisible:
-frames stay byte-identical to the plain ``json.dumps`` encoder (kept
-here as the reference oracle), every per-frame check still runs on an
+the text; an exchange's LSAs are spliced from the texts their floods
+already made.  A body that travels losslessly is registered with the
+decoder as it is encoded, and ``decode_frame_ex`` hands every copy of a
+body the same message.  These shortcuts must be invisible: frames stay
+byte-identical to the plain ``json.dumps`` encoder
+(``tests/oracles.py::reference_frame``), a registered body decodes to
+what parsing it would build, every per-frame check still runs on an
 intern hit, the tables are bounded, and nothing but ``WireError``
 escapes the decoder whatever a peer sends.
 
@@ -26,9 +29,10 @@ from hypothesis import strategies as st
 from repro.live import LiveNetwork, settle
 from repro.policy.generators import open_policies
 from repro.protocols.dv import DVUpdate
-from repro.protocols.egp import NRAck
+from repro.protocols.egp import NRAck, NRUpdate
 from repro.protocols.flooding import LinkRecord, LinkStateAd, LSDBExchange
 from repro.protocols.registry import make_protocol
+from repro.protocols.versioning import Hello
 from repro.simul import wire
 from repro.simul.messages import Message
 from repro.simul.wire import (
@@ -36,29 +40,16 @@ from repro.simul.wire import (
     WireVersionError,
     decode_frame_ex,
     encode_frame,
+    from_wire,
     to_wire,
 )
 
 from .helpers import mk_graph
-from .test_simul_wire import ad_ids, messages
+from .oracles import framed, reference_frame
+from .test_simul_wire import ad_ids, assert_same_types, link_state_ads, messages
 from .test_wire_golden import SAMPLES, VERSIONS, _golden
 
 pytestmark = pytest.mark.hashseed
-
-
-def reference_frame(src, dst, msg, version):
-    """The pre-memo encoder: one ``json.dumps`` of the whole envelope."""
-    envelope = {"s": src, "d": dst, "m": to_wire(msg, version=version)}
-    if version > 1:
-        envelope["v"] = version
-    return framed(envelope)
-
-
-def framed(envelope, **dumps_options):
-    options = dict(sort_keys=True, separators=(",", ":"))
-    options.update(dumps_options)
-    body = json.dumps(envelope, **options).encode("utf-8")
-    return len(body).to_bytes(4, "big") + body
 
 
 def body_text(frame):
@@ -122,7 +113,8 @@ def test_generated_frames_match_reference(msg, src, dst, version):
 
 def test_non_integer_addresses_take_the_json_form():
     msg = SAMPLES["NRAck"]
-    for src, dst in (("a", 2), (True, None), (1.5, -3)):
+    # 1, True and 1.0 are equal keys but three different addresses.
+    for src, dst in ((1, 2), (True, 2), (1.0, 2), ("a", 2), (True, None), (1.5, -3)):
         assert encode_frame(src, dst, msg) == reference_frame(
             src, dst, msg, wire.WIRE_VERSION
         )
@@ -156,6 +148,92 @@ def test_encode_memo_is_bounded_in_bytes():
         encode_frame(1, 2, NRAck(seq=seq))
     assert 0 < wire._ENCODED.used <= wire._ENCODED.cap
     assert len(wire._ENCODED) < 6000
+
+
+# ------------------------------------------ spliced exchanges, cold and warm
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(link_state_ads, min_size=1, max_size=4), st.data())
+def test_spliced_exchanges_match_reference(pool, data):
+    wire._ENCODED.clear()
+    wire._INTERN.clear()
+    version = data.draw(st.sampled_from(VERSIONS))
+    # Some LSAs were flooded before, at either version; some never were.
+    for lsa in pool:
+        flooded_at = data.draw(st.sampled_from([None, *VERSIONS]))
+        if flooded_at is not None:
+            assert encode_frame(1, 2, lsa, version=flooded_at) == reference_frame(
+                1, 2, lsa, flooded_at
+            )
+    ads = tuple(data.draw(st.lists(st.sampled_from(pool), max_size=6)))
+    exchange = LSDBExchange(ads=ads, token=data.draw(st.integers(0, 1 << 30)))
+    expected = reference_frame(3, 4, exchange, version)
+    assert encode_frame(3, 4, exchange, version=version) == expected  # cold
+    assert encode_frame(3, 4, exchange, version=version) == expected  # warm
+    # Texts first made for the exchange serve later floods unchanged.
+    for lsa in pool:
+        assert encode_frame(5, 6, lsa, version=version) == reference_frame(
+            5, 6, lsa, version
+        )
+
+
+def test_exchange_holding_a_list_is_rendered_every_time():
+    links = [LinkRecord(neighbor=2, delay=1.0, cost=3.0, up=True)]
+    lsa = LinkStateAd(origin=1, seq=1, links=links)
+    exchange = LSDBExchange(ads=(SAMPLES["LinkStateAd"], lsa))
+    assert encode_frame(1, 2, exchange) == reference_frame(
+        1, 2, exchange, wire.WIRE_VERSION
+    )
+    links.append(LinkRecord(neighbor=3, delay=1.0, cost=3.0, up=False))
+    assert encode_frame(1, 2, exchange) == reference_frame(
+        1, 2, exchange, wire.WIRE_VERSION
+    )
+    # Only the list-free member is kept; neither body is registered as
+    # the listed LSA or the exchange.
+    assert len(wire._ENCODED) == 1
+    assert all(m is SAMPLES["LinkStateAd"] for m, _ in wire._INTERN._entries.values())
+
+
+# ------------------------------------ registration returns what parsing would
+
+
+@settings(max_examples=100, deadline=None)
+@given(messages, st.sampled_from(VERSIONS))
+def test_registered_bodies_decode_as_parsing_would(msg, version):
+    wire._ENCODED.clear()
+    wire._INTERN.clear()
+    frame = encode_frame(1, 2, msg, version=version)
+    parsed = from_wire(json.loads(body_text(frame)), lenient=version > 1)
+    decoded = decode_frame_ex(frame)[2]
+    assert decoded is msg  # registered: the sender's own object
+    assert decoded == parsed
+    assert_same_types(decoded, parsed)
+
+
+def test_v1_hello_is_parsed_so_its_new_fields_default():
+    hello = Hello(version=2, min_version=1, capabilities=("graceful",))
+    decoded = decode_frame_ex(encode_frame(1, 2, hello, version=1))[2]
+    assert decoded is not hello
+    assert decoded == Hello(version=2, min_version=1)
+    # At the current version every field travels: registered.
+    assert decode_frame_ex(encode_frame(1, 2, hello))[2] is hello
+
+
+def test_message_holding_a_list_is_never_registered():
+    msg = DVUpdate(entries=[(7, 2)], poisons=())
+    frame = encode_frame(1, 2, msg)
+    assert len(wire._INTERN) == 0
+    decoded = decode_frame_ex(frame)[2]
+    assert decoded is not msg
+    assert decoded.entries == ((7, 2),)
+
+
+def test_registration_keeps_the_intern_table_bounded():
+    for seq in range(6000):
+        encode_frame(1, 2, NRUpdate(dests=tuple(range(seq, seq + 60)), seq=seq))
+    assert 0 < wire._INTERN.used <= wire._INTERN.cap
+    assert len(wire._INTERN) < 6000
 
 
 # ----------------------------------------- an intern hit skips nothing
@@ -325,6 +403,53 @@ def test_dispatch_counts_and_rejects_per_frame_on_intern_hits():
             await network.close()
 
     asyncio.run(asyncio.wait_for(scenario(), timeout=60.0))
+
+
+def test_ring8_flap_parses_no_frame_and_reencodes_no_flooded_lsa(monkeypatch):
+    # Every frame is sent in this process, so every body is registered
+    # before it arrives; the LSDBExchange that re-syncs the repaired
+    # link is spliced from LSA texts the floods already made.
+    parses = []
+    parse = wire.from_wire
+
+    def counting_parse(data, **options):
+        parses.append(data)
+        return parse(data, **options)
+
+    rendered = []
+    encode_fields = wire._encode_fields
+
+    def counting_fields(obj, names, lists):
+        if type(obj) is LinkStateAd:
+            rendered.append(obj)  # held, so no id is reused
+        return encode_fields(obj, names, lists)
+
+    monkeypatch.setattr(wire, "from_wire", counting_parse)
+    monkeypatch.setattr(wire, "_encode_fields", counting_fields)
+
+    async def scenario():
+        graph = ring8()
+        proto = make_protocol(
+            "plain-ls", graph, open_policies(graph).policies, substrate="live"
+        )
+        network = LiveNetwork(proto.graph, time_scale=0.002)
+        proto.build(network=network)
+        await network.start()
+        try:
+            assert await settle(network, timeout_s=30.0)
+            network.set_link_status(0, 1, False)
+            assert await settle(network, timeout_s=30.0)
+            network.set_link_status(0, 1, True)
+            assert await settle(network, timeout_s=30.0)
+            assert network.errors == []
+            return dict(network.metrics.messages)
+        finally:
+            await network.close()
+
+    messages = asyncio.run(asyncio.wait_for(scenario(), timeout=60.0))
+    assert messages["LSDBExchange"] > 0 and messages["LinkStateAd"] > 0
+    assert parses == []
+    assert rendered and len({id(lsa) for lsa in rendered}) == len(rendered)
 
 
 # --------------------------------------------------------- bounded table
