@@ -10,19 +10,38 @@ implements, so the frame bytes on the socket are produced and consumed
 by the exact code paths the sim exercises.
 
 The send path is the network's own.  :meth:`LiveNetwork.send` checks
-and encodes a frame and appends it to its adjacency's outbox; the first
-append in an event-loop turn schedules one flush, which packs each
-adjacency's frames, in send order, into as few datagrams as fit
-``MAX_DATAGRAM_BYTES`` and writes each with the sender's non-blocking
-``sock.sendto`` -- a send error is retried on ``SEND_RETRY_DELAYS``,
-then counted as dropped frames.
+and encodes a frame and appends it to its adjacency's outbox
+(:meth:`LiveNetwork.broadcast` does the same for every live neighbour
+in one scan of the sender's links); the first append in an event-loop
+turn schedules one flush, which packs each adjacency's frames, in send
+order, into as few datagrams as fit ``MAX_DATAGRAM_BYTES`` and writes
+each with the sender's non-blocking ``sock.sendto`` -- a send error is
+retried on ``SEND_RETRY_DELAYS``, then counted as dropped frames.
+
+The receive path decodes only what this process did not send.  Once the
+kernel accepts a datagram whose every body is lossless
+(:func:`repro.simul.wire.lossless`: it decodes back to the very message
+sent), its exact bytes enter an *in-flight table*, mapped to the
+``(src, dst, msg)`` of its frames, and the receiving runtime pops them
+instead of splitting and decoding the bytes.  A hit may skip only work
+that is a pure function of the exact bytes it is keyed by: the key
+covers each frame's length prefix, envelope and version.  Everything
+that depends on the receiver -- the addressing check, the
+crashed-destination drop, the seeded receive-loss draw, message
+accounting, per-frame failure isolation -- still runs per frame.  Any
+other datagram (a foreign sender, altered bytes, the second of two
+identical datagrams in flight, a body down-emitted without some field
+or holding a ``list``) takes the decoding path; a fleet with one
+process per AD would decode every datagram, as before the table.
 
 Node lifecycle (per AD):
 
 * **start** -- bind the socket, record the port, spawn the serve task;
 * **serve** -- each socket readiness reads every waiting datagram into
-  the queue, one item per datagram split at its length prefixes (one
-  serve-task wake per burst); decode and dispatch each frame in order;
+  the queue, one item per datagram: its known frames from the in-flight
+  table, else its raw frames split at their length prefixes (one
+  serve-task wake per burst); decode what is raw and dispatch each
+  frame in order;
 * **drain** -- stop accepting new datagrams, finish the queued ones;
 * **stop** -- cancel the serve task and close the socket.
 
@@ -40,7 +59,7 @@ import asyncio
 import enum
 import random
 import socket as socketlib
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.adgraph.ad import ADId
 from repro.adgraph.graph import InterADGraph
@@ -53,7 +72,11 @@ from repro.simul.wire import (
     WireVersionError,
     decode_frame_ex,
     encode_frame,
+    lossless,
 )
+
+#: One frame as a receiver dispatches it: ``(src, dst, msg)``.
+Frame = Tuple[ADId, ADId, Message]
 
 
 #: Requested kernel buffer per endpoint socket.  Convergence storms
@@ -134,8 +157,10 @@ class _NodeRuntime(asyncio.DatagramProtocol):
         self.network = network
         self.ad_id = ad_id
         self.state = NodeState.CREATED
-        #: One item per admitted datagram: its frames, in order.
-        self.queue: "asyncio.Queue[List[bytes]]" = asyncio.Queue()
+        #: One item per admitted datagram: its frames, in order -- a tuple
+        #: of known frames from the in-flight table, else a list of the
+        #: raw frames still to decode.
+        self.queue: "asyncio.Queue[Sequence[Union[bytes, Frame]]]" = asyncio.Queue()
         self.transport: Optional[asyncio.DatagramTransport] = None
         self.sock: Optional[socketlib.socket] = None
         self.port: Optional[int] = None
@@ -218,10 +243,17 @@ class _NodeRuntime(asyncio.DatagramProtocol):
         self.network.fail(exc)
 
     def enqueue(self, data: bytes) -> None:
-        """Admit one inbound datagram's frames (drop them when not serving)."""
-        frames = split_datagram(data)
-        count = len(frames)
+        """Admit one inbound datagram's frames (drop them when not serving).
+
+        A datagram in the network's in-flight table (:meth:`LiveNetwork._transmit`)
+        is popped with its frames already known; any other is split at
+        its length prefixes and decoded frame by frame at dispatch.
+        """
         network = self.network
+        frames = network._in_flight.pop(data, None)
+        if frames is None:
+            frames = split_datagram(data)
+        count = len(frames)
         network._recv_frames += count
         if self.state is not NodeState.SERVING:
             # Received, then dropped: ``sent == received`` must hold for
@@ -247,9 +279,12 @@ class _NodeRuntime(asyncio.DatagramProtocol):
         while True:
             frames = await self.queue.get()
             try:
-                for data in frames:
+                for frame in frames:
                     try:
-                        self._dispatch(data)
+                        if type(frame) is tuple:
+                            self._deliver(*frame)
+                        else:
+                            self._dispatch(frame)
                     except Exception as exc:  # noqa: BLE001 - surfaced at settle()
                         network.fail(exc)
             finally:
@@ -261,6 +296,7 @@ class _NodeRuntime(asyncio.DatagramProtocol):
                 network._frames_settled()
 
     def _dispatch(self, data: bytes) -> None:
+        """Decode one raw frame, then :meth:`_deliver` it."""
         network = self.network
         try:
             src, dst, msg, _version = decode_frame_ex(data)
@@ -279,6 +315,12 @@ class _NodeRuntime(asyncio.DatagramProtocol):
             return
         except WireError as exc:
             raise WireError(f"AD {self.ad_id}: {exc}") from exc
+        self._deliver(src, dst, msg)
+
+    def _deliver(self, src: ADId, dst: ADId, msg: Message) -> None:
+        """Hand one frame to its node: every check that depends on the
+        receiver, run per frame whether the frame was decoded or known."""
+        network = self.network
         if dst != self.ad_id:
             raise WireError(
                 f"AD {self.ad_id} received a frame addressed to AD {dst}"
@@ -416,9 +458,16 @@ class LiveNetwork(Transport):
         self._queued = 0
         #: Datagrams handed to the kernel (each carries one or more frames).
         self._datagrams_sent = 0
-        #: This loop turn's frames per (src, dst), in send order; non-empty
-        #: exactly while a flush is scheduled.
-        self._outbox: Dict[Tuple[ADId, ADId], List[bytes]] = {}
+        #: This loop turn's frames per (src, dst), in send order, each
+        #: beside its ``(src, dst, msg)`` when its body is lossless (else
+        #: ``None``); non-empty exactly while a flush is scheduled.
+        self._outbox: Dict[
+            Tuple[ADId, ADId], Tuple[List[bytes], List[Optional[Frame]]]
+        ] = {}
+        #: The exact bytes of each datagram the kernel accepted whose
+        #: frames are all lossless -> those frames; the receiving
+        #: runtime's ``enqueue`` pops the entry and decodes nothing.
+        self._in_flight: Dict[bytes, Tuple[Frame, ...]] = {}
         #: Frames accepted but not yet handed to the kernel: in the outbox
         #: or in a datagram waiting on a send-retry timer.
         self._pending_sends = 0
@@ -448,6 +497,30 @@ class LiveNetwork(Transport):
         if not link.up:
             self.metrics.count_drop()
             return
+        self._post(src, dst, msg)
+
+    def broadcast(
+        self, src: ADId, msg: Message, exclude: Optional[ADId] = None
+    ) -> None:
+        """:meth:`Transport.broadcast` in one scan of ``src``'s links.
+
+        The live twin of :meth:`SimNetwork.broadcast
+        <repro.simul.network.SimNetwork.broadcast>`: it skips only what the
+        scan proves per link -- adjacent, and up (read per call) -- and
+        posts in the same sorted-neighbour order, so frames, their order
+        and every counter are those of the default loop.
+        """
+        post = self._post
+        for link in self.graph.incident(src):
+            if link.up:
+                dst = link.b if link.a == src else link.a
+                if dst != exclude:
+                    post(src, dst, msg)
+
+    def _post(self, src: ADId, dst: ADId, msg: Message) -> None:
+        """One frame over a live adjacency, into the outbox: the runtime
+        checks, the encode and the size cap :meth:`send` and
+        :meth:`broadcast` share."""
         runtime = self._runtimes[src]
         target = self._runtimes[dst]
         if NodeState.STOPPED in (runtime.state, target.state):
@@ -462,9 +535,8 @@ class LiveNetwork(Transport):
         # The sender's per-neighbour tx version: the node's configured
         # version by default; with negotiation on, the negotiated one
         # (or the node's minimum until the handshake completes).
-        frame = encode_frame(
-            src, dst, msg, version=self.nodes[src].wire_tx_version(dst)
-        )
+        version = self.nodes[src].wire_tx_version(dst)
+        frame = encode_frame(src, dst, msg, version=version)
         if len(frame) > MAX_DATAGRAM_BYTES:
             raise ValueError(
                 f"{msg.type_name} from AD {src} encodes to {len(frame)} "
@@ -473,23 +545,40 @@ class LiveNetwork(Transport):
         outbox = self._outbox
         if not outbox:
             self._loop.call_soon(self._flush)
-        outbox.setdefault((src, dst), []).append(frame)
+        entry = outbox.get((src, dst))
+        if entry is None:
+            entry = outbox[(src, dst)] = ([], [])
+        entry[0].append(frame)
+        entry[1].append((src, dst, msg) if lossless(msg, version) else None)
         self._pending_sends += 1
 
     def _flush(self) -> None:
         """Hand the loop turn's frames to the kernel: each adjacency's, in
         send order, packed into as few datagrams as fit (:func:`pack_frames`)."""
         outbox, self._outbox = self._outbox, {}
-        for (src, dst), frames in outbox.items():
+        for (src, dst), (frames, known) in outbox.items():
+            start = 0
             for datagram, count in pack_frames(frames):
-                self._transmit(src, dst, datagram, count, 0)
+                self._transmit(src, dst, datagram, known[start:start + count], 0)
+                start += count
         self._frames_settled()
 
     def _transmit(
-        self, src: ADId, dst: ADId, datagram: bytes, count: int, attempt: int
+        self,
+        src: ADId,
+        dst: ADId,
+        datagram: bytes,
+        known: List[Optional[Frame]],
+        attempt: int,
     ) -> None:
-        """Write one datagram of ``count`` frames with the sender's own
-        non-blocking ``sock.sendto``, retrying if it raises.
+        """Write one datagram with the sender's own non-blocking
+        ``sock.sendto``, retrying if it raises; ``known`` holds each of its
+        frames' ``(src, dst, msg)``, or ``None`` for a lossy body.
+
+        Once the kernel accepts a datagram whose every frame is known, its
+        exact bytes enter the in-flight table for the receiving runtime to
+        pop (:meth:`_NodeRuntime.enqueue`).  If identical bytes are in
+        flight already, their entry stays and the second copy is decoded.
 
         A full send buffer (``BlockingIOError``) or any other ``OSError``
         arms a retry on ``SEND_RETRY_DELAYS`` (a ``live_send_retries``
@@ -499,6 +588,7 @@ class LiveNetwork(Transport):
         declare quiescence with a frame still waiting to leave;
         ``_sent_frames`` counts only frames the kernel accepted.
         """
+        count = len(known)
         runtime = self._runtimes[src]
         target = self._runtimes[dst]
         if runtime.sock is None or target.state is NodeState.STOPPED:
@@ -515,17 +605,24 @@ class LiveNetwork(Transport):
             self.metrics.count_live_send_retry()
             self._loop.call_later(
                 SEND_RETRY_DELAYS[attempt], self._retry_transmit,
-                src, dst, datagram, count, attempt + 1,
+                src, dst, datagram, known, attempt + 1,
             )
             return
         self._pending_sends -= count
         self._sent_frames += count
         self._datagrams_sent += 1
+        if None not in known:
+            self._in_flight.setdefault(datagram, tuple(known))
 
     def _retry_transmit(
-        self, src: ADId, dst: ADId, datagram: bytes, count: int, attempt: int
+        self,
+        src: ADId,
+        dst: ADId,
+        datagram: bytes,
+        known: List[Optional[Frame]],
+        attempt: int,
     ) -> None:
-        self._transmit(src, dst, datagram, count, attempt)
+        self._transmit(src, dst, datagram, known, attempt)
         self._frames_settled()
 
     # ----------------------------------------------------------- node mgmt
@@ -547,9 +644,11 @@ class LiveNetwork(Transport):
             hook()
 
     async def close(self) -> None:
-        """Stop every AD: drain queues, cancel tasks, close sockets."""
+        """Stop every AD: drain queues, cancel tasks, close sockets, and
+        forget the datagrams no socket is left to receive."""
         for ad_id in sorted(self._runtimes):
             await self._runtimes[ad_id].stop()
+        self._in_flight.clear()
 
     # ------------------------------------------------------- idle detection
 
@@ -685,7 +784,7 @@ class LiveNetwork(Transport):
 
     def outbox_frames(self) -> int:
         """Frames in the outbox, waiting for this loop turn's flush."""
-        return sum(len(frames) for frames in self._outbox.values())
+        return sum(len(frames) for frames, _known in self._outbox.values())
 
     # ------------------------------------------------------------ failures
 

@@ -64,9 +64,11 @@ function of a message is computed once per process in each direction:
 * a registered message nested in another (the LSAs of an
   :class:`LSDBExchange`) is cut from that same memoised text, so an
   exchange is joined from its LSAs' texts, not serialised again;
-* a body that travels losslessly (every field of the message is in it)
-  is registered in the decoder's table as it is encoded, mapped to the
-  message itself;
+* a body that travels losslessly (:func:`lossless`: every field of the
+  message is in it, and no ``list``) is registered in the decoder's
+  table as it is encoded, mapped to the message itself; the live
+  network's in-flight table asks the same predicate before it lets a
+  receiver skip decoding a datagram altogether;
 * :func:`decode_frame_ex` checks length prefix, envelope and version of
   every frame, then looks the exact ``"m"`` bytes up in that byte-bounded
   table.  A hit skips only work that is a pure function of those bytes
@@ -678,6 +680,23 @@ def _render(msg: Message, version: int, lists: List[Any]) -> bytes:
     return _HEAD + fields + _tail(name, version)
 
 
+def lossless(msg: Message, version: int) -> bool:
+    """Whether ``msg``'s body at ``version`` decodes back to ``msg`` itself.
+
+    Every field must travel -- at :data:`WIRE_VERSION`, or at an older
+    version for a type without :data:`FIELD_REVISIONS` -- and the body
+    must hold no ``list``, which its owner may mutate after the send.
+    Only a rendering meets a list, and :func:`_message_text` memoises
+    exactly the renderings that met none, so this reads the memo: it
+    holds from the moment ``encode_frame(..., msg, version=version)``
+    returns until the text is evicted.  ``False`` is always safe: the
+    receiver parses the bytes.
+    """
+    return (
+        version == WIRE_VERSION or type(msg).__name__ not in FIELD_REVISIONS
+    ) and _ENCODED.get((id(msg), version)) is not None
+
+
 def _message_text(msg: Message, version: int, lists: List[Any]) -> bytes:
     """``msg``'s canonical text, rendered once per (object, wire version).
 
@@ -686,14 +705,13 @@ def _message_text(msg: Message, version: int, lists: List[Any]) -> bytes:
     Its lists are reported to the caller's ``lists``, so a container
     holding such a message is not kept either.
 
-    A new text that travels losslessly -- at :data:`WIRE_VERSION`, or at
-    an older version for a type without :data:`FIELD_REVISIONS` -- is
-    registered in the decoder's table under the key
-    :func:`decode_frame_ex` looks up, mapped to ``msg`` itself.  Parsing
-    those bytes would build an equal message of the same types, as long
-    as every value has its field's declared type (what the round-trip
-    tests check), so a receiver in this process gets the sender's object,
-    exactly as on the simulator.
+    A new text that travels losslessly (:func:`lossless`) is registered
+    in the decoder's table under the key :func:`decode_frame_ex` looks
+    up, mapped to ``msg`` itself.  Parsing those bytes would build an
+    equal message of the same types, as long as every value has its
+    field's declared type (what the round-trip tests check), so a
+    receiver in this process gets the sender's object, exactly as on the
+    simulator.
     """
     key = (id(msg), version)
     entry = _ENCODED.get(key)
@@ -705,7 +723,7 @@ def _message_text(msg: Message, version: int, lists: List[Any]) -> bytes:
         lists.extend(own)
         return text
     _ENCODED.put(key, (msg, text), len(text))
-    if version == WIRE_VERSION or type(msg).__name__ not in FIELD_REVISIONS:
+    if lossless(msg, version):
         interned = (text, version > 1)
         if _INTERN.get(interned) is None:
             _INTERN.put(interned, msg, len(text))

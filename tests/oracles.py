@@ -21,10 +21,14 @@ Each oracle is the plain version of a production path, kept here (not in
   the compiled FIB's verdict on every class must be its verdict
   (``tests/test_traffic_fib.py``, ``tests/test_traffic_replay.py``);
 * :func:`nx_graph`, the networkx export of an
-  :class:`~repro.adgraph.graph.InterADGraph` (for brute-force path
-  enumeration in tests), and the networkx forms of the fault planners'
-  candidate lists, connectivity and EGP's forest test, which the
-  in-tree DFS/BFS must answer identically
+  :class:`~repro.adgraph.graph.InterADGraph`; :func:`legal_simple_paths`,
+  every policy-legal simple path it holds for a flow, with its two
+  reducers :func:`brute_force_best` (cheapest) and
+  :func:`brute_force_widest` (widest bottleneck), which synthesis must
+  match (``tests/test_core_synthesis.py``,
+  ``tests/test_core_bandwidth.py``); and the networkx forms of the
+  fault planners' candidate lists, connectivity and EGP's forest test,
+  which the in-tree DFS/BFS must answer identically
   (``tests/test_graph_cut_points.py``);
 * :func:`idrp_selection`, IDRP's decision process as one pass over the
   per-peer Adj-RIB-Ins, which every Loc-RIB entry must equal
@@ -42,7 +46,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 import networkx as nx
 
@@ -52,6 +56,7 @@ from repro.adgraph.partial_order import Direction, PartialOrder
 from repro.core.synthesis import DEFAULT_FALLBACK_BUDGET, SynthesisStats
 from repro.policy.database import PolicyDatabase
 from repro.policy.flows import FlowSpec
+from repro.policy.legality import is_legal_path, path_cost, path_metric
 from repro.policy.selection import OPEN_SELECTION, RouteSelectionPolicy
 from repro.policy.terms import PolicyTerm
 from repro.protocols.base import (
@@ -245,6 +250,43 @@ def nx_graph(graph: InterADGraph, live_only: bool = True) -> nx.Graph:
     for ln in graph.links(include_down=not live_only):
         g.add_edge(ln.a, ln.b, kind=ln.kind, **ln.metrics)
     return g
+
+
+def legal_simple_paths(
+    graph: InterADGraph, policies: PolicyDatabase, flow: FlowSpec
+) -> Iterator[List[ADId]]:
+    """Every policy-legal simple path for ``flow`` over live links, by
+    brute-force enumeration."""
+    nxg = nx_graph(graph)
+    if flow.src not in nxg or flow.dst not in nxg:
+        return
+    for path in nx.all_simple_paths(nxg, flow.src, flow.dst):
+        if is_legal_path(graph, policies, path, flow):
+            yield path
+
+
+def brute_force_best(
+    graph: InterADGraph, policies: PolicyDatabase, flow: FlowSpec
+) -> Optional[Tuple[float, Tuple[ADId, ...]]]:
+    """``(cost, path)`` of the cheapest legal simple path, or ``None``."""
+    best = None
+    for path in legal_simple_paths(graph, policies, flow):
+        cost = path_cost(graph, path, flow.qos.metric)
+        if best is None or cost < best[0]:
+            best = (cost, tuple(path))
+    return best
+
+
+def brute_force_widest(
+    graph: InterADGraph, policies: PolicyDatabase, flow: FlowSpec
+) -> Optional[float]:
+    """The widest bottleneck of any legal simple path, or ``None``."""
+    best = None
+    for path in legal_simple_paths(graph, policies, flow):
+        width = path_metric(graph, path, flow.qos)
+        if best is None or width > best:
+            best = width
+    return best
 
 
 def nx_safe_failure_candidates(graph: InterADGraph) -> List[_LinkKey]:

@@ -2,7 +2,6 @@
 
 import random
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +16,7 @@ from repro.policy.qos import QOS
 from repro.policy.selection import RouteSelectionPolicy
 from repro.policy.terms import PolicyTerm
 from tests.helpers import mk_graph, open_db
-from tests.oracles import nx_graph
+from tests.oracles import brute_force_widest
 
 
 def wide_diamond():
@@ -124,19 +123,6 @@ class TestGeneratedBandwidth:
         assert g.num_ads == 26 and g.num_links == 32
 
 
-def _brute_force_widest(graph, db, flow):
-    best = None
-    nxg = nx_graph(graph)
-    if flow.src not in nxg or flow.dst not in nxg:
-        return None
-    for path in nx.all_simple_paths(nxg, flow.src, flow.dst):
-        if is_legal_path(graph, db, path, flow):
-            width = path_metric(graph, path, flow.qos)
-            if best is None or width > best:
-                best = width
-    return best
-
-
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 5000))
 def test_widest_path_matches_brute_force(seed):
@@ -154,7 +140,7 @@ def test_widest_path_matches_brute_force(seed):
     db = restricted_policies(g, 0.5, seed=seed).policies
     src, dst = rng.sample(g.ad_ids(), 2)
     flow = FlowSpec(src, dst, qos=QOS.HIGH_BANDWIDTH, hour=rng.randrange(24))
-    expected = _brute_force_widest(g, db, flow)
+    expected = brute_force_widest(g, db, flow)
     route = synthesize_route(g, db, flow)
     if expected is None:
         assert route is None

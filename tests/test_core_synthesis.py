@@ -7,7 +7,6 @@ the sorted incident tuple, never from the out-edge table's dict order.
 
 import random
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,12 +23,12 @@ from repro.core.synthesis import (
 from repro.policy.database import PolicyDatabase
 from repro.policy.flows import FlowSpec
 from repro.policy.generators import restricted_policies
-from repro.policy.legality import is_legal_path, path_cost
+from repro.policy.legality import is_legal_path
 from repro.policy.selection import RouteSelectionPolicy
 from repro.policy.sets import ADSet
 from repro.policy.terms import PolicyTerm
 from tests.helpers import diamond_graph, line_graph, open_db
-from tests.oracles import nx_graph
+from tests.oracles import brute_force_best
 
 pytestmark = pytest.mark.hashseed
 
@@ -177,20 +176,6 @@ class TestSynthesizer:
         assert not syn.verify(route)
 
 
-def _brute_force_best(graph, db, flow):
-    """Reference implementation: enumerate all simple paths."""
-    nxg = nx_graph(graph)
-    best = None
-    if flow.src not in nxg or flow.dst not in nxg:
-        return None
-    for path in nx.all_simple_paths(nxg, flow.src, flow.dst):
-        if is_legal_path(graph, db, path, flow):
-            cost = path_cost(graph, path, flow.qos.metric)
-            if best is None or cost < best[0]:
-                best = (cost, tuple(path))
-    return best
-
-
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_synthesis_matches_brute_force(seed):
@@ -212,7 +197,7 @@ def test_synthesis_matches_brute_force(seed):
     ids = g.ad_ids()
     src, dst = rng.sample(ids, 2)
     flow = FlowSpec(src, dst, hour=rng.randrange(24))
-    expected = _brute_force_best(g, db, flow)
+    expected = brute_force_best(g, db, flow)
     route = synthesize_route(g, db, flow)
     if expected is None:
         assert route is None

@@ -3,8 +3,9 @@
 ``LiveNetwork.send`` appends each encoded frame to its (src, dst)
 outbox; one flush per event-loop turn packs every adjacency's frames,
 in send order, into as few datagrams as fit ``MAX_DATAGRAM_BYTES``, and
-each runtime splits a datagram back into its frames at their length
-prefixes.  These tests pin the packing as a round trip, the loud
+a runtime splits a datagram back into its frames at their length
+prefixes (unless the datagram is in the in-flight table,
+``tests/test_live_in_flight.py``).  These tests pin the packing as a round trip, the loud
 failure of a datagram whose prefix overruns it, the outbox's place in
 quiescence, and the coalescing itself as a count (never a timing).
 """

@@ -1,12 +1,15 @@
 """The per-message path: ``Transport.broadcast`` and its call budget.
 
 ``Transport.broadcast`` is *defined* as the loop it replaced -- one
-``send`` per live neighbour, in ``neighbors()`` order.  The simulator
-overrides it with a single pass over the incident-link tuple, so the
+``send`` per live neighbour, in ``neighbors()`` order.  Both networks
+override it with a single pass over the incident-link tuple, so the
 first half of this file drives a network through ``broadcast`` and a
 twin through that loop and requires the same deliveries, counters and
 event count under every feature that sits on the path (down links, a
-crashed destination, a tracer, an impaired channel, a bounded ingress).
+crashed destination, a tracer, an impaired channel, a bounded ingress);
+on the live network, the same outbox frames in the same order and the
+same counters past a down link, an excluded neighbour, a crashed
+destination and a STOPPED peer.
 
 The second half is the path-length tripwire: the number of Python-level
 calls the engine makes per delivered LSA.  It is a count, not a timing,
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import asyncio
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +43,6 @@ from repro.simul.network import SimNetwork
 from repro.simul.node import ProtocolNode
 from repro.simul.profiling import PhaseProfiler
 from repro.simul.trace import Tracer
-from repro.simul.transport import Transport
 from repro.workloads.scenarios import scaled_scenario
 
 from .helpers import mk_graph
@@ -204,8 +206,62 @@ class Sink(ProtocolNode):
         self.log.append((sender, self.ad_id))
 
 
-def test_live_network_inherits_the_default_broadcast():
-    assert LiveNetwork.broadcast is Transport.broadcast
+def counters(network):
+    """Every counter of the network's collector (the wall-clock
+    ``last_activity`` left out)."""
+    return replace(network.metrics.snapshot(0.0), last_activity=0.0)
+
+
+def _live_fan_out(fan_out, messages):
+    """Fan ``messages`` out of AD 0 of a 7-AD star through ``fan_out``
+    past a down link, an excluded neighbour, a crashed destination and a
+    STOPPED peer; return the outbox as the flush would find it, the
+    counters then, and the counters and deliveries once settled."""
+
+    async def scenario():
+        graph = mk_graph(
+            [(0, "Rt")] + [(i, "Cs") for i in range(1, 7)],
+            [(0, i) for i in range(1, 7)],
+        )
+        network = LiveNetwork(graph, time_scale=0.002)
+        log = []
+        for i in range(7):
+            network.add_node(Sink(i, log))
+        graph.link(0, 3).up = False
+        await network.start()
+        try:
+            await network._runtimes[5].stop()
+            network.crash_node(4)
+            for msg, exclude in messages:
+                fan_out(network, 0, msg, exclude)
+            outbox = [
+                (key, list(frames), list(known))
+                for key, (frames, known) in network._outbox.items()
+            ]
+            sent = counters(network)
+            assert await settle(network, timeout_s=60.0)
+            return outbox, sent, counters(network), sorted(log)
+        finally:
+            await network.close()
+
+    return asyncio.run(asyncio.wait_for(scenario(), timeout=60.0))
+
+
+def test_live_network_broadcast_is_the_loop_it_replaces():
+    # One message object per fan-out, shared by both runs, so the known
+    # frames beside the outbox bytes compare as the same objects.
+    messages = [(ExchangeAck(token=7), 2), (ExchangeAck(token=8), None)]
+    outbox, sent, settled, log = _live_fan_out(transport_broadcast, messages)
+    assert (outbox, sent, settled, log) == _live_fan_out(
+        reference_broadcast, messages
+    )
+    # AD 1, 4 (crashed: sent, then dropped on arrival) and 6 get both;
+    # AD 2 only the second; AD 3's link is down; AD 5 is STOPPED.
+    assert [key for key, _, _ in outbox] == [(0, 1), (0, 4), (0, 6), (0, 2)]
+    assert [len(frames) for _, frames, _ in outbox] == [2, 2, 2, 1]
+    assert sent.live_send_drops == 2 and sent.dropped == 0
+    assert settled.dropped == 2
+    assert log == [(0, 1), (0, 1), (0, 2), (0, 6), (0, 6)]
 
     async def scenario():
         graph = _star()

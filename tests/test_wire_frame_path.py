@@ -27,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.live import LiveNetwork, settle
+from repro.live import network as live_network
 from repro.policy.generators import open_policies
 from repro.protocols.dv import DVUpdate
 from repro.protocols.egp import NRAck, NRUpdate
@@ -407,8 +408,26 @@ def test_dispatch_counts_and_rejects_per_frame_on_intern_hits():
 
 def test_ring8_flap_parses_no_frame_and_reencodes_no_flooded_lsa(monkeypatch):
     # Every frame is sent in this process, so every body is registered
-    # before it arrives; the LSDBExchange that re-syncs the repaired
-    # link is spliced from LSA texts the floods already made.
+    # before it arrives and every datagram is in the in-flight table when
+    # it arrives: nothing is split or decoded, and each settle leaves the
+    # table empty.  The LSDBExchange that re-syncs the repaired link is
+    # spliced from LSA texts the floods already made.
+    decoded = []
+    decode = live_network.decode_frame_ex
+
+    def counting_decode(frame):
+        decoded.append(frame)
+        return decode(frame)
+
+    split = []
+    split_datagram = live_network.split_datagram
+
+    def counting_split(datagram):
+        split.append(datagram)
+        return split_datagram(datagram)
+
+    monkeypatch.setattr(live_network, "decode_frame_ex", counting_decode)
+    monkeypatch.setattr(live_network, "split_datagram", counting_split)
     parses = []
     parse = wire.from_wire
 
@@ -437,17 +456,22 @@ def test_ring8_flap_parses_no_frame_and_reencodes_no_flooded_lsa(monkeypatch):
         await network.start()
         try:
             assert await settle(network, timeout_s=30.0)
+            assert network._in_flight == {}
             network.set_link_status(0, 1, False)
             assert await settle(network, timeout_s=30.0)
+            assert network._in_flight == {}
             network.set_link_status(0, 1, True)
             assert await settle(network, timeout_s=30.0)
+            assert network._in_flight == {}
             assert network.errors == []
-            return dict(network.metrics.messages)
+            return dict(network.metrics.messages), network.datagrams_sent
         finally:
             await network.close()
 
-    messages = asyncio.run(asyncio.wait_for(scenario(), timeout=60.0))
+    messages, datagrams = asyncio.run(asyncio.wait_for(scenario(), timeout=60.0))
     assert messages["LSDBExchange"] > 0 and messages["LinkStateAd"] > 0
+    assert datagrams > 0
+    assert decoded == [] and split == []
     assert parses == []
     assert rendered and len({id(lsa) for lsa in rendered}) == len(rendered)
 
