@@ -6,17 +6,20 @@ Frames are length-prefixed canonical JSON (:mod:`repro.simul.wire`);
 a datagram carries one or more of them back to back.  Protocol nodes
 are untouched: they call the same
 :class:`~repro.simul.transport.Transport` interface the simulator
-implements, so the frame bytes on the socket are produced and consumed
-by the exact code paths the sim exercises.
+implements.  The frame bytes on the socket are produced by the codec,
+and decoded only when the receiving runtime does not find them in the
+in-flight table below; ``tests/test_live_in_flight.py`` and
+``tests/test_wire_frame_path.py`` drive the decoding path on purpose.
 
 The send path is the network's own.  :meth:`LiveNetwork.send` checks
 and encodes a frame and appends it to its adjacency's outbox
-(:meth:`LiveNetwork.broadcast` does the same for every live neighbour
-in one scan of the sender's links); the first append in an event-loop
-turn schedules one flush, which packs each adjacency's frames, in send
-order, into as few datagrams as fit ``MAX_DATAGRAM_BYTES`` and writes
-each with the sender's non-blocking ``sock.sendto`` -- a send error is
-retried on ``SEND_RETRY_DELAYS``, then counted as dropped frames.
+(:meth:`Transport.broadcast <repro.simul.transport.Transport.broadcast>`
+does the same for every live neighbour in one scan of the sender's
+links); the first append in an event-loop turn schedules one flush,
+which packs each adjacency's frames, in send order, into as few
+datagrams as fit ``MAX_DATAGRAM_BYTES`` and writes each with the
+sender's non-blocking ``sock.sendto`` -- a send error is retried on
+``SEND_RETRY_DELAYS``, then counted as dropped frames.
 
 The receive path decodes only what this process did not send.  Once the
 kernel accepts a datagram whose every body is lossless
@@ -33,6 +36,12 @@ other datagram (a foreign sender, altered bytes, the second of two
 identical datagrams in flight, a body down-emitted without some field
 or holding a ``list``) takes the decoding path; a fleet with one
 process per AD would decode every datagram, as before the table.
+
+A hit is right only while ``lossless`` is, so the first lossless frame
+of each message type and wire version a network sends is decoded on
+the spot and must give back the frame the table will hand over
+(:meth:`LiveNetwork._check_lossless`): every live run decodes one frame
+per kind it sends, and a kind that stops round-tripping fails the run.
 
 Node lifecycle (per AD):
 
@@ -59,9 +68,9 @@ import asyncio
 import enum
 import random
 import socket as socketlib
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.adgraph.ad import ADId
+from repro.adgraph.ad import ADId, InterADLink
 from repro.adgraph.graph import InterADGraph
 from repro.live.clock import LiveClock
 from repro.simul.messages import Message
@@ -468,6 +477,9 @@ class LiveNetwork(Transport):
         #: frames are all lossless -> those frames; the receiving
         #: runtime's ``enqueue`` pops the entry and decodes nothing.
         self._in_flight: Dict[bytes, Tuple[Frame, ...]] = {}
+        #: (message type, wire version) of every kind whose first lossless
+        #: frame was decoded and checked (:meth:`_check_lossless`).
+        self._checked_kinds: Set[Tuple[type, int]] = set()
         #: Frames accepted but not yet handed to the kernel: in the outbox
         #: or in a datagram waiting on a send-retry timer.
         self._pending_sends = 0
@@ -497,30 +509,14 @@ class LiveNetwork(Transport):
         if not link.up:
             self.metrics.count_drop()
             return
-        self._post(src, dst, msg)
+        self._post(link, src, dst, msg)
 
-    def broadcast(
-        self, src: ADId, msg: Message, exclude: Optional[ADId] = None
+    def _post(
+        self, link: InterADLink, src: ADId, dst: ADId, msg: Message
     ) -> None:
-        """:meth:`Transport.broadcast` in one scan of ``src``'s links.
-
-        The live twin of :meth:`SimNetwork.broadcast
-        <repro.simul.network.SimNetwork.broadcast>`: it skips only what the
-        scan proves per link -- adjacent, and up (read per call) -- and
-        posts in the same sorted-neighbour order, so frames, their order
-        and every counter are those of the default loop.
-        """
-        post = self._post
-        for link in self.graph.incident(src):
-            if link.up:
-                dst = link.b if link.a == src else link.a
-                if dst != exclude:
-                    post(src, dst, msg)
-
-    def _post(self, src: ADId, dst: ADId, msg: Message) -> None:
         """One frame over a live adjacency, into the outbox: the runtime
         checks, the encode and the size cap :meth:`send` and
-        :meth:`broadcast` share."""
+        :meth:`~repro.simul.transport.Transport.broadcast` share."""
         runtime = self._runtimes[src]
         target = self._runtimes[dst]
         if NodeState.STOPPED in (runtime.state, target.state):
@@ -542,6 +538,11 @@ class LiveNetwork(Transport):
                 f"{msg.type_name} from AD {src} encodes to {len(frame)} "
                 f"bytes, over the {MAX_DATAGRAM_BYTES}-byte UDP limit"
             )
+        known = None
+        if lossless(msg, version):
+            known = (src, dst, msg)
+            if (type(msg), version) not in self._checked_kinds:
+                self._check_lossless(frame, known, version)
         outbox = self._outbox
         if not outbox:
             self._loop.call_soon(self._flush)
@@ -549,8 +550,27 @@ class LiveNetwork(Transport):
         if entry is None:
             entry = outbox[(src, dst)] = ([], [])
         entry[0].append(frame)
-        entry[1].append((src, dst, msg) if lossless(msg, version) else None)
+        entry[1].append(known)
         self._pending_sends += 1
+
+    def _check_lossless(self, frame: bytes, known: Frame, version: int) -> None:
+        """Decode the first lossless frame of a message type at a wire
+        version, and raise unless it gives back the frame the in-flight
+        table will hand its receiver.
+
+        A table hit is right only while :func:`~repro.simul.wire.lossless`
+        is; this checks it on a real frame once per kind and network, so
+        a type that stops round-tripping fails the run that sends it
+        instead of handing receivers what decoding the frame would not give.
+        """
+        cls = type(known[2])
+        self._checked_kinds.add((cls, version))
+        src, dst, msg, _version = decode_frame_ex(frame)
+        if (src, dst, msg) != known or type(msg) is not cls:
+            raise WireError(
+                f"{cls.__name__} at wire version {version} does not decode "
+                "to the message sent"
+            )
 
     def _flush(self) -> None:
         """Hand the loop turn's frames to the kernel: each adjacency's, in

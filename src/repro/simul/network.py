@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.adgraph.ad import ADId
+from repro.adgraph.ad import ADId, InterADLink
 from repro.adgraph.graph import InterADGraph
 from repro.simul.engine import Simulator
 from repro.simul.ingress import SERVICE_TIME, IngressModel
@@ -82,6 +82,13 @@ class SimNetwork(Transport):
         if not link.up:
             self.metrics.count_drop()
             return
+        self._post(link, src, dst, msg)
+
+    def _post(
+        self, link: InterADLink, src: ADId, dst: ADId, msg: Message
+    ) -> None:
+        """Deliver after the link's delay, through the channel if one is
+        attached (loss, duplication, jitter)."""
         delay = link.metrics.get("delay", 1.0)
         # Deliveries are posted, not scheduled: nobody can cancel one, so
         # the engine builds no handle.  ``self._deliver`` is looked up per
@@ -95,29 +102,6 @@ class SimNetwork(Transport):
             return
         for extra in copies:
             self.sim.post(delay + extra, self._deliver, src, dst, msg)
-
-    def broadcast(
-        self, src: ADId, msg: Message, exclude: Optional[ADId] = None
-    ) -> None:
-        """:meth:`Transport.broadcast` in one pass over ``src``'s links.
-
-        Skips only what the scan itself proves per link -- it is adjacent
-        (so :meth:`send`'s lookup and non-neighbour error cannot apply)
-        and up (read per call, never cached) -- and posts in the same
-        sorted-neighbour order, so events, counters and delivery order are
-        those of the default loop.  With a channel attached the loop runs
-        as is: loss, duplication and jitter stay in :meth:`send`.
-        """
-        if self.channel is not None:
-            super().broadcast(src, msg, exclude)
-            return
-        post = self.sim.post
-        deliver = self._deliver
-        for link in self.graph.incident(src):
-            if link.up:
-                dst = link.b if link.a == src else link.a
-                if dst != exclude:
-                    post(link.metrics.get("delay", 1.0), deliver, src, dst, msg)
 
     def _deliver(self, src: ADId, dst: ADId, msg: Message) -> None:
         # A link that died in flight still delivers what was already sent;

@@ -11,11 +11,13 @@ need from the outside world is captured by two small interfaces:
   delivers control messages between neighbouring ADs, and accounts for
   every byte.  Three verbs: :meth:`~Transport.neighbors`,
   :meth:`~Transport.send` and :meth:`~Transport.broadcast`, the last
-  *defined* as the first two in a loop so a substrate may shorten it but
-  never change what it delivers.  The driver-facing skeleton (the
-  registry, crash silencing, link notification, the start order) is
-  written here once; a substrate overrides a piece only to add its own
-  step, calling ``super()``.
+  *defined* as the first two in a loop and written here once as one scan
+  of the sender's links, which hands each live neighbour to the
+  substrate's ``_post`` -- the part of ``send`` past its adjacency and
+  liveness checks -- so it delivers what the loop would.  The
+  driver-facing skeleton (the registry, crash silencing, link
+  notification, the start order) is written here once too; a substrate
+  overrides a piece only to add its own step, calling ``super()``.
 
 Two substrates implement them:
 
@@ -57,6 +59,7 @@ from repro.adgraph.ad import ADId
 from repro.simul.metrics import MetricsCollector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.adgraph.ad import InterADLink
     from repro.adgraph.graph import InterADGraph
     from repro.simul.engine import Simulator
     from repro.simul.messages import Message
@@ -151,7 +154,8 @@ class Transport(abc.ABC):
       :class:`~repro.simul.profiling.PhaseProfiler` (may be ``None``).
     * ``nodes`` — the ``{ad_id: ProtocolNode}`` registry.
 
-    A substrate supplies :attr:`clock`, :meth:`send` and its own start
+    A substrate supplies :attr:`clock`, :meth:`send` (the adjacency and
+    liveness checks, then :meth:`_post`), :meth:`_post` and its own start
     and teardown; it overrides a registry or crash method only to add a
     step of its own, and then calls ``super()``.
     """
@@ -267,12 +271,26 @@ class Transport(abc.ABC):
     ) -> None:
         """Send ``msg`` from ``src`` to every live neighbour but ``exclude``.
 
-        Defined as this loop: one :meth:`send` per entry of
-        :meth:`neighbors`, in that order.  A substrate may override it to
-        fan out faster, but only by skipping work the loop would repeat
-        per neighbour (the adjacency and liveness lookups); what is
-        delivered, dropped and counted, and in which order, must match.
+        Defined as the loop of one :meth:`send` per entry of
+        :meth:`neighbors`, in that order
+        (``tests/oracles.py::reference_broadcast``), and run as one scan
+        of ``src``'s incident links.  It skips only what the scan proves
+        per link -- adjacent, so :meth:`send`'s lookup and non-neighbour
+        error cannot apply, and up (read per call, never cached) -- and
+        hands each neighbour to :meth:`_post` in the same sorted order,
+        so what is delivered, dropped and counted, and in which order,
+        is the loop's.
         """
-        for nbr in self.neighbors(src):
-            if nbr != exclude:
-                self.send(src, nbr, msg)
+        post = self._post
+        for link in self.graph.incident(src):
+            if link.up:
+                dst = link.b if link.a == src else link.a
+                if dst != exclude:
+                    post(link, src, dst, msg)
+
+    @abc.abstractmethod
+    def _post(
+        self, link: "InterADLink", src: ADId, dst: ADId, msg: "Message"
+    ) -> None:
+        """Carry ``msg`` from ``src`` to neighbour ``dst`` over ``link``,
+        which is up: everything :meth:`send` does past its checks."""

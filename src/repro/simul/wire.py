@@ -64,26 +64,19 @@ function of a message is computed once per process in each direction:
 * a registered message nested in another (the LSAs of an
   :class:`LSDBExchange`) is cut from that same memoised text, so an
   exchange is joined from its LSAs' texts, not serialised again;
-* a body that travels losslessly (:func:`lossless`: every field of the
-  message is in it, and no ``list``) is registered in the decoder's
-  table as it is encoded, mapped to the message itself; the live
-  network's in-flight table asks the same predicate before it lets a
-  receiver skip decoding a datagram altogether;
 * :func:`decode_frame_ex` checks length prefix, envelope and version of
-  every frame, then looks the exact ``"m"`` bytes up in that byte-bounded
-  table.  A hit skips only work that is a pure function of those bytes
-  (JSON parse, vocabulary checks, object construction), and a
-  registered hit returns the equal message parsing would build.
-  Messages are deeply immutable (enforced by :func:`_plan`), so
-  receivers share them exactly as the simulator shares message objects.
+  every frame, then looks the exact ``"m"`` bytes up in a byte-bounded
+  table of the messages it already parsed.  A hit skips only work that
+  is a pure function of those bytes (JSON parse, vocabulary checks,
+  object construction).  Messages are deeply immutable (enforced by
+  :func:`_plan`), so receivers share them exactly as the simulator
+  shares message objects.
 
-Both tables are module-level, so the saving is per process.  In the
-one-process fleet a receiver holds the sender's objects; it parses a
-body only if the body was down-emitted without some field or its entry
-was evicted.  A fleet with one process per AD would keep
-only the splice: each process would parse each body once and cache it
-for its own AD, slower but never wrong, because every entry is keyed by
-the object it encodes or the exact bytes it decodes.
+Both tables are module-level, so the saving is per process.  Whether a
+body travels losslessly -- decodes back to the message sent --
+is :func:`lossless`; the live network asks it before it lets a receiver
+in this process take the sender's frames without decoding the datagram
+(:class:`repro.live.network.LiveNetwork`).
 """
 
 from __future__ import annotations
@@ -700,18 +693,10 @@ def lossless(msg: Message, version: int) -> bool:
 def _message_text(msg: Message, version: int, lists: List[Any]) -> bytes:
     """``msg``'s canonical text, rendered once per (object, wire version).
 
-    A rendering that met a ``list`` is returned but neither kept nor
-    registered: nothing stops the owner from mutating it between sends.
-    Its lists are reported to the caller's ``lists``, so a container
-    holding such a message is not kept either.
-
-    A new text that travels losslessly (:func:`lossless`) is registered
-    in the decoder's table under the key :func:`decode_frame_ex` looks
-    up, mapped to ``msg`` itself.  Parsing those bytes would build an
-    equal message of the same types, as long as every value has its
-    field's declared type (what the round-trip tests check), so a
-    receiver in this process gets the sender's object, exactly as on the
-    simulator.
+    A rendering that met a ``list`` is returned but not kept: nothing
+    stops the owner from mutating it between sends.  Its lists are
+    reported to the caller's ``lists``, so a container holding such a
+    message is not kept either.
     """
     key = (id(msg), version)
     entry = _ENCODED.get(key)
@@ -723,10 +708,6 @@ def _message_text(msg: Message, version: int, lists: List[Any]) -> bytes:
         lists.extend(own)
         return text
     _ENCODED.put(key, (msg, text), len(text))
-    if lossless(msg, version):
-        interned = (text, version > 1)
-        if _INTERN.get(interned) is None:
-            _INTERN.put(interned, msg, len(text))
     return text
 
 

@@ -1,11 +1,16 @@
-"""Shared test helpers: compact graph builders and tiny topologies."""
+"""Shared test helpers: compact graph builders, tiny topologies, and a
+counter of the live receive path's codec calls."""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+
+import pytest
 
 from repro.adgraph.ad import AD, ADKind, InterADLink, Level, LinkKind
 from repro.adgraph.graph import InterADGraph
+from repro.live import network as live_network
 from repro.policy.database import PolicyDatabase
 from repro.policy.terms import PolicyTerm
 
@@ -129,3 +134,22 @@ def program_path(fib, c):
         a, b = fib.links.keys[fib.hop_links[i]]
         path.append(b if path[-1] == a else a)
     return tuple(path)
+
+
+@contextmanager
+def codec_calls() -> Iterator[Dict[str, int]]:
+    """Count the live network's ``split_datagram`` and ``decode_frame_ex``
+    calls inside the block, as ``{"split": n, "decode": n}``."""
+    calls = {"split": 0, "decode": 0}
+
+    def counting(key, func):
+        def wrapper(data):
+            calls[key] += 1
+            return func(data)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        for key, name in (("split", "split_datagram"), ("decode", "decode_frame_ex")):
+            patch.setattr(live_network, name, counting(key, getattr(live_network, name)))
+        yield calls

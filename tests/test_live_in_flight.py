@@ -8,7 +8,10 @@ require the shortcut to be invisible: dispatching a datagram from the
 table gives a receiver exactly what decoding the same bytes gives it
 (deliveries, counters, drops, quarantines), the table serves no datagram
 whose bytes it was not keyed by or whose body is lossy, and it holds
-nothing once the network is idle or closed.
+nothing once the network is idle or closed.  The first lossless frame
+of each message type and wire version a network sends is decoded at
+once and must round-trip, so a kind ``lossless`` misjudges fails the
+run instead of reaching receivers from the table.
 
 Most cases capture the datagrams at the sender's socket (the kernel
 "accepts" them) and feed them to the receiving runtime's ``enqueue``
@@ -25,7 +28,6 @@ depend on hash order.
 import asyncio
 import dataclasses
 import socket
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -42,7 +44,7 @@ from repro.simul.node import ProtocolNode
 from repro.simul import wire
 from repro.simul.wire import WIRE_VERSION, encode_frame
 
-from .helpers import mk_graph
+from .helpers import codec_calls, mk_graph
 from .test_simul_wire import assert_same_types, messages
 from .test_wire_golden import VERSIONS
 
@@ -72,30 +74,6 @@ class CapturingSocket:
     def sendto(self, data, addr):
         self.sent.append((data, addr[1]))
         return len(data)
-
-
-@contextmanager
-def counting_decodes():
-    """Count ``split_datagram`` and ``decode_frame_ex`` calls on the
-    receive path."""
-    calls = {"split": 0, "decode": 0}
-    split, decode = live_network.split_datagram, live_network.decode_frame_ex
-
-    def counting_split(data):
-        calls["split"] += 1
-        return split(data)
-
-    def counting_decode(frame):
-        calls["decode"] += 1
-        return decode(frame)
-
-    live_network.split_datagram = counting_split
-    live_network.decode_frame_ex = counting_decode
-    try:
-        yield calls
-    finally:
-        live_network.split_datagram = split
-        live_network.decode_frame_ex = decode
 
 
 async def started(graph, log, version=WIRE_VERSION):
@@ -207,7 +185,7 @@ def deliver(case, *, table):
             if not table:
                 network._in_flight.clear()
             known = len(network._in_flight)
-            with counting_decodes() as calls:
+            with codec_calls() as calls:
                 await arrive(network, datagrams)
             assert network._in_flight == {}
             assert network.errors == []
@@ -260,7 +238,7 @@ def test_a_copy_with_one_byte_changed_is_decoded():
             [(data, port)] = await flushed(network, sent)
             altered = data.replace(b'"token":7', b'"token":8')
             assert len(altered) == len(data) and altered != data
-            with counting_decodes() as calls:
+            with codec_calls() as calls:
                 await arrive(network, [(altered, port)])
                 assert calls == {"split": 1, "decode": 1}
                 assert network._in_flight.keys() == {data}
@@ -284,7 +262,7 @@ def test_a_datagram_from_a_raw_socket_is_decoded():
         await network.start()
         intruder = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
-            with counting_decodes() as calls:
+            with codec_calls() as calls:
                 intruder.sendto(
                     encode_frame(0, 1, ExchangeAck(token=5)),
                     ("127.0.0.1", network.port_of(1)),
@@ -326,7 +304,7 @@ def test_a_datagram_with_a_lossy_body_is_decoded_whole(lossy):
             datagrams = await flushed(network, sent)
             assert len(datagrams) == 1
             assert network._in_flight == {}
-            with counting_decodes() as calls:
+            with codec_calls() as calls:
                 await arrive(network, datagrams)
             assert calls == {"split": 1, "decode": 2}
             return log
@@ -355,7 +333,7 @@ def test_the_second_of_two_identical_datagrams_in_flight_is_decoded():
             second = await flushed(network, sent)
             assert first == second
             assert len(network._in_flight) == 1
-            with counting_decodes() as calls:
+            with codec_calls() as calls:
                 await arrive(network, first)
                 assert calls == {"split": 0, "decode": 0}
                 await arrive(network, second)
@@ -384,6 +362,48 @@ def test_a_datagram_dropped_at_a_runtime_not_serving_leaves_no_entry():
             assert network._in_flight == {}
             assert network.idle()
             runtime.state = live_network.NodeState.SERVING
+        finally:
+            await network.close()
+
+    run(scenario())
+
+
+# ------------------------------------ the first frame of each kind is decoded
+
+
+def test_the_first_lossless_frame_of_each_kind_is_decoded_once_per_network():
+    async def scenario(version):
+        network, sent = await started(_pair(), [], version)
+        try:
+            with codec_calls() as calls:
+                for token in (1, 2, 3):
+                    network.send(0, 1, ExchangeAck(token=token))
+                network.send(1, 0, ExchangeAck(token=4))
+            await flushed(network, sent)
+            return calls, set(network._checked_kinds)
+        finally:
+            await network.close()
+
+    for version in VERSIONS:
+        for _ in range(2):  # a new network checks again
+            calls, checked = run(scenario(version))
+            assert calls == {"split": 0, "decode": 1}
+            assert checked == {(ExchangeAck, version)}
+
+
+def test_a_kind_that_does_not_round_trip_fails_its_first_send(monkeypatch):
+    # Were ``lossless`` to pass a list-holding body, the table would hand
+    # the receiver a list where decoding gives a tuple: the check refuses.
+    monkeypatch.setattr(live_network, "lossless", lambda msg, version: True)
+
+    async def scenario():
+        network, sent = await started(_pair(), [])
+        try:
+            with pytest.raises(wire.WireError, match="DVUpdate at wire version"):
+                network.send(0, 1, DVUpdate(entries=[(7, 2)], poisons=()))
+            assert network.outbox_frames() == 0
+            network.send(0, 1, ExchangeAck(token=5))
+            assert len(await flushed(network, sent)) == 1
         finally:
             await network.close()
 

@@ -2,14 +2,12 @@
 
 ``encode_frame`` serialises a message once and splices envelopes around
 the text; an exchange's LSAs are spliced from the texts their floods
-already made.  A body that travels losslessly is registered with the
-decoder as it is encoded, and ``decode_frame_ex`` hands every copy of a
-body the same message.  These shortcuts must be invisible: frames stay
-byte-identical to the plain ``json.dumps`` encoder
-(``tests/oracles.py::reference_frame``), a registered body decodes to
-what parsing it would build, every per-frame check still runs on an
-intern hit, the tables are bounded, and nothing but ``WireError``
-escapes the decoder whatever a peer sends.
+already made, and ``decode_frame_ex`` hands every copy of a body the
+message it parsed the first time.  These shortcuts must be invisible:
+frames stay byte-identical to the plain ``json.dumps`` encoder
+(``tests/oracles.py::reference_frame``), every per-frame check still
+runs on an intern hit, the tables are bounded, and nothing but
+``WireError`` escapes the decoder whatever a peer sends.
 
 Marked ``hashseed``: CI runs this module again under two fixed
 ``PYTHONHASHSEED`` values, because canonical frozenset ordering and the
@@ -27,10 +25,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.live import LiveNetwork, settle
-from repro.live import network as live_network
 from repro.policy.generators import open_policies
 from repro.protocols.dv import DVUpdate
-from repro.protocols.egp import NRAck, NRUpdate
+from repro.protocols.egp import NRAck
 from repro.protocols.flooding import LinkRecord, LinkStateAd, LSDBExchange
 from repro.protocols.registry import make_protocol
 from repro.protocols.versioning import Hello
@@ -41,11 +38,10 @@ from repro.simul.wire import (
     WireVersionError,
     decode_frame_ex,
     encode_frame,
-    from_wire,
     to_wire,
 )
 
-from .helpers import mk_graph
+from .helpers import codec_calls, mk_graph
 from .oracles import framed, reference_frame
 from .test_simul_wire import ad_ids, assert_same_types, link_state_ads, messages
 from .test_wire_golden import SAMPLES, VERSIONS, _golden
@@ -190,26 +186,11 @@ def test_exchange_holding_a_list_is_rendered_every_time():
     assert encode_frame(1, 2, exchange) == reference_frame(
         1, 2, exchange, wire.WIRE_VERSION
     )
-    # Only the list-free member is kept; neither body is registered as
-    # the listed LSA or the exchange.
+    # Only the list-free member is kept.
     assert len(wire._ENCODED) == 1
-    assert all(m is SAMPLES["LinkStateAd"] for m, _ in wire._INTERN._entries.values())
 
 
-# ------------------------------------ registration returns what parsing would
-
-
-@settings(max_examples=100, deadline=None)
-@given(messages, st.sampled_from(VERSIONS))
-def test_registered_bodies_decode_as_parsing_would(msg, version):
-    wire._ENCODED.clear()
-    wire._INTERN.clear()
-    frame = encode_frame(1, 2, msg, version=version)
-    parsed = from_wire(json.loads(body_text(frame)), lenient=version > 1)
-    decoded = decode_frame_ex(frame)[2]
-    assert decoded is msg  # registered: the sender's own object
-    assert decoded == parsed
-    assert_same_types(decoded, parsed)
+# --------------------------------------------------- down-emitted bodies
 
 
 def test_v1_hello_is_parsed_so_its_new_fields_default():
@@ -217,24 +198,6 @@ def test_v1_hello_is_parsed_so_its_new_fields_default():
     decoded = decode_frame_ex(encode_frame(1, 2, hello, version=1))[2]
     assert decoded is not hello
     assert decoded == Hello(version=2, min_version=1)
-    # At the current version every field travels: registered.
-    assert decode_frame_ex(encode_frame(1, 2, hello))[2] is hello
-
-
-def test_message_holding_a_list_is_never_registered():
-    msg = DVUpdate(entries=[(7, 2)], poisons=())
-    frame = encode_frame(1, 2, msg)
-    assert len(wire._INTERN) == 0
-    decoded = decode_frame_ex(frame)[2]
-    assert decoded is not msg
-    assert decoded.entries == ((7, 2),)
-
-
-def test_registration_keeps_the_intern_table_bounded():
-    for seq in range(6000):
-        encode_frame(1, 2, NRUpdate(dests=tuple(range(seq, seq + 60)), seq=seq))
-    assert 0 < wire._INTERN.used <= wire._INTERN.cap
-    assert len(wire._INTERN) < 6000
 
 
 # ----------------------------------------- an intern hit skips nothing
@@ -406,28 +369,15 @@ def test_dispatch_counts_and_rejects_per_frame_on_intern_hits():
     asyncio.run(asyncio.wait_for(scenario(), timeout=60.0))
 
 
-def test_ring8_flap_parses_no_frame_and_reencodes_no_flooded_lsa(monkeypatch):
-    # Every frame is sent in this process, so every body is registered
-    # before it arrives and every datagram is in the in-flight table when
-    # it arrives: nothing is split or decoded, and each settle leaves the
-    # table empty.  The LSDBExchange that re-syncs the repaired link is
-    # spliced from LSA texts the floods already made.
-    decoded = []
-    decode = live_network.decode_frame_ex
-
-    def counting_decode(frame):
-        decoded.append(frame)
-        return decode(frame)
-
-    split = []
-    split_datagram = live_network.split_datagram
-
-    def counting_split(datagram):
-        split.append(datagram)
-        return split_datagram(datagram)
-
-    monkeypatch.setattr(live_network, "decode_frame_ex", counting_decode)
-    monkeypatch.setattr(live_network, "split_datagram", counting_split)
+def test_ring8_flap_decodes_one_frame_per_kind_and_reencodes_no_flooded_lsa(
+    monkeypatch,
+):
+    # Every frame is sent in this process and every datagram is in the
+    # in-flight table when it arrives: nothing is split, each settle
+    # leaves the table empty, and the only frames decoded (and parsed)
+    # are the one per message kind the sender checks lossless.  The
+    # LSDBExchange that re-syncs the repaired link is spliced from LSA
+    # texts the floods already made.
     parses = []
     parse = wire.from_wire
 
@@ -464,15 +414,25 @@ def test_ring8_flap_parses_no_frame_and_reencodes_no_flooded_lsa(monkeypatch):
             assert await settle(network, timeout_s=30.0)
             assert network._in_flight == {}
             assert network.errors == []
-            return dict(network.metrics.messages), network.datagrams_sent
+            return (
+                dict(network.metrics.messages),
+                network.datagrams_sent,
+                set(network._checked_kinds),
+            )
         finally:
             await network.close()
 
-    messages, datagrams = asyncio.run(asyncio.wait_for(scenario(), timeout=60.0))
+    with codec_calls() as calls:
+        messages, datagrams, checked = asyncio.run(
+            asyncio.wait_for(scenario(), timeout=60.0)
+        )
     assert messages["LSDBExchange"] > 0 and messages["LinkStateAd"] > 0
     assert datagrams > 0
-    assert decoded == [] and split == []
-    assert parses == []
+    assert {(cls.__name__, version) for cls, version in checked} == {
+        (name, wire.WIRE_VERSION) for name in messages
+    }
+    assert calls == {"split": 0, "decode": len(checked)}
+    assert len(parses) == len(checked)
     assert rendered and len({id(lsa) for lsa in rendered}) == len(rendered)
 
 
