@@ -3,7 +3,8 @@
 ``Transport.broadcast`` is *defined* as the loop it replaced -- one
 ``send`` per live neighbour, in ``neighbors()`` order -- and runs as a
 single pass over the incident-link tuple that hands each neighbour to
-the substrate's ``_post`` (the part of ``send`` past its checks), so the
+the substrate's ``_post`` (the part of ``send`` past its checks; the
+simulator inlines it when no channel is attached), so the
 first half of this file drives a network through ``broadcast`` and a
 twin through that loop and requires the same deliveries, counters and
 event count under every feature that sits on the path (down links, a
