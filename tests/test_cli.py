@@ -134,6 +134,46 @@ class TestLiveRun:
         assert re.fullmatch(r"wall time: \d+\.\d\ds", lines[-1])
 
 
+class TestLiveExitCodes:
+    """What each ``live`` command exits with when its run goes wrong."""
+
+    def test_fidelity_names_a_differing_pair_and_exits_1(self, monkeypatch, capsys):
+        from repro.protocols.base import RoutingProtocol
+
+        find_route = RoutingProtocol.find_route
+
+        def one_live_route_differs(self, flow):
+            route = find_route(self, flow)
+            if self.substrate == "live" and (flow.src, flow.dst) == (0, 25):
+                return None if route is not None else (0, 25)
+            return route
+
+        monkeypatch.setattr(RoutingProtocol, "find_route", one_live_route_differs)
+        argv = ["live", "fidelity", "small", "--flaps", "1", "--time-scale", "0.002"]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert re.search(r"(?<!\d)0->25(?!\d)", out), out
+
+    def test_run_exits_1_when_an_episode_does_not_quiesce(self, monkeypatch, capsys):
+        from dataclasses import replace
+
+        from repro.live.runner import LiveSubstrate
+
+        settle = LiveSubstrate.settle
+        settles = []
+
+        async def last_settle_times_out(self, until=None):
+            result = await settle(self, until)
+            settles.append(result)
+            return replace(result, quiesced=len(settles) < 3)
+
+        monkeypatch.setattr(LiveSubstrate, "settle", last_settle_times_out)
+        argv = ["live", "run", "small", "--flaps", "1", "--time-scale", "0.002"]
+        assert main(argv) == 1
+        assert len(settles) == 3  # initial, failure, repair
+        assert "NO" in capsys.readouterr().out
+
+
 _SCALE = "--time-scale must be a finite number > 0"
 
 #: One bad ``live`` command line each, and the start of its refusal.
