@@ -64,19 +64,13 @@ function of a message is computed once per process in each direction:
 * a registered message nested in another (the LSAs of an
   :class:`LSDBExchange`) is cut from that same memoised text, so an
   exchange is joined from its LSAs' texts, not serialised again;
-* :func:`decode_frame_ex` checks length prefix, envelope and version of
-  every frame, then looks the exact ``"m"`` bytes up in a byte-bounded
-  table of the messages it already parsed.  A hit skips only work that
-  is a pure function of those bytes (JSON parse, vocabulary checks,
-  object construction).  Messages are deeply immutable (enforced by
-  :func:`_plan`), so receivers share them exactly as the simulator
-  shares message objects.
-
-Both tables are module-level, so the saving is per process.  Whether a
+The memo is module-level, so the saving is per process.  Whether a
 body travels losslessly -- decodes back to the message sent --
 is :func:`lossless`; the live network asks it before it lets a receiver
 in this process take the sender's frames without decoding the datagram
-(:class:`repro.live.network.LiveNetwork`).
+(:class:`repro.live.network.LiveNetwork`).  Messages are deeply
+immutable (enforced by :func:`_plan`), so receivers share them exactly
+as the simulator shares message objects.
 """
 
 from __future__ import annotations
@@ -84,7 +78,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
-import re
 import struct
 import types
 import typing
@@ -277,9 +270,6 @@ class _ByteBoundedCache:
 #: (id(message), wire version) -> (message, canonical ``"m"`` text).  The
 #: entry holds the message, which pins its id for as long as the key lives.
 _ENCODED = _ByteBoundedCache(1 << 20)
-
-#: (exact ``"m"`` bytes, lenient) -> the message they decode to.
-_INTERN = _ByteBoundedCache(2 << 20)
 
 
 # ------------------------------------------------------------------- plans
@@ -735,16 +725,6 @@ def encode_frame(
     return b"".join((_LEN.pack(size), head, text, tail))
 
 
-_INT = rb"(-?(?:0|[1-9][0-9]{0,17}))"
-
-#: The body :func:`encode_frame` emits: integer addresses, keys in sorted
-#: order, no whitespace.  Anything else takes the general path.
-_CANONICAL_BODY = re.compile(
-    rb'\{"d":%b,"m":(\{.*\}),"s":%b(?:,"v":%b)?\}' % (_INT, _INT, _INT),
-    re.DOTALL,
-)
-
-
 def _check_version(version: Any, src: Any) -> None:
     if type(version) is not int or not MIN_WIRE_VERSION <= version <= WIRE_VERSION:
         raise WireVersionError(
@@ -763,12 +743,6 @@ def decode_frame_ex(frame: bytes) -> Tuple[ADId, ADId, Message, int]:
     receiver can quarantine the peer.  Version-2+ message payloads are
     decoded leniently (unknown fields dropped); version-1 payloads keep
     the original strict decode.
-
-    Length prefix, envelope and version are checked on every frame.  On
-    a canonical body the exact ``"m"`` bytes are then looked up among
-    the messages already decoded (per strict/lenient), so the object
-    graph of a flooded body is built once per process, not once per
-    delivery.
     """
     if len(frame) < _LEN.size:
         raise WireError(f"short frame ({len(frame)} bytes)")
@@ -777,26 +751,6 @@ def decode_frame_ex(frame: bytes) -> Tuple[ADId, ADId, Message, int]:
         raise WireError(
             f"frame length {length} != body length {len(frame) - _LEN.size}"
         )
-    split = _CANONICAL_BODY.fullmatch(frame, _LEN.size)
-    if split is not None:
-        dst, text, src, v = split.groups()
-        src, dst, version = int(src), int(dst), 1 if v is None else int(v)
-        key = (text, version > 1)
-        msg = _INTERN.get(key)
-        if msg is not None:
-            _check_version(version, src)
-            return src, dst, msg, version
-        try:
-            data = json.loads(text.decode("utf-8"))
-        except (ValueError, RecursionError):
-            # The bytes between "m": and ,"s": are not one JSON value,
-            # so the split proves nothing: the general path decides.
-            pass
-        else:
-            _check_version(version, src)
-            msg = from_wire(data, lenient=version > 1)
-            _INTERN.put(key, msg, len(text))
-            return src, dst, msg, version
     try:
         data = json.loads(frame[_LEN.size:].decode("utf-8"))
     except (ValueError, RecursionError) as exc:

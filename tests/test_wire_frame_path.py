@@ -1,13 +1,12 @@
-"""The live frame path: plans, the encode memo, the decode intern table.
+"""The live frame path: plans, the encode memo, the decoder's checks.
 
 ``encode_frame`` serialises a message once and splices envelopes around
 the text; an exchange's LSAs are spliced from the texts their floods
-already made, and ``decode_frame_ex`` hands every copy of a body the
-message it parsed the first time.  These shortcuts must be invisible:
-frames stay byte-identical to the plain ``json.dumps`` encoder
-(``tests/oracles.py::reference_frame``), every per-frame check still
-runs on an intern hit, the tables are bounded, and nothing but
-``WireError`` escapes the decoder whatever a peer sends.
+already made.  These shortcuts must be invisible: frames stay
+byte-identical to the plain ``json.dumps`` encoder
+(``tests/oracles.py::reference_frame``) and the memo is bounded.
+``decode_frame_ex`` checks every frame's length prefix, envelope and
+version, and nothing but ``WireError`` escapes it whatever a peer sends.
 
 Marked ``hashseed``: CI runs this module again under two fixed
 ``PYTHONHASHSEED`` values, because canonical frozenset ordering and the
@@ -49,15 +48,9 @@ from .test_wire_golden import SAMPLES, VERSIONS, _golden
 pytestmark = pytest.mark.hashseed
 
 
-def body_text(frame):
-    """The exact ``"m"`` bytes of a canonical frame (the intern key)."""
-    return wire._CANONICAL_BODY.fullmatch(frame, 4).group(2)
-
-
 @pytest.fixture(autouse=True)
 def cold_tables():
     wire._ENCODED.clear()
-    wire._INTERN.clear()
     yield
 
 
@@ -154,7 +147,6 @@ def test_encode_memo_is_bounded_in_bytes():
 @given(st.lists(link_state_ads, min_size=1, max_size=4), st.data())
 def test_spliced_exchanges_match_reference(pool, data):
     wire._ENCODED.clear()
-    wire._INTERN.clear()
     version = data.draw(st.sampled_from(VERSIONS))
     # Some LSAs were flooded before, at either version; some never were.
     for lsa in pool:
@@ -200,29 +192,12 @@ def test_v1_hello_is_parsed_so_its_new_fields_default():
     assert decoded == Hello(version=2, min_version=1)
 
 
-# ----------------------------------------- an intern hit skips nothing
+# ------------------------------------------- every frame is checked
 
 
-def _interned_lsa_frame(version=wire.WIRE_VERSION):
-    frame = encode_frame(1, 2, SAMPLES["LinkStateAd"], version=version)
-    _, _, msg, _ = decode_frame_ex(frame)
-    assert wire._INTERN.get((body_text(frame), version > 1)) is msg
-    return frame, msg
-
-
-def test_repeat_bodies_decode_to_the_same_object():
-    frame, msg = _interned_lsa_frame()
-    assert decode_frame_ex(frame)[2] is msg
-    # Another envelope around the same body bytes: still the same object,
-    # with this frame's own addressing.
-    src, dst, again, version = decode_frame_ex(
-        encode_frame(5, 6, SAMPLES["LinkStateAd"])
-    )
-    assert (src, dst, version) == (5, 6, wire.WIRE_VERSION)
-    assert again is msg
-    # The size memo rides along, as it does on the simulator.
-    msg.size_bytes()
-    assert again._size == msg.size_bytes() > 0
+def _lsa_frame():
+    frame = encode_frame(1, 2, SAMPLES["LinkStateAd"])
+    return frame, decode_frame_ex(frame)[2]
 
 
 @pytest.mark.parametrize("token", [b"NaN", b"Infinity"])
@@ -236,8 +211,8 @@ def test_a_non_finite_term_charge_is_refused(token):
         decode_frame_ex(len(body).to_bytes(4, "big") + body)
 
 
-def test_intern_hit_still_checks_the_length_prefix():
-    frame, _ = _interned_lsa_frame()
+def test_decode_checks_the_length_prefix():
+    frame, _ = _lsa_frame()
     with pytest.raises(WireError, match="length"):
         decode_frame_ex(frame + b"x")
     with pytest.raises(WireError, match="length"):
@@ -248,23 +223,21 @@ def test_intern_hit_still_checks_the_length_prefix():
 
 
 @pytest.mark.parametrize("bad", [0, wire.WIRE_VERSION + 97, -1])
-def test_intern_hit_still_checks_the_version(bad):
-    frame, _ = _interned_lsa_frame()
+def test_decode_checks_the_version(bad):
+    frame, _ = _lsa_frame()
     body = frame[4:].replace(b',"v":%d}' % wire.WIRE_VERSION, b',"v":%d}' % bad)
     doctored = len(body).to_bytes(4, "big") + body
-    assert body_text(doctored) == body_text(frame)
     with pytest.raises(WireVersionError) as exc:
         decode_frame_ex(doctored)
     assert (exc.value.src, exc.value.version) == (1, bad)
 
 
 @pytest.mark.parametrize("lenient_first", [True, False])
-def test_strict_and_lenient_share_no_entry(lenient_first):
+def test_strict_and_lenient_decode_the_same_body_independently(lenient_first):
     data = to_wire(SAMPLES["NRAck"])
     data["f"]["from_the_future"] = 1
     v2 = framed({"s": 1, "d": 2, "m": data, "v": 2})
     v1 = framed({"s": 1, "d": 2, "m": data})
-    assert body_text(v1) == body_text(v2)
 
     def lenient():
         assert decode_frame_ex(v2)[2] == SAMPLES["NRAck"]
@@ -278,8 +251,8 @@ def test_strict_and_lenient_share_no_entry(lenient_first):
         step()
 
 
-def test_non_canonical_envelopes_decode_through_the_general_path():
-    frame, msg = _interned_lsa_frame()
+def test_non_canonical_envelopes_decode():
+    frame, msg = _lsa_frame()
     envelope = json.loads(frame[4:])
     reordered = {k: envelope[k] for k in ("v", "s", "m", "d")}
     for variant in (
@@ -298,12 +271,9 @@ def test_envelope_keys_smuggled_into_the_body_span_are_not_trusted():
     # is not one JSON value: the later "d" wins, as in any JSON parser.
     inner = json.dumps(to_wire(SAMPLES["NRAck"]), sort_keys=True, separators=(",", ":"))
     body = ('{"d":2,"m":%s,"d":9,"s":1}' % inner).encode()
-    frame = len(body).to_bytes(4, "big") + body
-    for _ in range(2):
-        src, dst, msg, version = decode_frame_ex(frame)
-        assert (src, dst, version) == (1, 9, 1)
-        assert msg == SAMPLES["NRAck"]
-    assert len(wire._INTERN) == 0
+    src, dst, msg, version = decode_frame_ex(len(body).to_bytes(4, "big") + body)
+    assert (src, dst, version) == (1, 9, 1)
+    assert msg == SAMPLES["NRAck"]
 
 
 def ring8():
@@ -313,7 +283,7 @@ def ring8():
     )
 
 
-def test_dispatch_counts_and_rejects_per_frame_on_intern_hits():
+def test_dispatch_counts_and_rejects_per_frame():
     async def scenario():
         graph = ring8()
         proto = make_protocol(
@@ -330,7 +300,6 @@ def test_dispatch_counts_and_rejects_per_frame_on_intern_hits():
             # so dispatching it sends nothing.
             lsa = network.nodes[2].lsdb[1]
             frame = encode_frame(1, 2, lsa)
-            assert decode_frame_ex(frame)[2] is decode_frame_ex(frame)[2]
 
             delivered = metrics.messages["LinkStateAd"]
             runtime._dispatch(frame)
@@ -436,17 +405,10 @@ def test_ring8_flap_decodes_one_frame_per_kind_and_reencodes_no_flooded_lsa(
     assert rendered and len({id(lsa) for lsa in rendered}) == len(rendered)
 
 
-# --------------------------------------------------------- bounded table
+# --------------------------------------------------------- bounded cache
 
 
-def test_intern_table_is_bounded_in_bytes():
-    table = wire._INTERN
-    for seq in range(100_000):
-        body = b'{"d":2,"m":{"f":{"seq":%d},"t":"NRAck"},"s":1}' % seq
-        decode_frame_ex(len(body).to_bytes(4, "big") + body)
-    assert 0 < table.used <= table.cap
-    assert len(table) < 100_000
-
+def test_byte_bounded_cache_forgets_oldest_first():
     link = LinkRecord(neighbor=2, delay=1.0, cost=3.0, up=True)
     big = LSDBExchange(
         ads=tuple(
@@ -455,10 +417,9 @@ def test_intern_table_is_bounded_in_bytes():
     )
     frame = encode_frame(1, 2, big)
     assert 60_000 < len(frame) < 65_507
-    assert decode_frame_ex(frame)[2] is decode_frame_ex(frame)[2]
-    assert table.used <= table.cap
+    assert decode_frame_ex(frame)[2] == big
 
-    # A body dearer than the whole table is decoded but never kept.
+    # An entry dearer than the whole cache is never kept.
     tiny = wire._ByteBoundedCache(1024)
     tiny.put("k", "v", 2048)
     assert len(tiny) == 0 and tiny.used == 0
@@ -595,9 +556,8 @@ def test_mutated_golden_frames_decode_or_raise_wire_error(data):
         container[key] = {"__d": data.draw(json_junk), "f": container[key]}
     canonical = data.draw(st.booleans())
     frame = framed(envelope) if canonical else framed(envelope, indent=0)
-    for _ in range(2):  # cold, then against whatever the first pass interned
-        try:
-            result = decode_frame_ex(frame)
-        except WireError:
-            continue
-        assert isinstance(result[2], Message)
+    try:
+        result = decode_frame_ex(frame)
+    except WireError:
+        return
+    assert isinstance(result[2], Message)
