@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import time
 from typing import List, Optional
 
 from repro.adgraph.ad import ADKind, Level, LinkKind
@@ -191,69 +190,94 @@ def _refuse_bad_numbers(args: argparse.Namespace) -> bool:
     return bool(problems)
 
 
+def _run_live_cli_cell(args: argparse.Namespace, substrate: str):
+    """Run the cell ``live run`` / ``live fidelity`` name on ``substrate``:
+    the scenario, then ``--flaps`` link flaps, each one repaired."""
+    from repro.harness.chaos import run_cell
+    from repro.harness.spec import Cell, FailureSpec, ProtocolSpec, ScenarioSpec
+
+    cell = Cell(
+        experiment=f"live_{args.live_command}_cli",
+        index=0,
+        scenario=ScenarioSpec(kind=args.scenario, seed=args.seed),
+        protocol=ProtocolSpec(args.protocol),
+        failure=FailureSpec(
+            kind="random", count=args.flaps, seed=args.seed, spacing=400.0
+        ),
+        substrate=substrate,
+    )
+    return run_cell(cell, time_scale=args.time_scale, settle_timeout_s=args.timeout)
+
+
 def cmd_live_run(args: argparse.Namespace) -> int:
     if _refuse_bad_numbers(args):
         return 2
-    from repro.faults.plan import random_failure_plan
-    from repro.protocols import make_protocol
-    from repro.simul.runner import run_episodes
-    from repro.workloads import reference_scenario, small_scenario
-
-    builders = {"small": small_scenario, "reference": reference_scenario}
-    scenario = builders[args.scenario](seed=args.seed)
-    protocol = make_protocol(
-        args.protocol,
-        scenario.graph.copy(),
-        scenario.policies.copy(),
-        substrate="live",
-    )
-    plan = ()
-    if args.flaps:
-        plan = random_failure_plan(
-            scenario.graph, count=args.flaps, spacing=400.0, repair=True, seed=args.seed
-        )
-    opened = time.perf_counter()
-    results = run_episodes(
-        protocol, plan, time_scale=args.time_scale, timeout_s=args.timeout
-    )
-    wall = time.perf_counter() - opened
+    record, _ = _run_live_cli_cell(args, "live")
     table = Table(
         "episode",
         "messages",
         "KB",
         "time",
         "quiesced",
-        title=f"{args.protocol} live on {scenario.graph.num_ads} ADs "
+        title=f"{args.protocol} live on {record.scenario['num_ads']} ADs "
         f"(UDP loopback, {args.time_scale}s/unit)",
     )
-    labels = ["initial"] + [
-        f"link {ev.a}-{ev.b} {'up' if ev.up else 'down'}" for ev in plan
-    ]
-    for label, r in zip(labels, results):
+    for ep in record.episodes:
+        label = ep.kind
+        if ep.link is not None:
+            state = "up" if ep.kind == "repair" else "down"
+            label = f"link {ep.link[0]}-{ep.link[1]} {state}"
         table.add(
-            label, r.messages, f"{r.bytes / 1024:.1f}", f"{r.time:.1f}",
-            "yes" if r.quiesced else "NO",
+            label, ep.messages, f"{ep.bytes / 1024:.1f}", f"{ep.time:.1f}",
+            "yes" if ep.quiesced else "NO",
         )
     print(table.render())
-    print(f"wall time: {wall:.2f}s")
-    return 0 if all(r.quiesced for r in results) else 1
+    print(f"wall time: {record.timings['live.wall']:.2f}s")
+    return 0 if record.quiesced else 1
 
 
 def cmd_live_fidelity(args: argparse.Namespace) -> int:
+    """Run the ``live run`` cell and its sim twin; compare routes digests."""
     if _refuse_bad_numbers(args):
         return 2
-    from repro.live import fidelity_report, format_report
+    from repro.harness.chaos import routes_digest
+    from repro.policy.flows import FlowSpec
 
-    report = fidelity_report(
-        protocol=args.protocol,
-        scenario=args.scenario,
-        seed=args.seed,
-        flaps=args.flaps,
-        time_scale=args.time_scale,
-        timeout_s=args.timeout,
+    (sim, sim_proto), (live, live_proto) = (
+        _run_live_cli_cell(args, substrate) for substrate in ("sim", "live")
     )
-    print(format_report(report))
-    return 0 if report.routes_identical and report.live_quiesced else 1
+    digests = routes_digest(sim_proto), routes_digest(live_proto)
+    print(
+        f"fidelity: {args.protocol} on {sim.scenario['name']} "
+        f"({sim.scenario['num_ads']} ADs, {args.flaps} flaps)\n"
+        f"  routes digest: sim={digests[0]} live={digests[1]}: "
+        f"{'IDENTICAL' if digests[0] == digests[1] else 'DIFFERENT'}"
+    )
+    for name, record in (("sim ", sim), ("live", live)):
+        times = [ep.time for ep in record.episodes]
+        print(
+            f"  {name} episodes: {len(times)}  "
+            f"messages={sum(ep.messages for ep in record.episodes)}  "
+            f"time min={min(times):.1f} mean={sum(times) / len(times):.1f} "
+            f"max={max(times):.1f}  quiesced={record.quiesced}"
+        )
+    if digests[0] != digests[1]:
+        ads = sorted(sim_proto.graph.ad_ids())
+        mismatches = []
+        for src in ads:
+            for dst in ads:
+                if src == dst:
+                    continue
+                flow = FlowSpec(src=src, dst=dst)
+                routes = sim_proto.find_route(flow), live_proto.find_route(flow)
+                if routes[0] != routes[1]:
+                    mismatches.append(
+                        f"  mismatch {src}->{dst}: sim={routes[0]} live={routes[1]}"
+                    )
+        print("\n".join(mismatches[:10]))
+        if len(mismatches) > 10:
+            print(f"  ... and {len(mismatches) - 10} more")
+    return 0 if digests[0] == digests[1] and live.quiesced else 1
 
 
 def cmd_live_chaos(args: argparse.Namespace) -> int:

@@ -8,6 +8,8 @@ The harness is the single way experiments run in this repo:
   telemetry, persisted as JSON lines;
 * :mod:`repro.harness.session` -- the executor (serial or
   multiprocessing fan-out with a deterministic merge);
+* :mod:`repro.harness.chaos` -- the one cell driver every cell runs
+  through, on either substrate;
 * :mod:`repro.harness.experiments` -- the registry of every committed
   table (``EXPERIMENTS``) and the override table (``OVERRIDES``) the
   table gate and the ``python -m repro experiments`` CLI share.

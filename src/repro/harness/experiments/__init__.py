@@ -24,6 +24,7 @@ import os
 from dataclasses import replace
 from typing import Any, Dict, Optional, Tuple
 
+from repro.harness.chaos import check_cell
 from repro.harness.experiments import (
     ablations,
     analysis,
@@ -40,7 +41,7 @@ from repro.harness.experiments.overrides import (
     _parse_liar,
     apply_override,
 )
-from repro.harness.session import ExperimentSession, _parse_trace, check_cell
+from repro.harness.session import ExperimentSession, _parse_trace
 from repro.harness.spec import ExperimentSpec
 
 __all__ = [

@@ -221,18 +221,18 @@ class FaultSpec:
     #: crash/restart cycles (state retained -- a maintenance restart, the
     #: regime graceful restart is measured against) and ``partitions``
     #: > 0 adds that many bounded partition windows afterwards.  Chaotic
-    #: cells take the episodic chaos driver
-    #: (:mod:`repro.harness.chaos`), which runs on BOTH substrates,
-    #: instead of the legacy sim fault timeline.
+    #: cells run the chaos program of the cell driver
+    #: (:mod:`repro.harness.chaos`), on BOTH substrates, instead of the
+    #: legacy sim fault timeline.
     restarts: int = 0
     partitions: int = 0
     #: Mixed-version upgrade program (E16): ``upgrade_waves`` > 0 starts
     #: every AD at wire v1 (negotiating) and upgrades the population to
     #: the current wire version in that many rolling waves, measuring a
     #: mixed-population epoch mid-flight; ``rollback`` adds a downgrade/
-    #: re-upgrade leg for the last wave.  Versioned cells take the
-    #: version-skew driver (:mod:`repro.harness.chaos`), which runs on
-    #: BOTH substrates like the chaos driver.
+    #: re-upgrade leg for the last wave.  Versioned cells run the
+    #: upgrade program of the cell driver (:mod:`repro.harness.chaos`),
+    #: on BOTH substrates like the chaos program.
     upgrade_waves: int = 0
     rollback: bool = False
     #: Bounded ingress queue (E13): ``queue_capacity`` >= 0 attaches an
@@ -512,7 +512,8 @@ class Cell:
     #: Execution substrate: ``"sim"`` (discrete-event engine) or
     #: ``"live"`` (asyncio/UDP via :mod:`repro.live`).  Live cells
     #: support the scenario x protocol x failure axes; the sim-only
-    #: axes (impairments, misbehavior, tracing) are rejected loudly.
+    #: axes (impairments, misbehavior, traffic, tracing) are rejected
+    #: loudly unless a chaos or upgrade program runs them live.
     substrate: str = "sim"
 
     def key(self) -> Dict[str, Any]:

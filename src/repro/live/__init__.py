@@ -12,22 +12,24 @@ UDP sockets on the loopback interface.
   :class:`~repro.simul.transport.Transport`: per-AD UDP endpoints, node
   lifecycle (start/serve/drain/stop), crash/restart.
 * :mod:`~repro.live.runner` — wall-clock convergence (settle-based
-  quiescence) and the live substrate adapter; the episode loops over
-  it (:func:`repro.simul.runner.run_episodes`, the harness drivers) are
-  the simulator's own.
+  quiescence) and the live substrate adapter; the loops over it are the
+  simulator's own: the harness's one cell driver
+  (:func:`repro.harness.chaos.run_cell`) and
+  :func:`repro.simul.runner.run_episodes` for a protocol object.
 * :mod:`~repro.live.supervisor` — the init system: dead/hung serve-task
   detection, backed-off restarts, rolling-restart orchestration.
-* :mod:`~repro.live.fidelity` — the sim-vs-live fidelity report.
+
+Sim-vs-live fidelity is a live cell and its sim twin ending on the same
+routes digest (:func:`repro.harness.chaos.routes_digest`); ``repro live
+fidelity`` runs that check from the command line.
 """
 
 from repro.live.clock import LiveClock, LiveTimerHandle
 from repro.live.network import LiveNetwork, NodeState
 from repro.live.runner import LiveSubstrate, SettleTimeout, settle, try_settle
 from repro.live.supervisor import Supervisor
-from repro.live.fidelity import FidelityReport, fidelity_report, format_report
 
 __all__ = [
-    "FidelityReport",
     "LiveClock",
     "LiveNetwork",
     "LiveSubstrate",
@@ -35,8 +37,6 @@ __all__ = [
     "NodeState",
     "SettleTimeout",
     "Supervisor",
-    "fidelity_report",
-    "format_report",
     "settle",
     "try_settle",
 ]

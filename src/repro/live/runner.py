@@ -9,9 +9,9 @@ the only clock it sleeps on is the protocol's own.  :class:`LiveSubstrate`
 wraps that into the adapter every driver measures through -- the same
 calls :class:`~repro.simul.runner.SimSubstrate` answers, so a
 :class:`~repro.simul.runner.ConvergenceResult` from either reads the
-same way (times in protocol units, not wall seconds).  The plain
-episode loop over it is :func:`repro.simul.runner.plain_episodes`, the
-same loop the simulator runs.
+same way (times in protocol units, not wall seconds).  The loops over
+it -- the harness's cell driver and :func:`repro.simul.runner.run_episodes`
+-- are the ones the simulator runs.
 """
 
 from __future__ import annotations

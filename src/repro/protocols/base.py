@@ -159,7 +159,10 @@ class RoutingProtocol:
                 if self.substrate != "sim":
                     raise RuntimeError(
                         f"{self.name}: substrate {self.substrate!r} networks "
-                        "are built by repro.live; pass one to build(network=...)"
+                        "are built by repro.live; run the protocol through "
+                        "repro.simul.runner.run_episodes or "
+                        "repro.harness.chaos.run_cell, or pass one to "
+                        "build(network=...)"
                     )
                 network = SimNetwork(self.graph)
             self.network = network
@@ -226,13 +229,15 @@ class RoutingProtocol:
 
         Sim substrate only: quiescence is an event-queue property.  Live
         runs converge in wall-clock time under
-        :func:`repro.simul.runner.run_episodes`.
+        :func:`repro.simul.runner.run_episodes` (a protocol object) or
+        :func:`repro.harness.chaos.run_cell` (a harness cell).
         """
         network = self.build()
         if not isinstance(network, SimNetwork):
             raise RuntimeError(
                 f"{self.name}: converge() drives the discrete-event engine; "
-                "use repro.simul.runner.run_episodes for the live substrate"
+                "use repro.simul.runner.run_episodes for the live substrate "
+                "(or repro.harness.chaos.run_cell for a harness cell)"
             )
         return converge(network, max_events=max_events)
 
@@ -416,8 +421,8 @@ class RoutingProtocol:
     def apply_fault_event(self, ev: object) -> None:
         """Apply one fault event now: THE applier, on either substrate.
 
-        Scheduled plans, episodic drivers and both substrate adapters
-        all come through here.
+        Scheduled plans, the cell driver's steps and both substrate
+        adapters all come through here.
         """
         from repro.faults.misbehavior import MisbehaviorStart, MisbehaviorStop
         from repro.faults.plan import LinkFault, NodeFault, WireVersionChange

@@ -8,9 +8,9 @@ delta is that episode's cost (:class:`Substrate`).  Quiescence is natural
 here: the protocols are purely event driven (triggered updates only, no
 periodic timers), so an empty event queue means the protocol converged.
 
-:func:`plain_episodes` is that loop, written once over the adapter for
-both substrates; the harness cell consumes it, and :func:`run_episodes`
-is its one-call form for scripts and the CLI.
+:func:`run_episodes` is that loop for a protocol object, written once
+over the adapter for both substrates; harness cells run the same loop
+through the cell driver (:mod:`repro.harness.chaos`).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import asyncio
 import inspect
 from dataclasses import dataclass
-from typing import AsyncIterator, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 from repro.simul.metrics import MetricsSnapshot
 from repro.simul.network import SimNetwork
@@ -198,24 +198,6 @@ def converge(network: SimNetwork, max_events: int = 5_000_000) -> ConvergenceRes
     return substrate.settle()
 
 
-async def plain_episodes(
-    substrate: Substrate, plan: Iterable[object]
-) -> AsyncIterator[Tuple[Optional[object], ConvergenceResult]]:
-    """The plain episode loop, on either substrate.
-
-    Starts ``substrate`` and settles the initial convergence, yielded as
-    ``(None, result)``; then applies each plan event only after the
-    previous episode settled and yields ``(event, result)``, so the
-    per-event costs are cleanly separable.  Between yields the caller
-    may act on the settled state (replay traffic, arm an ingress queue).
-    """
-    await _done(substrate.start())
-    yield None, await _done(substrate.settle())
-    for ev in plan:
-        await _done(substrate.apply(ev))
-        yield ev, await _done(substrate.settle())
-
-
 def run_episodes(
     protocol,
     plan: Iterable[object] = (),
@@ -223,14 +205,16 @@ def run_episodes(
     time_scale: float = 0.005,
     timeout_s: float = 60.0,
 ) -> List[ConvergenceResult]:
-    """Build ``protocol`` and run :func:`plain_episodes` over ``plan``.
+    """Build ``protocol``, converge, then run one episode per plan event.
 
-    The substrate is ``protocol.substrate``: on ``"live"`` the protocol
-    must not be built yet, a fresh live network paced by ``time_scale``
-    (wall seconds per protocol unit) and ``timeout_s`` (settle budget)
-    is opened on a new event loop and closed before this returns, even
-    on error; the simulator ignores both.  Returns the initial
-    convergence, then one result per plan event.
+    Each event is applied only after the previous episode settled, so
+    the per-event costs are cleanly separable.  The substrate is
+    ``protocol.substrate``: on ``"live"`` the protocol must not be built
+    yet, a fresh live network paced by ``time_scale`` (wall seconds per
+    protocol unit) and ``timeout_s`` (settle budget) is opened on a new
+    event loop and closed before this returns, even on error; the
+    simulator ignores both.  Returns the initial convergence, then one
+    result per plan event.
     """
     live = protocol.substrate == "live"
 
@@ -244,7 +228,12 @@ def run_episodes(
         else:
             substrate = SimSubstrate(protocol.build(), protocol)
         try:
-            return [result async for _, result in plain_episodes(substrate, plan)]
+            await _done(substrate.start())
+            results = [await _done(substrate.settle())]
+            for ev in plan:
+                await _done(substrate.apply(ev))
+                results.append(await _done(substrate.settle()))
+            return results
         finally:
             await _done(substrate.close())
 

@@ -1,11 +1,12 @@
-"""The episodic chaos driver and its plan/spec vocabulary (sim side).
+"""The cell driver and the chaos plan/spec vocabulary.
 
 E15's machinery decomposed: partition plans that deliberately disconnect
 the internet, the FaultSpec chaos axis, the substrate sweep, the ring
-scenario, the record's v7 ``chaos`` block, and the driver itself -- whose
-simulator runs must stay byte-deterministic (the determinism gate diffs
-their table rows) and must show graceful restart riding out a crash the
-legacy path cannot.
+scenario, the record's v7 ``chaos`` block, and the one cell driver --
+whose simulator runs must stay byte-deterministic (the determinism gate
+diffs their table rows), must show graceful restart riding out a crash
+the legacy path cannot, and must run a plain, a chaos and an upgrade
+cell through the same coroutine on both substrates.
 """
 
 import asyncio
@@ -22,7 +23,7 @@ from repro.faults.plan import (
     grouped_events,
     partition_plan,
 )
-from repro.harness import run_experiment
+from repro.harness import chaos, run_experiment
 from repro.harness.chaos import execute_chaos_cell
 from repro.harness.record import SCHEMA_VERSION, RunRecord
 from repro.harness.session import build_cell, execute_cell, open_substrate
@@ -360,6 +361,20 @@ def test_runrecord_rejects_unknown_schema(sim_record):
 # ------------------------------------------- one driver, both substrates
 
 
+@pytest.fixture
+def driven(monkeypatch):
+    """The substrate of every cell the one driver coroutine ran, in order."""
+    substrates = []
+    run = chaos._run_cell
+
+    def spy(cell, *args):
+        substrates.append(cell.substrate)
+        return run(cell, *args)
+
+    monkeypatch.setattr(chaos, "_run_cell", spy)
+    return substrates
+
+
 def _keys(block):
     """A record block's shape: its keys, and its entries' keys."""
     return {
@@ -379,7 +394,7 @@ def _keys(block):
     ids=["chaos", "versioning"],
 )
 def test_sim_and_live_rows_come_out_of_the_same_function(
-    field, entries, fault, options
+    field, entries, fault, options, driven
 ):
     """The sim and the live record of a cell differ in numbers, not shape."""
     records = {
@@ -392,6 +407,7 @@ def test_sim_and_live_rows_come_out_of_the_same_function(
         )
         for substrate in ("sim", "live")
     }
+    assert driven == ["sim", "live"]
     sim, live = records["sim"], records["live"]
     assert (sim.substrate, live.substrate) == ("sim", "live")
     assert [ep.kind for ep in sim.episodes] == [ep.kind for ep in live.episodes]
@@ -409,6 +425,34 @@ def test_sim_and_live_rows_come_out_of_the_same_function(
     # The supervisor and its sweep are the live adapter's business.
     assert sim_block["supervisor"] is None
     assert live_block["supervisor"]["gave_up"] == []
+
+
+def test_plain_sim_and_live_rows_come_out_of_the_same_function(driven):
+    """A plain cell -- 2 flaps on the 8-AD ring -- takes the same driver
+    on both substrates: the same episodes, each costing the same
+    messages, ending on the same routes."""
+    runs = {
+        substrate: chaos.run_cell(
+            Cell(
+                experiment="plain-test",
+                index=0,
+                scenario=ScenarioSpec(kind="ring", seed=0, num_flows=12),
+                protocol=ProtocolSpec("plain-ls"),
+                failure=FailureSpec(kind="random", count=2, seed=3),
+                substrate=substrate,
+            )
+        )
+        for substrate in ("sim", "live")
+    }
+    assert driven == ["sim", "live"]
+    (sim, sim_protocol), (live, live_protocol) = runs["sim"], runs["live"]
+    assert live.quiesced
+    assert [ep.kind for ep in sim.episodes] == [ep.kind for ep in live.episodes]
+    assert [ep.kind for ep in sim.episodes] == ["initial"] + ["failure", "repair"] * 2
+    assert [ep.messages for ep in sim.episodes] == [
+        ep.messages for ep in live.episodes
+    ]
+    assert chaos.routes_digest(sim_protocol) == chaos.routes_digest(live_protocol)
 
 
 def test_sim_graceful_restart_stops_at_the_next_groups_instant(graced_record):

@@ -9,16 +9,16 @@ non-volatile state carried across a stateless restart.
 """
 
 import asyncio
+import re
 
 import pytest
 
+from repro.cli import main
 from repro.faults.plan import FaultPlan, LinkFault, NodeFault
 from repro.live import (
     LiveClock,
     LiveNetwork,
     NodeState,
-    fidelity_report,
-    format_report,
     settle,
 )
 from repro.policy.flows import FlowSpec
@@ -247,22 +247,15 @@ def test_node_fault_plan_drives_crash_restart():
 # ---------------------------------------------------------------- fidelity
 
 
-def test_fidelity_small_scenario_routes_identical():
-    report = fidelity_report(
-        protocol="plain-ls",
-        scenario="small",
-        seed=0,
-        flaps=2,
-        time_scale=TIME_SCALE,
-        timeout_s=120.0,
-    )
-    assert report.live_quiesced
-    assert report.routes_identical, format_report(report)
-    assert report.pairs_compared == report.ads * (report.ads - 1)
-    # One initial episode plus down+up per flap, on both substrates.
-    assert len(report.sim_times) == 1 + 2 * report.flaps
-    assert len(report.live_times) == len(report.sim_times)
-    assert "IDENTICAL" in format_report(report)
+def test_fidelity_small_scenario_routes_identical(capsys):
+    argv = ["live", "fidelity", "small", "--flaps", "2", "--time-scale", str(TIME_SCALE)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "IDENTICAL" in out and "mismatch" not in out
+    # One initial episode plus down+up per flap, and the same messages,
+    # on both substrates.
+    sim, live = re.findall(r"(?:sim |live) episodes: (\d+)  messages=(\d+)", out)
+    assert sim == live and int(sim[0]) == 1 + 2 * 2
 
 
 # ------------------------------------------------------------------ misuse
