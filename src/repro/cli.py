@@ -240,8 +240,7 @@ def cmd_live_fidelity(args: argparse.Namespace) -> int:
     """Run the ``live run`` cell and its sim twin; compare routes digests."""
     if _refuse_bad_numbers(args):
         return 2
-    from repro.harness.chaos import routes_digest
-    from repro.policy.flows import FlowSpec
+    from repro.harness.chaos import route_table, routes_digest
 
     (sim, sim_proto), (live, live_proto) = (
         _run_live_cli_cell(args, substrate) for substrate in ("sim", "live")
@@ -262,18 +261,13 @@ def cmd_live_fidelity(args: argparse.Namespace) -> int:
             f"max={max(times):.1f}  quiesced={record.quiesced}"
         )
     if digests[0] != digests[1]:
-        ads = sorted(sim_proto.graph.ad_ids())
-        mismatches = []
-        for src in ads:
-            for dst in ads:
-                if src == dst:
-                    continue
-                flow = FlowSpec(src=src, dst=dst)
-                routes = sim_proto.find_route(flow), live_proto.find_route(flow)
-                if routes[0] != routes[1]:
-                    mismatches.append(
-                        f"  mismatch {src}->{dst}: sim={routes[0]} live={routes[1]}"
-                    )
+        mismatches = [
+            f"  mismatch {src}->{dst}: sim={sim_route} live={live_route}"
+            for (src, dst, sim_route), (_, _, live_route) in zip(
+                route_table(sim_proto), route_table(live_proto)
+            )
+            if sim_route != live_route
+        ]
         print("\n".join(mismatches[:10]))
         if len(mismatches) > 10:
             print(f"  ... and {len(mismatches) - 10} more")

@@ -8,7 +8,9 @@ sockets::
     (_Program)   (_run_cell)        (Sim/LiveSubstrate)    (Sim/LiveNetwork)
 
 1. build the scenario and protocol, open the substrate
-   (:func:`~repro.harness.session.open_substrate`) and the program;
+   (:func:`~repro.harness.session.open_substrate`), attach the
+   :class:`~repro.simul.trace.Tracer` when the cell asks for a trace,
+   and open the program;
 2. converge: the ``initial`` episode and the data-plane baseline epoch;
 3. the program's baseline hook, then its steps, one episode each;
 4. the closing maintenance sweep where the program has one (a no-op on
@@ -60,27 +62,32 @@ from repro.simul.runner import _done, drive
 from repro.simul.trace import Tracer
 from repro.simul.wire import WIRE_VERSION
 
-__all__ = ["check_cell", "execute_chaos_cell", "execute_version_cell", "routes_digest", "run_cell"]
+__all__ = ["check_cell", "execute_chaos_cell", "execute_version_cell", "route_table",
+           "routes_digest", "run_cell"]
+
+
+def route_table(protocol) -> List[Tuple[int, int, Optional[Sequence[int]]]]:
+    """``(src, dst, route)`` for every ordered pair of distinct ADs, in
+    id order: the ``find_route`` answer (path or None) the protocol
+    would give now."""
+    ads = sorted(protocol.graph.ad_ids())
+    return [
+        (src, dst, protocol.find_route(FlowSpec(src=src, dst=dst)))
+        for src in ads
+        for dst in ads
+        if src != dst
+    ]
 
 
 def routes_digest(protocol) -> str:
-    """Digest of every ordered-pair route the protocol would answer now.
+    """Digest of the protocol's :func:`route_table`.
 
     The fidelity anchor: two substrates that converged to the same
-    control state produce the same digest.  Hashes the full
-    ``find_route`` answer (path or None) for every ordered (src, dst)
-    pair of the topology.
+    control state produce the same digest.
     """
-    ads = sorted(protocol.graph.ad_ids())
     h = hashlib.sha256()
-    for src in ads:
-        for dst in ads:
-            if src == dst:
-                continue
-            route = protocol.find_route(FlowSpec(src=src, dst=dst))
-            h.update(
-                f"{src}>{dst}:{route if route is None else tuple(route)};".encode()
-            )
+    for src, dst, route in route_table(protocol):
+        h.update(f"{src}>{dst}:{route if route is None else tuple(route)};".encode())
     return h.hexdigest()[:16]
 
 
@@ -192,7 +199,6 @@ class _PlainProgram(_Program):
             ("fault (impairment/churn/queue)", cell.fault.active),
             ("misbehavior", cell.misbehavior.active),
             ("traffic (compiled-FIB replay)", cell.traffic.active),
-            ("trace", cell.trace),
         ):
             if on:
                 yield (
@@ -201,13 +207,8 @@ class _PlainProgram(_Program):
                     "program -- chaotic cells run faults and traffic live)"
                 )
 
-    def __init__(self, *args) -> None:
-        super().__init__(*args)
-        self.trace_filter = _parse_trace(self.cell.trace)
-        self.tracer = None
-        if self.trace_filter is not None:
-            self.tracer = Tracer.attach(self.substrate.network)
-        self.robustness = self.misbehavior = None
+    #: Set by the probed timeline, when the cell runs one.
+    robustness = misbehavior = None
 
     def baseline(self) -> None:
         self.ingress_start = self.substrate.now
@@ -317,15 +318,10 @@ class _PlainProgram(_Program):
                 overload.update(
                     ingress.counters(elapsed, self.scenario.graph.num_ads)
                 )
-        trace = None
-        if self.tracer is not None:
-            records = self.tracer.filtered(ad=self.trace_filter["ad"])
-            trace = tuple(r.render() for r in records[-TRACE_LINE_LIMIT:])
         return {
             "robustness": self.robustness,
             "misbehavior": misbehavior,
             "overload": overload,
-            "trace": trace,
         }
 
 
@@ -578,6 +574,8 @@ async def _run_cell(
     scenario, protocol = build_cell(cell, profiler)
     traffic = TrafficMeter(cell, protocol, profiler)
     substrate = open_substrate(cell, protocol, profiler, time_scale, settle_timeout_s)
+    trace_filter = _parse_trace(cell.trace)
+    tracer = None if trace_filter is None else Tracer.attach(substrate.network)
     try:
         program = program_type(cell, scenario, protocol, substrate, traffic)
         await _done(substrate.start())
@@ -597,6 +595,10 @@ async def _run_cell(
                 serve_restarts = await _done(substrate.sweep())
             if serve_restarts:
                 traffic.record(substrate.now, "rolling serve restart")
+        trace = None
+        if tracer is not None:
+            records = tracer.filtered(ad=trace_filter["ad"])
+            trace = tuple(r.render() for r in records[-TRACE_LINE_LIMIT:])
         record = RunRecord.assemble(
             cell,
             scenario,
@@ -605,6 +607,7 @@ async def _run_cell(
             profiler,
             timings=substrate.timings(),
             dataplane=traffic.block(),
+            trace=trace,
             **program.blocks(serve_restarts),
         )
         return record, protocol

@@ -33,9 +33,9 @@ that depends on the receiver -- the addressing check, the
 crashed-destination drop, the seeded receive-loss draw, message
 accounting, per-frame failure isolation -- still runs per frame.  Any
 other datagram (a foreign sender, altered bytes, the second of two
-identical datagrams in flight, a body down-emitted without some field
-or holding a ``list``) takes the decoding path; a fleet with one
-process per AD would decode every datagram, as before the table.
+identical datagrams in flight, a body down-emitted without some field)
+takes the decoding path; a fleet with one process per AD would decode
+every datagram, as before the table.
 
 A hit is right only while ``lossless`` is, so the first lossless frame
 of each message type and wire version a network sends is decoded on
@@ -328,12 +328,15 @@ class _NodeRuntime(asyncio.DatagramProtocol):
 
     def _deliver(self, src: ADId, dst: ADId, msg: Message) -> None:
         """Hand one frame to its node: every check that depends on the
-        receiver, run per frame whether the frame was decoded or known."""
+        receiver, run per frame whether the frame was decoded or known.
+        The trace hook sees each frame addressed here before any drop."""
         network = self.network
         if dst != self.ad_id:
             raise WireError(
                 f"AD {self.ad_id} received a frame addressed to AD {dst}"
             )
+        if network.tracer is not None:
+            network.tracer.on_message(src, dst, msg)
         if network.is_crashed(dst):
             # Mirrors SimNetwork._deliver: a frame in flight to a crashed
             # process is lost and counted.

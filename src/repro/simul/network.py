@@ -8,6 +8,10 @@ Message delivery models the link's ``delay`` metric; messages sent over a
 link that is down (or that dies while unchecked, since we check at send
 time) are dropped and counted.  Link status changes notify both endpoint
 nodes synchronously at the scheduled time.
+
+``send`` and the inherited :meth:`Transport.broadcast` both end in
+:meth:`SimNetwork._post`; every posted delivery shares the network's one
+bound :meth:`SimNetwork._deliver`, which reads the trace hook first.
 """
 
 from __future__ import annotations
@@ -47,6 +51,10 @@ class SimNetwork(Transport):
         self.channel: Optional["ChannelModel"] = None
         self.ingress: Optional[IngressModel] = None
         self._clock = SimClock(self.sim)
+        # Bound once: every pending delivery shares this one method
+        # object.  ``_post`` still reads it from the instance per call,
+        # so a test that wraps ``network._deliver`` sees every delivery.
+        self._deliver = self._deliver
 
     @property
     def clock(self) -> Clock:
@@ -91,8 +99,7 @@ class SimNetwork(Transport):
         attached (loss, duplication, jitter)."""
         delay = link.metrics.get("delay", 1.0)
         # Deliveries are posted, not scheduled: nobody can cancel one, so
-        # the engine builds no handle.  ``self._deliver`` is looked up per
-        # call so that Tracer.attach's instance patch sees every delivery.
+        # the engine builds no handle.
         if self.channel is None:
             self.sim.post(delay, self._deliver, src, dst, msg)
             return
@@ -103,31 +110,10 @@ class SimNetwork(Transport):
         for extra in copies:
             self.sim.post(delay + extra, self._deliver, src, dst, msg)
 
-    def broadcast(
-        self, src: ADId, msg: Message, exclude: Optional[ADId] = None
-    ) -> None:
-        """:meth:`Transport.broadcast` with :meth:`_post` inlined when no
-        channel is attached.
-
-        The scan is the inherited one; what inlining saves is per
-        delivery: one call, and one bound ``self._deliver`` per pending
-        event (looked up once per broadcast here, still at call time), so
-        a flood's deliveries share it.  On the 400-AD churn run that is
-        ~5 MiB of peak RSS and ~5% of wall time.  Events, counters and
-        delivery order are the loop's (``tests/test_message_path.py``).
-        """
-        if self.channel is not None:
-            super().broadcast(src, msg, exclude)
-            return
-        post = self.sim.post
-        deliver = self._deliver
-        for link in self.graph.incident(src):
-            if link.up:
-                dst = link.b if link.a == src else link.a
-                if dst != exclude:
-                    post(link.metrics.get("delay", 1.0), deliver, src, dst, msg)
-
     def _deliver(self, src: ADId, dst: ADId, msg: Message) -> None:
+        # The trace hook sees a delivery before any drop here.
+        if self.tracer is not None:
+            self.tracer.on_message(src, dst, msg)
         # A link that died in flight still delivers what was already sent;
         # the failure notification races the last messages, as in reality.
         if dst in self._crashed:

@@ -1,17 +1,21 @@
 """Structured event tracing for protocol debugging.
 
-A :class:`Tracer` taps a :class:`~repro.simul.network.SimNetwork` and
-records every control-message delivery and link status change as typed
-records.  Protocol debugging on a 60-AD internet is hopeless from print
-statements; the tracer gives filtered timelines instead::
+A :class:`Tracer` taps a :class:`~repro.simul.transport.Transport` --
+the simulator's or the live one -- and records every control-message
+delivery and link status change as typed records.  Protocol debugging
+on a 60-AD internet is hopeless from print statements; the tracer gives
+filtered timelines instead::
 
     tracer = Tracer.attach(network)
     protocol.converge()
     print(tracer.timeline(ad=7, limit=20))       # what AD 7 saw
     print(tracer.message_counts())
 
-Tracing is opt-in and purely observational: it never alters delivery
-order or timing.
+Attaching sets the transport's one trace hook (``Transport.tracer``),
+read where a message reaches its destination AD and in
+``set_link_status``.  Tracing is opt-in and purely observational: it
+never alters delivery order or timing; with no tracer attached the hook
+costs one attribute test per delivery.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import List, Optional
 
 from repro.adgraph.ad import ADId
 from repro.simul.messages import Message
-from repro.simul.network import SimNetwork
+from repro.simul.transport import Transport
 
 
 @dataclass(frozen=True)
@@ -53,52 +57,35 @@ CAPACITY = 100_000
 class Tracer:
     """Records deliveries and link changes on a network."""
 
-    def __init__(self, network: SimNetwork) -> None:
+    def __init__(self, network: Transport) -> None:
         self.network = network
         self.records: List[TraceRecord] = []
         self.dropped_records = 0
 
     @classmethod
-    def attach(cls, network: SimNetwork) -> "Tracer":
-        """Wrap the network's delivery and link-change paths."""
+    def attach(cls, network: Transport) -> "Tracer":
+        """Set the network's trace hook to a new tracer (replacing any)."""
         tracer = cls(network)
-        original_deliver = network._deliver
-        original_set_link = network.set_link_status
-
-        def traced_deliver(src: ADId, dst: ADId, msg: Message) -> None:
-            tracer._record(
-                TraceRecord(
-                    time=network.sim.now,
-                    kind="msg",
-                    src=src,
-                    dst=dst,
-                    detail=msg.type_name,
-                    size=msg.size_bytes(),
-                )
-            )
-            original_deliver(src, dst, msg)
-
-        def traced_set_link(a: ADId, b: ADId, up: bool) -> None:
-            tracer._record(
-                TraceRecord(
-                    time=network.sim.now,
-                    kind="link",
-                    src=a,
-                    dst=b,
-                    detail="up" if up else "DOWN",
-                )
-            )
-            original_set_link(a, b, up)
-
-        network._deliver = traced_deliver  # type: ignore[method-assign]
-        network.set_link_status = traced_set_link  # type: ignore[method-assign]
+        network.tracer = tracer
         return tracer
 
-    def _record(self, record: TraceRecord) -> None:
+    def on_message(self, src: ADId, dst: ADId, msg: Message) -> None:
+        """The hook: ``msg`` from ``src`` reached ``dst``."""
+        self._record("msg", src, dst, msg.type_name, msg.size_bytes())
+
+    def on_link(self, a: ADId, b: ADId, up: bool) -> None:
+        """The hook: the link ``a``-``b`` is being set up or down."""
+        self._record("link", a, b, "up" if up else "DOWN")
+
+    def _record(
+        self, kind: str, src: ADId, dst: ADId, detail: str, size: int = 0
+    ) -> None:
         if len(self.records) >= CAPACITY:
             self.dropped_records += 1
             return
-        self.records.append(record)
+        self.records.append(
+            TraceRecord(self.network.clock.now, kind, src, dst, detail, size)
+        )
 
     # -------------------------------------------------------------- queries
 

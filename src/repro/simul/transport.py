@@ -14,10 +14,11 @@ need from the outside world is captured by two small interfaces:
   *defined* as the first two in a loop and written here once as one scan
   of the sender's links, which hands each live neighbour to the
   substrate's ``_post`` -- the part of ``send`` past its adjacency and
-  liveness checks -- so it delivers what the loop would.  The
-  driver-facing skeleton (the registry, crash silencing, link
-  notification, the start order) is written here once too; a substrate
-  overrides a piece only to add its own step, calling ``super()``.
+  liveness checks -- so it delivers what the loop would; no substrate
+  overrides it.  The driver-facing skeleton (the registry, crash
+  silencing, link notification, the start order, the trace hook) is
+  written here once too; a substrate overrides a piece only to add its
+  own step, calling ``super()``.
 
 Two substrates implement them:
 
@@ -65,6 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simul.messages import Message
     from repro.simul.node import ProtocolNode
     from repro.simul.profiling import PhaseProfiler
+    from repro.simul.trace import Tracer
 
 
 class TimerHandle(abc.ABC):
@@ -153,6 +155,9 @@ class Transport(abc.ABC):
     * ``profiler`` — an optional wall-clock
       :class:`~repro.simul.profiling.PhaseProfiler` (may be ``None``).
     * ``nodes`` — the ``{ad_id: ProtocolNode}`` registry.
+    * ``tracer`` — the one trace hook, ``None`` or the
+      :class:`~repro.simul.trace.Tracer` attached; read where a message
+      reaches its destination AD, before any drop, and on a link change.
 
     A substrate supplies :attr:`clock`, :meth:`send` (the adjacency and
     liveness checks, then :meth:`_post`), :meth:`_post` and its own start
@@ -168,6 +173,7 @@ class Transport(abc.ABC):
         self.nodes: Dict[ADId, "ProtocolNode"] = {}
         self.profiler = profiler
         self._crashed: Set[ADId] = set()
+        self.tracer: Optional["Tracer"] = None
 
     @property
     @abc.abstractmethod
@@ -212,6 +218,8 @@ class Transport(abc.ABC):
 
     def set_link_status(self, a: ADId, b: ADId, up: bool) -> None:
         """Change a link's status now and notify both live endpoint nodes."""
+        if self.tracer is not None:
+            self.tracer.on_link(a, b, up)
         link = self.graph.set_link_status(a, b, up)
         for end in (a, b):
             if end in self._crashed:

@@ -88,7 +88,6 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
-    List,
     NamedTuple,
     Tuple,
     Type,
@@ -331,25 +330,19 @@ def _plan(cls: type) -> _Plan:
 
 # ---------------------------------------------------------------- encoding
 
-#: An encoder takes ``(value, lists)``; ``lists`` collects every ``list``
-#: met on the way down, the one mutable thing the encoder accepts.
-_Encoder = Callable[[Any, List[Any]], Any]
+#: An encoder takes a value and returns its JSON-safe form.
+_Encoder = Callable[[Any], Any]
 
 #: exact value type -> its encoder (filled by :func:`_compile_encoder`).
 _ENCODERS: Dict[type, _Encoder] = {}
 
 
-def _encode_atom(value: Any, lists: List[Any]) -> Any:
+def _encode_atom(value: Any) -> Any:
     return value
 
 
-def _encode_tuple(value: Any, lists: List[Any]) -> Any:
-    return [_encode_value(v, lists) for v in value]
-
-
-def _encode_list(value: Any, lists: List[Any]) -> Any:
-    lists.append(value)
-    return _encode_tuple(value, lists)
+def _encode_tuple(value: Any) -> Any:
+    return [_encode_value(v) for v in value]
 
 
 @lru_cache(maxsize=1)
@@ -363,7 +356,7 @@ def _tagged_enum_keys() -> Dict[enum.Enum, str]:
     }
 
 
-def _encode_frozenset(value: Any, lists: List[Any]) -> Any:
+def _encode_frozenset(value: Any) -> Any:
     """Members sorted by their JSON text, so equal sets encode identically.
 
     The text of an int is its ``repr`` and that of a tagged enum member
@@ -372,7 +365,7 @@ def _encode_frozenset(value: Any, lists: List[Any]) -> Any:
     tagged = _tagged_enum_keys()
     keyed = []
     for member in value:
-        encoded = _encode_value(member, lists)
+        encoded = _encode_value(member)
         if type(member) is int:
             key = repr(member)
         else:
@@ -383,7 +376,11 @@ def _encode_frozenset(value: Any, lists: List[Any]) -> Any:
 
 
 def _compile_encoder(tp: type, value: Any) -> _Encoder:
-    """The ``isinstance`` ladder, walked once per exact value type."""
+    """The ``isinstance`` ladder, walked once per exact value type.
+
+    The vocabulary is closed: a ``list`` (or anything else mutable) is
+    refused, since its owner could change it after the send.
+    """
     name = tp.__name__
     encoder: _Encoder
     if issubclass(tp, _ATOMS):
@@ -393,13 +390,11 @@ def _compile_encoder(tp: type, value: Any) -> _Encoder:
         if name not in _enum_types():
             raise WireError(f"unregistered enum type {name}")
 
-        def encoder(value: Any, lists: List[Any]) -> Any:
+        def encoder(value: Any) -> Any:
             return {"__e": name, "v": value.value}
 
     elif issubclass(tp, tuple):
         encoder = _encode_tuple
-    elif issubclass(tp, list):
-        encoder = _encode_list
     elif issubclass(tp, frozenset):
         encoder = _encode_frozenset
     elif dataclasses.is_dataclass(tp):
@@ -407,8 +402,8 @@ def _compile_encoder(tp: type, value: Any) -> _Encoder:
             raise WireError(f"unregistered payload type {name}")
         names = _plan(tp).names
 
-        def encoder(value: Any, lists: List[Any]) -> Any:
-            return {"__d": name, "f": _encode_fields(value, names, lists)}
+        def encoder(value: Any) -> Any:
+            return {"__d": name, "f": _encode_fields(value, names)}
 
     else:
         raise WireError(f"cannot encode {name} value {value!r}")
@@ -416,20 +411,18 @@ def _compile_encoder(tp: type, value: Any) -> _Encoder:
     return encoder
 
 
-def _encode_value(value: Any, lists: List[Any]) -> Any:
+def _encode_value(value: Any) -> Any:
     tp = type(value)
     if tp in _ATOM_TYPES:
         return value
     encoder = _ENCODERS.get(tp)
     if encoder is None:
         encoder = _compile_encoder(tp, value)
-    return encoder(value, lists)
+    return encoder(value)
 
 
-def _encode_fields(
-    obj: Any, names: Tuple[str, ...], lists: List[Any]
-) -> Dict[str, Any]:
-    return {name: _encode_value(getattr(obj, name), lists) for name in names}
+def _encode_fields(obj: Any, names: Tuple[str, ...]) -> Dict[str, Any]:
+    return {name: _encode_value(getattr(obj, name)) for name in names}
 
 
 def _wire_names(msg: Message, version: int) -> Tuple[str, Tuple[str, ...]]:
@@ -459,7 +452,7 @@ def to_wire(msg: Message, *, version: int = WIRE_VERSION) -> Dict[str, Any]:
     ``"r"`` and carries the full field set allowed at that version.
     """
     name, names = _wire_names(msg, version)
-    fields = _encode_fields(msg, names, [])
+    fields = _encode_fields(msg, names)
     if version == 1:
         return {"t": name, "f": fields}
     return {
@@ -623,21 +616,21 @@ def _tail(name: str, version: int) -> bytes:
     return b',"r":%d,"t":%b}' % (revision, quoted)
 
 
-def _json(value: Any, lists: List[Any]) -> bytes:
-    return _CANONICAL.encode(_encode_value(value, lists)).encode("ascii")
+def _json(value: Any) -> bytes:
+    return _CANONICAL.encode(_encode_value(value)).encode("ascii")
 
 
-def _nested_text(item: Any, version: int, lists: List[Any]) -> bytes:
+def _nested_text(item: Any, version: int) -> bytes:
     """``item``'s nested form, cut from its top-level text when it has one."""
     cls = type(item)
     if cls not in _spliceable():
-        return _json(item, lists)
-    text = _message_text(item, version, lists)
+        return _json(item)
+    text = _message_text(item, version)
     fields = text[len(_HEAD) : len(text) - len(_tail(cls.__name__, version))]
     return b'{"__d":%b,"f":%b}' % (_CANONICAL.encode(cls.__name__).encode("ascii"), fields)
 
 
-def _render(msg: Message, version: int, lists: List[Any]) -> bytes:
+def _render(msg: Message, version: int) -> bytes:
     """The canonical text of :func:`to_wire`'s dict, byte for byte.
 
     A field declared as a tuple of spliceable messages (the LSAs of an
@@ -647,17 +640,17 @@ def _render(msg: Message, version: int, lists: List[Any]) -> bytes:
     name, names = _wire_names(msg, version)
     spliced = _spliced_fields(type(msg))
     if not spliced:
-        fields = _CANONICAL.encode(_encode_fields(msg, names, lists)).encode("ascii")
+        fields = _CANONICAL.encode(_encode_fields(msg, names)).encode("ascii")
     else:
         parts = []
         for field in sorted(names):
             value = getattr(msg, field)
             if field in spliced and type(value) is tuple:
                 text = b"[%b]" % b",".join(
-                    [_nested_text(item, version, lists) for item in value]
+                    [_nested_text(item, version) for item in value]
                 )
             else:
-                text = _json(value, lists)
+                text = _json(value)
             parts.append(b"%b:%b" % (_CANONICAL.encode(field).encode("ascii"), text))
         fields = b"{%b}" % b",".join(parts)
     return _HEAD + fields + _tail(name, version)
@@ -666,37 +659,21 @@ def _render(msg: Message, version: int, lists: List[Any]) -> bytes:
 def lossless(msg: Message, version: int) -> bool:
     """Whether ``msg``'s body at ``version`` decodes back to ``msg`` itself.
 
-    Every field must travel -- at :data:`WIRE_VERSION`, or at an older
-    version for a type without :data:`FIELD_REVISIONS` -- and the body
-    must hold no ``list``, which its owner may mutate after the send.
-    Only a rendering meets a list, and :func:`_message_text` memoises
-    exactly the renderings that met none, so this reads the memo: it
-    holds from the moment ``encode_frame(..., msg, version=version)``
-    returns until the text is evicted.  ``False`` is always safe: the
-    receiver parses the bytes.
+    Every field must travel: at :data:`WIRE_VERSION`, or at an older
+    version for a type without :data:`FIELD_REVISIONS`.  Nothing else can
+    be lost, since the encoder refuses every mutable value.  ``False`` is
+    always safe: the receiver parses the bytes.
     """
-    return (
-        version == WIRE_VERSION or type(msg).__name__ not in FIELD_REVISIONS
-    ) and _ENCODED.get((id(msg), version)) is not None
+    return version == WIRE_VERSION or type(msg).__name__ not in FIELD_REVISIONS
 
 
-def _message_text(msg: Message, version: int, lists: List[Any]) -> bytes:
-    """``msg``'s canonical text, rendered once per (object, wire version).
-
-    A rendering that met a ``list`` is returned but not kept: nothing
-    stops the owner from mutating it between sends.  Its lists are
-    reported to the caller's ``lists``, so a container holding such a
-    message is not kept either.
-    """
+def _message_text(msg: Message, version: int) -> bytes:
+    """``msg``'s canonical text, rendered once per (object, wire version)."""
     key = (id(msg), version)
     entry = _ENCODED.get(key)
     if entry is not None:
         return entry[1]
-    own: List[Any] = []
-    text = _render(msg, version, own)
-    if own:
-        lists.extend(own)
-        return text
+    text = _render(msg, version)
     _ENCODED.put(key, (msg, text), len(text))
     return text
 
@@ -718,7 +695,7 @@ def encode_frame(
     head, tail = _envelope(src, dst, version)
     # The memo hit, inline: every flooded copy after the first takes it.
     entry = _ENCODED.get((id(msg), version))
-    text = entry[1] if entry is not None else _message_text(msg, version, [])
+    text = entry[1] if entry is not None else _message_text(msg, version)
     size = len(head) + len(text) + len(tail)
     if size > MAX_FRAME_BYTES:  # pragma: no cover - defensive
         raise WireError(f"frame body of {size} bytes exceeds the cap")

@@ -10,8 +10,10 @@ cell through the same coroutine on both substrates.
 """
 
 import asyncio
+import dataclasses
 import json
 import random
+import re
 
 import pytest
 
@@ -453,6 +455,31 @@ def test_plain_sim_and_live_rows_come_out_of_the_same_function(driven):
         ep.messages for ep in live.episodes
     ]
     assert chaos.routes_digest(sim_protocol) == chaos.routes_digest(live_protocol)
+
+
+@pytest.mark.parametrize(
+    "fault, options",
+    [
+        (FaultSpec(restarts=1, partitions=1, seed=3), ()),
+        (FaultSpec(upgrade_waves=2, seed=3), (("wire", "v1+negotiate"),)),
+    ],
+    ids=["chaos", "upgrade"],
+)
+def test_sim_disruption_cells_record_the_trace_they_ask_for(fault, options):
+    """The driver attaches the tracer for every program: a chaos or an
+    upgrade cell on the 8-AD ring records its deliveries too."""
+    cell = dataclasses.replace(
+        _chaos_cell(ProtocolSpec("plain-ls", options=options), fault),
+        trace="all",
+    )
+    record = execute_cell(cell)
+    assert record.trace
+    assert any(" -> " in line for line in record.trace)
+    narrowed = execute_cell(dataclasses.replace(cell, trace="ad=0"))
+    assert narrowed.trace and set(narrowed.trace) < set(record.trace)
+    assert all(
+        re.search(r"\b0\b", line.split("] ", 1)[1]) for line in narrowed.trace
+    )
 
 
 def test_sim_graceful_restart_stops_at_the_next_groups_instant(graced_record):

@@ -1,9 +1,11 @@
 """The harness substrate axis: live cells through the shared execute_cell."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.harness.record import SCHEMA_VERSION, RunRecord
-from repro.harness.session import execute_cell
+from repro.harness.session import TRACE_LINE_LIMIT, execute_cell
 from repro.harness.spec import (
     Cell,
     ExperimentSpec,
@@ -71,8 +73,26 @@ def test_live_cell_rejects_sim_only_axes():
         execute_cell(
             _cell(misbehavior=MisbehaviorSpec(lie="route-leak"), substrate="live")
         )
-    with pytest.raises(ValueError, match="trace"):
-        execute_cell(_cell(trace="all", substrate="live"))
+
+
+def test_live_cell_records_the_trace_it_asks_for():
+    """A live plain cell honours ``trace`` as its sim twin does: one
+    ``msg`` line per delivered frame, and the same link-change lines."""
+    cell = _cell(
+        scenario=ScenarioSpec(kind="ring", seed=0, num_flows=12),
+        failure=FailureSpec(kind="random", count=1, seed=3),
+        trace="all",
+    )
+    links = {}
+    for substrate in ("sim", "live"):
+        record = execute_cell(replace(cell, substrate=substrate))
+        # Each line is "[time] <event>"; only the time is substrate-made.
+        events = [line.split("] ", 1)[1] for line in record.trace]
+        delivered = sum(ep.messages for ep in record.episodes)
+        assert 0 < delivered < TRACE_LINE_LIMIT
+        assert len([e for e in events if " -> " in e]) == delivered
+        links[substrate] = [e for e in events if e.startswith("link ")]
+    assert links["live"] == links["sim"] == ["link 2-3 DOWN", "link 2-3 up"]
 
 
 def test_unknown_substrate_rejected():

@@ -36,7 +36,6 @@ from hypothesis import strategies as st
 from repro.live import LiveNetwork, settle
 from repro.live import network as live_network
 from repro.policy.generators import open_policies
-from repro.protocols.dv import DVUpdate
 from repro.protocols.flooding import ExchangeAck
 from repro.protocols.registry import make_protocol
 from repro.protocols.versioning import Hello, WireConfig
@@ -126,19 +125,12 @@ def outcome(network, log):
 
 
 #: Bodies the table must refuse: a Hello down-emitted to v1 loses its
-#: capabilities, and a list may change after the send.
-lossy_messages = st.one_of(
-    st.builds(
-        Hello,
-        version=st.sampled_from(VERSIONS),
-        min_version=st.just(1),
-        capabilities=st.lists(st.sampled_from(["graceful", "x"]), max_size=2).map(tuple),
-    ),
-    st.builds(
-        DVUpdate,
-        entries=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 64)), max_size=3),
-        poisons=st.just(()),
-    ),
+#: capabilities.
+lossy_messages = st.builds(
+    Hello,
+    version=st.sampled_from(VERSIONS),
+    min_version=st.just(1),
+    capabilities=st.lists(st.sampled_from(["graceful", "x"]), max_size=2).map(tuple),
 )
 
 
@@ -287,15 +279,12 @@ def test_a_datagram_from_a_raw_socket_is_decoded():
             Hello(version=2, min_version=1, capabilities=("graceful",)),
             id="v1-field-revisions",
         ),
-        pytest.param(DVUpdate(entries=[(7, 2)], poisons=()), id="holds-a-list"),
     ],
 )
 def test_a_datagram_with_a_lossy_body_is_decoded_whole(lossy):
-    version = 1 if isinstance(lossy, Hello) else WIRE_VERSION
-
     async def scenario():
         log = []
-        network, sent = await started(_pair(), log, version)
+        network, sent = await started(_pair(), log, 1)
         try:
             # One lossless frame beside the lossy one: the datagram is one
             # unit, so neither frame comes from the table.
@@ -314,11 +303,8 @@ def test_a_datagram_with_a_lossy_body_is_decoded_whole(lossy):
     (_, _, ack), (_, _, received) = run(scenario())
     assert ack == ExchangeAck(token=1)
     assert received is not lossy
-    if isinstance(lossy, Hello):
-        # The v1 body carries no capabilities: they default, as parsing says.
-        assert received == Hello(version=2, min_version=1)
-    else:
-        assert received.entries == ((7, 2),)
+    # The v1 body carries no capabilities: they default, as parsing says.
+    assert received == Hello(version=2, min_version=1)
 
 
 def test_the_second_of_two_identical_datagrams_in_flight_is_decoded():
@@ -392,15 +378,17 @@ def test_the_first_lossless_frame_of_each_kind_is_decoded_once_per_network():
 
 
 def test_a_kind_that_does_not_round_trip_fails_its_first_send(monkeypatch):
-    # Were ``lossless`` to pass a list-holding body, the table would hand
-    # the receiver a list where decoding gives a tuple: the check refuses.
+    # Were ``lossless`` to pass a Hello down-emitted to v1, the table would
+    # hand the receiver capabilities decoding drops: the check refuses.
     monkeypatch.setattr(live_network, "lossless", lambda msg, version: True)
 
     async def scenario():
-        network, sent = await started(_pair(), [])
+        network, sent = await started(_pair(), [], 1)
         try:
-            with pytest.raises(wire.WireError, match="DVUpdate at wire version"):
-                network.send(0, 1, DVUpdate(entries=[(7, 2)], poisons=()))
+            with pytest.raises(wire.WireError, match="Hello at wire version 1"):
+                network.send(
+                    0, 1, Hello(version=2, min_version=1, capabilities=("graceful",))
+                )
             assert network.outbox_frames() == 0
             network.send(0, 1, ExchangeAck(token=5))
             assert len(await flushed(network, sent)) == 1

@@ -3,8 +3,8 @@
 ``Transport.broadcast`` is *defined* as the loop it replaced -- one
 ``send`` per live neighbour, in ``neighbors()`` order -- and runs as a
 single pass over the incident-link tuple that hands each neighbour to
-the substrate's ``_post`` (the part of ``send`` past its checks; the
-simulator inlines it when no channel is attached), so the
+the substrate's ``_post`` (the part of ``send`` past its checks; no
+substrate overrides it), so the
 first half of this file drives a network through ``broadcast`` and a
 twin through that loop and requires the same deliveries, counters and
 event count under every feature that sits on the path (down links, a
@@ -290,8 +290,8 @@ def test_live_network_broadcast_is_the_loop_it_replaces():
 
 #: Python-level calls per delivered message on the 100-AD plain-ls initial
 #: convergence with a profiler attached.  28.14 before the handle-free
-#: path, 12.94 with it; the slack is for a deliberate extra hop, not for
-#: noise: a fresh interpreter repeats the count exactly, and first-use
+#: path, 12.94 with it, 13.94 with every broadcast through ``_post``
+#: (one call per delivery); the slack is for that hop, not for noise: a fresh interpreter repeats the count exactly, and first-use
 #: work elsewhere in a test session moves it by a few calls in 244 000.
 CALLS_PER_MESSAGE_BUDGET = 14.0
 

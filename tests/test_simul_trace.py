@@ -7,8 +7,11 @@ come from the sorted incident-link tuple, never from set order
 hold under both seeds.
 """
 
+import asyncio
+
 import pytest
 
+from repro.live import LiveNetwork, settle
 from repro.policy.database import PolicyDatabase
 from repro.protocols.dv import DistanceVectorProtocol, DVUpdate
 from repro.simul.ingress import IngressModel
@@ -95,8 +98,9 @@ class TestTracer:
         )
 
     def test_queue_dropped_deliveries_pass_through_the_tracer(self):
-        # The tracer wraps network._deliver, ahead of the bounded ingress:
-        # a delivery the full queue drops is still a delivery event.
+        # The trace hook runs at the top of network._deliver, ahead of the
+        # bounded ingress: a delivery the full queue drops is still a
+        # delivery event.
         def run(traced):
             g = mk_graph(
                 [(0, "Rt")] + [(i, "Cs") for i in range(1, 6)],
@@ -123,3 +127,28 @@ class TestTracer:
         net = DistanceVectorProtocol(g, PolicyDatabase()).build()
         tracer = Tracer.attach(net)
         assert tracer.timeline() == "(no events)"
+
+
+def test_attach_works_on_the_live_network():
+    """The hook is the Transport's: the live network reads it where a
+    frame reaches its AD and when a link changes, as the simulator does."""
+
+    async def scenario():
+        proto = DistanceVectorProtocol(line_graph(3), PolicyDatabase())
+        proto.substrate = "live"
+        network = LiveNetwork(proto.graph, time_scale=0.002)
+        proto.build(network=network)
+        tracer = Tracer.attach(network)
+        await network.start()
+        try:
+            assert await settle(network, timeout_s=30.0)
+            network.set_link_status(0, 1, False)
+            assert await settle(network, timeout_s=30.0)
+            return tracer, sum(network.metrics.messages.values())
+        finally:
+            await network.close()
+
+    tracer, delivered = asyncio.run(asyncio.wait_for(scenario(), timeout=60.0))
+    assert len(tracer.filtered(kind="msg")) == delivered > 0
+    (link,) = tracer.filtered(kind="link")
+    assert (link.src, link.dst, link.detail) == (0, 1, "DOWN")
