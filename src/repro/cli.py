@@ -474,7 +474,7 @@ def cmd_experiments_run(args: argparse.Namespace) -> int:
 #: so columns deliberately do not sum to a run's total.
 _PROFILE_PHASES = (
     "scenario", "build", "converge", "failures", "faults", "evaluate",
-    "engine.run", "proto.flood", "proto.spf",
+    "engine.run", "proto.spf",
 )
 
 
@@ -662,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="per-run protocol trace: 'all' or 'ad=<id>'")
     ep.add_argument("--profile", action="store_true",
                     help="print each run's per-phase wall-clock table "
-                         "(engine.run, proto.spf, proto.flood, ...)")
+                         "(engine.run, proto.spf, ...)")
     ep.add_argument("--runs-dir", default="benchmarks/out/runs",
                     help="where <experiment>.jsonl telemetry is written")
     ep.add_argument("--seed", dest="exp_seed", type=int, default=None,

@@ -599,6 +599,9 @@ async def _run_cell(
         if tracer is not None:
             records = tracer.filtered(ad=trace_filter["ad"])
             trace = tuple(r.render() for r in records[-TRACE_LINE_LIMIT:])
+            truncation = tracer.truncation()
+            if truncation is not None:
+                trace += (truncation,)
         record = RunRecord.assemble(
             cell,
             scenario,

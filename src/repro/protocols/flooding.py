@@ -30,7 +30,6 @@ computation are shared per LSDB state (DESIGN section 4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 from repro.adgraph.ad import ADId, InterADLink, Level
@@ -205,7 +204,7 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
     def _flood(self, msg: Message, exclude: Optional[ADId] = None) -> None:
         """Send to flooding-scope neighbours (all, or scoped links only)."""
         if self.flood_links is None:
-            self.transport.broadcast(self.ad_id, msg, exclude)
+            self._transport.broadcast(self.ad_id, msg, exclude)
             return
         for nbr in self.neighbors():
             if nbr == exclude:
@@ -340,19 +339,7 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
 
     def on_message(self, sender: ADId, msg: Message) -> None:
         if isinstance(msg, (LinkStateAd, LSDBExchange)):
-            # Per message, so without the two property hops of
-            # self.profiler (a message only ever arrives through an
-            # attached transport) and with profiler.phase("proto.flood")
-            # spelled out (the context object costs three more calls).
-            profiler = self._transport.profiler
-            if profiler is None:
-                self._on_flood_message(sender, msg)
-            else:
-                t0 = perf_counter()
-                try:
-                    self._on_flood_message(sender, msg)
-                finally:
-                    profiler.add("proto.flood", perf_counter() - t0)
+            self._on_flood_message(sender, msg)
         elif isinstance(msg, ExchangeAck):
             self.clear_retransmit(msg.token)
         else:
@@ -362,25 +349,22 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
         """Handle the flooding-substrate messages (LSA / DB exchange)."""
         if self.guard is not None and self.guard.suppresses(sender):
             return
+        # A cached flag: with every check off, no _rejects call per LSA.
+        checks = self.validation.checks_enabled
         if isinstance(msg, LinkStateAd):
-            if self._rejects(sender, self._check_lsa, msg):
+            if checks and self._rejects(sender, self._check_lsa, msg):
                 return
             if self._install(msg):
                 self._flood(msg, exclude=sender)
-                self.on_lsdb_change()
         else:
             assert isinstance(msg, LSDBExchange)
             if msg.token:
                 self.send(sender, ExchangeAck(msg.token))
-            changed = False
             for lsa in msg.ads:
-                if self._rejects(sender, self._check_lsa, lsa):
+                if checks and self._rejects(sender, self._check_lsa, lsa):
                     continue
                 if self._install(lsa):
                     self._flood(lsa, exclude=sender)
-                    changed = True
-            if changed:
-                self.on_lsdb_change()
 
     # ------------------------------------------------------------ validation
 
@@ -496,7 +480,6 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
         )
         self._install(fake)
         self._flood(fake)
-        self.on_lsdb_change()
 
     def _flood_replays(self) -> None:
         """Re-flood "old" LSAs under sequence numbers outranking fresh ones."""
@@ -565,7 +548,6 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
                 self.arm_retransmit(exchange.token, nbr, exchange)
             else:
                 self.send(nbr, LSDBExchange(ads))
-        self.on_lsdb_change()
 
     def inherit_nonvolatile(self, previous: ProtocolNode) -> None:
         """Keep the LSA sequence counter across a state-losing restart.
@@ -576,9 +558,6 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
         """
         if isinstance(previous, LSNode):
             self._seq = previous._seq
-
-    def on_lsdb_change(self) -> None:
-        """Hook for subclasses (cache invalidation etc.).  Default: none."""
 
     # ----------------------------------------------------------- generations
 

@@ -441,7 +441,6 @@ class ORWGNode(LSNode):
         """Re-read our own terms from the live database and re-flood."""
         self.own_terms = self.live_policies.terms_of(self.ad_id)
         self.originate()
-        self.on_lsdb_change()
 
     def _tell_lie(self, lie, target=None) -> bool:
         if lie == "route-leak":

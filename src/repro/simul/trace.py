@@ -50,7 +50,8 @@ class TraceRecord:
 
 
 #: Records a tracer keeps; later events are only counted
-#: (``dropped_records``), so a long run cannot exhaust memory.
+#: (``dropped_records``, rendered by :meth:`Tracer.truncation`), so a
+#: long run cannot exhaust memory.
 CAPACITY = 100_000
 
 
@@ -87,6 +88,20 @@ class Tracer:
             TraceRecord(self.network.clock.now, kind, src, dst, detail, size)
         )
 
+    def truncation(self) -> Optional[str]:
+        """A line saying how many records were not kept, or ``None``.
+
+        The tracer keeps the *first* :data:`CAPACITY` records of a run,
+        so a rendered tail of what was kept stops short of the run's
+        end; this line, appended after that tail, says so.
+        """
+        if not self.dropped_records:
+            return None
+        return (
+            f"... {self.dropped_records} later records not kept: the tracer "
+            f"keeps the first {CAPACITY} (over all ADs) ..."
+        )
+
     # -------------------------------------------------------------- queries
 
     def filtered(
@@ -121,6 +136,9 @@ class Tracer:
         lines = [r.render() for r in records[-limit:]]
         if len(records) > limit:
             lines.insert(0, f"... {len(records) - limit} earlier events elided ...")
+        truncation = self.truncation()
+        if truncation is not None:
+            lines.append(truncation)
         return "\n".join(lines) if lines else "(no events)"
 
     def message_counts(self) -> Counter:

@@ -39,6 +39,7 @@ from repro.harness.spec import (
     ScenarioSpec,
     TrafficSpec,
 )
+from repro.simul import trace
 from repro.simul.profiling import PhaseProfiler
 from repro.workloads import ring_scenario
 
@@ -479,6 +480,22 @@ def test_sim_disruption_cells_record_the_trace_they_ask_for(fault, options):
     assert narrowed.trace and set(narrowed.trace) < set(record.trace)
     assert all(
         re.search(r"\b0\b", line.split("] ", 1)[1]) for line in narrowed.trace
+    )
+
+
+def test_truncated_trace_says_what_it_did_not_keep(monkeypatch):
+    """A trace past the tracer's capacity ends with one line naming how
+    many records were not kept and which end was; an untruncated one has
+    no such line."""
+    cell = dataclasses.replace(_chaos_cell(), trace="all")
+    full = execute_cell(cell).trace
+    assert not any("not kept" in line for line in full)
+    monkeypatch.setattr(trace, "CAPACITY", 40)
+    cut = execute_cell(cell).trace
+    dropped = len(full) - 40
+    assert cut == full[:40] + (
+        f"... {dropped} later records not kept: the tracer keeps the "
+        "first 40 (over all ADs) ...",
     )
 
 

@@ -277,6 +277,18 @@ class TestExperimentsRun:
         err = capsys.readouterr().err
         assert err.startswith("error: chaotic cells replace the churn/queue timeline")
 
+    def test_profile_prints_the_per_phase_table(self, capsys, tmp_path):
+        argv = ["table1_design_space", "--smoke", "--profile", "--runs-dir", str(tmp_path)]
+        assert main(["experiments", "run", *argv]) == 0
+        out = capsys.readouterr().out
+        title = "table1_design_space_smoke: per-phase wall-clock (s)"
+        assert title in out
+        header = out.split(title, 1)[1].splitlines()[1].split()
+        assert header[:2] == ["cell", "label"]
+        assert {"engine.run", "proto.spf"} <= set(header)
+        # No phase is timed per delivered message.
+        assert "proto.flood" not in out
+
     def test_value_error_inside_a_cell_surfaces(self, monkeypatch, tmp_path):
         class FailingSession:
             def __init__(self, spec, out_dir=None):

@@ -291,9 +291,12 @@ def test_live_network_broadcast_is_the_loop_it_replaces():
 #: Python-level calls per delivered message on the 100-AD plain-ls initial
 #: convergence with a profiler attached.  28.14 before the handle-free
 #: path, 12.94 with it, 13.94 with every broadcast through ``_post``
-#: (one call per delivery); the slack is for that hop, not for noise: a fresh interpreter repeats the count exactly, and first-use
-#: work elsewhere in a test session moves it by a few calls in 244 000.
-CALLS_PER_MESSAGE_BUDGET = 14.0
+#: (one call per delivery), 10.85 without the per-message ``proto.flood``
+#: stopwatch, the no-op ``on_lsdb_change`` hook, the ``_rejects`` call
+#: with every check off and the ``transport`` property hop in ``_flood``.
+#: A fresh interpreter repeats the count exactly; the slack is for
+#: first-use work elsewhere in a test session, a few calls in 205 000.
+CALLS_PER_MESSAGE_BUDGET = 11.0
 
 
 def test_python_calls_per_delivered_message_stay_within_budget():
@@ -316,7 +319,9 @@ def test_python_calls_per_delivered_message_stay_within_budget():
         sys.setprofile(previous)
     delivered = sum(network.metrics.messages.values())
     assert delivered > 10_000  # the run really flooded
-    assert network.profiler.entries["proto.flood"] == delivered
+    # An attached profiler times phases (engine.run, proto.spf), never a
+    # delivered message.
+    assert sum(network.profiler.entries.values()) < delivered / 100
     assert calls / delivered <= CALLS_PER_MESSAGE_BUDGET, (
         f"{calls} calls for {delivered} messages = {calls / delivered:.2f} "
         f"per message (budget {CALLS_PER_MESSAGE_BUDGET})"

@@ -81,6 +81,10 @@ class TestTracer:
         proto.converge()
         assert len(tracer) == 3
         assert tracer.dropped_records > 0
+        assert tracer.timeline().splitlines()[-1] == (
+            f"... {tracer.dropped_records} later records not kept: "
+            "the tracer keeps the first 3 (over all ADs) ..."
+        )
 
     def test_tracing_does_not_change_outcome(self):
         from repro.policy.flows import FlowSpec
