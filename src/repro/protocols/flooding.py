@@ -328,7 +328,12 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
         self.originate()
 
     def _install(self, lsa: LinkStateAd) -> bool:
-        """Store an LSA if newer; returns whether the LSDB changed."""
+        """Store an LSA if newer; returns whether the LSDB changed.
+
+        The install of originations and of :class:`LSDBExchange` entries;
+        :meth:`on_message` repeats its three steps in place for a lone
+        LSA (tests/test_ls_install_rule.py holds the two equal).
+        """
         current = self.lsdb.get(lsa.origin)
         if current is not None and current.seq >= lsa.seq:
             self.duplicates_ignored += 1
@@ -338,33 +343,44 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
         return True
 
     def on_message(self, sender: ADId, msg: Message) -> None:
-        if isinstance(msg, (LinkStateAd, LSDBExchange)):
-            self._on_flood_message(sender, msg)
-        elif isinstance(msg, ExchangeAck):
-            self.clear_retransmit(msg.token)
-        else:
-            super().on_message(sender, msg)
-
-    def _on_flood_message(self, sender: ADId, msg: Message) -> None:
-        """Handle the flooding-substrate messages (LSA / DB exchange)."""
-        if self.guard is not None and self.guard.suppresses(sender):
-            return
-        # A cached flag: with every check off, no _rejects call per LSA.
-        checks = self.validation.checks_enabled
         if isinstance(msg, LinkStateAd):
-            if checks and self._rejects(sender, self._check_lsa, msg):
+            # The flood's per-delivery path, in place: it is
+            # :meth:`_install` then :meth:`_flood` minus the two calls, so
+            # a duplicate costs no call past this one and a new LSA none
+            # before the broadcast (tests/test_message_path.py counts).
+            # ``checks_enabled`` is a cached flag: with every check off,
+            # no ``_rejects`` call per LSA.
+            if self.guard is not None and self.guard.suppresses(sender):
                 return
-            if self._install(msg):
-                self._flood(msg, exclude=sender)
-        else:
-            assert isinstance(msg, LSDBExchange)
+            if self.validation.checks_enabled and self._rejects(
+                sender, self._check_lsa, msg
+            ):
+                return
+            current = self.lsdb.get(msg.origin)
+            if current is not None and current.seq >= msg.seq:
+                self.duplicates_ignored += 1
+                return
+            self.lsdb[msg.origin] = msg
+            self.db_version += 1
+            if self.flood_links is None:
+                self._transport.broadcast(self.ad_id, msg, sender)
+            else:
+                self._flood(msg, sender)
+        elif isinstance(msg, LSDBExchange):
+            if self.guard is not None and self.guard.suppresses(sender):
+                return
             if msg.token:
                 self.send(sender, ExchangeAck(msg.token))
+            checks = self.validation.checks_enabled
             for lsa in msg.ads:
                 if checks and self._rejects(sender, self._check_lsa, lsa):
                     continue
                 if self._install(lsa):
                     self._flood(lsa, exclude=sender)
+        elif isinstance(msg, ExchangeAck):
+            self.clear_retransmit(msg.token)
+        else:
+            super().on_message(sender, msg)
 
     # ------------------------------------------------------------ validation
 

@@ -171,10 +171,12 @@ class IDRPNode(VectorNode):
 
     def on_message(self, sender: ADId, msg: Message) -> None:
         assert isinstance(msg, IDRPUpdate)
-        if not self.topology.has_link(self.ad_id, sender):
+        if not self._transport.graph.has_link(self.ad_id, sender):
             return
         if self.guard is not None and self.guard.suppresses(sender):
             return
+        # A cached flag: with every check off, no _rejects call per ad.
+        checks = self.validation.checks_enabled
         first_seen = self._first_seen
         table = self.rib_in.get(sender)
         changed_keys = []
@@ -183,11 +185,16 @@ class IDRPNode(VectorNode):
                 continue
             if ad.qos not in self.qos_classes:
                 continue  # a class we keep no table for: nothing reads it
-            if not ad.is_withdrawal and self._rejects(sender, self._check_ad, sender, ad):
+            withdrawal = not ad.path  # ``ad.is_withdrawal``, asked once
+            if (
+                not withdrawal
+                and checks
+                and self._rejects(sender, self._check_ad, sender, ad)
+            ):
                 continue
             key = (ad.dest, ad.qos, ad.cls)
             key = first_seen.setdefault(key, key)
-            if ad.is_withdrawal:
+            if withdrawal:
                 if table is None or table.pop(key, None) is None:
                     continue
             else:
@@ -302,7 +309,7 @@ class IDRPNode(VectorNode):
         best_rank = None
         cls_set = self.class_sets[key[2]]
         metric_name = key[1].metric
-        link_to = self.topology.link_if_exists
+        link_to = self._transport.graph.link_if_exists
         for nbr, table in self.rib_in.items():  # ascending peer id
             ad = table.get(key)
             if ad is None:

@@ -81,6 +81,9 @@ class Simulator:
         self._instants: List[float] = []
         self._pending = 0
         self._now = 0.0
+        #: Events fired, summed over runs; :meth:`run` adds its count once,
+        #: when it returns or raises, so a callback reads the total as of
+        #: the run's start.
         self.events_processed = 0
         #: Cancelled handles still sitting in the queue (drives compaction).
         self._cancelled_pending = 0
@@ -222,7 +225,6 @@ class Simulator:
                     else:
                         head(*entry[1:])
                     processed += 1
-                    self.events_processed += 1
                 if bucket:  # stopped on the limit, mid-instant
                     break
                 # Still the minimum: nothing is ever scheduled into the past.
@@ -231,6 +233,8 @@ class Simulator:
             if until is not None and until > self._now:
                 self._now = until
         finally:
+            # Once per run, not per event (see ``events_processed``).
+            self.events_processed += processed
             if self.profiler is not None:
                 self.profiler.add("engine.run", time.perf_counter() - t0)
         return processed

@@ -121,23 +121,26 @@ def execute(sim, program):
     log, handles, trail = [], [], []
     tags = itertools.count()
 
-    def add(entry, when, actions):
+    def add(entry, when, actions, arity=0):
         tag = next(tags)
+        # Distinct arguments, so a call that drops, reorders or slices
+        # them wrongly logs something else; a delivery posts three.
+        args = tuple(f"{tag}.{i}" for i in range(arity))
 
-        def fire():
-            log.append((tag, sim.now))
+        def fire(*received):
+            log.append((tag, sim.now, *received))
             for action in actions:
                 perform(action)
 
         if entry == "post":
-            assert sim.post(when, fire) is None
+            assert sim.post(when, fire, *args) is None
         elif entry == "schedule":
-            handles.append(sim.schedule(when, fire))
+            handles.append(sim.schedule(when, fire, *args))
         else:
             at = sim.now + when
             if entry == "schedule_at_int" and at == int(at):
                 at = int(at)  # the other spelling of the same instant
-            handles.append(sim.schedule_at(at, fire))
+            handles.append(sim.schedule_at(at, fire, *args))
 
     def perform(action):
         kind, *rest = action
@@ -186,6 +189,8 @@ def execute(sim, program):
 #: Few, colliding instants, in both spellings, zero delay included.
 WHENS = st.sampled_from([0, 0.0, 0.5, 1, 1.0, 2, 2.5, 7])
 ENTRIES = st.sampled_from(["post", "schedule", "schedule_at", "schedule_at_int"])
+#: Arguments an entry carries: none, one, a delivery's three, and more.
+ARITIES = st.sampled_from([0, 1, 3, 5])
 CANCEL = st.tuples(st.just("cancel"), st.integers(0, 500))
 RAISE = st.just(("raise",))
 BURST = st.tuples(st.just("burst"), st.integers(60, 120), st.integers(2, 6), st.booleans())
@@ -198,7 +203,9 @@ RUN = st.tuples(
 
 
 def adds(actions):
-    return st.tuples(st.just("add"), ENTRIES, WHENS, st.lists(actions, max_size=3))
+    return st.tuples(
+        st.just("add"), ENTRIES, WHENS, st.lists(actions, max_size=3), ARITIES
+    )
 
 
 #: What a callback may do: cancel anything (its own instant's entries
