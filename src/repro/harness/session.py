@@ -164,7 +164,7 @@ def open_substrate(
         network.set_channel(
             ImpairedChannel(default=fault.impairment(), seed=fault.seed)
         )
-    network.set_profiler(profiler)
+    network.profiler = profiler
     return SimSubstrate(network, protocol, max_events=cell.max_events)
 
 

@@ -75,7 +75,7 @@ from repro.adgraph.graph import InterADGraph
 from repro.live.clock import LiveClock
 from repro.simul.messages import Message
 from repro.simul.node import ProtocolNode
-from repro.simul.transport import Clock, Transport
+from repro.simul.transport import Transport
 from repro.simul.wire import (
     WireError,
     WireVersionError,
@@ -451,16 +451,18 @@ class LiveNetwork(Transport):
     (channel impairments, bounded ingress models) raises.
     """
 
+    clock: LiveClock
+
     def __init__(
         self,
         graph: InterADGraph,
         time_scale: float = 0.005,
     ) -> None:
-        super().__init__(graph)
         loop = asyncio.get_running_loop()
+        clock = LiveClock(loop, time_scale)
+        super().__init__(graph, clock)
         self._loop = loop
-        self._clock = LiveClock(loop, time_scale)
-        self._clock.on_idle = self._wake
+        clock.on_idle = self._wake
         self._runtimes: Dict[ADId, _NodeRuntime] = {}
         self._errors: List[Exception] = []
         self._started = False
@@ -498,10 +500,6 @@ class LiveNetwork(Transport):
         self._waiter: Optional[asyncio.Future] = None
 
     # -------------------------------------------------------- transport API
-
-    @property
-    def clock(self) -> Clock:
-        return self._clock
 
     def send(self, src: ADId, dst: ADId, msg: Message) -> None:
         """Encode one frame into the adjacency's outbox; the loop turn's
@@ -701,7 +699,7 @@ class LiveNetwork(Transport):
         a waiter to ask again."""
         return (
             self.idle()
-            and self._clock.pending_timers == 0
+            and self.clock.pending_timers == 0
             and self._dead_tasks == 0
         )
 
@@ -747,7 +745,7 @@ class LiveNetwork(Transport):
         loop.  ``False``: ``timeout_s`` wall seconds ran out first.  One
         waiter at a time (the driver task).
         """
-        loop, clock = self._loop, self._clock
+        loop, clock = self._loop, self.clock
         deadline = loop.time() + timeout_s
         while True:
             self._raise_failures()

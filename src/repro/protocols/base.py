@@ -22,6 +22,7 @@ experiment (E3) compare all eight design points on equal footing.
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, ClassVar, Dict, List, Optional, Tuple
 
 from repro.adgraph.ad import ADId
@@ -37,7 +38,7 @@ from repro.protocols.versioning import WireConfig
 from repro.simul.network import SimNetwork
 from repro.simul.node import ProtocolNode
 from repro.simul.runner import ConvergenceResult, converge
-from repro.simul.transport import Transport
+from repro.simul.transport import TimerHandle, Transport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.plan import FaultPlan
@@ -70,6 +71,20 @@ VERDICT_NAMES: Tuple[str, ...] = (
     "loop",
     "hop_budget",
 )
+
+
+@dataclass
+class _Crash:
+    """What the driver keeps about one crashed AD until its restore."""
+
+    #: The AD's incident link keys at crash time.
+    links: Tuple[Tuple[ADId, ADId], ...]
+    #: Whether the restore brings back the same process (tables intact).
+    retain_state: bool
+    #: The graceful-restart hold timer: neighbours hold the AD's routes
+    #: as stale while it is armed.  ``None`` for a disruptive crash and
+    #: once the hold expired.
+    hold: Optional[TimerHandle] = None
 
 
 class RoutingProtocol:
@@ -123,14 +138,8 @@ class RoutingProtocol:
         #: Chronological record of misbehavior start/stop applications.
         self.misbehavior_log: List[Dict[str, Any]] = []
         self._trusted_policies: Optional[PolicyDatabase] = None
-        self._crashed_links: Dict[ADId, Tuple[Tuple[ADId, ADId], ...]] = {}
-        self._crash_retain: Dict[ADId, bool] = {}
-        #: ADs currently down under graceful-restart helper semantics:
-        #: their incident links stay up (neighbours hold routes stale)
-        #: until restore or hold-timer expiry.
-        self._graceful_down: Dict[ADId, bool] = {}
-        #: Armed hold timers, cancelled by a restore within the window.
-        self._graceful_holds: Dict[ADId, Any] = {}
+        #: One record per crashed AD, dropped by its restore.
+        self._crashes: Dict[ADId, _Crash] = {}
         #: Observability: expired holds and resync rounds driven.
         self.grace_expirations = 0
         self.grace_resyncs = 0
@@ -283,7 +292,7 @@ class RoutingProtocol:
         runs byte-identically.
         """
         network = self._require_network()
-        if ad_id in self._crashed_links:
+        if ad_id in self._crashes:
             raise ValueError(f"AD {ad_id} is already crashed")
         gr = self.runtime.graceful
         if graceful is None:
@@ -303,6 +312,7 @@ class RoutingProtocol:
             # No NVRAM: messages sitting in the dead process's input
             # queue are lost with the rest of its state.
             network.flush_ingress(ad_id)
+        hold = None
         if graceful:
             # Helper mode: the links stay up in ground truth, so nobody
             # withdraws and the compiled FIB keeps forwarding.  Survivors
@@ -314,15 +324,11 @@ class RoutingProtocol:
                     continue
                 if not self.is_crashed(survivor):
                     network.nodes[survivor].on_neighbor_grace(ad_id)
-            self._graceful_down[ad_id] = True
-            self._graceful_holds[ad_id] = network.clock.call_later(
-                HOLD_TIME, self._grace_expired, ad_id
-            )
+            hold = network.clock.call_later(HOLD_TIME, self._grace_expired, ad_id)
         else:
             for a, b in live:
                 self.apply_link_status(a, b, False)
-        self._crashed_links[ad_id] = live
-        self._crash_retain[ad_id] = retain_state
+        self._crashes[ad_id] = _Crash(live, retain_state, hold)
 
     def _grace_expired(self, ad_id: ADId) -> None:
         """Hold timer fired before the restarter came back: give up.
@@ -330,12 +336,12 @@ class RoutingProtocol:
         Helpers stop holding stale routes and the normal withdrawal
         machinery runs -- the restart turns disruptive after all.
         """
-        if ad_id not in self._graceful_down:  # pragma: no cover - defensive
+        crash = self._crashes.get(ad_id)
+        if crash is None or crash.hold is None:  # pragma: no cover - defensive
             return
-        del self._graceful_down[ad_id]
-        self._graceful_holds.pop(ad_id, None)
+        crash.hold = None
         self.grace_expirations += 1
-        for a, b in self._crashed_links.get(ad_id, ()):
+        for a, b in crash.links:
             link = self.graph.link_if_exists(a, b)
             if link is not None and link.up:
                 self.apply_link_status(a, b, False)
@@ -349,22 +355,18 @@ class RoutingProtocol:
         process is live, so up-notifications drive relearning.
         """
         network = self._require_network()
-        if ad_id not in self._crashed_links:
+        crash = self._crashes.pop(ad_id, None)
+        if crash is None:
             raise ValueError(f"AD {ad_id} is not crashed")
-        links = self._crashed_links.pop(ad_id)
-        retain = self._crash_retain.pop(ad_id)
-        graceful = ad_id in self._graceful_down
+        graceful = crash.hold is not None
         if graceful:
             # Back inside the hold window: cancel the helpers' give-up
             # timer.  The links never went down, so the legacy
             # up-notification storm below is replaced by an explicit
             # resynchronisation round (when configured).
-            del self._graceful_down[ad_id]
-            handle = self._graceful_holds.pop(ad_id, None)
-            if handle is not None:
-                handle.cancel()
+            crash.hold.cancel()
         fresh: Optional[ProtocolNode] = None
-        if not retain:
+        if not crash.retain_state:
             old = network.nodes[ad_id]
             fresh = self._fresh_node(ad_id)
             self._stamp_runtime(fresh)
@@ -380,7 +382,7 @@ class RoutingProtocol:
             if self.runtime.graceful.resync:
                 self.grace_resyncs += 1
                 restarter = network.nodes[ad_id]
-                for a, b in links:
+                for a, b in crash.links:
                     link = self.graph.link_if_exists(a, b)
                     if link is None or not link.up:
                         continue
@@ -391,7 +393,7 @@ class RoutingProtocol:
                         network.nodes[survivor].on_neighbor_resync(ad_id)
                     restarter.on_neighbor_resync(survivor)
             return
-        for a, b in links:
+        for a, b in crash.links:
             self.apply_link_status(a, b, True)
 
     def _fresh_node(self, ad_id: ADId) -> ProtocolNode:
@@ -404,11 +406,11 @@ class RoutingProtocol:
         scratch = SimNetwork(self.graph)
         self._make_nodes(scratch)
         node = scratch.nodes[ad_id]
-        node.detach()
+        node.transport = None
         return node
 
     def is_crashed(self, ad_id: ADId) -> bool:
-        return ad_id in self._crashed_links
+        return ad_id in self._crashes
 
     # ----------------------------------------------------------- fault plans
 

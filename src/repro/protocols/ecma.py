@@ -183,9 +183,9 @@ class ECMANode(TransitRole, VectorNode):
 
     def on_message(self, sender: ADId, msg: Message) -> None:
         assert isinstance(msg, ECMAUpdate)
-        if not self.topology.has_link(self.ad_id, sender):
+        if not self.transport.graph.has_link(self.ad_id, sender):
             return
-        link = self.topology.link(self.ad_id, sender)
+        link = self.transport.graph.link(self.ad_id, sender)
         if not link.up:
             return
         if self.guard is not None and self.guard.suppresses(sender):

@@ -204,7 +204,7 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
     def _flood(self, msg: Message, exclude: Optional[ADId] = None) -> None:
         """Send to flooding-scope neighbours (all, or scoped links only)."""
         if self.flood_links is None:
-            self._transport.broadcast(self.ad_id, msg, exclude)
+            self.transport.broadcast(self.ad_id, msg, exclude)
             return
         for nbr in self.neighbors():
             if nbr == exclude:
@@ -218,7 +218,7 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
     def _build_own_lsa(self) -> LinkStateAd:
         self._seq += 1
         records = []
-        for link in self.topology.links_of(self.ad_id, include_down=True):
+        for link in self.transport.graph.links_of(self.ad_id, include_down=True):
             nbr = link.other(self.ad_id)
             up = link.up
             if up and self.pacing.damp and self._damper is not None:
@@ -363,7 +363,7 @@ class LSNode(OverloadDefenseMixin, ProtocolNode):
             self.lsdb[msg.origin] = msg
             self.db_version += 1
             if self.flood_links is None:
-                self._transport.broadcast(self.ad_id, msg, sender)
+                self.transport.broadcast(self.ad_id, msg, sender)
             else:
                 self._flood(msg, sender)
         elif isinstance(msg, LSDBExchange):

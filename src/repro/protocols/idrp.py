@@ -171,7 +171,7 @@ class IDRPNode(VectorNode):
 
     def on_message(self, sender: ADId, msg: Message) -> None:
         assert isinstance(msg, IDRPUpdate)
-        if not self._transport.graph.has_link(self.ad_id, sender):
+        if not self.transport.graph.has_link(self.ad_id, sender):
             return
         if self.guard is not None and self.guard.suppresses(sender):
             return
@@ -309,7 +309,7 @@ class IDRPNode(VectorNode):
         best_rank = None
         cls_set = self.class_sets[key[2]]
         metric_name = key[1].metric
-        link_to = self._transport.graph.link_if_exists
+        link_to = self.transport.graph.link_if_exists
         for nbr, table in self.rib_in.items():  # ascending peer id
             ad = table.get(key)
             if ad is None:

@@ -391,7 +391,7 @@ class ORWGNode(LSNode):
                 self._nak_backward(msg.handle, entry, result.reason)
             return
         assert entry is not None and entry.next is not None
-        graph = self.topology
+        graph = self.transport.graph
         if not graph.has_link(self.ad_id, entry.next) or not graph.link(
             self.ad_id, entry.next
         ).up:

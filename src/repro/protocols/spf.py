@@ -323,7 +323,7 @@ class SPFNode(LSNode):
             qos = QOS.DEFAULT
         cached = self._tables.get(qos)
         if cached is None or cached[0] != self.db_version:
-            profiler = self.profiler
+            profiler = self.transport.profiler
             if profiler is None:
                 lookup, entries = self._compute_table(qos)
             else:

@@ -176,7 +176,7 @@ class _ValleyFreeLSNode(LSNode):
         cached = self._cache.get(key)
         if cached is not None and cached[0] == self.db_version:
             return cached[1]
-        profiler = self.profiler
+        profiler = self.transport.profiler
         # This node's table above is the modelled one (a miss is charged
         # to this AD below); the route is searched once per LSDB content,
         # by one resumable SPF per (source, metric) of the generation.

@@ -2,7 +2,9 @@
 
 A minimal, deterministic event queue: events fire in time order, and two
 events scheduled for the same instant fire in the order they were
-scheduled.  Nothing here knows about networks or protocols.
+scheduled.  Nothing here knows about networks, protocols or wall-clock
+time; the :class:`Simulator` is the sim substrate's
+:class:`~repro.simul.transport.Clock` itself.
 
 The queue is a calendar (DESIGN section 9): a FIFO bucket per distinct
 pending instant and a heap of those instants, so insertion order needs no
@@ -15,12 +17,10 @@ return an :class:`EventHandle` (timers, which their owner may cancel),
 from __future__ import annotations
 
 import heapq
-import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional
 
-from repro.simul.profiling import PhaseProfiler
-from repro.simul.transport import TimerHandle
+from repro.simul.transport import Clock, TimerHandle
 
 
 class SimulationLimitError(RuntimeError):
@@ -66,13 +66,13 @@ class EventHandle(TimerHandle):
         return f"EventHandle(time={self.time})"
 
 
-class Simulator:
-    """A deterministic discrete-event simulator."""
+class Simulator(Clock):
+    """A deterministic discrete-event simulator, and the sim's clock."""
 
     #: Smaller queues never compact: :meth:`run`'s lazy skip is cheaper.
     COMPACT_MIN_QUEUE = 64
 
-    def __init__(self, profiler: Optional[PhaseProfiler] = None) -> None:
+    def __init__(self) -> None:
         # instant -> FIFO of entries (5 and 5.0 are one key), and a heap of
         # the keys, each once.  A scheduled entry is (handle, fn, args); a
         # posted one is the call itself, (fn, *args) -- one tracked object
@@ -89,8 +89,6 @@ class Simulator:
         self._cancelled_pending = 0
         #: Times the queue was compacted (observability; pinned by tests).
         self.compactions = 0
-        #: Wall-clock profiler; engine time accumulates under "engine.run".
-        self.profiler = profiler
         #: Whether the most recent :meth:`run` stopped on ``max_events``
         #: with deliverable events still queued (i.e. did NOT quiesce).
         self.hit_event_limit = False
@@ -105,6 +103,9 @@ class Simulator:
         if not delay >= 0:  # not ``delay < 0``: NaN must be rejected too
             raise ValueError(f"negative delay {delay}")
         return self.schedule_at(self._now + delay, fn, *args)
+
+    #: The :class:`~repro.simul.transport.Clock` verb: no wrapper call.
+    call_later = schedule
 
     def post(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """Fire-and-forget :meth:`schedule`: same order, no handle.
@@ -190,7 +191,6 @@ class Simulator:
         processed = 0
         self.hit_event_limit = False
         buckets, instants = self._buckets, self._instants
-        t0 = time.perf_counter() if self.profiler is not None else 0.0
         try:
             while instants:
                 instant = instants[0]
@@ -235,8 +235,6 @@ class Simulator:
         finally:
             # Once per run, not per event (see ``events_processed``).
             self.events_processed += processed
-            if self.profiler is not None:
-                self.profiler.add("engine.run", time.perf_counter() - t0)
         return processed
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -24,8 +24,7 @@ from repro.simul.engine import Simulator
 from repro.simul.ingress import SERVICE_TIME, IngressModel
 from repro.simul.messages import Message
 from repro.simul.node import ProtocolNode
-from repro.simul.profiling import PhaseProfiler
-from repro.simul.transport import Clock, SimClock, Transport
+from repro.simul.transport import Transport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.channel import ChannelModel
@@ -35,36 +34,20 @@ class SimNetwork(Transport):
     """Binds a topology to protocol nodes over a discrete-event engine.
 
     The simulated implementation of the
-    :class:`~repro.simul.transport.Transport` interface; its
-    :attr:`clock` is a :class:`~repro.simul.transport.SimClock` over the
-    discrete-event engine, so everything stays deterministic.
+    :class:`~repro.simul.transport.Transport` interface; its ``clock``
+    is its discrete-event engine, ``sim``, so everything stays
+    deterministic.
     """
 
-    def __init__(
-        self,
-        graph: InterADGraph,
-        sim: Optional[Simulator] = None,
-        profiler: Optional[PhaseProfiler] = None,
-    ) -> None:
-        super().__init__(graph, profiler)
-        self.sim = sim or Simulator(profiler=profiler)
+    def __init__(self, graph: InterADGraph) -> None:
+        self.sim = Simulator()
+        super().__init__(graph, self.sim)
         self.channel: Optional["ChannelModel"] = None
         self.ingress: Optional[IngressModel] = None
-        self._clock = SimClock(self.sim)
         # Bound once: every pending delivery shares this one method
         # object.  ``_post`` still reads it from the instance per call,
         # so a test that wraps ``network._deliver`` sees every delivery.
         self._deliver = self._deliver
-
-    @property
-    def clock(self) -> Clock:
-        """The engine behind the substrate-neutral :class:`Clock` API."""
-        return self._clock
-
-    def set_profiler(self, profiler: Optional[PhaseProfiler]) -> None:
-        """Attach (or detach) a wall-clock profiler to network and engine."""
-        super().set_profiler(profiler)
-        self.sim.profiler = profiler
 
     def start(self) -> None:
         """Schedule the start hooks and Hellos at t=0, in their order.
@@ -231,10 +214,12 @@ class SimNetwork(Transport):
         max_events: int = 5_000_000,
         raise_on_limit: bool = True,
     ) -> int:
-        """Run the engine (see :meth:`Simulator.run`)."""
-        return self.sim.run(
-            until=until, max_events=max_events, raise_on_limit=raise_on_limit
-        )
+        """Run the engine (see :meth:`Simulator.run`), timed as
+        ``engine.run`` when a profiler is attached."""
+        if self.profiler is None:
+            return self.sim.run(until, max_events, raise_on_limit)
+        with self.profiler.phase("engine.run"):
+            return self.sim.run(until, max_events, raise_on_limit)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SimNetwork(ads={self.graph.num_ads}, nodes={len(self.nodes)})"

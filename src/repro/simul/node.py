@@ -8,7 +8,10 @@ Nodes are substrate-neutral: everything they touch goes through the
 :class:`~repro.simul.transport.Transport` and
 :class:`~repro.simul.transport.Clock` interfaces, so the same subclass
 runs unmodified on the discrete-event simulator and on the live
-asyncio/UDP substrate (:mod:`repro.live`).
+asyncio/UDP substrate (:mod:`repro.live`).  A node's ``transport`` is a
+plain attribute: ``None`` until the network registers the node
+(``Transport.add_node`` / ``restore_node``), then read as
+``self.transport.graph``, ``self.transport.profiler`` and so on.
 
 Subclasses implement three hooks:
 
@@ -41,7 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.protocols.pacing import PacingConfig
     from repro.protocols.validation import NeighborGuard, ValidationConfig
     from repro.protocols.versioning import WireConfig
-    from repro.simul.profiling import PhaseProfiler
 
 #: Ack wait before a hardening retransmission, in simulated time units:
 #: about two worst-case round trips (link delays run 3--30).
@@ -75,7 +77,8 @@ class ProtocolNode:
 
     def __init__(self, ad_id: ADId) -> None:
         self.ad_id = ad_id
-        self._transport: Optional[Transport] = None
+        #: The network this node is registered with (set by it).
+        self.transport: Optional[Transport] = None
         self._defunct = False
         #: How many times this node acted as a graceful-restart helper
         #: (entered the hold-routes-as-stale state for a neighbour).
@@ -98,14 +101,6 @@ class ProtocolNode:
 
     # ----------------------------------------------------------- plumbing
 
-    def attach(self, transport: Transport) -> None:
-        """Called by the transport when the node is registered."""
-        self._transport = transport
-
-    def detach(self) -> None:
-        """Disconnect from the transport (used when built on a scratch one)."""
-        self._transport = None
-
     def retire(self) -> None:
         """Permanently silence this node: pending timers become no-ops.
 
@@ -122,23 +117,6 @@ class ProtocolNode:
         restart (e.g. an LSA sequence counter in NVRAM, so post-restart
         originations are not rejected as stale).  Default: nothing.
         """
-
-    @property
-    def transport(self) -> Transport:
-        """The substrate this node is attached to."""
-        if self._transport is None:
-            raise RuntimeError(f"node {self.ad_id} is not attached to a network")
-        return self._transport
-
-    @property
-    def topology(self) -> "InterADGraph":
-        """The inter-AD topology (links, metrics, policy terms)."""
-        return self.transport.graph
-
-    @property
-    def profiler(self) -> Optional["PhaseProfiler"]:
-        """The substrate's wall-clock profiler, if one is attached."""
-        return self.transport.profiler
 
     @property
     def now(self) -> float:
@@ -301,7 +279,7 @@ class ProtocolNode:
         flush, path-vector Loc-RIB re-advertisement) and refreshes any
         stale-held state on both sides.
         """
-        link = self.topology.link_if_exists(self.ad_id, neighbor)
+        link = self.transport.graph.link_if_exists(self.ad_id, neighbor)
         if link is not None and link.up:
             self.on_link_change(link, True)
 

@@ -1,9 +1,9 @@
 """Lightweight wall-clock phase profiling for simulation runs.
 
 A :class:`PhaseProfiler` accumulates ``perf_counter`` seconds per named
-phase.  The engine and the network accept one opportunistically: when no
-profiler is attached (the default) the hot paths pay a single ``None``
-check, so profiling never perturbs ordinary runs.  The experiment
+phase.  A network holds one as its plain ``profiler`` attribute: when
+none is attached (the default) the code that times a phase pays a single
+``None`` check, so profiling never perturbs ordinary runs.  The experiment
 harness attaches a profiler per run and persists the phase timings in
 each :class:`~repro.harness.record.RunRecord`.
 
@@ -12,7 +12,7 @@ Usage::
     profiler = PhaseProfiler()
     with profiler.phase("build"):
         network = protocol.build()
-    network.set_profiler(profiler)     # engine time shows up as "engine.run"
+    network.profiler = profiler        # network.run() shows up as "engine.run"
     profiler.as_dict()                 # {"build": 0.012, "engine.run": 0.4}
 """
 

@@ -22,8 +22,8 @@ need from the outside world is captured by two small interfaces:
 
 Two substrates implement them:
 
-* the discrete-event simulator (:class:`~repro.simul.network.SimNetwork`
-  + :class:`SimClock` over :class:`~repro.simul.engine.Simulator`), which
+* the discrete-event simulator (:class:`~repro.simul.network.SimNetwork`,
+  whose clock is the :class:`~repro.simul.engine.Simulator` itself), which
   is deterministic and bit-reproducible; and
 * the live asyncio/UDP substrate (:mod:`repro.live`), where each AD is an
   asyncio task and timers map onto ``loop.call_later``.
@@ -62,7 +62,6 @@ from repro.simul.metrics import MetricsCollector
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.adgraph.ad import InterADLink
     from repro.adgraph.graph import InterADGraph
-    from repro.simul.engine import Simulator
     from repro.simul.messages import Message
     from repro.simul.node import ProtocolNode
     from repro.simul.profiling import PhaseProfiler
@@ -116,32 +115,6 @@ class Clock(abc.ABC):
         """Run ``fn(*args)`` after ``delay`` time units; returns a handle."""
 
 
-class SimClock(Clock):
-    """The discrete-event engine exposed through the :class:`Clock` API.
-
-    A thin veneer over :class:`~repro.simul.engine.Simulator`: it adds no
-    events, state, or ordering of its own, so the sim substrate stays
-    byte-identical to driving the engine directly.
-    """
-
-    __slots__ = ("_sim",)
-
-    def __init__(self, sim: "Simulator") -> None:
-        self._sim = sim
-
-    @property
-    def now(self) -> float:
-        return self._sim.now
-
-    def call_later(
-        self, delay: float, fn: Callable[..., None], *args: Any
-    ) -> TimerHandle:
-        return self._sim.schedule(delay, fn, *args)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SimClock(now={self._sim.now})"
-
-
 class Transport(abc.ABC):
     """What a protocol node may ask of the network substrate, and the
     driver-facing skeleton every substrate shares.
@@ -150,39 +123,31 @@ class Transport(abc.ABC):
 
     * ``graph`` — the :class:`~repro.adgraph.graph.InterADGraph` topology
       (nodes read link state and policy terms from it).
+    * ``clock`` — the substrate's :class:`Clock`, given at construction.
     * ``metrics`` — the :class:`~repro.simul.metrics.MetricsCollector`
       accounting messages, bytes, and computation.
     * ``profiler`` — an optional wall-clock
-      :class:`~repro.simul.profiling.PhaseProfiler` (may be ``None``).
+      :class:`~repro.simul.profiling.PhaseProfiler`: ``None`` unless the
+      harness assigns one (``harness.session.open_substrate``).
     * ``nodes`` — the ``{ad_id: ProtocolNode}`` registry.
     * ``tracer`` — the one trace hook, ``None`` or the
       :class:`~repro.simul.trace.Tracer` attached; read where a message
       reaches its destination AD, before any drop, and on a link change.
 
-    A substrate supplies :attr:`clock`, :meth:`send` (the adjacency and
+    A substrate supplies its clock, :meth:`send` (the adjacency and
     liveness checks, then :meth:`_post`), :meth:`_post` and its own start
     and teardown; it overrides a registry or crash method only to add a
     step of its own, and then calls ``super()``.
     """
 
-    def __init__(
-        self, graph: "InterADGraph", profiler: Optional["PhaseProfiler"] = None
-    ) -> None:
+    def __init__(self, graph: "InterADGraph", clock: Clock) -> None:
         self.graph = graph
+        self.clock = clock
         self.metrics = MetricsCollector()
         self.nodes: Dict[ADId, "ProtocolNode"] = {}
-        self.profiler = profiler
+        self.profiler: Optional["PhaseProfiler"] = None
         self._crashed: Set[ADId] = set()
         self.tracer: Optional["Tracer"] = None
-
-    @property
-    @abc.abstractmethod
-    def clock(self) -> Clock:
-        """The substrate's time source and timer scheduler."""
-
-    def set_profiler(self, profiler: Optional["PhaseProfiler"]) -> None:
-        """Attach (or detach) a wall-clock profiler; nodes read it here."""
-        self.profiler = profiler
 
     # ----------------------------------------------------------- node mgmt
 
@@ -193,7 +158,7 @@ class Transport(abc.ABC):
         if node.ad_id in self.nodes:
             raise ValueError(f"AD {node.ad_id} already has a node")
         self.nodes[node.ad_id] = node
-        node.attach(self)
+        node.transport = self
         return node
 
     def node(self, ad_id: ADId) -> "ProtocolNode":
@@ -254,7 +219,7 @@ class Transport(abc.ABC):
                     f"replacement node is for AD {node.ad_id}, not AD {ad_id}"
                 )
             self.nodes[ad_id] = node
-            node.attach(self)
+            node.transport = self
 
     def is_crashed(self, ad_id: ADId) -> bool:
         return ad_id in self._crashed

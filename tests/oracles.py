@@ -320,7 +320,7 @@ def idrp_selection(node: IDRPNode, key: _Key) -> Optional[_LocEntry]:
     in ascending id order, the first of equal ranks winning."""
     me, cls_set, ranked = node.ad_id, node.class_sets[key[2]], []
     for nbr in sorted(node.rib_in):
-        ad, link = node.rib_in[nbr].get(key), node.topology.link_if_exists(me, nbr)
+        ad, link = node.rib_in[nbr].get(key), node.transport.graph.link_if_exists(me, nbr)
         if ad is None or link is None or not link.up or me in ad.path:
             continue
         if node._candidate_usable(ad) and not ad.allowed.intersect(cls_set).is_empty:

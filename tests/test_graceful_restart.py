@@ -113,6 +113,24 @@ def test_restore_within_hold_cancels_timer_and_resyncs():
     assert _routes(proto) == before
 
 
+def test_restore_after_the_hold_expired_takes_the_disruptive_path():
+    # Resync is on, so a restore that still thought the AD was held would
+    # count a resync round and leave the expired links down.
+    proto, network = _build(graceful="all")
+    before = _routes(proto)
+    proto.crash_node(3, retain_state=True)
+    network.run(until=network.sim.now + HOLD_TIME + 150.0)
+    assert all(not link.up for link in proto.graph.links_of(3))
+    proto.restore_node(3)
+    network.run()
+    assert all(link.up for link in proto.graph.links_of(3))
+    summary = proto.runtime_summary("graceful")
+    assert summary["expirations"] == 1
+    assert summary["resyncs"] == 0
+    assert _routes(proto) == before
+    assert not proto.is_crashed(3)
+
+
 def test_disabled_graceful_is_byte_identical_to_legacy_path():
     """GR off must not perturb the legacy crash/restore machinery at all."""
 

@@ -305,7 +305,7 @@ CALLS_PER_MESSAGE_BUDGET = 8.5
 def test_python_calls_per_delivered_message_stay_within_budget():
     scenario = scaled_scenario(100, seed=0)
     network = make_protocol("plain-ls", scenario.graph, scenario.policies).build()
-    network.set_profiler(PhaseProfiler())
+    network.profiler = PhaseProfiler()
     network.start()
     calls = 0
 

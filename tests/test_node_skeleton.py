@@ -164,7 +164,7 @@ def force_readvertisement(node):
         node.originate()
         return
     for nbr in node.neighbors():
-        node.on_link_change(node.topology.link(node.ad_id, nbr), True)
+        node.on_link_change(node.transport.graph.link(node.ad_id, nbr), True)
 
 
 # -------------------------------------------------------------------- lies

@@ -87,11 +87,6 @@ class TestNodeManagement:
         with pytest.raises(ValueError):
             net.add_node(Recorder(99))
 
-    def test_unattached_node_has_no_network(self):
-        node = Recorder(1)
-        with pytest.raises(RuntimeError):
-            _ = node.transport
-
 
 class TestLinkChanges:
     def test_both_endpoints_notified(self, net):
@@ -134,6 +129,6 @@ class TestNodeHelpers:
 
     def test_base_node_rejects_unknown_message(self, net):
         node = ProtocolNode(0)
-        node.attach(net)
+        node.transport = net
         with pytest.raises(NotImplementedError):
             node.on_message(1, Ping())

@@ -15,6 +15,7 @@ from repro.live import LiveNetwork
 from repro.protocols.versioning import WireConfig
 from repro.simul.network import SimNetwork
 from repro.simul.node import ProtocolNode
+from repro.simul.transport import Clock
 
 from .helpers import mk_graph
 
@@ -136,6 +137,41 @@ def test_a_replacement_node_must_be_for_the_restored_ad(substrate):
         net.restore_node(3, fresh)
         assert net.node(3) is fresh
         assert fresh.transport is net
+
+    run_on(substrate, body)
+
+
+def test_registering_sets_the_node_transport(substrate):
+    def body(net, log):
+        assert all(node.transport is net for node in net.nodes.values())
+        net.crash_node(3)
+        fresh = Recorder(3, log)
+        assert fresh.transport is None
+        net.restore_node(3, fresh)
+        assert fresh.transport is net
+
+    run_on(substrate, body)
+
+
+def test_a_node_never_registered_has_no_transport(substrate):
+    def body(net, log):
+        stray = Recorder(99, log)
+        with pytest.raises(ValueError, match="not in the topology"):
+            net.add_node(stray)
+        assert stray.transport is None
+        with pytest.raises(AttributeError):
+            stray.send(0, None)
+
+    run_on(substrate, body)
+
+
+def test_clock_and_profiler_are_plain_attributes(substrate):
+    def body(net, log):
+        assert isinstance(net.clock, Clock)
+        assert net.profiler is None
+        if substrate == "sim":
+            # The engine is the clock itself, not a wrapper around it.
+            assert net.clock is net.sim
 
     run_on(substrate, body)
 
