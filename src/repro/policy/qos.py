@@ -47,6 +47,12 @@ class QOS(enum.Enum):
     # every (dest, qos, cls) routing key pays it on every dict operation.
     __hash__ = object.__hash__
 
+    def __lt__(self, other: "QOS") -> bool:
+        # By value: routing keys ``(dest, qos, ...)`` sort with no key function.
+        if type(other) is not QOS:
+            return NotImplemented
+        return self._value_ < other._value_
+
     @property
     def metric(self) -> str:
         """Name of the link metric this QOS class optimises."""

@@ -22,6 +22,8 @@ class _SetMode(enum.Enum):
     INCLUDE = "include"
     EXCLUDE = "exclude"
 
+    __hash__ = object.__hash__  # singletons, as ``QOS``: no ``Enum.__hash__`` per ``ADSet`` hash
+
 
 #: The modes as module globals: the algebra tests them on every operation.
 _ALL = _SetMode.ALL

@@ -159,8 +159,6 @@ class TransitRole:
 class ECMANode(TransitRole, VectorNode):
     """Per-AD ECMA process: one entry per (dest, QOS) key."""
 
-    _key_order = staticmethod(lambda key: (key[0], key[1].value))
-
     def __init__(
         self,
         ad_id: ADId,

@@ -25,7 +25,7 @@ path-vector attribute set captures fine-grained policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Optional, Tuple
 
 from repro.adgraph.ad import ADId
@@ -50,6 +50,12 @@ TEMPLATE_HOUR = 12
 #: Sentinel term id for terms a misbehaving AD forged locally (never
 #: produced by the policy generators, so ``behave`` can strip them).
 FORGED_TERM_ID = 9_999
+
+_EVERYONE = ADSet.everyone()
+_NONE = ADSet.none()
+
+#: The link metric each QOS class optimises, read without a property call.
+_METRIC_NAME = {qos: qos.metric for qos in QOS}
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,20 +85,18 @@ class RouteAd:
     metric: float
     allowed: ADSet
     cls: int = 0
+    #: Memoized wire size: it is asked per delivery of a shared ad.
+    _size: int = field(default=0, init=False, repr=False, compare=False)
 
     @property
     def is_withdrawal(self) -> bool:
         return not self.path
 
     def size_bytes(self) -> int:
-        return (
-            AD_ID_BYTES  # dest
-            + 1  # qos tag
-            + 1  # class tag
-            + METRIC_BYTES
-            + AD_ID_BYTES * len(self.path)
-            + self.allowed.size_bytes()
-        )
+        if not self._size:  # dest, qos tag, class tag, metric, path, scope
+            size = AD_ID_BYTES + 1 + 1 + METRIC_BYTES + AD_ID_BYTES * len(self.path)
+            object.__setattr__(self, "_size", size + self.allowed.size_bytes())
+        return self._size
 
 
 @dataclass(frozen=True)
@@ -102,7 +106,7 @@ class IDRPUpdate(Message):
     routes: Tuple[RouteAd, ...]
 
     def size_bytes(self) -> int:
-        return super().size_bytes() + sum(r.size_bytes() for r in self.routes)
+        return super().size_bytes() + sum(map(RouteAd.size_bytes, self.routes))
 
 
 @dataclass(slots=True)
@@ -117,7 +121,31 @@ class _LocEntry:
 
 
 #: Loc-RIB / Adj-RIB key: (destination, QOS class, policy-class tag).
+#: Keys sort natively in flush order: ``QOS`` orders by value.
 _Key = Tuple[ADId, QOS, int]
+
+
+def _axis(adset: ADSet) -> tuple:
+    """An AD-set axis as ``(members, inside)``: ``ad`` is in the set iff
+    ``(ad in members) is inside``."""
+    return (frozenset() if adset.is_universal else adset.members), adset.is_finite
+
+
+def compile_transit_terms(terms: Tuple[PolicyTerm, ...]) -> Tuple[tuple, ...]:
+    """``terms`` as the ``(dests, prev_ads, next_ads, qos_classes,
+    sources)`` rows ``_export_scope`` scans: the template's UCI and hour
+    are folded in (a term they fail is left out)."""
+    return tuple(
+        (_axis(t.dests), _axis(t.prev_ads), _axis(t.next_ads),
+         frozenset(QOS) if t.qos_classes is None else t.qos_classes, t.sources)
+        for t in terms
+        if (t.ucis is None or TEMPLATE_UCI in t.ucis) and t.window.matches(TEMPLATE_HOUR)
+    )
+
+
+def _tie_rank(ad: RouteAd) -> tuple:
+    """Rank among equal metrics: shorter path, wider scope, smaller path."""
+    return len(ad.path), -ad.allowed.plausible_size(), ad.path
 
 
 class IDRPNode(VectorNode):
@@ -127,7 +155,8 @@ class IDRPNode(VectorNode):
     selected route per (dest, qos, class) key.
     """
 
-    _key_order = staticmethod(lambda key: (key[0], key[1].value, key[2]))
+    #: The ``own_terms`` tuple (a lie reassigns it) ``_transit_rows`` holds.
+    _compiled_terms: Optional[Tuple[PolicyTerm, ...]] = None
 
     def __init__(
         self,
@@ -292,43 +321,40 @@ class IDRPNode(VectorNode):
 
     # -------------------------------------------------------------- decision
 
-    def _candidate_rank(self, ad: RouteAd, link_metric: float):
-        metric = ad.metric + link_metric
-        return (metric, len(ad.path), -ad.allowed.plausible_size(), ad.path)
-
     def _candidate_usable(self, ad: RouteAd) -> bool:
         """Extra per-candidate acceptance hook (variants override)."""
         return True
 
     def _reselect(self, key: _Key) -> bool:
-        """Recompute the Loc-RIB entry for a key; True if it changed."""
+        """Recompute the Loc-RIB entry for a key; True if it changed.  The
+        lowest metric, then ``_tie_rank``, then the lowest peer id wins."""
         me = self.ad_id
         if key[0] == me:
             return False
         best_ad: Optional[RouteAd] = None
-        best_rank = None
         cls_set = self.class_sets[key[2]]
-        metric_name = key[1].metric
+        if cls_set is _EVERYONE:
+            cls_set = None  # ``x ∩ everyone`` is empty iff ``x`` is
+        metric_name = _METRIC_NAME[key[1]]
         link_to = self.transport.graph.link_if_exists
         for nbr, table in self.rib_in.items():  # ascending peer id
             ad = table.get(key)
-            if ad is None:
-                continue
-            if me in ad.path:
-                continue  # loop suppression via full AD path
-            if ad.allowed.intersect(cls_set).is_empty:
+            if ad is None or me in ad.path:
+                continue  # no candidate, or loop suppression via full AD path
+            if (ad.allowed if cls_set is None else ad.allowed.intersect(cls_set)).is_empty:
                 continue  # serves no source of this route's class
             if not self._candidate_usable(ad):
                 continue
             link = link_to(me, nbr)
             if link is None or not link.up:
                 continue
-            link_metric = link.metric(metric_name)
-            rank = self._candidate_rank(ad, link_metric)
-            if best_rank is None or rank < best_rank:
-                best_rank = rank
-                best_ad, best_via = ad, nbr
-                best_metric = ad.metric + link_metric
+            metric = ad.metric + link.metrics.get(metric_name, 1.0)  # link.metric()
+            if (
+                best_ad is None
+                or metric < best_metric
+                or (metric == best_metric and _tie_rank(ad) < _tie_rank(best_ad))
+            ):
+                best_ad, best_via, best_metric = ad, nbr, metric
         old = self.table.get(key)
         if best_ad is None:
             if old is not None:
@@ -362,19 +388,28 @@ class IDRPNode(VectorNode):
         """
         if dest == self.ad_id:
             return self.class_sets[cls]
-        permitted = ADSet.none()
-        for term in self.own_terms:
-            if term.matches_except_source(
-                dest, to_nbr, entry.via, qos, TEMPLATE_UCI, TEMPLATE_HOUR
+        terms = self.own_terms
+        if terms is not self._compiled_terms:
+            self._transit_rows = compile_transit_terms(terms)
+            self._compiled_terms = terms
+        via, permitted = entry.via, _NONE
+        for (dests, d_in), (prevs, p_in), (nexts, n_in), qoses, sources in self._transit_rows:
+            if (
+                (dest in dests) is d_in
+                and (to_nbr in prevs) is p_in
+                and (via in nexts) is n_in
+                and qos in qoses
             ):
                 if not self.source_scope:
                     # BGP-2: scopes are not expressible; export is all-or-
                     # nothing on whether *any* matching term exists.
-                    return ADSet.everyone()
-                permitted = permitted.union(term.sources)
-        if not self.source_scope:
+                    return _EVERYONE
+                permitted = permitted.union(sources)
+        if permitted is _NONE:
             return permitted
-        return entry.allowed.intersect(permitted).intersect(self.class_sets[cls])
+        scope = entry.allowed.intersect(permitted)  # never ``ALL``: ``∩ everyone`` is a no-op
+        cls_set = self.class_sets[cls]
+        return scope if cls_set is _EVERYONE else scope.intersect(cls_set)
 
     def _batch(self, nbr: ADId) -> tuple:
         return nbr, self._advertised.setdefault(nbr, set()), []

@@ -19,7 +19,7 @@ its ``_check_*``, and what a lie changes locally (:meth:`_start_lie`,
 
 from __future__ import annotations
 
-from typing import Any, Callable, ClassVar, Dict, Hashable, Iterable, List, Optional, Set
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Set
 
 from repro.adgraph.ad import ADId, InterADLink
 from repro.protocols.pacing import OverloadDefenseMixin
@@ -39,8 +39,6 @@ class VectorNode(OverloadDefenseMixin, ProtocolNode):
     _flush_scheduled = False
     #: Suppressed keys whose one withdrawal is already out.
     _suppression_announced: Optional[Set[Hashable]] = None
-    #: Sort key putting pending keys in flush order (``None``: natural).
-    _key_order: ClassVar[Optional[Callable[[Any], Any]]] = None
 
     def __init__(self, ad_id: ADId) -> None:
         super().__init__(ad_id)
@@ -143,7 +141,7 @@ class VectorNode(OverloadDefenseMixin, ProtocolNode):
         self._flush_batch()
 
     def _flush_batch(self) -> None:
-        keys = sorted(self._batch_keys(), key=self._key_order)
+        keys = sorted(self._batch_keys())
         self._pending.clear()
         if not keys:
             return

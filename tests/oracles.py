@@ -31,8 +31,11 @@ Each oracle is the plain version of a production path, kept here (not in
   which the in-tree DFS/BFS must answer identically
   (``tests/test_graph_cut_points.py``);
 * :func:`idrp_selection`, IDRP's decision process as one pass over the
-  per-peer Adj-RIB-Ins, which every Loc-RIB entry must equal
-  (``tests/test_idrp_rib.py``);
+  per-peer Adj-RIB-Ins with the rank spelled out as a tuple, which every
+  Loc-RIB entry must equal (``tests/test_idrp_rib.py``), and
+  :func:`idrp_export_scope`, IDRP's export scope as a scan of the own
+  terms with ``matches_except_source``, which the compiled transit rows
+  must answer identically (``tests/test_idrp_export_scope.py``);
 * :func:`reference_frame` (over :func:`framed`), one ``json.dumps`` of a
   whole frame envelope, which every ``encode_frame`` output must equal
   byte for byte, memo cold or warm, container spliced or not
@@ -57,7 +60,9 @@ from repro.core.synthesis import DEFAULT_FALLBACK_BUDGET, SynthesisStats
 from repro.policy.database import PolicyDatabase
 from repro.policy.flows import FlowSpec
 from repro.policy.legality import is_legal_path, path_cost, path_metric
+from repro.policy.qos import QOS
 from repro.policy.selection import OPEN_SELECTION, RouteSelectionPolicy
+from repro.policy.sets import ADSet
 from repro.policy.terms import PolicyTerm
 from repro.protocols.base import (
     DEAD_LINK,
@@ -69,7 +74,7 @@ from repro.protocols.base import (
     ForwardingMode,
     RoutingProtocol,
 )
-from repro.protocols.idrp import IDRPNode, _Key, _LocEntry
+from repro.protocols.idrp import TEMPLATE_HOUR, TEMPLATE_UCI, IDRPNode, _Key, _LocEntry
 from repro.simul.wire import to_wire
 
 _LinkKey = Tuple[ADId, ADId]
@@ -317,17 +322,37 @@ def nx_is_forest(graph: InterADGraph) -> bool:
 
 def idrp_selection(node: IDRPNode, key: _Key) -> Optional[_LocEntry]:
     """The best usable candidate for ``key`` over every peer's table, peers
-    in ascending id order, the first of equal ranks winning."""
+    in ascending id order, ranked by ``(metric, len(path), -plausible_size,
+    path)``, the first of equal ranks winning."""
     me, cls_set, ranked = node.ad_id, node.class_sets[key[2]], []
     for nbr in sorted(node.rib_in):
         ad, link = node.rib_in[nbr].get(key), node.transport.graph.link_if_exists(me, nbr)
         if ad is None or link is None or not link.up or me in ad.path:
             continue
         if node._candidate_usable(ad) and not ad.allowed.intersect(cls_set).is_empty:
-            ranked.append((node._candidate_rank(ad, link.metric(key[1].metric)), nbr, ad))
+            metric = ad.metric + link.metric(key[1].metric)
+            rank = (metric, len(ad.path), -ad.allowed.plausible_size(), ad.path)
+            ranked.append((rank, nbr, ad))
     for rank, nbr, ad in sorted(ranked, key=lambda r: r[0])[:1]:  # stable sort
         return _LocEntry(nbr, (me,) + ad.path, rank[0], ad.allowed)
     return None
+
+
+def idrp_export_scope(
+    node: IDRPNode, entry: _LocEntry, dest: ADId, qos: QOS, to_nbr: ADId, cls: int = 0
+) -> ADSet:
+    """The source scope ``node`` exports ``entry`` to ``to_nbr`` with: the
+    union of the sources of every own term matching the traversal at the
+    flow template, narrowed by the downstream scope and the class."""
+    if dest == node.ad_id:
+        return node.class_sets[cls]
+    permitted = ADSet.none()
+    for term in node.own_terms:
+        if term.matches_except_source(dest, to_nbr, entry.via, qos, TEMPLATE_UCI, TEMPLATE_HOUR):
+            if not node.source_scope:
+                return ADSet.everyone()  # BGP-2: any matching term exports
+            permitted = permitted.union(term.sources)
+    return entry.allowed.intersect(permitted).intersect(node.class_sets[cls])
 
 
 # ------------------------------------------------- the four searches, verbatim

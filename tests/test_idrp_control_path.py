@@ -47,10 +47,16 @@ CONSTRUCTIONS_PER_ROUTE_AD_BUDGET = 1.0
 #: per ad and, like ``_reselect``, reached the graph through the
 #: ``topology`` -> ``transport`` property pair; 56.98 without; 54.41 with
 #: the node's ``transport`` a plain attribute and the simulator its own
-#: clock (``now`` and ``schedule`` each skip a wrapper call).  The count
-#: repeats exactly under any hash seed; the slack is for first-use work
-#: elsewhere in a test session.
-CALLS_PER_ROUTE_AD_BUDGET = 55.0
+#: clock (``now`` and ``schedule`` each skip a wrapper call); 32.29 with
+#: each node's own terms compiled once into export rows (no
+#: ``matches_except_source`` / ``ADSet.matches`` per term and neighbour),
+#: candidates ranked inline (no ``_candidate_rank``, QOS ``metric`` or
+#: ``link.metric`` call), the identity ``∩ everyone`` skipped, pending
+#: keys sorted natively (no ``_key_order`` / ``QOS.value`` per key),
+#: ``_SetMode`` hashed by identity and a ``RouteAd`` sized once.  The
+#: count repeats exactly under any hash seed; the slack is for first-use
+#: work elsewhere in a test session.
+CALLS_PER_ROUTE_AD_BUDGET = 32.5
 
 
 def test_pinned_cells_record_what_the_parent_commit_recorded():

@@ -7,7 +7,10 @@ same object.  Records must not move (the parent-record corpus and the
 tables pin that); this file pins the layout itself:
 
 * the decision process against :func:`tests.oracles.idrp_selection` on
-  drawn graphs, policies and link flaps;
+  drawn graphs, policies and link flaps, and its full tie pinned: the
+  lowest peer id wins, whatever the arrival order;
+* pending keys sort natively (``QOS`` orders by value) in the order the
+  old ``(dest, qos.value, cls)`` sort key gave;
 * a link-down reselects the lost keys in first-seen order, withdrawals
   included (``_damp_loss`` arms reuse timers in that order);
 * on a 50-AD churn run, retained ads are as many objects as values, and
@@ -92,6 +95,39 @@ def test_every_loc_entry_is_the_oracle_through_link_flaps(drawn):
         protocol.network.set_link_status(a, b, up=not link.up)
         protocol.network.run()
         assert_loc_is_the_oracle(protocol)
+
+
+def test_a_full_tie_goes_to_the_lowest_peer_id():
+    # The IDRP tie-break site: peers 2 and 0 of AD 1 offer the same path,
+    # metric and scope for destination 9 (over equal links), 2 first.
+    # Arrival order must not decide: the lower peer id wins, and keeps
+    # winning against an equal ad that is a distinct object.
+    graph = line_graph(3)
+    protocol = IDRPProtocol(graph, PolicyDatabase())
+    protocol.converge()
+    node = protocol.network.node(1)
+    key = (9, QOS.DEFAULT, 0)
+    ad = RouteAd(9, QOS.DEFAULT, (5, 9), 2.0, ADSet.of({0, 1, 2}))
+    node.on_message(2, IDRPUpdate((ad,)))
+    assert node.loc[key].via == 2
+    node.on_message(0, IDRPUpdate((ad,)))
+    assert node.loc[key] == _LocEntry(0, (1, 5, 9), 3.0, ad.allowed)
+    twin = RouteAd(9, QOS.DEFAULT, (5, 9), 2.0, ADSet.of({0, 1, 2}))
+    node.on_message(2, IDRPUpdate((twin,)))
+    assert node.loc[key].via == 0
+    assert node.loc[key] == idrp_selection(node, key)
+    node.on_message(0, IDRPUpdate((RouteAd(9, QOS.DEFAULT, (), 0.0, ADSet.none()),)))
+    assert node.loc[key].via == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.sampled_from(list(QOS)), st.integers(0, 2))))
+def test_routing_keys_sort_natively_in_the_flush_order(keys):
+    # A flush announces its pending keys sorted: natively, with ``QOS``
+    # ordered by value, as ``(dest, qos.value, cls)`` ordered them.
+    assert sorted(keys) == sorted(keys, key=lambda k: (k[0], k[1].value, k[2]))
+    ecma_keys = [k[:2] for k in keys]
+    assert sorted(ecma_keys) == sorted(ecma_keys, key=lambda k: (k[0], k[1].value))
 
 
 def test_link_down_reselects_lost_keys_in_first_seen_order(monkeypatch):

@@ -15,7 +15,6 @@ from repro.protocols.pacing import PacingConfig
 from repro.protocols.registry import make_protocol
 from repro.protocols.runtime import NodeRuntimeConfig, runtime_from
 from repro.protocols.validation import ValidationConfig
-from repro.simul.engine import Simulator
 from repro.simul.network import SimNetwork
 from repro.simul.transport import Clock, TimerHandle, Transport
 
@@ -127,8 +126,7 @@ def test_retired_node_timers_never_fire():
     assert fired == []
 
 
-def test_sim_clock_call_later_matches_schedule():
-    sim = Simulator()
+def test_network_clock_call_later_matches_schedule():
     graph, _ = small_setting()
     network = SimNetwork(graph)
     order = []
@@ -136,4 +134,3 @@ def test_sim_clock_call_later_matches_schedule():
     network.clock.call_later(1.0, order.append, "a")
     network.sim.run(max_events=10)
     assert order == ["a", "b"]
-    assert sim.now == 0.0  # the scratch simulator was never involved
